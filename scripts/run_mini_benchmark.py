@@ -27,8 +27,8 @@ from kgrag.evaluation import (  # noqa: E402
     load_records_jsonl,
     write_report_csv,
 )
-from kgrag.pipeline import build_store, open_store, run_query  # noqa: E402
-from kgrag.retriever import EchoGenerator, QueryConfig, generate_answer  # noqa: E402
+from kgrag.pipeline import answer_records, build_store, open_store  # noqa: E402
+from kgrag.retriever import EchoGenerator, QueryConfig  # noqa: E402
 
 MODES = {"hybrid": "hybrid", "semantic": "unstructured_only", "kg": "structured_only"}
 
@@ -36,14 +36,7 @@ MODES = {"hybrid": "hybrid", "semantic": "unstructured_only", "kg": "structured_
 def evaluate_mode(store, records, mode: str, beta: float):
     config = QueryConfig(mode=MODES[mode], beta=beta)
     embedder = store.make_embedder()
-    extractor = store.make_extractor()
-    generator = EchoGenerator()
-    for record in records:
-        result = run_query(store, record.question, config, embedder=embedder, extractor=extractor)
-        record.contexts = ([result.structured_text] if result.structured_text else []) + [
-            c.text for c in result.ranked_chunks
-        ]
-        record.answer = generate_answer(record.question, result.unified_context, generator)
+    answer_records(store, records, config, EchoGenerator(), embedder)
     return evaluate(records, LexicalJudge(), embedder)
 
 

@@ -36,7 +36,6 @@ from .retriever import (
     confirmation_boost,
     generate_answer,
     retrieve_hybrid,
-    retrieve_structured,
     retrieve_unstructured,
 )
 from .vector_index import VectorStore
@@ -93,7 +92,6 @@ __all__ = [
     "open_store",
     "query_ner",
     "retrieve_hybrid",
-    "retrieve_structured",
     "retrieve_unstructured",
     "run_query",
     "semantic_split",

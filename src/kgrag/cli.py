@@ -25,16 +25,15 @@ from .evaluation import (
 )
 from .exceptions import InputError, ProviderError, StoreCorruptError
 from .pipeline import (
-    CHAT_PATH,
     EMBEDDINGS_PATH,
     ExtractorConfig,
-    Store,
+    answer_records,
     build_store,
+    make_chat_client,
     open_store,
     run_query,
 )
-from .remote import ChatClient
-from .retriever import EchoGenerator, QueryConfig, RemoteGenerator, generate_answer
+from .retriever import QueryConfig, generate_answer
 
 logger = logging.getLogger(__name__)
 
@@ -124,32 +123,6 @@ def _query_config(file_cfg: dict, args: argparse.Namespace) -> QueryConfig:
     )
 
 
-def _make_generator(kind: str, store: Store):
-    if kind == "echo":
-        return EchoGenerator()
-    extractor_cfg = store.manifest.extractor
-    if not extractor_cfg.api_base or not extractor_cfg.chat_model:
-        raise InputError("remote generator requires api_base and chat_model (index with --api-base/--chat-model)")
-    client = ChatClient(
-        endpoint_url=extractor_cfg.api_base.rstrip("/") + CHAT_PATH,
-        model_name=extractor_cfg.chat_model,
-    )
-    return RemoteGenerator(client)
-
-
-def _make_judge(kind: str, store: Store):
-    if kind == "lexical":
-        return LexicalJudge()
-    extractor_cfg = store.manifest.extractor
-    if not extractor_cfg.api_base or not extractor_cfg.chat_model:
-        raise InputError("remote judge requires api_base and chat_model (index with --api-base/--chat-model)")
-    client = ChatClient(
-        endpoint_url=extractor_cfg.api_base.rstrip("/") + CHAT_PATH,
-        model_name=extractor_cfg.chat_model,
-    )
-    return RemoteJudge(client)
-
-
 def cmd_index(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
     manifest = build_store(
@@ -176,7 +149,7 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     answer = None
     if args.answer:
-        generator = _make_generator(args.generator, store)
+        generator = store.make_generator(args.generator)
         answer = generate_answer(args.question, result.unified_context, generator)
 
     if args.as_json:
@@ -187,6 +160,7 @@ def cmd_query(args: argparse.Namespace) -> int:
                 for c in result.ranked_chunks
             ],
             "unified_context": result.unified_context,
+            "diagnostics": result.diagnostics,
         }
         if answer is not None:
             payload["answer"] = answer
@@ -214,25 +188,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     config = _query_config(_load_config_file(args.config), args)
     embedder = store.make_embedder()
-    extractor = store.make_extractor()
     generator = None
+    if any(not record.answer for record in records):
+        generator = store.make_generator(args.generator)
+    pipeline_runs = answer_records(store, records, config, generator, embedder)
 
-    pipeline_runs = 0
-    for record in records:
-        if record.contexts and record.answer:
-            continue
-        result = run_query(store, record.question, config, embedder=embedder, extractor=extractor)
-        pipeline_runs += 1
-        if not record.contexts:
-            record.contexts = (
-                [result.structured_text] if result.structured_text else []
-            ) + [c.text for c in result.ranked_chunks]
-        if not record.answer:
-            if generator is None:
-                generator = _make_generator(args.generator, store)
-            record.answer = generate_answer(record.question, result.unified_context, generator)
-
-    judge = _make_judge(args.judge, store)
+    if args.judge == "lexical":
+        judge = LexicalJudge()
+    else:
+        judge = RemoteJudge(make_chat_client(store.manifest.extractor, "judge"))
     report = evaluate(records, judge, embedder)
     write_report_csv(report, args.out)
     if args.matrix:

@@ -35,13 +35,6 @@ JUDGE_USER_TEMPLATE = (
     "Is the statement supported by the context? Answer yes or no."
 )
 
-PARAPHRASE_SYSTEM_PROMPT = "You write questions that a given answer would answer."
-PARAPHRASE_USER_TEMPLATE = (
-    "Write {count} short questions that the following answer would answer. "
-    "Return one question per line, nothing else.\nAnswer:\n{answer}"
-)
-
-
 @dataclass
 class EvalRecord:
     question: str
@@ -108,23 +101,6 @@ class RemoteJudge:
             ]
         )
         return reply.strip().lower().startswith("yes")
-
-
-class ParaphraseGenerator:
-    """Generates questions from an answer; used by answer_relevancy."""
-
-    def __init__(self, client: ChatClient):
-        self.client = client
-
-    def paraphrase_questions(self, answer: str, count: int = PARAPHRASE_COUNT) -> list[str]:
-        reply = self.client.chat(
-            [
-                {"role": "system", "content": PARAPHRASE_SYSTEM_PROMPT},
-                {"role": "user", "content": PARAPHRASE_USER_TEMPLATE.format(count=count, answer=answer)},
-            ]
-        )
-        questions = [line.strip() for line in reply.splitlines() if line.strip()]
-        return questions[:count]
 
 
 def _support_ratio(statements: list[str], context: str, judge) -> float:

@@ -19,4 +19,4 @@ class StoreCorruptError(KgragError):
 
 
 class ProviderError(KgragError):
-    """A remote provider call failed after retries."""
+    """A remote provider call failed: a non-retryable status, or retries exhausted."""

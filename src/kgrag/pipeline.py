@@ -15,11 +15,19 @@ from pathlib import Path
 from .chunking import Chunk, ChunkerConfig, SemanticChunk, semantic_split, token_window_split
 from .corpus import Document, load_corpus, split_sentences, tokenize
 from .embedding import HashedEmbedder, ProviderConfig, RemoteEmbedder, fnv1a64, make_embedder
+from .evaluation import EvalRecord
 from .exceptions import InputError, StoreCorruptError
 from .extraction import RemoteExtractor, RuleExtractor
 from .graph import KnowledgeGraph
 from .remote import ChatClient
-from .retriever import QueryConfig, RetrievalResult, retrieve_hybrid
+from .retriever import (
+    EchoGenerator,
+    QueryConfig,
+    RemoteGenerator,
+    RetrievalResult,
+    generate_answer,
+    retrieve_hybrid,
+)
 from .vector_index import VectorStore
 
 STORE_FORMAT_VERSION = 1
@@ -92,13 +100,19 @@ def corpus_fingerprint(documents: list[Document]) -> str:
     return f"{h:016x}"
 
 
+def make_chat_client(config: ExtractorConfig, role: str) -> ChatClient:
+    """The chat client every remote role (extractor, generator, judge) talks through."""
+    if not config.api_base or not config.chat_model:
+        raise InputError(
+            f"remote {role} requires api_base and chat_model (index with --api-base/--chat-model)"
+        )
+    return ChatClient(endpoint_url=config.api_base.rstrip("/") + CHAT_PATH, model_name=config.chat_model)
+
+
 def make_extractor(config: ExtractorConfig):
     if config.kind == "rule":
         return RuleExtractor()
-    if not config.api_base or not config.chat_model:
-        raise InputError("remote extractor requires an API base URL and chat model")
-    client = ChatClient(endpoint_url=config.api_base.rstrip("/") + CHAT_PATH, model_name=config.chat_model)
-    return RemoteExtractor(client)
+    return RemoteExtractor(make_chat_client(config, "extractor"))
 
 
 def chunk_document(
@@ -205,15 +219,16 @@ class Store:
     vectors: VectorStore
     graph: KnowledgeGraph
 
-    @property
-    def chunk_texts(self) -> dict[str, str]:
-        return {cid: chunk.text for cid, chunk in self.vectors.metadata.items()}
-
     def make_embedder(self) -> HashedEmbedder | RemoteEmbedder:
         return make_embedder(self.manifest.provider)
 
     def make_extractor(self):
         return make_extractor(self.manifest.extractor)
+
+    def make_generator(self, kind: str) -> EchoGenerator | RemoteGenerator:
+        if kind == "echo":
+            return EchoGenerator()
+        return RemoteGenerator(make_chat_client(self.manifest.extractor, "generator"))
 
 
 def reconstruct_parent_texts(chunks: list[Chunk]) -> dict[str, str]:
@@ -255,6 +270,16 @@ def open_store(store_dir: str | Path) -> Store:
         raise StoreCorruptError(f"unsupported store format version {manifest.format_version}")
 
     vectors = VectorStore.load(path / VECTORS_FILE)
+    if vectors.dimension != manifest.provider.dimension:
+        raise StoreCorruptError(
+            f"manifest dimension {manifest.provider.dimension} does not match "
+            f"{VECTORS_FILE} dimension {vectors.dimension}"
+        )
+    if manifest.counts.get("chunks") != len(vectors):
+        raise StoreCorruptError(
+            f"manifest counts {manifest.counts.get('chunks')} chunks but {VECTORS_FILE} "
+            f"holds {len(vectors)}"
+        )
     chunks = [vectors.metadata[cid] for cid in vectors.chunk_ids]
     snippet_texts = {cid: chunk.text for cid, chunk in vectors.metadata.items()}
     snippet_texts.update(reconstruct_parent_texts(chunks))
@@ -279,3 +304,29 @@ def run_query(
         graph=store.graph,
         config=config or store.manifest.query,
     )
+
+
+def answer_records(
+    store: Store, records: list[EvalRecord], config: QueryConfig, generator, embedder
+) -> int:
+    """Fill each record's missing contexts and answer from one retrieval.
+
+    Records that already carry both are left untouched; ``generator`` may be
+    None when every record has an answer. Contexts are the structured text
+    (when non-empty) followed by the ranked chunk texts. Returns the number
+    of retrievals run.
+    """
+    extractor = store.make_extractor()
+    runs = 0
+    for record in records:
+        if record.contexts and record.answer:
+            continue
+        result = run_query(store, record.question, config, embedder=embedder, extractor=extractor)
+        runs += 1
+        if not record.contexts:
+            record.contexts = (
+                [result.structured_text] if result.structured_text else []
+            ) + [c.text for c in result.ranked_chunks]
+        if not record.answer:
+            record.answer = generate_answer(record.question, result.unified_context, generator)
+    return runs

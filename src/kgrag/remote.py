@@ -1,9 +1,11 @@
 """HTTP plumbing for remote providers: retrying JSON POST and a chat client.
 
 All remote calls share one policy: bearer token from the SKETCH_API_KEY
-environment variable, exponential backoff (base 1s, factor 2) on non-2xx
-responses, and a ProviderError carrying the final status and a body excerpt
-once max_retries is exhausted.
+environment variable, and exponential backoff (base 1s, factor 2) on 429,
+5xx and connection errors, the failures a later attempt can outlive. Any
+other non-2xx status raises ProviderError at once; a retryable failure
+raises it once max_retries is exhausted. Either way the error carries the
+status and a body excerpt.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ def post_json(
     max_retries: int = 3,
     api_key: str | None = None,
 ) -> dict:
-    """POST a JSON payload, retrying failed attempts with backoff.
+    """POST a JSON payload, retrying transient failures with backoff.
 
     A response is accepted only on 2xx with a JSON body. ``max_retries``
     counts retries after the first attempt.
@@ -55,6 +57,11 @@ def post_json(
                 return resp.json()
             except ValueError as exc:
                 raise ProviderError(f"non-JSON response from {url}: {exc}") from exc
+        if resp.status_code != 429 and resp.status_code < 500:
+            raise ProviderError(
+                f"POST {url} failed: status {resp.status_code}, "
+                f"body: {resp.text[:BODY_EXCERPT_CHARS]!r}"
+            )
         last_status, last_body = resp.status_code, resp.text
     raise ProviderError(
         f"POST {url} failed after {max_retries} retries: "

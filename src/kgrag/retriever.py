@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .extraction import query_ner
-from .graph import DEFAULT_HOPS, DEFAULT_MAX_NODES, KnowledgeGraph, Subgraph
+from .graph import DEFAULT_HOPS, DEFAULT_MAX_NODES, KnowledgeGraph
 from .lexical import content_tokens
 from .remote import ChatClient
 from .vector_index import VectorStore
@@ -95,32 +95,26 @@ class RemoteGenerator:
         return self.client.chat(messages)
 
 
-def _empty_subgraph() -> Subgraph:
-    return Subgraph(nodes={}, edges=set(), seed_ids=set(), hop_of={})
-
-
 def _structured_parts(
     question: str, extractor, graph: KnowledgeGraph, config: QueryConfig
-) -> tuple[set[int], list[str], Subgraph, str]:
-    mentions = query_ner(question, extractor)
-    matched = graph.match_entities(mentions)
-    unmatched = [m.surface for m in mentions if not graph.match_entities([m])]
-    if not matched:
-        return matched, unmatched, _empty_subgraph(), ""
-    subgraph = graph.neighborhood(matched, hops=config.hops, max_nodes=config.max_nodes)
-    return matched, unmatched, subgraph, graph.render_subgraph(subgraph)
-
-
-def retrieve_structured(
-    question: str, extractor, graph: KnowledgeGraph, config: QueryConfig
-) -> tuple[Subgraph, str]:
+) -> tuple[set[int], list[str], str]:
     """Query NER -> entity match -> bounded neighborhood -> rendered text.
 
-    No entity match is not an error: the result is an empty subgraph and an
-    empty string.
+    Each mention is matched once. No entity match is not an error: the
+    result is an empty string.
     """
-    _, _, subgraph, text = _structured_parts(question, extractor, graph, config)
-    return subgraph, text
+    matched: set[int] = set()
+    unmatched: list[str] = []
+    for mention in query_ner(question, extractor):
+        ids = graph.match_entities([mention])
+        if ids:
+            matched |= ids
+        else:
+            unmatched.append(mention.surface)
+    if not matched:
+        return matched, unmatched, ""
+    subgraph = graph.neighborhood(matched, hops=config.hops, max_nodes=config.max_nodes)
+    return matched, unmatched, graph.render_subgraph(subgraph)
 
 
 def retrieve_unstructured(
@@ -184,7 +178,7 @@ def retrieve_hybrid(
     unmatched: list[str] = []
     structured_text = ""
     if config.mode in ("hybrid", "structured_only"):
-        matched, unmatched, _, structured_text = _structured_parts(question, extractor, graph, config)
+        matched, unmatched, structured_text = _structured_parts(question, extractor, graph, config)
 
     candidates: list[tuple[str, str, float]] = []
     if config.mode in ("hybrid", "unstructured_only"):

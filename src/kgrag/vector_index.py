@@ -35,7 +35,7 @@ class VectorStore:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
         self._ids: list[str] = []
-        self._vectors: list[np.ndarray] = []
+        self._pending: list[np.ndarray] = []  # float32 rows added before seal
         self.metadata: dict[str, Chunk] = {}
         self._sealed = False
         self._matrix: np.ndarray | None = None
@@ -60,23 +60,22 @@ class VectorStore:
         if chunk.chunk_id in self.metadata:
             raise ValueError(f"duplicate chunk_id {chunk.chunk_id!r}")
         self._ids.append(chunk.chunk_id)
-        self._vectors.append(np.asarray(vector, dtype=np.float32))
+        self._pending.append(np.asarray(vector, dtype=np.float32))
         self.metadata[chunk.chunk_id] = chunk
 
     def seal(self) -> None:
-        """Freeze the store and precompute the scan matrix."""
+        """Freeze the store; the scan matrix becomes the only copy of the vectors."""
         if self._sealed:
             return
-        if self._vectors:
-            self._matrix = np.vstack(self._vectors).astype(np.float64)
-            self._norms = np.linalg.norm(self._matrix, axis=1)
-        else:
-            self._matrix = np.zeros((0, self.dimension), dtype=np.float64)
-            self._norms = np.zeros(0, dtype=np.float64)
-        self._sealed = True
+        rows = self._pending or [np.zeros((0, self.dimension), dtype=np.float32)]
+        self._freeze(np.vstack(rows))
 
-    def vector_at(self, index: int) -> np.ndarray:
-        return self._vectors[index]
+    def _freeze(self, rows: np.ndarray) -> None:
+        # float32 -> float64 is exact, so save() recovers the stored rows bit for bit.
+        self._matrix = rows.astype(np.float64)
+        self._norms = np.linalg.norm(self._matrix, axis=1)
+        self._pending = []
+        self._sealed = True
 
     def top_k(self, query: Vector, k: int) -> list[tuple[str, float]]:
         """Exact top-k by cosine, descending; ties break by insertion order."""
@@ -108,8 +107,7 @@ class VectorStore:
         path = Path(path)
         with open(path, "wb") as fh:
             fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, self.dimension, len(self._ids)))
-            for vec in self._vectors:
-                fh.write(vec.astype("<f4").tobytes())
+            fh.write(self._matrix.astype("<f4").tobytes())
         write_chunks_jsonl([self.metadata[cid] for cid in self._ids], path.parent / CHUNKS_SIDECAR)
 
     @classmethod
@@ -129,23 +127,24 @@ class VectorStore:
             raise StoreCorruptError(f"unsupported format version {version} in {path}")
         if dimension < 1:
             raise StoreCorruptError(f"invalid dimension {dimension} in {path}")
-        row_bytes = dimension * 4
-        expected = _HEADER.size + count * row_bytes
+        expected = _HEADER.size + count * dimension * 4
         if len(blob) != expected:
             raise StoreCorruptError(
                 f"truncated vector file {path}: expected {expected} bytes, got {len(blob)} "
                 f"(offset {len(blob)})"
             )
-        chunks = read_chunks_jsonl(path.parent / CHUNKS_SIDECAR)
+        sidecar = path.parent / CHUNKS_SIDECAR
+        chunks = read_chunks_jsonl(sidecar)
         if len(chunks) != count:
             raise StoreCorruptError(
                 f"vector/metadata mismatch: {count} vectors vs {len(chunks)} chunk records"
             )
         store = cls(dimension)
-        offset = _HEADER.size
         for chunk in chunks:
-            vec = np.frombuffer(blob, dtype="<f4", count=dimension, offset=offset).copy()
-            offset += row_bytes
-            store.add(chunk, vec)
-        store.seal()
+            if chunk.chunk_id in store.metadata:
+                raise StoreCorruptError(f"duplicate chunk_id {chunk.chunk_id!r} in {sidecar}")
+            store._ids.append(chunk.chunk_id)
+            store.metadata[chunk.chunk_id] = chunk
+        rows = np.frombuffer(blob, dtype="<f4", count=count * dimension, offset=_HEADER.size)
+        store._freeze(rows.reshape(count, dimension))
         return store

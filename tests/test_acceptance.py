@@ -28,7 +28,7 @@ from kgrag.extraction import RuleExtractor, Triple
 from kgrag.graph import KnowledgeGraph
 from kgrag.lexical import content_tokens
 from kgrag.pipeline import build_store, open_store, run_query
-from kgrag.retriever import QueryConfig, rank_with_boosts, retrieve_structured
+from kgrag.retriever import QueryConfig, rank_with_boosts, retrieve_hybrid
 from kgrag.vector_index import VectorStore
 
 from conftest import MINI_CORPUS, MINI_QUESTIONS
@@ -176,9 +176,17 @@ def test_criterion_06_multi_hop_reaches_far_edge():
     graph.seal()
     question = "What is Alphaville?"
 
+    def graph_text(hops: int) -> str:
+        config = QueryConfig(mode="structured_only", hops=hops)
+        # structured_only never touches the embedder or the vector store
+        result = retrieve_hybrid(
+            question, embedder=None, store=None, extractor=RuleExtractor(), graph=graph, config=config
+        )
+        return result.structured_text
+
     far_edge = "boulderton -[supplies]-> cascadia"
-    _, two_hop_text = retrieve_structured(question, RuleExtractor(), graph, QueryConfig(hops=2))
-    _, one_hop_text = retrieve_structured(question, RuleExtractor(), graph, QueryConfig(hops=1))
+    two_hop_text = graph_text(2)
+    one_hop_text = graph_text(1)
     assert far_edge in two_hop_text
     assert far_edge not in one_hop_text
     assert "alphaville -[supplies]-> boulderton" in one_hop_text

@@ -199,6 +199,32 @@ class TestRemoteEmbedder:
         assert "upstream fell over" in str(excinfo.value)
         assert len(fake.calls) == 4  # initial + 3 retries
 
+    @pytest.mark.parametrize("status", [400, 401, 404])
+    def test_client_error_fails_without_retry(self, monkeypatch, status):
+        sleeps = []
+        monkeypatch.setattr(remote_mod.time, "sleep", sleeps.append)
+        fake = FakePost([FakeResponse(status, text="cannot ever succeed")])
+        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        with pytest.raises(ProviderError, match=str(status)) as excinfo:
+            embed_remote(["x"], remote_config())
+        assert "cannot ever succeed" in str(excinfo.value)
+        assert len(fake.calls) == 1
+        assert sleeps == []
+
+    def test_connection_error_retried(self, monkeypatch):
+        sleeps = []
+        monkeypatch.setattr(remote_mod.time, "sleep", sleeps.append)
+        fake = FakePost(
+            [
+                remote_mod.requests.ConnectionError("connection refused"),
+                FakeResponse(200, embedding_payload([[1.0] + [0.0] * 7])),
+            ]
+        )
+        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        assert len(embed_remote(["x"], remote_config())) == 1
+        assert len(fake.calls) == 2
+        assert sleeps == [1.0]
+
     def test_dimension_mismatch_within_batch(self, monkeypatch):
         payload = {
             "data": [

@@ -209,7 +209,10 @@ class TestCmdQuery:
         )
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
-        assert set(payload) == {"structured_text", "chunks", "unified_context", "answer"}
+        assert set(payload) == {"structured_text", "chunks", "unified_context", "answer", "diagnostics"}
+        assert set(payload["diagnostics"]) == {
+            "matched_entities", "unmatched_mentions", "candidate_count", "empty"
+        }
         assert all(set(c) == {"id", "score", "boost", "final"} for c in payload["chunks"])
         # echo generator answers with the context itself
         assert payload["answer"] == payload["unified_context"]
@@ -223,6 +226,36 @@ class TestCmdQuery:
         empty = tmp_path / "notastore"
         empty.mkdir()
         assert main(["query", "--store", str(empty), "--question", "Q?"]) == 3
+
+    def test_duplicate_chunk_id_exit_3(self, store_dir, capsys):
+        sidecar = store_dir / "chunks.jsonl"
+        rows = [json.loads(line) for line in sidecar.read_text().splitlines()]
+        rows[1]["chunk_id"] = rows[0]["chunk_id"]
+        sidecar.write_text("".join(json.dumps(row) + "\n" for row in rows))
+        assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
+        assert "duplicate chunk_id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value", [(("config", "provider", "dimension"), 128), (("counts", "chunks"), 1)]
+    )
+    def test_manifest_disagrees_with_vectors_exit_3(self, store_dir, capsys, field, value):
+        manifest_path = store_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        section = manifest
+        for key in field[:-1]:
+            section = section[key]
+        section[field[-1]] = value
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
+        assert "manifest" in capsys.readouterr().err
+
+    def test_remote_generator_without_chat_model_exit_2(self, store_dir, capsys):
+        code = main(
+            ["query", "--store", str(store_dir), "--question", "What crosses Rome?",
+             "--answer", "--generator", "remote"]
+        )
+        assert code == 2
+        assert "remote generator" in capsys.readouterr().err
 
 
 class TestCmdEval:
@@ -248,6 +281,21 @@ class TestCmdEval:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("record,")
         assert lines[1].split(",")[2] == "1.000000"  # faithfulness
+
+    def test_remote_judge_without_chat_model_exit_2(self, store_dir, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_text(
+            json.dumps({"question": "What is Rome?", "ground_truth": "Rome is the capital of Italy."})
+            + "\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "report.csv"
+        code = main(
+            ["eval", "--store", str(store_dir), "--records", str(records), "--out", str(out),
+             "--judge", "remote"]
+        )
+        assert code == 2
+        assert "remote judge" in capsys.readouterr().err
 
     def test_empty_records_exit_2(self, store_dir, tmp_path):
         records = tmp_path / "records.jsonl"

@@ -15,7 +15,6 @@ from kgrag.retriever import (
     generate_answer,
     rank_with_boosts,
     retrieve_hybrid,
-    retrieve_structured,
     retrieve_unstructured,
 )
 from kgrag.remote import ChatClient
@@ -57,28 +56,41 @@ def empty_graph() -> KnowledgeGraph:
 CHAIN = [("alpha", "feeds", "bravo"), ("bravo", "feeds", "charlie")]
 
 
+def structured_only(question: str, graph: KnowledgeGraph, **config) -> tuple[list[str], str]:
+    """The structured-only path: (matched entity names, rendered graph text)."""
+    result = retrieve_hybrid(
+        question,
+        embedder=EMBEDDER,
+        store=make_store({}),
+        extractor=RuleExtractor(),
+        graph=graph,
+        config=QueryConfig(mode="structured_only", **config),
+    )
+    return result.diagnostics["matched_entities"], result.structured_text
+
+
 class TestRetrieveStructured:
     def test_entity_question_renders_its_name(self):
         graph = make_graph(CHAIN)
-        sub, text = retrieve_structured("Tell me about Alpha.", RuleExtractor(), graph, QueryConfig())
-        assert sub.nodes
+        matched, text = structured_only("Tell me about Alpha.", graph)
+        assert matched
         assert "alpha" in text
 
     def test_no_entities_empty_result(self):
         graph = make_graph(CHAIN)
-        sub, text = retrieve_structured("nothing capitalized here", RuleExtractor(), graph, QueryConfig())
-        assert not sub.nodes
+        matched, text = structured_only("nothing capitalized here", graph)
+        assert not matched
         assert text == ""
 
     def test_chain_visible_at_two_hops(self):
         graph = make_graph(CHAIN)
-        _, text = retrieve_structured("What does Alpha feed?", RuleExtractor(), graph, QueryConfig(hops=2))
+        _, text = structured_only("What does Alpha feed?", graph, hops=2)
         assert "alpha -[feeds]-> bravo" in text
         assert "bravo -[feeds]-> charlie" in text
 
     def test_one_hop_misses_far_edge(self):
         graph = make_graph(CHAIN)
-        _, text = retrieve_structured("What does Alpha feed?", RuleExtractor(), graph, QueryConfig(hops=1))
+        _, text = structured_only("What does Alpha feed?", graph, hops=1)
         assert "alpha -[feeds]-> bravo" in text
         assert "charlie" not in text
 

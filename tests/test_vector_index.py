@@ -150,8 +150,10 @@ class TestPersistence:
         assert loaded.dimension == store.dimension
         assert loaded.chunk_ids == store.chunk_ids
         assert loaded.metadata == store.metadata
-        for i in range(len(store)):
-            assert store.vector_at(i).tobytes() == loaded.vector_at(i).tobytes()
+        resaved = tmp_path / "resaved" / "vectors.skvx"
+        resaved.parent.mkdir()
+        loaded.save(resaved)
+        assert resaved.read_bytes() == path.read_bytes()
 
     def test_empty_store_round_trips(self, tmp_path):
         store = VectorStore(16)
