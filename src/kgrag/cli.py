@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 2 usage/input error, 3 corrupt store, 4 provider
 failure. Configuration precedence: CLI flags > JSON config file (same
-schema as the manifest's config block) > built-in defaults.
+schema as the manifest's config block) > built-in defaults; for `query`
+and `eval`, the store's recorded query defaults sit between the config
+file and the built-in defaults.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ import argparse
 import json
 import logging
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .chunking import ChunkerConfig
@@ -107,11 +110,12 @@ def _extractor_config(file_cfg: dict, args: argparse.Namespace) -> ExtractorConf
     )
 
 
-def _query_config(file_cfg: dict, args: argparse.Namespace) -> QueryConfig:
+def _query_config(stored: QueryConfig, file_cfg: dict, args: argparse.Namespace) -> QueryConfig:
+    """The store's query defaults, then the config file's query block, then flags."""
     mode = MODE_ALIASES[args.mode] if getattr(args, "mode", None) else None
     return QueryConfig(
         **_merge(
-            file_cfg.get("query", {}),
+            {**asdict(stored), **file_cfg.get("query", {})},
             {
                 "top_n_candidates": getattr(args, "top_k", None),
                 "final_m_chunks": getattr(args, "final_m", None),
@@ -144,7 +148,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_query(args: argparse.Namespace) -> int:
     store = open_store(args.store)
-    config = _query_config(_load_config_file(args.config), args)
+    config = _query_config(store.manifest.query, _load_config_file(args.config), args)
     result = run_query(store, args.question, config)
 
     answer = None
@@ -186,7 +190,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not records:
         raise InputError(f"no usable records in {args.records}")
 
-    config = _query_config(_load_config_file(args.config), args)
+    config = _query_config(store.manifest.query, _load_config_file(args.config), args)
     embedder = store.make_embedder()
     generator = None
     if any(not record.answer for record in records):

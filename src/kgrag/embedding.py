@@ -43,9 +43,9 @@ class ProviderConfig:
             raise ValueError("embedding dimension must be >= 8")
 
 
-def fnv1a64(data: bytes, state: int = _FNV_OFFSET) -> int:
-    """64-bit FNV-1a hash; pass a previous result as ``state`` to stream."""
-    h = state
+def fnv1a64(data: bytes) -> int:
+    """64-bit FNV-1a hash."""
+    h = _FNV_OFFSET
     for byte in data:
         h ^= byte
         h = (h * _FNV_PRIME) & _U64_MASK

@@ -1,8 +1,12 @@
 """Metric harness: answer relevancy, faithfulness, context precision/recall, F1.
 
-Support verdicts come from a pluggable judge. The lexical judge is a
-deterministic token-overlap rule (content-token overlap >= tau); the remote
-judge asks a chat model for a yes/no verdict. Metrics that cannot be
+Support verdicts come from a pluggable judge. A judge takes a list of
+statements and one context, and returns one verdict per statement, in
+statement order; each metric calls it once per context. The lexical judge
+is a deterministic token-overlap rule (content-token coverage >= tau) that
+tokenizes the context once per call; the remote judge asks a chat model for
+a yes/no verdict per statement, lazily, so a caller that stops at the first
+supported statement makes no further calls. Metrics that cannot be
 computed (empty answer, no contexts) are None, excluded from aggregates,
 and rendered as empty CSV cells: a failed retrieval must not masquerade as
 a zero-scoring evaluation.
@@ -13,13 +17,14 @@ from __future__ import annotations
 import csv
 import json
 import logging
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import split_sentence_texts
 from .embedding import cosine_similarity
 from .exceptions import InputError, ProviderError
-from .lexical import content_tokens
+from .lexical import content_tokens, coverage
 from .remote import ChatClient
 
 logger = logging.getLogger(__name__)
@@ -27,7 +32,6 @@ logger = logging.getLogger(__name__)
 METRIC_NAMES = ("answer_relevancy", "faithfulness", "context_precision", "context_recall", "f1")
 
 DEFAULT_SUPPORT_THRESHOLD = 0.6
-PARAPHRASE_COUNT = 3
 
 JUDGE_SYSTEM_PROMPT = "You judge whether a statement is supported by a context. Answer only yes or no."
 JUDGE_USER_TEMPLATE = (
@@ -62,15 +66,6 @@ def split_statements(text: str) -> list[str]:
     return split_sentence_texts(text)
 
 
-def lexical_supported(statement: str, context: str, tau: float = DEFAULT_SUPPORT_THRESHOLD) -> bool:
-    """Supported iff >= tau of the statement's content tokens occur in the context."""
-    statement_tokens = content_tokens(statement)
-    if not statement_tokens:
-        return False
-    overlap = len(statement_tokens & content_tokens(context))
-    return overlap / len(statement_tokens) >= tau
-
-
 class LexicalJudge:
     """Deterministic overlap judge; the offline stand-in for an LLM judge."""
 
@@ -81,8 +76,13 @@ class LexicalJudge:
             raise ValueError("tau must be in (0, 1]")
         self.tau = tau
 
-    def supported(self, statement: str, context: str) -> bool:
-        return lexical_supported(statement, context, self.tau)
+    def supported(self, statements: list[str], context: str) -> list[bool]:
+        """Supported iff >= tau of a statement's content tokens occur in the context.
+
+        A statement without content tokens is unsupported.
+        """
+        context_tokens = content_tokens(context)
+        return [coverage(content_tokens(s), context_tokens) >= self.tau for s in statements]
 
 
 class RemoteJudge:
@@ -93,19 +93,20 @@ class RemoteJudge:
     def __init__(self, client: ChatClient):
         self.client = client
 
-    def supported(self, statement: str, context: str) -> bool:
-        reply = self.client.chat(
-            [
-                {"role": "system", "content": JUDGE_SYSTEM_PROMPT},
-                {"role": "user", "content": JUDGE_USER_TEMPLATE.format(context=context, statement=statement)},
-            ]
-        )
-        return reply.strip().lower().startswith("yes")
+    def supported(self, statements: list[str], context: str) -> Iterator[bool]:
+        """One chat call per statement, made only when its verdict is consumed."""
+        for statement in statements:
+            reply = self.client.chat(
+                [
+                    {"role": "system", "content": JUDGE_SYSTEM_PROMPT},
+                    {"role": "user", "content": JUDGE_USER_TEMPLATE.format(context=context, statement=statement)},
+                ]
+            )
+            yield reply.strip().lower().startswith("yes")
 
 
 def _support_ratio(statements: list[str], context: str, judge) -> float:
-    supported = sum(1 for s in statements if judge.supported(s, context))
-    return supported / len(statements)
+    return sum(judge.supported(statements, context)) / len(statements)
 
 
 def faithfulness(answer: str, contexts: list[str], judge) -> float | None:
@@ -137,9 +138,7 @@ def context_precision(ground_truth: str, contexts: list[str], judge) -> float | 
     if not contexts:
         return None
     statements = split_statements(ground_truth)
-    verdicts = [
-        1 if any(judge.supported(s, ctx) for s in statements) else 0 for ctx in contexts
-    ]
+    verdicts = [1 if any(judge.supported(statements, ctx)) else 0 for ctx in contexts]
     if sum(verdicts) == 0:
         return 0.0
     score = 0.0
@@ -155,25 +154,10 @@ def _clamp01(value: float) -> float:
     return min(1.0, max(0.0, value))
 
 
-def answer_relevancy(question: str, answer: str, embedder, question_generator=None) -> float:
-    """Similarity between question and answer, in [0, 1].
-
-    With a question generator: average clamped cosine between the original
-    question and each question regenerated from the answer. Generator
-    failure falls back to direct question/answer similarity.
-    """
+def answer_relevancy(question: str, answer: str, embedder) -> float:
+    """Clamped cosine similarity between question and answer, in [0, 1]."""
     if not answer.strip():
         return 0.0
-    if question_generator is not None:
-        try:
-            generated = question_generator.paraphrase_questions(answer, PARAPHRASE_COUNT)
-        except ProviderError as exc:
-            logger.warning("question generation failed (%s); using direct similarity", exc)
-            generated = []
-        if generated:
-            q_vec = embedder.embed(question)
-            sims = [_clamp01(cosine_similarity(embedder.embed(g), q_vec)) for g in generated]
-            return sum(sims) / len(sims)
     return _clamp01(cosine_similarity(embedder.embed(question), embedder.embed(answer)))
 
 
@@ -184,7 +168,7 @@ def f1_context(precision: float, recall: float) -> float:
     return 2.0 * precision * recall / (precision + recall)
 
 
-def evaluate(records: list[EvalRecord], judge, embedder, question_generator=None) -> MetricReport:
+def evaluate(records: list[EvalRecord], judge, embedder) -> MetricReport:
     """Per-record metrics plus the mean over defined values.
 
     A judge or provider failure nulls the affected record's metrics and is
@@ -196,9 +180,7 @@ def evaluate(records: list[EvalRecord], judge, embedder, question_generator=None
     for index, record in enumerate(records):
         row: dict = {"record_index": index}
         try:
-            row["answer_relevancy"] = answer_relevancy(
-                record.question, record.answer, embedder, question_generator
-            )
+            row["answer_relevancy"] = answer_relevancy(record.question, record.answer, embedder)
         except ProviderError as exc:
             logger.warning("record %d: answer_relevancy failed: %s", index, exc)
             row["answer_relevancy"] = None

@@ -27,7 +27,7 @@ class EntityNode:
     node_id: int
     name: str  # canonical = first surface seen
     normalized: str
-    contexts: list[tuple[str, str]] = field(default_factory=list)  # (chunk_id, snippet)
+    contexts: dict[str, str] = field(default_factory=dict)  # chunk_id -> snippet, insertion-ordered
 
 
 @dataclass(frozen=True)
@@ -107,9 +107,7 @@ class KnowledgeGraph:
             self._adjacency[source].add(target)
             self._adjacency[target].add(source)
         for node_id in (source, target):
-            node = self._nodes[node_id]
-            if all(cid != triple.provenance for cid, _ in node.contexts):
-                node.contexts.append((triple.provenance, context_snippet))
+            self._nodes[node_id].contexts.setdefault(triple.provenance, context_snippet)
         return source, target
 
     def match_entities(self, mentions: list[EntityMention]) -> set[int]:
@@ -188,7 +186,7 @@ class KnowledgeGraph:
 
         snippets: list[tuple[str, str, str]] = []
         for node in sub.nodes.values():
-            for chunk_id, snippet in node.contexts:
+            for chunk_id, snippet in node.contexts.items():
                 snippets.append((node.name, chunk_id, snippet))
         seen_chunks: set[str] = set()
         context_lines = []
@@ -207,7 +205,7 @@ class KnowledgeGraph:
     def to_json_obj(self) -> dict:
         return {
             "nodes": [
-                {"id": n.node_id, "name": n.name, "contexts": [cid for cid, _ in n.contexts]}
+                {"id": n.node_id, "name": n.name, "contexts": list(n.contexts)}
                 for n in self._nodes
             ],
             "edges": [
@@ -257,9 +255,7 @@ class KnowledgeGraph:
                 node_id = graph._resolve(item["name"])
                 if node_id != item["id"]:
                     raise StoreCorruptError(f"non-contiguous node ids in graph export: {item['id']}")
-                graph._nodes[node_id].contexts = [
-                    (cid, texts.get(cid, "")) for cid in item["contexts"]
-                ]
+                graph._nodes[node_id].contexts = {cid: texts.get(cid, "") for cid in item["contexts"]}
             for item in obj["edges"]:
                 edge = Edge(
                     source=item["source"],

@@ -1,8 +1,10 @@
-"""Shared lexical machinery: the content-token set behind overlap scoring.
+"""Shared lexical machinery: content-token sets and the one overlap rule.
 
 Both the retriever's confirmation boost and the lexical support judge score
 token overlap over the same definition of "content token": lowercased, edge
 punctuation/symbols stripped, stopwords and pure-punctuation tokens dropped.
+Both score it with ``coverage``, the one place the overlap ratio is written.
+Callers turn each text into its token set once and reuse the set.
 """
 
 from __future__ import annotations
@@ -37,3 +39,13 @@ def content_tokens(text: str) -> set[str]:
         if tok and tok not in STOPWORDS:
             out.add(tok)
     return out
+
+
+def coverage(tokens: set[str], reference: set[str]) -> float:
+    """|tokens & reference| / |tokens|: the share of ``tokens`` found in ``reference``.
+
+    0.0 when ``tokens`` is empty.
+    """
+    if not tokens:
+        return 0.0
+    return len(tokens & reference) / len(tokens)

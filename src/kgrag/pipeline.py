@@ -7,6 +7,7 @@ graph.json, manifest.json. A store without a valid manifest is corrupt.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import shutil
 from dataclasses import asdict, dataclass, field
@@ -14,7 +15,7 @@ from pathlib import Path
 
 from .chunking import Chunk, ChunkerConfig, SemanticChunk, semantic_split, token_window_split
 from .corpus import Document, load_corpus, split_sentences, tokenize
-from .embedding import HashedEmbedder, ProviderConfig, RemoteEmbedder, fnv1a64, make_embedder
+from .embedding import HashedEmbedder, ProviderConfig, RemoteEmbedder, make_embedder
 from .evaluation import EvalRecord
 from .exceptions import InputError, StoreCorruptError
 from .extraction import RemoteExtractor, RuleExtractor
@@ -92,12 +93,12 @@ class StoreManifest:
 
 
 def corpus_fingerprint(documents: list[Document]) -> str:
-    """Order-sensitive 64-bit content hash over (doc_id, text) pairs."""
-    h = fnv1a64(b"")
+    """Order-sensitive 64-bit content hash (BLAKE2b) over (doc_id, text) pairs."""
+    h = hashlib.blake2b(digest_size=8)
     for doc in documents:
         for piece in (doc.doc_id, "\x00", doc.text, "\x00"):
-            h = fnv1a64(piece.encode("utf-8"), h)
-    return f"{h:016x}"
+            h.update(piece.encode("utf-8"))
+    return h.hexdigest()
 
 
 def make_chat_client(config: ExtractorConfig, role: str) -> ChatClient:

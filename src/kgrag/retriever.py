@@ -5,7 +5,8 @@ and renders the bounded neighborhood. The unstructured retriever embeds the
 question and scans the vector store. Fusion boosts each candidate chunk's
 cosine score by beta times its token overlap with the structured text
 (shared tokens act as confirmation signals), re-ranks, and assembles one
-unified context for the generator.
+unified context for the generator. The structured text is tokenized once
+per query, each candidate once.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .extraction import query_ner
 from .graph import DEFAULT_HOPS, DEFAULT_MAX_NODES, KnowledgeGraph
-from .lexical import content_tokens
+from .lexical import content_tokens, coverage
 from .remote import ChatClient
 from .vector_index import VectorStore
 
@@ -126,13 +127,9 @@ def retrieve_unstructured(
     return [(chunk_id, store.metadata[chunk_id].text, score) for chunk_id, score in hits]
 
 
-def confirmation_boost(chunk_text: str, structured_text: str) -> float:
+def confirmation_boost(chunk_tokens: set[str], structured_tokens: set[str]) -> float:
     """Fraction of the chunk's content tokens confirmed by the structured text."""
-    chunk_tokens = content_tokens(chunk_text)
-    structured_tokens = content_tokens(structured_text)
-    if not chunk_tokens or not structured_tokens:
-        return 0.0
-    return len(chunk_tokens & structured_tokens) / len(chunk_tokens)
+    return coverage(chunk_tokens, structured_tokens)
 
 
 def rank_with_boosts(
@@ -184,7 +181,8 @@ def retrieve_hybrid(
     if config.mode in ("hybrid", "unstructured_only"):
         candidates = retrieve_unstructured(question, embedder, store, config)
 
-    boosts = [confirmation_boost(text, structured_text) for _, text, _ in candidates]
+    structured_tokens = content_tokens(structured_text)
+    boosts = [confirmation_boost(content_tokens(text), structured_tokens) for _, text, _ in candidates]
     ranked = rank_with_boosts(candidates, boosts, config.beta)[: config.final_m_chunks]
 
     unified = build_unified_context(structured_text, [c.text for c in ranked])

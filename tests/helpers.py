@@ -1,4 +1,4 @@
-"""Shared test utilities: stub embedders, synthetic documents, fake HTTP."""
+"""Shared test utilities: stub embedders, synthetic documents, fake HTTP, call recording."""
 
 from __future__ import annotations
 
@@ -98,3 +98,16 @@ def embedding_payload(vectors) -> dict:
 
 def chat_payload(content: str) -> dict:
     return {"choices": [{"message": {"content": content}}]}
+
+
+def record_texts(monkeypatch, module, name: str = "content_tokens") -> list[str]:
+    """Wrap ``module.name`` so every text it is called with lands in the returned list."""
+    texts: list[str] = []
+    original = getattr(module, name)
+
+    def recorded(text):
+        texts.append(text)
+        return original(text)
+
+    monkeypatch.setattr(module, name, recorded)
+    return texts

@@ -60,7 +60,8 @@ class TestUpsert:
         graph.upsert_triple(triple("a", "r", "b", prov="c0"), "snippet one")
         graph.upsert_triple(triple("a", "r2", "b", prov="c0"), "snippet one")
         graph.upsert_triple(triple("a", "r3", "b", prov="c1"), "snippet two")
-        assert [cid for cid, _ in graph.node(0).contexts] == ["c0", "c1"]
+        assert list(graph.node(0).contexts) == ["c0", "c1"]
+        assert graph.node(0).contexts == {"c0": "snippet one", "c1": "snippet two"}
 
     def test_upsert_after_seal_rejected(self):
         graph = chain_graph()
@@ -243,7 +244,7 @@ class TestExport:
         path = tmp_path / "graph.json"
         graph.export(path, "json")
         loaded = KnowledgeGraph.load_json(path, {"c0": "ctx-ab", "c1": "ctx-bc"})
-        assert loaded.node(0).contexts == [("c0", "ctx-ab")]
+        assert loaded.node(0).contexts == {"c0": "ctx-ab"}
 
     def test_empty_graph_exports(self, tmp_path):
         graph = KnowledgeGraph()

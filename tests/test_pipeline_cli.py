@@ -249,6 +249,29 @@ class TestCmdQuery:
         assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
         assert "manifest" in capsys.readouterr().err
 
+    def test_store_query_defaults_apply_and_flags_override(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"query": {"final_m_chunks": 2, "beta": 0.0}}))
+        store = tmp_path / "store"
+        assert main(["index", "--corpus", str(MINI_CORPUS), "--out", str(store), "--config", str(cfg)]) == 0
+        capsys.readouterr()
+
+        def chunks(extra):
+            question = "Which cheese goes into Carbonara in Rome?"
+            assert main(["query", "--store", str(store), "--question", question, "--json", *extra]) == 0
+            return json.loads(capsys.readouterr().out)["chunks"]
+
+        stored = chunks([])
+        assert len(stored) == 2
+        assert all(c["final"] == c["score"] for c in stored)  # stored beta 0 applies
+        assert len(chunks(["--final-m", "3"])) == 3
+        override = tmp_path / "override.json"
+        override.write_text(json.dumps({"query": {"final_m_chunks": 1}}))
+        from_file = chunks(["--config", str(override)])
+        assert len(from_file) == 1  # the config file beats the store
+        assert from_file[0]["final"] == from_file[0]["score"]  # stored beta still applies
+        assert len(chunks(["--config", str(override), "--final-m", "3"])) == 3
+
     def test_remote_generator_without_chat_model_exit_2(self, store_dir, capsys):
         code = main(
             ["query", "--store", str(store_dir), "--question", "What crosses Rome?",

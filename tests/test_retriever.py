@@ -6,6 +6,7 @@ from kgrag.chunking import Chunk
 from kgrag.embedding import HashedEmbedder
 from kgrag.extraction import RuleExtractor, Triple
 from kgrag.graph import KnowledgeGraph
+from kgrag.lexical import content_tokens
 from kgrag.retriever import (
     EchoGenerator,
     QueryConfig,
@@ -20,9 +21,10 @@ from kgrag.retriever import (
 from kgrag.remote import ChatClient
 from kgrag.vector_index import VectorStore
 
-from helpers import FakePost, FakeResponse, chat_payload
+from helpers import FakePost, FakeResponse, chat_payload, record_texts
 
 import kgrag.remote as remote_mod
+import kgrag.retriever as retriever_mod
 
 DIM = 64
 EMBEDDER = HashedEmbedder(DIM)
@@ -121,22 +123,25 @@ class TestRetrieveUnstructured:
         assert [(cid, score) for cid, _, score in hits] == direct
 
 
+def boost(chunk_text: str, structured_text: str) -> float:
+    return confirmation_boost(content_tokens(chunk_text), content_tokens(structured_text))
+
+
 class TestConfirmationBoost:
     def test_empty_structured_zero(self):
-        assert confirmation_boost("rome hosts festivals", "") == 0.0
+        assert boost("rome hosts festivals", "") == 0.0
 
     def test_chunk_subset_of_structured_is_one(self):
-        assert confirmation_boost("rome italy", "rome -[capital_of]-> italy") == 1.0
+        assert boost("rome italy", "rome -[capital_of]-> italy") == 1.0
 
     def test_one_third_overlap(self):
-        boost = confirmation_boost("rome hosts festivals", "rome -[capital_of]-> italy")
-        assert boost == pytest.approx(1 / 3)
+        assert boost("rome hosts festivals", "rome -[capital_of]-> italy") == pytest.approx(1 / 3)
 
     def test_empty_chunk_zero(self):
-        assert confirmation_boost("", "rome -[r]-> italy") == 0.0
+        assert boost("", "rome -[r]-> italy") == 0.0
 
     def test_bounded(self):
-        assert 0.0 <= confirmation_boost("a b c d", "b d x y") <= 1.0
+        assert 0.0 <= boost("a b c d", "b d x y") <= 1.0
 
 
 class TestRanking:
@@ -203,6 +208,14 @@ class TestRetrieveHybrid:
         )
         graph = make_graph(CHAIN, snippet="alpha feeds bravo daily")
         return dict(embedder=EMBEDDER, store=store, extractor=RuleExtractor(), graph=graph)
+
+    def test_structured_text_tokenized_once(self, monkeypatch):
+        texts = record_texts(monkeypatch, retriever_mod)
+        config = QueryConfig(top_n_candidates=4, final_m_chunks=2)
+        result = retrieve_hybrid("Where does Alpha store grain?", **self.deps(), config=config)
+        assert result.structured_text
+        assert texts.count(result.structured_text) == 1
+        assert len(texts) == 1 + config.top_n_candidates  # plus each candidate once
 
     def test_beta_zero_equals_pure_cosine(self):
         config = QueryConfig(beta=0.0, top_n_candidates=4, final_m_chunks=4)
