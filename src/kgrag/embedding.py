@@ -8,9 +8,11 @@ Vectors are float32, unit-normalized; empty text maps to the zero vector.
 
 from __future__ import annotations
 
-import math
+from array import array
+from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import count, islice
 
 import numpy as np
 
@@ -20,6 +22,7 @@ from .remote import post_json
 Vector = np.ndarray
 
 MAX_BATCH_SIZE = 64
+_BLOCK_ROWS = 256  # texts per accumulation block in embed_hashed_many
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -52,25 +55,59 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-def embed_hashed(text: str, dimension: int = 256) -> Vector:
-    """Signed feature hashing over lowercased whitespace tokens.
+def embed_hashed_many(texts: list[str], dimension: int = 256) -> np.ndarray:
+    """Signed feature hashing over lowercased whitespace tokens, one row per text.
 
     Each token hashes to one coordinate (FNV-1a mod D) with sign taken from
-    the hash's top bit; the accumulated vector is L2-normalized. Disjoint
-    vocabularies land on (near-)orthogonal vectors, which is what the
-    chunk-boundary tests rely on.
+    the hash's top bit; each row is L2-normalized, and a text without tokens
+    is the zero row. Disjoint vocabularies land on (near-)orthogonal vectors,
+    which is what the chunk-boundary tests rely on.
+
+    Each distinct token of the batch is hashed once; nothing is kept across
+    calls. The signed counts are small integers, so sums and norms are exact
+    in any order and a row does not depend on the rest of the batch. Rows are
+    accumulated ``_BLOCK_ROWS`` texts at a time, which bounds the temporary
+    arrays of a large batch. Returns float32, shape (len(texts), D).
     """
     if dimension < 8:
         raise ValueError("embedding dimension must be >= 8")
-    values = np.zeros(dimension, dtype=np.float64)
-    for token in text.lower().split():
-        h = fnv1a64(token.encode("utf-8"))
-        sign = 1.0 if (h >> 63) == 0 else -1.0
-        values[h % dimension] += sign
-    norm = math.sqrt(float(np.dot(values, values)))
-    if norm > 0.0:
-        values /= norm
-    return values.astype(np.float32)
+    token_ids: defaultdict[str, int] = defaultdict(count().__next__)  # first sight -> next id
+    hashes: list[int] = []  # fnv1a64 of each token, by id
+    out = np.empty((len(texts), dimension), dtype=np.float32)
+    for start in range(0, len(texts), _BLOCK_ROWS):
+        block = texts[start : start + _BLOCK_ROWS]
+        occurrences = array("q")  # token id of every token occurrence, text by text
+        lengths: list[int] = []
+        for text in block:
+            tokens = text.lower().split()
+            occurrences.extend(map(token_ids.__getitem__, tokens))
+            lengths.append(len(tokens))
+        hashes.extend(fnv1a64(token.encode("utf-8")) for token in islice(token_ids, len(hashes), None))
+        ids = np.frombuffer(occurrences, dtype=np.int64)
+        out[start : start + len(block)] = _normalized_counts(hashes, ids, lengths, dimension)
+    return out
+
+
+def _normalized_counts(hashes: list[int], ids: np.ndarray, lengths: list[int], dimension: int) -> np.ndarray:
+    """Float64 rows of signed token counts, each divided by its L2 norm.
+
+    Row i counts the next ``lengths[i]`` token ids of ``ids``.
+    """
+    hashed = np.array(hashes, dtype=np.uint64)
+    columns = (hashed % np.uint64(dimension)).astype(np.int64)
+    signs = np.where(hashed >> np.uint64(63), -1.0, 1.0)
+    flat = np.repeat(np.arange(len(lengths), dtype=np.int64) * dimension, lengths) + columns[ids]
+    # bincount gives int64 when there are no tokens at all, hence the cast.
+    values = np.bincount(flat, weights=signs[ids], minlength=len(lengths) * dimension)
+    values = values.astype(np.float64, copy=False).reshape(len(lengths), dimension)
+    norms = np.sqrt(np.einsum("ij,ij->i", values, values))[:, None]
+    np.divide(values, norms, out=values, where=norms > 0.0)
+    return values
+
+
+def embed_hashed(text: str, dimension: int = 256) -> Vector:
+    """``embed_hashed_many([text], dimension)[0]``."""
+    return embed_hashed_many([text], dimension)[0]
 
 
 def cosine_similarity(a: Vector, b: Vector) -> float:
@@ -137,7 +174,11 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> list[Vector]:
 
 
 class HashedEmbedder:
-    """Deterministic local embedder; pure and safe to share across threads."""
+    """Deterministic local embedder; pure and safe to share across threads.
+
+    ``embed_batch`` hashes each distinct token of the batch once; no state
+    is kept between calls.
+    """
 
     kind = "hashed"
 
@@ -150,7 +191,7 @@ class HashedEmbedder:
         return embed_hashed(text, self.dimension)
 
     def embed_batch(self, texts: list[str]) -> list[Vector]:
-        return [self.embed(t) for t in texts]
+        return list(embed_hashed_many(texts, self.dimension))
 
 
 class RemoteEmbedder:

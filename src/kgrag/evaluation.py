@@ -4,8 +4,9 @@ Support verdicts come from a pluggable judge. A judge takes a list of
 statements and one context, and returns one verdict per statement, in
 statement order; each metric calls it once per context. The lexical judge
 is a deterministic token-overlap rule (content-token coverage >= tau) that
-tokenizes the context once per call; the remote judge asks a chat model for
-a yes/no verdict per statement, lazily, so a caller that stops at the first
+tokenizes each context once and reuses the token set while the next call
+scores the same context; the remote judge asks a chat model for a yes/no
+verdict per statement, lazily, so a caller that stops at the first
 supported statement makes no further calls. Metrics that cannot be
 computed (empty answer, no contexts) are None, excluded from aggregates,
 and rendered as empty CSV cells: a failed retrieval must not masquerade as
@@ -67,7 +68,11 @@ def split_statements(text: str) -> list[str]:
 
 
 class LexicalJudge:
-    """Deterministic overlap judge; the offline stand-in for an LLM judge."""
+    """Deterministic overlap judge; the offline stand-in for an LLM judge.
+
+    It keeps the token set of the last context it scored, so the metrics of
+    one record that score the same joined context tokenize it once.
+    """
 
     kind = "lexical"
 
@@ -75,13 +80,17 @@ class LexicalJudge:
         if not 0.0 < tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
         self.tau = tau
+        self._last_context: tuple[str, set[str]] = ("", set())
 
     def supported(self, statements: list[str], context: str) -> list[bool]:
         """Supported iff >= tau of a statement's content tokens occur in the context.
 
         A statement without content tokens is unsupported.
         """
-        context_tokens = content_tokens(context)
+        last_text, context_tokens = self._last_context
+        if context != last_text:
+            context_tokens = content_tokens(context)
+            self._last_context = (context, context_tokens)
         return [coverage(content_tokens(s), context_tokens) >= self.tau for s in statements]
 
 

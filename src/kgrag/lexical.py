@@ -32,9 +32,12 @@ def strip_edge_punctuation(token: str) -> str:
 
 
 def content_tokens(text: str) -> set[str]:
-    """Lowercased token set with stopwords and pure punctuation removed."""
+    """Lowercased token set with stopwords and pure punctuation removed.
+
+    Each distinct raw token is normalized once, however often it occurs.
+    """
     out: set[str] = set()
-    for raw in text.split():
+    for raw in set(text.split()):
         tok = strip_edge_punctuation(raw.lower())
         if tok and tok not in STOPWORDS:
             out.add(tok)

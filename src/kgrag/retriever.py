@@ -6,7 +6,8 @@ question and scans the vector store. Fusion boosts each candidate chunk's
 cosine score by beta times its token overlap with the structured text
 (shared tokens act as confirmation signals), re-ranks, and assembles one
 unified context for the generator. The structured text is tokenized once
-per query, each candidate once.
+per query, each candidate once; with no structured text every boost is 0.0
+and nothing is tokenized.
 """
 
 from __future__ import annotations
@@ -181,8 +182,11 @@ def retrieve_hybrid(
     if config.mode in ("hybrid", "unstructured_only"):
         candidates = retrieve_unstructured(question, embedder, store, config)
 
-    structured_tokens = content_tokens(structured_text)
-    boosts = [confirmation_boost(content_tokens(text), structured_tokens) for _, text, _ in candidates]
+    if structured_text:
+        structured_tokens = content_tokens(structured_text)
+        boosts = [confirmation_boost(content_tokens(text), structured_tokens) for _, text, _ in candidates]
+    else:
+        boosts = [0.0] * len(candidates)  # nothing can confirm a chunk
     ranked = rank_with_boosts(candidates, boosts, config.beta)[: config.final_m_chunks]
 
     unified = build_unified_context(structured_text, [c.text for c in ranked])

@@ -100,8 +100,8 @@ def chat_payload(content: str) -> dict:
     return {"choices": [{"message": {"content": content}}]}
 
 
-def record_texts(monkeypatch, module, name: str = "content_tokens") -> list[str]:
-    """Wrap ``module.name`` so every text it is called with lands in the returned list."""
+def record_texts(monkeypatch, module, name: str = "content_tokens") -> list:
+    """Wrap ``module.name`` so every argument it is called with lands in the returned list."""
     texts: list[str] = []
     original = getattr(module, name)
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kgrag.embedding import (
     HashedEmbedder,
@@ -12,13 +12,15 @@ from kgrag.embedding import (
     RemoteEmbedder,
     cosine_similarity,
     embed_hashed,
+    embed_hashed_many,
     embed_remote,
     fnv1a64,
 )
 from kgrag.exceptions import ProviderError
 
-from helpers import FakePost, FakeResponse, embedding_payload
+from helpers import FakePost, FakeResponse, embedding_payload, record_texts
 
+import kgrag.embedding as embedding_mod
 import kgrag.remote as remote_mod
 
 
@@ -28,6 +30,22 @@ def reference_fnv1a64(data: bytes) -> int:
     for b in data:
         h = ((h ^ b) * 1099511628211) % 2**64
     return h
+
+
+def reference_embed_hashed(text: str, dimension: int) -> np.ndarray:
+    # The per-text, per-occurrence loop the batched embedder must reproduce byte for byte.
+    values = np.zeros(dimension, dtype=np.float64)
+    for token in text.lower().split():
+        h = reference_fnv1a64(token.encode("utf-8"))
+        sign = 1.0 if (h >> 63) == 0 else -1.0
+        values[h % dimension] += sign
+    norm = math.sqrt(float(np.dot(values, values)))
+    if norm > 0.0:
+        values /= norm
+    return values.astype(np.float32)
+
+
+TRICKY_TEXTS = ["", "   \t\n ", "rome rome Rome ROME", "İstanbul ΟΔΟΣ οδος", "pizza 🍕 🍕 emoji", "a\u00a0b c\u2003d"]
 
 
 class TestHashedEmbedder:
@@ -81,6 +99,62 @@ class TestHashedEmbedder:
         assert np.array_equal(embedder.embed("ciao mondo"), embed_hashed("ciao mondo", 128))
         batch = embedder.embed_batch(["a b", "c"])
         assert len(batch) == 2
+
+
+class TestBatchedHashedEmbedder:
+    @given(
+        st.lists(
+            st.one_of(
+                st.text(max_size=60),
+                st.sampled_from(TRICKY_TEXTS),
+                st.lists(st.sampled_from(["rome", "Rome", "pasta", "İstanbul", "ΟΔΟΣ", "🍕"]), max_size=20).map(" ".join),
+            ),
+            max_size=8,
+        ),
+        st.sampled_from([8, 13, 64, 256]),
+    )
+    @example(TRICKY_TEXTS, 64)
+    def test_rows_match_reference_bytes(self, texts, dimension):
+        batch = HashedEmbedder(dimension).embed_batch(texts)
+        assert len(batch) == len(texts)
+        for text, row in zip(texts, batch):
+            expected = reference_embed_hashed(text, dimension)
+            assert row.dtype == np.float32 and row.shape == (dimension,)
+            assert row.tobytes() == expected.tobytes()
+
+    def test_single_text_matches_reference_bytes(self):
+        for text in TRICKY_TEXTS:
+            assert embed_hashed(text, 64).tobytes() == reference_embed_hashed(text, 64).tobytes()
+
+    def test_empty_batch(self):
+        assert HashedEmbedder(64).embed_batch([]) == []
+        assert embed_hashed_many([], 64).shape == (0, 64)
+        assert embed_hashed_many([], 64).dtype == np.float32
+
+    def test_batch_without_tokens_is_zero(self):
+        rows = embed_hashed_many(["", "  "], 16)
+        assert rows.dtype == np.float32 and rows.shape == (2, 16)
+        assert not rows.any()
+
+    def test_each_distinct_token_hashed_once_per_batch(self, monkeypatch):
+        hashed = record_texts(monkeypatch, embedding_mod, "fnv1a64")
+        HashedEmbedder(64).embed_batch(["rome pasta rome", "Pasta sauce", "ROME"])
+        assert sorted(hashed) == [b"pasta", b"rome", b"sauce"]
+
+    def test_batch_larger_than_one_block(self, monkeypatch):
+        texts = [f"rome w{i % 7} pasta " * (i % 3) for i in range(2 * embedding_mod._BLOCK_ROWS + 3)]
+        hashed = record_texts(monkeypatch, embedding_mod, "fnv1a64")
+        batch = HashedEmbedder(32).embed_batch(texts)
+        assert sorted(hashed) == sorted([b"rome", b"pasta"] + [f"w{k}".encode() for k in range(7)])
+        assert [row.tobytes() for row in batch] == [reference_embed_hashed(t, 32).tobytes() for t in texts]
+
+    def test_no_state_kept_across_batches(self, monkeypatch):
+        embedder = HashedEmbedder(64)
+        first = embedder.embed_batch(["rome pasta"])
+        hashed = record_texts(monkeypatch, embedding_mod, "fnv1a64")
+        second = embedder.embed_batch(["rome pasta"])
+        assert sorted(hashed) == [b"pasta", b"rome"]
+        assert first[0].tobytes() == second[0].tobytes()
 
 
 class TestCosineSimilarity:

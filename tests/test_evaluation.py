@@ -388,3 +388,22 @@ class TestOnePassPerText:
         contexts = ["rome hosts festivals", "entirely unrelated words"]
         context_precision("Rome hosts festivals. Parma makes cheese.", contexts, JUDGE)
         assert [texts.count(c) for c in contexts] == [1, 1]
+
+    def test_evaluate_tokenizes_joined_context_once_per_record(self, monkeypatch):
+        texts = record_texts(monkeypatch, evaluation_mod)
+        contexts = ["Rome hosts festivals.", "Parma makes cheese."]
+        record = EvalRecord(
+            question="Where are festivals?",
+            ground_truth="Rome hosts festivals.",
+            answer="Rome hosts festivals. Dragons hoard gold.",
+            contexts=contexts,
+        )
+        row = evaluate([record], LexicalJudge(), EMBEDDER).per_record[0]
+        assert (row["faithfulness"], row["context_recall"], row["context_precision"]) == (0.5, 1.0, 1.0)
+        assert texts.count(" ".join(contexts)) == 1  # faithfulness and context_recall share it
+
+    def test_reused_context_tokens_follow_the_context(self):
+        judge = LexicalJudge()
+        assert judge.supported(["rome hosts festivals"], "Rome hosts festivals.") == [True]
+        assert judge.supported(["rome hosts festivals"], "Parma makes cheese.") == [False]
+        assert judge.supported(["rome hosts festivals"], "Rome hosts festivals.") == [True]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -452,3 +453,14 @@ class TestMiniCorpusFixture:
         for line in lines:
             obj = json.loads(line)
             assert obj["question"] and obj["ground_truth"]
+
+    def test_store_bytes_pinned(self, mini_store_dir):
+        # Two builds of the same code agreeing (criterion 10) cannot catch drift
+        # from the algorithm; these digests pin the bytes a default build writes.
+        expected = {
+            "vectors.skvx": "a081e1ec5e6c45e9727ead13645ba9d178c743d77cdbddb1e0a8820dc5b87fe2",
+            "chunks.jsonl": "531770bbb0558eb3355d4bfbf2cbe466b3838a054cde753b8d41e7a835d9db07",
+            "graph.json": "fa478302ec767c1279c38e4d2ee949148e4f2dce0734db67df456963c10101c0",
+        }
+        digests = {name: hashlib.sha256((mini_store_dir / name).read_bytes()).hexdigest() for name in expected}
+        assert digests == expected

@@ -217,6 +217,16 @@ class TestRetrieveHybrid:
         assert texts.count(result.structured_text) == 1
         assert len(texts) == 1 + config.top_n_candidates  # plus each candidate once
 
+    def test_no_structured_text_no_tokenizing(self, monkeypatch):
+        texts = record_texts(monkeypatch, retriever_mod)
+        config = QueryConfig(mode="unstructured_only", top_n_candidates=4, final_m_chunks=4)
+        result = retrieve_hybrid("Where does Alpha store grain?", **self.deps(), config=config)
+        assert texts == []
+        assert len(result.ranked_chunks) == 4
+        assert all(c.boost == 0.0 and c.final_score == c.cosine_score for c in result.ranked_chunks)
+        hybrid = retrieve_hybrid("where is grain stored", **self.deps(), config=QueryConfig(top_n_candidates=4))
+        assert hybrid.structured_text == "" and texts == []
+
     def test_beta_zero_equals_pure_cosine(self):
         config = QueryConfig(beta=0.0, top_n_candidates=4, final_m_chunks=4)
         result = retrieve_hybrid("Where does Alpha store grain?", **self.deps(), config=config)
