@@ -1,9 +1,10 @@
 """Two-stage chunking: semantic boundary detection, then token windows.
 
 Stage one groups each sentence with its neighbors (window size k), embeds
-the windows, and closes a chunk wherever the cosine distance between
-sequential windows strictly exceeds the nearest-rank percentile threshold
-of all distances. Stage two bounds chunk length with a fixed-stride token
+the windows as one (n, D) matrix, takes the cosine distance between each
+row and the next in one row-wise pass, and closes a chunk wherever that
+distance strictly exceeds the nearest-rank percentile threshold of all
+distances. Stage two bounds chunk length with a fixed-stride token
 window (default 100 tokens, 16 overlap).
 """
 
@@ -14,8 +15,10 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .corpus import Sentence, tokenize
-from .embedding import Vector, cosine_similarity
+from .embedding import cosine_rows
 from .exceptions import ProviderError, StoreCorruptError
 
 
@@ -69,14 +72,12 @@ def build_windows(sentences: list[Sentence], k: int) -> list[str]:
     ]
 
 
-def sequential_distances(embeddings: list[Vector]) -> list[float]:
-    """Cosine distances between consecutive embeddings; empty if fewer than 2."""
-    if len(embeddings) < 2:
+def sequential_distances(embeddings: np.ndarray) -> list[float]:
+    """Cosine distance between each row of an (n, D) matrix and the next; empty if n < 2."""
+    matrix = np.asarray(embeddings)
+    if len(matrix) < 2:
         return []
-    return [
-        1.0 - cosine_similarity(embeddings[i], embeddings[i + 1])
-        for i in range(len(embeddings) - 1)
-    ]
+    return (1.0 - cosine_rows(matrix[:-1], matrix[1:])).tolist()
 
 
 def percentile_threshold(distances: list[float], p: float) -> float:

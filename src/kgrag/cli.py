@@ -13,7 +13,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from .chunking import ChunkerConfig
@@ -45,6 +45,7 @@ EXIT_INPUT = 2
 EXIT_CORRUPT = 3
 EXIT_PROVIDER = 4
 
+CONFIG_SECTIONS = ("chunker", "provider", "extractor", "query")
 MODE_ALIASES = {"hybrid": "hybrid", "semantic": "unstructured_only", "kg": "structured_only"}
 
 
@@ -57,85 +58,61 @@ def _load_config_file(path: str | None) -> dict:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError(f"config file {path} must hold a JSON object")
+    for name in obj:
+        if name not in CONFIG_SECTIONS:
+            raise InputError(f"config file {path}: unknown section {name!r}")
     return obj
 
 
-def _merge(section: dict, overrides: dict) -> dict:
-    merged = dict(section)
-    merged.update({k: v for k, v in overrides.items() if v is not None})
-    return merged
-
-
-def _chunker_config(file_cfg: dict, args: argparse.Namespace) -> ChunkerConfig:
-    return ChunkerConfig(
-        **_merge(
-            file_cfg.get("chunker", {}),
-            {
-                "window_k": args.window,
-                "percentile": args.percentile,
-                "chunk_size": args.chunk_size,
-                "overlap": args.overlap,
-            },
-        )
-    )
-
-
-def _provider_config(file_cfg: dict, args: argparse.Namespace) -> ProviderConfig:
-    endpoint = None
-    if getattr(args, "api_base", None):
-        endpoint = args.api_base.rstrip("/") + EMBEDDINGS_PATH
-    return ProviderConfig(
-        **_merge(
-            file_cfg.get("provider", {}),
-            {
-                "kind": args.embedder,
-                "dimension": args.embed_dim,
-                "model_name": args.embed_model,
-                "endpoint_url": endpoint,
-            },
-        )
-    )
-
-
-def _extractor_config(file_cfg: dict, args: argparse.Namespace) -> ExtractorConfig:
-    return ExtractorConfig(
-        **_merge(
-            file_cfg.get("extractor", {}),
-            {
-                "kind": getattr(args, "extractor", None),
-                "api_base": getattr(args, "api_base", None),
-                "chat_model": getattr(args, "chat_model", None),
-            },
-        )
-    )
+def _section(file_cfg: dict, name: str, cls, base: dict | None = None, **flags):
+    """Config dataclass ``cls`` from ``base``, then the file's ``name`` block, then the set flags."""
+    block = file_cfg.get(name, {})
+    if not isinstance(block, dict):
+        raise InputError(f"config section {name!r} must be a JSON object, got {type(block).__name__}")
+    known = {f.name for f in fields(cls)}
+    for key in block:
+        if key not in known:
+            raise InputError(f"config section {name!r}: unknown key {key!r}")
+    values = {**(base or {}), **block}
+    values.update({k: v for k, v in flags.items() if v is not None})
+    try:
+        return cls(**values)
+    except TypeError as exc:
+        raise InputError(f"config section {name!r}: bad value: {exc}") from exc
 
 
 def _query_config(stored: QueryConfig, file_cfg: dict, args: argparse.Namespace) -> QueryConfig:
     """The store's query defaults, then the config file's query block, then flags."""
-    mode = MODE_ALIASES[args.mode] if getattr(args, "mode", None) else None
-    return QueryConfig(
-        **_merge(
-            {**asdict(stored), **file_cfg.get("query", {})},
-            {
-                "top_n_candidates": getattr(args, "top_k", None),
-                "final_m_chunks": getattr(args, "final_m", None),
-                "hops": getattr(args, "hops", None),
-                "beta": getattr(args, "beta", None),
-                "mode": mode,
-            },
-        )
+    return _section(
+        file_cfg, "query", QueryConfig, base=asdict(stored),
+        top_n_candidates=args.top_k,
+        final_m_chunks=args.final_m,
+        hops=args.hops,
+        beta=args.beta,
+        mode=MODE_ALIASES[args.mode] if args.mode else None,
     )
 
 
 def cmd_index(args: argparse.Namespace) -> int:
     file_cfg = _load_config_file(args.config)
+    endpoint = args.api_base.rstrip("/") + EMBEDDINGS_PATH if args.api_base else None
     manifest = build_store(
         args.corpus,
         args.out,
-        chunker=_chunker_config(file_cfg, args),
-        provider=_provider_config(file_cfg, args),
-        extractor_config=_extractor_config(file_cfg, args),
-        query_defaults=QueryConfig(**file_cfg.get("query", {})),
+        chunker=_section(
+            file_cfg, "chunker", ChunkerConfig,
+            window_k=args.window, percentile=args.percentile,
+            chunk_size=args.chunk_size, overlap=args.overlap,
+        ),
+        provider=_section(
+            file_cfg, "provider", ProviderConfig,
+            kind=args.embedder, dimension=args.embed_dim, model_name=args.embed_model, endpoint_url=endpoint,
+        ),
+        extractor_config=_section(
+            file_cfg, "extractor", ExtractorConfig,
+            kind=args.extractor, api_base=args.api_base, chat_model=args.chat_model,
+        ),
+        query_defaults=_section(file_cfg, "query", QueryConfig),
     )
     counts = manifest.counts
     print(

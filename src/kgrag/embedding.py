@@ -4,6 +4,8 @@ Two providers: a deterministic signed-feature-hashing embedder for offline
 and test use, and a remote HTTP provider speaking the common embeddings wire
 shape (POST {"model", "input": [...]} -> {"data": [{"index", "embedding"}]}).
 Vectors are float32, unit-normalized; empty text maps to the zero vector.
+``embed_batch`` returns a batch as one float32 (n, D) matrix for both
+providers, and ``cosine_rows`` is the one cosine rule applied to such rows.
 """
 
 from __future__ import annotations
@@ -110,31 +112,52 @@ def embed_hashed(text: str, dimension: int = 256) -> Vector:
     return embed_hashed_many([text], dimension)[0]
 
 
-def cosine_similarity(a: Vector, b: Vector) -> float:
-    """Cosine of the angle between two vectors; 0.0 if either is all-zero."""
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot product of each row of ``a`` with the same row of ``b``.
+
+    Each row pair is a vector-vector ``matmul``, which runs the same BLAS dot
+    as ``np.dot``, so for C-contiguous float64 rows, row i is bit for bit
+    ``np.dot(a[i], b[i])``. A plain ``(a * b).sum(axis=1)`` sums in another
+    order without fused multiply-add and differs in the last bit.
+    """
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine of row i of ``a`` with row i of ``b``, float64, clipped to [-1, 1].
+
+    A row pair where either row is all-zero gives 0.0. This is the one cosine
+    rule of the package; ``VectorStore.top_k`` alone keeps its own cached-norm
+    form.
+    """
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    a64 = np.asarray(a, dtype=np.float64)
-    b64 = np.asarray(b, dtype=np.float64)
-    denom = float(np.linalg.norm(a64) * np.linalg.norm(b64))
-    if denom == 0.0:
-        return 0.0
-    return float(np.clip(np.dot(a64, b64) / denom, -1.0, 1.0))
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    b = np.ascontiguousarray(b, dtype=np.float64)
+    denom = np.sqrt(_row_dots(a, a)) * np.sqrt(_row_dots(b, b))
+    cosines = np.divide(_row_dots(a, b), denom, out=np.zeros(len(a)), where=denom != 0.0)
+    return np.clip(cosines, -1.0, 1.0)
 
 
-def embed_remote(texts: list[str], config: ProviderConfig) -> list[Vector]:
+def cosine_similarity(a: Vector, b: Vector) -> float:
+    """``cosine_rows`` of one pair of vectors, as a float."""
+    return float(cosine_rows(a[None], b[None])[0])
+
+
+def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
     """Embed texts through the remote endpoint, preserving input order.
 
     Requests are batched at most MAX_BATCH_SIZE texts each and issued
-    concurrently up to ``config.parallelism``. Responses are re-normalized
-    to unit length; a dimension disagreement within the reply is an error.
+    concurrently up to ``config.parallelism``. Each reply must hold one
+    numeric vector of ``config.dimension`` per text sent; its rows are
+    re-normalized to unit length. Returns float32, shape (len(texts), D).
     """
     if not texts:
-        return []
+        return np.zeros((0, config.dimension), dtype=np.float32)
     batches = [texts[i : i + MAX_BATCH_SIZE] for i in range(0, len(texts), MAX_BATCH_SIZE)]
     offsets = [i * MAX_BATCH_SIZE for i in range(len(batches))]
 
-    def fetch(batch: list[str], offset: int) -> list[Vector]:
+    def fetch(batch: list[str], offset: int) -> np.ndarray:
         try:
             data = post_json(
                 config.endpoint_url,
@@ -146,31 +169,29 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> list[Vector]:
             raise ProviderError(f"embedding batch at input {offset} failed: {exc}") from exc
         try:
             items = sorted(data["data"], key=lambda item: item["index"])
-            vectors = [np.asarray(item["embedding"], dtype=np.float64) for item in items]
-        except (KeyError, TypeError) as exc:
+            # dtype=object keeps a ragged reply as a 1-D array, so the shape check names it.
+            rows = np.array([item["embedding"] for item in items], dtype=object)
+        except (KeyError, TypeError, ValueError) as exc:
             raise ProviderError(f"malformed embedding response at input {offset}") from exc
-        if len(vectors) != len(batch):
+        expected = (len(batch), config.dimension)
+        if rows.shape != expected:
             raise ProviderError(
-                f"embedding count mismatch at input {offset}: sent {len(batch)}, got {len(vectors)}"
+                f"embedding dimension mismatch at input {offset}: expected shape {expected}, got {rows.shape}"
             )
-        dims = {v.shape for v in vectors}
-        if len(dims) > 1:
-            raise ProviderError(f"dimension mismatch across batch at input {offset}: {sorted(dims)}")
-        out = []
-        for vec in vectors:
-            norm = float(np.linalg.norm(vec))
-            out.append((vec / norm if norm > 0.0 else vec).astype(np.float32))
-        return out
+        try:
+            rows = rows.astype(np.float64)  # a null item casts to NaN
+            if not np.isfinite(rows).all():
+                raise ValueError("null, NaN or infinite item")
+        except (TypeError, ValueError) as exc:
+            raise ProviderError(f"non-numeric embedding value at input {offset}: {exc}") from exc
+        norms = np.sqrt(_row_dots(rows, rows))[:, None]
+        np.divide(rows, norms, out=rows, where=norms > 0.0)
+        return rows.astype(np.float32)
 
     if len(batches) == 1:
         return fetch(batches[0], 0)
     with ThreadPoolExecutor(max_workers=max(1, config.parallelism)) as pool:
-        results = list(pool.map(fetch, batches, offsets))
-    merged = [vec for block in results for vec in block]
-    dims = {v.shape for v in merged}
-    if len(dims) > 1:
-        raise ProviderError(f"dimension mismatch across batches: {sorted(dims)}")
-    return merged
+        return np.concatenate(list(pool.map(fetch, batches, offsets)))
 
 
 class HashedEmbedder:
@@ -190,8 +211,8 @@ class HashedEmbedder:
     def embed(self, text: str) -> Vector:
         return embed_hashed(text, self.dimension)
 
-    def embed_batch(self, texts: list[str]) -> list[Vector]:
-        return list(embed_hashed_many(texts, self.dimension))
+    def embed_batch(self, texts: list[str]) -> np.ndarray:
+        return embed_hashed_many(texts, self.dimension)
 
 
 class RemoteEmbedder:
@@ -206,14 +227,8 @@ class RemoteEmbedder:
     def embed(self, text: str) -> Vector:
         return self.embed_batch([text])[0]
 
-    def embed_batch(self, texts: list[str]) -> list[Vector]:
-        vectors = embed_remote(texts, self.config)
-        for vec in vectors:
-            if vec.shape[0] != self.config.dimension:
-                raise ProviderError(
-                    f"provider returned dimension {vec.shape[0]}, expected {self.config.dimension}"
-                )
-        return vectors
+    def embed_batch(self, texts: list[str]) -> np.ndarray:
+        return embed_remote(texts, self.config)
 
 
 def make_embedder(config: ProviderConfig) -> HashedEmbedder | RemoteEmbedder:

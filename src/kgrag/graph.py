@@ -42,11 +42,7 @@ class Edge:
 class Subgraph:
     nodes: dict[int, EntityNode]
     edges: set[Edge]
-    seed_ids: set[int]
     hop_of: dict[int, int]
-
-    def __bool__(self) -> bool:
-        return bool(self.nodes)
 
 
 class KnowledgeGraph:
@@ -148,7 +144,7 @@ class KnowledgeGraph:
         if hops < 1:
             raise ValueError("hops must be >= 1")
         if not seeds:
-            return Subgraph(nodes={}, edges=set(), seed_ids=set(), hop_of={})
+            return Subgraph(nodes={}, edges=set(), hop_of={})
 
         hop_of: dict[int, int] = {seed: 0 for seed in sorted(seeds)}
         frontier = sorted(seeds)
@@ -170,7 +166,7 @@ class KnowledgeGraph:
 
         nodes = {nid: self._nodes[nid] for nid in hop_of}
         edges = {e for e in self._edges if e.source in hop_of and e.target in hop_of}
-        return Subgraph(nodes=nodes, edges=edges, seed_ids=set(seeds), hop_of=hop_of)
+        return Subgraph(nodes=nodes, edges=edges, hop_of=hop_of)
 
     # -- rendering and export ------------------------------------------------
 

@@ -29,13 +29,12 @@ from .retriever import (
     generate_answer,
     retrieve_hybrid,
 )
-from .vector_index import VectorStore
+from .vector_index import CHUNKS_SIDECAR, VectorStore
 
 STORE_FORMAT_VERSION = 1
 VECTORS_FILE = "vectors.skvx"
 GRAPH_FILE = "graph.json"
 MANIFEST_FILE = "manifest.json"
-CHUNKS_FILE = "chunks.jsonl"
 
 CHAT_PATH = "/chat/completions"
 EMBEDDINGS_PATH = "/embeddings"
@@ -206,7 +205,7 @@ def build_store(
         if created:
             shutil.rmtree(out, ignore_errors=True)
         else:
-            for name in (VECTORS_FILE, CHUNKS_FILE, GRAPH_FILE, MANIFEST_FILE):
+            for name in (VECTORS_FILE, CHUNKS_SIDECAR, GRAPH_FILE, MANIFEST_FILE):
                 (out / name).unlink(missing_ok=True)
         raise
 

@@ -6,6 +6,8 @@ import math
 import random
 
 import numpy as np
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kgrag.corpus import Sentence, tokenize
 
@@ -23,6 +25,34 @@ class SeqEmbedder:
 
     def embed(self, text):
         return self.vectors[0]
+
+
+def reference_cosine(a, b) -> float:
+    """The one-pair cosine rule ``cosine_rows`` replaced, kept as its reference."""
+    a64 = np.asarray(a, dtype=np.float64)
+    b64 = np.asarray(b, dtype=np.float64)
+    denom = float(np.linalg.norm(a64) * np.linalg.norm(b64))
+    if denom == 0.0:
+        return 0.0
+    return float(np.clip(np.dot(a64, b64) / denom, -1.0, 1.0))
+
+
+@st.composite
+def embedding_matrices(draw, max_rows: int = 12, max_dim: int = 260) -> np.ndarray:
+    """(n, D) float32 or float64 matrices with negative values, all-zero rows and rescaled rows."""
+    n = draw(st.integers(0, max_rows))
+    dim = draw(st.integers(1, max_dim))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = 32 if dtype == np.float32 else 64
+    elements = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False, width=width)
+    matrix = draw(arrays(dtype, (n, dim), elements=elements))
+    for i in range(n):
+        kind = draw(st.sampled_from(["drawn", "zero", "scaled"]))
+        if kind == "zero":
+            matrix[i] = 0.0
+        elif kind == "scaled" and i > 0:
+            matrix[i] = matrix[i - 1] * draw(st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False))
+    return matrix
 
 
 def make_sentences(texts: list[str], doc_id: str = "doc") -> list[Sentence]:

@@ -5,7 +5,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kgrag.chunking import (
     ChunkerConfig,
@@ -20,7 +20,9 @@ from kgrag.embedding import HashedEmbedder
 
 from helpers import (
     SeqEmbedder,
+    embedding_matrices,
     make_sentences,
+    reference_cosine,
     two_topic_sentences,
     vectors_with_consecutive_similarities,
 )
@@ -63,6 +65,26 @@ class TestSequentialDistances:
     def test_fewer_than_two_is_empty(self):
         assert sequential_distances([]) == []
         assert sequential_distances([np.array([1.0, 0.0])]) == []
+
+    @settings(max_examples=300)
+    @given(embedding_matrices())
+    @example(np.zeros((3, 4)))
+    @example(np.array([[1.0, -2.0, 0.0], [0.0, 0.0, 0.0], [-3.0, 6.0, 0.0], [1e-3, -2e-3, 0.0]]))
+    def test_matches_pair_loop_bit_for_bit(self, matrix):
+        # The per-pair loop this function replaced; a row-wise form that sums in
+        # a different order (or without fused multiply-add) drifts in the last bit.
+        expected = [1.0 - reference_cosine(matrix[i], matrix[i + 1]) for i in range(len(matrix) - 1)]
+        got = sequential_distances(matrix)
+        assert all(type(d) is float for d in got)
+        assert np.array(got).tobytes() == np.array(expected).tobytes()
+
+    def test_hashed_window_matrix(self):
+        windows = build_windows(make_sentences(["rome pasta", "rome pizza", "tokyo sushi", ""]), 0)
+        matrix = HashedEmbedder(64).embed_batch(windows)
+        assert matrix.shape == (4, 64) and matrix.dtype == np.float32
+        expected = [1.0 - reference_cosine(matrix[i], matrix[i + 1]) for i in range(3)]
+        assert sequential_distances(matrix) == expected
+        assert sequential_distances(matrix)[2] == 1.0  # the empty window is the zero row
 
 
 class TestPercentileThreshold:

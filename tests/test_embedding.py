@@ -10,6 +10,7 @@ from kgrag.embedding import (
     HashedEmbedder,
     ProviderConfig,
     RemoteEmbedder,
+    cosine_rows,
     cosine_similarity,
     embed_hashed,
     embed_hashed_many,
@@ -18,7 +19,14 @@ from kgrag.embedding import (
 )
 from kgrag.exceptions import ProviderError
 
-from helpers import FakePost, FakeResponse, embedding_payload, record_texts
+from helpers import (
+    FakePost,
+    FakeResponse,
+    embedding_matrices,
+    embedding_payload,
+    record_texts,
+    reference_cosine,
+)
 
 import kgrag.embedding as embedding_mod
 import kgrag.remote as remote_mod
@@ -127,7 +135,7 @@ class TestBatchedHashedEmbedder:
             assert embed_hashed(text, 64).tobytes() == reference_embed_hashed(text, 64).tobytes()
 
     def test_empty_batch(self):
-        assert HashedEmbedder(64).embed_batch([]) == []
+        assert HashedEmbedder(64).embed_batch([]).shape == (0, 64)
         assert embed_hashed_many([], 64).shape == (0, 64)
         assert embed_hashed_many([], 64).dtype == np.float32
 
@@ -197,6 +205,30 @@ class TestCosineSimilarity:
     @given(vectors, vectors)
     def test_bounded(self, a, b):
         assert -1.0 <= cosine_similarity(a, b) <= 1.0
+
+
+class TestCosineRows:
+    @given(embedding_matrices(), st.randoms(use_true_random=False))
+    def test_rows_match_pair_rule_bit_for_bit(self, a, rng):
+        b = a[rng.sample(range(len(a)), len(a))]
+        rows = cosine_rows(a, b)
+        assert rows.dtype == np.float64 and rows.shape == (len(a),)
+        expected = np.array([reference_cosine(x, y) for x, y in zip(a, b)], dtype=np.float64)
+        assert rows.tobytes() == expected.tobytes()
+
+    def test_zero_rows_and_clipping(self):
+        a = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [1e-3, 1e-3]])
+        b = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [1e3, 1e3]])
+        assert cosine_rows(a, b).tolist() == [0.0, 0.0, -1.0, 1.0]
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cosine_rows(np.ones((2, 4)), np.ones((2, 5)))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            cosine_rows(np.ones((2, 4)), np.ones((3, 4)))
+
+    def test_no_rows(self):
+        assert cosine_rows(np.zeros((0, 8)), np.zeros((0, 8))).shape == (0,)
 
 
 def remote_config(**kwargs) -> ProviderConfig:
@@ -325,10 +357,50 @@ class TestRemoteEmbedder:
         embed_remote(["x"], remote_config())
         assert fake.calls[0]["headers"]["Authorization"] == "Bearer sekrit"
 
+    @pytest.mark.parametrize(
+        "value",
+        [
+            None,
+            "abc",
+            [None] * 8,
+            [0.5] * 7 + [float("nan")],
+            ["abc"] * 8,
+            [[0.5]] * 8,
+            [0.5] * 7 + [[0.5]],
+            {"x": 1.0},
+        ],
+        ids=[
+            "null", "string", "null-items", "nan-item", "string-items", "nested", "one-nested-item", "object"
+        ],
+    )
+    def test_bad_embedding_value_is_provider_error(self, monkeypatch, value):
+        payload = {"data": [{"index": 0, "embedding": value}, {"index": 1, "embedding": [1.0] * 8}]}
+        monkeypatch.setattr(remote_mod.requests, "post", FakePost([FakeResponse(200, payload)]))
+        with pytest.raises(ProviderError, match="at input 0"):
+            embed_remote(["a", "b"], remote_config())
+
+    def test_embedder_returns_one_float32_matrix(self, monkeypatch):
+        def fake_post(url, json=None, headers=None, timeout=None):
+            return FakeResponse(200, embedding_payload([[3.0, 4.0] + [0.0] * 6] * len(json["input"])))
+
+        monkeypatch.setattr(remote_mod.requests, "post", fake_post)
+        out = RemoteEmbedder(remote_config()).embed_batch([f"t{i}" for i in range(130)])
+        assert isinstance(out, np.ndarray) and out.dtype == np.float32 and out.shape == (130, 8)
+        assert np.array_equal(out[:, :2], np.tile(np.float32([0.6, 0.8]), (130, 1)))
+
+    def test_wrong_dimension_in_a_later_batch(self, monkeypatch):
+        def fake_post(url, json=None, headers=None, timeout=None):
+            dim = 8 if json["input"][0] == "t0" else 6
+            return FakeResponse(200, embedding_payload([[1.0] * dim] * len(json["input"])))
+
+        monkeypatch.setattr(remote_mod.requests, "post", fake_post)
+        with pytest.raises(ProviderError, match="dimension mismatch at input 64"):
+            RemoteEmbedder(remote_config()).embed_batch([f"t{i}" for i in range(100)])
+
     def test_empty_input_no_calls(self, monkeypatch):
         fake = FakePost([])
         monkeypatch.setattr(remote_mod.requests, "post", fake)
-        assert embed_remote([], remote_config()) == []
+        assert embed_remote([], remote_config()).shape == (0, 8)
         assert fake.calls == []
 
 

@@ -174,6 +174,52 @@ class TestCmdIndex:
         assert code == 2
 
 
+class TestConfigFileErrors:
+    @pytest.mark.parametrize(
+        ("config", "named"),
+        [
+            ({"chunker": {"windowk": 2}}, ["'chunker'", "'windowk'"]),
+            ({"chunker": 5}, ["'chunker'", "int"]),
+            ({"provider": {"dim": 64}}, ["'provider'", "'dim'"]),
+            ({"extractor": ["rule"]}, ["'extractor'", "list"]),
+            ({"query": {"top_k": 3}}, ["'query'", "'top_k'"]),
+            ({"chunker": {"window_k": "2"}}, ["'chunker'"]),
+            ({"chunkr": {"window_k": 2}}, ["'chunkr'"]),
+        ],
+    )
+    def test_index_exit_2_naming_section_and_key(self, tmp_path, capsys, config, named):
+        corpus = write_corpus(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "store"
+        assert main(["index", "--corpus", str(corpus), "--out", str(out), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: config ")
+        for text in named:
+            assert text in err
+        assert not out.exists()
+
+    def test_query_and_eval_unknown_query_key_exit_2(self, tmp_path, capsys):
+        corpus = write_corpus(tmp_path)
+        store = tmp_path / "store"
+        build_store(corpus, store)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"query": {"hopz": 2}}))
+        records = tmp_path / "records.jsonl"
+        record = {"question": "What crosses Rome?", "ground_truth": "The Tiber."}
+        records.write_text(json.dumps(record) + "\n")
+        commands = [
+            ["query", "--store", str(store), "--question", "What crosses Rome?", "--config", str(cfg)],
+            ["eval", "--store", str(store), "--records", str(records), "--out", str(tmp_path / "r.csv"),
+             "--config", str(cfg)],
+        ]
+        for argv in commands:
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert "error: config section 'query': unknown key 'hopz'" in err
+        assert not (tmp_path / "r.csv").exists()
+
+
 @pytest.fixture()
 def store_dir(tmp_path) -> Path:
     corpus = write_corpus(tmp_path)
@@ -437,6 +483,32 @@ class TestRemoteProviderWiring:
              "--embed-model", "embed-1", "--embed-dim", "16"]
         )
         assert code == 4
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "value",
+        [None, "abc", ["abc"] * 16, [[0.5]] * 16],
+        ids=["null", "string", "string-items", "nested"],
+    )
+    def test_bad_embedding_values_exit_4(self, tmp_path, monkeypatch, capsys, value):
+        import kgrag.remote as remote_mod
+        from helpers import FakeResponse
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            items = [{"index": i, "embedding": value} for i in range(len(json["input"]))]
+            return FakeResponse(200, {"data": items})
+
+        monkeypatch.setattr(remote_mod.requests, "post", fake_post)
+        corpus = write_corpus(tmp_path)
+        out = tmp_path / "store"
+        code = main(
+            ["index", "--corpus", str(corpus), "--out", str(out),
+             "--embedder", "remote", "--api-base", "http://api.test/v1",
+             "--embed-model", "embed-1", "--embed-dim", "16"]
+        )
+        assert code == 4
+        assert "error: provider failure: window embedding failed" in capsys.readouterr().err
         assert not out.exists()
 
 
