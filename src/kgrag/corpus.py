@@ -41,9 +41,7 @@ class Document:
 @dataclass(frozen=True)
 class Sentence:
     doc_id: str
-    index: int
     text: str
-    token_count: int
 
 
 def tokenize(text: str) -> list[str]:
@@ -156,12 +154,5 @@ def split_sentence_texts(text: str) -> list[str]:
 
 
 def split_sentences(doc: Document) -> list[Sentence]:
-    """Sentence objects for a normalized document, indexed from 0."""
-    texts = split_sentence_texts(doc.text)
-    if not texts:
-        # Whitespace-only documents never reach here via load_corpus.
-        return []
-    return [
-        Sentence(doc_id=doc.doc_id, index=i, text=t, token_count=len(tokenize(t)))
-        for i, t in enumerate(texts)
-    ]
+    """Sentence objects for a normalized document, in text order."""
+    return [Sentence(doc_id=doc.doc_id, text=t) for t in split_sentence_texts(doc.text)]

@@ -149,8 +149,8 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
 
     Requests are batched at most MAX_BATCH_SIZE texts each and issued
     concurrently up to ``config.parallelism``. Each reply must hold one
-    numeric vector of ``config.dimension`` per text sent; its rows are
-    re-normalized to unit length. Returns float32, shape (len(texts), D).
+    vector of ``config.dimension`` finite JSON numbers per text sent; its
+    rows are re-normalized to unit length. Returns float32, shape (len(texts), D).
     """
     if not texts:
         return np.zeros((0, config.dimension), dtype=np.float32)
@@ -179,10 +179,13 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
                 f"embedding dimension mismatch at input {offset}: expected shape {expected}, got {rows.shape}"
             )
         try:
-            rows = rows.astype(np.float64)  # a null item casts to NaN
+            # JSON numbers parse to int or float; astype would also accept "1.5" and true.
+            if not {type(v) for v in rows.flat} <= {int, float}:
+                raise TypeError("item that is not a JSON number")
+            rows = rows.astype(np.float64)
             if not np.isfinite(rows).all():
-                raise ValueError("null, NaN or infinite item")
-        except (TypeError, ValueError) as exc:
+                raise ValueError("NaN or infinite item")
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ProviderError(f"non-numeric embedding value at input {offset}: {exc}") from exc
         norms = np.sqrt(_row_dots(rows, rows))[:, None]
         np.divide(rows, norms, out=rows, where=norms > 0.0)

@@ -2,10 +2,11 @@
 
 Nodes merge on the normalized entity name; every node keeps the text of the
 chunks its triples came from, so a traversal can hand back both structure
-and supporting context. Traversal is a seeded breadth-first expansion over
-edges in both directions, bounded by hop count and node budget. Same
-lifecycle as the vector store: single-writer build, seal, then lock-free
-concurrent reads.
+and supporting context. Edges live in one set of sortable tuples; ``seal``
+derives each node's incident-edge list from it, and a traversal is a seeded
+breadth-first expansion over those lists in both directions, bounded by hop
+count and node budget. Same lifecycle as the vector store: single-writer
+build (or load), seal, then lock-free concurrent reads.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .extraction import EntityMention, Triple, normalize_entity
 from .exceptions import InputError, StoreCorruptError
@@ -30,8 +32,9 @@ class EntityNode:
     contexts: dict[str, str] = field(default_factory=dict)  # chunk_id -> snippet, insertion-ordered
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
+    """A labeled edge; the field order is the export order, so edges sort plainly."""
+
     source: int
     target: int
     relation: str
@@ -50,7 +53,7 @@ class KnowledgeGraph:
         self._nodes: list[EntityNode] = []
         self._by_normalized: dict[str, int] = {}
         self._edges: set[Edge] = set()
-        self._adjacency: dict[int, set[int]] = {}
+        self._incident: list[list[Edge]] = []  # node id -> its edges, derived at seal
         self._sealed = False
 
     def __len__(self) -> int:
@@ -71,6 +74,13 @@ class KnowledgeGraph:
         return {n.name for n in self._nodes}
 
     def seal(self) -> None:
+        """Freeze the graph and (re)derive each node's incident-edge list."""
+        incident: list[list[Edge]] = [[] for _ in self._nodes]
+        for edge in self._edges:
+            incident[edge.source].append(edge)
+            if edge.target != edge.source:
+                incident[edge.target].append(edge)
+        self._incident = incident
         self._sealed = True
 
     def _resolve(self, surface: str) -> int:
@@ -80,7 +90,6 @@ class KnowledgeGraph:
             node_id = len(self._nodes)
             self._nodes.append(EntityNode(node_id=node_id, name=surface, normalized=normalized))
             self._by_normalized[normalized] = node_id
-            self._adjacency[node_id] = set()
         return node_id
 
     def upsert_triple(self, triple: Triple, context_snippet: str) -> tuple[int, int]:
@@ -97,11 +106,7 @@ class KnowledgeGraph:
             raise ValueError(f"triple with empty relation rejected: {triple}")
         source = self._resolve(triple.subject)
         target = self._resolve(triple.object)
-        edge = Edge(source=source, target=target, relation=triple.relation, provenance=triple.provenance)
-        if edge not in self._edges:
-            self._edges.add(edge)
-            self._adjacency[source].add(target)
-            self._adjacency[target].add(source)
+        self._edges.add(Edge(source, target, triple.relation, triple.provenance))
         for node_id in (source, target):
             self._nodes[node_id].contexts.setdefault(triple.provenance, context_snippet)
         return source, target
@@ -137,7 +142,7 @@ class KnowledgeGraph:
 
         Frontiers are admitted depth by depth; when the node budget truncates
         a frontier, lower node ids win. Edges are the graph edges induced on
-        the admitted node set.
+        the admitted node set, read from the admitted nodes' incident lists.
         """
         if not self._sealed:
             raise ValueError("graph must be sealed before traversal")
@@ -151,9 +156,8 @@ class KnowledgeGraph:
         for depth in range(1, hops + 1):
             if len(hop_of) >= max_nodes:
                 break
-            next_frontier = sorted(
-                {n for node in frontier for n in self._adjacency.get(node, ()) if n not in hop_of}
-            )
+            reached = {n for node in frontier for e in self._incident[node] for n in (e.source, e.target)}
+            next_frontier = sorted(reached - hop_of.keys())
             if not next_frontier:
                 break
             admitted = []
@@ -165,7 +169,9 @@ class KnowledgeGraph:
             frontier = admitted
 
         nodes = {nid: self._nodes[nid] for nid in hop_of}
-        edges = {e for e in self._edges if e.source in hop_of and e.target in hop_of}
+        edges = {
+            e for node in hop_of for e in self._incident[node] if e.source in hop_of and e.target in hop_of
+        }
         return Subgraph(nodes=nodes, edges=edges, hop_of=hop_of)
 
     # -- rendering and export ------------------------------------------------
@@ -206,7 +212,7 @@ class KnowledgeGraph:
             ],
             "edges": [
                 {"source": e.source, "target": e.target, "relation": e.relation, "provenance": e.provenance}
-                for e in sorted(self._edges, key=lambda e: (e.source, e.target, e.relation, e.provenance))
+                for e in sorted(self._edges)
             ],
         }
 
@@ -217,7 +223,7 @@ class KnowledgeGraph:
         lines = ["digraph knowledge_graph {"]
         for node in self._nodes:
             lines.append(f'  n{node.node_id} [label="{esc(node.name)}"];')
-        for e in sorted(self._edges, key=lambda e: (e.source, e.target, e.relation, e.provenance)):
+        for e in sorted(self._edges):
             lines.append(f'  n{e.source} -> n{e.target} [label="{esc(e.relation)}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -252,20 +258,17 @@ class KnowledgeGraph:
                 if node_id != item["id"]:
                     raise StoreCorruptError(f"non-contiguous node ids in graph export: {item['id']}")
                 graph._nodes[node_id].contexts = {cid: texts.get(cid, "") for cid in item["contexts"]}
-            for item in obj["edges"]:
-                edge = Edge(
-                    source=item["source"],
-                    target=item["target"],
-                    relation=item["relation"],
-                    provenance=item["provenance"],
-                )
-                if edge.source >= len(graph._nodes) or edge.target >= len(graph._nodes):
-                    raise StoreCorruptError(f"edge endpoint out of range: {item}")
-                graph._edges.add(edge)
-                graph._adjacency[edge.source].add(edge.target)
-                graph._adjacency[edge.target].add(edge.source)
+            graph._edges = {
+                Edge(e["source"], e["target"], e["relation"], e["provenance"]) for e in obj["edges"]
+            }
         except (KeyError, TypeError) as exc:
             raise StoreCorruptError(f"malformed graph export: {exc}") from exc
+        # Checked here, since an incident list would take -1 as the last node.
+        node_ids = range(len(graph._nodes))
+        for edge in graph._edges:
+            for end in (edge.source, edge.target):
+                if type(end) is not int or end not in node_ids:
+                    raise StoreCorruptError(f"graph edge endpoint is not a node id: {edge}")
         graph.seal()
         return graph
 

@@ -167,9 +167,7 @@ def build_store(
             all_chunks.extend(chunks)
 
         vectors = VectorStore(embedder.dimension)
-        embeddings = embedder.embed_batch([c.text for c in all_chunks])
-        for chunk, vector in zip(all_chunks, embeddings):
-            vectors.add(chunk, vector)
+        vectors.add(all_chunks, embedder.embed_batch([c.text for c in all_chunks]))
         vectors.seal()
         vectors.save(out / VECTORS_FILE)
 
@@ -281,9 +279,7 @@ def open_store(store_dir: str | Path) -> Store:
             f"holds {len(vectors)}"
         )
     chunks = [vectors.metadata[cid] for cid in vectors.chunk_ids]
-    snippet_texts = {cid: chunk.text for cid, chunk in vectors.metadata.items()}
-    snippet_texts.update(reconstruct_parent_texts(chunks))
-    graph = KnowledgeGraph.load_json(path / GRAPH_FILE, snippet_texts)
+    graph = KnowledgeGraph.load_json(path / GRAPH_FILE, reconstruct_parent_texts(chunks))
     return Store(path=path, manifest=manifest, vectors=vectors, graph=graph)
 
 

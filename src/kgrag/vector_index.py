@@ -1,9 +1,11 @@
 """Flat exact-scan vector store with binary persistence.
 
-Single-writer build, then seal: a sealed store is immutable and safe for
-arbitrarily many concurrent readers. Retrieval is an exact cosine scan over
-all entries (no approximation), so the brute-force oracle in the tests must
-agree with it identically.
+Single-writer build, then seal: ``add`` takes chunks with their vector
+matrix, ``seal`` stacks everything added into one float64 scan matrix, and a
+sealed store is immutable and safe for arbitrarily many concurrent readers.
+``load`` fills a store through the same ``add`` and ``seal``. Retrieval is
+an exact cosine scan over all entries (no approximation), so the
+brute-force oracle in the tests must agree with it identically.
 
 On-disk layout ("SKVX" file): magic "SKVX", format version u16, dimension
 u32, count u64, then count rows of dimension little-endian float32 in
@@ -52,27 +54,28 @@ class VectorStore:
     def chunk_ids(self) -> list[str]:
         return list(self._ids)
 
-    def add(self, chunk: Chunk, vector: Vector) -> None:
+    def add(self, chunks: list[Chunk], rows: np.ndarray) -> None:
+        """Append ``chunks`` with their vectors, one row each: shape ``(len(chunks), D)``."""
         if self._sealed:
             raise ValueError("store is sealed; adds are only allowed during build")
-        if vector.shape != (self.dimension,):
-            raise ValueError(f"dimension mismatch: got {vector.shape}, store is {self.dimension}")
-        if chunk.chunk_id in self.metadata:
-            raise ValueError(f"duplicate chunk_id {chunk.chunk_id!r}")
-        self._ids.append(chunk.chunk_id)
-        self._pending.append(np.asarray(vector, dtype=np.float32))
-        self.metadata[chunk.chunk_id] = chunk
+        rows = np.asarray(rows, dtype=np.float32)
+        if rows.shape != (len(chunks), self.dimension):
+            raise ValueError(f"dimension mismatch: got {rows.shape}, expected {(len(chunks), self.dimension)}")
+        added: dict[str, Chunk] = {}
+        for chunk in chunks:
+            if chunk.chunk_id in self.metadata or chunk.chunk_id in added:
+                raise ValueError(f"duplicate chunk_id {chunk.chunk_id!r}")
+            added[chunk.chunk_id] = chunk
+        self._ids.extend(added)
+        self._pending.append(rows)
+        self.metadata.update(added)
 
     def seal(self) -> None:
         """Freeze the store; the scan matrix becomes the only copy of the vectors."""
         if self._sealed:
             return
-        rows = self._pending or [np.zeros((0, self.dimension), dtype=np.float32)]
-        self._freeze(np.vstack(rows))
-
-    def _freeze(self, rows: np.ndarray) -> None:
         # float32 -> float64 is exact, so save() recovers the stored rows bit for bit.
-        self._matrix = rows.astype(np.float64)
+        self._matrix = np.concatenate([np.zeros((0, self.dimension)), *self._pending], dtype=np.float64)
         self._norms = np.linalg.norm(self._matrix, axis=1)
         self._pending = []
         self._sealed = True
@@ -139,12 +142,11 @@ class VectorStore:
             raise StoreCorruptError(
                 f"vector/metadata mismatch: {count} vectors vs {len(chunks)} chunk records"
             )
-        store = cls(dimension)
-        for chunk in chunks:
-            if chunk.chunk_id in store.metadata:
-                raise StoreCorruptError(f"duplicate chunk_id {chunk.chunk_id!r} in {sidecar}")
-            store._ids.append(chunk.chunk_id)
-            store.metadata[chunk.chunk_id] = chunk
         rows = np.frombuffer(blob, dtype="<f4", count=count * dimension, offset=_HEADER.size)
-        store._freeze(rows.reshape(count, dimension))
+        store = cls(dimension)
+        try:
+            store.add(chunks, rows.reshape(count, dimension))
+        except ValueError as exc:
+            raise StoreCorruptError(f"{exc} in {sidecar}") from exc
+        store.seal()
         return store

@@ -9,7 +9,7 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kgrag.corpus import Sentence, tokenize
+from kgrag.corpus import Sentence
 
 
 class SeqEmbedder:
@@ -56,10 +56,7 @@ def embedding_matrices(draw, max_rows: int = 12, max_dim: int = 260) -> np.ndarr
 
 
 def make_sentences(texts: list[str], doc_id: str = "doc") -> list[Sentence]:
-    return [
-        Sentence(doc_id=doc_id, index=i, text=t, token_count=len(tokenize(t)))
-        for i, t in enumerate(texts)
-    ]
+    return [Sentence(doc_id=doc_id, text=t) for t in texts]
 
 
 def vectors_with_consecutive_similarities(sims: list[float]) -> list[np.ndarray]:

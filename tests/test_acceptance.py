@@ -151,8 +151,8 @@ def test_criterion_05_top_k_matches_brute_force():
     rows = []
     for i in range(n):
         vec = np.asarray([rng.gauss(0, 1) for _ in range(dim)], dtype=np.float32)
-        store.add(mk_chunk(f"v{i}"), vec)
         rows.append(np.asarray(vec, dtype=np.float64))
+    store.add([mk_chunk(f"v{i}") for i in range(n)], np.asarray(rows, dtype=np.float32))
     store.seal()
 
     with Timer() as t:

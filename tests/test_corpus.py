@@ -108,7 +108,6 @@ class TestSplitSentences:
         sentences = split_sentences(doc)
         assert len(sentences) == 1
         assert sentences[0].text == "One sentence only"
-        assert sentences[0].token_count == 3
 
     def test_blank_line_is_boundary(self):
         doc = make_doc("First paragraph without period\n\nSecond paragraph")
@@ -116,10 +115,6 @@ class TestSplitSentences:
             "First paragraph without period",
             "Second paragraph",
         ]
-
-    def test_indices_sequential(self):
-        doc = make_doc("A one. B two. C three.")
-        assert [s.index for s in split_sentences(doc)] == [0, 1, 2]
 
     def test_mid_token_punctuation_does_not_split(self):
         doc = make_doc("Version 1.5 shipped. Done.")
@@ -154,7 +149,7 @@ class TestProperties:
     @given(normalized_docs)
     def test_token_counts_sum(self, doc):
         sentences = split_sentences(doc)
-        assert sum(s.token_count for s in sentences) == len(tokenize(doc.text))
+        assert sum(len(tokenize(s.text)) for s in sentences) == len(tokenize(doc.text))
 
     @given(normalized_docs)
     def test_non_whitespace_characters_preserved_in_order(self, doc):
@@ -164,7 +159,7 @@ class TestProperties:
 
     @given(normalized_docs)
     def test_no_zero_token_sentence(self, doc):
-        assert all(s.token_count >= 1 for s in split_sentences(doc))
+        assert all(tokenize(s.text) for s in split_sentences(doc))
 
     @given(normalized_docs)
     def test_split_deterministic(self, doc):

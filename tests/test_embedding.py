@@ -368,9 +368,15 @@ class TestRemoteEmbedder:
             [[0.5]] * 8,
             [0.5] * 7 + [[0.5]],
             {"x": 1.0},
+            ["1.5"] * 8,
+            [True] * 8,
+            [0.5] * 7 + [False],
+            [0.5] * 7 + [10**400],
         ],
         ids=[
-            "null", "string", "null-items", "nan-item", "string-items", "nested", "one-nested-item", "object"
+            "null", "string", "null-items", "nan-item", "string-items", "nested", "one-nested-item", "object",
+            "numeric-string-items", "bool-items", "one-bool-item",
+            "huge-int-item",
         ],
     )
     def test_bad_embedding_value_is_provider_error(self, monkeypatch, value):

@@ -5,10 +5,11 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kgrag.exceptions import StoreCorruptError
 from kgrag.extraction import EntityMention, Triple
-from kgrag.graph import KnowledgeGraph
+from kgrag.graph import Edge, KnowledgeGraph, Subgraph
 
 
 def mention(text: str) -> EntityMention:
@@ -192,6 +193,74 @@ class TestNeighborhood:
         sub = graph.neighborhood({0}, hops=1, max_nodes=3)
         # hub is node 0; leaves get ids 1.. in insertion order; lowest ids win
         assert set(sub.nodes) == {0, 1, 2}
+
+
+def reference_neighborhood(graph: KnowledgeGraph, seeds: set[int], hops: int, max_nodes: int) -> Subgraph:
+    """The O(E) form: BFS over adjacency sets, then edges induced by scanning every edge."""
+    edges = {Edge(**e) for e in graph.to_json_obj()["edges"]}
+    adjacency: dict[int, set[int]] = {nid: set() for nid in range(len(graph))}
+    for e in edges:
+        adjacency[e.source].add(e.target)
+        adjacency[e.target].add(e.source)
+    if not seeds:
+        return Subgraph(nodes={}, edges=set(), hop_of={})
+    hop_of = {seed: 0 for seed in sorted(seeds)}
+    frontier = sorted(seeds)
+    for depth in range(1, hops + 1):
+        if len(hop_of) >= max_nodes:
+            break
+        next_frontier = sorted({n for node in frontier for n in adjacency[node] if n not in hop_of})
+        if not next_frontier:
+            break
+        admitted = []
+        for node in next_frontier:
+            if len(hop_of) >= max_nodes:
+                break
+            hop_of[node] = depth
+            admitted.append(node)
+        frontier = admitted
+    nodes = {nid: graph.node(nid) for nid in hop_of}
+    induced = {e for e in edges if e.source in hop_of and e.target in hop_of}
+    return Subgraph(nodes=nodes, edges=induced, hop_of=hop_of)
+
+
+small_triples = st.lists(
+    st.tuples(
+        st.sampled_from([f"n{i}" for i in range(8)]),
+        st.sampled_from(["r1", "r2", "r3"]),
+        st.sampled_from([f"n{i}" for i in range(8)]),  # same name as the subject makes a self-loop
+        st.sampled_from(["c0", "c1", "c2"]),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestNeighborhoodReference:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        small_triples,
+        st.sets(st.integers(0, 7), max_size=3),
+        st.integers(1, 3),
+        st.integers(1, 10),
+    )
+    def test_matches_adjacency_bfs_and_full_edge_scan(self, triples, seeds, hops, max_nodes):
+        graph = KnowledgeGraph()
+        for s, r, o, prov in triples:
+            graph.upsert_triple(triple(s, r, o, prov), f"ctx {prov}")
+        graph.seal()
+        graph.seal()  # sealing twice must not change the incident lists
+        loops = sum(e.source == e.target for e in graph._edges)
+        assert sum(map(len, graph._incident)) == 2 * graph.edge_count - loops
+        seeds = {seed for seed in seeds if seed < len(graph)}
+        loaded = KnowledgeGraph.from_json_obj(graph.to_json_obj(), {f"c{i}": f"ctx c{i}" for i in range(3)})
+        for g in (graph, loaded):
+            sub = g.neighborhood(seeds, hops=hops, max_nodes=max_nodes)
+            ref = reference_neighborhood(g, seeds, hops, max_nodes)
+            assert list(sub.hop_of.items()) == list(ref.hop_of.items())
+            assert list(sub.nodes) == list(ref.nodes)
+            assert sub.edges == ref.edges
+            assert g.render_subgraph(sub) == g.render_subgraph(ref)
 
 
 class TestRender:

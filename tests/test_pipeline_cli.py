@@ -283,6 +283,20 @@ class TestCmdQuery:
         assert "duplicate chunk_id" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "endpoint",
+        [lambda n: -1, lambda n: n, lambda n: 0.5, lambda n: "0", lambda n: True, lambda n: None],
+        ids=["negative", "node-count", "float", "string", "bool", "null"],
+    )
+    @pytest.mark.parametrize("key", ["source", "target"])
+    def test_bad_edge_endpoint_exit_3(self, store_dir, capsys, key, endpoint):
+        graph_path = store_dir / "graph.json"
+        graph = json.loads(graph_path.read_text())
+        graph["edges"][0][key] = endpoint(len(graph["nodes"]))
+        graph_path.write_text(json.dumps(graph))
+        assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
+        assert "graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "field, value", [(("config", "provider", "dimension"), 128), (("counts", "chunks"), 1)]
     )
     def test_manifest_disagrees_with_vectors_exit_3(self, store_dir, capsys, field, value):
@@ -488,8 +502,8 @@ class TestRemoteProviderWiring:
 
     @pytest.mark.parametrize(
         "value",
-        [None, "abc", ["abc"] * 16, [[0.5]] * 16],
-        ids=["null", "string", "string-items", "nested"],
+        [None, "abc", ["abc"] * 16, [[0.5]] * 16, ["1.5"] * 16, [True] * 16],
+        ids=["null", "string", "string-items", "nested", "numeric-string-items", "bool-items"],
     )
     def test_bad_embedding_values_exit_4(self, tmp_path, monkeypatch, capsys, value):
         import kgrag.remote as remote_mod

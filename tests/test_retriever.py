@@ -32,11 +32,13 @@ EMBEDDER = HashedEmbedder(DIM)
 
 def make_store(texts: dict[str, str]) -> VectorStore:
     store = VectorStore(DIM)
-    for cid, text in texts.items():
-        store.add(
-            Chunk(chunk_id=cid, parent_semantic_chunk="p", doc_id="d", token_span=(0, 1), text=text),
-            EMBEDDER.embed(text),
-        )
+    store.add(
+        [
+            Chunk(chunk_id=cid, parent_semantic_chunk="p", doc_id="d", token_span=(0, 1), text=text)
+            for cid, text in texts.items()
+        ],
+        EMBEDDER.embed_batch(list(texts.values())),
+    )
     store.seal()
     return store
 

@@ -25,8 +25,7 @@ def unit(values) -> np.ndarray:
 def build(vectors: dict[str, np.ndarray]) -> VectorStore:
     dim = len(next(iter(vectors.values())))
     store = VectorStore(dim)
-    for cid, vec in vectors.items():
-        store.add(chunk(cid), np.asarray(vec, dtype=np.float32))
+    store.add([chunk(cid) for cid in vectors], np.asarray(list(vectors.values()), dtype=np.float32))
     store.seal()
     return store
 
@@ -51,29 +50,32 @@ class TestBuildPhase:
     def test_add_increases_size(self):
         store = VectorStore(4)
         assert len(store) == 0
-        store.add(chunk("a"), np.ones(4, dtype=np.float32))
+        store.add([chunk("a")], np.ones((1, 4), dtype=np.float32))
         assert len(store) == 1
 
     def test_duplicate_id_error(self):
         store = VectorStore(4)
-        store.add(chunk("a"), np.ones(4, dtype=np.float32))
+        store.add([chunk("a")], np.ones((1, 4), dtype=np.float32))
         with pytest.raises(ValueError, match="duplicate"):
-            store.add(chunk("a"), np.ones(4, dtype=np.float32))
+            store.add([chunk("a")], np.ones((1, 4), dtype=np.float32))
+        with pytest.raises(ValueError, match="duplicate"):
+            store.add([chunk("b"), chunk("b")], np.ones((2, 4), dtype=np.float32))
+        assert store.chunk_ids == ["a"]
 
     def test_dimension_mismatch_error(self):
         store = VectorStore(4)
         with pytest.raises(ValueError, match="dimension"):
-            store.add(chunk("a"), np.ones(5, dtype=np.float32))
+            store.add([chunk("a")], np.ones((1, 5), dtype=np.float32))
 
     def test_add_after_seal_error(self):
         store = VectorStore(4)
         store.seal()
         with pytest.raises(ValueError, match="sealed"):
-            store.add(chunk("a"), np.ones(4, dtype=np.float32))
+            store.add([chunk("a")], np.ones((1, 4), dtype=np.float32))
 
     def test_query_before_seal_error(self):
         store = VectorStore(4)
-        store.add(chunk("a"), np.ones(4, dtype=np.float32))
+        store.add([chunk("a")], np.ones((1, 4), dtype=np.float32))
         with pytest.raises(ValueError, match="sealed"):
             store.top_k(np.ones(4, dtype=np.float32), 1)
 
@@ -102,8 +104,7 @@ class TestTopK:
     def test_ties_break_by_insertion_order(self):
         same = unit([1, 1, 0, 0])
         store = VectorStore(4)
-        for cid in ("first", "second", "third"):
-            store.add(chunk(cid), same.copy())
+        store.add([chunk(cid) for cid in ("first", "second", "third")], np.tile(same, (3, 1)))
         store.seal()
         assert [cid for cid, _ in store.top_k(same, 3)] == ["first", "second", "third"]
 
@@ -126,10 +127,12 @@ class TestTopK:
         dim, n = 32, 200
         store = VectorStore(dim)
         entries = []
+        rows = []
         for i in range(n):
             vec = np.asarray([rng.gauss(0, 1) for _ in range(dim)], dtype=np.float32)
-            store.add(chunk(f"v{i}"), vec)
+            rows.append(vec)
             entries.append((f"v{i}", [float(x) for x in vec]))
+        store.add([chunk(cid) for cid, _ in entries], np.asarray(rows))
         store.seal()
         for _ in range(20):
             query32 = np.asarray([rng.gauss(0, 1) for _ in range(dim)], dtype=np.float32)
