@@ -21,11 +21,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from kgrag.chunking import (  # noqa: E402
     ChunkerConfig,
-    build_windows,
     percentile_threshold,
     semantic_split,
-    sequential_distances,
     token_window_split,
+    window_distances,
 )
 from kgrag.corpus import load_corpus, split_sentences  # noqa: E402
 from kgrag.embedding import HashedEmbedder  # noqa: E402
@@ -49,18 +48,19 @@ def main() -> int:
     )
     embedder = HashedEmbedder(args.embed_dim)
 
-    for doc in load_corpus(args.corpus):
-        sentences = split_sentences(doc)
+    documents = load_corpus(args.corpus)
+    sentence_lists = [split_sentences(doc) for doc in documents]
+    # The distances build_store splits on, from the same one call.
+    all_distances = window_distances(sentence_lists, embedder, config.window_k)
+    for doc, sentences, distances in zip(documents, sentence_lists, all_distances):
         print(f"== {doc.doc_id}: {len(sentences)} sentences")
-        if len(sentences) > 1:
-            windows = build_windows(sentences, config.window_k)
-            distances = sequential_distances(embedder.embed_batch(windows))
+        if distances:
             threshold = percentile_threshold(distances, config.percentile)
             print(f"   threshold T = {threshold:.4f} (p{config.percentile:g} of {len(distances)} distances)")
             for i, distance in enumerate(distances):
                 marker = "  <-- boundary" if distance > threshold else ""
                 print(f"   d[{i:3d}] = {distance:.4f}{marker}")
-        for sem in semantic_split(sentences, embedder, config):
+        for sem in semantic_split(sentences, distances, config) if sentences else []:
             pieces = token_window_split(sem, config.chunk_size, config.overlap)
             start, end = sem.sentence_span
             preview = sem.text[:70].replace("\n", " ")

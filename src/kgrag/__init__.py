@@ -1,6 +1,6 @@
 """Hybrid retrieval over text corpora: semantic chunks fused with a knowledge graph."""
 
-from .chunking import Chunk, ChunkerConfig, SemanticChunk, semantic_split, token_window_split
+from .chunking import Chunk, ChunkerConfig, SemanticChunk, semantic_split, token_window_split, window_distances
 from .corpus import Document, Sentence, load_corpus, split_sentences, tokenize
 from .embedding import HashedEmbedder, ProviderConfig, RemoteEmbedder, cosine_similarity, embed_hashed
 from .evaluation import (
@@ -98,4 +98,5 @@ __all__ = [
     "split_sentences",
     "token_window_split",
     "tokenize",
+    "window_distances",
 ]

@@ -1,11 +1,12 @@
 """Two-stage chunking: semantic boundary detection, then token windows.
 
 Stage one groups each sentence with its neighbors (window size k), embeds
-the windows as one (n, D) matrix, takes the cosine distance between each
-row and the next in one row-wise pass, and closes a chunk wherever that
-distance strictly exceeds the nearest-rank percentile threshold of all
-distances. Stage two bounds chunk length with a fixed-stride token
-window (default 100 tokens, 16 overlap).
+the windows, takes the cosine distance between each window and the next,
+and closes a chunk wherever that distance strictly exceeds the
+nearest-rank percentile threshold of the document's distances. The
+hashed embedder's window rows come from per-sentence counts, in one pass
+over all documents of a build. Stage two bounds chunk length with a
+fixed-stride token window (default 100 tokens, 16 overlap).
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import Sentence, tokenize
-from .embedding import cosine_rows
+from .embedding import HashedEmbedder, cosine_rows, hashed_window_rows
 from .exceptions import ProviderError, StoreCorruptError
 
 
@@ -91,29 +92,61 @@ def percentile_threshold(distances: list[float], p: float) -> float:
     return ordered[rank - 1]
 
 
-def semantic_split(sentences: list[Sentence], embedder, config: ChunkerConfig) -> list[SemanticChunk]:
+def window_distances(documents: list[list[Sentence]], embedder, k: int) -> list[list[float]]:
+    """Each document's sequential window distances, in document order.
+
+    For document j this is ``sequential_distances`` over the embeddings of
+    ``build_windows(documents[j], k)``; a document of fewer than two
+    sentences has none. The hashed embedder takes every document in one
+    ``hashed_window_rows`` pass, bit for bit the same as embedding each
+    document's windows, and holds one block of rows at a time (one row
+    carries across a block edge). Any other embedder embeds each document's
+    windows in one ``embed_batch`` call.
+    """
+    if not isinstance(embedder, HashedEmbedder):
+        return [_embedded_window_distances(sentences, embedder, k) for sentences in documents]
+    lengths = [len(sentences) for sentences in documents]
+    texts = [s.text for sentences in documents for s in sentences]
+    distances = np.empty(max(len(texts) - 1, 0))  # row i to row i+1, across documents too
+    carried = np.empty((0, embedder.dimension), dtype=np.float32)
+    for start, rows in hashed_window_rows(texts, lengths, k, embedder.dimension):
+        pairs = np.concatenate([carried, rows])
+        distances[start - len(carried) : start + len(rows) - 1] = 1.0 - cosine_rows(pairs[:-1], pairs[1:])
+        carried = rows[-1:]
+    ends = np.cumsum(lengths).tolist()
+    return [distances[end - n : max(end - n, end - 1)].tolist() for end, n in zip(ends, lengths)]
+
+
+def _embedded_window_distances(sentences: list[Sentence], embedder, k: int) -> list[float]:
+    if len(sentences) < 2:
+        return []
+    try:
+        embeddings = embedder.embed_batch(build_windows(sentences, k))
+    except ProviderError as exc:
+        # The provider message already pinpoints the failing window batch.
+        raise ProviderError(f"window embedding failed for doc {sentences[0].doc_id!r}: {exc}") from exc
+    return sequential_distances(embeddings)
+
+
+def semantic_split(sentences: list[Sentence], distances: list[float], config: ChunkerConfig) -> list[SemanticChunk]:
     """Split a document's sentences into semantically coherent chunks.
 
-    The greedy scan closes the running chunk after sentence i whenever the
-    window distance d_i strictly exceeds the percentile threshold, so the
-    number of chunks is always 1 + |{i : d_i > T}|.
+    ``distances`` are the document's sequential window distances (see
+    ``window_distances``), one fewer than there are sentences. The greedy
+    scan closes the running chunk after sentence i whenever the window
+    distance d_i strictly exceeds the percentile threshold, so the number of
+    chunks is always 1 + |{i : d_i > T}|.
     """
     if not sentences:
         raise ValueError("semantic_split requires at least one sentence")
+    if len(distances) != len(sentences) - 1:
+        raise ValueError(f"expected {len(sentences) - 1} window distances, got {len(distances)}")
     doc_id = sentences[0].doc_id
 
     boundaries: list[int] = []
-    if len(sentences) > 1:
-        windows = build_windows(sentences, config.window_k)
-        try:
-            embeddings = embedder.embed_batch(windows)
-        except ProviderError as exc:
-            # The provider message already pinpoints the failing window batch.
-            raise ProviderError(f"window embedding failed for doc {doc_id!r}: {exc}") from exc
-        distances = sequential_distances(embeddings)
-        if distances:
-            threshold = percentile_threshold(distances, config.percentile)
-            boundaries = [i for i, d in enumerate(distances) if d > threshold]
+    if distances:
+        threshold = percentile_threshold(distances, config.percentile)
+        boundaries = [i for i, d in enumerate(distances) if d > threshold]
 
     chunks: list[SemanticChunk] = []
     start = 0

@@ -6,15 +6,17 @@ shape (POST {"model", "input": [...]} -> {"data": [{"index", "embedding"}]}).
 Vectors are float32, unit-normalized; empty text maps to the zero vector.
 ``embed_batch`` returns a batch as one float32 (n, D) matrix for both
 providers, and ``cosine_rows`` is the one cosine rule applied to such rows.
+``hashed_window_rows`` is the hashed embedder's one counting core: it embeds
+sentence windows from per-sentence counts, and a batch of texts is its k=0
+case.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import count, islice
+from typing import Iterator
 
 import numpy as np
 
@@ -24,7 +26,7 @@ from .remote import post_json
 Vector = np.ndarray
 
 MAX_BATCH_SIZE = 64
-_BLOCK_ROWS = 256  # texts per accumulation block in embed_hashed_many
+_BLOCK_ROWS = 256  # window rows per accumulation block in hashed_window_rows
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -57,6 +59,87 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
+class _SignedColumns(dict):
+    """token -> ``2 * column + sign bit`` of its FNV-1a hash, hashed on first sight."""
+
+    def __init__(self, dimension: int):
+        super().__init__()
+        self.dimension = dimension
+
+    def __missing__(self, token: str) -> int:
+        h = fnv1a64(token.encode("utf-8"))
+        code = self[token] = (h % self.dimension) << 1 | h >> 63
+        return code
+
+
+def _signed_counts(texts: list[str], table: _SignedColumns) -> np.ndarray:
+    """Float64 (len(texts), D) signed token counts, one row per text."""
+    dimension = table.dimension
+    codes = array("q")  # signed column of every token occurrence, text by text
+    lengths: list[int] = []
+    for text in texts:
+        tokens = text.lower().split()
+        codes.extend(map(table.__getitem__, tokens))
+        lengths.append(len(tokens))
+    signed = np.frombuffer(codes, dtype=np.int64)
+    flat = np.repeat(np.arange(len(lengths), dtype=np.int64) * dimension, lengths) + (signed >> 1)
+    # bincount gives int64 when there are no tokens at all, hence the cast.
+    values = np.bincount(flat, weights=1.0 - 2.0 * (signed & 1), minlength=len(lengths) * dimension)
+    return values.astype(np.float64, copy=False).reshape(len(lengths), dimension)
+
+
+def hashed_window_rows(
+    texts: list[str], lengths: list[int], k: int, dimension: int
+) -> Iterator[tuple[int, np.ndarray]]:
+    """Hashed embeddings of sentence windows, yielded as (first row, float32 rows) blocks.
+
+    ``texts`` holds the sentences of consecutive documents, ``lengths[j]`` of
+    them for document j. Row i embeds window i: the space-joined sentences
+    ``max(a, i-k) .. min(b-1, i+k)`` of the document [a, b) that holds
+    sentence i, exactly as ``embed_hashed_many`` would embed that text.
+
+    Lowercasing and whitespace splitting never carry across the joining
+    space, so a window's signed counts are the sum of its sentences' counts.
+    Each sentence is therefore tokenized and counted once, and a window is a
+    difference of per-sentence prefix sums: small integers, exact in float64
+    in any order. Each distinct token of the call is hashed once. Blocks are
+    at most ``_BLOCK_ROWS`` rows, and counts reach at most k sentences past
+    either edge of a block, so the temporaries stay bounded however long a
+    document is and however many documents there are.
+    """
+    if dimension < 8:
+        raise ValueError("embedding dimension must be >= 8")
+    if k < 0:
+        raise ValueError("window size k must be >= 0")
+    table = _SignedColumns(dimension)
+    if not k:  # each window is its own sentence
+        for start in range(0, len(texts), _BLOCK_ROWS):
+            yield start, _normalized(_signed_counts(texts[start : start + _BLOCK_ROWS], table))
+        return
+    offsets = np.cumsum([0, *lengths], dtype=np.int64)
+    counted_from, counted = 0, np.zeros((0, dimension))  # per-sentence counts from sentence counted_from on
+    for start in range(0, len(texts), _BLOCK_ROWS):
+        rows = np.arange(start, min(len(texts), start + _BLOCK_ROWS), dtype=np.int64)
+        doc = np.searchsorted(offsets, rows, side="right") - 1
+        lo = np.maximum(offsets[doc], rows - k)
+        hi = np.minimum(offsets[doc + 1], rows + k + 1)
+        first, last = int(lo[0]), int(hi[-1])
+        # The halo this block shares with the last one is counted already.
+        kept = counted[first - counted_from :]
+        fresh = _signed_counts(texts[first + len(kept) : last], table)
+        counted_from, counted = first, np.concatenate([kept, fresh]) if len(kept) else fresh
+        prefix = np.zeros((len(counted) + 1, dimension))
+        np.cumsum(counted, axis=0, out=prefix[1:])
+        yield start, _normalized(prefix[hi - first] - prefix[lo - first])
+
+
+def _normalized(values: np.ndarray) -> np.ndarray:
+    """Float32 copy of float64 rows divided in place by their L2 norms; all-zero rows stay zero."""
+    norms = np.sqrt(np.einsum("ij,ij->i", values, values))[:, None]
+    np.divide(values, norms, out=values, where=norms > 0.0)
+    return values.astype(np.float32)
+
+
 def embed_hashed_many(texts: list[str], dimension: int = 256) -> np.ndarray:
     """Signed feature hashing over lowercased whitespace tokens, one row per text.
 
@@ -65,46 +148,15 @@ def embed_hashed_many(texts: list[str], dimension: int = 256) -> np.ndarray:
     is the zero row. Disjoint vocabularies land on (near-)orthogonal vectors,
     which is what the chunk-boundary tests rely on.
 
-    Each distinct token of the batch is hashed once; nothing is kept across
-    calls. The signed counts are small integers, so sums and norms are exact
-    in any order and a row does not depend on the rest of the batch. Rows are
-    accumulated ``_BLOCK_ROWS`` texts at a time, which bounds the temporary
-    arrays of a large batch. Returns float32, shape (len(texts), D).
+    This is ``hashed_window_rows`` with k=0 over one document: each distinct
+    token of the batch is hashed once, nothing is kept across calls, and a
+    row does not depend on the rest of the batch. Returns float32, shape
+    (len(texts), D).
     """
-    if dimension < 8:
-        raise ValueError("embedding dimension must be >= 8")
-    token_ids: defaultdict[str, int] = defaultdict(count().__next__)  # first sight -> next id
-    hashes: list[int] = []  # fnv1a64 of each token, by id
     out = np.empty((len(texts), dimension), dtype=np.float32)
-    for start in range(0, len(texts), _BLOCK_ROWS):
-        block = texts[start : start + _BLOCK_ROWS]
-        occurrences = array("q")  # token id of every token occurrence, text by text
-        lengths: list[int] = []
-        for text in block:
-            tokens = text.lower().split()
-            occurrences.extend(map(token_ids.__getitem__, tokens))
-            lengths.append(len(tokens))
-        hashes.extend(fnv1a64(token.encode("utf-8")) for token in islice(token_ids, len(hashes), None))
-        ids = np.frombuffer(occurrences, dtype=np.int64)
-        out[start : start + len(block)] = _normalized_counts(hashes, ids, lengths, dimension)
+    for start, rows in hashed_window_rows(texts, [len(texts)], 0, dimension):
+        out[start : start + len(rows)] = rows
     return out
-
-
-def _normalized_counts(hashes: list[int], ids: np.ndarray, lengths: list[int], dimension: int) -> np.ndarray:
-    """Float64 rows of signed token counts, each divided by its L2 norm.
-
-    Row i counts the next ``lengths[i]`` token ids of ``ids``.
-    """
-    hashed = np.array(hashes, dtype=np.uint64)
-    columns = (hashed % np.uint64(dimension)).astype(np.int64)
-    signs = np.where(hashed >> np.uint64(63), -1.0, 1.0)
-    flat = np.repeat(np.arange(len(lengths), dtype=np.int64) * dimension, lengths) + columns[ids]
-    # bincount gives int64 when there are no tokens at all, hence the cast.
-    values = np.bincount(flat, weights=signs[ids], minlength=len(lengths) * dimension)
-    values = values.astype(np.float64, copy=False).reshape(len(lengths), dimension)
-    norms = np.sqrt(np.einsum("ij,ij->i", values, values))[:, None]
-    np.divide(values, norms, out=values, where=norms > 0.0)
-    return values
 
 
 def embed_hashed(text: str, dimension: int = 256) -> Vector:

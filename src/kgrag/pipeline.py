@@ -13,7 +13,7 @@ import shutil
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from .chunking import Chunk, ChunkerConfig, SemanticChunk, semantic_split, token_window_split
+from .chunking import Chunk, ChunkerConfig, SemanticChunk, semantic_split, token_window_split, window_distances
 from .corpus import Document, load_corpus, split_sentences, tokenize
 from .embedding import HashedEmbedder, ProviderConfig, RemoteEmbedder, make_embedder
 from .evaluation import EvalRecord
@@ -115,18 +115,23 @@ def make_extractor(config: ExtractorConfig):
     return RemoteExtractor(make_chat_client(config, "extractor"))
 
 
-def chunk_document(
-    doc: Document, embedder, chunker: ChunkerConfig
+def chunk_documents(
+    documents: list[Document], embedder, chunker: ChunkerConfig
 ) -> tuple[list[SemanticChunk], list[Chunk]]:
-    """Sentence split -> semantic split -> token windows, for one document."""
-    sentences = split_sentences(doc)
-    if not sentences:
-        return [], []
-    semantic_chunks = semantic_split(sentences, embedder, chunker)
-    chunks: list[Chunk] = []
-    for sem in semantic_chunks:
-        chunks.extend(token_window_split(sem, chunker.chunk_size, chunker.overlap))
-    return semantic_chunks, chunks
+    """Sentence split -> semantic split -> token windows, in document order.
+
+    Every document's window distances come from one ``window_distances``
+    call; the percentile threshold stays per document.
+    """
+    sentence_lists = [sentences for sentences in map(split_sentences, documents) if sentences]
+    distances = window_distances(sentence_lists, embedder, chunker.window_k)
+    all_semantic: list[SemanticChunk] = []
+    all_chunks: list[Chunk] = []
+    for sentences, doc_distances in zip(sentence_lists, distances):
+        for sem in semantic_split(sentences, doc_distances, chunker):
+            all_semantic.append(sem)
+            all_chunks.extend(token_window_split(sem, chunker.chunk_size, chunker.overlap))
+    return all_semantic, all_chunks
 
 
 def build_store(
@@ -159,12 +164,7 @@ def build_store(
         embedder = make_embedder(provider)
         extractor = make_extractor(extractor_config)
 
-        all_semantic: list[SemanticChunk] = []
-        all_chunks: list[Chunk] = []
-        for doc in documents:
-            semantic_chunks, chunks = chunk_document(doc, embedder, chunker)
-            all_semantic.extend(semantic_chunks)
-            all_chunks.extend(chunks)
+        all_semantic, all_chunks = chunk_documents(documents, embedder, chunker)
 
         vectors = VectorStore(embedder.dimension)
         vectors.add(all_chunks, embedder.embed_batch([c.text for c in all_chunks]))

@@ -47,10 +47,6 @@ class VectorStore:
         return len(self._ids)
 
     @property
-    def sealed(self) -> bool:
-        return self._sealed
-
-    @property
     def chunk_ids(self) -> list[str]:
         return list(self._ids)
 

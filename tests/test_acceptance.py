@@ -14,7 +14,14 @@ import time
 import numpy as np
 import pytest
 
-from kgrag.chunking import Chunk, ChunkerConfig, SemanticChunk, semantic_split, token_window_split
+from kgrag.chunking import (
+    Chunk,
+    ChunkerConfig,
+    SemanticChunk,
+    semantic_split,
+    token_window_split,
+    window_distances,
+)
 from kgrag.cli import main
 from kgrag.embedding import HashedEmbedder
 from kgrag.evaluation import (
@@ -132,7 +139,8 @@ def test_criterion_04_chunker_boundary_oracle():
         hits = 0
         for seed in range(100):
             sentences, switch = two_topic_sentences(random.Random(seed))
-            spans = [c.sentence_span for c in semantic_split(sentences, embedder, config)]
+            (distances,) = window_distances([sentences], embedder, config.window_k)
+            spans = [c.sentence_span for c in semantic_split(sentences, distances, config)]
             if spans == [(0, switch - 1), (switch, len(sentences) - 1)]:
                 hits += 1
     assert hits >= 95, f"only {hits}/100 clean single-boundary splits"

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,13 +16,17 @@ from kgrag.chunking import (
     semantic_split,
     sequential_distances,
     token_window_split,
+    window_distances,
 )
-from kgrag.embedding import HashedEmbedder
+from kgrag.embedding import HashedEmbedder, embed_hashed_many, hashed_window_rows
+
+import kgrag.embedding as embedding_mod
 
 from helpers import (
     SeqEmbedder,
     embedding_matrices,
     make_sentences,
+    record_texts,
     reference_cosine,
     two_topic_sentences,
     vectors_with_consecutive_similarities,
@@ -87,6 +92,73 @@ class TestSequentialDistances:
         assert sequential_distances(matrix)[2] == 1.0  # the empty window is the zero row
 
 
+# Words whose lowercasing is context-sensitive (final sigma) or changes length
+# (dotted capital I), combining marks, non-BMP text, and no-alphanumeric runs.
+AWKWARD_WORDS = [
+    "rome", "Rome", "ΟΔΟΣ", "ΟΔΟΣ.", "Σ", "ς", "'Σ", "İstanbul", "e\u0301", "\u0301", "🍕", "𝔘𝔫𝔦", "!!!", "...",
+]
+SENTENCE_TEXTS = st.one_of(
+    st.lists(st.sampled_from(AWKWARD_WORDS), max_size=6).map(" ".join),
+    st.text(max_size=10),
+)
+
+
+def reference_window_distances(documents, k, dimension):
+    """One ``embed_hashed_many`` batch of windows per document, then its sequential distances."""
+    return [
+        sequential_distances(embed_hashed_many(build_windows(sentences, k), dimension)) if sentences else []
+        for sentences in documents
+    ]
+
+
+class TestHashedWindowDistances:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.lists(SENTENCE_TEXTS, max_size=12), max_size=4),
+        st.integers(0, 3),
+        st.sampled_from([1, 2, 3, 5, 256]),
+        st.sampled_from([8, 64]),
+    )
+    @example([["ΟΔΟΣ", "Σ αλφα", "ΑΣ"], ["one"], []], 1, 1, 8)
+    @example([[f"w{i} Σ" for i in range(11)]], 3, 2, 8)
+    def test_bit_for_bit_with_per_document_embedding(self, texts, k, block, dimension):
+        documents = [make_sentences(t, f"d{i}") for i, t in enumerate(texts)]
+        expected = reference_window_distances(documents, k, dimension)
+        expected_rows = [
+            embed_hashed_many(build_windows(sentences, k), dimension) for sentences in documents if sentences
+        ]
+        with mock.patch.object(embedding_mod, "_BLOCK_ROWS", block):
+            got = window_distances(documents, HashedEmbedder(dimension), k)
+            blocks = list(hashed_window_rows([s for t in texts for s in t], [len(t) for t in texts], k, dimension))
+        assert all(type(d) is float for distances in got for d in distances)
+        assert [np.array(d).tobytes() for d in got] == [np.array(d).tobytes() for d in expected]
+        assert all(len(rows) <= block for _, rows in blocks)
+        rows = np.concatenate([rows for _, rows in blocks]) if blocks else np.zeros((0, dimension), np.float32)
+        reference = np.concatenate(expected_rows) if expected_rows else np.zeros((0, dimension), np.float32)
+        assert rows.dtype == np.float32 and rows.tobytes() == reference.tobytes()
+
+    def test_counts_each_sentence_once_and_hashes_each_token_once(self, monkeypatch):
+        monkeypatch.setattr(embedding_mod, "_BLOCK_ROWS", 4)
+        counted: list[list[str]] = []
+        signed_counts = embedding_mod._signed_counts
+
+        def recorded(texts, table):
+            counted.append(texts)
+            return signed_counts(texts, table)
+
+        monkeypatch.setattr(embedding_mod, "_signed_counts", recorded)
+        hashed = record_texts(monkeypatch, embedding_mod, "fnv1a64")
+        texts = [f"rome w{i} pasta" for i in range(10)] + ["ROME pizza", "rome"]
+        list(hashed_window_rows(texts, [10, 2], 2, 64))
+        assert [t for block in counted for t in block] == texts
+        assert sorted(hashed) == sorted([b"rome", b"pasta", b"pizza"] + [f"w{i}".encode() for i in range(10)])
+
+    def test_single_sentence_and_empty_documents(self):
+        documents = [make_sentences(["only"]), [], make_sentences(["a b", "c"])]
+        got = window_distances(documents, HashedEmbedder(64), 1)
+        assert got[:2] == [[], []] and len(got[2]) == 1
+
+
 class TestPercentileThreshold:
     def test_nearest_rank_1_to_20(self):
         values = list(range(1, 21))
@@ -112,6 +184,12 @@ class TestPercentileThreshold:
         assert percentile_threshold(distances, p) in distances
 
 
+def split(sentences, embedder, config: ChunkerConfig):
+    """``semantic_split`` over the document's own window distances."""
+    (distances,) = window_distances([sentences], embedder, config.window_k)
+    return semantic_split(sentences, distances, config)
+
+
 def config(**kwargs) -> ChunkerConfig:
     base = dict(window_k=0, percentile=95.0, chunk_size=100, overlap=16)
     base.update(kwargs)
@@ -122,7 +200,7 @@ class TestSemanticSplit:
     def test_all_distances_equal_single_chunk(self):
         sentences = make_sentences(["a", "b", "c", "d"])
         same = np.array([1.0, 0.0])
-        chunks = semantic_split(sentences, SeqEmbedder([same] * 4), config())
+        chunks = split(sentences, SeqEmbedder([same] * 4), config())
         assert len(chunks) == 1
         assert chunks[0].sentence_span == (0, 3)
 
@@ -131,19 +209,23 @@ class TestSemanticSplit:
         # gives T=0.1, so only the 0.9 jump is a boundary: [s1,s2] | [s3,s4].
         vectors = vectors_with_consecutive_similarities([0.9, 0.1, 0.9])
         sentences = make_sentences(["s1", "s2", "s3", "s4"])
-        chunks = semantic_split(sentences, SeqEmbedder(vectors), config(percentile=50))
+        chunks = split(sentences, SeqEmbedder(vectors), config(percentile=50))
         assert [c.sentence_span for c in chunks] == [(0, 1), (2, 3)]
         assert [c.text for c in chunks] == ["s1 s2", "s3 s4"]
 
     def test_single_sentence_single_chunk(self):
         sentences = make_sentences(["only one"])
-        chunks = semantic_split(sentences, HashedEmbedder(64), config())
+        chunks = split(sentences, HashedEmbedder(64), config())
         assert len(chunks) == 1
         assert chunks[0].sentence_span == (0, 0)
 
     def test_empty_sentences_rejected(self):
         with pytest.raises(ValueError):
-            semantic_split([], HashedEmbedder(64), config())
+            split([], HashedEmbedder(64), config())
+
+    def test_distance_count_must_match(self):
+        with pytest.raises(ValueError, match="expected 1 window distances"):
+            semantic_split(make_sentences(["a", "b"]), [], config())
 
     def test_boundary_count_matches_exceedance_count(self):
         rng = random.Random(11)
@@ -152,7 +234,7 @@ class TestSemanticSplit:
             sims = [rng.uniform(-0.95, 0.95) for _ in range(n - 1)]
             vectors = vectors_with_consecutive_similarities(sims)
             sentences = make_sentences([f"s{i}" for i in range(n)])
-            chunks = semantic_split(sentences, SeqEmbedder(vectors), config(percentile=60))
+            chunks = split(sentences, SeqEmbedder(vectors), config(percentile=60))
             distances = [1 - s for s in sims]
             threshold = percentile_threshold(distances, 60)
             exceedances = sum(1 for d in distances if d > threshold)
@@ -162,7 +244,7 @@ class TestSemanticSplit:
         rng = random.Random(3)
         sims = [rng.uniform(-0.9, 0.9) for _ in range(14)]
         sentences = make_sentences([f"s{i}" for i in range(15)])
-        chunks = semantic_split(
+        chunks = split(
             sentences, SeqEmbedder(vectors_with_consecutive_similarities(sims)), config(percentile=50)
         )
         expected_next = 0
@@ -176,13 +258,13 @@ class TestSemanticSplit:
     def test_determinism_ids_and_spans(self):
         sentences, _ = two_topic_sentences(random.Random(5))
         embedder = HashedEmbedder(256)
-        first = semantic_split(sentences, embedder, config())
-        second = semantic_split(sentences, embedder, config())
+        first = split(sentences, embedder, config())
+        second = split(sentences, embedder, config())
         assert first == second
 
     def test_two_topic_document_splits_at_switch(self):
         sentences, switch = two_topic_sentences(random.Random(1234))
-        chunks = semantic_split(sentences, HashedEmbedder(256), config())
+        chunks = split(sentences, HashedEmbedder(256), config())
         assert [c.sentence_span for c in chunks] == [
             (0, switch - 1),
             (switch, len(sentences) - 1),

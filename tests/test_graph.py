@@ -5,10 +5,10 @@ import random
 import re
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kgrag.exceptions import StoreCorruptError
-from kgrag.extraction import EntityMention, Triple
+from kgrag.extraction import EntityMention, Triple, normalize_entity
 from kgrag.graph import Edge, KnowledgeGraph, Subgraph
 
 
@@ -355,3 +355,79 @@ class TestExport:
         graph = chain_graph()
         with pytest.raises(ValueError):
             graph.export(tmp_path / "g.xml", "xml")
+
+
+# Characters json escapes, or passes through unescaped with ensure_ascii=False.
+AWKWARD_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u2028", "\u2029", "é", "🍕", "𝔘"]),
+        st.characters(),
+    ),
+    max_size=8,
+)
+
+
+@st.composite
+def graph_objects(draw) -> dict:
+    """Export-shaped objects: distinct names, contexts possibly empty, edges between drawn nodes."""
+    names = draw(st.lists(AWKWARD_TEXT, max_size=6, unique_by=normalize_entity))
+    nodes = [{"id": i, "name": name, "contexts": draw(st.lists(AWKWARD_TEXT, max_size=3, unique=True))}
+             for i, name in enumerate(names)]
+    edges = []
+    if names:
+        node_ids = st.integers(0, len(names) - 1)
+        edge = st.fixed_dictionaries(
+            {"source": node_ids, "target": node_ids, "relation": AWKWARD_TEXT, "provenance": AWKWARD_TEXT}
+        )
+        edges = draw(st.lists(edge, max_size=8))
+    return {"nodes": nodes, "edges": edges}
+
+
+class TestJsonTemplate:
+    @given(graph_objects())
+    @example({"nodes": [], "edges": []})
+    @example({"nodes": [{"id": 0, "name": "lonely", "contexts": []}], "edges": []})
+    @example({"nodes": [{"id": 0, "name": '"q"\\\u2028\u2029\x00🍕', "contexts": ["c\n0"]}],
+              "edges": [{"source": 0, "target": 0, "relation": "\u2029", "provenance": "\\"}]})
+    def test_equals_indent_dumps(self, obj):
+        graph = KnowledgeGraph.from_json_obj(obj)
+        assert graph.to_json_text() == json.dumps(graph.to_json_obj(), ensure_ascii=False, indent=2) + "\n"
+
+    def test_export_writes_the_template(self, tmp_path):
+        graph = chain_graph()
+        graph.export(tmp_path / "g.json", "json")
+        assert (tmp_path / "g.json").read_text(encoding="utf-8") == graph.to_json_text()
+
+
+def valid_graph_object() -> dict:
+    return {
+        "nodes": [{"id": 0, "name": "a", "contexts": ["c0"]}, {"id": 1, "name": "b", "contexts": []}],
+        "edges": [{"source": 0, "target": 1, "relation": "r", "provenance": "c0"}],
+    }
+
+
+class TestLoadTypes:
+    def test_valid_object_loads(self):
+        assert KnowledgeGraph.from_json_obj(valid_graph_object()).edge_count == 1
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("nodes", "name", 5),
+            ("nodes", "name", None),
+            ("nodes", "name", ["a"]),
+            ("nodes", "contexts", "abc"),
+            ("nodes", "contexts", ["c0", 1]),
+            ("nodes", "contexts", {"c0": "x"}),
+            ("nodes", "contexts", None),
+            ("edges", "relation", 5),
+            ("edges", "relation", None),
+            ("edges", "provenance", 7.5),
+            ("edges", "provenance", False),
+        ],
+    )
+    def test_wrong_field_type_is_corrupt(self, section, key, value):
+        obj = valid_graph_object()
+        obj[section][0][key] = value
+        with pytest.raises(StoreCorruptError):
+            KnowledgeGraph.from_json_obj(obj)

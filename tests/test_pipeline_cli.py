@@ -6,13 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from kgrag.chunking import ChunkerConfig
+from kgrag.chunking import ChunkerConfig, build_windows
 from kgrag.cli import main
 from kgrag.corpus import Document, load_corpus, split_sentences
 from kgrag.embedding import HashedEmbedder
 from kgrag.pipeline import (
     build_store,
-    chunk_document,
+    chunk_documents,
     corpus_fingerprint,
     open_store,
     reconstruct_parent_texts,
@@ -45,7 +45,7 @@ class TestPipelineUnits:
             text=" ".join(f"w{i}" for i in range(250)) + ".",
             source="t",
         )
-        semantic, chunks = chunk_document(doc, HashedEmbedder(64), ChunkerConfig(window_k=0))
+        semantic, chunks = chunk_documents([doc], HashedEmbedder(64), ChunkerConfig(window_k=0))
         rebuilt = reconstruct_parent_texts(chunks)
         for sem in semantic:
             assert rebuilt[sem.chunk_id] == " ".join(sem.text.split())
@@ -416,6 +416,27 @@ class TestCmdEval:
         assert header == "record,answer_relevancy,faithfulness,context_precision,context_recall,f1"
 
 
+@pytest.mark.parametrize(
+    "section, key, value",
+    [("nodes", "name", 5), ("nodes", "contexts", "abc"), ("edges", "relation", 5), ("edges", "provenance", None)],
+    ids=["numeric-name", "string-contexts", "numeric-relation", "null-provenance"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["query", "--question", "Anything?"], ["graph-export", "--format", "json", "--out", "kg.json"]],
+    ids=["query", "graph-export"],
+)
+def test_graph_field_of_wrong_type_exit_3(store_dir, tmp_path, monkeypatch, capsys, command, section, key, value):
+    graph_path = store_dir / "graph.json"
+    graph = json.loads(graph_path.read_text())
+    graph[section][0][key] = value
+    graph_path.write_text(json.dumps(graph))
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], "--store", str(store_dir), *command[1:]]) == 3
+    assert "graph" in capsys.readouterr().err
+    assert not (tmp_path / "kg.json").exists()
+
+
 class TestCmdGraphExport:
     def test_json_export_isomorphic(self, store_dir, tmp_path):
         out = tmp_path / "kg.json"
@@ -473,6 +494,49 @@ class TestRemoteProviderWiring:
         code = main(["query", "--store", str(out), "--question", "What crosses Rome?", "--json"])
         assert code == 0
         assert json.loads(capsys.readouterr().out)["chunks"]
+
+    def test_one_window_batch_per_document(self, tmp_path, monkeypatch):
+        import kgrag.remote as remote_mod
+
+        fake_post = self.fake_embedding_post()
+        inputs: list[list[str]] = []
+
+        def recording_post(url, json=None, headers=None, timeout=None):
+            inputs.append(list(json["input"]))
+            return fake_post(url, json=json, headers=headers, timeout=timeout)
+
+        monkeypatch.setattr(remote_mod.requests, "post", recording_post)
+        corpus = write_corpus(tmp_path)
+        out = tmp_path / "store"
+        code = main(
+            ["index", "--corpus", str(corpus), "--out", str(out),
+             "--embedder", "remote", "--api-base", "http://api.test/v1",
+             "--embed-model", "embed-1", "--embed-dim", "16"]
+        )
+        assert code == 0
+        windows = [build_windows(split_sentences(doc), 1) for doc in load_corpus(corpus)]
+        chunks = [json.loads(line)["text"] for line in (out / "chunks.jsonl").read_text().splitlines()]
+        assert inputs == [*windows, chunks]
+
+    def test_window_failure_names_the_document(self, tmp_path, monkeypatch, capsys):
+        import kgrag.remote as remote_mod
+        from helpers import FakePost, FakeResponse, embedding_payload
+
+        monkeypatch.setattr(remote_mod.time, "sleep", lambda _: None)
+        first_doc = [[0.5] * 16] * 3  # a.txt has three sentences
+        fake = FakePost([FakeResponse(200, embedding_payload(first_doc)), FakeResponse(400, text="bad input")])
+        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        corpus = write_corpus(tmp_path)
+        out = tmp_path / "store"
+        code = main(
+            ["index", "--corpus", str(corpus), "--out", str(out),
+             "--embedder", "remote", "--api-base", "http://api.test/v1",
+             "--embed-model", "embed-1", "--embed-dim", "16"]
+        )
+        assert code == 4
+        assert "window embedding failed for doc 'b'" in capsys.readouterr().err
+        assert len(fake.calls) == 2
+        assert not out.exists()
 
     def test_remote_extractor_without_api_base_exit_2(self, tmp_path):
         corpus = write_corpus(tmp_path)

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from kgrag.chunking import ChunkerConfig, semantic_split
+from kgrag.chunking import ChunkerConfig, semantic_split, window_distances
 from kgrag.corpus import load_corpus, split_sentences
 from kgrag.embedding import HashedEmbedder
 from kgrag.evaluation import METRIC_NAMES
@@ -51,7 +51,9 @@ def test_inspect_chunks_marks_semantic_split_boundaries(percentile):
     assert list(printed) == [doc.doc_id for doc in documents]
     marked = 0
     for doc in documents:
-        spans = [c.sentence_span for c in semantic_split(split_sentences(doc), embedder, config)]
+        sentences = split_sentences(doc)
+        (distances,) = window_distances([sentences], embedder, config.window_k)
+        spans = [c.sentence_span for c in semantic_split(sentences, distances, config)]
         assert printed[doc.doc_id]["spans"] == spans
         assert printed[doc.doc_id]["boundaries"] == [end for _, end in spans[:-1]]
         marked += len(printed[doc.doc_id]["boundaries"])
