@@ -77,7 +77,7 @@ def _section(file_cfg: dict, name: str, cls, base: dict | None = None, **flags):
     values.update({k: v for k, v in flags.items() if v is not None})
     try:
         return cls(**values)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise InputError(f"config section {name!r}: bad value: {exc}") from exc
 
 

@@ -6,13 +6,19 @@ shape (POST {"model", "input": [...]} -> {"data": [{"index", "embedding"}]}).
 Vectors are float32, unit-normalized; empty text maps to the zero vector.
 ``embed_batch`` returns a batch as one float32 (n, D) matrix for both
 providers, and ``cosine_rows`` is the one cosine rule applied to such rows.
-The hashed embedder counts tokens in one place, ``_signed_counts``: a batch
-of texts is normalized counts, one row per text, and ``hashed_window_rows``
-embeds sentence windows from sums of per-sentence counts.
+The hashed embedder counts tokens in two places. ``_signed_counts`` serves
+batches: a batch of texts is normalized counts, one row per text, and
+``hashed_window_rows`` embeds sentence windows from sums of per-sentence
+counts. ``embed_hashed`` counts one text straight into one row; it exists
+because a query embeds one question, and the batch bookkeeping (a flat
+``repeat`` index over all rows) cost more than the counting itself. Both
+count the same signed columns in token order, so their rows agree bit for
+bit.
 """
 
 from __future__ import annotations
 
+import math
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -150,8 +156,23 @@ def embed_hashed_many(texts: list[str], dimension: int = 256) -> np.ndarray:
 
 
 def embed_hashed(text: str, dimension: int = 256) -> Vector:
-    """``embed_hashed_many([text], dimension)[0]``."""
-    return embed_hashed_many([text], dimension)[0]
+    """``embed_hashed_many([text], dimension)[0]``, bit for bit, without the batch index.
+
+    The counts are small integers, so their sum of squares is exact in any
+    order and the norm matches the batch path's.
+    """
+    if dimension < 8:
+        raise ValueError("embedding dimension must be >= 8")
+    tokens = text.lower().split()
+    if not tokens:
+        return np.zeros(dimension, dtype=np.float32)
+    table = _SignedColumns(dimension)
+    signed = np.fromiter(map(table.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    row = np.bincount(signed >> 1, weights=1.0 - 2.0 * (signed & 1), minlength=dimension)
+    norm = math.sqrt(row @ row)
+    if norm > 0.0:
+        row /= norm
+    return row.astype(np.float32)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:

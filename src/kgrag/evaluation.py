@@ -1,12 +1,16 @@
 """Metric harness: answer relevancy, faithfulness, context precision/recall, F1.
 
 Support verdicts come from a pluggable judge. A judge takes a list of
-statements and one context, and returns one verdict per statement, in
-statement order; each metric calls it once per context. The lexical judge
-is a deterministic token-overlap rule (content-token coverage >= tau) that
-tokenizes each context once and reuses the token set while the next call
-scores the same context; the remote judge asks a chat model for a yes/no
-verdict per statement, lazily, so a caller that stops at the first
+statements and a list of contexts, and returns one verdict per statement,
+in statement order, against the contexts taken together. Faithfulness and
+context recall pass a record's whole context list; context precision passes
+one context at a time, ``[ctx]``. A bare ``str`` in place of the list raises
+``TypeError``. The lexical judge is a deterministic token-overlap rule
+(content-token coverage >= tau over the union of the contexts' token sets)
+that keeps the token sets of the contexts it last tokenized, so each
+context of a record is tokenized once and the joined text never; the
+remote judge asks a chat model for a yes/no verdict per statement over the
+space-joined contexts, lazily, so a caller that stops at the first
 supported statement makes no further calls. Metrics that cannot be
 computed (empty answer, no contexts) are None, excluded from aggregates,
 and rendered as empty CSV cells: a failed retrieval must not masquerade as
@@ -67,11 +71,24 @@ def split_statements(text: str) -> list[str]:
     return split_sentence_texts(text)
 
 
+def _context_list(contexts: list[str]) -> list[str]:
+    """``contexts`` itself; a bare ``str`` would be read as one context per character."""
+    if isinstance(contexts, str):
+        raise TypeError("contexts must be a list of strings, not a str")
+    return contexts
+
+
 class LexicalJudge:
     """Deterministic overlap judge; the offline stand-in for an LLM judge.
 
-    It keeps the token set of the last context it scored, so the metrics of
-    one record that score the same joined context tokenize it once.
+    It keeps the content-token sets of the contexts it last tokenized, at
+    most one call's list. A call whose contexts are all kept tokenizes none;
+    any other call tokenizes the contexts it lacks and keeps its own list.
+    So the metrics of one record, which pass the whole list first and then
+    one context at a time, tokenize each context once. The joined text is
+    never tokenized: splitting on whitespace never carries across the
+    joining space, so the joined text's token set is the union of the
+    contexts' sets.
     """
 
     kind = "lexical"
@@ -80,53 +97,57 @@ class LexicalJudge:
         if not 0.0 < tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
         self.tau = tau
-        self._last_context: tuple[str, set[str]] = ("", set())
+        self._context_tokens: dict[str, set[str]] = {}
 
-    def supported(self, statements: list[str], context: str) -> list[bool]:
-        """Supported iff >= tau of a statement's content tokens occur in the context.
+    def supported(self, statements: list[str], contexts: list[str]) -> list[bool]:
+        """Supported iff >= tau of a statement's content tokens occur in the contexts.
 
         A statement without content tokens is unsupported.
         """
-        last_text, context_tokens = self._last_context
-        if context != last_text:
-            context_tokens = content_tokens(context)
-            self._last_context = (context, context_tokens)
-        return [coverage(content_tokens(s), context_tokens) >= self.tau for s in statements]
+        kept = self._context_tokens
+        if any(c not in kept for c in _context_list(contexts)):
+            kept = {c: kept[c] if c in kept else content_tokens(c) for c in dict.fromkeys(contexts)}
+            self._context_tokens = kept
+        reference = set().union(*(kept[c] for c in contexts))
+        return [coverage(content_tokens(s), reference) >= self.tau for s in statements]
 
 
 class RemoteJudge:
-    """Chat-backed yes/no support judge."""
+    """Chat-backed yes/no support judge; the prompt holds the space-joined contexts."""
 
     kind = "remote"
 
     def __init__(self, client: ChatClient):
         self.client = client
 
-    def supported(self, statements: list[str], context: str) -> Iterator[bool]:
+    def supported(self, statements: list[str], contexts: list[str]) -> Iterator[bool]:
         """One chat call per statement, made only when its verdict is consumed."""
-        for statement in statements:
-            reply = self.client.chat(
-                [
-                    {"role": "system", "content": JUDGE_SYSTEM_PROMPT},
-                    {"role": "user", "content": JUDGE_USER_TEMPLATE.format(context=context, statement=statement)},
-                ]
-            )
-            yield reply.strip().lower().startswith("yes")
+        context = " ".join(_context_list(contexts))
+        return (self._verdict(statement, context) for statement in statements)
+
+    def _verdict(self, statement: str, context: str) -> bool:
+        reply = self.client.chat(
+            [
+                {"role": "system", "content": JUDGE_SYSTEM_PROMPT},
+                {"role": "user", "content": JUDGE_USER_TEMPLATE.format(context=context, statement=statement)},
+            ]
+        )
+        return reply.strip().lower().startswith("yes")
 
 
-def _support_ratio(statements: list[str], context: str, judge) -> float:
-    return sum(judge.supported(statements, context)) / len(statements)
+def _support_ratio(statements: list[str], contexts: list[str], judge) -> float:
+    return sum(judge.supported(statements, contexts)) / len(statements)
 
 
 def faithfulness(answer: str, contexts: list[str], judge) -> float | None:
-    """Fraction of answer statements supported by the concatenated contexts.
+    """Fraction of answer statements supported by the contexts taken together.
 
     None (undefined) for an empty answer.
     """
     statements = split_statements(answer)
     if not statements:
         return None
-    return _support_ratio(statements, " ".join(contexts), judge)
+    return _support_ratio(statements, contexts, judge)
 
 
 def context_recall(ground_truth: str, contexts: list[str], judge) -> float:
@@ -134,7 +155,7 @@ def context_recall(ground_truth: str, contexts: list[str], judge) -> float:
     statements = split_statements(ground_truth)
     if not statements:
         raise ValueError("ground_truth must be non-empty")
-    return _support_ratio(statements, " ".join(contexts), judge)
+    return _support_ratio(statements, contexts, judge)
 
 
 def context_precision(ground_truth: str, contexts: list[str], judge) -> float | None:
@@ -147,7 +168,7 @@ def context_precision(ground_truth: str, contexts: list[str], judge) -> float | 
     if not contexts:
         return None
     statements = split_statements(ground_truth)
-    verdicts = [1 if any(judge.supported(statements, ctx)) else 0 for ctx in contexts]
+    verdicts = [1 if any(judge.supported(statements, [ctx])) else 0 for ctx in contexts]
     if sum(verdicts) == 0:
         return 0.0
     score = 0.0

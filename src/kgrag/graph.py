@@ -158,6 +158,8 @@ class KnowledgeGraph:
             raise ValueError("graph must be sealed before traversal")
         if hops < 1:
             raise ValueError("hops must be >= 1")
+        if max_nodes < 1:
+            raise ValueError("max_nodes must be >= 1")
         if not seeds:
             return Subgraph(nodes={}, edges=set(), hop_of={})
 

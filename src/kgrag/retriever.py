@@ -48,6 +48,8 @@ class QueryConfig:
             raise ValueError("final_m_chunks must be in [0, top_n_candidates]")
         if self.hops < 1:
             raise ValueError("hops must be >= 1")
+        if self.max_nodes < 1:
+            raise ValueError("max_nodes must be >= 1")
         if self.beta < 0:
             raise ValueError("beta must be >= 0")
         if self.mode not in MODES:

@@ -3,9 +3,13 @@
 Single-writer build, then seal: ``add`` takes chunks with their vector
 matrix, ``seal`` stacks everything added into one float64 scan matrix, and a
 sealed store is immutable and safe for arbitrarily many concurrent readers.
-``load`` fills a store through the same ``add`` and ``seal``. Retrieval is
-an exact cosine scan over all entries (no approximation), so the
-brute-force oracle in the tests must agree with it identically.
+``load`` fills a store through the same ``add`` and ``seal``, and ``seal``
+rejects a row that is not finite, so every stored row and its norm are
+finite. Retrieval is an exact cosine scan over all entries (no
+approximation), so the brute-force oracle in the tests must agree with it
+identically. ``top_k`` selects rather than sorts: ``np.partition`` finds the
+k-th largest score, and only the rows scoring at least that much are
+stable-sorted, which gives the ids, order and scores of a full stable sort.
 
 On-disk layout ("SKVX" file): magic "SKVX", format version u16, dimension
 u32, count u64, then count rows of dimension little-endian float32 in
@@ -67,28 +71,47 @@ class VectorStore:
         self.metadata.update(added)
 
     def seal(self) -> None:
-        """Freeze the store; the scan matrix becomes the only copy of the vectors."""
+        """Freeze the store; the scan matrix becomes the only copy of the vectors.
+
+        Raises ``ValueError`` if a row holds a NaN or an infinity. A float32
+        row widened to float64 has a finite norm exactly when it is finite,
+        so the check reads the norms that seal keeps anyway and adds no
+        (n, D) temporary.
+        """
         if self._sealed:
             return
         # float32 -> float64 is exact, so save() recovers the stored rows bit for bit.
-        self._matrix = np.concatenate([np.zeros((0, self.dimension)), *self._pending], dtype=np.float64)
-        self._norms = np.linalg.norm(self._matrix, axis=1)
+        matrix = np.concatenate([np.zeros((0, self.dimension)), *self._pending], dtype=np.float64)
+        norms = np.linalg.norm(matrix, axis=1)
+        bad = np.flatnonzero(~np.isfinite(norms))
+        if bad.size:
+            raise ValueError(f"vector row {bad[0]} (chunk {self._ids[bad[0]]!r}) is not finite")
+        self._matrix, self._norms = matrix, norms
         self._pending = []
         self._sealed = True
 
     def top_k(self, query: Vector, k: int) -> list[tuple[str, float]]:
-        """Exact top-k by cosine, descending; ties break by insertion order."""
+        """Exact top-k by cosine, descending; ties break by insertion order.
+
+        The result equals ``np.argsort(-scores, kind="stable")[:k]``. Every row
+        scoring at least the k-th largest score, ties across the cut included,
+        is stable-sorted in insertion order, then cut to k. Rows and query are
+        finite, so no score is NaN. A query that is not finite, or whose norm
+        overflows float64, raises ``ValueError``.
+        """
         if not self._sealed:
             raise ValueError("store must be sealed before querying")
         if k < 1:
             raise ValueError("k must be >= 1")
         if query.shape != (self.dimension,):
             raise ValueError(f"dimension mismatch: got {query.shape}, store is {self.dimension}")
+        q = np.asarray(query, dtype=np.float64)
+        qnorm = float(np.linalg.norm(q))
+        if not np.isfinite(qnorm):
+            raise ValueError("query vector is not finite")
         n = len(self._ids)
         if n == 0:
             return []
-        q = np.asarray(query, dtype=np.float64)
-        qnorm = float(np.linalg.norm(q))
         if qnorm == 0.0:
             scores = np.zeros(n, dtype=np.float64)
         else:
@@ -96,7 +119,10 @@ class VectorStore:
             scores = np.divide(
                 self._matrix @ q, denom, out=np.zeros(n, dtype=np.float64), where=denom > 0.0
             )
-        order = np.argsort(-scores, kind="stable")[: min(k, n)]
+        k = min(k, n)
+        kth = np.partition(scores, n - k)[n - k]
+        rows = np.flatnonzero(scores >= kth)
+        order = rows[np.argsort(-scores[rows], kind="stable")[:k]]
         return [(self._ids[i], float(scores[i])) for i in order]
 
     def save(self, path: str | Path) -> None:
@@ -144,5 +170,8 @@ class VectorStore:
             store.add(chunks, rows.reshape(count, dimension))
         except ValueError as exc:
             raise StoreCorruptError(f"{exc} in {sidecar}") from exc
-        store.seal()
+        try:
+            store.seal()
+        except ValueError as exc:
+            raise StoreCorruptError(f"{exc} in {path}") from exc
         return store

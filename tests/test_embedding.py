@@ -129,6 +129,7 @@ class TestBatchedHashedEmbedder:
             expected = reference_embed_hashed(text, dimension)
             assert row.dtype == np.float32 and row.shape == (dimension,)
             assert row.tobytes() == expected.tobytes()
+            assert embed_hashed(text, dimension).tobytes() == embed_hashed_many([text], dimension)[0].tobytes()
 
     def test_single_text_matches_reference_bytes(self):
         for text in TRICKY_TEXTS:
@@ -155,6 +156,11 @@ class TestBatchedHashedEmbedder:
         batch = HashedEmbedder(32).embed_batch(texts)
         assert sorted(hashed) == sorted([b"rome", b"pasta"] + [f"w{k}".encode() for k in range(7)])
         assert [row.tobytes() for row in batch] == [reference_embed_hashed(t, 32).tobytes() for t in texts]
+
+    def test_single_text_hashes_each_distinct_token_once(self, monkeypatch):
+        hashed = record_texts(monkeypatch, embedding_mod, "fnv1a64")
+        HashedEmbedder(64).embed("rome pasta Rome ROME pasta")
+        assert sorted(hashed) == [b"pasta", b"rome"]
 
     def test_no_state_kept_across_batches(self, monkeypatch):
         embedder = HashedEmbedder(64)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 
 from kgrag.embedding import HashedEmbedder
 from kgrag.evaluation import (
+    DEFAULT_SUPPORT_THRESHOLD,
     EvalRecord,
     LexicalJudge,
     RemoteJudge,
@@ -22,6 +23,7 @@ from kgrag.evaluation import (
     write_report_csv,
 )
 from kgrag.exceptions import ProviderError
+from kgrag.lexical import content_tokens, coverage
 from kgrag.remote import ChatClient
 import kgrag.evaluation as evaluation_mod
 
@@ -48,27 +50,27 @@ class TestSplitStatements:
 class TestLexicalSupported:
     def test_verbatim_substring_supported(self):
         context = "Nonna guards the family recipes and corrects every shortcut."
-        assert JUDGE.supported(["Nonna guards the family recipes."], context) == [True]
+        assert JUDGE.supported(["Nonna guards the family recipes."], [context]) == [True]
 
     def test_disjoint_unsupported(self):
-        assert JUDGE.supported(["quantum turbines hum"], "pasta water boils") == [False]
+        assert JUDGE.supported(["quantum turbines hum"], ["pasta water boils"]) == [False]
 
     def test_boundary_inclusive_three_of_five(self):
         statement = "alpha bravo charlie delta echo"
         context = "alpha bravo charlie unrelated words"
-        assert LexicalJudge(tau=0.6).supported([statement], context) == [True]
-        assert LexicalJudge(tau=0.61).supported([statement], context) == [False]
+        assert LexicalJudge(tau=0.6).supported([statement], [context]) == [True]
+        assert LexicalJudge(tau=0.61).supported([statement], [context]) == [False]
 
     def test_stopwords_ignored(self):
-        assert LexicalJudge(tau=1.0).supported(["the rome of and"], "rome") == [True]
+        assert LexicalJudge(tau=1.0).supported(["the rome of and"], ["rome"]) == [True]
 
     def test_no_content_tokens_unsupported(self):
-        assert JUDGE.supported(["the of and"], "anything at all") == [False]
+        assert JUDGE.supported(["the of and"], ["anything at all"]) == [False]
 
     def test_verdicts_in_statement_order(self):
         statements = ["pasta water boils", "quantum turbines hum", "water boils"]
-        assert JUDGE.supported(statements, "pasta water boils") == [True, False, True]
-        assert JUDGE.supported([], "pasta water boils") == []
+        assert JUDGE.supported(statements, ["pasta water boils"]) == [True, False, True]
+        assert JUDGE.supported([], ["pasta water boils"]) == []
 
 
 class TestFaithfulness:
@@ -271,7 +273,7 @@ class TestEvaluate:
             def __init__(self):
                 self.calls = 0
 
-            def supported(self, statements, context):
+            def supported(self, statements, contexts):
                 raise ProviderError("judge offline")
 
         records = [
@@ -359,12 +361,12 @@ class TestRemoteJudge:
     def test_yes_verdict(self, monkeypatch):
         fake = FakePost([FakeResponse(200, chat_payload("Yes, it is supported."))])
         monkeypatch.setattr(remote_mod.requests, "post", fake)
-        assert list(RemoteJudge(self.client()).supported(["stmt"], "ctx")) == [True]
+        assert list(RemoteJudge(self.client()).supported(["stmt"], ["ctx"])) == [True]
 
     def test_no_verdict(self, monkeypatch):
         fake = FakePost([FakeResponse(200, chat_payload("No."))])
         monkeypatch.setattr(remote_mod.requests, "post", fake)
-        assert list(RemoteJudge(self.client()).supported(["stmt"], "ctx")) == [False]
+        assert list(RemoteJudge(self.client()).supported(["stmt"], ["ctx"])) == [False]
 
     def test_context_precision_stops_at_first_supported_statement(self, monkeypatch):
         fake = FakePost([FakeResponse(200, chat_payload("Yes."))] * 2)
@@ -375,13 +377,14 @@ class TestRemoteJudge:
 
 
 class TestOnePassPerText:
-    def test_faithfulness_tokenizes_joined_context_once(self, monkeypatch):
+    def test_faithfulness_tokenizes_each_context_once(self, monkeypatch):
         texts = record_texts(monkeypatch, evaluation_mod)
         contexts = ["Rome hosts festivals.", "Parma makes cheese."]
         answer = "Rome hosts festivals. Parma makes cheese. Dragons hoard gold."
         assert faithfulness(answer, contexts, JUDGE) == pytest.approx(2 / 3)
-        assert texts.count(" ".join(contexts)) == 1
-        assert len(texts) == 4  # the context, then each of the 3 statements
+        # Each context once, the joined string never; then each of the 3 statements.
+        assert texts == [*contexts, *split_statements(answer)]
+        assert len(texts) == 5
 
     def test_context_precision_tokenizes_each_context_once(self, monkeypatch):
         texts = record_texts(monkeypatch, evaluation_mod)
@@ -389,9 +392,9 @@ class TestOnePassPerText:
         context_precision("Rome hosts festivals. Parma makes cheese.", contexts, JUDGE)
         assert [texts.count(c) for c in contexts] == [1, 1]
 
-    def test_evaluate_tokenizes_joined_context_once_per_record(self, monkeypatch):
+    def test_evaluate_tokenizes_each_context_once_per_record(self, monkeypatch):
         texts = record_texts(monkeypatch, evaluation_mod)
-        contexts = ["Rome hosts festivals.", "Parma makes cheese."]
+        contexts = ["rome hosts festivals", "parma makes cheese"]  # no statement has these texts
         record = EvalRecord(
             question="Where are festivals?",
             ground_truth="Rome hosts festivals.",
@@ -400,10 +403,156 @@ class TestOnePassPerText:
         )
         row = evaluate([record], LexicalJudge(), EMBEDDER).per_record[0]
         assert (row["faithfulness"], row["context_recall"], row["context_precision"]) == (0.5, 1.0, 1.0)
-        assert texts.count(" ".join(contexts)) == 1  # faithfulness and context_recall share it
+        assert [texts.count(c) for c in contexts] == [1, 1]  # shared by all three metrics
+        assert " ".join(contexts) not in texts
+
+    def test_three_context_record_tokenizes_each_context_once(self, monkeypatch):
+        texts = record_texts(monkeypatch, evaluation_mod)
+        contexts = ["rome hosts festivals", "parma makes cheese", "venice floods often"]
+        record = EvalRecord(
+            question="What happens where?",
+            ground_truth="Venice floods often. Turin builds cars.",
+            answer="Rome hosts festivals. Parma makes cheese.",
+            contexts=contexts,
+        )
+        judge = LexicalJudge()
+        evaluate([record], judge, EMBEDDER)
+        evaluate([record], judge, EMBEDDER)  # the kept token sets serve a repeated record
+        assert [texts.count(c) for c in contexts] == [1, 1, 1]
+        assert " ".join(contexts) not in texts
 
     def test_reused_context_tokens_follow_the_context(self):
         judge = LexicalJudge()
-        assert judge.supported(["rome hosts festivals"], "Rome hosts festivals.") == [True]
-        assert judge.supported(["rome hosts festivals"], "Parma makes cheese.") == [False]
-        assert judge.supported(["rome hosts festivals"], "Rome hosts festivals.") == [True]
+        assert judge.supported(["rome hosts festivals"], ["Rome hosts festivals."]) == [True]
+        assert judge.supported(["rome hosts festivals"], ["Parma makes cheese."]) == [False]
+        assert judge.supported(["rome hosts festivals"], ["Rome hosts festivals."]) == [True]
+
+    def test_kept_sets_score_the_call_s_contexts_only(self):
+        judge = LexicalJudge()
+        contexts = ["rome hosts festivals", "parma makes cheese"]
+        assert judge.supported(["parma makes cheese"], contexts) == [True]
+        assert judge.supported(["parma makes cheese"], contexts[:1]) == [False]
+        assert judge.supported(["parma makes cheese"], []) == [False]
+
+
+class TestContextList:
+    @pytest.mark.parametrize("kind", ["lexical", "remote"])
+    def test_str_contexts_raise_type_error(self, monkeypatch, kind):
+        fake = FakePost([])
+        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        judge = LexicalJudge() if kind == "lexical" else RemoteJudge(ChatClient("http://j.test", "judge-1"))
+        with pytest.raises(TypeError, match="not a str"):
+            judge.supported(["rome hosts festivals"], "rome hosts festivals")
+        assert fake.calls == []  # the remote judge raises before any chat call
+
+    def test_remote_prompts_match_joined_string_protocol(self, monkeypatch):
+        contexts = ["Rome hosts festivals.", "Parma makes cheese.", "Venice floods often."]
+        record = EvalRecord(
+            question="What happens where?",
+            ground_truth="Venice floods often. Turin builds cars.",
+            answer="Rome hosts festivals. Dragons hoard gold.",
+            contexts=contexts,
+        )
+        answer_statements = ["Rome hosts festivals.", "Dragons hoard gold."]
+        truth_statements = ["Venice floods often.", "Turin builds cars."]
+        # The joined-string protocol: faithfulness and context_recall judge every
+        # statement against " ".join(contexts), context_precision each context alone.
+        # Every reply is "No.", so context_precision asks about every statement.
+        asked = [(" ".join(contexts), s) for s in answer_statements + truth_statements]
+        asked += [(ctx, s) for ctx in contexts for s in truth_statements]
+        fake = FakePost([FakeResponse(200, chat_payload("No."))] * len(asked))
+        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        client = ChatClient(endpoint_url="http://j.test/v1/chat/completions", model_name="judge-1")
+        row = evaluate([record], RemoteJudge(client), EMBEDDER).per_record[0]
+        assert (row["faithfulness"], row["context_recall"], row["context_precision"]) == (0.0, 0.0, 0.0)
+        expected = [
+            {
+                "model": "judge-1",
+                "messages": [
+                    {
+                        "role": "system",
+                        "content": "You judge whether a statement is supported by a context. Answer only yes or no.",
+                    },
+                    {
+                        "role": "user",
+                        "content": f"Context:\n{ctx}\n\nStatement: {s}\n\n"
+                        "Is the statement supported by the context? Answer yes or no.",
+                    },
+                ],
+            }
+            for ctx, s in asked
+        ]
+        assert [call["json"] for call in fake.calls] == expected
+
+
+class _JoinedStringJudge:
+    """The lexical judge before the list protocol: one context string per call."""
+
+    def __init__(self, tau: float = DEFAULT_SUPPORT_THRESHOLD):
+        self.tau = tau
+
+    def supported(self, statements, context: str):
+        context_tokens = content_tokens(context)
+        return [coverage(content_tokens(s), context_tokens) >= self.tau for s in statements]
+
+
+def _joined_string_row(record: EvalRecord) -> dict:
+    """Per-record metrics of the metric bodies that joined the contexts into one string."""
+    judge = _JoinedStringJudge()
+    answer_statements = split_statements(record.answer)
+    truth_statements = split_statements(record.ground_truth)
+    joined = " ".join(record.contexts)
+
+    def ratio(statements):
+        return sum(judge.supported(statements, joined)) / len(statements)
+
+    row = {
+        "record_index": 0,
+        "answer_relevancy": answer_relevancy(record.question, record.answer, EMBEDDER),
+        "faithfulness": ratio(answer_statements) if answer_statements else None,
+        "context_recall": ratio(truth_statements),
+        "context_precision": None,
+    }
+    if record.contexts:
+        verdicts = [1 if any(judge.supported(truth_statements, ctx)) else 0 for ctx in record.contexts]
+        score, hits = 0.0, 0
+        for k, v in enumerate(verdicts, start=1):
+            hits += v
+            if v:
+                score += hits / k
+        row["context_precision"] = score / sum(verdicts) if sum(verdicts) else 0.0
+    precision, recall = row["context_precision"], row["context_recall"]
+    row["f1"] = f1_context(precision, recall) if precision is not None else None
+    return row
+
+
+_WORDS = st.sampled_from(
+    [
+        "rome", "Rome,", "(parma)", "cheese.", "the", "of", "-[capital_of]->", "don't",
+        "İstanbul", "istanbul", "ΟΔΟΣ", "οδος", "ΟΔΟΣ.", "«venice»", "x", "!!", "42",
+    ]
+)
+_TEXT = st.lists(_WORDS, min_size=1, max_size=7).map(" ".join)
+_CONTEXT = st.one_of(
+    _TEXT,
+    st.just(""),
+    st.sampled_from([" ", "\n\t", "\u00a0"]),
+    st.tuples(st.sampled_from([" ", "\n", "\u2003"]), _TEXT, st.sampled_from([" ", "\t", "\u00a0"])).map("".join),
+)
+_STATEMENTS = st.lists(_TEXT, max_size=4).map(lambda texts: " ".join(t + "." for t in texts))
+
+
+@st.composite
+def _records(draw) -> EvalRecord:
+    pool = draw(st.lists(_CONTEXT, min_size=1, max_size=3))
+    contexts = draw(st.lists(st.sampled_from(pool), max_size=5))  # repeats come from the small pool
+    ground_truth = draw(_TEXT) + ". " + draw(_STATEMENTS)
+    return EvalRecord(question=draw(_TEXT), ground_truth=ground_truth, answer=draw(_STATEMENTS), contexts=contexts)
+
+
+class TestJoinedStringReference:
+    @given(st.lists(_records(), min_size=1, max_size=3))
+    def test_metrics_equal_joined_string_reference(self, records):
+        judge = LexicalJudge()  # one judge across records, as the eval loop uses it
+        for record in records:
+            assert evaluate([record], judge, EMBEDDER).per_record == [_joined_string_row(record)]

@@ -185,6 +185,11 @@ class TestNeighborhood:
         sub = graph.neighborhood({0}, hops=2)
         assert all(h <= 2 for h in sub.hop_of.values())
 
+    @pytest.mark.parametrize("kwargs", [{"hops": 0}, {"max_nodes": 0}, {"max_nodes": -1}])
+    def test_bound_below_one_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="must be >= 1"):
+            chain_graph().neighborhood({0}, **kwargs)
+
     def test_max_nodes_admits_ascending_ids(self):
         graph = KnowledgeGraph()
         for leaf in ("m", "k", "z", "b", "q"):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import pytest
@@ -185,6 +186,7 @@ class TestConfigFileErrors:
             ({"query": {"top_k": 3}}, ["'query'", "'top_k'"]),
             ({"chunker": {"window_k": "2"}}, ["'chunker'"]),
             ({"chunkr": {"window_k": 2}}, ["'chunkr'"]),
+            ({"query": {"max_nodes": 0}}, ["'query'", "max_nodes must be >= 1"]),
         ],
     )
     def test_index_exit_2_naming_section_and_key(self, tmp_path, capsys, config, named):
@@ -218,6 +220,18 @@ class TestConfigFileErrors:
             err = capsys.readouterr().err
             assert "error: config section 'query': unknown key 'hopz'" in err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize("key", ["hops", "max_nodes"])
+    def test_query_bound_below_one_exit_2(self, tmp_path, capsys, key):
+        store = tmp_path / "store"
+        build_store(write_corpus(tmp_path), store)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"query": {key: 0}}))
+        argv = ["query", "--store", str(store), "--question", "What crosses Rome?", "--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: config section 'query': bad value: {key} must be >= 1" in captured.err
 
 
 @pytest.fixture()
@@ -268,6 +282,18 @@ class TestCmdQuery:
         (store_dir / "vectors.skvx").write_bytes(b"garbage")
         code = main(["query", "--store", str(store_dir), "--question", "Anything?"])
         assert code == 3
+
+    @pytest.mark.parametrize("bad", [float("inf"), float("nan")], ids=["inf", "nan"])
+    def test_non_finite_vector_exit_3(self, store_dir, capsys, bad):
+        path = store_dir / "vectors.skvx"
+        blob = bytearray(path.read_bytes())
+        blob[18:22] = struct.pack("<f", bad)  # the first float of the first row
+        path.write_bytes(bytes(blob))
+        argv = ["query", "--store", str(store_dir), "--question", "Anything?", "--json", "--mode", "semantic"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite" in captured.err
 
     def test_missing_manifest_exit_3(self, tmp_path):
         empty = tmp_path / "notastore"

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kgrag.chunking import Chunk
 from kgrag.exceptions import StoreCorruptError
@@ -44,6 +46,43 @@ def brute_force_top_k(entries: list[tuple[str, list[float]]], query: list[float]
     scored = [(cid, cosine(vec, query)) for cid, vec in entries]
     order = sorted(range(len(scored)), key=lambda i: (-scored[i][1], i))
     return [scored[i] for i in order[:k]]
+
+
+def stable_argsort_top_k(rows: np.ndarray, query: np.ndarray, k: int) -> list[tuple[int, float]]:
+    """The sort-everything top-k that selection replaced: scores, then a full stable argsort."""
+    matrix = rows.astype(np.float64)
+    q = np.asarray(query, dtype=np.float64)
+    qnorm = float(np.linalg.norm(q))
+    n = len(matrix)
+    if qnorm == 0.0:
+        scores = np.zeros(n)
+    else:
+        denom = np.linalg.norm(matrix, axis=1) * qnorm
+        scores = np.divide(matrix @ q, denom, out=np.zeros(n), where=denom > 0.0)
+    return [(int(i), float(scores[i])) for i in np.argsort(-scores, kind="stable")[:k]]
+
+
+@st.composite
+def tied_stores(draw):
+    """Rows with duplicates (exact ties), all-zero rows and few distinct values; a query and k in 1..n+2."""
+    n = draw(st.integers(1, 40))
+    dim = draw(st.integers(1, 5))
+    elements = st.one_of(st.sampled_from([-1.0, 0.0, 0.5, 1.0]), st.floats(-8, 8, width=32))
+    rows = draw(arrays(np.float32, (n, dim), elements=elements))
+    for i in range(n):
+        kind = draw(st.sampled_from(["drawn", "zero", "copy"]))
+        if kind == "zero":
+            rows[i] = 0.0
+        elif kind == "copy":
+            rows[i] = rows[draw(st.integers(0, n - 1))]
+    query = draw(
+        st.one_of(
+            arrays(np.float32, dim, elements=elements),
+            st.just(np.zeros(dim, dtype=np.float32)),
+            st.integers(0, n - 1).map(lambda i: rows[i].copy()),
+        )
+    )
+    return rows, query, draw(st.integers(1, n + 2))
 
 
 class TestBuildPhase:
@@ -121,6 +160,22 @@ class TestTopK:
         query = unit([rng.gauss(0, 1) for _ in range(8)])
         for k in range(1, 25):
             assert store.top_k(query, k) == store.top_k(query, k + 1)[:k]
+
+    @given(tied_stores())
+    def test_selection_equals_full_stable_argsort(self, case):
+        rows, query, k = case
+        store = VectorStore(rows.shape[1])
+        store.add([chunk(f"v{i}") for i in range(len(rows))], rows)
+        store.seal()
+        expected = [(f"v{i}", score) for i, score in stable_argsort_top_k(rows, query, k)]
+        assert store.top_k(query, k) == expected
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_query_rejected(self, bad):
+        store = build({"a": unit([1, 0, 0, 0]), "b": unit([0, 1, 0, 0])})
+        query = np.array([1.0, bad, 0.0, 0.0], dtype=np.float32)
+        with pytest.raises(ValueError, match="not finite"):
+            store.top_k(query, 1)
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(99)
@@ -207,6 +262,24 @@ class TestPersistence:
         lines = sidecar.read_text().splitlines()
         sidecar.write_text(lines[0] + "\n")
         with pytest.raises(StoreCorruptError, match="mismatch"):
+            VectorStore.load(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_row_rejected_at_seal_and_load(self, tmp_path, bad):
+        rows = np.ones((3, 4), dtype=np.float32)
+        store = build({"a": rows[0], "b": rows[1], "c": rows[2]})
+        path = tmp_path / "vectors.skvx"
+        store.save(path)
+        rows[1, 2] = bad
+        unsealed = VectorStore(4)
+        unsealed.add([chunk(c) for c in "abc"], rows)
+        with pytest.raises(ValueError, match="row 1 .*'b'.* not finite"):
+            unsealed.seal()
+        blob = bytearray(path.read_bytes())
+        offset = 18 + (1 * 4 + 2) * 4
+        blob[offset : offset + 4] = np.float32(bad).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(StoreCorruptError, match="not finite"):
             VectorStore.load(path)
 
     def test_header_layout(self, tmp_path):
