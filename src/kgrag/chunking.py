@@ -211,16 +211,24 @@ def chunk_to_json(chunk: Chunk) -> str:
     )
 
 
+# The C decoder behind json.loads; chunk_from_json repeats the checks that
+# json.loads wraps around it, without its per-call Python overhead.
+_decode_record = json.JSONDecoder().raw_decode
+_JSON_WHITESPACE = " \t\n\r"
+
+
 def chunk_from_json(line: str) -> Chunk:
+    """One chunk record; accepts and rejects exactly the lines ``json.loads`` would.
+
+    Only JSON whitespace may surround the record (so a BOM or ``\\xa0`` before
+    it is rejected), and anything after it is "Extra data".
+    """
     try:
-        obj = json.loads(line)
-        return Chunk(
-            chunk_id=obj["chunk_id"],
-            parent_semantic_chunk=obj["parent"],
-            doc_id=obj["doc_id"],
-            token_span=(obj["span"][0], obj["span"][1]),
-            text=obj["text"],
-        )
+        record = line.strip(_JSON_WHITESPACE)
+        obj, end = _decode_record(record)
+        if end != len(record):
+            raise json.JSONDecodeError("Extra data", record, end)
+        return Chunk(obj["chunk_id"], obj["parent"], obj["doc_id"], (obj["span"][0], obj["span"][1]), obj["text"])
     except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
         raise StoreCorruptError(f"bad chunk record: {exc}") from exc
 
@@ -233,6 +241,11 @@ def write_chunks_jsonl(chunks: list[Chunk], path: Path) -> None:
 
 
 def read_chunks_jsonl(path: Path) -> list[Chunk]:
+    """The chunk records of a JSONL file, in line order; raises StoreCorruptError.
+
+    Lines that are blank after ``str.strip`` are skipped; every other line is
+    decoded by ``chunk_from_json``, one C decoder call per line.
+    """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:

@@ -12,6 +12,7 @@ build (or load), seal, then lock-free concurrent reads.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring
@@ -84,12 +85,26 @@ class KnowledgeGraph:
         return {n.name for n in self._nodes}
 
     def seal(self) -> None:
-        """Freeze the graph and (re)derive each node's incident-edge list."""
+        """Freeze the graph and (re)derive each node's incident-edge list.
+
+        The one walk over the edges also checks each of them, since a load
+        seals what a file says: an endpoint must be a node id (an incident
+        list would take -1 as the last node) and both labels strings (the
+        export sorts the edges and escapes their labels). Raises
+        ``ValueError`` on the first edge that fails, leaving the graph
+        unsealed.
+        """
         incident: list[list[Edge]] = [[] for _ in self._nodes]
+        node_ids = range(len(incident))
         for edge in self._edges:
-            incident[edge.source].append(edge)
-            if edge.target != edge.source:
-                incident[edge.target].append(edge)
+            source, target, relation, provenance = edge
+            if type(source) is not int or type(target) is not int or source not in node_ids or target not in node_ids:
+                raise ValueError(f"graph edge endpoint is not a node id: {source!r} -> {target!r}")
+            if type(relation) is not str or type(provenance) is not str:
+                raise ValueError(f"graph edge label is not a string: {relation!r}, {provenance!r}")
+            incident[source].append(edge)
+            if target != source:
+                incident[target].append(edge)
         self._incident = incident
         self._sealed = True
 
@@ -281,12 +296,17 @@ class KnowledgeGraph:
 
     @classmethod
     def from_json_obj(cls, obj: dict, chunk_texts: dict[str, str] | None = None) -> "KnowledgeGraph":
-        """Rebuild a sealed graph from the JSON export.
+        """Rebuild a sealed graph from the JSON export; raises StoreCorruptError.
 
         The export stores context chunk ids only; pass ``chunk_texts`` to
-        rehydrate snippet text (chunk_id -> full chunk text).
+        rehydrate snippet text (chunk_id -> full chunk text), and then every
+        context id must name one of them. Without it every snippet is empty.
+        A load checks that node ids run 0..n-1 in order of first appearance,
+        names and context ids are strings, and, in ``seal``'s one walk over
+        the edge set, that every endpoint is a node id and every label a
+        string.
         """
-        texts = chunk_texts or {}
+        texts = defaultdict(str) if chunk_texts is None else chunk_texts
         graph = cls()
         try:
             for item in sorted(obj["nodes"], key=lambda n: n["id"]):
@@ -296,19 +316,17 @@ class KnowledgeGraph:
                 node_id = graph._resolve(name)
                 if node_id != item["id"]:
                     raise StoreCorruptError(f"non-contiguous node ids in graph export: {item['id']}")
-                graph._nodes[node_id].contexts = {cid: texts.get(cid, "") for cid in contexts}
+                try:
+                    graph._nodes[node_id].contexts = {cid: texts[cid] for cid in contexts}
+                except KeyError as exc:
+                    raise StoreCorruptError(f"graph node {node_id} context {exc} names no stored chunk") from exc
             graph._edges = set(map(_as_edge, map(_edge_fields, obj["edges"])))
         except (KeyError, TypeError) as exc:
             raise StoreCorruptError(f"malformed graph export: {exc}") from exc
-        # Checked here: an incident list would take -1 as the last node, and
-        # the export sorts the edges and escapes their labels as strings.
-        node_ids = range(len(graph._nodes))
-        for source, target, relation, provenance in graph._edges:
-            if type(source) is not int or type(target) is not int or source not in node_ids or target not in node_ids:
-                raise StoreCorruptError(f"graph edge endpoint is not a node id: {source!r} -> {target!r}")
-            if type(relation) is not str or type(provenance) is not str:
-                raise StoreCorruptError(f"graph edge label is not a string: {relation!r}, {provenance!r}")
-        graph.seal()
+        try:
+            graph.seal()
+        except ValueError as exc:
+            raise StoreCorruptError(str(exc)) from exc
         return graph
 
     @classmethod

@@ -232,29 +232,51 @@ class Store:
 def reconstruct_parent_texts(chunks: list[Chunk]) -> dict[str, str]:
     """Rebuild each semantic chunk's canonical text from its token chunks.
 
-    Token windows of one parent cover [0, total_tokens) with known spans, so
-    concatenating each chunk's non-overlapping suffix restores the exact
-    space-joined token sequence the snippets were stored as.
+    Spans must be integers and texts strings, and a parent's token windows,
+    in span order, must tile it: the first starts at token 0 and each later
+    one at or before the end covered so far, else the store is corrupt. The first window's text is kept whole; from each
+    later one only the part after the overlap, ``text.split(" ", skip)[skip]``
+    with ``skip = covered - start``, is appended. Joined with single spaces
+    this is the space-joined token sequence the snippets were stored as, the
+    same string as splitting every window into tokens and re-joining them.
     """
     by_parent: dict[str, list[Chunk]] = {}
     for chunk in chunks:
+        start, end = chunk.token_span
+        if type(start) is not int or type(end) is not int or type(chunk.text) is not str:
+            raise StoreCorruptError(f"chunk {chunk.chunk_id!r} has a non-integer span or a non-string text")
         by_parent.setdefault(chunk.parent_semantic_chunk, []).append(chunk)
     texts: dict[str, str] = {}
     for parent, members in by_parent.items():
         members.sort(key=lambda c: c.token_span[0])
-        tokens: list[str] = []
+        pieces: list[str] = []
         covered = 0
         for member in members:
-            start, _ = member.token_span
-            member_tokens = member.text.split(" ") if member.text else []
-            tokens.extend(member_tokens[covered - start :] if covered > start else member_tokens)
-            covered = max(covered, member.token_span[1])
-        texts[parent] = " ".join(tokens)
+            start, end = member.token_span
+            skip = covered - start
+            if skip < 0:
+                raise StoreCorruptError(
+                    f"chunk {member.chunk_id!r} starts at token {start}, past the {covered} tokens "
+                    f"covered of parent {parent!r}"
+                )
+            rest = member.text.split(" ", skip)
+            if member.text and len(rest) > skip:  # else the window adds no token
+                pieces.append(rest[skip])
+            covered = max(covered, end)
+        texts[parent] = " ".join(pieces)
     return texts
 
 
 def open_store(store_dir: str | Path) -> Store:
-    """Validate and load a store directory; raises StoreCorruptError."""
+    """Validate and load a store directory; raises StoreCorruptError.
+
+    Each file is read in one pass: the manifest; the vectors with their
+    chunk records (one decoder call per line, rows finite and one per
+    record); the parent texts, rebuilt from the chunks' overlap cuts, whose
+    spans must tile each parent; then the graph, whose node contexts must
+    name those parents and whose edges ``seal`` checks and indexes in one
+    walk over the edge set.
+    """
     path = Path(store_dir)
     manifest_path = path / MANIFEST_FILE
     if not manifest_path.is_file():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 import random
 from unittest import mock
@@ -9,16 +10,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kgrag.chunking import (
+    Chunk,
     ChunkerConfig,
     SemanticChunk,
     build_windows,
     percentile_threshold,
+    read_chunks_jsonl,
     semantic_split,
     sequential_distances,
     token_window_split,
     window_distances,
+    write_chunks_jsonl,
 )
 from kgrag.embedding import HashedEmbedder, embed_hashed_many, hashed_window_rows
+from kgrag.exceptions import StoreCorruptError
 
 import kgrag.embedding as embedding_mod
 
@@ -341,3 +346,86 @@ class TestConfig:
     def test_invalid_configs(self, kwargs):
         with pytest.raises(ValueError):
             ChunkerConfig(**{**dict(window_k=1, percentile=95.0, chunk_size=100, overlap=16), **kwargs})
+
+
+def per_line_json_loads(text: str) -> list[Chunk] | None:
+    """The reference reader: ``json.loads`` per non-blank line; None where it rejects the file."""
+    chunks = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            chunks.append(
+                Chunk(
+                    chunk_id=obj["chunk_id"],
+                    parent_semantic_chunk=obj["parent"],
+                    doc_id=obj["doc_id"],
+                    token_span=(obj["span"][0], obj["span"][1]),
+                    text=obj["text"],
+                )
+            )
+        except (json.JSONDecodeError, KeyError, IndexError, TypeError):
+            return None
+    return chunks
+
+
+RECORD = '{"chunk_id": "d#s0#t0", "doc_id": "d", "parent": "d#s0", "span": [0, 3], "text": "a  b"}'
+RECORD_2 = '{"chunk_id":"d#s0#t1","doc_id":"d","parent":"d#s0","span":[2,4],"text":"b c "}'
+
+
+def without(key: str) -> str:
+    obj = json.loads(RECORD)
+    del obj[key]
+    return json.dumps(obj)
+
+
+class TestReadChunksJsonl:
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            RECORD,
+            RECORD + "\n" + RECORD_2 + "\n",
+            "\n  \n" + RECORD + "\n\n\t\n" + RECORD_2,  # blank lines
+            " \t" + RECORD + "\t  ",  # JSON whitespace around a record
+            RECORD + "\r\n" + RECORD_2 + "\r\n",
+            "\xa0\n\x1f\n" + RECORD,  # str.strip-blank lines that are not JSON whitespace
+            "\xa0" + RECORD,
+            RECORD + "\xa0",
+            "\ufeff" + RECORD,
+            "\u3000" + RECORD,
+            RECORD + " x",  # trailing data
+            RECORD + RECORD_2,  # two records on one line
+            RECORD + " " + RECORD_2,
+            RECORD + "\n" + RECORD[:-1],  # truncated
+            "[1, 2]",
+            '"text"',
+            "null",
+            "42",
+            *(without(key) for key in ("chunk_id", "doc_id", "parent", "span", "text")),
+            RECORD.replace("[0, 3]", "[0]"),
+            RECORD.replace("[0, 3]", "7"),
+        ],
+        ids=[
+            "empty-file", "one", "two", "blank-lines", "json-whitespace", "crlf", "nbsp-and-unit-separator-lines",
+            "nbsp-before", "nbsp-after", "bom", "ideographic-space", "trailing-data", "two-on-one-line",
+            "two-spaced", "truncated", "array", "string", "null", "number", "no-chunk_id", "no-doc_id",
+            "no-parent", "no-span", "no-text", "short-span", "scalar-span",
+        ],
+    )
+    def test_accepts_and_rejects_what_json_loads_did(self, tmp_path, text):
+        path = tmp_path / "chunks.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        expected = per_line_json_loads(text)
+        if expected is None:
+            with pytest.raises(StoreCorruptError, match="bad chunk record"):
+                read_chunks_jsonl(path)
+        else:
+            assert read_chunks_jsonl(path) == expected
+
+    def test_written_chunks_read_back(self, tmp_path):
+        sem = SemanticChunk("d#s0", "d", (0, 0), " ".join(f"w{i}" for i in range(30)))
+        chunks = token_window_split(sem, chunk_size=8, overlap=3)
+        write_chunks_jsonl(chunks, tmp_path / "chunks.jsonl")
+        assert read_chunks_jsonl(tmp_path / "chunks.jsonl") == chunks

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kgrag.exceptions import StoreCorruptError
 from kgrag.extraction import EntityMention, Triple, normalize_entity
-from kgrag.graph import Edge, KnowledgeGraph, Subgraph
+from kgrag.graph import MIN_PREFIX_LEN, Edge, KnowledgeGraph, Subgraph
 
 
 def mention(text: str) -> EntityMention:
@@ -134,6 +134,45 @@ class TestMatchEntities:
     def test_unmatched_dropped(self):
         graph = self.graph()
         assert graph.match_entities([mention("Atlantis"), mention("Italy")]) == {0}
+
+
+def linear_scan_match(graph: KnowledgeGraph, m: str) -> set[int]:
+    """The reference rule: exact name, else the one name that is a prefix of m or has m as one."""
+    if m in graph._by_normalized:
+        return {graph._by_normalized[m]}
+    candidates = [
+        nid
+        for norm, nid in graph._by_normalized.items()
+        if (len(m) >= MIN_PREFIX_LEN and norm.startswith(m)) or (len(norm) >= MIN_PREFIX_LEN and m.startswith(norm))
+    ]
+    return set(candidates) if len(candidates) == 1 else set()
+
+
+def graph_of_names(names: list[str]) -> KnowledgeGraph:
+    graph = KnowledgeGraph()
+    for name in names:
+        graph.upsert_triple(triple(name, "r", name), "ctx")
+    graph.seal()
+    return graph
+
+
+class TestPrefixMatchReference:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.text("ab", min_size=1, max_size=6), max_size=12),
+        st.lists(st.text("ab", max_size=8), max_size=6),
+    )
+    @example(["abab", "abaa"], ["aba"])  # ambiguous prefix
+    @example(["ab", "b"], ["abb", "ab", "bb"])  # names shorter than MIN_PREFIX_LEN
+    @example(["aba", "ababa"], ["abab"])  # the mention has a prefix and is one
+    @example(["aba", "abb"], ["abab", "abbb", "ab"])
+    def test_matches_linear_scan(self, names, mentions):
+        graph = graph_of_names(names)
+        for m in mentions:
+            assert graph.match_entities([mention(m)]) == linear_scan_match(graph, m)
+        assert graph.match_entities([mention(m) for m in mentions]) == set().union(
+            *(linear_scan_match(graph, m) for m in mentions)
+        )
 
 
 class TestNeighborhood:
@@ -411,6 +450,28 @@ def valid_graph_object() -> dict:
     }
 
 
+def incident_reference(graph: KnowledgeGraph) -> list[list[Edge]]:
+    """Each node's incident edges in the edge set's iteration order, self-loops once."""
+    incident: list[list[Edge]] = [[] for _ in range(len(graph))]
+    for edge in graph._edges:
+        incident[edge.source].append(edge)
+        if edge.target != edge.source:
+            incident[edge.target].append(edge)
+    return incident
+
+
+class TestLoadIncidentLists:
+    @given(graph_objects())
+    def test_loaded_lists_equal_seal_derivation(self, obj):
+        loaded = KnowledgeGraph.from_json_obj(obj)
+        assert loaded._incident == incident_reference(loaded)
+
+    def test_mini_store_lists_equal_seal_derivation(self, mini_store):
+        graph = mini_store.graph
+        assert graph.edge_count > 0
+        assert graph._incident == incident_reference(graph)
+
+
 class TestLoadTypes:
     def test_valid_object_loads(self):
         assert KnowledgeGraph.from_json_obj(valid_graph_object()).edge_count == 1
@@ -436,3 +497,19 @@ class TestLoadTypes:
         obj[section][0][key] = value
         with pytest.raises(StoreCorruptError):
             KnowledgeGraph.from_json_obj(obj)
+
+    def test_context_naming_no_chunk_is_corrupt(self):
+        with pytest.raises(StoreCorruptError, match="'c0' names no stored chunk"):
+            KnowledgeGraph.from_json_obj(valid_graph_object(), {"c1": "other"})
+
+    def test_contexts_without_chunk_texts_are_empty(self):
+        assert KnowledgeGraph.from_json_obj(valid_graph_object()).node(0).contexts == {"c0": ""}
+
+    def test_bad_edge_fails_seal_and_leaves_it_unsealed(self):
+        graph = KnowledgeGraph()
+        graph.upsert_triple(triple("a", "r", "b"), "ctx")
+        graph._edges.add(Edge(0, 2, "r", "c0"))
+        with pytest.raises(ValueError, match="not a node id"):
+            graph.seal()
+        with pytest.raises(ValueError, match="sealed"):
+            graph.match_entities([mention("a")])

@@ -2,15 +2,18 @@ from __future__ import annotations
 
 import hashlib
 import json
+import shutil
 import struct
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, strategies as st
 
-from kgrag.chunking import ChunkerConfig, build_windows
+from kgrag.chunking import Chunk, ChunkerConfig, build_windows
 from kgrag.cli import main
 from kgrag.corpus import Document, load_corpus, split_sentences
 from kgrag.embedding import HashedEmbedder
+from kgrag.exceptions import StoreCorruptError
 from kgrag.pipeline import (
     build_store,
     chunk_documents,
@@ -113,6 +116,80 @@ class TestPipelineUnits:
 
         with pytest.raises(StoreCorruptError):
             open_store(out)
+
+
+def split_join_reference(chunks: list[Chunk]) -> dict[str, str]:
+    """The reference rebuild: split every window into tokens, drop the overlap, re-join."""
+    by_parent: dict[str, list[Chunk]] = {}
+    for chunk in chunks:
+        by_parent.setdefault(chunk.parent_semantic_chunk, []).append(chunk)
+    texts: dict[str, str] = {}
+    for parent, members in by_parent.items():
+        members.sort(key=lambda c: c.token_span[0])
+        tokens: list[str] = []
+        covered = 0
+        for member in members:
+            start, _ = member.token_span
+            member_tokens = member.text.split(" ") if member.text else []
+            tokens.extend(member_tokens[covered - start :] if covered > start else member_tokens)
+            covered = max(covered, member.token_span[1])
+        texts[parent] = " ".join(tokens)
+    return texts
+
+
+def window(parent: str, j: int, tokens: list[str], start: int, end: int) -> Chunk:
+    return Chunk(f"{parent}#t{j}", parent, "d", (start, end), " ".join(tokens[start:end]))
+
+
+@st.composite
+def tiled_windows(draw) -> list[Chunk]:
+    """Windows of 1-3 parents that tile them, shuffled together.
+
+    Tokens may be empty (``"a  b"``, a trailing space); a window may start
+    right at the covered end (overlap 0), lie wholly inside it (overlap of
+    the whole window) or be empty.
+    """
+    chunks = []
+    for p in range(draw(st.integers(1, 3))):
+        tokens = draw(st.lists(st.sampled_from(["a", "bc", "", "d", "é"]), min_size=1, max_size=12))
+        covered = 0
+        for j in range(draw(st.integers(1, 5))):
+            start = draw(st.integers(0, covered))
+            end = draw(st.integers(start, len(tokens)))
+            chunks.append(window(f"p{p}", j, tokens, start, end))
+            covered = max(covered, end)
+    return draw(st.permutations(chunks))
+
+
+class TestReconstructParentTexts:
+    @given(tiled_windows())
+    @example([window("p", 0, ["a", "", "b", ""], 0, 4)])  # a single member: "a  b "
+    @example([window("p", 1, ["a", "", "b", "c"], 2, 4), window("p", 0, ["a", "", "b", "c"], 0, 3)])
+    @example([window("p", 0, ["a", "b"], 0, 1), window("p", 1, ["a", "b"], 1, 2)])  # overlap 0
+    @example([window("p", 0, ["a", "b", "c"], 0, 3), window("p", 1, ["a", "b", "c"], 1, 3)])  # whole window
+    @example([window("p", 0, ["", ""], 0, 2), window("p", 1, ["", ""], 1, 2)])
+    @example([window("p", 0, ["a"], 0, 1), window("p", 1, ["a"], 1, 1)])  # an empty window
+    def test_equals_split_join_reference(self, chunks):
+        assert reconstruct_parent_texts(chunks) == split_join_reference(list(chunks))
+
+    @pytest.mark.parametrize(
+        "spans", [[(1, 3)], [(0, 2), (3, 4)], [(0, 1), (0, 2), (3, 4)]], ids=["first-past-0", "gap", "gap-after-nested"]
+    )
+    def test_windows_that_do_not_tile_are_corrupt(self, spans):
+        tokens = ["a", "b", "c", "d"]
+        chunks = [window("p", j, tokens, start, end) for j, (start, end) in enumerate(spans)]
+        with pytest.raises(StoreCorruptError, match="past the"):
+            reconstruct_parent_texts(chunks)
+
+    @pytest.mark.parametrize(
+        "span, text",
+        [((0.5, 2), "a b"), (("0", 2), "a b"), ((0, 2.0), "a b"), ((True, 2), "a b"), ((0, 2), 5)],
+        ids=["float-start", "str-start", "float-end", "bool-start", "int-text"],
+    )
+    def test_non_integer_spans_and_non_string_texts_are_corrupt(self, span, text):
+        chunks = [window("p", 0, ["a", "b"], 0, 2), Chunk("p#t1", "p", "d", span, text)]
+        with pytest.raises(StoreCorruptError, match="non-integer span or a non-string text"):
+            reconstruct_parent_texts(chunks)
 
 
 class TestCmdIndex:
@@ -366,6 +443,49 @@ class TestCmdQuery:
         )
         assert code == 2
         assert "remote generator" in capsys.readouterr().err
+
+
+    def test_graph_context_naming_no_chunk_exit_3(self, mini_store_dir, tmp_path, capsys):
+        store = shutil.copytree(mini_store_dir, tmp_path / "mini")
+        graph = json.loads((store / "graph.json").read_text())
+        for node in graph["nodes"]:
+            node["contexts"] = ["no-such-chunk"]
+        (store / "graph.json").write_text(json.dumps(graph))
+        argv = ["query", "--store", str(store), "--question", "Which cheese goes into Carbonara?", "--mode", "kg"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "'no-such-chunk' names no stored chunk" in captured.err
+
+    @pytest.mark.parametrize(
+        "chunk_id, span", [("regions#s0#t1", [120, 184]), ("dishes#s0#t0", [1, 68])], ids=["gap", "first-past-0"]
+    )
+    def test_chunk_spans_that_do_not_tile_exit_3(self, mini_store_dir, tmp_path, capsys, chunk_id, span):
+        store = shutil.copytree(mini_store_dir, tmp_path / "mini")
+        sidecar = store / "chunks.jsonl"
+        rows = [json.loads(line) for line in sidecar.read_text().splitlines()]
+        [row] = [row for row in rows if row["chunk_id"] == chunk_id]
+        row["span"] = span
+        sidecar.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+        argv = ["query", "--store", str(store), "--question", "Where do San Marzano tomatoes grow?"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"chunk {chunk_id!r} starts at token {span[0]}" in captured.err
+
+    @pytest.mark.parametrize("span", [[84.5, 184], ["84", 184]], ids=["float", "str"])
+    def test_chunk_span_that_is_not_integers_exit_3(self, mini_store_dir, tmp_path, capsys, span):
+        store = shutil.copytree(mini_store_dir, tmp_path / "mini")
+        sidecar = store / "chunks.jsonl"
+        rows = [json.loads(line) for line in sidecar.read_text().splitlines()]
+        [row] = [row for row in rows if row["chunk_id"] == "regions#s0#t1"]
+        row["span"] = span
+        sidecar.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+        argv = ["query", "--store", str(store), "--question", "Where do San Marzano tomatoes grow?"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "chunk 'regions#s0#t1' has a non-integer span" in captured.err
 
 
 class TestCmdEval:
