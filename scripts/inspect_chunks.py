@@ -49,18 +49,18 @@ def main() -> int:
     embedder = HashedEmbedder(args.embed_dim)
 
     documents = load_corpus(args.corpus)
-    sentence_lists = [split_sentences(doc) for doc in documents]
+    doc_sentences = [(doc.doc_id, split_sentences(doc.text)) for doc in documents]
     # The distances build_store splits on, from the same one call.
-    all_distances = window_distances(sentence_lists, embedder, config.window_k)
-    for doc, sentences, distances in zip(documents, sentence_lists, all_distances):
-        print(f"== {doc.doc_id}: {len(sentences)} sentences")
+    all_distances = window_distances(doc_sentences, embedder, config.window_k)
+    for (doc_id, sentences), distances in zip(doc_sentences, all_distances):
+        print(f"== {doc_id}: {len(sentences)} sentences")
         if distances:
             threshold = percentile_threshold(distances, config.percentile)
             print(f"   threshold T = {threshold:.4f} (p{config.percentile:g} of {len(distances)} distances)")
             for i, distance in enumerate(distances):
                 marker = "  <-- boundary" if distance > threshold else ""
                 print(f"   d[{i:3d}] = {distance:.4f}{marker}")
-        for sem in semantic_split(sentences, distances, config) if sentences else []:
+        for sem in semantic_split(doc_id, sentences, distances, config) if sentences else []:
             pieces = token_window_split(sem, config.chunk_size, config.overlap)
             start, end = sem.sentence_span
             preview = sem.text[:70].replace("\n", " ")

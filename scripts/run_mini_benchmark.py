@@ -20,6 +20,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from kgrag.cli import MODE_ALIASES  # noqa: E402
 from kgrag.evaluation import (  # noqa: E402
     METRIC_NAMES,
     LexicalJudge,
@@ -30,11 +31,9 @@ from kgrag.evaluation import (  # noqa: E402
 from kgrag.pipeline import answer_records, build_store, open_store  # noqa: E402
 from kgrag.retriever import EchoGenerator, QueryConfig  # noqa: E402
 
-MODES = {"hybrid": "hybrid", "semantic": "unstructured_only", "kg": "structured_only"}
-
 
 def evaluate_mode(store, records, mode: str, beta: float):
-    config = QueryConfig(mode=MODES[mode], beta=beta)
+    config = QueryConfig(mode=MODE_ALIASES[mode], beta=beta)
     embedder = store.make_embedder()
     answer_records(store, records, config, EchoGenerator(), embedder)
     return evaluate(records, LexicalJudge(), embedder)
@@ -61,7 +60,7 @@ def main() -> int:
         header = f"{'mode':<10}" + "".join(f"{name:>20}" for name in METRIC_NAMES)
         print(header)
         print("-" * len(header))
-        for mode in MODES:
+        for mode in MODE_ALIASES:
             records, _ = load_records_jsonl(REPO_ROOT / "data" / "mini_corpus_questions.jsonl")
             report = evaluate_mode(store, records, mode, args.beta)
             cells = "".join(

@@ -1,7 +1,7 @@
 """Hybrid retrieval over text corpora: semantic chunks fused with a knowledge graph."""
 
 from .chunking import Chunk, ChunkerConfig, SemanticChunk, semantic_split, token_window_split, window_distances
-from .corpus import Document, Sentence, load_corpus, split_sentences, tokenize
+from .corpus import Document, load_corpus, split_sentences, tokenize
 from .embedding import HashedEmbedder, ProviderConfig, RemoteEmbedder, cosine_similarity, embed_hashed
 from .evaluation import (
     EvalRecord,
@@ -34,7 +34,6 @@ from .retriever import (
     RetrievalResult,
     ScoredChunk,
     confirmation_boost,
-    generate_answer,
     retrieve_hybrid,
     retrieve_unstructured,
 )
@@ -68,7 +67,6 @@ __all__ = [
     "RuleExtractor",
     "ScoredChunk",
     "SemanticChunk",
-    "Sentence",
     "Store",
     "StoreCorruptError",
     "StoreManifest",
@@ -87,7 +85,6 @@ __all__ = [
     "extract_triples_rule",
     "f1_context",
     "faithfulness",
-    "generate_answer",
     "load_corpus",
     "open_store",
     "query_ner",

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Sentence, tokenize
+from .corpus import tokenize
 from .embedding import HashedEmbedder, cosine_rows, hashed_window_rows
 from .exceptions import ProviderError, StoreCorruptError
 
@@ -62,15 +62,12 @@ class Chunk:
     text: str
 
 
-def build_windows(sentences: list[Sentence], k: int) -> list[str]:
+def build_windows(sentences: list[str], k: int) -> list[str]:
     """Window i = sentences max(0, i-k) .. min(n-1, i+k), space-joined."""
     if not sentences:
         raise ValueError("build_windows requires at least one sentence")
     n = len(sentences)
-    return [
-        " ".join(s.text for s in sentences[max(0, i - k) : min(n - 1, i + k) + 1])
-        for i in range(n)
-    ]
+    return [" ".join(sentences[max(0, i - k) : min(n - 1, i + k) + 1]) for i in range(n)]
 
 
 def sequential_distances(embeddings: np.ndarray) -> list[float]:
@@ -92,21 +89,21 @@ def percentile_threshold(distances: list[float], p: float) -> float:
     return ordered[rank - 1]
 
 
-def window_distances(documents: list[list[Sentence]], embedder, k: int) -> list[list[float]]:
-    """Each document's sequential window distances, in document order.
+def window_distances(documents: list[tuple[str, list[str]]], embedder, k: int) -> list[list[float]]:
+    """Each ``(doc_id, sentences)`` document's sequential window distances, in order.
 
-    For document j this is ``sequential_distances`` over the embeddings of
-    ``build_windows(documents[j], k)``; a document of fewer than two
-    sentences has none. The hashed embedder takes every document in one
+    For a document this is ``sequential_distances`` over the embeddings of
+    ``build_windows(sentences, k)``; a document of fewer than two sentences
+    has none. The hashed embedder takes every document in one
     ``hashed_window_rows`` pass, bit for bit the same as embedding each
     document's windows, and holds one block of rows at a time (one row
     carries across a block edge). Any other embedder embeds each document's
     windows in one ``embed_batch`` call.
     """
     if not isinstance(embedder, HashedEmbedder):
-        return [_embedded_window_distances(sentences, embedder, k) for sentences in documents]
-    lengths = [len(sentences) for sentences in documents]
-    texts = [s.text for sentences in documents for s in sentences]
+        return [_embedded_window_distances(doc_id, sentences, embedder, k) for doc_id, sentences in documents]
+    lengths = [len(sentences) for _, sentences in documents]
+    texts = [s for _, sentences in documents for s in sentences]
     distances = np.empty(max(len(texts) - 1, 0))  # row i to row i+1, across documents too
     carried = np.empty((0, embedder.dimension), dtype=np.float32)
     for start, rows in hashed_window_rows(texts, lengths, k, embedder.dimension):
@@ -117,19 +114,19 @@ def window_distances(documents: list[list[Sentence]], embedder, k: int) -> list[
     return [distances[end - n : max(end - n, end - 1)].tolist() for end, n in zip(ends, lengths)]
 
 
-def _embedded_window_distances(sentences: list[Sentence], embedder, k: int) -> list[float]:
+def _embedded_window_distances(doc_id: str, sentences: list[str], embedder, k: int) -> list[float]:
     if len(sentences) < 2:
         return []
     try:
         embeddings = embedder.embed_batch(build_windows(sentences, k))
     except ProviderError as exc:
         # The provider message already pinpoints the failing window batch.
-        raise ProviderError(f"window embedding failed for doc {sentences[0].doc_id!r}: {exc}") from exc
+        raise ProviderError(f"window embedding failed for doc {doc_id!r}: {exc}") from exc
     return sequential_distances(embeddings)
 
 
-def semantic_split(sentences: list[Sentence], distances: list[float], config: ChunkerConfig) -> list[SemanticChunk]:
-    """Split a document's sentences into semantically coherent chunks.
+def semantic_split(doc_id: str, sentences: list[str], distances: list[float], config: ChunkerConfig) -> list[SemanticChunk]:
+    """Split document ``doc_id``'s sentences into semantically coherent chunks.
 
     ``distances`` are the document's sequential window distances (see
     ``window_distances``), one fewer than there are sentences. The greedy
@@ -141,7 +138,6 @@ def semantic_split(sentences: list[Sentence], distances: list[float], config: Ch
         raise ValueError("semantic_split requires at least one sentence")
     if len(distances) != len(sentences) - 1:
         raise ValueError(f"expected {len(sentences) - 1} window distances, got {len(distances)}")
-    doc_id = sentences[0].doc_id
 
     boundaries: list[int] = []
     if distances:
@@ -157,7 +153,7 @@ def semantic_split(sentences: list[Sentence], distances: list[float], config: Ch
                 chunk_id=f"{doc_id}#s{seq}",
                 doc_id=doc_id,
                 sentence_span=span,
-                text=" ".join(s.text for s in sentences[start : boundary + 1]),
+                text=" ".join(sentences[start : boundary + 1]),
             )
         )
         start = boundary + 1

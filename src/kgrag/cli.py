@@ -33,10 +33,11 @@ from .pipeline import (
     answer_records,
     build_store,
     make_chat_client,
+    make_config,
     open_store,
     run_query,
 )
-from .retriever import QueryConfig, generate_answer
+from .retriever import QueryConfig
 
 logger = logging.getLogger(__name__)
 
@@ -76,7 +77,7 @@ def _section(file_cfg: dict, name: str, cls, base: dict | None = None, **flags):
     values = {**(base or {}), **block}
     values.update({k: v for k, v in flags.items() if v is not None})
     try:
-        return cls(**values)
+        return make_config(cls, values)
     except (TypeError, ValueError) as exc:
         raise InputError(f"config section {name!r}: bad value: {exc}") from exc
 
@@ -131,7 +132,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     answer = None
     if args.answer:
         generator = store.make_generator(args.generator)
-        answer = generate_answer(args.question, result.unified_context, generator)
+        answer = generator.generate(args.question, result.unified_context)
 
     if args.as_json:
         payload = {

@@ -38,12 +38,6 @@ class Document:
     source: str
 
 
-@dataclass(frozen=True)
-class Sentence:
-    doc_id: str
-    text: str
-
-
 def tokenize(text: str) -> list[str]:
     """Split on Unicode whitespace; no other normalization."""
     return text.split()
@@ -125,13 +119,13 @@ def load_corpus(path: str | Path) -> list[Document]:
     return docs
 
 
-def split_sentence_texts(text: str) -> list[str]:
+def split_sentences(text: str) -> list[str]:
     """Split normalized text into sentence strings.
 
     Boundaries: ``[.?!]`` followed by whitespace or end of text, and blank
     lines. A boundary is suppressed when the word ending at the punctuation
-    is a known abbreviation. Whitespace-only fragments are dropped; text
-    with no boundary comes back as a single sentence.
+    is a known abbreviation. Whitespace-only fragments are dropped, so blank
+    text has no sentences; other text with no boundary is one sentence.
     """
     sentences: list[str] = []
     for paragraph in _PARAGRAPH_RE.split(text):
@@ -152,7 +146,3 @@ def split_sentence_texts(text: str) -> list[str]:
             sentences.append(tail)
     return sentences
 
-
-def split_sentences(doc: Document) -> list[Sentence]:
-    """Sentence objects for a normalized document, in text order."""
-    return [Sentence(doc_id=doc.doc_id, text=t) for t in split_sentence_texts(doc.text)]

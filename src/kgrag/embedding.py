@@ -147,8 +147,9 @@ def embed_hashed_many(texts: list[str], dimension: int = 256) -> np.ndarray:
     Each distinct token of the batch is hashed once, nothing is kept across
     calls, and a row does not depend on the rest of the batch: row i equals
     ``hashed_window_rows`` of the texts with k=0. That generator is not used
-    here: its per-block window bookkeeping made a semantic query's p50 ~7 %
-    slower. Returns float32, shape (len(texts), D).
+    here: embedding the 1,619 chunks of the seed-1 300-doc bench store took
+    44-48 ms this way and 51-52 ms through it (best of 7, 2-vCPU Xeon).
+    Returns float32, shape (len(texts), D).
     """
     if dimension < 8:
         raise ValueError("embedding dimension must be >= 8")

@@ -26,7 +26,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import split_sentence_texts
+from .corpus import split_sentences
 from .embedding import cosine_similarity
 from .exceptions import InputError, ProviderError
 from .lexical import content_tokens, coverage
@@ -65,10 +65,8 @@ class MetricReport:
 
 
 def split_statements(text: str) -> list[str]:
-    """Statements = sentences; empty text yields no statements."""
-    if not text.strip():
-        return []
-    return split_sentence_texts(text)
+    """Statements = sentences; blank text yields no statements."""
+    return split_sentences(text)
 
 
 def _context_list(contexts: list[str]) -> list[str]:
@@ -259,7 +257,12 @@ def write_matrix_csv(report: MetricReport, records: list[EvalRecord], path: str 
 
 
 def load_records_jsonl(path: str | Path) -> tuple[list[EvalRecord], int]:
-    """Parse eval records; malformed lines are skipped and counted."""
+    """Parse eval records; malformed lines are skipped and counted.
+
+    ``question`` and ``ground_truth`` must be strings, ``answer`` (if present)
+    a string and ``contexts`` (if present) a list of strings; a line with
+    any other value is malformed.
+    """
     try:
         lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
@@ -271,14 +274,14 @@ def load_records_jsonl(path: str | Path) -> tuple[list[EvalRecord], int]:
             continue
         try:
             obj = json.loads(line)
-            records.append(
-                EvalRecord(
-                    question=str(obj["question"]),
-                    ground_truth=str(obj["ground_truth"]),
-                    answer=str(obj.get("answer", "")),
-                    contexts=[str(c) for c in obj.get("contexts", [])],
-                )
-            )
+            texts = {"question": obj["question"], "ground_truth": obj["ground_truth"], "answer": obj.get("answer", "")}
+            contexts = obj.get("contexts", [])
+            for name, value in texts.items():
+                if not isinstance(value, str):
+                    raise TypeError(f"{name} must be a string, got {type(value).__name__}")
+            if not isinstance(contexts, list) or not all(isinstance(c, str) for c in contexts):
+                raise TypeError("contexts must be a list of strings")
+            records.append(EvalRecord(contexts=contexts, **texts))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             logger.warning("skipping malformed record at %s line %d: %s", path, lineno, exc)
             skipped += 1

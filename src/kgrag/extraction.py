@@ -15,7 +15,7 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .corpus import split_sentence_texts, tokenize
+from .corpus import split_sentences, tokenize
 from .exceptions import ProviderError
 from .lexical import strip_edge_punctuation
 from .remote import ChatClient
@@ -140,7 +140,7 @@ class RuleExtractor:
         words = stopwords if stopwords is not None else ENTITY_STOPWORDS
         mentions: list[EntityMention] = []
         seen: set[str] = set()
-        for sentence in split_sentence_texts(text):
+        for sentence in split_sentences(text):
             for m in extract_entities_rule(sentence, words):
                 if m.normalized not in seen:
                     seen.add(m.normalized)
@@ -149,7 +149,7 @@ class RuleExtractor:
 
     def triples(self, text: str, provenance: str = "") -> list[Triple]:
         out: list[Triple] = []
-        for sentence in split_sentence_texts(text):
+        for sentence in split_sentences(text):
             out.extend(extract_triples_rule(sentence, provenance))
         return out
 

@@ -81,9 +81,6 @@ class KnowledgeGraph:
     def node(self, node_id: int) -> EntityNode:
         return self._nodes[node_id]
 
-    def node_names(self) -> set[str]:
-        return {n.name for n in self._nodes}
-
     def seal(self) -> None:
         """Freeze the graph and (re)derive each node's incident-edge list.
 

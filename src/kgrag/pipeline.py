@@ -10,7 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import shutil
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .chunking import Chunk, ChunkerConfig, SemanticChunk, semantic_split, token_window_split, window_distances
@@ -26,7 +26,6 @@ from .retriever import (
     QueryConfig,
     RemoteGenerator,
     RetrievalResult,
-    generate_answer,
     retrieve_hybrid,
 )
 from .vector_index import CHUNKS_SIDECAR, VectorStore
@@ -49,6 +48,20 @@ class ExtractorConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("rule", "remote"):
             raise ValueError(f"unknown extractor kind {self.kind!r}")
+
+
+def make_config(cls, values: dict):
+    """``cls(**values)`` once each value has its field's default type; raises TypeError.
+
+    An ``int`` field takes only ``int`` (not ``bool`` or ``float``), a ``float``
+    field ``int`` or ``float``, and a ``str`` field only ``str``.
+    """
+    for f in fields(cls):
+        if f.name in values:
+            kind, got = type(f.default), type(values[f.name])
+            if got is not kind and not (kind is float and got is int):
+                raise TypeError(f"{f.name!r} must be {kind.__name__}, got {got.__name__}")
+    return cls(**values)
 
 
 @dataclass
@@ -81,10 +94,10 @@ class StoreManifest:
             return cls(
                 format_version=int(obj["format_version"]),
                 corpus_fingerprint=str(obj["corpus_fingerprint"]),
-                chunker=ChunkerConfig(**config["chunker"]),
-                provider=ProviderConfig(**config["provider"]),
-                extractor=ExtractorConfig(**config["extractor"]),
-                query=QueryConfig(**config["query"]),
+                chunker=make_config(ChunkerConfig, config["chunker"]),
+                provider=make_config(ProviderConfig, config["provider"]),
+                extractor=make_config(ExtractorConfig, config["extractor"]),
+                query=make_config(QueryConfig, config["query"]),
                 counts=dict(obj["counts"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -123,12 +136,12 @@ def chunk_documents(
     Every document's window distances come from one ``window_distances``
     call; the percentile threshold stays per document.
     """
-    sentence_lists = [sentences for sentences in map(split_sentences, documents) if sentences]
-    distances = window_distances(sentence_lists, embedder, chunker.window_k)
+    doc_sentences = [(doc.doc_id, sentences) for doc in documents if (sentences := split_sentences(doc.text))]
+    distances = window_distances(doc_sentences, embedder, chunker.window_k)
     all_semantic: list[SemanticChunk] = []
     all_chunks: list[Chunk] = []
-    for sentences, doc_distances in zip(sentence_lists, distances):
-        for sem in semantic_split(sentences, doc_distances, chunker):
+    for (doc_id, sentences), doc_distances in zip(doc_sentences, distances):
+        for sem in semantic_split(doc_id, sentences, doc_distances, chunker):
             all_semantic.append(sem)
             all_chunks.extend(token_window_split(sem, chunker.chunk_size, chunker.overlap))
     return all_semantic, all_chunks
@@ -346,5 +359,5 @@ def answer_records(
                 [result.structured_text] if result.structured_text else []
             ) + [c.text for c in result.ranked_chunks]
         if not record.answer:
-            record.answer = generate_answer(record.question, result.unified_context, generator)
+            record.answer = generator.generate(record.question, result.unified_context)
     return runs

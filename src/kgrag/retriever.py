@@ -204,8 +204,3 @@ def retrieve_hybrid(
             "empty": unified == "",
         },
     )
-
-
-def generate_answer(question: str, unified_context: str, generator) -> str:
-    """Delegate to the configured generator; remote failures propagate."""
-    return generator.generate(question, unified_context)

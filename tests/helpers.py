@@ -9,8 +9,6 @@ import numpy as np
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from kgrag.corpus import Sentence
-
 
 class SeqEmbedder:
     """Returns prescribed vectors positionally; for driving the chunker."""
@@ -55,10 +53,6 @@ def embedding_matrices(draw, max_rows: int = 12, max_dim: int = 260) -> np.ndarr
     return matrix
 
 
-def make_sentences(texts: list[str], doc_id: str = "doc") -> list[Sentence]:
-    return [Sentence(doc_id=doc_id, text=t) for t in texts]
-
-
 def vectors_with_consecutive_similarities(sims: list[float]) -> list[np.ndarray]:
     """Unit 2-D vectors whose consecutive cosines equal ``sims`` exactly-ish."""
     angles = [0.0]
@@ -67,7 +61,7 @@ def vectors_with_consecutive_similarities(sims: list[float]) -> list[np.ndarray]
     return [np.array([math.cos(a), math.sin(a)]) for a in angles]
 
 
-def two_topic_sentences(rng: random.Random, per_topic: int = 11) -> tuple[list[Sentence], int]:
+def two_topic_sentences(rng: random.Random, per_topic: int = 11) -> tuple[list[str], int]:
     """A document that switches topic exactly once, with disjoint vocabularies.
 
     Each topic has its own random vocabulary (distinct letter ranges keep the
@@ -87,7 +81,7 @@ def two_topic_sentences(rng: random.Random, per_topic: int = 11) -> tuple[list[S
 
     first = sentences(vocab("abcdefghijklm"))
     second = sentences(vocab("nopqrstuvwxyz"))
-    return make_sentences(first + second), len(first)
+    return first + second, len(first)
 
 
 class FakeResponse:

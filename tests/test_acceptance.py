@@ -139,8 +139,8 @@ def test_criterion_04_chunker_boundary_oracle():
         hits = 0
         for seed in range(100):
             sentences, switch = two_topic_sentences(random.Random(seed))
-            (distances,) = window_distances([sentences], embedder, config.window_k)
-            spans = [c.sentence_span for c in semantic_split(sentences, distances, config)]
+            (distances,) = window_distances([("doc", sentences)], embedder, config.window_k)
+            spans = [c.sentence_span for c in semantic_split("doc", sentences, distances, config)]
             if spans == [(0, switch - 1), (switch, len(sentences) - 1)]:
                 hits += 1
     assert hits >= 95, f"only {hits}/100 clean single-boundary splits"

@@ -30,7 +30,6 @@ import kgrag.embedding as embedding_mod
 from helpers import (
     SeqEmbedder,
     embedding_matrices,
-    make_sentences,
     record_texts,
     reference_cosine,
     two_topic_sentences,
@@ -40,19 +39,19 @@ from helpers import (
 
 class TestBuildWindows:
     def test_k1_clips_at_edges(self):
-        sentences = make_sentences(["A", "B", "C"])
+        sentences = ["A", "B", "C"]
         assert build_windows(sentences, 1) == ["A B", "A B C", "B C"]
 
     def test_k0_is_identity(self):
-        sentences = make_sentences(["one two", "three", "four"])
+        sentences = ["one two", "three", "four"]
         assert build_windows(sentences, 0) == ["one two", "three", "four"]
 
     def test_single_sentence_large_k(self):
-        sentences = make_sentences(["lonely"])
+        sentences = ["lonely"]
         assert build_windows(sentences, 2) == ["lonely"]
 
     def test_output_length_equals_input_length(self):
-        sentences = make_sentences([f"s{i}" for i in range(7)])
+        sentences = [f"s{i}" for i in range(7)]
         for k in range(4):
             assert len(build_windows(sentences, k)) == 7
 
@@ -89,7 +88,7 @@ class TestSequentialDistances:
         assert np.array(got).tobytes() == np.array(expected).tobytes()
 
     def test_hashed_window_matrix(self):
-        windows = build_windows(make_sentences(["rome pasta", "rome pizza", "tokyo sushi", ""]), 0)
+        windows = build_windows(["rome pasta", "rome pizza", "tokyo sushi", ""], 0)
         matrix = HashedEmbedder(64).embed_batch(windows)
         assert matrix.shape == (4, 64) and matrix.dtype == np.float32
         expected = [1.0 - reference_cosine(matrix[i], matrix[i + 1]) for i in range(3)]
@@ -112,7 +111,7 @@ def reference_window_distances(documents, k, dimension):
     """One ``embed_hashed_many`` batch of windows per document, then its sequential distances."""
     return [
         sequential_distances(embed_hashed_many(build_windows(sentences, k), dimension)) if sentences else []
-        for sentences in documents
+        for _, sentences in documents
     ]
 
 
@@ -127,10 +126,10 @@ class TestHashedWindowDistances:
     @example([["ΟΔΟΣ", "Σ αλφα", "ΑΣ"], ["one"], []], 1, 1, 8)
     @example([[f"w{i} Σ" for i in range(11)]], 3, 2, 8)
     def test_bit_for_bit_with_per_document_embedding(self, texts, k, block, dimension):
-        documents = [make_sentences(t, f"d{i}") for i, t in enumerate(texts)]
+        documents = [(f"d{i}", t) for i, t in enumerate(texts)]
         expected = reference_window_distances(documents, k, dimension)
         expected_rows = [
-            embed_hashed_many(build_windows(sentences, k), dimension) for sentences in documents if sentences
+            embed_hashed_many(build_windows(sentences, k), dimension) for _, sentences in documents if sentences
         ]
         with mock.patch.object(embedding_mod, "_BLOCK_ROWS", block):
             got = window_distances(documents, HashedEmbedder(dimension), k)
@@ -150,7 +149,7 @@ class TestHashedWindowDistances:
         assert sorted(hashed) == sorted([b"rome", b"pasta", b"pizza"] + [f"w{i}".encode() for i in range(10)])
 
     def test_single_sentence_and_empty_documents(self):
-        documents = [make_sentences(["only"]), [], make_sentences(["a b", "c"])]
+        documents = [("doc", ["only"]), ("doc", []), ("doc", ["a b", "c"])]
         got = window_distances(documents, HashedEmbedder(64), 1)
         assert got[:2] == [[], []] and len(got[2]) == 1
 
@@ -182,8 +181,8 @@ class TestPercentileThreshold:
 
 def split(sentences, embedder, config: ChunkerConfig):
     """``semantic_split`` over the document's own window distances."""
-    (distances,) = window_distances([sentences], embedder, config.window_k)
-    return semantic_split(sentences, distances, config)
+    (distances,) = window_distances([("doc", sentences)], embedder, config.window_k)
+    return semantic_split("doc", sentences, distances, config)
 
 
 def config(**kwargs) -> ChunkerConfig:
@@ -194,7 +193,7 @@ def config(**kwargs) -> ChunkerConfig:
 
 class TestSemanticSplit:
     def test_all_distances_equal_single_chunk(self):
-        sentences = make_sentences(["a", "b", "c", "d"])
+        sentences = ["a", "b", "c", "d"]
         same = np.array([1.0, 0.0])
         chunks = split(sentences, SeqEmbedder([same] * 4), config())
         assert len(chunks) == 1
@@ -204,13 +203,13 @@ class TestSemanticSplit:
         # distances [0.1, 0.9, 0.1]; nearest-rank p50 over sorted [0.1, 0.1, 0.9]
         # gives T=0.1, so only the 0.9 jump is a boundary: [s1,s2] | [s3,s4].
         vectors = vectors_with_consecutive_similarities([0.9, 0.1, 0.9])
-        sentences = make_sentences(["s1", "s2", "s3", "s4"])
+        sentences = ["s1", "s2", "s3", "s4"]
         chunks = split(sentences, SeqEmbedder(vectors), config(percentile=50))
         assert [c.sentence_span for c in chunks] == [(0, 1), (2, 3)]
         assert [c.text for c in chunks] == ["s1 s2", "s3 s4"]
 
     def test_single_sentence_single_chunk(self):
-        sentences = make_sentences(["only one"])
+        sentences = ["only one"]
         chunks = split(sentences, HashedEmbedder(64), config())
         assert len(chunks) == 1
         assert chunks[0].sentence_span == (0, 0)
@@ -221,7 +220,7 @@ class TestSemanticSplit:
 
     def test_distance_count_must_match(self):
         with pytest.raises(ValueError, match="expected 1 window distances"):
-            semantic_split(make_sentences(["a", "b"]), [], config())
+            semantic_split("doc", ["a", "b"], [], config())
 
     def test_boundary_count_matches_exceedance_count(self):
         rng = random.Random(11)
@@ -229,7 +228,7 @@ class TestSemanticSplit:
             n = rng.randint(2, 24)
             sims = [rng.uniform(-0.95, 0.95) for _ in range(n - 1)]
             vectors = vectors_with_consecutive_similarities(sims)
-            sentences = make_sentences([f"s{i}" for i in range(n)])
+            sentences = [f"s{i}" for i in range(n)]
             chunks = split(sentences, SeqEmbedder(vectors), config(percentile=60))
             distances = [1 - s for s in sims]
             threshold = percentile_threshold(distances, 60)
@@ -239,7 +238,7 @@ class TestSemanticSplit:
     def test_spans_are_contiguous_cover(self):
         rng = random.Random(3)
         sims = [rng.uniform(-0.9, 0.9) for _ in range(14)]
-        sentences = make_sentences([f"s{i}" for i in range(15)])
+        sentences = [f"s{i}" for i in range(15)]
         chunks = split(
             sentences, SeqEmbedder(vectors_with_consecutive_similarities(sims)), config(percentile=50)
         )

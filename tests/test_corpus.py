@@ -10,7 +10,6 @@ from kgrag.corpus import (
     Document,
     load_corpus,
     normalize_text,
-    split_sentence_texts,
     split_sentences,
     tokenize,
 )
@@ -97,33 +96,33 @@ class TestLoadCorpus:
 class TestSplitSentences:
     def test_two_sentences(self):
         doc = make_doc("Pasta is boiled. Pizza is baked.")
-        assert [s.text for s in split_sentences(doc)] == ["Pasta is boiled.", "Pizza is baked."]
+        assert split_sentences(doc.text) == ["Pasta is boiled.", "Pizza is baked."]
 
     def test_abbreviation_suppresses_split(self):
         doc = make_doc("Dr. Rossi cooks. He is famous.")
-        assert [s.text for s in split_sentences(doc)] == ["Dr. Rossi cooks.", "He is famous."]
+        assert split_sentences(doc.text) == ["Dr. Rossi cooks.", "He is famous."]
 
     def test_single_sentence_fallback(self):
         doc = make_doc("One sentence only")
-        sentences = split_sentences(doc)
+        sentences = split_sentences(doc.text)
         assert len(sentences) == 1
-        assert sentences[0].text == "One sentence only"
+        assert sentences[0] == "One sentence only"
 
     def test_blank_line_is_boundary(self):
         doc = make_doc("First paragraph without period\n\nSecond paragraph")
-        assert [s.text for s in split_sentences(doc)] == [
+        assert split_sentences(doc.text) == [
             "First paragraph without period",
             "Second paragraph",
         ]
 
     def test_mid_token_punctuation_does_not_split(self):
         doc = make_doc("Version 1.5 shipped. Done.")
-        assert [s.text for s in split_sentences(doc)] == ["Version 1.5 shipped.", "Done."]
+        assert split_sentences(doc.text) == ["Version 1.5 shipped.", "Done."]
 
     @pytest.mark.parametrize("abbr", ["e.g.", "i.e.", "etc.", "vs.", "Fig.", "Eq.", "Mr.", "Mrs."])
     def test_all_listed_abbreviations(self, abbr):
         doc = make_doc(f"We cook, {abbr} with care and salt. Next sentence here.")
-        assert len(split_sentences(doc)) == 2
+        assert len(split_sentences(doc.text)) == 2
 
 
 class TestTokenize:
@@ -148,22 +147,22 @@ normalized_docs = (
 class TestProperties:
     @given(normalized_docs)
     def test_token_counts_sum(self, doc):
-        sentences = split_sentences(doc)
-        assert sum(len(tokenize(s.text)) for s in sentences) == len(tokenize(doc.text))
+        sentences = split_sentences(doc.text)
+        assert sum(len(tokenize(s)) for s in sentences) == len(tokenize(doc.text))
 
     @given(normalized_docs)
     def test_non_whitespace_characters_preserved_in_order(self, doc):
-        joined = " ".join(s.text for s in split_sentences(doc))
+        joined = " ".join(split_sentences(doc.text))
         strip_ws = lambda t: "".join(t.split())
         assert strip_ws(joined) == strip_ws(doc.text)
 
     @given(normalized_docs)
     def test_no_zero_token_sentence(self, doc):
-        assert all(tokenize(s.text) for s in split_sentences(doc))
+        assert all(tokenize(s) for s in split_sentences(doc.text))
 
     @given(normalized_docs)
     def test_split_deterministic(self, doc):
-        assert split_sentences(doc) == split_sentences(doc)
+        assert split_sentences(doc.text) == split_sentences(doc.text)
 
     @given(st.text(max_size=300))
     def test_normalize_idempotent(self, text):
@@ -172,5 +171,5 @@ class TestProperties:
 
     @given(st.text(max_size=200))
     def test_split_texts_never_whitespace_only(self, text):
-        for fragment in split_sentence_texts(normalize_text(text)):
+        for fragment in split_sentences(normalize_text(text)):
             assert fragment.strip() == fragment and fragment

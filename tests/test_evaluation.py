@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -346,6 +347,27 @@ class TestRecordsJsonl:
         assert len(records) == 2 and skipped == 1
         assert records[1].answer == "A2"
         assert records[1].contexts == ["c"]
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"question": "Q?", "ground_truth": "T.", "contexts": "Pecorino Romano goes into Carbonara."},
+            {"question": "Q?", "ground_truth": "T.", "answer": None},
+            {"question": "Q?", "ground_truth": "T.", "answer": 3},
+            {"question": "Q?", "ground_truth": "T.", "contexts": ["c", 1]},
+            {"question": 5, "ground_truth": "T."},
+            {"question": "Q?", "ground_truth": ["T."]},
+        ],
+        ids=["contexts-str", "answer-null", "answer-int", "contexts-int-item", "question-int", "truth-list"],
+    )
+    def test_wrong_json_types_are_skipped(self, tmp_path, caplog, bad):
+        path = tmp_path / "records.jsonl"
+        good = {"question": "Q1?", "ground_truth": "T1.", "answer": "A1", "contexts": ["c"]}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        with caplog.at_level("WARNING"):
+            records, skipped = load_records_jsonl(path)
+        assert records == [EvalRecord(**good)] and skipped == 1
+        assert "skipping malformed record" in caplog.text and "line 2" in caplog.text
 
     def test_record_validation(self):
         with pytest.raises(ValueError):

@@ -84,7 +84,7 @@ class TestUpsert:
             for t in shuffled:
                 graph.upsert_triple(t, "ctx")
             graph.seal()
-            names = graph.node_names()
+            names = {graph.node(i).name for i in range(len(graph))}
             obj = graph.to_json_obj()
             id_to_name = {n["id"]: n["name"] for n in obj["nodes"]}
             edges = {
@@ -349,7 +349,7 @@ class TestExport:
         path = tmp_path / "graph.json"
         graph.export(path, "json")
         loaded = KnowledgeGraph.load_json(path)
-        assert loaded.node_names() == graph.node_names()
+        assert {loaded.node(i).name for i in range(len(loaded))} == {graph.node(i).name for i in range(len(graph))}
         assert loaded.to_json_obj() == graph.to_json_obj()
 
     def test_snippets_rehydrated(self, tmp_path):

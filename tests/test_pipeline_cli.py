@@ -23,6 +23,7 @@ from kgrag.pipeline import (
     run_query,
 )
 from kgrag.retriever import QueryConfig
+from kgrag.vector_index import VectorStore
 
 from conftest import MINI_CORPUS, MINI_QUESTIONS
 
@@ -53,6 +54,15 @@ class TestPipelineUnits:
         rebuilt = reconstruct_parent_texts(chunks)
         for sem in semantic:
             assert rebuilt[sem.chunk_id] == " ".join(sem.text.split())
+
+    def test_repeated_doc_id_reaches_the_duplicate_chunk_check(self):
+        # Documents go through chunking as a list, so a repeated id is kept, not merged.
+        docs = [Document("d", "Rome is old.", "s"), Document("d", "Parma makes cheese.", "s")]
+        semantic, chunks = chunk_documents(docs, HashedEmbedder(64), ChunkerConfig())
+        assert [c.text for c in chunks] == ["Rome is old.", "Parma makes cheese."]
+        assert [c.chunk_id for c in chunks] == ["d#s0#t0", "d#s0#t0"]
+        with pytest.raises(ValueError, match="duplicate chunk_id 'd#s0#t0'"):
+            VectorStore(64).add(chunks, HashedEmbedder(64).embed_batch([c.text for c in chunks]))
 
     def test_fingerprint_sensitive_to_content_and_order(self):
         docs1 = [Document("a", "text one", "s"), Document("b", "text two", "s")]
@@ -264,6 +274,13 @@ class TestConfigFileErrors:
             ({"chunker": {"window_k": "2"}}, ["'chunker'"]),
             ({"chunkr": {"window_k": 2}}, ["'chunkr'"]),
             ({"query": {"max_nodes": 0}}, ["'query'", "max_nodes must be >= 1"]),
+            ({"chunker": {"chunk_size": 50.5}}, ["'chunker'", "'chunk_size' must be int, got float"]),
+            ({"chunker": {"window_k": 1.5}}, ["'chunker'", "'window_k' must be int, got float"]),
+            ({"chunker": {"window_k": True}}, ["'chunker'", "'window_k' must be int, got bool"]),
+            ({"chunker": {"percentile": "95"}}, ["'chunker'", "'percentile' must be float, got str"]),
+            ({"provider": {"dimension": 64.5}}, ["'provider'", "'dimension' must be int, got float"]),
+            ({"provider": {"model_name": 7}}, ["'provider'", "'model_name' must be str, got int"]),
+            ({"query": {"hops": 1.5}}, ["'query'", "'hops' must be int, got float"]),
         ],
     )
     def test_index_exit_2_naming_section_and_key(self, tmp_path, capsys, config, named):
@@ -297,6 +314,25 @@ class TestConfigFileErrors:
             err = capsys.readouterr().err
             assert "error: config section 'query': unknown key 'hopz'" in err
         assert not (tmp_path / "r.csv").exists()
+
+    @pytest.mark.parametrize(
+        ("key", "value", "named"),
+        [
+            ("hops", 1.5, "'hops' must be int, got float"),
+            ("final_m_chunks", 1.5, "'final_m_chunks' must be int, got float"),
+            ("top_n_candidates", 8.5, "'top_n_candidates' must be int, got float"),
+            ("beta", False, "'beta' must be float, got bool"),
+            ("mode", None, "'mode' must be str, got NoneType"),
+        ],
+    )
+    def test_query_wrong_type_exit_2(self, store_dir, capsys, key, value, named):
+        cfg = store_dir.parent / "cfg.json"
+        cfg.write_text(json.dumps({"query": {key: value}}))
+        argv = ["query", "--store", str(store_dir), "--question", "What crosses Rome?", "--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: config section 'query': bad value: {named}" in captured.err
 
     @pytest.mark.parametrize("key", ["hops", "max_nodes"])
     def test_query_bound_below_one_exit_2(self, tmp_path, capsys, key):
@@ -398,6 +434,19 @@ class TestCmdQuery:
         graph_path.write_text(json.dumps(graph))
         assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
         assert "graph" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("section", "key", "value"),
+        [("query", "hops", 1.5), ("query", "max_nodes", True), ("chunker", "percentile", "95"),
+         ("provider", "dimension", 256.0), ("extractor", "kind", None)],
+    )
+    def test_manifest_config_of_wrong_type_exit_3(self, store_dir, capsys, section, key, value):
+        manifest_path = store_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"][section][key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
+        assert f"error: corrupt store: invalid manifest: {key!r} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "field, value", [(("config", "provider", "dimension"), 128), (("counts", "chunks"), 1)]
@@ -660,7 +709,7 @@ class TestRemoteProviderWiring:
              "--embed-model", "embed-1", "--embed-dim", "16"]
         )
         assert code == 0
-        windows = [build_windows(split_sentences(doc), 1) for doc in load_corpus(corpus)]
+        windows = [build_windows(split_sentences(doc.text), 1) for doc in load_corpus(corpus)]
         chunks = [json.loads(line)["text"] for line in (out / "chunks.jsonl").read_text().splitlines()]
         assert inputs == [*windows, chunks]
 
@@ -741,7 +790,7 @@ class TestMiniCorpusFixture:
         docs = load_corpus(MINI_CORPUS)
         assert [d.doc_id for d in docs] == ["dishes", "regions", "traditions"]
         for doc in docs:
-            assert len(split_sentences(doc)) >= 20
+            assert len(split_sentences(doc.text)) >= 20
 
     def test_questions_parse(self):
         lines = MINI_QUESTIONS.read_text().splitlines()

@@ -13,7 +13,6 @@ from kgrag.retriever import (
     RemoteGenerator,
     build_unified_context,
     confirmation_boost,
-    generate_answer,
     rank_with_boosts,
     retrieve_hybrid,
     retrieve_unstructured,
@@ -340,16 +339,16 @@ class TestRetrieveHybrid:
 class TestGenerateAnswer:
     def test_echo_returns_context_verbatim(self):
         context = "KNOWLEDGE GRAPH:\na -[r]-> b"
-        assert generate_answer("q?", context, EchoGenerator()) == context
+        assert EchoGenerator().generate("q?", context) == context
 
     def test_echo_empty_context(self):
-        assert generate_answer("q?", "", EchoGenerator()) == ""
+        assert EchoGenerator().generate("q?", "") == ""
 
     def test_remote_returns_model_text(self, monkeypatch):
         fake = FakePost([FakeResponse(200, chat_payload("Rome."))])
         monkeypatch.setattr(remote_mod.requests, "post", fake)
         generator = RemoteGenerator(ChatClient(endpoint_url="http://c.test/v1/chat/completions", model_name="m"))
-        assert generate_answer("Capital of Italy?", "Context here", generator) == "Rome."
+        assert generator.generate("Capital of Italy?", "Context here") == "Rome."
         sent = fake.calls[0]["json"]
         assert sent["messages"][0]["role"] == "system"
         assert "Context here" in sent["messages"][1]["content"]

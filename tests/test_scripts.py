@@ -51,9 +51,9 @@ def test_inspect_chunks_marks_semantic_split_boundaries(percentile):
     assert list(printed) == [doc.doc_id for doc in documents]
     marked = 0
     for doc in documents:
-        sentences = split_sentences(doc)
-        (distances,) = window_distances([sentences], embedder, config.window_k)
-        spans = [c.sentence_span for c in semantic_split(sentences, distances, config)]
+        sentences = split_sentences(doc.text)
+        (distances,) = window_distances([(doc.doc_id, sentences)], embedder, config.window_k)
+        spans = [c.sentence_span for c in semantic_split(doc.doc_id, sentences, distances, config)]
         assert printed[doc.doc_id]["spans"] == spans
         assert printed[doc.doc_id]["boundaries"] == [end for _, end in spans[:-1]]
         marked += len(printed[doc.doc_id]["boundaries"])
