@@ -113,9 +113,11 @@ def load_corpus(path: str | Path) -> list[Document]:
                 try:
                     obj = json.loads(line)
                     doc_id, text = obj["id"], obj["text"]
+                    if type(doc_id) not in (str, int) or type(text) is not str:
+                        raise TypeError("'id' must be a string or an integer, and 'text' a string")
                 except (json.JSONDecodeError, KeyError, TypeError) as exc:
                     raise InputError(f"malformed JSONL in {file} line {lineno}: {exc}") from exc
-                add(str(doc_id), str(text), f"jsonl:{file}:{lineno}")
+                add(str(doc_id), text, f"jsonl:{file}:{lineno}")
     return docs
 
 

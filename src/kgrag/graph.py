@@ -1,18 +1,18 @@
-"""Knowledge graph: entity nodes with context snippets, labeled edges.
+"""Knowledge graph: entity nodes with provenance chunk ids, labeled edges.
 
-Nodes merge on the normalized entity name; every node keeps the text of the
-chunks its triples came from, so a traversal can hand back both structure
-and supporting context. Edges live in one set of sortable tuples; ``seal``
-derives each node's incident-edge list from it, and a traversal is a seeded
-breadth-first expansion over those lists in both directions, bounded by hop
-count and node budget. Same lifecycle as the vector store: single-writer
-build (or load), seal, then lock-free concurrent reads.
+Nodes merge on the normalized entity name; every node keeps the ids of the
+chunks its triples came from, read through the graph's one chunk_id -> text
+map, so a traversal can hand back both structure and supporting context.
+Edges live in one set of sortable tuples; ``seal`` derives each node's
+incident-edge list from it, and a traversal is a seeded breadth-first
+expansion over those lists in both directions, bounded by hop count and
+node budget. Same lifecycle as the vector store: single-writer build (or
+load), seal, then lock-free concurrent reads.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass, field
 from functools import partial
 from json.encoder import encode_basestring
@@ -37,8 +37,7 @@ def _json_array(items: list[str], indent: str) -> str:
 class EntityNode:
     node_id: int
     name: str  # canonical = first surface seen
-    normalized: str
-    contexts: dict[str, str] = field(default_factory=dict)  # chunk_id -> snippet, insertion-ordered
+    contexts: list[str] = field(default_factory=list)  # provenance chunk ids, first seen first
 
 
 class Edge(NamedTuple):
@@ -64,10 +63,12 @@ class Subgraph:
 
 
 class KnowledgeGraph:
-    def __init__(self) -> None:
+    def __init__(self, chunk_texts: dict[str, str]) -> None:
+        self._chunk_texts = chunk_texts  # semantic chunk id -> text, shared by every node
         self._nodes: list[EntityNode] = []
         self._by_normalized: dict[str, int] = {}
         self._edges: set[Edge] = set()
+        self._node_contexts: set[tuple[int, str]] = set()  # (node id, chunk id) pairs upserted so far
         self._incident: list[list[Edge]] = []  # node id -> its edges, derived at seal
         self._sealed = False
 
@@ -110,15 +111,15 @@ class KnowledgeGraph:
         node_id = self._by_normalized.get(normalized)
         if node_id is None:
             node_id = len(self._nodes)
-            self._nodes.append(EntityNode(node_id=node_id, name=surface, normalized=normalized))
+            self._nodes.append(EntityNode(node_id=node_id, name=surface))
             self._by_normalized[normalized] = node_id
         return node_id
 
-    def upsert_triple(self, triple: Triple, context_snippet: str) -> tuple[int, int]:
+    def upsert_triple(self, triple: Triple) -> tuple[int, int]:
         """Merge a triple into the graph; returns (source, target) node ids.
 
         Endpoint nodes are resolved or created by normalized name; the edge
-        and the context snippet are deduplicated (snippets by chunk id).
+        and each endpoint's context chunk id are deduplicated.
         """
         if self._sealed:
             raise ValueError("graph is sealed; upserts are only allowed during build")
@@ -130,7 +131,9 @@ class KnowledgeGraph:
         target = self._resolve(triple.object)
         self._edges.add(Edge(source, target, triple.relation, triple.provenance))
         for node_id in (source, target):
-            self._nodes[node_id].contexts.setdefault(triple.provenance, context_snippet)
+            if (node_id, triple.provenance) not in self._node_contexts:
+                self._node_contexts.add((node_id, triple.provenance))
+                self._nodes[node_id].contexts.append(triple.provenance)
         return source, target
 
     def match_entities(self, mentions: list[EntityMention]) -> set[int]:
@@ -201,26 +204,15 @@ class KnowledgeGraph:
     # -- rendering and export ------------------------------------------------
 
     def render_subgraph(self, sub: Subgraph) -> str:
-        """Deterministic text form: edge lines, then deduplicated contexts."""
-        if not sub.nodes:
-            return ""
+        """Deterministic text form: edge lines, then each context chunk's text once."""
         edge_lines = sorted(
             (sub.hop_of[e.source], sub.nodes[e.source].name, e.relation, sub.nodes[e.target].name)
             for e in sub.edges
         )
         lines = [f"{source} -[{relation}]-> {target}" for _, source, relation, target in edge_lines]
 
-        snippets: list[tuple[str, str, str]] = []
-        for node in sub.nodes.values():
-            for chunk_id, snippet in node.contexts.items():
-                snippets.append((node.name, chunk_id, snippet))
-        seen_chunks: set[str] = set()
-        context_lines = []
-        for _, chunk_id, snippet in sorted(snippets, key=lambda t: (t[0], t[1])):
-            if chunk_id in seen_chunks:
-                continue
-            seen_chunks.add(chunk_id)
-            context_lines.append(f"- {snippet}")
+        pairs = sorted((node.name, chunk_id) for node in sub.nodes.values() for chunk_id in node.contexts)
+        context_lines = [f"- {self._chunk_texts[chunk_id]}" for chunk_id in dict.fromkeys(c for _, c in pairs)]
         if context_lines:
             if lines:
                 lines.append("")
@@ -234,10 +226,7 @@ class KnowledgeGraph:
                 {"id": n.node_id, "name": n.name, "contexts": list(n.contexts)}
                 for n in self._nodes
             ],
-            "edges": [
-                {"source": e.source, "target": e.target, "relation": e.relation, "provenance": e.provenance}
-                for e in sorted(self._edges)
-            ],
+            "edges": [e._asdict() for e in sorted(self._edges)],
         }
 
     def to_json_text(self) -> str:
@@ -292,19 +281,17 @@ class KnowledgeGraph:
             raise InputError(f"cannot write graph export to {path}: {exc}") from exc
 
     @classmethod
-    def from_json_obj(cls, obj: dict, chunk_texts: dict[str, str] | None = None) -> "KnowledgeGraph":
+    def from_json_obj(cls, obj: dict, chunk_texts: dict[str, str]) -> "KnowledgeGraph":
         """Rebuild a sealed graph from the JSON export; raises StoreCorruptError.
 
-        The export stores context chunk ids only; pass ``chunk_texts`` to
-        rehydrate snippet text (chunk_id -> full chunk text), and then every
-        context id must name one of them. Without it every snippet is empty.
-        A load checks that node ids run 0..n-1 in order of first appearance,
-        names and context ids are strings, and, in ``seal``'s one walk over
-        the edge set, that every endpoint is a node id and every label a
-        string.
+        The export stores context chunk ids only; ``chunk_texts`` (chunk id
+        -> text, the map a build holds) becomes the graph's map, and every
+        context id must name one of its chunks. A load checks that node ids
+        run 0..n-1 in order of first appearance, names and context ids are
+        strings, and, in ``seal``'s one walk over the edge set, that every
+        endpoint is a node id and every label a string.
         """
-        texts = defaultdict(str) if chunk_texts is None else chunk_texts
-        graph = cls()
+        graph = cls(chunk_texts)
         try:
             for item in sorted(obj["nodes"], key=lambda n: n["id"]):
                 name, contexts = item["name"], item["contexts"]
@@ -313,10 +300,10 @@ class KnowledgeGraph:
                 node_id = graph._resolve(name)
                 if node_id != item["id"]:
                     raise StoreCorruptError(f"non-contiguous node ids in graph export: {item['id']}")
-                try:
-                    graph._nodes[node_id].contexts = {cid: texts[cid] for cid in contexts}
-                except KeyError as exc:
-                    raise StoreCorruptError(f"graph node {node_id} context {exc} names no stored chunk") from exc
+                unknown = [cid for cid in contexts if cid not in chunk_texts]
+                if unknown:
+                    raise StoreCorruptError(f"graph node {node_id} context {unknown[0]!r} names no stored chunk")
+                graph._nodes[node_id].contexts = list(dict.fromkeys(contexts))
             graph._edges = set(map(_as_edge, map(_edge_fields, obj["edges"])))
         except (KeyError, TypeError) as exc:
             raise StoreCorruptError(f"malformed graph export: {exc}") from exc
@@ -327,7 +314,7 @@ class KnowledgeGraph:
         return graph
 
     @classmethod
-    def load_json(cls, path: str | Path, chunk_texts: dict[str, str] | None = None) -> "KnowledgeGraph":
+    def load_json(cls, path: str | Path, chunk_texts: dict[str, str]) -> "KnowledgeGraph":
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:

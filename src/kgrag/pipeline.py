@@ -14,7 +14,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .chunking import Chunk, ChunkerConfig, SemanticChunk, semantic_split, token_window_split, window_distances
-from .corpus import Document, load_corpus, split_sentences, tokenize
+from .corpus import Document, load_corpus, split_sentences
 from .embedding import HashedEmbedder, ProviderConfig, RemoteEmbedder, make_embedder
 from .evaluation import EvalRecord
 from .exceptions import InputError, StoreCorruptError
@@ -90,15 +90,20 @@ class StoreManifest:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "StoreManifest":
         try:
-            config = obj["config"]
+            config, counts = obj["config"], obj["counts"]
+            for key, kind in (("format_version", int), ("corpus_fingerprint", str), ("counts", dict)):
+                if type(obj[key]) is not kind:
+                    raise TypeError(f"{key!r} must be {kind.__name__}, got {type(obj[key]).__name__}")
+            if not {*map(type, counts.values())} <= {int}:
+                raise TypeError(f"'counts' values must be int, got {counts!r}")
             return cls(
-                format_version=int(obj["format_version"]),
-                corpus_fingerprint=str(obj["corpus_fingerprint"]),
+                format_version=obj["format_version"],
+                corpus_fingerprint=obj["corpus_fingerprint"],
                 chunker=make_config(ChunkerConfig, config["chunker"]),
                 provider=make_config(ProviderConfig, config["provider"]),
                 extractor=make_config(ExtractorConfig, config["extractor"]),
                 query=make_config(QueryConfig, config["query"]),
-                counts=dict(obj["counts"]),
+                counts=counts,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreCorruptError(f"invalid manifest: {exc}") from exc
@@ -184,13 +189,11 @@ def build_store(
         vectors.seal()
         vectors.save(out / VECTORS_FILE)
 
-        graph = KnowledgeGraph()
+        # The texts open_store rebuilds, so a built graph equals its reload.
+        graph = KnowledgeGraph(reconstruct_parent_texts(all_chunks))
         for sem in all_semantic:
-            # Snippets are stored whitespace-canonical so a reloaded store can
-            # reconstruct them exactly from the token chunks (see open_store).
-            snippet = " ".join(tokenize(sem.text))
             for triple in extractor.triples(sem.text, provenance=sem.chunk_id):
-                graph.upsert_triple(triple, context_snippet=snippet)
+                graph.upsert_triple(triple)
         graph.seal()
         graph.export(out / GRAPH_FILE, "json")
 
@@ -247,11 +250,13 @@ def reconstruct_parent_texts(chunks: list[Chunk]) -> dict[str, str]:
 
     Spans must be integers and texts strings, and a parent's token windows,
     in span order, must tile it: the first starts at token 0 and each later
-    one at or before the end covered so far, else the store is corrupt. The first window's text is kept whole; from each
-    later one only the part after the overlap, ``text.split(" ", skip)[skip]``
-    with ``skip = covered - start``, is appended. Joined with single spaces
-    this is the space-joined token sequence the snippets were stored as, the
-    same string as splitting every window into tokens and re-joining them.
+    one at or before the end covered so far, else the store is corrupt. The
+    first window's text is kept whole; from each later one only the part
+    after the overlap, ``text.split(" ", skip)[skip]`` with ``skip = covered
+    - start``, is appended. The pieces joined with single spaces are the
+    semantic chunk's tokens joined the same way, as if every window were
+    split into tokens and re-joined. Build and open both take the graph's
+    ``chunk_id -> text`` map from here.
     """
     by_parent: dict[str, list[Chunk]] = {}
     for chunk in chunks:
@@ -313,8 +318,7 @@ def open_store(store_dir: str | Path) -> Store:
             f"manifest counts {manifest.counts.get('chunks')} chunks but {VECTORS_FILE} "
             f"holds {len(vectors)}"
         )
-    chunks = [vectors.metadata[cid] for cid in vectors.chunk_ids]
-    graph = KnowledgeGraph.load_json(path / GRAPH_FILE, reconstruct_parent_texts(chunks))
+    graph = KnowledgeGraph.load_json(path / GRAPH_FILE, reconstruct_parent_texts(list(vectors.metadata.values())))
     return Store(path=path, manifest=manifest, vectors=vectors, graph=graph)
 
 

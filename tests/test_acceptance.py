@@ -178,9 +178,9 @@ def test_criterion_05_top_k_matches_brute_force():
 
 
 def test_criterion_06_multi_hop_reaches_far_edge():
-    graph = KnowledgeGraph()
-    graph.upsert_triple(Triple("alphaville", "supplies", "boulderton", "c0"), "ctx ab")
-    graph.upsert_triple(Triple("boulderton", "supplies", "cascadia", "c1"), "ctx bc")
+    graph = KnowledgeGraph({"c0": "ctx ab", "c1": "ctx bc"})
+    graph.upsert_triple(Triple("alphaville", "supplies", "boulderton", "c0"))
+    graph.upsert_triple(Triple("boulderton", "supplies", "cascadia", "c1"))
     graph.seal()
     question = "What is Alphaville?"
 

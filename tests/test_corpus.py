@@ -41,6 +41,10 @@ class TestLoadCorpus:
         assert [d.doc_id for d in docs] == ["x1", "x2", "x3"]
         assert all("jsonl:" in d.source for d in docs)
 
+    def test_jsonl_integer_ids_become_strings(self, tmp_path):
+        (tmp_path / "corpus.jsonl").write_text('{"id": 7, "text": "first"}\n{"id": "x", "text": "second"}\n')
+        assert [d.doc_id for d in load_corpus(tmp_path)] == ["7", "x"]
+
     def test_empty_directory_is_empty_list(self, tmp_path):
         assert load_corpus(tmp_path) == []
 

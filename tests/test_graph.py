@@ -21,27 +21,27 @@ def triple(s: str, r: str, o: str, prov: str = "c0") -> Triple:
 
 
 def chain_graph() -> KnowledgeGraph:
-    graph = KnowledgeGraph()
-    graph.upsert_triple(triple("a", "r1", "b"), "ctx-ab")
-    graph.upsert_triple(triple("b", "r2", "c", prov="c1"), "ctx-bc")
+    graph = KnowledgeGraph({"c0": "ctx-ab", "c1": "ctx-bc"})
+    graph.upsert_triple(triple("a", "r1", "b"))
+    graph.upsert_triple(triple("b", "r2", "c", prov="c1"))
     graph.seal()
     return graph
 
 
 class TestUpsert:
     def test_shared_subject_merges(self):
-        graph = KnowledgeGraph()
-        graph.upsert_triple(triple("rome", "capital_of", "italy"), "s")
-        graph.upsert_triple(triple("Rome", "hosts", "vatican"), "s")
+        graph = KnowledgeGraph({"c0": "s"})
+        graph.upsert_triple(triple("rome", "capital_of", "italy"))
+        graph.upsert_triple(triple("Rome", "hosts", "vatican"))
         graph.seal()
         assert len(graph) == 3  # rome, italy, vatican
         assert graph.edge_count == 2
         assert graph.node(0).name == "rome"  # first surface seen wins
 
     def test_identical_triple_dedup(self):
-        graph = KnowledgeGraph()
+        graph = KnowledgeGraph({"c0": "ctx"})
         for _ in range(2):
-            graph.upsert_triple(triple("a", "r", "b"), "ctx")
+            graph.upsert_triple(triple("a", "r", "b"))
         assert graph.edge_count == 1
 
     def test_chain_counts(self):
@@ -50,24 +50,26 @@ class TestUpsert:
         assert graph.edge_count == 2
 
     def test_empty_endpoint_rejected(self):
-        graph = KnowledgeGraph()
+        graph = KnowledgeGraph({"c0": "ctx"})
         with pytest.raises(ValueError):
-            graph.upsert_triple(triple("", "r", "b"), "ctx")
+            graph.upsert_triple(triple("", "r", "b"))
         with pytest.raises(ValueError):
-            graph.upsert_triple(triple("a", "r", "  "), "ctx")
+            graph.upsert_triple(triple("a", "r", "  "))
 
     def test_context_dedup_by_chunk_id(self):
-        graph = KnowledgeGraph()
-        graph.upsert_triple(triple("a", "r", "b", prov="c0"), "snippet one")
-        graph.upsert_triple(triple("a", "r2", "b", prov="c0"), "snippet one")
-        graph.upsert_triple(triple("a", "r3", "b", prov="c1"), "snippet two")
+        graph = KnowledgeGraph({"c0": "snippet one", "c1": "snippet two"})
+        graph.upsert_triple(triple("a", "r", "b", prov="c0"))
+        graph.upsert_triple(triple("a", "r2", "b", prov="c0"))
+        graph.upsert_triple(triple("a", "r3", "b", prov="c1"))
         assert list(graph.node(0).contexts) == ["c0", "c1"]
-        assert graph.node(0).contexts == {"c0": "snippet one", "c1": "snippet two"}
+        graph.seal()
+        text = graph.render_subgraph(graph.neighborhood({0}, hops=1))
+        assert text.endswith("Contexts:\n- snippet one\n- snippet two")
 
     def test_upsert_after_seal_rejected(self):
         graph = chain_graph()
         with pytest.raises(ValueError, match="sealed"):
-            graph.upsert_triple(triple("x", "r", "y"), "ctx")
+            graph.upsert_triple(triple("x", "r", "y"))
 
     def test_build_order_insensitive_node_and_edge_sets(self):
         triples = [
@@ -80,9 +82,9 @@ class TestUpsert:
         for seed in range(4):
             shuffled = triples[:]
             random.Random(seed).shuffle(shuffled)
-            graph = KnowledgeGraph()
+            graph = KnowledgeGraph({"c0": "ctx"})
             for t in shuffled:
-                graph.upsert_triple(t, "ctx")
+                graph.upsert_triple(t)
             graph.seal()
             names = {graph.node(i).name for i in range(len(graph))}
             obj = graph.to_json_obj()
@@ -99,9 +101,9 @@ class TestUpsert:
 
 class TestMatchEntities:
     def graph(self) -> KnowledgeGraph:
-        graph = KnowledgeGraph()
-        graph.upsert_triple(triple("Italy", "has_region", "Tuscany"), "ctx")
-        graph.upsert_triple(triple("Italian Cuisine", "uses", "Olive Oil"), "ctx")
+        graph = KnowledgeGraph({"c0": "ctx"})
+        graph.upsert_triple(triple("Italy", "has_region", "Tuscany"))
+        graph.upsert_triple(triple("Italian Cuisine", "uses", "Olive Oil"))
         graph.seal()
         return graph
 
@@ -110,8 +112,8 @@ class TestMatchEntities:
         assert graph.match_entities([mention("Italy")]) == {0}
 
     def test_unique_prefix(self):
-        graph = KnowledgeGraph()
-        graph.upsert_triple(triple("italy", "r", "france"), "ctx")
+        graph = KnowledgeGraph({"c0": "ctx"})
+        graph.upsert_triple(triple("italy", "r", "france"))
         graph.seal()
         assert graph.match_entities([mention("Ital")]) == {0}
 
@@ -120,14 +122,14 @@ class TestMatchEntities:
         assert graph.match_entities([mention("Ital")]) == set()
 
     def test_node_prefix_of_mention(self):
-        graph = KnowledgeGraph()
-        graph.upsert_triple(triple("parmigiano", "r", "parma"), "ctx")
+        graph = KnowledgeGraph({"c0": "ctx"})
+        graph.upsert_triple(triple("parmigiano", "r", "parma"))
         graph.seal()
         assert graph.match_entities([mention("parmigiano reggiano wheel")]) == {0}
 
     def test_short_prefix_rejected(self):
-        graph = KnowledgeGraph()
-        graph.upsert_triple(triple("italy", "r", "france"), "ctx")
+        graph = KnowledgeGraph({"c0": "ctx"})
+        graph.upsert_triple(triple("italy", "r", "france"))
         graph.seal()
         assert graph.match_entities([mention("it")]) == set()
 
@@ -149,9 +151,9 @@ def linear_scan_match(graph: KnowledgeGraph, m: str) -> set[int]:
 
 
 def graph_of_names(names: list[str]) -> KnowledgeGraph:
-    graph = KnowledgeGraph()
+    graph = KnowledgeGraph({"c0": "ctx"})
     for name in names:
-        graph.upsert_triple(triple(name, "r", name), "ctx")
+        graph.upsert_triple(triple(name, "r", name))
     graph.seal()
     return graph
 
@@ -207,12 +209,12 @@ class TestNeighborhood:
         assert not sub.nodes and not sub.edges
 
     def test_monotone_in_hops(self):
-        graph = KnowledgeGraph()
+        graph = KnowledgeGraph({"c0": "ctx"})
         rng = random.Random(2)
         names = [f"n{i}" for i in range(20)]
         for _ in range(30):
             a, b = rng.sample(names, 2)
-            graph.upsert_triple(triple(a, "rel", b), "ctx")
+            graph.upsert_triple(triple(a, "rel", b))
         graph.seal()
         for h in range(1, 4):
             smaller = set(graph.neighborhood({0}, hops=h, max_nodes=10_000).nodes)
@@ -230,9 +232,9 @@ class TestNeighborhood:
             chain_graph().neighborhood({0}, **kwargs)
 
     def test_max_nodes_admits_ascending_ids(self):
-        graph = KnowledgeGraph()
+        graph = KnowledgeGraph({"c0": "ctx"})
         for leaf in ("m", "k", "z", "b", "q"):
-            graph.upsert_triple(triple("hub", "points_to", leaf), "ctx")
+            graph.upsert_triple(triple("hub", "points_to", leaf))
         graph.seal()
         sub = graph.neighborhood({0}, hops=1, max_nodes=3)
         # hub is node 0; leaves get ids 1.. in insertion order; lowest ids win
@@ -279,6 +281,9 @@ small_triples = st.lists(
     max_size=30,
 )
 
+# Node n0 takes chunk c0, then c1, then c0 again through another edge.
+OUT_OF_ORDER_REPEAT = [("n0", "r1", "n1", "c0"), ("n0", "r1", "n2", "c1"), ("n1", "r2", "n0", "c0")]
+
 
 class TestNeighborhoodReference:
     @settings(max_examples=200, deadline=None)
@@ -288,16 +293,18 @@ class TestNeighborhoodReference:
         st.integers(1, 3),
         st.integers(1, 10),
     )
+    @example(OUT_OF_ORDER_REPEAT, {0}, 2, 10)
     def test_matches_adjacency_bfs_and_full_edge_scan(self, triples, seeds, hops, max_nodes):
-        graph = KnowledgeGraph()
+        texts = {f"c{i}": f"ctx c{i}" for i in range(3)}
+        graph = KnowledgeGraph(texts)
         for s, r, o, prov in triples:
-            graph.upsert_triple(triple(s, r, o, prov), f"ctx {prov}")
+            graph.upsert_triple(triple(s, r, o, prov))
         graph.seal()
         graph.seal()  # sealing twice must not change the incident lists
         loops = sum(e.source == e.target for e in graph._edges)
         assert sum(map(len, graph._incident)) == 2 * graph.edge_count - loops
         seeds = {seed for seed in seeds if seed < len(graph)}
-        loaded = KnowledgeGraph.from_json_obj(graph.to_json_obj(), {f"c{i}": f"ctx c{i}" for i in range(3)})
+        loaded = KnowledgeGraph.from_json_obj(graph.to_json_obj(), texts)
         for g in (graph, loaded):
             sub = g.neighborhood(seeds, hops=hops, max_nodes=max_nodes)
             ref = reference_neighborhood(g, seeds, hops, max_nodes)
@@ -313,8 +320,8 @@ class TestRender:
         assert graph.render_subgraph(graph.neighborhood(set(), hops=1)) == ""
 
     def test_single_edge_format(self):
-        graph = KnowledgeGraph()
-        graph.upsert_triple(triple("rome", "capital_of", "italy"), "rome is the capital")
+        graph = KnowledgeGraph({"c0": "rome is the capital"})
+        graph.upsert_triple(triple("rome", "capital_of", "italy"))
         graph.seal()
         text = graph.render_subgraph(graph.neighborhood({0}, hops=1))
         assert "rome -[capital_of]-> italy" in text
@@ -327,16 +334,16 @@ class TestRender:
         assert graph.render_subgraph(sub) == graph.render_subgraph(sub)
 
     def test_shared_snippet_rendered_once(self):
-        graph = KnowledgeGraph()
-        graph.upsert_triple(triple("a", "r", "b"), "the shared snippet")
+        graph = KnowledgeGraph({"c0": "the shared snippet"})
+        graph.upsert_triple(triple("a", "r", "b"))
         graph.seal()
         text = graph.render_subgraph(graph.neighborhood({0}, hops=1))
         assert text.count("the shared snippet") == 1
 
     def test_edges_sorted_by_hop_then_name(self):
-        graph = KnowledgeGraph()
-        graph.upsert_triple(triple("z", "r1", "m"), "c")
-        graph.upsert_triple(triple("m", "r2", "a"), "c")
+        graph = KnowledgeGraph({"c0": "c"})
+        graph.upsert_triple(triple("z", "r1", "m"))
+        graph.upsert_triple(triple("m", "r2", "a"))
         graph.seal()
         text = graph.render_subgraph(graph.neighborhood({0}, hops=2))  # z is node 0
         lines = [l for l in text.splitlines() if "-[" in l]
@@ -348,7 +355,7 @@ class TestExport:
         graph = chain_graph()
         path = tmp_path / "graph.json"
         graph.export(path, "json")
-        loaded = KnowledgeGraph.load_json(path)
+        loaded = KnowledgeGraph.load_json(path, {"c0": "ctx-ab", "c1": "ctx-bc"})
         assert {loaded.node(i).name for i in range(len(loaded))} == {graph.node(i).name for i in range(len(graph))}
         assert loaded.to_json_obj() == graph.to_json_obj()
 
@@ -357,10 +364,11 @@ class TestExport:
         path = tmp_path / "graph.json"
         graph.export(path, "json")
         loaded = KnowledgeGraph.load_json(path, {"c0": "ctx-ab", "c1": "ctx-bc"})
-        assert loaded.node(0).contexts == {"c0": "ctx-ab"}
+        assert loaded.node(0).contexts == ["c0"]
+        assert loaded.render_subgraph(loaded.neighborhood({0}, hops=1, max_nodes=1)) == "Contexts:\n- ctx-ab"
 
     def test_empty_graph_exports(self, tmp_path):
-        graph = KnowledgeGraph()
+        graph = KnowledgeGraph({})
         graph.seal()
         for fmt in ("json", "dot"):
             graph.export(tmp_path / f"g.{fmt}", fmt)
@@ -368,8 +376,8 @@ class TestExport:
         assert obj == {"nodes": [], "edges": []}
 
     def test_dot_structure(self, tmp_path):
-        graph = KnowledgeGraph()
-        graph.upsert_triple(triple('we"ird', "rel", "plain"), "ctx")
+        graph = KnowledgeGraph({"c0": "ctx"})
+        graph.upsert_triple(triple('we"ird', "rel", "plain"))
         graph.seal()
         path = tmp_path / "g.dot"
         graph.export(path, "dot")
@@ -393,7 +401,7 @@ class TestExport:
         path = tmp_path / "graph.json"
         path.write_text('{"nodes": "nope"}')
         with pytest.raises(StoreCorruptError):
-            KnowledgeGraph.load_json(path)
+            KnowledgeGraph.load_json(path, {})
 
     def test_unknown_format_rejected(self, tmp_path):
         graph = chain_graph()
@@ -434,13 +442,18 @@ class TestJsonTemplate:
     @example({"nodes": [{"id": 0, "name": '"q"\\\u2028\u2029\x00🍕', "contexts": ["c\n0"]}],
               "edges": [{"source": 0, "target": 0, "relation": "\u2029", "provenance": "\\"}]})
     def test_equals_indent_dumps(self, obj):
-        graph = KnowledgeGraph.from_json_obj(obj)
+        graph = KnowledgeGraph.from_json_obj(obj, context_texts(obj))
         assert graph.to_json_text() == json.dumps(graph.to_json_obj(), ensure_ascii=False, indent=2) + "\n"
 
     def test_export_writes_the_template(self, tmp_path):
         graph = chain_graph()
         graph.export(tmp_path / "g.json", "json")
         assert (tmp_path / "g.json").read_text(encoding="utf-8") == graph.to_json_text()
+
+
+def context_texts(obj: dict) -> dict[str, str]:
+    """A text for every context id the export-shaped ``obj`` names."""
+    return {cid: f"text of {cid}" for node in obj["nodes"] for cid in node["contexts"]}
 
 
 def valid_graph_object() -> dict:
@@ -463,7 +476,7 @@ def incident_reference(graph: KnowledgeGraph) -> list[list[Edge]]:
 class TestLoadIncidentLists:
     @given(graph_objects())
     def test_loaded_lists_equal_seal_derivation(self, obj):
-        loaded = KnowledgeGraph.from_json_obj(obj)
+        loaded = KnowledgeGraph.from_json_obj(obj, context_texts(obj))
         assert loaded._incident == incident_reference(loaded)
 
     def test_mini_store_lists_equal_seal_derivation(self, mini_store):
@@ -474,7 +487,7 @@ class TestLoadIncidentLists:
 
 class TestLoadTypes:
     def test_valid_object_loads(self):
-        assert KnowledgeGraph.from_json_obj(valid_graph_object()).edge_count == 1
+        assert KnowledgeGraph.from_json_obj(valid_graph_object(), {"c0": "ctx"}).edge_count == 1
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -496,20 +509,119 @@ class TestLoadTypes:
         obj = valid_graph_object()
         obj[section][0][key] = value
         with pytest.raises(StoreCorruptError):
-            KnowledgeGraph.from_json_obj(obj)
+            KnowledgeGraph.from_json_obj(obj, {"c0": "ctx"})
 
     def test_context_naming_no_chunk_is_corrupt(self):
         with pytest.raises(StoreCorruptError, match="'c0' names no stored chunk"):
             KnowledgeGraph.from_json_obj(valid_graph_object(), {"c1": "other"})
 
-    def test_contexts_without_chunk_texts_are_empty(self):
-        assert KnowledgeGraph.from_json_obj(valid_graph_object()).node(0).contexts == {"c0": ""}
-
     def test_bad_edge_fails_seal_and_leaves_it_unsealed(self):
-        graph = KnowledgeGraph()
-        graph.upsert_triple(triple("a", "r", "b"), "ctx")
+        graph = KnowledgeGraph({"c0": "ctx"})
+        graph.upsert_triple(triple("a", "r", "b"))
         graph._edges.add(Edge(0, 2, "r", "c0"))
         with pytest.raises(ValueError, match="not a node id"):
             graph.seal()
         with pytest.raises(ValueError, match="sealed"):
             graph.match_entities([mention("a")])
+
+
+def snippet_dicts(triples: list[Triple], texts: dict[str, str]) -> tuple[list[str], list[dict[str, str]], set[Edge]]:
+    """Node names, per-node ``chunk_id -> snippet`` dicts and edges, filled as upserts did with snippet dicts.
+
+    The graph once kept a snippet dict per node: each upsert resolved both
+    endpoints by normalized name (first surface wins) and called
+    ``setdefault(provenance, snippet)`` on each endpoint's dict.
+    """
+    ids: dict[str, int] = {}
+    names: list[str] = []
+    contexts: list[dict[str, str]] = []
+    edges: set[Edge] = set()
+    for t in triples:
+        endpoints = []
+        for surface in (t.subject, t.object):
+            normalized = normalize_entity(surface)
+            if normalized not in ids:
+                ids[normalized] = len(names)
+                names.append(surface)
+                contexts.append({})
+            endpoints.append(ids[normalized])
+        edges.add(Edge(endpoints[0], endpoints[1], t.relation, t.provenance))
+        for node_id in endpoints:
+            contexts[node_id].setdefault(t.provenance, texts[t.provenance])
+    return names, contexts, edges
+
+
+def snippet_dict_render(sub: Subgraph, names: list[str], contexts: list[dict[str, str]]) -> str:
+    """The render over snippet dicts: edge lines, then (name, chunk id, snippet) sorted, each chunk once."""
+    if not sub.nodes:
+        return ""
+    edge_lines = sorted((sub.hop_of[e.source], names[e.source], e.relation, names[e.target]) for e in sub.edges)
+    lines = [f"{source} -[{relation}]-> {target}" for _, source, relation, target in edge_lines]
+    snippets: list[tuple[str, str, str]] = []
+    for node_id in sub.nodes:
+        for chunk_id, snippet in contexts[node_id].items():
+            snippets.append((names[node_id], chunk_id, snippet))
+    seen_chunks: set[str] = set()
+    context_lines = []
+    for _, chunk_id, snippet in sorted(snippets, key=lambda t: (t[0], t[1])):
+        if chunk_id in seen_chunks:
+            continue
+        seen_chunks.add(chunk_id)
+        context_lines.append(f"- {snippet}")
+    if context_lines:
+        if lines:
+            lines.append("")
+        lines.append("Contexts:")
+        lines.extend(context_lines)
+    return "\n".join(lines)
+
+
+def snippet_dict_json(names: list[str], contexts: list[dict[str, str]], edges: set[Edge]) -> str:
+    obj = {
+        "nodes": [{"id": i, "name": name, "contexts": list(contexts[i])} for i, name in enumerate(names)],
+        "edges": [
+            {"source": e.source, "target": e.target, "relation": e.relation, "provenance": e.provenance}
+            for e in sorted(edges)
+        ],
+    }
+    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+
+
+CHUNK_IDS = [f"c{i}" for i in range(4)]
+reference_triples = st.lists(
+    st.tuples(
+        st.sampled_from(["alpha", "Alpha", "beta", "Beta.", "gamma", "delta", "eps"]),
+        st.sampled_from(["r1", "r2"]),
+        st.sampled_from(["alpha", "beta", "BETA", "gamma", "delta", "eps"]),
+        st.sampled_from(CHUNK_IDS),  # ids repeat in any order, not only back to back
+    ),
+    min_size=1,
+    max_size=30,
+)
+chunk_texts = st.tuples(*[AWKWARD_TEXT] * len(CHUNK_IDS)).map(
+    lambda drawn: {cid: f"{cid}: {text}" for cid, text in zip(CHUNK_IDS, drawn)}
+)
+
+
+class TestSnippetDictReference:
+    @settings(max_examples=200, deadline=None)
+    @given(reference_triples, chunk_texts, st.sets(st.integers(0, 6), max_size=3), st.integers(1, 3), st.integers(1, 10))
+    @example(OUT_OF_ORDER_REPEAT, {cid: f"text {cid}" for cid in CHUNK_IDS}, {0}, 1, 10)
+    @example([("a", "r", "b", "c1"), ("c", "r", "a", "c0"), ("a", "r2", "b", "c1")], {"c0": "x", "c1": "x"}, {1}, 2, 3)
+    def test_render_and_export_equal_snippet_dicts(self, rows, texts, seeds, hops, max_nodes):
+        triples = [triple(*row) for row in rows]
+        names, contexts, edges = snippet_dicts(triples, texts)
+        built = KnowledgeGraph(texts)
+        for t in triples:
+            built.upsert_triple(t)
+        built.seal()
+        loaded = KnowledgeGraph.from_json_obj(json.loads(built.to_json_text()), texts)
+        seeds = {seed for seed in seeds if seed < len(names)}
+        for graph in (built, loaded):
+            assert graph.to_json_text() == snippet_dict_json(names, contexts, edges)
+            for sub in (
+                graph.neighborhood(seeds, hops=hops, max_nodes=max_nodes),
+                graph.neighborhood(set(range(len(graph))), hops=1, max_nodes=len(graph)),
+            ):
+                assert graph.render_subgraph(sub) == snippet_dict_render(sub, names, contexts)
+

@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
+import kgrag
 from kgrag.chunking import Chunk, ChunkerConfig, build_windows
 from kgrag.cli import main
 from kgrag.corpus import Document, load_corpus, split_sentences
@@ -215,6 +219,27 @@ class TestCmdIndex:
         code = main(["index", "--corpus", str(tmp_path / "nope"), "--out", str(tmp_path / "s")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            '{"id": 1, "text": null}',
+            '{"id": "d", "text": ["Rome is old."]}',
+            '{"id": "d", "text": 5}',
+            '{"id": true, "text": "Rome is old."}',
+            '{"id": 1.5, "text": "Rome is old."}',
+            '{"id": null, "text": "Rome is old."}',
+            '{"id": ["d"], "text": "Rome is old."}',
+        ],
+        ids=["text-null", "text-list", "text-int", "id-bool", "id-float", "id-null", "id-list"],
+    )
+    def test_jsonl_field_of_wrong_type_exit_2(self, tmp_path, capsys, line):
+        corpus = tmp_path / "docs.jsonl"
+        corpus.write_text('{"id": "ok", "text": "Naples is warm."}\n' + line + "\n", encoding="utf-8")
+        out = tmp_path / "store"
+        assert main(["index", "--corpus", str(corpus), "--out", str(out)]) == 2
+        assert f"error: malformed JSONL in {corpus} line 2: 'id' must be" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_deterministic_artifacts(self, tmp_path):
         corpus = write_corpus(tmp_path)
@@ -447,6 +472,42 @@ class TestCmdQuery:
         manifest_path.write_text(json.dumps(manifest))
         assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
         assert f"error: corrupt store: invalid manifest: {key!r} must be" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key, bad",
+        [
+            ("format_version", lambda manifest: 1.9),
+            ("format_version", lambda manifest: "1"),
+            ("format_version", lambda manifest: True),
+            ("corpus_fingerprint", lambda manifest: 5),
+            ("counts", lambda manifest: list(manifest["counts"].items())),
+            ("counts", lambda manifest: {**manifest["counts"], "nodes": "3"}),
+            ("counts", lambda manifest: {**manifest["counts"], "edges": True}),
+        ],
+        ids=["version-float", "version-str", "version-bool", "fingerprint-int", "counts-list", "count-str",
+             "count-bool"],
+    )
+    def test_manifest_field_of_wrong_type_exit_3(self, store_dir, capsys, key, bad):
+        manifest_path = store_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest[key] = bad(manifest)
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: corrupt store: invalid manifest: {key!r}" in captured.err
+
+    def test_reader_closing_stdout_early_exits_0(self, mini_store_dir):
+        src = Path(kgrag.__file__).parents[1]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+        argv = [sys.executable, "-m", "kgrag", "query", "--store", str(mini_store_dir), "--json",
+                "--question", "Which cheese goes into Carbonara?"]
+        child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        child.stdout.close()  # as `kgrag query ... | head -1` does once it has its line
+        err = child.stderr.read().decode()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 0, err
+        assert err == ""
 
     @pytest.mark.parametrize(
         "field, value", [(("config", "provider", "dimension"), 128), (("counts", "chunks"), 1)]

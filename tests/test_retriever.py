@@ -43,15 +43,15 @@ def make_store(texts: dict[str, str]) -> VectorStore:
 
 
 def make_graph(triples: list[tuple[str, str, str]], snippet: str = "ctx") -> KnowledgeGraph:
-    graph = KnowledgeGraph()
+    graph = KnowledgeGraph({f"{s}-{o}": snippet for s, _, o in triples})
     for s, r, o in triples:
-        graph.upsert_triple(Triple(subject=s, relation=r, object=o, provenance=f"{s}-{o}"), snippet)
+        graph.upsert_triple(Triple(subject=s, relation=r, object=o, provenance=f"{s}-{o}"))
     graph.seal()
     return graph
 
 
 def empty_graph() -> KnowledgeGraph:
-    graph = KnowledgeGraph()
+    graph = KnowledgeGraph({})
     graph.seal()
     return graph
 
