@@ -63,7 +63,7 @@ def main() -> int:
         for sem in semantic_split(doc_id, sentences, distances, config) if sentences else []:
             pieces = token_window_split(sem, config.chunk_size, config.overlap)
             start, end = sem.sentence_span
-            preview = sem.text[:70].replace("\n", " ")
+            preview = " ".join(sem.sentences)[:70].replace("\n", " ")
             print(f"   chunk {sem.chunk_id}: sentences [{start}, {end}], {len(pieces)} token windows")
             print(f"      {preview}...")
         print()

@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import tokenize
 from .embedding import HashedEmbedder, cosine_rows, hashed_window_rows
 from .exceptions import ProviderError, StoreCorruptError
 
@@ -43,12 +42,12 @@ class ChunkerConfig:
 
 @dataclass(frozen=True)
 class SemanticChunk:
-    """A contiguous run of sentences forming one coherent unit."""
+    """A contiguous run of a document's sentences, its only text, forming one coherent unit."""
 
     chunk_id: str
     doc_id: str
     sentence_span: tuple[int, int]  # inclusive
-    text: str
+    sentences: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -153,7 +152,7 @@ def semantic_split(doc_id: str, sentences: list[str], distances: list[float], co
                 chunk_id=f"{doc_id}#s{seq}",
                 doc_id=doc_id,
                 sentence_span=span,
-                text=" ".join(sentences[start : boundary + 1]),
+                sentences=tuple(sentences[start : boundary + 1]),
             )
         )
         start = boundary + 1
@@ -161,14 +160,14 @@ def semantic_split(doc_id: str, sentences: list[str], distances: list[float], co
 
 
 def token_window_split(semantic_chunk: SemanticChunk, chunk_size: int, overlap: int) -> list[Chunk]:
-    """Fixed-stride token windows over one semantic chunk.
+    """Fixed-stride token windows over one semantic chunk's space-joined sentences.
 
     Chunk j covers tokens [j*stride, j*stride + chunk_size) clipped to the
     end; emission stops as soon as the final token is covered.
     """
     if not 0 <= overlap < chunk_size:
         raise ValueError("overlap must satisfy 0 <= overlap < chunk_size")
-    tokens = tokenize(semantic_chunk.text)
+    tokens = " ".join(semantic_chunk.sentences).split()
     total = len(tokens)
     if total == 0:
         return []

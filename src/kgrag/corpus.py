@@ -25,7 +25,9 @@ ABBREVIATIONS = frozenset(
     {"Mr.", "Mrs.", "Dr.", "e.g.", "i.e.", "etc.", "vs.", "Fig.", "Eq."}
 )
 
-_TERMINATOR_RE = re.compile(r"[.?!]+(?=\s|$)")
+# A whole word (preceded by whitespace or the start) that ends in [.?!] before
+# whitespace or the end, so the abbreviation check needs no backward search.
+_TERMINATOR_RE = re.compile(r"(?<!\S)\S*[.?!](?=\s|$)")
 _PARAGRAPH_RE = re.compile(r"\n[ \t]*\n+")
 
 
@@ -133,12 +135,9 @@ def split_sentences(text: str) -> list[str]:
     for paragraph in _PARAGRAPH_RE.split(text):
         start = 0
         for match in _TERMINATOR_RE.finditer(paragraph):
-            end = match.end()
-            word_start = max(
-                paragraph.rfind(" ", 0, end), paragraph.rfind("\n", 0, end), paragraph.rfind("\t", 0, end)
-            ) + 1
-            if paragraph[word_start:end] in ABBREVIATIONS:
+            if match.group() in ABBREVIATIONS:
                 continue
+            end = match.end()
             fragment = paragraph[start:end].strip()
             if fragment:
                 sentences.append(fragment)
@@ -148,3 +147,9 @@ def split_sentences(text: str) -> list[str]:
             sentences.append(tail)
     return sentences
 
+
+def string_list(items: list[str], name: str) -> list[str]:
+    """``items`` itself; a bare ``str`` would be read as one item per character."""
+    if isinstance(items, str):
+        raise TypeError(f"{name} must be a list of strings, not a str")
+    return items

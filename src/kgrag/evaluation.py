@@ -26,7 +26,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import split_sentences
+from .corpus import split_sentences, string_list
 from .embedding import cosine_similarity
 from .exceptions import InputError, ProviderError
 from .lexical import content_tokens, coverage
@@ -69,13 +69,6 @@ def split_statements(text: str) -> list[str]:
     return split_sentences(text)
 
 
-def _context_list(contexts: list[str]) -> list[str]:
-    """``contexts`` itself; a bare ``str`` would be read as one context per character."""
-    if isinstance(contexts, str):
-        raise TypeError("contexts must be a list of strings, not a str")
-    return contexts
-
-
 class LexicalJudge:
     """Deterministic overlap judge; the offline stand-in for an LLM judge.
 
@@ -103,7 +96,7 @@ class LexicalJudge:
         A statement without content tokens is unsupported.
         """
         kept = self._context_tokens
-        if any(c not in kept for c in _context_list(contexts)):
+        if any(c not in kept for c in string_list(contexts, "contexts")):
             kept = {c: kept[c] if c in kept else content_tokens(c) for c in dict.fromkeys(contexts)}
             self._context_tokens = kept
         reference = set().union(*(kept[c] for c in contexts))
@@ -120,7 +113,7 @@ class RemoteJudge:
 
     def supported(self, statements: list[str], contexts: list[str]) -> Iterator[bool]:
         """One chat call per statement, made only when its verdict is consumed."""
-        context = " ".join(_context_list(contexts))
+        context = " ".join(string_list(contexts, "contexts"))
         return (self._verdict(statement, context) for statement in statements)
 
     def _verdict(self, statement: str, context: str) -> bool:

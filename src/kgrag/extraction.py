@@ -1,11 +1,13 @@
 """Entity and relationship extraction: rule-based and remote LLM paths.
 
+Triples come from a list of sentences, a semantic chunk's, never split again.
 The rule extractor is deterministic: capitalized token runs become entity
 mentions, and consecutive mention pairs in a sentence become triples whose
 relation is the (short) token gap between them. The remote extractor sends
-a fixed prompt to a chat endpoint and parses strict-JSON triples, with one
-repair retry. Both expose the same interface so the indexing pipeline and
-query-time NER do not care which one they got.
+the space-joined sentences in a fixed prompt to a chat endpoint and parses
+strict-JSON triples, with one repair retry; it skips items whose fields are
+not all strings. Both expose the same interface so the indexing pipeline
+and query-time NER do not care which one they got.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import logging
 import re
 from dataclasses import dataclass
 
-from .corpus import split_sentences, tokenize
+from .corpus import split_sentences, string_list, tokenize
 from .exceptions import ProviderError
 from .lexical import strip_edge_punctuation
 from .remote import ChatClient
@@ -147,11 +149,9 @@ class RuleExtractor:
                     mentions.append(m)
         return mentions
 
-    def triples(self, text: str, provenance: str = "") -> list[Triple]:
-        out: list[Triple] = []
-        for sentence in split_sentences(text):
-            out.extend(extract_triples_rule(sentence, provenance))
-        return out
+    def triples(self, sentences: list[str], provenance: str = "") -> list[Triple]:
+        """The triples of each sentence in turn; ``sentences`` are not split again."""
+        return [t for sentence in string_list(sentences, "sentences") for t in extract_triples_rule(sentence, provenance)]
 
 
 def extract_triples_remote(text: str, client: ChatClient, provenance: str = "") -> list[Triple]:
@@ -179,9 +179,11 @@ def extract_triples_remote(text: str, client: ChatClient, provenance: str = "") 
         if not isinstance(item, dict):
             skipped += 1
             continue
-        subject = str(item.get("subject", "")).strip()
-        relation = snake_case(str(item.get("relation", "")))
-        obj = str(item.get("object", "")).strip()
+        subject, relation, obj = (item.get(key) for key in ("subject", "relation", "object"))
+        if not all(type(v) is str for v in (subject, relation, obj)):
+            skipped += 1
+            continue
+        subject, relation, obj = subject.strip(), snake_case(relation), obj.strip()
         if subject and relation and obj:
             triples.append(Triple(subject=subject, relation=relation, object=obj, provenance=provenance))
         else:
@@ -200,7 +202,7 @@ def _parse_triple_json(raw: str) -> list | None:
 
 
 class RemoteExtractor:
-    """LLM-backed extractor; the entity pass reuses the triple prompt."""
+    """LLM-backed extractor; one triple request holds the space-joined sentences, and the entity pass reuses it."""
 
     kind = "remote"
 
@@ -211,7 +213,7 @@ class RemoteExtractor:
         mentions: list[EntityMention] = []
         seen: set[str] = set()
         drop = {normalize_entity(w) for w in (stopwords or frozenset())}
-        for triple in self.triples(text):
+        for triple in self.triples([text]):
             for surface in (triple.subject, triple.object):
                 normalized = normalize_entity(surface)
                 if normalized and normalized not in seen and normalized not in drop:
@@ -219,8 +221,8 @@ class RemoteExtractor:
                     mentions.append(EntityMention(surface=surface, normalized=normalized))
         return mentions
 
-    def triples(self, text: str, provenance: str = "") -> list[Triple]:
-        return extract_triples_remote(text, self.client, provenance)
+    def triples(self, sentences: list[str], provenance: str = "") -> list[Triple]:
+        return extract_triples_remote(" ".join(string_list(sentences, "sentences")), self.client, provenance)
 
 
 def query_ner(question: str, extractor) -> list[EntityMention]:

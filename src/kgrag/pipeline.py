@@ -192,7 +192,7 @@ def build_store(
         # The texts open_store rebuilds, so a built graph equals its reload.
         graph = KnowledgeGraph(reconstruct_parent_texts(all_chunks))
         for sem in all_semantic:
-            for triple in extractor.triples(sem.text, provenance=sem.chunk_id):
+            for triple in extractor.triples(sem.sentences, provenance=sem.chunk_id):
                 graph.upsert_triple(triple)
         graph.seal()
         graph.export(out / GRAPH_FILE, "json")

@@ -12,6 +12,7 @@ and nothing is tokenized.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .extraction import query_ner
@@ -50,8 +51,8 @@ class QueryConfig:
             raise ValueError("hops must be >= 1")
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
-        if self.beta < 0:
-            raise ValueError("beta must be >= 0")
+        if not 0 <= self.beta < math.inf:  # also false for NaN
+            raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}")
 

@@ -40,19 +40,15 @@ class VectorStore:
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         self.dimension = dimension
-        self._ids: list[str] = []
         self._pending: list[np.ndarray] = []  # float32 rows added before seal
-        self.metadata: dict[str, Chunk] = {}
+        self.metadata: dict[str, Chunk] = {}  # insertion order is the row order
         self._sealed = False
+        self._ids: list[str] | None = None  # row -> chunk id, from seal
         self._matrix: np.ndarray | None = None
         self._norms: np.ndarray | None = None
 
     def __len__(self) -> int:
-        return len(self._ids)
-
-    @property
-    def chunk_ids(self) -> list[str]:
-        return list(self._ids)
+        return len(self.metadata)
 
     def add(self, chunks: list[Chunk], rows: np.ndarray) -> None:
         """Append ``chunks`` with their vectors, one row each: shape ``(len(chunks), D)``."""
@@ -66,7 +62,6 @@ class VectorStore:
             if chunk.chunk_id in self.metadata or chunk.chunk_id in added:
                 raise ValueError(f"duplicate chunk_id {chunk.chunk_id!r}")
             added[chunk.chunk_id] = chunk
-        self._ids.extend(added)
         self._pending.append(rows)
         self.metadata.update(added)
 
@@ -83,10 +78,11 @@ class VectorStore:
         # float32 -> float64 is exact, so save() recovers the stored rows bit for bit.
         matrix = np.concatenate([np.zeros((0, self.dimension)), *self._pending], dtype=np.float64)
         norms = np.linalg.norm(matrix, axis=1)
+        ids = list(self.metadata)
         bad = np.flatnonzero(~np.isfinite(norms))
         if bad.size:
-            raise ValueError(f"vector row {bad[0]} (chunk {self._ids[bad[0]]!r}) is not finite")
-        self._matrix, self._norms = matrix, norms
+            raise ValueError(f"vector row {bad[0]} (chunk {ids[bad[0]]!r}) is not finite")
+        self._ids, self._matrix, self._norms = ids, matrix, norms
         self._pending = []
         self._sealed = True
 
@@ -131,9 +127,9 @@ class VectorStore:
             raise ValueError("seal the store before saving")
         path = Path(path)
         with open(path, "wb") as fh:
-            fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, self.dimension, len(self._ids)))
+            fh.write(_HEADER.pack(MAGIC, FORMAT_VERSION, self.dimension, len(self.metadata)))
             fh.write(self._matrix.astype("<f4").tobytes())
-        write_chunks_jsonl([self.metadata[cid] for cid in self._ids], path.parent / CHUNKS_SIDECAR)
+        write_chunks_jsonl(list(self.metadata.values()), path.parent / CHUNKS_SIDECAR)
 
     @classmethod
     def load(cls, path: str | Path) -> "VectorStore":

@@ -118,7 +118,7 @@ def test_criterion_03_splitter_exactness():
                 chunk_id="d#s0",
                 doc_id="d",
                 sentence_span=(0, 0),
-                text=" ".join(f"t{i}" for i in range(total)),
+                sentences=(" ".join(f"t{i}" for i in range(total)),),
             )
             spans = [c.token_span for c in token_window_split(sem, 100, 16)]
             assert all(e - s <= 100 for s, e in spans)

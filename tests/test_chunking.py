@@ -206,7 +206,7 @@ class TestSemanticSplit:
         sentences = ["s1", "s2", "s3", "s4"]
         chunks = split(sentences, SeqEmbedder(vectors), config(percentile=50))
         assert [c.sentence_span for c in chunks] == [(0, 1), (2, 3)]
-        assert [c.text for c in chunks] == ["s1 s2", "s3 s4"]
+        assert [" ".join(c.sentences) for c in chunks] == ["s1 s2", "s3 s4"]
 
     def test_single_sentence_single_chunk(self):
         sentences = ["only one"]
@@ -268,7 +268,7 @@ class TestSemanticSplit:
 
 def sem_chunk(total_tokens: int) -> SemanticChunk:
     text = " ".join(f"t{i}" for i in range(total_tokens))
-    return SemanticChunk(chunk_id="d#s0", doc_id="d", sentence_span=(0, 0), text=text)
+    return SemanticChunk(chunk_id="d#s0", doc_id="d", sentence_span=(0, 0), sentences=(text,))
 
 
 class TestTokenWindowSplit:
@@ -424,7 +424,7 @@ class TestReadChunksJsonl:
             assert read_chunks_jsonl(path) == expected
 
     def test_written_chunks_read_back(self, tmp_path):
-        sem = SemanticChunk("d#s0", "d", (0, 0), " ".join(f"w{i}" for i in range(30)))
+        sem = SemanticChunk("d#s0", "d", (0, 0), (" ".join(f"w{i}" for i in range(30)),))
         chunks = token_window_split(sem, chunk_size=8, overlap=3)
         write_chunks_jsonl(chunks, tmp_path / "chunks.jsonl")
         assert read_chunks_jsonl(tmp_path / "chunks.jsonl") == chunks

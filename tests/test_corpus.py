@@ -123,6 +123,12 @@ class TestSplitSentences:
         doc = make_doc("Version 1.5 shipped. Done.")
         assert split_sentences(doc.text) == ["Version 1.5 shipped.", "Done."]
 
+    @pytest.mark.parametrize("space", ["\xa0", "\u2003"], ids=["no-break-space", "em-space"])
+    def test_abbreviation_after_unicode_whitespace(self, space):
+        # The word before the period starts after any whitespace the terminator rule sees.
+        assert split_sentences(f"We met{space}Dr. Rossi there.") == [f"We met{space}Dr. Rossi there."]
+        assert split_sentences(f"We met{space}Rossi. He cooks.") == [f"We met{space}Rossi.", "He cooks."]
+
     @pytest.mark.parametrize("abbr", ["e.g.", "i.e.", "etc.", "vs.", "Fig.", "Eq.", "Mr.", "Mrs."])
     def test_all_listed_abbreviations(self, abbr):
         doc = make_doc(f"We cook, {abbr} with care and salt. Next sentence here.")

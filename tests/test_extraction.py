@@ -5,8 +5,10 @@ import json
 import pytest
 from hypothesis import given, strategies as st
 
+from kgrag.corpus import split_sentences
 from kgrag.exceptions import ProviderError
 from kgrag.extraction import (
+    EXTRACTION_USER_TEMPLATE,
     EntityMention,
     RemoteExtractor,
     RuleExtractor,
@@ -187,6 +189,42 @@ class TestRemoteExtractor:
         assert len(triples) == 1
         assert any("3" in r.message for r in caplog.records)
 
+    def test_non_string_fields_skipped_with_count(self, monkeypatch, caplog):
+        # Coerced with str(), the first item would add the nodes "none" and "7".
+        body = json.dumps(
+            [
+                {"subject": None, "relation": "near", "object": 7},
+                {"subject": "Rome", "relation": ["capital", "of"], "object": "Italy"},
+                {"subject": "Rome", "relation": "near", "object": {"name": "Ostia"}},
+                {"subject": "Rome", "relation": "near", "object": "Ostia"},
+            ]
+        )
+        fake = FakePost([FakeResponse(200, chat_payload(body))])
+        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        with caplog.at_level("WARNING"):
+            triples = extract_triples_remote("text", chat_client())
+        assert triples == [Triple(subject="Rome", relation="near", object="Ostia")]
+        assert [r.message for r in caplog.records] == [
+            "skipped 3 invalid triple item(s) from extraction response"
+        ]
+
+    def test_triples_send_the_space_joined_sentences(self, monkeypatch):
+        fake = FakePost([FakeResponse(200, chat_payload("[]"))] * 2)
+        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        extractor = RemoteExtractor(chat_client())
+        assert extractor.triples(["Naples Pizza", "It is from Rome."], provenance="d#s0") == []
+        assert extractor.entities("Naples Pizza It is from Rome.") == []
+        prompts = [call["json"]["messages"][1]["content"] for call in fake.calls]
+        assert prompts == [EXTRACTION_USER_TEMPLATE.format(text="Naples Pizza It is from Rome.")] * 2
+
+    @pytest.mark.parametrize("extractor", [RuleExtractor(), RemoteExtractor(chat_client())], ids=["rule", "remote"])
+    def test_bare_string_is_type_error(self, monkeypatch, extractor):
+        fake = FakePost([])
+        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        with pytest.raises(TypeError, match="sentences must be a list of strings, not a str"):
+            extractor.triples("Rome rules Lazio.")
+        assert fake.calls == []
+
     def test_entity_pass_collects_endpoints(self, monkeypatch):
         body = json.dumps(
             [
@@ -204,7 +242,7 @@ class TestRuleExtractorInterface:
     def test_multi_sentence_text(self):
         extractor = RuleExtractor()
         text = "Rome rules Lazio. Naples rules Campania."
-        assert len(extractor.triples(text)) == 2
+        assert len(extractor.triples(split_sentences(text))) == 2
         assert [m.normalized for m in extractor.entities(text)] == [
             "rome",
             "lazio",
@@ -212,13 +250,20 @@ class TestRuleExtractorInterface:
             "campania",
         ]
 
+    def test_sentences_are_not_split_again(self):
+        # A heading without a terminator stays its own sentence: no triple across it.
+        assert RuleExtractor().triples(["Naples Pizza", "It is from Rome."], "d#s0") == []
+        assert RuleExtractor().triples(["Naples Pizza It is from Rome."], "d#s0") == [
+            Triple(subject="naples pizza it", relation="is_from", object="rome", provenance="d#s0")
+        ]
+
     def test_pure_and_deterministic(self):
         extractor = RuleExtractor()
         text = "Parma gave the world Parmigiano-Reggiano."
-        assert extractor.triples(text) == extractor.triples(text)
+        assert extractor.triples(split_sentences(text)) == extractor.triples(split_sentences(text))
         assert extractor.entities(text) == extractor.entities(text)
 
     @given(st.text(max_size=120))
     def test_never_raises_and_endpoints_non_empty(self, text):
-        for triple in RuleExtractor().triples(text):
+        for triple in RuleExtractor().triples(split_sentences(text)):
             assert triple.subject and triple.object and triple.relation

@@ -10,14 +10,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import kgrag
 from kgrag.chunking import Chunk, ChunkerConfig, build_windows
 from kgrag.cli import main
-from kgrag.corpus import Document, load_corpus, split_sentences
+from kgrag.corpus import Document, load_corpus, normalize_text, split_sentences
 from kgrag.embedding import HashedEmbedder
 from kgrag.exceptions import StoreCorruptError
+from kgrag.extraction import EXTRACTION_USER_TEMPLATE, RuleExtractor, extract_triples_rule
 from kgrag.pipeline import (
     build_store,
     chunk_documents,
@@ -57,7 +58,7 @@ class TestPipelineUnits:
         semantic, chunks = chunk_documents([doc], HashedEmbedder(64), ChunkerConfig(window_k=0))
         rebuilt = reconstruct_parent_texts(chunks)
         for sem in semantic:
-            assert rebuilt[sem.chunk_id] == " ".join(sem.text.split())
+            assert rebuilt[sem.chunk_id] == " ".join(" ".join(sem.sentences).split())
 
     def test_repeated_doc_id_reaches_the_duplicate_chunk_check(self):
         # Documents go through chunking as a list, so a repeated id is kept, not merged.
@@ -130,6 +131,75 @@ class TestPipelineUnits:
 
         with pytest.raises(StoreCorruptError):
             open_store(out)
+
+
+NAMES = ["Naples", "Pizza", "Rome", "It", "The", "Dr.", "Vesuvius", "Parma"]
+LOWER = ["is", "from", "near", "bakes", "the", "of"]
+
+
+@st.composite
+def paragraphs(draw) -> tuple[str, bool]:
+    """A paragraph of 1-4 sentences, and whether its last sentence ends in a terminator.
+
+    Abbreviations such as ``Dr.`` appear only inside a sentence, never as its
+    last word, so a terminator at the end always closes the sentence.
+    """
+    sentences = []
+    for _ in range(draw(st.integers(1, 4))):
+        words = draw(st.lists(st.sampled_from(NAMES + LOWER), max_size=6))
+        words.append(draw(st.sampled_from([w for w in NAMES + LOWER if not w.endswith(".")])))
+        sentences.append(" ".join(words) + draw(st.sampled_from([".", "?", "!", ""])))
+    separator = draw(st.sampled_from([" ", "\n", "\xa0 "]))
+    return separator.join(sentences), sentences[-1][-1] in ".?!"
+
+
+def reference_route_triples(sentences: tuple[str, ...], provenance: str) -> list:
+    """The reference route: join the chunk's sentences, split them again, extract per sentence."""
+    return [t for s in split_sentences(" ".join(sentences)) for t in extract_triples_rule(s, provenance)]
+
+
+class TestSemanticChunkTriples:
+    @given(st.lists(paragraphs(), min_size=1, max_size=6))
+    @settings(max_examples=150, deadline=None)
+    def test_triples_of_a_chunk_are_those_of_its_document_sentences(self, drawn):
+        doc = Document("d", normalize_text("\n\n".join(text for text, _ in drawn)), "hyp")
+        doc_sentences = split_sentences(doc.text)
+        semantic, _ = chunk_documents([doc], HashedEmbedder(64), ChunkerConfig(window_k=1, percentile=50))
+        for sem in semantic:
+            start, end = sem.sentence_span
+            assert sem.sentences == tuple(doc_sentences[start : end + 1])
+            expected = [t for s in doc_sentences[start : end + 1] for t in extract_triples_rule(s, sem.chunk_id)]
+            got = RuleExtractor().triples(sem.sentences, sem.chunk_id)
+            assert got == expected
+            if all(terminated for _, terminated in drawn):
+                assert got == reference_route_triples(sem.sentences, sem.chunk_id)
+
+    def test_heading_without_terminator_makes_no_triple(self, tmp_path):
+        # Re-splitting the joined chunk would merge the heading into the next sentence
+        # and make the node "naples pizza it" with an edge is_from across the break.
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "a.txt").write_text("Naples Pizza\n\nIt is from Rome.", encoding="utf-8")
+        manifest = build_store(corpus, tmp_path / "store")
+        assert manifest.counts["semantic_chunks"] == 1
+        assert (manifest.counts["nodes"], manifest.counts["edges"]) == (0, 0)
+        assert json.loads((tmp_path / "store" / "graph.json").read_text()) == {"nodes": [], "edges": []}
+
+    def test_build_calls_the_splitter_once_per_document(self, tmp_path, monkeypatch):
+        import kgrag.extraction
+        import kgrag.pipeline
+
+        calls = []
+
+        def counting(text):
+            calls.append(text)
+            return split_sentences(text)
+
+        for module in (kgrag.pipeline, kgrag.extraction):
+            monkeypatch.setattr(module, "split_sentences", counting)
+        corpus = write_corpus(tmp_path)
+        build_store(corpus, tmp_path / "store")
+        assert calls == [doc.text for doc in load_corpus(corpus)]
 
 
 def split_join_reference(chunks: list[Chunk]) -> dict[str, str]:
@@ -358,6 +428,36 @@ class TestConfigFileErrors:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"error: config section 'query': bad value: {named}" in captured.err
+
+    @pytest.mark.parametrize("beta", ["nan", "inf"])
+    def test_query_non_finite_beta_flag_exit_2(self, store_dir, capsys, beta):
+        # json.dumps would print the final score NaN or Infinity, which is not JSON
+        argv = ["query", "--store", str(store_dir), "--question", "What crosses Rome?", "--json", "--beta", beta]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: config section 'query': bad value: beta must be finite and >= 0" in captured.err
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf"), -float("inf")])
+    def test_query_non_finite_beta_in_config_file_exit_2(self, store_dir, capsys, beta):
+        cfg = store_dir.parent / "cfg.json"
+        cfg.write_text(json.dumps({"query": {"beta": beta}}))  # NaN and Infinity, which json.loads reads back
+        argv = ["query", "--store", str(store_dir), "--question", "What crosses Rome?", "--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: config section 'query': bad value: beta must be finite and >= 0" in captured.err
+
+    @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
+    def test_manifest_non_finite_beta_exit_3(self, store_dir, capsys, beta):
+        manifest_path = store_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["query"]["beta"] = beta
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["query", "--store", str(store_dir), "--question", "Anything?", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: corrupt store: invalid manifest: beta must be finite and >= 0" in captured.err
 
     @pytest.mark.parametrize("key", ["hops", "max_nodes"])
     def test_query_bound_below_one_exit_2(self, tmp_path, capsys, key):
@@ -730,6 +830,39 @@ class TestRemoteProviderWiring:
             return FakeResponse(200, embedding_payload(vectors))
 
         return fake_post
+
+    def test_remote_extractor_requests_hold_each_chunk_joined(self, tmp_path, monkeypatch):
+        # One request per semantic chunk, its sentences joined by single spaces, so the
+        # heading document's paragraph break reaches the prompt as one space.
+        import kgrag.remote as remote_mod
+        from helpers import FakePost, FakeResponse, chat_payload
+
+        fake = FakePost([FakeResponse(200, chat_payload("[]"))] * 3)
+        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        corpus = write_corpus(tmp_path)
+        (corpus / "c.txt").write_text("Naples Pizza\n\nIt is from Rome.", encoding="utf-8")
+        code = main(
+            ["index", "--corpus", str(corpus), "--out", str(tmp_path / "store"),
+             "--extractor", "remote", "--api-base", "http://api.test/v1", "--chat-model", "chat-1"]
+        )
+        assert code == 0
+        texts = [
+            "Rome is the capital of Italy. Rome hosts ancient festivals. "
+            "The Tiber crosses Rome on its way to the sea.",
+            "Naples is the birthplace of Margherita pizza. Naples faces Vesuvius across the bay.",
+            "Naples Pizza It is from Rome.",
+        ]
+        assert [call["url"] for call in fake.calls] == ["http://api.test/v1/chat/completions"] * 3
+        assert [call["json"] for call in fake.calls] == [
+            {
+                "model": "chat-1",
+                "messages": [
+                    {"role": "system", "content": "You extract knowledge triples."},
+                    {"role": "user", "content": EXTRACTION_USER_TEMPLATE.format(text=text)},
+                ],
+            }
+            for text in texts
+        ]
 
     def test_index_and_query_with_remote_embedder(self, tmp_path, monkeypatch, capsys):
         import kgrag.remote as remote_mod

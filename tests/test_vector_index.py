@@ -99,7 +99,7 @@ class TestBuildPhase:
             store.add([chunk("a")], np.ones((1, 4), dtype=np.float32))
         with pytest.raises(ValueError, match="duplicate"):
             store.add([chunk("b"), chunk("b")], np.ones((2, 4), dtype=np.float32))
-        assert store.chunk_ids == ["a"]
+        assert list(store.metadata) == ["a"]
 
     def test_dimension_mismatch_error(self):
         store = VectorStore(4)
@@ -206,7 +206,7 @@ class TestPersistence:
         store.save(path)
         loaded = VectorStore.load(path)
         assert loaded.dimension == store.dimension
-        assert loaded.chunk_ids == store.chunk_ids
+        assert list(loaded.metadata) == list(store.metadata)
         assert loaded.metadata == store.metadata
         resaved = tmp_path / "resaved" / "vectors.skvx"
         resaved.parent.mkdir()
