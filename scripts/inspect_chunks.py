@@ -26,6 +26,7 @@ from kgrag.chunking import (  # noqa: E402
     token_window_split,
     window_distances,
 )
+from kgrag.cli import until_stdout_closes  # noqa: E402
 from kgrag.corpus import load_corpus, split_sentences  # noqa: E402
 from kgrag.embedding import HashedEmbedder  # noqa: E402
 
@@ -71,4 +72,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(until_stdout_closes(main))

@@ -14,6 +14,7 @@ import json
 import logging
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -269,17 +270,23 @@ _HANDLERS = {
 }
 
 
+def until_stdout_closes(run: Callable[[], int]) -> int:
+    """``run()``'s exit code, or ``EXIT_OK`` once a reader closes stdout early (``| head -1``)."""
+    try:
+        code = run()
+        sys.stdout.flush()  # a reader that closed the pipe early raises here
+        return code
+    except BrokenPipeError:  # point stdout at devnull, or the flush at exit raises again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+
+
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _HANDLERS[args.command](args)
-        sys.stdout.flush()  # a reader that closed the pipe early (``| head -1``) raises here
-        return code
-    except BrokenPipeError:  # point stdout at devnull, or the flush at exit raises again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return EXIT_OK
+        return until_stdout_closes(lambda: _HANDLERS[args.command](args))
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

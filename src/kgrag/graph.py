@@ -6,15 +6,21 @@ map, so a traversal can hand back both structure and supporting context.
 Edges live in one set of sortable tuples; ``seal`` derives each node's
 incident-edge list from it, and a traversal is a seeded breadth-first
 expansion over those lists in both directions, bounded by hop count and
-node budget. Same lifecycle as the vector store: single-writer build (or
-load), seal, then lock-free concurrent reads.
+node budget. A neighborhood renders as text within a token budget: its
+context chunks first, those the seed nodes share most ahead, then its
+edges, produced lazily so a hub seed costs what the budget keeps. Same
+lifecycle as the vector store: single-writer build (or load), seal, then
+lock-free concurrent reads.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
@@ -26,6 +32,7 @@ from .exceptions import InputError, StoreCorruptError
 MIN_PREFIX_LEN = 3
 DEFAULT_HOPS = 2
 DEFAULT_MAX_NODES = 50
+DEFAULT_MAX_STRUCTURED_TOKENS = 1024
 
 
 def _json_array(items: list[str], indent: str) -> str:
@@ -203,22 +210,80 @@ class KnowledgeGraph:
 
     # -- rendering and export ------------------------------------------------
 
-    def render_subgraph(self, sub: Subgraph) -> str:
-        """Deterministic text form: edge lines, then each context chunk's text once."""
-        edge_lines = sorted(
+    def render_subgraph(
+        self, sub: Subgraph, max_tokens: int = DEFAULT_MAX_STRUCTURED_TOKENS, *, kept: dict | None = None
+    ) -> str:
+        """Deterministic text form within ``max_tokens`` whitespace tokens.
+
+        The ``Contexts:`` header and each context chunk's text once come
+        first, then a blank line and the edge lines (see ``_lines`` for the
+        order). Lines are taken in that order until the first one that would
+        push ``len(text.split())`` past the budget; it and every later line
+        are left out. The blank line is taken with the first edge line, so a
+        cut text never ends in it. Lines are produced lazily, so the cost is
+        the seed nodes' contexts plus what the budget keeps: a hop level's
+        contexts are collected only once every lower level's lines fit, and
+        the edges sorted only once every context line fits. ``kept``, when
+        given, receives the counts of context and edge lines kept and of
+        tokens rendered.
+        """
+        if max_tokens < 1:
+            raise ValueError("max_tokens must be >= 1")
+        lines: list[str] = []
+        counts = {"context_lines": 0, "edge_lines": 0}
+        used = 0
+        for section, line in self._lines(sub):
+            cost = len(line.split())
+            if used + cost > max_tokens:
+                break
+            used += cost
+            lines.append(line)
+            if section:
+                counts[section] += 1
+        if kept is not None:
+            kept.update(counts, tokens=used)
+        return "\n".join(lines)
+
+    def _lines(self, sub: Subgraph) -> Iterator[tuple[str | None, str]]:
+        """Every line of the unbounded render, lazily, as (section, line) pairs.
+
+        Context chunks are ordered by the number of seed (hop 0) nodes whose
+        contexts name them, descending, then by their least hop, then by
+        chunk id; each appears once. Edge lines follow in (hop of source,
+        source name, relation, target name) order.
+        """
+        chunk_ids = self._context_order(sub)
+        first = next(chunk_ids, None)
+        if first is not None:
+            yield None, "Contexts:"
+            for chunk_id in chain([first], chunk_ids):
+                yield "context_lines", f"- {self._chunk_texts[chunk_id]}"
+        edge_keys = sorted(
             (sub.hop_of[e.source], sub.nodes[e.source].name, e.relation, sub.nodes[e.target].name)
             for e in sub.edges
         )
-        lines = [f"{source} -[{relation}]-> {target}" for _, source, relation, target in edge_lines]
+        separator = "\n" if first is not None else ""
+        for _, source, relation, target in edge_keys:
+            yield "edge_lines", f"{separator}{source} -[{relation}]-> {target}"
+            separator = ""
 
-        pairs = sorted((node.name, chunk_id) for node in sub.nodes.values() for chunk_id in node.contexts)
-        context_lines = [f"- {self._chunk_texts[chunk_id]}" for chunk_id in dict.fromkeys(c for _, c in pairs)]
-        if context_lines:
-            if lines:
-                lines.append("")
-            lines.append("Contexts:")
-            lines.extend(context_lines)
-        return "\n".join(lines)
+    @staticmethod
+    def _context_order(sub: Subgraph) -> Iterator[str]:
+        """Context chunk ids in render order, one hop level at a time.
+
+        A level's chunks are those its nodes name and no lower level did,
+        so their least hop is the level's; a later level is read only when
+        the reader asks for more ids.
+        """
+        levels: dict[int, list[EntityNode]] = {}
+        for node_id, hop in sub.hop_of.items():
+            levels.setdefault(hop, []).append(sub.nodes[node_id])
+        seen: set[str] = set()
+        for hop in sorted(levels):
+            named = Counter(c for node in levels[hop] for c in node.contexts if c not in seen)
+            fresh = sorted(named, key=lambda c: (-named[c], c)) if hop == 0 else sorted(named)
+            seen.update(fresh)
+            yield from fresh
 
     def to_json_obj(self) -> dict:
         return {

@@ -1,13 +1,14 @@
 """Hybrid retrieval: graph traversal fused with cosine top-k.
 
 The structured retriever runs query NER, matches entities into the graph,
-and renders the bounded neighborhood. The unstructured retriever embeds the
-question and scans the vector store. Fusion boosts each candidate chunk's
-cosine score by beta times its token overlap with the structured text
-(shared tokens act as confirmation signals), re-ranks, and assembles one
-unified context for the generator. The structured text is tokenized once
-per query, each candidate once; with no structured text every boost is 0.0
-and nothing is tokenized.
+and renders the bounded neighborhood within a token budget: context chunks
+first, those the matched entities share most ahead, then edges. The
+unstructured retriever embeds the question and scans the vector store.
+Fusion boosts each candidate chunk's cosine score by beta times its token
+overlap with the structured text (shared tokens act as confirmation
+signals), re-ranks, and assembles one unified context for the generator.
+The structured text is tokenized once per query, each candidate once; with
+no structured text every boost is 0.0 and nothing is tokenized.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 
 from .extraction import query_ner
-from .graph import DEFAULT_HOPS, DEFAULT_MAX_NODES, KnowledgeGraph
+from .graph import DEFAULT_HOPS, DEFAULT_MAX_NODES, DEFAULT_MAX_STRUCTURED_TOKENS, KnowledgeGraph
 from .lexical import content_tokens, coverage
 from .remote import ChatClient
 from .vector_index import VectorStore
@@ -41,6 +42,7 @@ class QueryConfig:
     beta: float = 0.25
     mode: str = "hybrid"
     max_nodes: int = DEFAULT_MAX_NODES
+    max_structured_tokens: int = DEFAULT_MAX_STRUCTURED_TOKENS
 
     def __post_init__(self) -> None:
         if self.top_n_candidates < 1:
@@ -51,6 +53,8 @@ class QueryConfig:
             raise ValueError("hops must be >= 1")
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
+        if self.max_structured_tokens < 1:
+            raise ValueError("max_structured_tokens must be >= 1")
         if not 0 <= self.beta < math.inf:  # also false for NaN
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if self.mode not in MODES:
@@ -101,12 +105,13 @@ class RemoteGenerator:
 
 
 def _structured_parts(
-    question: str, extractor, graph: KnowledgeGraph, config: QueryConfig
+    question: str, extractor, graph: KnowledgeGraph, config: QueryConfig, shape: dict
 ) -> tuple[set[int], list[str], str]:
-    """Query NER -> entity match -> bounded neighborhood -> rendered text.
+    """Query NER -> entity match -> bounded neighborhood -> text within the token budget.
 
     Each mention is matched once. No entity match is not an error: the
-    result is an empty string.
+    result is an empty string. ``shape`` receives the subgraph's node count
+    and the render's kept line and token counts.
     """
     matched: set[int] = set()
     unmatched: list[str] = []
@@ -119,7 +124,8 @@ def _structured_parts(
     if not matched:
         return matched, unmatched, ""
     subgraph = graph.neighborhood(matched, hops=config.hops, max_nodes=config.max_nodes)
-    return matched, unmatched, graph.render_subgraph(subgraph)
+    shape["subgraph_nodes"] = len(subgraph.nodes)
+    return matched, unmatched, graph.render_subgraph(subgraph, config.max_structured_tokens, kept=shape)
 
 
 def retrieve_unstructured(
@@ -178,8 +184,9 @@ def retrieve_hybrid(
     matched: set[int] = set()
     unmatched: list[str] = []
     structured_text = ""
+    shape = {"subgraph_nodes": 0, "context_lines": 0, "edge_lines": 0, "tokens": 0}
     if config.mode in ("hybrid", "structured_only"):
-        matched, unmatched, structured_text = _structured_parts(question, extractor, graph, config)
+        matched, unmatched, structured_text = _structured_parts(question, extractor, graph, config, shape)
 
     candidates: list[tuple[str, str, float]] = []
     if config.mode in ("hybrid", "unstructured_only"):
@@ -203,5 +210,10 @@ def retrieve_hybrid(
             "unmatched_mentions": unmatched,
             "candidate_count": len(candidates),
             "empty": unified == "",
+            "structured_token_budget": config.max_structured_tokens,
+            "structured_tokens": shape["tokens"],
+            "context_lines_kept": shape["context_lines"],
+            "edge_lines_kept": shape["edge_lines"],
+            "subgraph_nodes": shape["subgraph_nodes"],
         },
     )

@@ -64,7 +64,7 @@ class TestUpsert:
         assert list(graph.node(0).contexts) == ["c0", "c1"]
         graph.seal()
         text = graph.render_subgraph(graph.neighborhood({0}, hops=1))
-        assert text.endswith("Contexts:\n- snippet one\n- snippet two")
+        assert text.startswith("Contexts:\n- snippet one\n- snippet two\n\n")
 
     def test_upsert_after_seal_rejected(self):
         graph = chain_graph()
@@ -552,7 +552,11 @@ def snippet_dicts(triples: list[Triple], texts: dict[str, str]) -> tuple[list[st
 
 
 def snippet_dict_render(sub: Subgraph, names: list[str], contexts: list[dict[str, str]]) -> str:
-    """The render over snippet dicts: edge lines, then (name, chunk id, snippet) sorted, each chunk once."""
+    """The unbudgeted render over snippet dicts, in the layout before the token budget.
+
+    Edge lines, then (name, chunk id, snippet) sorted, each chunk once; a
+    render with no budget to speak of holds the same lines, reordered.
+    """
     if not sub.nodes:
         return ""
     edge_lines = sorted((sub.hop_of[e.source], names[e.source], e.relation, names[e.target]) for e in sub.edges)
@@ -588,6 +592,7 @@ def snippet_dict_json(names: list[str], contexts: list[dict[str, str]], edges: s
 
 
 CHUNK_IDS = [f"c{i}" for i in range(4)]
+UNBOUNDED = 10**9  # a token budget no test graph reaches
 reference_triples = st.lists(
     st.tuples(
         st.sampled_from(["alpha", "Alpha", "beta", "Beta.", "gamma", "delta", "eps"]),
@@ -623,5 +628,123 @@ class TestSnippetDictReference:
                 graph.neighborhood(seeds, hops=hops, max_nodes=max_nodes),
                 graph.neighborhood(set(range(len(graph))), hops=1, max_nodes=len(graph)),
             ):
-                assert graph.render_subgraph(sub) == snippet_dict_render(sub, names, contexts)
+                unbounded = graph.render_subgraph(sub, UNBOUNDED)
+                assert sorted(unbounded.split("\n")) == sorted(snippet_dict_render(sub, names, contexts).split("\n"))
 
+
+def reference_render(sub: Subgraph, texts: dict[str, str], budget: int) -> tuple[str, int, int]:
+    """Every line in render order, then the longest prefix within ``budget`` whitespace tokens.
+
+    Chunks sort by (seed nodes naming them descending, least hop, chunk id);
+    the blank line between the sections rides with the first edge line.
+    Returns the text and the context and edge lines it keeps.
+    """
+    seed_count: dict[str, int] = {}
+    least_hop: dict[str, int] = {}
+    for node_id, hop in sub.hop_of.items():
+        for chunk_id in sub.nodes[node_id].contexts:
+            seed_count[chunk_id] = seed_count.get(chunk_id, 0) + (hop == 0)
+            least_hop[chunk_id] = min(least_hop.get(chunk_id, hop), hop)
+    order = sorted(seed_count, key=lambda c: (-seed_count[c], least_hop[c], c))
+    lines = ["Contexts:"] + [f"- {texts[c]}" for c in order] if order else []
+    edge_keys = sorted((sub.hop_of[e.source], sub.nodes[e.source].name, e.relation, sub.nodes[e.target].name)
+                       for e in sub.edges)
+    edge_lines = [f"{source} -[{relation}]-> {target}" for _, source, relation, target in edge_keys]
+    if lines and edge_lines:
+        edge_lines[0] = "\n" + edge_lines[0]
+    contexts = len(lines)
+    lines += edge_lines
+    kept = max(n for n in range(len(lines) + 1) if len("\n".join(lines[:n]).split()) <= budget)
+    return "\n".join(lines[:kept]), max(min(kept, contexts) - 1, 0), max(kept - contexts, 0)
+
+
+class CountingTexts(dict):
+    """A chunk-text map that counts its lookups."""
+
+    lookups = 0
+
+    def __getitem__(self, chunk_id):
+        self.lookups += 1
+        return super().__getitem__(chunk_id)
+
+
+class Unreadable:
+    """An edge set that fails the test if the render reads it."""
+
+    def __iter__(self):
+        raise AssertionError("edges read after the budget ran out")
+
+    def __len__(self):
+        raise AssertionError("edges read after the budget ran out")
+
+
+class TestBudgetedRender:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        reference_triples,
+        chunk_texts,
+        st.sets(st.integers(0, 6), min_size=1, max_size=3),
+        st.integers(1, 3),
+        st.integers(1, 10),
+        st.integers(1, 40),
+    )
+    @example(OUT_OF_ORDER_REPEAT, {cid: f"text {cid}" for cid in CHUNK_IDS}, {0}, 2, 10, 4)
+    def test_matches_longest_prefix_reference(self, rows, texts, seeds, hops, max_nodes, budget):
+        graph = KnowledgeGraph(texts)
+        for row in rows:
+            graph.upsert_triple(triple(*row))
+        graph.seal()
+        sub = graph.neighborhood({seed for seed in seeds if seed < len(graph)}, hops=hops, max_nodes=max_nodes)
+        for max_tokens in (budget, UNBOUNDED):
+            kept: dict = {}
+            text = graph.render_subgraph(sub, max_tokens, kept=kept)
+            expected, context_lines, edge_lines = reference_render(sub, texts, max_tokens)
+            assert text == expected
+            assert kept == {"context_lines": context_lines, "edge_lines": edge_lines, "tokens": len(text.split())}
+            assert kept["tokens"] <= max_tokens
+
+    def test_seed_shared_chunks_first_then_least_hop_then_id(self):
+        texts = {cid: f"text {cid}" for cid in ("k1", "k2", "k3", "k4", "k5")}
+        graph = KnowledgeGraph(texts)
+        for s, o, prov in [("a", "x", "k5"), ("b", "x", "k4"), ("a", "b", "k3"), ("x", "y", "k1"), ("y", "z", "k2")]:
+            graph.upsert_triple(triple(s, "r", o, prov))
+        graph.seal()
+        sub = graph.neighborhood({0, 2}, hops=3)  # a and b
+        text = graph.render_subgraph(sub, UNBOUNDED)
+        contexts = text.split("\n\n")[0].split("\n")
+        # k3 is named by both seeds, k4 and k5 by one each; k1 first at hop 1 (x), k2 at hop 2 (y)
+        assert contexts == ["Contexts:", "- text k3", "- text k4", "- text k5", "- text k1", "- text k2"]
+
+    def test_cut_before_the_first_line_that_does_not_fit(self):
+        graph = KnowledgeGraph({"c0": "one two three", "c1": "four"})
+        graph.upsert_triple(triple("a", "r", "b", prov="c0"))
+        graph.upsert_triple(triple("a", "r2", "c", prov="c1"))
+        graph.seal()
+        sub = graph.neighborhood({0}, hops=1)
+        assert graph.render_subgraph(sub, 1) == "Contexts:"
+        assert graph.render_subgraph(sub, 5) == "Contexts:\n- one two three"
+        assert graph.render_subgraph(sub, 6) == "Contexts:\n- one two three"  # "- four" takes 2
+        assert graph.render_subgraph(sub, 7) == "Contexts:\n- one two three\n- four"
+        assert graph.render_subgraph(sub, 9) == "Contexts:\n- one two three\n- four"  # never a trailing blank
+        assert graph.render_subgraph(sub, 10) == "Contexts:\n- one two three\n- four\n\na -[r]-> b"
+
+    def test_budget_below_one_rejected(self):
+        graph = chain_graph()
+        with pytest.raises(ValueError, match="max_tokens must be >= 1"):
+            graph.render_subgraph(graph.neighborhood({0}, hops=1), 0)
+
+    def test_hub_seed_renders_within_budget_and_reads_little(self):
+        texts = CountingTexts({f"c{i:03d}": f"hub fact {i} holds here" for i in range(600)})
+        graph = KnowledgeGraph(texts)
+        for i in range(600):
+            graph.upsert_triple(triple("hub", "r", f"spoke{i}", prov=f"c{i:03d}"))
+        graph.seal()
+        sub = graph.neighborhood({0}, hops=2, max_nodes=1000)
+        assert len(sub.nodes[0].contexts) == 600
+        sub.edges = Unreadable()
+        kept: dict = {}
+        text = graph.render_subgraph(sub, 100, kept=kept)
+        assert len(text.split()) == kept["tokens"] <= 100
+        assert kept["context_lines"] == 16 and kept["edge_lines"] == 0  # 1 + 16 * 6 tokens
+        assert text.split("\n")[1:3] == ["- hub fact 0 holds here", "- hub fact 1 holds here"]
+        assert texts.lookups <= kept["context_lines"] + 1

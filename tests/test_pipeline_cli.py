@@ -376,6 +376,7 @@ class TestConfigFileErrors:
             ({"provider": {"dimension": 64.5}}, ["'provider'", "'dimension' must be int, got float"]),
             ({"provider": {"model_name": 7}}, ["'provider'", "'model_name' must be str, got int"]),
             ({"query": {"hops": 1.5}}, ["'query'", "'hops' must be int, got float"]),
+            ({"query": {"max_structured_tokens": True}}, ["'query'", "'max_structured_tokens' must be int, got bool"]),
         ],
     )
     def test_index_exit_2_naming_section_and_key(self, tmp_path, capsys, config, named):
@@ -459,7 +460,18 @@ class TestConfigFileErrors:
         assert captured.out == ""
         assert "error: corrupt store: invalid manifest: beta must be finite and >= 0" in captured.err
 
-    @pytest.mark.parametrize("key", ["hops", "max_nodes"])
+    @pytest.mark.parametrize("key", ["hops", "max_nodes", "max_structured_tokens"])
+    def test_manifest_query_bound_below_one_exit_3(self, store_dir, capsys, key):
+        manifest_path = store_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["query"][key] = 0
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["query", "--store", str(store_dir), "--question", "Anything?", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: corrupt store: invalid manifest: {key} must be >= 1" in captured.err
+
+    @pytest.mark.parametrize("key", ["hops", "max_nodes", "max_structured_tokens"])
     def test_query_bound_below_one_exit_2(self, tmp_path, capsys, key):
         store = tmp_path / "store"
         build_store(write_corpus(tmp_path), store)
@@ -510,7 +522,8 @@ class TestCmdQuery:
         payload = json.loads(capsys.readouterr().out)
         assert set(payload) == {"structured_text", "chunks", "unified_context", "answer", "diagnostics"}
         assert set(payload["diagnostics"]) == {
-            "matched_entities", "unmatched_mentions", "candidate_count", "empty"
+            "matched_entities", "unmatched_mentions", "candidate_count", "empty", "structured_token_budget",
+            "structured_tokens", "context_lines_kept", "edge_lines_kept", "subgraph_nodes",
         }
         assert all(set(c) == {"id", "score", "boost", "final"} for c in payload["chunks"])
         # echo generator answers with the context itself
@@ -562,7 +575,8 @@ class TestCmdQuery:
 
     @pytest.mark.parametrize(
         ("section", "key", "value"),
-        [("query", "hops", 1.5), ("query", "max_nodes", True), ("chunker", "percentile", "95"),
+        [("query", "hops", 1.5), ("query", "max_nodes", True), ("query", "max_structured_tokens", 1.5),
+         ("chunker", "percentile", "95"),
          ("provider", "dimension", 256.0), ("extractor", "kind", None)],
     )
     def test_manifest_config_of_wrong_type_exit_3(self, store_dir, capsys, section, key, value):

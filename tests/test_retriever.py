@@ -57,6 +57,9 @@ def empty_graph() -> KnowledgeGraph:
 
 
 CHAIN = [("alpha", "feeds", "bravo"), ("bravo", "feeds", "charlie")]
+BUDGET_KEYS = (
+    "structured_token_budget", "structured_tokens", "context_lines_kept", "edge_lines_kept", "subgraph_nodes"
+)
 
 
 def structured_only(question: str, graph: KnowledgeGraph, **config) -> tuple[list[str], str]:
@@ -329,6 +332,18 @@ class TestRetrieveHybrid:
         assert result.diagnostics["candidate_count"] == 4
         assert result.diagnostics["empty"] is False
 
+    def test_budget_diagnostics(self):
+        deps = self.deps()
+        full = retrieve_hybrid("What does Alpha feed?", **deps, config=QueryConfig())
+        # both chunks (alpha-bravo, bravo-charlie) hold "alpha feeds bravo daily": 1 + 5 + 5 + 3 + 3 tokens
+        assert full.structured_text.split("\n")[-2:] == ["alpha -[feeds]-> bravo", "bravo -[feeds]-> charlie"]
+        assert [full.diagnostics[k] for k in BUDGET_KEYS] == [1024, 17, 2, 2, 3]
+        cut = retrieve_hybrid("What does Alpha feed?", **deps, config=QueryConfig(max_structured_tokens=16))
+        assert cut.structured_text == full.structured_text.rsplit("\n", 1)[0]
+        assert [cut.diagnostics[k] for k in BUDGET_KEYS] == [16, 14, 2, 1, 3]
+        semantic = retrieve_hybrid("What does Alpha feed?", **deps, config=QueryConfig(mode="unstructured_only"))
+        assert [semantic.diagnostics[k] for k in BUDGET_KEYS] == [1024, 0, 0, 0, 0]
+
     def test_deterministic_unified_context(self):
         config = QueryConfig()
         first = retrieve_hybrid("What does Alpha feed?", **self.deps(), config=config)
@@ -375,6 +390,7 @@ class TestQueryConfig:
             {"mode": "psychic"},
             {"top_n_candidates": 0},
             {"max_nodes": 0},
+            {"max_structured_tokens": 0},
         ],
     )
     def test_validation(self, kwargs):

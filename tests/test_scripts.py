@@ -61,6 +61,16 @@ def test_inspect_chunks_marks_semantic_split_boundaries(percentile):
         assert marked > 0
 
 
+def test_inspect_chunks_quiet_when_stdout_closes_early():
+    argv = [sys.executable, str(SCRIPTS / "inspect_chunks.py"), "--corpus", str(MINI_CORPUS)]
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=REPO_ROOT)
+    child.stdout.close()  # as `inspect_chunks.py ... | head -2` does once it has its lines
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 0, err
+    assert err == ""
+
+
 def test_run_mini_benchmark(tmp_path):
     out = run_script("run_mini_benchmark.py", "--out-dir", str(tmp_path))
     assert out.startswith("indexed mini corpus:")
