@@ -20,7 +20,6 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
@@ -219,16 +218,15 @@ class KnowledgeGraph:
         first, then a blank line and the edge lines (see ``_lines`` for the
         order). Lines are taken in that order until the first one that would
         push ``len(text.split())`` past the budget; it and every later line
-        are left out. The blank line is taken with the first edge line, so a
-        cut text never ends in it. Lines are produced lazily, so the cost is
-        the seed nodes' contexts plus what the budget keeps: a hop level's
-        contexts are collected only once every lower level's lines fit, and
-        the edges sorted only once every context line fits. ``kept``, when
-        given, receives the counts of context and edge lines kept and of
-        tokens rendered.
+        are left out. The header is taken with the first context line and the
+        blank line with the first edge line, so a cut text never ends in
+        either. Lines are produced lazily, so the cost is the seed nodes'
+        contexts plus what the budget keeps: a hop level's contexts are
+        collected only once every lower level's lines fit, and the edges
+        sorted only once every context line fits. ``kept``, when given, is
+        filled with ``context_lines`` and ``edge_lines`` (the lines kept of
+        each section) and ``tokens`` (the tokens rendered).
         """
-        if max_tokens < 1:
-            raise ValueError("max_tokens must be >= 1")
         lines: list[str] = []
         counts = {"context_lines": 0, "edge_lines": 0}
         used = 0
@@ -238,31 +236,30 @@ class KnowledgeGraph:
                 break
             used += cost
             lines.append(line)
-            if section:
-                counts[section] += 1
+            counts[section] += 1
         if kept is not None:
             kept.update(counts, tokens=used)
         return "\n".join(lines)
 
-    def _lines(self, sub: Subgraph) -> Iterator[tuple[str | None, str]]:
+    def _lines(self, sub: Subgraph) -> Iterator[tuple[str, str]]:
         """Every line of the unbounded render, lazily, as (section, line) pairs.
 
         Context chunks are ordered by the number of seed (hop 0) nodes whose
         contexts name them, descending, then by their least hop, then by
         chunk id; each appears once. Edge lines follow in (hop of source,
-        source name, relation, target name) order.
+        source name, relation, target name) order. The first context line
+        carries the ``Contexts:`` header and the first edge line, after any
+        context, the blank line.
         """
-        chunk_ids = self._context_order(sub)
-        first = next(chunk_ids, None)
-        if first is not None:
-            yield None, "Contexts:"
-            for chunk_id in chain([first], chunk_ids):
-                yield "context_lines", f"- {self._chunk_texts[chunk_id]}"
+        header = "Contexts:\n"
+        for chunk_id in self._context_order(sub):
+            yield "context_lines", f"{header}- {self._chunk_texts[chunk_id]}"
+            header = ""
         edge_keys = sorted(
             (sub.hop_of[e.source], sub.nodes[e.source].name, e.relation, sub.nodes[e.target].name)
             for e in sub.edges
         )
-        separator = "\n" if first is not None else ""
+        separator = "" if header else "\n"
         for _, source, relation, target in edge_keys:
             yield "edge_lines", f"{separator}{source} -[{relation}]-> {target}"
             separator = ""

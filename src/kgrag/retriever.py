@@ -42,7 +42,6 @@ class QueryConfig:
     beta: float = 0.25
     mode: str = "hybrid"
     max_nodes: int = DEFAULT_MAX_NODES
-    max_structured_tokens: int = DEFAULT_MAX_STRUCTURED_TOKENS
 
     def __post_init__(self) -> None:
         if self.top_n_candidates < 1:
@@ -53,8 +52,6 @@ class QueryConfig:
             raise ValueError("hops must be >= 1")
         if self.max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
-        if self.max_structured_tokens < 1:
-            raise ValueError("max_structured_tokens must be >= 1")
         if not 0 <= self.beta < math.inf:  # also false for NaN
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if self.mode not in MODES:
@@ -105,13 +102,14 @@ class RemoteGenerator:
 
 
 def _structured_parts(
-    question: str, extractor, graph: KnowledgeGraph, config: QueryConfig, shape: dict
-) -> tuple[set[int], list[str], str]:
+    question: str, extractor, graph: KnowledgeGraph, config: QueryConfig
+) -> tuple[set[int], list[str], str, dict]:
     """Query NER -> entity match -> bounded neighborhood -> text within the token budget.
 
     Each mention is matched once. No entity match is not an error: the
-    result is an empty string. ``shape`` receives the subgraph's node count
-    and the render's kept line and token counts.
+    result is an empty string. The last item is the subgraph's node count
+    (``subgraph_nodes``) and the counts ``render_subgraph`` fills in, or
+    ``{}`` when nothing matched.
     """
     matched: set[int] = set()
     unmatched: list[str] = []
@@ -122,10 +120,11 @@ def _structured_parts(
         else:
             unmatched.append(mention.surface)
     if not matched:
-        return matched, unmatched, ""
+        return matched, unmatched, "", {}
     subgraph = graph.neighborhood(matched, hops=config.hops, max_nodes=config.max_nodes)
-    shape["subgraph_nodes"] = len(subgraph.nodes)
-    return matched, unmatched, graph.render_subgraph(subgraph, config.max_structured_tokens, kept=shape)
+    kept: dict = {}
+    text = graph.render_subgraph(subgraph, kept=kept)
+    return matched, unmatched, text, {"subgraph_nodes": len(subgraph.nodes), **kept}
 
 
 def retrieve_unstructured(
@@ -184,9 +183,9 @@ def retrieve_hybrid(
     matched: set[int] = set()
     unmatched: list[str] = []
     structured_text = ""
-    shape = {"subgraph_nodes": 0, "context_lines": 0, "edge_lines": 0, "tokens": 0}
+    shape: dict = {}
     if config.mode in ("hybrid", "structured_only"):
-        matched, unmatched, structured_text = _structured_parts(question, extractor, graph, config, shape)
+        matched, unmatched, structured_text, shape = _structured_parts(question, extractor, graph, config)
 
     candidates: list[tuple[str, str, float]] = []
     if config.mode in ("hybrid", "unstructured_only"):
@@ -210,10 +209,10 @@ def retrieve_hybrid(
             "unmatched_mentions": unmatched,
             "candidate_count": len(candidates),
             "empty": unified == "",
-            "structured_token_budget": config.max_structured_tokens,
-            "structured_tokens": shape["tokens"],
-            "context_lines_kept": shape["context_lines"],
-            "edge_lines_kept": shape["edge_lines"],
-            "subgraph_nodes": shape["subgraph_nodes"],
+            "structured_token_budget": DEFAULT_MAX_STRUCTURED_TOKENS,
+            "structured_tokens": shape.get("tokens", 0),
+            "context_lines_kept": shape.get("context_lines", 0),
+            "edge_lines_kept": shape.get("edge_lines", 0),
+            "subgraph_nodes": shape.get("subgraph_nodes", 0),
         },
     )

@@ -636,8 +636,9 @@ def reference_render(sub: Subgraph, texts: dict[str, str], budget: int) -> tuple
     """Every line in render order, then the longest prefix within ``budget`` whitespace tokens.
 
     Chunks sort by (seed nodes naming them descending, least hop, chunk id);
-    the blank line between the sections rides with the first edge line.
-    Returns the text and the context and edge lines it keeps.
+    the ``Contexts:`` header rides with the first context line and the blank
+    line between the sections with the first edge line. Returns the text and
+    the context and edge lines it keeps.
     """
     seed_count: dict[str, int] = {}
     least_hop: dict[str, int] = {}
@@ -646,7 +647,9 @@ def reference_render(sub: Subgraph, texts: dict[str, str], budget: int) -> tuple
             seed_count[chunk_id] = seed_count.get(chunk_id, 0) + (hop == 0)
             least_hop[chunk_id] = min(least_hop.get(chunk_id, hop), hop)
     order = sorted(seed_count, key=lambda c: (-seed_count[c], least_hop[c], c))
-    lines = ["Contexts:"] + [f"- {texts[c]}" for c in order] if order else []
+    lines = [f"- {texts[c]}" for c in order]
+    if lines:
+        lines[0] = "Contexts:\n" + lines[0]
     edge_keys = sorted((sub.hop_of[e.source], sub.nodes[e.source].name, e.relation, sub.nodes[e.target].name)
                        for e in sub.edges)
     edge_lines = [f"{source} -[{relation}]-> {target}" for _, source, relation, target in edge_keys]
@@ -655,7 +658,7 @@ def reference_render(sub: Subgraph, texts: dict[str, str], budget: int) -> tuple
     contexts = len(lines)
     lines += edge_lines
     kept = max(n for n in range(len(lines) + 1) if len("\n".join(lines[:n]).split()) <= budget)
-    return "\n".join(lines[:kept]), max(min(kept, contexts) - 1, 0), max(kept - contexts, 0)
+    return "\n".join(lines[:kept]), min(kept, contexts), max(kept - contexts, 0)
 
 
 class CountingTexts(dict):
@@ -721,17 +724,13 @@ class TestBudgetedRender:
         graph.upsert_triple(triple("a", "r2", "c", prov="c1"))
         graph.seal()
         sub = graph.neighborhood({0}, hops=1)
-        assert graph.render_subgraph(sub, 1) == "Contexts:"
+        assert graph.render_subgraph(sub, 1) == ""  # never a bare header
+        assert graph.render_subgraph(sub, 4) == ""
         assert graph.render_subgraph(sub, 5) == "Contexts:\n- one two three"
         assert graph.render_subgraph(sub, 6) == "Contexts:\n- one two three"  # "- four" takes 2
         assert graph.render_subgraph(sub, 7) == "Contexts:\n- one two three\n- four"
         assert graph.render_subgraph(sub, 9) == "Contexts:\n- one two three\n- four"  # never a trailing blank
         assert graph.render_subgraph(sub, 10) == "Contexts:\n- one two three\n- four\n\na -[r]-> b"
-
-    def test_budget_below_one_rejected(self):
-        graph = chain_graph()
-        with pytest.raises(ValueError, match="max_tokens must be >= 1"):
-            graph.render_subgraph(graph.neighborhood({0}, hops=1), 0)
 
     def test_hub_seed_renders_within_budget_and_reads_little(self):
         texts = CountingTexts({f"c{i:03d}": f"hub fact {i} holds here" for i in range(600)})

@@ -376,7 +376,6 @@ class TestConfigFileErrors:
             ({"provider": {"dimension": 64.5}}, ["'provider'", "'dimension' must be int, got float"]),
             ({"provider": {"model_name": 7}}, ["'provider'", "'model_name' must be str, got int"]),
             ({"query": {"hops": 1.5}}, ["'query'", "'hops' must be int, got float"]),
-            ({"query": {"max_structured_tokens": True}}, ["'query'", "'max_structured_tokens' must be int, got bool"]),
         ],
     )
     def test_index_exit_2_naming_section_and_key(self, tmp_path, capsys, config, named):
@@ -460,7 +459,7 @@ class TestConfigFileErrors:
         assert captured.out == ""
         assert "error: corrupt store: invalid manifest: beta must be finite and >= 0" in captured.err
 
-    @pytest.mark.parametrize("key", ["hops", "max_nodes", "max_structured_tokens"])
+    @pytest.mark.parametrize("key", ["hops", "max_nodes"])
     def test_manifest_query_bound_below_one_exit_3(self, store_dir, capsys, key):
         manifest_path = store_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
@@ -471,7 +470,7 @@ class TestConfigFileErrors:
         assert captured.out == ""
         assert f"error: corrupt store: invalid manifest: {key} must be >= 1" in captured.err
 
-    @pytest.mark.parametrize("key", ["hops", "max_nodes", "max_structured_tokens"])
+    @pytest.mark.parametrize("key", ["hops", "max_nodes"])
     def test_query_bound_below_one_exit_2(self, tmp_path, capsys, key):
         store = tmp_path / "store"
         build_store(write_corpus(tmp_path), store)
@@ -575,8 +574,7 @@ class TestCmdQuery:
 
     @pytest.mark.parametrize(
         ("section", "key", "value"),
-        [("query", "hops", 1.5), ("query", "max_nodes", True), ("query", "max_structured_tokens", 1.5),
-         ("chunker", "percentile", "95"),
+        [("query", "hops", 1.5), ("query", "max_nodes", True), ("chunker", "percentile", "95"),
          ("provider", "dimension", 256.0), ("extractor", "kind", None)],
     )
     def test_manifest_config_of_wrong_type_exit_3(self, store_dir, capsys, section, key, value):

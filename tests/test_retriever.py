@@ -338,9 +338,10 @@ class TestRetrieveHybrid:
         # both chunks (alpha-bravo, bravo-charlie) hold "alpha feeds bravo daily": 1 + 5 + 5 + 3 + 3 tokens
         assert full.structured_text.split("\n")[-2:] == ["alpha -[feeds]-> bravo", "bravo -[feeds]-> charlie"]
         assert [full.diagnostics[k] for k in BUDGET_KEYS] == [1024, 17, 2, 2, 3]
-        cut = retrieve_hybrid("What does Alpha feed?", **deps, config=QueryConfig(max_structured_tokens=16))
-        assert cut.structured_text == full.structured_text.rsplit("\n", 1)[0]
-        assert [cut.diagnostics[k] for k in BUDGET_KEYS] == [16, 14, 2, 1, 3]
+        long_snippet = " ".join(["word"] * 600)  # each context line 601 tokens: the second passes 1024
+        cut = retrieve_hybrid("What does Alpha feed?", **{**deps, "graph": make_graph(CHAIN, snippet=long_snippet)})
+        assert cut.structured_text == f"Contexts:\n- {long_snippet}"
+        assert [cut.diagnostics[k] for k in BUDGET_KEYS] == [1024, 602, 1, 0, 3]
         semantic = retrieve_hybrid("What does Alpha feed?", **deps, config=QueryConfig(mode="unstructured_only"))
         assert [semantic.diagnostics[k] for k in BUDGET_KEYS] == [1024, 0, 0, 0, 0]
 
@@ -390,7 +391,6 @@ class TestQueryConfig:
             {"mode": "psychic"},
             {"top_n_candidates": 0},
             {"max_nodes": 0},
-            {"max_structured_tokens": 0},
         ],
     )
     def test_validation(self, kwargs):
