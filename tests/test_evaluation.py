@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -286,6 +287,46 @@ class TestEvaluate:
         assert row["context_recall"] is None
         assert row["context_precision"] is None
         assert row["answer_relevancy"] is not None  # embedder path unaffected
+
+    def test_judge_failure_keeps_metrics_already_scored(self):
+        class SecondCallFails:
+            kind = "remote"
+
+            def __init__(self):
+                self.calls = 0
+
+            def supported(self, statements, contexts):
+                self.calls += 1
+                if self.calls > 1:
+                    raise ProviderError("judge offline")
+                return [True] * len(statements)
+
+        record = EvalRecord(question="q", ground_truth="Gt here.", answer="Ans.", contexts=["ctx"])
+        row = evaluate([record], SecondCallFails(), EMBEDDER).per_record[0]
+        assert row["faithfulness"] == 1.0
+        assert row["context_recall"] is None
+        assert row["context_precision"] is None
+        assert row["f1"] is None
+
+    def test_row_is_a_compact_read_only_mapping(self):
+        record = EvalRecord(
+            question="q one", ground_truth="Alpha beta gamma.", answer="Alpha beta.",
+            contexts=["alpha beta gamma", "delta"],
+        )
+        row = evaluate([record], JUDGE, EMBEDDER).per_record[0]
+        as_dict = dict(row)
+        assert list(as_dict) == [
+            "record_index", "answer_relevancy", "faithfulness", "context_recall", "context_precision", "f1"
+        ]
+        assert row == as_dict and as_dict == row
+        assert row["f1"] == f1_context(row["context_precision"], row["context_recall"])
+        assert row.get("missing") is None
+        with pytest.raises(KeyError):
+            row["missing"]
+        with pytest.raises(TypeError):
+            row["faithfulness"] = 0.0
+        assert not hasattr(row, "__dict__")
+        assert sys.getsizeof(row) < sys.getsizeof(as_dict)
 
     def test_requires_records(self):
         with pytest.raises(ValueError):
