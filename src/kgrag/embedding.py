@@ -54,6 +54,10 @@ class ProviderConfig:
             raise ValueError(f"unknown provider kind {self.kind!r}")
         if self.dimension < 8:
             raise ValueError("embedding dimension must be >= 8")
+        if not 0 < self.timeout < math.inf:  # also false for NaN
+            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
+        if self.max_retries < 0:
+            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
 
 
 def fnv1a64(data: bytes) -> int:

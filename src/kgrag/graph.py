@@ -6,11 +6,13 @@ map, so a traversal can hand back both structure and supporting context.
 Edges live in one set of sortable tuples; ``seal`` derives each node's
 incident-edge list from it, and a traversal is a seeded breadth-first
 expansion over those lists in both directions, bounded by hop count and
-node budget. A neighborhood renders as text within a token budget: its
-context chunks first, those the seed nodes share most ahead, then its
-edges, produced lazily so a hub seed costs what the budget keeps. Same
-lifecycle as the vector store: single-writer build (or load), seal, then
-lock-free concurrent reads.
+node budget. A neighborhood is its admitted nodes and their hops; the edges
+it induces are collected from the incident lists when first read. It
+renders as text within a token budget: its context chunks first, those the
+seed nodes share most ahead, then its edges, produced lazily so a hub seed
+costs what the budget keeps, and a render cut inside the contexts never
+collects the edges at all. Same lifecycle as the vector store:
+single-writer build (or load), seal, then lock-free concurrent reads.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 from json.encoder import encode_basestring
 from operator import itemgetter
 from pathlib import Path
@@ -59,13 +62,46 @@ class Edge(NamedTuple):
 # NamedTuple's Python-level __new__, which adds 3-7 ms to a 12k-edge load.
 _edge_fields = itemgetter(*Edge._fields)
 _as_edge = partial(tuple.__new__, Edge)
+# The traversal reads edge endpoints through these in C, not per edge in Python.
+_source = itemgetter(0)
+_target = itemgetter(1)
 
 
-@dataclass
 class Subgraph:
-    nodes: dict[int, EntityNode]
-    edges: set[Edge]
-    hop_of: dict[int, int]
+    """Admitted nodes by id, each node's hop, and the edges induced on them.
+
+    A traversal passes the graph's incident lists instead of ``edges``; the
+    induced set is then collected from the admitted nodes' lists on first
+    read and kept. ``edges`` may also be given or assigned outright.
+    """
+
+    __slots__ = ("nodes", "hop_of", "_edges", "_incident")
+
+    def __init__(
+        self,
+        nodes: dict[int, EntityNode],
+        edges: set[Edge] | None = None,
+        *,
+        hop_of: dict[int, int],
+        incident: list[list[Edge]] | None = None,
+    ) -> None:
+        self.nodes = nodes
+        self.hop_of = hop_of
+        self._edges = edges
+        self._incident = incident
+
+    @property
+    def edges(self) -> set[Edge]:
+        if self._edges is None:
+            hop_of = self.hop_of
+            self._edges = {
+                e for node in hop_of for e in self._incident[node] if e.source in hop_of and e.target in hop_of
+            }
+        return self._edges
+
+    @edges.setter
+    def edges(self, edges: set[Edge]) -> None:
+        self._edges = edges
 
 
 class KnowledgeGraph:
@@ -173,7 +209,9 @@ class KnowledgeGraph:
 
         Frontiers are admitted depth by depth; when the node budget truncates
         a frontier, lower node ids win. Edges are the graph edges induced on
-        the admitted node set, read from the admitted nodes' incident lists.
+        the admitted node set; they are collected from the admitted nodes'
+        incident lists when ``Subgraph.edges`` is first read, so a caller
+        that never reads them never pays for them.
         """
         if not self._sealed:
             raise ValueError("graph must be sealed before traversal")
@@ -184,12 +222,15 @@ class KnowledgeGraph:
         if not seeds:
             return Subgraph(nodes={}, edges=set(), hop_of={})
 
+        incident = self._incident
         hop_of: dict[int, int] = {seed: 0 for seed in sorted(seeds)}
         frontier = sorted(seeds)
         for depth in range(1, hops + 1):
             if len(hop_of) >= max_nodes:
                 break
-            reached = {n for node in frontier for e in self._incident[node] for n in (e.source, e.target)}
+            edges = list(chain.from_iterable(map(incident.__getitem__, frontier)))
+            reached = set(map(_source, edges))
+            reached.update(map(_target, edges))
             next_frontier = sorted(reached - hop_of.keys())
             if not next_frontier:
                 break
@@ -202,10 +243,7 @@ class KnowledgeGraph:
             frontier = admitted
 
         nodes = {nid: self._nodes[nid] for nid in hop_of}
-        edges = {
-            e for node in hop_of for e in self._incident[node] if e.source in hop_of and e.target in hop_of
-        }
-        return Subgraph(nodes=nodes, edges=edges, hop_of=hop_of)
+        return Subgraph(nodes=nodes, hop_of=hop_of, incident=incident)
 
     # -- rendering and export ------------------------------------------------
 

@@ -34,14 +34,18 @@ def strip_edge_punctuation(token: str) -> str:
 def content_tokens(text: str) -> set[str]:
     """Lowercased token set with stopwords and pure punctuation removed.
 
-    Each distinct raw token is normalized once, however often it occurs.
+    The text is lowercased before it is split, which yields the same words,
+    since no whitespace character has a case mapping and no lowercase form
+    contains one. A word that is alphanumeric throughout is its own token;
+    only the rest go through ``strip_edge_punctuation``, each distinct word
+    once, and the stopwords and empty remainders are dropped as one set.
     """
-    out: set[str] = set()
-    for raw in set(text.split()):
-        tok = strip_edge_punctuation(raw.lower())
-        if tok and tok not in STOPWORDS:
-            out.add(tok)
-    return out
+    words = set(text.lower().split())
+    tokens = set(filter(str.isalnum, words))
+    tokens.update(map(strip_edge_punctuation, words - tokens))
+    tokens.discard("")
+    tokens -= STOPWORDS
+    return tokens
 
 
 def coverage(tokens: set[str], reference: set[str]) -> float:

@@ -3,9 +3,11 @@
 All remote calls share one policy: bearer token from the SKETCH_API_KEY
 environment variable, and exponential backoff (base 1s, factor 2) on 429,
 5xx and connection errors, the failures a later attempt can outlive. Any
-other non-2xx status raises ProviderError at once; a retryable failure
-raises it once max_retries is exhausted. Either way the error carries the
-status and a body excerpt.
+other non-2xx status raises ProviderError at once, and so do 501 (Not
+Implemented) and 505 (HTTP Version Not Supported), which say the server
+will never serve the request; a retryable failure raises it once
+max_retries is exhausted. Either way the error carries the status and a
+body excerpt.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ API_KEY_ENV = "SKETCH_API_KEY"
 BACKOFF_BASE_SECONDS = 1.0
 BACKOFF_FACTOR = 2.0
 BODY_EXCERPT_CHARS = 200
+NEVER_RETRIED_5XX = frozenset({501, 505})
 
 
 def post_json(
@@ -57,7 +60,7 @@ def post_json(
                 return resp.json()
             except ValueError as exc:
                 raise ProviderError(f"non-JSON response from {url}: {exc}") from exc
-        if resp.status_code != 429 and resp.status_code < 500:
+        if (resp.status_code != 429 and resp.status_code < 500) or resp.status_code in NEVER_RETRIED_5XX:
             raise ProviderError(
                 f"POST {url} failed: status {resp.status_code}, "
                 f"body: {resp.text[:BODY_EXCERPT_CHARS]!r}"

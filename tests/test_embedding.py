@@ -311,7 +311,7 @@ class TestRemoteEmbedder:
         assert "upstream fell over" in str(excinfo.value)
         assert len(fake.calls) == 4  # initial + 3 retries
 
-    @pytest.mark.parametrize("status", [400, 401, 404])
+    @pytest.mark.parametrize("status", [400, 401, 404, 501, 505])
     def test_client_error_fails_without_retry(self, monkeypatch, status):
         sleeps = []
         monkeypatch.setattr(remote_mod.time, "sleep", sleeps.append)

@@ -681,6 +681,16 @@ class Unreadable:
         raise AssertionError("edges read after the budget ran out")
 
 
+class CountingIncident(list):
+    """Incident lists that count how many times a node's list is read."""
+
+    reads = 0
+
+    def __getitem__(self, node_id):
+        self.reads += 1
+        return super().__getitem__(node_id)
+
+
 class TestBudgetedRender:
     @settings(max_examples=300, deadline=None)
     @given(
@@ -747,3 +757,14 @@ class TestBudgetedRender:
         assert kept["context_lines"] == 16 and kept["edge_lines"] == 0  # 1 + 16 * 6 tokens
         assert text.split("\n")[1:3] == ["- hub fact 0 holds here", "- hub fact 1 holds here"]
         assert texts.lookups <= kept["context_lines"] + 1
+
+        graph._incident = CountingIncident(graph._incident)
+        lazy = graph.neighborhood({0}, hops=2, max_nodes=1000)
+        reads = graph._incident.reads
+        assert reads == 1 + 600  # the seed's list, then each spoke's
+        assert graph.render_subgraph(lazy, 100) == text
+        assert graph._incident.reads == reads  # the cut render never collected the edges
+        assert lazy.edges == reference_neighborhood(graph, {0}, 2, 1000).edges
+        assert graph._incident.reads == reads + len(lazy.hop_of)
+        assert graph.render_subgraph(lazy, UNBOUNDED).count(" -[r]-> ") == 600
+        assert graph._incident.reads == reads + len(lazy.hop_of)  # collected once, then kept

@@ -459,6 +459,45 @@ class TestConfigFileErrors:
         assert captured.out == ""
         assert "error: corrupt store: invalid manifest: beta must be finite and >= 0" in captured.err
 
+    @pytest.mark.parametrize(
+        ("key", "value", "named"),
+        [
+            ("timeout", 0.0, "timeout must be finite and > 0, got 0.0"),
+            ("timeout", -1.0, "timeout must be finite and > 0, got -1.0"),
+            ("timeout", float("nan"), "timeout must be finite and > 0, got nan"),
+            ("timeout", float("inf"), "timeout must be finite and > 0, got inf"),
+            ("max_retries", -1, "max_retries must be >= 0, got -1"),
+        ],
+    )
+    def test_provider_transport_bound_in_config_file_exit_2(self, tmp_path, capsys, key, value, named):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"provider": {key: value}}))
+        out = tmp_path / "store"
+        argv = ["index", "--corpus", str(write_corpus(tmp_path)), "--out", str(out), "--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: config section 'provider': bad value: {named}" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        ("key", "value", "named"),
+        [
+            ("timeout", 0.0, "timeout must be finite and > 0"),
+            ("timeout", float("inf"), "timeout must be finite and > 0"),
+            ("max_retries", -1, "max_retries must be >= 0"),
+        ],
+    )
+    def test_manifest_provider_transport_bound_exit_3(self, store_dir, capsys, key, value, named):
+        manifest_path = store_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["provider"][key] = value
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["query", "--store", str(store_dir), "--question", "Anything?", "--json"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: corrupt store: invalid manifest: {named}" in captured.err
+
     @pytest.mark.parametrize("key", ["hops", "max_nodes"])
     def test_manifest_query_bound_below_one_exit_3(self, store_dir, capsys, key):
         manifest_path = store_dir / "manifest.json"
