@@ -21,14 +21,14 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from kgrag.chunking import (  # noqa: E402
     ChunkerConfig,
+    hashed_window_distances,
     percentile_threshold,
     semantic_split,
     token_window_split,
-    window_distances,
 )
 from kgrag.cli import until_stdout_closes  # noqa: E402
 from kgrag.corpus import load_corpus, split_sentences  # noqa: E402
-from kgrag.embedding import HashedEmbedder  # noqa: E402
+from kgrag.embedding import HashedTokens  # noqa: E402
 
 
 def main() -> int:
@@ -47,12 +47,12 @@ def main() -> int:
         chunk_size=args.chunk_size,
         overlap=args.overlap,
     )
-    embedder = HashedEmbedder(args.embed_dim)
 
     documents = load_corpus(args.corpus)
     doc_sentences = [(doc.doc_id, split_sentences(doc.text)) for doc in documents]
-    # The distances build_store splits on, from the same one call.
-    all_distances = window_distances(doc_sentences, embedder, config.window_k)
+    # The distances build_store splits on, from one hashing pass over every sentence.
+    tokens = HashedTokens([s for _, sentences in doc_sentences for s in sentences], args.embed_dim)
+    all_distances = hashed_window_distances(tokens, [len(s) for _, s in doc_sentences], config.window_k)
     for (doc_id, sentences), distances in zip(doc_sentences, all_distances):
         print(f"== {doc_id}: {len(sentences)} sentences")
         if distances:

@@ -20,7 +20,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from kgrag.cli import MODE_ALIASES  # noqa: E402
+from kgrag.cli import MODE_ALIASES, until_stdout_closes  # noqa: E402
 from kgrag.evaluation import (  # noqa: E402
     METRIC_NAMES,
     LexicalJudge,
@@ -75,4 +75,4 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(until_stdout_closes(main))

@@ -5,8 +5,10 @@ the windows, takes the cosine distance between each window and the next,
 and closes a chunk wherever that distance strictly exceeds the
 nearest-rank percentile threshold of the document's distances. The
 hashed embedder's window rows come from per-sentence counts, in one pass
-over all documents of a build. Stage two bounds chunk length with a
-fixed-stride token window (default 100 tokens, 16 overlap).
+over all documents of a build, out of the sentences' one ``HashedTokens``
+coding, which the build's chunk rows are then counted from too. Stage two
+bounds chunk length with a fixed-stride token window (default 100 tokens,
+16 overlap); a semantic chunk's tokens are its sentences' tokens in turn.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import HashedEmbedder, cosine_rows, hashed_window_rows
+from .embedding import HashedTokens, cosine_rows, hashed_window_rows
 from .exceptions import ProviderError, StoreCorruptError
 
 
@@ -92,20 +94,25 @@ def window_distances(documents: list[tuple[str, list[str]]], embedder, k: int) -
     """Each ``(doc_id, sentences)`` document's sequential window distances, in order.
 
     For a document this is ``sequential_distances`` over the embeddings of
-    ``build_windows(sentences, k)``; a document of fewer than two sentences
-    has none. The hashed embedder takes every document in one
-    ``hashed_window_rows`` pass, bit for bit the same as embedding each
-    document's windows, and holds one block of rows at a time (one row
-    carries across a block edge). Any other embedder embeds each document's
-    windows in one ``embed_batch`` call.
+    ``build_windows(sentences, k)``, from one ``embed_batch`` call per
+    document; a document of fewer than two sentences has none.
+    ``hashed_window_distances`` gives the hashed embedder's distances bit for
+    bit, from sentences it has already hashed.
     """
-    if not isinstance(embedder, HashedEmbedder):
-        return [_embedded_window_distances(doc_id, sentences, embedder, k) for doc_id, sentences in documents]
-    lengths = [len(sentences) for _, sentences in documents]
-    texts = [s for _, sentences in documents for s in sentences]
-    distances = np.empty(max(len(texts) - 1, 0))  # row i to row i+1, across documents too
-    carried = np.empty((0, embedder.dimension), dtype=np.float32)
-    for start, rows in hashed_window_rows(texts, lengths, k, embedder.dimension):
+    return [_embedded_window_distances(doc_id, sentences, embedder, k) for doc_id, sentences in documents]
+
+
+def hashed_window_distances(tokens: HashedTokens, lengths: list[int], k: int) -> list[list[float]]:
+    """``window_distances`` with a hashed embedder, over sentences already hashed.
+
+    ``tokens`` holds the sentences of consecutive documents, ``lengths[j]``
+    of them for document j. One ``hashed_window_rows`` pass covers every
+    document and holds one block of rows at a time (one row carries across a
+    block edge).
+    """
+    distances = np.empty(max(len(tokens.offsets) - 2, 0))  # row i to row i+1, across documents too
+    carried = np.empty((0, tokens.dimension), dtype=np.float32)
+    for start, rows in hashed_window_rows(tokens, lengths, k):
         pairs = np.concatenate([carried, rows])
         distances[start - len(carried) : start + len(rows) - 1] = 1.0 - cosine_rows(pairs[:-1], pairs[1:])
         carried = rows[-1:]

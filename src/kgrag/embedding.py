@@ -6,14 +6,17 @@ shape (POST {"model", "input": [...]} -> {"data": [{"index", "embedding"}]}).
 Vectors are float32, unit-normalized; empty text maps to the zero vector.
 ``embed_batch`` returns a batch as one float32 (n, D) matrix for both
 providers, and ``cosine_rows`` is the one cosine rule applied to such rows.
-The hashed embedder counts tokens in two places. ``_signed_counts`` serves
-batches: a batch of texts is normalized counts, one row per text, and
-``hashed_window_rows`` embeds sentence windows from sums of per-sentence
-counts. ``embed_hashed`` counts one text straight into one row; it exists
-because a query embeds one question, and the batch bookkeeping (a flat
-``repeat`` index over all rows) cost more than the counting itself. Both
-count the same signed columns in token order, so their rows agree bit for
-bit.
+The hashed embedder counts tokens in two places. ``HashedTokens`` is the
+batch core: it lowercases, splits and hashes a list of texts once into one
+int64 array of signed columns, and counts rows over any token ranges of it.
+A batch of texts is one row per text; an index build codes every sentence
+once and takes both its sentence-window rows (``hashed_window_rows``, from
+sums of per-sentence counts) and its chunk rows (each chunk's token range)
+from that one array. ``embed_hashed`` counts one text straight into one row;
+it exists because a query embeds one question, and the batch bookkeeping (a
+flat ``repeat`` index over all rows) cost more than the counting itself.
+Both count the same signed columns in token order, so their rows agree bit
+for bit.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .remote import post_json
 Vector = np.ndarray
 
 MAX_BATCH_SIZE = 64
-_BLOCK_ROWS = 256  # window rows per accumulation block in hashed_window_rows
+_BLOCK_ROWS = 256  # rows per counting block in HashedTokens.rows and hashed_window_rows
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -82,54 +85,91 @@ class _SignedColumns(dict):
         return code
 
 
-def _signed_counts(texts: list[str], table: _SignedColumns) -> np.ndarray:
-    """Float64 (len(texts), D) signed token counts, one row per text."""
-    dimension = table.dimension
-    codes = array("q")  # signed column of every token occurrence, text by text
-    lengths: list[int] = []
-    for text in texts:
-        tokens = text.lower().split()
-        codes.extend(map(table.__getitem__, tokens))
-        lengths.append(len(tokens))
-    signed = np.frombuffer(codes, dtype=np.int64)
-    flat = np.repeat(np.arange(len(lengths), dtype=np.int64) * dimension, lengths) + (signed >> 1)
-    # bincount gives int64 when there are no tokens at all, hence the cast.
-    values = np.bincount(flat, weights=1.0 - 2.0 * (signed & 1), minlength=len(lengths) * dimension)
-    return values.astype(np.float64, copy=False).reshape(len(lengths), dimension)
+class HashedTokens:
+    """The signed column of every lowercased whitespace token of some texts, in order.
+
+    ``codes[j]`` is ``2 * column + sign bit`` of token j, text by text, and
+    text i's tokens are ``offsets[i]:offsets[i + 1]``. Each text is
+    lowercased and split once, each distinct token hashed once, and the token
+    strings are dropped as soon as their text is coded. ``rows`` counts any
+    token ranges from ``codes``, which is all a row needs: a row is the same
+    whichever texts its tokens were split from.
+    """
+
+    __slots__ = ("dimension", "codes", "offsets")
+
+    def __init__(self, texts: list[str], dimension: int):
+        if dimension < 8:
+            raise ValueError("embedding dimension must be >= 8")
+        table = _SignedColumns(dimension)
+        codes = array("q")
+        lengths = [0]
+        for text in texts:
+            tokens = text.lower().split()
+            codes.extend(map(table.__getitem__, tokens))
+            lengths.append(len(tokens))
+        self.dimension = dimension
+        self.codes = np.frombuffer(codes, dtype=np.int64)
+        self.offsets = np.cumsum(lengths, dtype=np.int64)
+
+    def counts(self, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+        """Float64 (len(starts), D) signed token counts, row i over tokens [starts[i], stops[i]).
+
+        The ranges may overlap. Counts are small integers, exact in any order.
+        """
+        dimension = self.dimension
+        lengths = stops - starts
+        ends = np.cumsum(lengths)
+        # Position of every counted token, range by range.
+        positions = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
+        signed = self.codes[positions]
+        flat = np.repeat(np.arange(len(lengths), dtype=np.int64) * dimension, lengths) + (signed >> 1)
+        # bincount gives int64 when there are no tokens at all, hence the cast.
+        values = np.bincount(flat, weights=1.0 - 2.0 * (signed & 1), minlength=len(lengths) * dimension)
+        return values.astype(np.float64, copy=False).reshape(len(lengths), dimension)
+
+    def rows(self, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+        """Float32 unit rows of ``counts(starts, stops)``; a range without tokens is the zero row.
+
+        Rows are counted ``_BLOCK_ROWS`` at a time, so the float64 counts
+        and the per-token temporaries stay bounded however many rows there are.
+        """
+        out = np.empty((len(starts), self.dimension), dtype=np.float32)
+        for i in range(0, len(starts), _BLOCK_ROWS):
+            block = slice(i, i + _BLOCK_ROWS)
+            out[block] = _normalized(self.counts(starts[block], stops[block]))
+        return out
 
 
-def hashed_window_rows(
-    texts: list[str], lengths: list[int], k: int, dimension: int
-) -> Iterator[tuple[int, np.ndarray]]:
+def hashed_window_rows(tokens: HashedTokens, lengths: list[int], k: int) -> Iterator[tuple[int, np.ndarray]]:
     """Hashed embeddings of sentence windows, yielded as (first row, float32 rows) blocks.
 
-    ``texts`` holds the sentences of consecutive documents, ``lengths[j]`` of
-    them for document j. Row i embeds window i: the space-joined sentences
+    ``tokens`` holds the sentences of consecutive documents, ``lengths[j]``
+    of them for document j. Row i embeds window i: the space-joined sentences
     ``max(a, i-k) .. min(b-1, i+k)`` of the document [a, b) that holds
     sentence i, exactly as ``embed_hashed_many`` would embed that text.
 
     Lowercasing and whitespace splitting never carry across the joining
     space, so a window's signed counts are the sum of its sentences' counts,
     and a window is a difference of per-sentence prefix sums: small integers,
-    exact in float64 in any order. Each distinct token of the call is hashed
-    once. Blocks are at most ``_BLOCK_ROWS`` rows and count their sentences
-    plus at most k more past either edge, so the temporaries stay bounded
-    however long a document is and however many documents there are.
+    exact in float64 in any order. Blocks are at most ``_BLOCK_ROWS`` rows
+    and count their sentences plus at most k more past either edge, so the
+    temporaries stay bounded however long a document is and however many
+    documents there are.
     """
-    if dimension < 8:
-        raise ValueError("embedding dimension must be >= 8")
     if k < 0:
         raise ValueError("window size k must be >= 0")
-    table = _SignedColumns(dimension)
+    bounds = tokens.offsets  # sentence i's tokens are bounds[i]:bounds[i + 1]
+    total = len(bounds) - 1
     offsets = np.cumsum([0, *lengths], dtype=np.int64)
-    for start in range(0, len(texts), _BLOCK_ROWS):
-        rows = np.arange(start, min(len(texts), start + _BLOCK_ROWS), dtype=np.int64)
+    for start in range(0, total, _BLOCK_ROWS):
+        rows = np.arange(start, min(total, start + _BLOCK_ROWS), dtype=np.int64)
         doc = np.searchsorted(offsets, rows, side="right") - 1
         lo = np.maximum(offsets[doc], rows - k)
         hi = np.minimum(offsets[doc + 1], rows + k + 1)
         first, last = int(lo[0]), int(hi[-1])
-        prefix = np.zeros((last - first + 1, dimension))
-        np.cumsum(_signed_counts(texts[first:last], table), axis=0, out=prefix[1:])
+        prefix = np.zeros((last - first + 1, tokens.dimension))
+        np.cumsum(tokens.counts(bounds[first:last], bounds[first + 1 : last + 1]), axis=0, out=prefix[1:])
         yield start, _normalized(prefix[hi - first] - prefix[lo - first])
 
 
@@ -149,15 +189,12 @@ def embed_hashed_many(texts: list[str], dimension: int = 256) -> np.ndarray:
     which is what the chunk-boundary tests rely on.
 
     Each distinct token of the batch is hashed once, nothing is kept across
-    calls, and a row does not depend on the rest of the batch: row i equals
-    ``hashed_window_rows`` of the texts with k=0. That generator is not used
-    here: embedding the 1,619 chunks of the seed-1 300-doc bench store took
-    44-48 ms this way and 51-52 ms through it (best of 7, 2-vCPU Xeon).
-    Returns float32, shape (len(texts), D).
+    calls, and a row does not depend on the rest of the batch: row i is
+    ``HashedTokens(texts, dimension).rows`` over text i's tokens, as an index
+    build counts its chunk rows. Returns float32, shape (len(texts), D).
     """
-    if dimension < 8:
-        raise ValueError("embedding dimension must be >= 8")
-    return _normalized(_signed_counts(texts, _SignedColumns(dimension)))
+    tokens = HashedTokens(texts, dimension)
+    return tokens.rows(tokens.offsets[:-1], tokens.offsets[1:])
 
 
 def embed_hashed(text: str, dimension: int = 256) -> Vector:

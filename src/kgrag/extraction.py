@@ -3,7 +3,9 @@
 Triples come from a list of sentences, a semantic chunk's, never split again.
 The rule extractor is deterministic: capitalized token runs become entity
 mentions, and consecutive mention pairs in a sentence become triples whose
-relation is the (short) token gap between them. The remote extractor sends
+relation is the (short) token gap between them. One span finder serves
+both triples and entities and normalizes each mention once, and a triple
+is a ``NamedTuple`` of normalized names. The remote extractor sends
 the space-joined sentences in a fixed prompt to a chat endpoint and parses
 strict-JSON triples, with one repair retry; it skips items whose fields are
 not all strings. Both expose the same interface so the indexing pipeline
@@ -16,6 +18,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import split_sentences, string_list, tokenize
 from .exceptions import ProviderError
@@ -48,8 +51,9 @@ EXTRACTION_REPAIR_SUFFIX = "Return only valid JSON."
 _NON_SNAKE_RE = re.compile(r"[^a-z0-9]+")
 
 
-@dataclass(frozen=True)
-class Triple:
+class Triple(NamedTuple):
+    """A (subject, relation, object) fact and the chunk id it came from."""
+
     subject: str
     relation: str
     object: str
@@ -74,9 +78,20 @@ def snake_case(relation: str) -> str:
     return _NON_SNAKE_RE.sub("_", relation.lower()).strip("_")
 
 
-def _mention_spans(tokens: list[str], stopwords: frozenset[str]) -> list[tuple[int, int]]:
-    """Token spans [start, end) of capitalized runs, leading stopwords trimmed."""
-    spans: list[tuple[int, int]] = []
+def _bare(word: str) -> str:
+    """``strip_edge_punctuation(word)``, skipping its loops for a word alphanumeric throughout."""
+    return word if word.isalnum() else strip_edge_punctuation(word)
+
+
+def _mentions(tokens: list[str], stopwords: frozenset[str]) -> list[tuple[int, int, str, str]]:
+    """(start, end, surface, normalized) of each capitalized token run, in order.
+
+    A run is maximal tokens whose first character is uppercase, with leading
+    stopwords trimmed, over tokens [start, end); ``surface`` is those tokens
+    space-joined and ``normalized`` its ``normalize_entity`` form, which may
+    be empty. Each mention is normalized here, once.
+    """
+    mentions: list[tuple[int, int, str, str]] = []
     i = 0
     n = len(tokens)
     while i < n:
@@ -84,25 +99,23 @@ def _mention_spans(tokens: list[str], stopwords: frozenset[str]) -> list[tuple[i
             start = i
             while i < n and tokens[i][:1].isupper():
                 i += 1
-            while start < i and strip_edge_punctuation(tokens[start]) in stopwords:
+            while start < i and _bare(tokens[start]) in stopwords:
                 start += 1
             if start < i:
-                spans.append((start, i))
+                surface = " ".join(tokens[start:i])
+                mentions.append((start, i, surface, normalize_entity(surface)))
         else:
             i += 1
-    return spans
+    return mentions
 
 
 def extract_entities_rule(
     sentence: str, stopwords: frozenset[str] = ENTITY_STOPWORDS
 ) -> list[EntityMention]:
     """Entity mentions in order of first appearance, deduplicated by normalized form."""
-    tokens = tokenize(sentence)
     mentions: list[EntityMention] = []
     seen: set[str] = set()
-    for start, end in _mention_spans(tokens, stopwords):
-        surface = " ".join(tokens[start:end])
-        normalized = normalize_entity(surface)
+    for _, _, surface, normalized in _mentions(tokenize(sentence), stopwords):
         if normalized and normalized not in seen:
             seen.add(normalized)
             mentions.append(EntityMention(surface=surface, normalized=normalized))
@@ -114,22 +127,19 @@ def extract_triples_rule(sentence: str, provenance: str = "") -> list[Triple]:
 
     A gap of 1..MAX_RELATION_GAP tokens between the pair becomes the relation
     (lowercased, punctuation-stripped, underscore-joined); adjacent or distant
-    pairs fall back to "related_to".
+    pairs fall back to "related_to". A pair with an empty normalized name
+    gives no triple.
     """
     tokens = tokenize(sentence)
-    spans = _mention_spans(tokens, ENTITY_STOPWORDS)
+    mentions = _mentions(tokens, ENTITY_STOPWORDS)
     triples: list[Triple] = []
-    for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
-        gap = tokens[e1:s2]
-        if 1 <= len(gap) <= MAX_RELATION_GAP:
-            words = [strip_edge_punctuation(t.lower()) for t in gap]
-            relation = "_".join(w for w in words if w) or FALLBACK_RELATION
-        else:
-            relation = FALLBACK_RELATION
-        subject = normalize_entity(" ".join(tokens[s1:e1]))
-        obj = normalize_entity(" ".join(tokens[s2:e2]))
+    for (_, end, _, subject), (start, _, _, obj) in zip(mentions, mentions[1:]):
         if subject and obj:
-            triples.append(Triple(subject=subject, relation=relation, object=obj, provenance=provenance))
+            relation = FALLBACK_RELATION
+            if 1 <= start - end <= MAX_RELATION_GAP:
+                words = map(_bare, map(str.lower, tokens[end:start]))
+                relation = "_".join(filter(None, words)) or FALLBACK_RELATION
+            triples.append(Triple(subject, relation, obj, provenance))
     return triples
 
 

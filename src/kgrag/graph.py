@@ -149,6 +149,16 @@ class KnowledgeGraph:
         self._sealed = True
 
     def _resolve(self, surface: str) -> int:
+        """The node id of ``surface``'s normalized name, a new node (named ``surface``) if none.
+
+        Every key is a normalized name and ``normalize_entity`` is idempotent,
+        so a surface that is itself a key names that key's node, and only a
+        miss is normalized. The rule extractor's names are normalized already,
+        so once a name has a node its later lookups never normalize it.
+        """
+        node_id = self._by_normalized.get(surface)
+        if node_id is not None:
+            return node_id
         normalized = normalize_entity(surface)
         node_id = self._by_normalized.get(normalized)
         if node_id is None:

@@ -13,9 +13,19 @@ import shutil
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .chunking import Chunk, ChunkerConfig, SemanticChunk, semantic_split, token_window_split, window_distances
+import numpy as np
+
+from .chunking import (
+    Chunk,
+    ChunkerConfig,
+    SemanticChunk,
+    hashed_window_distances,
+    semantic_split,
+    token_window_split,
+    window_distances,
+)
 from .corpus import Document, load_corpus, split_sentences
-from .embedding import HashedEmbedder, ProviderConfig, RemoteEmbedder, make_embedder
+from .embedding import HashedEmbedder, HashedTokens, ProviderConfig, RemoteEmbedder, make_embedder
 from .evaluation import EvalRecord
 from .exceptions import InputError, StoreCorruptError
 from .extraction import RemoteExtractor, RuleExtractor
@@ -135,21 +145,43 @@ def make_extractor(config: ExtractorConfig):
 
 def chunk_documents(
     documents: list[Document], embedder, chunker: ChunkerConfig
-) -> tuple[list[SemanticChunk], list[Chunk]]:
-    """Sentence split -> semantic split -> token windows, in document order.
+) -> tuple[list[SemanticChunk], list[Chunk], np.ndarray]:
+    """Sentence split -> semantic split -> token windows -> chunk rows, in document order.
 
-    Every document's window distances come from one ``window_distances``
-    call; the percentile threshold stays per document.
+    Returns the semantic chunks, the token chunks and one float32 row per
+    token chunk, as ``embedder.embed_batch`` of the chunk texts gives it.
+    The hashed embedder lowercases, splits and hashes every sentence of the
+    build once, into one ``HashedTokens``. Every document's window distances
+    come from it, and so does each chunk's row: the chunk's ``token_span``
+    shifted by the token offset of its semantic chunk's first sentence, since
+    ``" ".join(sentences).split()`` is the sentences' own splits in turn. Any
+    other embedder embeds each document's windows and then every chunk text
+    in one ``embed_batch`` call. The percentile threshold stays per document.
     """
     doc_sentences = [(doc.doc_id, sentences) for doc in documents if (sentences := split_sentences(doc.text))]
-    distances = window_distances(doc_sentences, embedder, chunker.window_k)
+    tokens = None
+    if isinstance(embedder, HashedEmbedder):
+        tokens = HashedTokens([s for _, sentences in doc_sentences for s in sentences], embedder.dimension)
+        lengths = [len(sentences) for _, sentences in doc_sentences]
+        distances = hashed_window_distances(tokens, lengths, chunker.window_k)
+    else:
+        distances = window_distances(doc_sentences, embedder, chunker.window_k)
     all_semantic: list[SemanticChunk] = []
     all_chunks: list[Chunk] = []
+    first_sentences: list[int] = []  # per chunk, the build-wide index of its semantic chunk's first sentence
+    base = 0  # build-wide index of the document's first sentence
     for (doc_id, sentences), doc_distances in zip(doc_sentences, distances):
         for sem in semantic_split(doc_id, sentences, doc_distances, chunker):
+            windows = token_window_split(sem, chunker.chunk_size, chunker.overlap)
             all_semantic.append(sem)
-            all_chunks.extend(token_window_split(sem, chunker.chunk_size, chunker.overlap))
-    return all_semantic, all_chunks
+            all_chunks.extend(windows)
+            first_sentences.extend([base + sem.sentence_span[0]] * len(windows))
+        base += len(sentences)
+    if tokens is None:
+        return all_semantic, all_chunks, embedder.embed_batch([c.text for c in all_chunks])
+    first = tokens.offsets[first_sentences]
+    spans = np.array([c.token_span for c in all_chunks], dtype=np.int64).reshape(-1, 2)
+    return all_semantic, all_chunks, tokens.rows(first + spans[:, 0], first + spans[:, 1])
 
 
 def build_store(
@@ -182,10 +214,11 @@ def build_store(
         embedder = make_embedder(provider)
         extractor = make_extractor(extractor_config)
 
-        all_semantic, all_chunks = chunk_documents(documents, embedder, chunker)
+        all_semantic, all_chunks, rows = chunk_documents(documents, embedder, chunker)
 
         vectors = VectorStore(embedder.dimension)
-        vectors.add(all_chunks, embedder.embed_batch([c.text for c in all_chunks]))
+        vectors.add(all_chunks, rows)
+        del rows  # seal copies the rows into its matrix and drops them; nothing here should hold them on
         vectors.seal()
         vectors.save(out / VECTORS_FILE)
 

@@ -2,8 +2,10 @@
 
 All remote calls share one policy: bearer token from the SKETCH_API_KEY
 environment variable, and exponential backoff (base 1s, factor 2) on 429,
-5xx and connection errors, the failures a later attempt can outlive. Any
-other non-2xx status raises ProviderError at once, and so do 501 (Not
+5xx and connection errors, the failures a later attempt can outlive. A 429
+or 503 whose ``Retry-After`` header is whole seconds, at most the request
+timeout, waits that long before the next attempt instead. Any other
+non-2xx status raises ProviderError at once, and so do 501 (Not
 Implemented) and 505 (HTTP Version Not Supported), which say the server
 will never serve the request; a retryable failure raises it once
 max_retries is exhausted. Either way the error carries the status and a
@@ -25,6 +27,20 @@ BACKOFF_BASE_SECONDS = 1.0
 BACKOFF_FACTOR = 2.0
 BODY_EXCERPT_CHARS = 200
 NEVER_RETRIED_5XX = frozenset({501, 505})
+RETRY_AFTER_STATUSES = frozenset({429, 503})
+
+
+def _retry_after(value: str | None, limit: float) -> int | None:
+    """A ``Retry-After`` header's delay, when it is whole seconds from 0 to ``limit``; else None.
+
+    The HTTP-date form, a malformed value and a delay past ``limit`` (the
+    request timeout) all give None, and the caller keeps its own backoff.
+    """
+    value = (value or "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None
+    seconds = int(value)
+    return seconds if seconds <= limit else None
 
 
 def post_json(
@@ -47,9 +63,11 @@ def post_json(
 
     last_status: int | str = "no-response"
     last_body = ""
+    wait = None  # the server's Retry-After for the next attempt, when it is honoured
     for attempt in range(max_retries + 1):
         if attempt:
-            time.sleep(BACKOFF_BASE_SECONDS * BACKOFF_FACTOR ** (attempt - 1))
+            time.sleep(BACKOFF_BASE_SECONDS * BACKOFF_FACTOR ** (attempt - 1) if wait is None else wait)
+            wait = None
         try:
             resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
         except requests.RequestException as exc:
@@ -66,6 +84,8 @@ def post_json(
                 f"body: {resp.text[:BODY_EXCERPT_CHARS]!r}"
             )
         last_status, last_body = resp.status_code, resp.text
+        if resp.status_code in RETRY_AFTER_STATUSES:
+            wait = _retry_after(resp.headers.get("Retry-After"), timeout)
     raise ProviderError(
         f"POST {url} failed after {max_retries} retries: "
         f"status {last_status}, body: {last_body[:BODY_EXCERPT_CHARS]!r}"

@@ -85,10 +85,11 @@ def two_topic_sentences(rng: random.Random, per_topic: int = 11) -> tuple[list[s
 
 
 class FakeResponse:
-    def __init__(self, status_code: int, payload=None, text: str = ""):
+    def __init__(self, status_code: int, payload=None, text: str = "", headers: dict | None = None):
         self.status_code = status_code
         self._payload = payload
         self.text = text if text else repr(payload)
+        self.headers = {} if headers is None else headers
 
     def json(self):
         if self._payload is None:

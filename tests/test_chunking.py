@@ -14,6 +14,7 @@ from kgrag.chunking import (
     ChunkerConfig,
     SemanticChunk,
     build_windows,
+    hashed_window_distances,
     percentile_threshold,
     read_chunks_jsonl,
     semantic_split,
@@ -22,7 +23,7 @@ from kgrag.chunking import (
     window_distances,
     write_chunks_jsonl,
 )
-from kgrag.embedding import HashedEmbedder, embed_hashed_many, hashed_window_rows
+from kgrag.embedding import HashedEmbedder, HashedTokens, embed_hashed_many, hashed_window_rows
 from kgrag.exceptions import StoreCorruptError
 
 import kgrag.embedding as embedding_mod
@@ -131,11 +132,14 @@ class TestHashedWindowDistances:
         expected_rows = [
             embed_hashed_many(build_windows(sentences, k), dimension) for _, sentences in documents if sentences
         ]
+        tokens = HashedTokens([s for t in texts for s in t], dimension)
         with mock.patch.object(embedding_mod, "_BLOCK_ROWS", block):
-            got = window_distances(documents, HashedEmbedder(dimension), k)
-            blocks = list(hashed_window_rows([s for t in texts for s in t], [len(t) for t in texts], k, dimension))
+            got = hashed_window_distances(tokens, [len(t) for t in texts], k)
+            blocks = list(hashed_window_rows(tokens, [len(t) for t in texts], k))
         assert all(type(d) is float for distances in got for d in distances)
         assert [np.array(d).tobytes() for d in got] == [np.array(d).tobytes() for d in expected]
+        generic = window_distances(documents, HashedEmbedder(dimension), k)
+        assert [np.array(d).tobytes() for d in generic] == [np.array(d).tobytes() for d in expected]
         assert all(len(rows) <= block for _, rows in blocks)
         rows = np.concatenate([rows for _, rows in blocks]) if blocks else np.zeros((0, dimension), np.float32)
         reference = np.concatenate(expected_rows) if expected_rows else np.zeros((0, dimension), np.float32)
@@ -145,13 +149,15 @@ class TestHashedWindowDistances:
         monkeypatch.setattr(embedding_mod, "_BLOCK_ROWS", 4)
         hashed = record_texts(monkeypatch, embedding_mod, "fnv1a64")
         texts = [f"rome w{i} pasta" for i in range(10)] + ["ROME pizza", "rome"]
-        list(hashed_window_rows(texts, [10, 2], 2, 64))
+        list(hashed_window_rows(HashedTokens(texts, 64), [10, 2], 2))
         assert sorted(hashed) == sorted([b"rome", b"pasta", b"pizza"] + [f"w{i}".encode() for i in range(10)])
 
     def test_single_sentence_and_empty_documents(self):
         documents = [("doc", ["only"]), ("doc", []), ("doc", ["a b", "c"])]
         got = window_distances(documents, HashedEmbedder(64), 1)
         assert got[:2] == [[], []] and len(got[2]) == 1
+        tokens = HashedTokens([s for _, sentences in documents for s in sentences], 64)
+        assert hashed_window_distances(tokens, [1, 0, 2], 1) == got
 
 
 class TestPercentileThreshold:

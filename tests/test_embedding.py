@@ -302,6 +302,59 @@ class TestRemoteEmbedder:
         assert len(out) == 1
         assert sleeps == [1.0, 2.0]
 
+    @pytest.mark.parametrize(("status", "retry_after", "waits"), [(429, "3", 3), (503, "0", 0), (503, " 30 ", 30)])
+    def test_retry_after_seconds_honoured(self, monkeypatch, status, retry_after, waits):
+        sleeps = []
+        monkeypatch.setattr(remote_mod.time, "sleep", sleeps.append)
+        fake = FakePost(
+            [
+                FakeResponse(status, text="busy", headers={"Retry-After": retry_after}),
+                FakeResponse(429, text="slow down"),
+                FakeResponse(200, embedding_payload([[1.0] + [0.0] * 7])),
+            ]
+        )
+        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        assert len(embed_remote(["x"], remote_config(timeout=30.0))) == 1
+        assert sleeps == [waits, 2.0]  # the header covers only the attempt after its own response
+
+    @pytest.mark.parametrize("retry_after", ["31", "86400", "99999999999999999999"])
+    def test_retry_after_past_the_timeout_keeps_the_backoff(self, monkeypatch, retry_after):
+        sleeps = []
+        monkeypatch.setattr(remote_mod.time, "sleep", sleeps.append)
+        fake = FakePost(
+            [FakeResponse(429, text="slow down", headers={"Retry-After": retry_after})] * 2
+            + [FakeResponse(200, embedding_payload([[1.0] + [0.0] * 7]))]
+        )
+        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        assert len(embed_remote(["x"], remote_config(timeout=30.0))) == 1
+        assert sleeps == [1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        ("status", "headers"),
+        [
+            (429, {}),
+            (429, {"Retry-After": "Wed, 21 Oct 2015 07:28:00 GMT"}),
+            (503, {"Retry-After": "soon"}),
+            (503, {"Retry-After": ""}),
+            (429, {"Retry-After": "-1"}),
+            (429, {"Retry-After": "1.5"}),
+            (429, {"Retry-After": "+2"}),
+            (503, {"Retry-After": "\u0663"}),  # ARABIC-INDIC DIGIT THREE: a digit, but not delay-seconds
+            (500, {"Retry-After": "3"}),  # honoured on 429 and 503 only
+            (502, {"Retry-After": "0"}),
+        ],
+    )
+    def test_retry_after_fallback_keeps_the_backoff(self, monkeypatch, status, headers):
+        sleeps = []
+        monkeypatch.setattr(remote_mod.time, "sleep", sleeps.append)
+        fake = FakePost(
+            [FakeResponse(status, text="busy", headers=headers)] * 2
+            + [FakeResponse(200, embedding_payload([[1.0] + [0.0] * 7]))]
+        )
+        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        assert len(embed_remote(["x"], remote_config(timeout=30.0))) == 1
+        assert sleeps == [1.0, 2.0]
+
     def test_error_after_max_retries_carries_status_and_body(self, monkeypatch):
         monkeypatch.setattr(remote_mod.time, "sleep", lambda _: None)
         fake = FakePost([FakeResponse(503, text="upstream fell over")] * 4)

@@ -3,12 +3,16 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from kgrag.corpus import split_sentences
 from kgrag.exceptions import ProviderError
 from kgrag.extraction import (
+    ENTITY_STOPWORDS,
     EXTRACTION_USER_TEMPLATE,
+    FALLBACK_RELATION,
+    MAX_RELATION_GAP,
+    QUERY_STOPWORDS,
     EntityMention,
     RemoteExtractor,
     RuleExtractor,
@@ -267,3 +271,112 @@ class TestRuleExtractorInterface:
     def test_never_raises_and_endpoints_non_empty(self, text):
         for triple in RuleExtractor().triples(split_sentences(text)):
             assert triple.subject and triple.object and triple.relation
+
+
+def _reference_strip(token: str) -> str:
+    """``strip_edge_punctuation`` with its character loops on every token."""
+    start, end = 0, len(token)
+    while start < end and not token[start].isalnum():
+        start += 1
+    while end > start and not token[end - 1].isalnum():
+        end -= 1
+    return token[start:end]
+
+
+def _reference_mention_spans(tokens: list[str], stopwords: frozenset[str]) -> list[tuple[int, int]]:
+    spans: list[tuple[int, int]] = []
+    i = 0
+    n = len(tokens)
+    while i < n:
+        if tokens[i][:1].isupper():
+            start = i
+            while i < n and tokens[i][:1].isupper():
+                i += 1
+            while start < i and _reference_strip(tokens[start]) in stopwords:
+                start += 1
+            if start < i:
+                spans.append((start, i))
+        else:
+            i += 1
+    return spans
+
+
+def _reference_entities(sentence: str, stopwords: frozenset[str]) -> list[tuple[str, str]]:
+    tokens = sentence.split()
+    mentions: list[tuple[str, str]] = []
+    seen: set[str] = set()
+    for start, end in _reference_mention_spans(tokens, stopwords):
+        surface = " ".join(tokens[start:end])
+        normalized = normalize_entity(surface)
+        if normalized and normalized not in seen:
+            seen.add(normalized)
+            mentions.append((surface, normalized))
+    return mentions
+
+
+def _reference_triples(sentence: str, provenance: str) -> list[tuple[str, str, str, str]]:
+    tokens = sentence.split()
+    spans = _reference_mention_spans(tokens, ENTITY_STOPWORDS)
+    triples = []
+    for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
+        gap = tokens[e1:s2]
+        if 1 <= len(gap) <= MAX_RELATION_GAP:
+            words = [_reference_strip(t.lower()) for t in gap]
+            relation = "_".join(w for w in words if w) or FALLBACK_RELATION
+        else:
+            relation = FALLBACK_RELATION
+        subject = normalize_entity(" ".join(tokens[s1:e1]))
+        obj = normalize_entity(" ".join(tokens[s2:e2]))
+        if subject and obj:
+            triples.append((subject, relation, obj, provenance))
+    return triples
+
+
+def _reference_query_entities(text: str) -> list[tuple[str, str]]:
+    mentions: list[tuple[str, str]] = []
+    seen: set[str] = set()
+    for sentence in split_sentences(text):
+        for surface, normalized in _reference_entities(sentence, QUERY_STOPWORDS):
+            if normalized not in seen:
+                seen.add(normalized)
+                mentions.append((surface, normalized))
+    return mentions
+
+
+# Titlecase (ǅ) and circled (Ⓐ) capitals, stopwords and interrogatives that
+# lead or fill a run, punctuation-only tokens, and words whose lowercasing is
+# context-sensitive.
+_RUN_WORDS = ["Rome", "Amalfi", "Coast", "ΟΔΟΣ", "İzmir", "Ⓐ", "Ⓐrles", "ǅ", "ǅemal", "Italy.", "Rome,", "(Naples)",
+              "The", "A", "The,", "(The", "What", "Which", "Ὀδυσσεύς"]
+_GAP_WORDS = ["is", "the", "of", "capital", "!!", "—", "...", "-[x]->", "don't", "ǆ", "ⓐ", "σ", "42", "«rome»", "é"]
+_SPACES = [" ", " ", " ", "\t", " "]
+
+
+@st.composite
+def _rule_sentences(draw) -> str:
+    """Capitalized runs separated by gaps of 0 to 6 tokens (runs may still merge or vanish)."""
+    words = draw(st.lists(st.sampled_from(_GAP_WORDS), max_size=2))
+    for _ in range(draw(st.integers(0, 5))):
+        words += draw(st.lists(st.sampled_from(_RUN_WORDS), min_size=1, max_size=3))
+        gap = draw(st.sampled_from([0, 1, 4, 5, 2, 3, 6]))
+        words += draw(st.lists(st.sampled_from(_GAP_WORDS), min_size=gap, max_size=gap))
+    spaces = draw(st.lists(st.sampled_from(_SPACES), min_size=len(words), max_size=len(words)))
+    return "".join(w + s for w, s in zip(words, spaces)) + draw(st.sampled_from(["", ".", "?"]))
+
+
+class TestRuleExtractorReference:
+    @given(st.lists(_rule_sentences(), min_size=1, max_size=4), st.sampled_from(["", "d#s0"]))
+    @example(["The Amalfi Coast is near Rome."], "")
+    @example(["Rome Ⓐ ǅemal is Naples, Ⓐrles the of is Italy."], "p")
+    @example(["Rome Naples . Italy is the of ΟΔΟΣ !! — ... -[x]-> Italy"], "p")  # gaps of 0, 1, 4 and 5
+    @example(["Rome is Amalfi is the of capital Coast is the of capital don't İzmir."], "p")
+    def test_triples_equal_the_reference(self, sentences, provenance):
+        got = RuleExtractor().triples(sentences, provenance)
+        assert all(type(t) is Triple for t in got)
+        assert [tuple(t) for t in got] == [t for s in sentences for t in _reference_triples(s, provenance)]
+
+    @given(st.lists(_rule_sentences(), min_size=1, max_size=3).map(" ".join))
+    @example("What is The Amalfi Coast? Which Rome, which Ⓐ ǅemal?")
+    def test_query_entities_equal_the_reference(self, question):
+        got = RuleExtractor().entities(question, QUERY_STOPWORDS)
+        assert [(m.surface, m.normalized) for m in got] == _reference_query_entities(question)

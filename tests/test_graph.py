@@ -38,6 +38,15 @@ class TestUpsert:
         assert graph.edge_count == 2
         assert graph.node(0).name == "rome"  # first surface seen wins
 
+    @pytest.mark.parametrize("first, later", [("rome", "  Rome,"), ("  Rome,", "rome"), ("rome", "rome")])
+    def test_surface_resolves_to_the_node_of_its_normalized_name(self, first, later):
+        graph = KnowledgeGraph({"c0": "s", "c1": "t"})
+        source, _ = graph.upsert_triple(triple(first, "in", "italy"))
+        again, _ = graph.upsert_triple(triple(later, "near", "ostia", prov="c1"))
+        assert again == source and len(graph) == 3
+        assert graph.node(source).name == first  # first surface seen wins
+        assert graph.node(source).contexts == ["c0", "c1"]
+
     def test_identical_triple_dedup(self):
         graph = KnowledgeGraph({"c0": "ctx"})
         for _ in range(2):

@@ -7,16 +7,20 @@ import shutil
 import struct
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import kgrag
+import kgrag.embedding as embedding_mod
 from kgrag.chunking import Chunk, ChunkerConfig, build_windows
 from kgrag.cli import main
 from kgrag.corpus import Document, load_corpus, normalize_text, split_sentences
-from kgrag.embedding import HashedEmbedder
+from kgrag.embedding import HashedEmbedder, embed_hashed_many
 from kgrag.exceptions import StoreCorruptError
 from kgrag.extraction import EXTRACTION_USER_TEMPLATE, RuleExtractor, extract_triples_rule
 from kgrag.pipeline import (
@@ -31,6 +35,7 @@ from kgrag.retriever import QueryConfig
 from kgrag.vector_index import VectorStore
 
 from conftest import MINI_CORPUS, MINI_QUESTIONS
+from helpers import record_texts
 
 
 def write_corpus(tmp_path: Path) -> Path:
@@ -55,7 +60,7 @@ class TestPipelineUnits:
             text=" ".join(f"w{i}" for i in range(250)) + ".",
             source="t",
         )
-        semantic, chunks = chunk_documents([doc], HashedEmbedder(64), ChunkerConfig(window_k=0))
+        semantic, chunks, _ = chunk_documents([doc], HashedEmbedder(64), ChunkerConfig(window_k=0))
         rebuilt = reconstruct_parent_texts(chunks)
         for sem in semantic:
             assert rebuilt[sem.chunk_id] == " ".join(" ".join(sem.sentences).split())
@@ -63,7 +68,7 @@ class TestPipelineUnits:
     def test_repeated_doc_id_reaches_the_duplicate_chunk_check(self):
         # Documents go through chunking as a list, so a repeated id is kept, not merged.
         docs = [Document("d", "Rome is old.", "s"), Document("d", "Parma makes cheese.", "s")]
-        semantic, chunks = chunk_documents(docs, HashedEmbedder(64), ChunkerConfig())
+        semantic, chunks, _ = chunk_documents(docs, HashedEmbedder(64), ChunkerConfig())
         assert [c.text for c in chunks] == ["Rome is old.", "Parma makes cheese."]
         assert [c.chunk_id for c in chunks] == ["d#s0#t0", "d#s0#t0"]
         with pytest.raises(ValueError, match="duplicate chunk_id 'd#s0#t0'"):
@@ -158,13 +163,74 @@ def reference_route_triples(sentences: tuple[str, ...], provenance: str) -> list
     return [t for s in split_sentences(" ".join(sentences)) for t in extract_triples_rule(s, provenance)]
 
 
+# Words whose lowercasing is context- or length-sensitive (final sigma, dotted
+# capital I), punctuation, and the whitespace characters a sentence may hold.
+ROW_WORDS = ["Rome", "rome", "ΟΔΟΣ", "Σ", "ΑΣ.", "İstanbul", "İ", "ǅemal", "Ⓐ", "!!", "e\u0301", "pizza", "🍕"]
+ROW_SPACES = [" ", "\u00a0", "\u2003", "\t", " \t "]
+
+
+@st.composite
+def row_documents(draw) -> list[Document]:
+    """Documents of sentences with mixed whitespace inside; some have no sentences at all."""
+    documents = []
+    for i in range(draw(st.integers(0, 4))):
+        sentences = []
+        for _ in range(draw(st.integers(0, 9))):
+            words = draw(st.lists(st.sampled_from(ROW_WORDS), min_size=1, max_size=12))
+            spaces = draw(st.lists(st.sampled_from(ROW_SPACES), min_size=len(words), max_size=len(words)))
+            sentences.append("".join(w + s for w, s in zip(words, spaces)).rstrip() + ".")
+        documents.append(Document(f"d{i}", " ".join(sentences) or draw(st.sampled_from(["", " \t "])), "hyp"))
+    return documents
+
+
+def assert_rows_are_the_chunk_texts_rows(documents, config: ChunkerConfig, dimension: int) -> list[Chunk]:
+    _, chunks, rows = chunk_documents(documents, HashedEmbedder(dimension), config)
+    expected = embed_hashed_many([c.text for c in chunks], dimension)
+    assert rows.dtype == np.float32 and rows.shape == (len(chunks), dimension)
+    assert rows.tobytes() == expected.tobytes()
+    return chunks
+
+
+class TestHashedChunkRows:
+    @given(
+        row_documents(),
+        st.integers(0, 2),
+        st.sampled_from([50.0, 95.0]),
+        st.integers(2, 12).flatmap(lambda size: st.tuples(st.just(size), st.integers(0, size - 1))),
+        st.sampled_from([1, 2, 3, 256]),
+        st.sampled_from([8, 64]),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rows_equal_embedding_the_chunk_texts(self, documents, k, percentile, size_overlap, block, dimension):
+        config = ChunkerConfig(window_k=k, percentile=percentile, chunk_size=size_overlap[0], overlap=size_overlap[1])
+        with mock.patch.object(embedding_mod, "_BLOCK_ROWS", block):
+            assert_rows_are_the_chunk_texts_rows(documents, config, dimension)
+
+    def test_a_build_hashes_each_distinct_token_once(self, tmp_path, monkeypatch):
+        hashed = record_texts(monkeypatch, embedding_mod, "fnv1a64")
+        build_store(MINI_CORPUS, tmp_path / "store")
+        sentences = [s for doc in load_corpus(MINI_CORPUS) for s in split_sentences(doc.text)]
+        assert sorted(hashed) == sorted({w.encode() for s in sentences for w in s.lower().split()})
+
+    def test_a_window_block_edge_inside_a_document(self):
+        # 3 x 110 sentences: the default 256-row block ends inside the third document.
+        words = [ROW_WORDS[i % len(ROW_WORDS)] for i in range(112)]
+        documents = [
+            Document(f"d{d}", " ".join(f"{words[d + i]}\u00a0w{i % 17} ΟΔΟΣ." for i in range(110)), "t") for d in range(3)
+        ]
+        assert sum(len(split_sentences(doc.text)) for doc in documents) > embedding_mod._BLOCK_ROWS
+        chunks = assert_rows_are_the_chunk_texts_rows(documents, ChunkerConfig(chunk_size=6, overlap=2), 64)
+        windows = Counter(c.parent_semantic_chunk for c in chunks)
+        assert len(windows) > len(documents) and min(windows.values()) > 2
+
+
 class TestSemanticChunkTriples:
     @given(st.lists(paragraphs(), min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_triples_of_a_chunk_are_those_of_its_document_sentences(self, drawn):
         doc = Document("d", normalize_text("\n\n".join(text for text, _ in drawn)), "hyp")
         doc_sentences = split_sentences(doc.text)
-        semantic, _ = chunk_documents([doc], HashedEmbedder(64), ChunkerConfig(window_k=1, percentile=50))
+        semantic, _, _ = chunk_documents([doc], HashedEmbedder(64), ChunkerConfig(window_k=1, percentile=50))
         for sem in semantic:
             start, end = sem.sentence_span
             assert sem.sentences == tuple(doc_sentences[start : end + 1])
@@ -588,6 +654,17 @@ class TestCmdQuery:
         empty = tmp_path / "notastore"
         empty.mkdir()
         assert main(["query", "--store", str(empty), "--question", "Q?"]) == 3
+
+    @pytest.mark.parametrize(
+        "rename", [lambda name: name, lambda name: f"  {name.upper()},"], ids=["same", "unnormalized"]
+    )
+    def test_duplicate_node_name_exit_3(self, store_dir, capsys, rename):
+        graph_path = store_dir / "graph.json"
+        graph = json.loads(graph_path.read_text())
+        graph["nodes"][1]["name"] = rename(graph["nodes"][0]["name"])
+        graph_path.write_text(json.dumps(graph))
+        assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
+        assert "non-contiguous node ids" in capsys.readouterr().err
 
     def test_duplicate_chunk_id_exit_3(self, store_dir, capsys):
         sidecar = store_dir / "chunks.jsonl"
@@ -1053,4 +1130,60 @@ class TestMiniCorpusFixture:
             "graph.json": "fa478302ec767c1279c38e4d2ee949148e4f2dce0734db67df456963c10101c0",
         }
         digests = {name: hashlib.sha256((mini_store_dir / name).read_bytes()).hexdigest() for name in expected}
+        assert digests == expected
+
+
+# Mixed-case Unicode words for the pinned larger corpus: final sigma, dotted
+# capital I, titlecase and circled capitals, sharp s, and plain stopwords.
+_PINNED_VOCAB = (
+    ("Rome", "Tiber", "ΟΔΟΣ", "bridge", "river", "crosses", "the", "of", "ancient", "İzmir", "Straße"),
+    ("Naples", "Vesuvius", "ΣΟΦΊΑ", "pizza", "oven", "bakes", "a", "in", "Margherita", "ǅamija", "Ⓐrles"),
+    ("Milan", "Duomo", "Ὀδυσσεύς", "opera", "stage", "hosts", "The", "and", "café", "Naïve", "ΚΌΣΜΟΣ"),
+)
+# Separators inside a sentence: plain, no-break, em and tab spaces.
+_PINNED_SEPARATORS = (" ", " ", " ", " ", " ", "\t")
+
+
+def pinned_corpus_lines() -> list[str]:
+    """Three JSONL documents of 110 sentences each, from a fixed LCG (no ``random``).
+
+    330 sentences put a 256-row window block edge inside the third
+    document, the topic changes every 22 sentences, and the sentences are
+    long enough for several token windows per semantic chunk.
+    """
+    state = 20261018
+    lines = []
+    for d in range(3):
+        sentences = []
+        for s in range(110):
+            vocab = _PINNED_VOCAB[(d + s // 22) % len(_PINNED_VOCAB)]
+            words = []
+            for _ in range(6 + (5 * s + d) % 9):
+                state = (state * 1103515245 + 12345) % 2**31
+                words.append(vocab[(state >> 8) % len(vocab)])
+            words[0] = words[0][:1].upper() + words[0][1:]
+            sentences.append(_PINNED_SEPARATORS[s % len(_PINNED_SEPARATORS)].join(words) + ".")
+        lines.append(json.dumps({"id": f"doc{d}", "text": " ".join(sentences)}, ensure_ascii=False))
+    return lines
+
+
+class TestStoreBytesPinnedLargerCorpus:
+    def test_store_bytes_pinned(self, tmp_path):
+        # The mini corpus never crosses a window block; this corpus does, with
+        # several semantic chunks per document and several windows per chunk.
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(pinned_corpus_lines()) + "\n", encoding="utf-8")
+        docs = load_corpus(corpus)
+        assert sum(len(split_sentences(d.text)) for d in docs) > 256
+        manifest = build_store(corpus, tmp_path / "store")
+        assert manifest.counts["semantic_chunks"] >= 3 * len(docs)
+        assert manifest.counts["chunks"] >= 2 * manifest.counts["semantic_chunks"]
+        expected = {
+            "vectors.skvx": "69644bbd8b7fb4eb8c237ced211fc380a03680546d4201e414145912c4951c35",
+            "chunks.jsonl": "f90eda607dc55fd411c921288bcffdda38b79aac5906c10aed8c66ada46bcbc4",
+            "graph.json": "1a8d48e018dbad6a7209555486e20652e4c013d1646d39272ac5a8c9d21ce627",
+            "manifest.json": "666e89d30a7989b23ec476cfa033947a312bbbe0976c073952f274c2836cd71a",
+        }
+        store = tmp_path / "store"
+        digests = {name: hashlib.sha256((store / name).read_bytes()).hexdigest() for name in expected}
         assert digests == expected

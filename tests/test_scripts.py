@@ -71,6 +71,16 @@ def test_inspect_chunks_quiet_when_stdout_closes_early():
     assert err == ""
 
 
+def test_run_mini_benchmark_quiet_when_stdout_closes_early(tmp_path):
+    argv = [sys.executable, str(SCRIPTS / "run_mini_benchmark.py"), "--out-dir", str(tmp_path)]
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=REPO_ROOT)
+    child.stdout.close()  # as `run_mini_benchmark.py | head -1` does once it has its line
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 0, err
+    assert err == ""
+
+
 def test_run_mini_benchmark(tmp_path):
     out = run_script("run_mini_benchmark.py", "--out-dir", str(tmp_path))
     assert out.startswith("indexed mini corpus:")
