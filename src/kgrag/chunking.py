@@ -245,11 +245,12 @@ def write_chunks_jsonl(chunks: list[Chunk], path: Path) -> None:
 def read_chunks_jsonl(path: Path) -> list[Chunk]:
     """The chunk records of a JSONL file, in line order; raises StoreCorruptError.
 
-    Lines that are blank after ``str.strip`` are skipped; every other line is
-    decoded by ``chunk_from_json``, one C decoder call per line.
+    Lines end only at ``"\n"`` (U+2028 and kin are valid raw inside a JSON
+    string); lines that are blank after ``str.strip`` are skipped, and every
+    other line is decoded by ``chunk_from_json``, one C decoder call per line.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
     except OSError as exc:
         raise StoreCorruptError(f"cannot read chunk file {path}: {exc}") from exc
     return [chunk_from_json(line) for line in lines if line.strip()]

@@ -31,6 +31,7 @@ from .evaluation import (
 from .exceptions import InputError, ProviderError, StoreCorruptError
 from .pipeline import (
     EMBEDDINGS_PATH,
+    GRAPH_FILE,
     ExtractorConfig,
     answer_records,
     build_store,
@@ -122,7 +123,9 @@ def cmd_index(args: argparse.Namespace) -> int:
         f"indexed {counts['documents']} documents -> {counts['semantic_chunks']} semantic chunks, "
         f"{counts['chunks']} chunks, {counts['nodes']} nodes, {counts['edges']} edges"
     )
-    print(f"store written to {args.out}")
+    out = Path(args.out)
+    total = sum(p.stat().st_size for p in out.iterdir())
+    print(f"store written to {out} ({total} bytes, {GRAPH_FILE} {(out / GRAPH_FILE).stat().st_size} bytes)")
     return EXIT_OK
 
 

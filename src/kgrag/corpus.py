@@ -109,7 +109,7 @@ def load_corpus(path: str | Path) -> list[Document]:
         if file.suffix == ".txt":
             add(_doc_id_for_txt(file, root), raw, str(file))
         else:
-            for lineno, line in enumerate(raw.splitlines(), start=1):
+            for lineno, line in enumerate(raw.split("\n"), start=1):
                 if not line.strip():
                     continue
                 try:

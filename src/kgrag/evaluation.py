@@ -298,7 +298,7 @@ def load_records_jsonl(path: str | Path) -> tuple[list[EvalRecord], int]:
     any other value is malformed.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
     except OSError as exc:
         raise InputError(f"cannot read records file {path}: {exc}") from exc
     records: list[EvalRecord] = []

@@ -13,6 +13,10 @@ seed nodes share most ahead, then its edges, produced lazily so a hub seed
 costs what the budget keeps, and a render cut inside the contexts never
 collects the edges at all. Same lifecycle as the vector store:
 single-writer build (or load), seal, then lock-free concurrent reads.
+``export`` writes the store's ``graph.json`` as compact rows, a
+``[name, [chunk ids]]`` pair per node (its id is its position) and the
+sorted ``[source, target, relation, provenance]`` edge rows, and a load
+reads them back by position.
 """
 
 from __future__ import annotations
@@ -37,11 +41,6 @@ DEFAULT_MAX_NODES = 50
 DEFAULT_MAX_STRUCTURED_TOKENS = 1024
 
 
-def _json_array(items: list[str], indent: str) -> str:
-    """A JSON array laid out as ``indent=2`` does, closed at ``indent``; items carry their own indent."""
-    return "[\n" + ",\n".join(items) + f"\n{indent}]" if items else "[]"
-
-
 @dataclass
 class EntityNode:
     node_id: int
@@ -58,9 +57,8 @@ class Edge(NamedTuple):
     provenance: str
 
 
-# Graph load builds each Edge from its export object's fields in C, skipping
-# NamedTuple's Python-level __new__, which adds 3-7 ms to a 12k-edge load.
-_edge_fields = itemgetter(*Edge._fields)
+# Graph load builds each Edge from its export row in C, skipping NamedTuple's
+# Python-level __new__, which adds 3-7 ms to a 12k-edge load.
 _as_edge = partial(tuple.__new__, Edge)
 # The traversal reads edge endpoints through these in C, not per edge in Python.
 _source = itemgetter(0)
@@ -331,37 +329,11 @@ class KnowledgeGraph:
             yield from fresh
 
     def to_json_obj(self) -> dict:
+        """The graph as ``graph.json`` holds it: ``[name, contexts]`` per node id, ``[s, t, rel, prov]`` sorted."""
         return {
-            "nodes": [
-                {"id": n.node_id, "name": n.name, "contexts": list(n.contexts)}
-                for n in self._nodes
-            ],
-            "edges": [e._asdict() for e in sorted(self._edges)],
+            "nodes": [[n.name, list(n.contexts)] for n in self._nodes],
+            "edges": [list(e) for e in sorted(self._edges)],
         }
-
-    def to_json_text(self) -> str:
-        """``json.dumps(self.to_json_obj(), ensure_ascii=False, indent=2) + "\\n"``, byte for byte.
-
-        ``indent`` forces json's pure-Python encoder, so the same text is
-        written from fixed line templates instead, each string escaped by
-        the C ``encode_basestring`` that ``ensure_ascii=False`` uses.
-        """
-        nodes = []
-        for n in self._nodes:
-            contexts = _json_array([f"        {encode_basestring(c)}" for c in n.contexts], "      ")
-            nodes.append(
-                f'    {{\n      "id": {n.node_id},\n      "name": {encode_basestring(n.name)},\n'
-                f'      "contexts": {contexts}\n    }}'
-            )
-        edges = [
-            f'    {{\n      "source": {e.source},\n      "target": {e.target},\n'
-            f'      "relation": {encode_basestring(e.relation)},\n'
-            f'      "provenance": {encode_basestring(e.provenance)}\n    }}'
-            for e in sorted(self._edges)
-        ]
-        return (
-            f'{{\n  "nodes": {_json_array(nodes, "  ")},\n  "edges": {_json_array(edges, "  ")}\n}}\n'
-        )
 
     def to_dot(self) -> str:
         def esc(text: str) -> str:
@@ -380,7 +352,12 @@ class KnowledgeGraph:
             raise ValueError("seal the graph before exporting")
         path = Path(path)
         if fmt == "json":
-            payload = self.to_json_text()
+            # json.dumps(self.to_json_obj(), ensure_ascii=False, separators=(",", ":")) + "\n", byte for
+            # byte, from f-string rows escaped by the C encode_basestring that ensure_ascii=False uses.
+            esc = encode_basestring
+            nodes = ",".join(f"[{esc(n.name)},[{','.join(map(esc, n.contexts))}]]" for n in self._nodes)
+            edges = ",".join(f"[{s},{t},{esc(rel)},{esc(prov)}]" for s, t, rel, prov in sorted(self._edges))
+            payload = f'{{"nodes":[{nodes}],"edges":[{edges}]}}\n'
         elif fmt == "dot":
             payload = self.to_dot()
         else:
@@ -392,35 +369,33 @@ class KnowledgeGraph:
 
     @classmethod
     def from_json_obj(cls, obj: dict, chunk_texts: dict[str, str]) -> "KnowledgeGraph":
-        """Rebuild a sealed graph from the JSON export; raises StoreCorruptError.
+        """Rebuild a sealed graph from the ``graph.json`` layout; raises StoreCorruptError.
 
-        The export stores context chunk ids only; ``chunk_texts`` (chunk id
-        -> text, the map a build holds) becomes the graph's map, and every
-        context id must name one of its chunks. A load checks that node ids
-        run 0..n-1 in order of first appearance, names and context ids are
-        strings, and, in ``seal``'s one walk over the edge set, that every
-        endpoint is a node id and every label a string.
+        Rows are read by position: node ``i`` is the ``i``-th ``[name,
+        contexts]`` pair and an edge is a ``[source, target, relation,
+        provenance]`` row. The file stores context chunk ids only;
+        ``chunk_texts`` (chunk id -> text, the map a build holds) becomes the
+        graph's map, and every context id must name one of its chunks. A load
+        checks that names and context ids are strings, that no two names
+        normalize alike (``_resolve`` would give the later one the earlier
+        id), and, in ``seal``'s one walk over the edge set, that every edge
+        row has four items, its endpoints node ids and its labels strings.
         """
         graph = cls(chunk_texts)
         try:
-            for item in sorted(obj["nodes"], key=lambda n: n["id"]):
-                name, contexts = item["name"], item["contexts"]
+            for node_id, (name, contexts) in enumerate(obj["nodes"]):
                 if type(name) is not str or type(contexts) is not list or not {*map(type, contexts)} <= {str}:
-                    raise StoreCorruptError(f"graph node {item['id']} needs a string name and string contexts")
-                node_id = graph._resolve(name)
-                if node_id != item["id"]:
-                    raise StoreCorruptError(f"non-contiguous node ids in graph export: {item['id']}")
+                    raise StoreCorruptError(f"graph node {node_id} needs a string name and string contexts")
+                if graph._resolve(name) != node_id:
+                    raise StoreCorruptError(f"graph node {node_id} repeats an earlier node's name: {name!r}")
                 unknown = [cid for cid in contexts if cid not in chunk_texts]
                 if unknown:
                     raise StoreCorruptError(f"graph node {node_id} context {unknown[0]!r} names no stored chunk")
                 graph._nodes[node_id].contexts = list(dict.fromkeys(contexts))
-            graph._edges = set(map(_as_edge, map(_edge_fields, obj["edges"])))
-        except (KeyError, TypeError) as exc:
-            raise StoreCorruptError(f"malformed graph export: {exc}") from exc
-        try:
+            graph._edges = set(map(_as_edge, obj["edges"]))
             graph.seal()
-        except ValueError as exc:
-            raise StoreCorruptError(str(exc)) from exc
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StoreCorruptError(f"malformed graph export: {exc}") from exc
         return graph
 
     @classmethod

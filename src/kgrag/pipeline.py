@@ -2,7 +2,10 @@
 
 A store directory holds four files, written in this order with the manifest
 last so an interrupted build is detectable: chunks.jsonl, vectors.skvx,
-graph.json, manifest.json. A store without a valid manifest is corrupt.
+graph.json, manifest.json. A store without a valid manifest is corrupt, and
+so is one whose manifest names another format version than
+``STORE_FORMAT_VERSION``; version 2 stores the graph as compact rows (see
+``graph``), and a version 1 store must be rebuilt.
 """
 
 from __future__ import annotations
@@ -40,7 +43,7 @@ from .retriever import (
 )
 from .vector_index import CHUNKS_SIDECAR, VectorStore
 
-STORE_FORMAT_VERSION = 1
+STORE_FORMAT_VERSION = 2
 VECTORS_FILE = "vectors.skvx"
 GRAPH_FILE = "graph.json"
 MANIFEST_FILE = "manifest.json"
@@ -338,7 +341,10 @@ def open_store(store_dir: str | Path) -> Store:
         raise StoreCorruptError(f"unreadable manifest in {path}: {exc}") from exc
     manifest = StoreManifest.from_json_obj(manifest_obj)
     if manifest.format_version != STORE_FORMAT_VERSION:
-        raise StoreCorruptError(f"unsupported store format version {manifest.format_version}")
+        raise StoreCorruptError(
+            f"store format version {manifest.format_version} is not {STORE_FORMAT_VERSION}; "
+            f"rebuild the store with `kgrag index`"
+        )
 
     vectors = VectorStore.load(path / VECTORS_FILE)
     if vectors.dimension != manifest.provider.dimension:

@@ -10,6 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 
+# Where each named graph field sits in its graph.json row: a node is
+# [name, contexts] and an edge [source, target, relation, provenance].
+ROW_POSITION = {"name": 0, "contexts": 1, "source": 0, "target": 1, "relation": 2, "provenance": 3}
+
+
 class SeqEmbedder:
     """Returns prescribed vectors positionally; for driving the chunker."""
 

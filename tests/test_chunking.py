@@ -354,9 +354,13 @@ class TestConfig:
 
 
 def per_line_json_loads(text: str) -> list[Chunk] | None:
-    """The reference reader: ``json.loads`` per non-blank line; None where it rejects the file."""
+    """The reference reader: ``json.loads`` per non-blank line; None where it rejects the file.
+
+    Lines are what ``read_text`` gives (CR and CRLF read as LF) split at LF
+    alone: U+0085, U+2028 and U+2029 may stand raw inside a JSON string.
+    """
     chunks = []
-    for line in text.splitlines():
+    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
         if not line.strip():
             continue
         try:
@@ -411,12 +415,15 @@ class TestReadChunksJsonl:
             *(without(key) for key in ("chunk_id", "doc_id", "parent", "span", "text")),
             RECORD.replace("[0, 3]", "[0]"),
             RECORD.replace("[0, 3]", "7"),
+            RECORD.replace('"a  b"', '"a\u2028 b\u0085\u2029"'),
+            RECORD + "\n" + RECORD_2.replace("d#s0#t1", "d\u2028#s0#t1"),
         ],
         ids=[
             "empty-file", "one", "two", "blank-lines", "json-whitespace", "crlf", "nbsp-and-unit-separator-lines",
             "nbsp-before", "nbsp-after", "bom", "ideographic-space", "trailing-data", "two-on-one-line",
             "two-spaced", "truncated", "array", "string", "null", "number", "no-chunk_id", "no-doc_id",
-            "no-parent", "no-span", "no-text", "short-span", "scalar-span",
+            "no-parent", "no-span", "no-text", "short-span", "scalar-span", "raw-line-separators-in-text",
+            "raw-line-separator-in-id",
         ],
     )
     def test_accepts_and_rejects_what_json_loads_did(self, tmp_path, text):

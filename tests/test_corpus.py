@@ -45,6 +45,25 @@ class TestLoadCorpus:
         (tmp_path / "corpus.jsonl").write_text('{"id": 7, "text": "first"}\n{"id": "x", "text": "second"}\n')
         assert [d.doc_id for d in load_corpus(tmp_path)] == ["7", "x"]
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    def test_jsonl_lines_end_only_at_newline(self, tmp_path, newline):
+        # json.dumps(ensure_ascii=False) writes U+0085, U+2028 and U+2029 raw inside
+        # strings, and str.splitlines would break a line there.
+        lines = [
+            {"id": "x\u2028y", "text": "One\u0085two.\u2028Three\u2029four."},
+            {"id": "z", "text": "plain"},
+        ]
+        payload = newline.join(json.dumps(obj, ensure_ascii=False) for obj in lines) + newline
+        (tmp_path / "corpus.jsonl").write_bytes(payload.encode("utf-8"))
+        docs = load_corpus(tmp_path)
+        assert [(d.doc_id, d.text) for d in docs] == [(obj["id"], obj["text"]) for obj in lines]
+        assert docs[1].source.endswith(":2")
+
+    def test_malformed_line_after_raw_separator_names_its_line(self, tmp_path):
+        (tmp_path / "bad.jsonl").write_text('{"id": "a", "text": "x\u2028y"}\nnot json\n', encoding="utf-8")
+        with pytest.raises(InputError, match="line 2"):
+            load_corpus(tmp_path)
+
     def test_empty_directory_is_empty_list(self, tmp_path):
         assert load_corpus(tmp_path) == []
 

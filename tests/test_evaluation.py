@@ -389,6 +389,14 @@ class TestRecordsJsonl:
         assert records[1].answer == "A2"
         assert records[1].contexts == ["c"]
 
+    def test_raw_line_separators_inside_strings_are_kept(self, tmp_path):
+        odd = {"question": "Q\u2028one?", "ground_truth": "T\u0085.", "answer": "A", "contexts": ["c\u2029d"]}
+        plain = {"question": "Q2?", "ground_truth": "T2."}
+        path = tmp_path / "records.jsonl"
+        path.write_text(json.dumps(odd, ensure_ascii=False) + "\n" + json.dumps(plain) + "\n", encoding="utf-8")
+        records, skipped = load_records_jsonl(path)
+        assert records == [EvalRecord(**odd), EvalRecord(**plain)] and skipped == 0
+
     @pytest.mark.parametrize(
         "bad",
         [

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import random
 import re
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -10,6 +12,8 @@ from hypothesis import example, given, settings, strategies as st
 from kgrag.exceptions import StoreCorruptError
 from kgrag.extraction import EntityMention, Triple, normalize_entity
 from kgrag.graph import MIN_PREFIX_LEN, Edge, KnowledgeGraph, Subgraph
+
+from helpers import ROW_POSITION
 
 
 def mention(text: str) -> EntityMention:
@@ -97,11 +101,8 @@ class TestUpsert:
             graph.seal()
             names = {graph.node(i).name for i in range(len(graph))}
             obj = graph.to_json_obj()
-            id_to_name = {n["id"]: n["name"] for n in obj["nodes"]}
-            edges = {
-                (id_to_name[e["source"]], e["relation"], id_to_name[e["target"]])
-                for e in obj["edges"]
-            }
+            id_to_name = [name for name, _ in obj["nodes"]]
+            edges = {(id_to_name[s], r, id_to_name[t]) for s, t, r, _ in obj["edges"]}
             if baselines is None:
                 baselines = (names, edges)
             else:
@@ -252,7 +253,7 @@ class TestNeighborhood:
 
 def reference_neighborhood(graph: KnowledgeGraph, seeds: set[int], hops: int, max_nodes: int) -> Subgraph:
     """The O(E) form: BFS over adjacency sets, then edges induced by scanning every edge."""
-    edges = {Edge(**e) for e in graph.to_json_obj()["edges"]}
+    edges = {Edge(*e) for e in graph.to_json_obj()["edges"]}
     adjacency: dict[int, set[int]] = {nid: set() for nid in range(len(graph))}
     for e in edges:
         adjacency[e.source].add(e.target)
@@ -430,46 +431,51 @@ AWKWARD_TEXT = st.text(
 
 @st.composite
 def graph_objects(draw) -> dict:
-    """Export-shaped objects: distinct names, contexts possibly empty, edges between drawn nodes."""
+    """``graph.json``-shaped objects: distinct names, contexts possibly empty, edge rows between drawn nodes."""
     names = draw(st.lists(AWKWARD_TEXT, max_size=6, unique_by=normalize_entity))
-    nodes = [{"id": i, "name": name, "contexts": draw(st.lists(AWKWARD_TEXT, max_size=3, unique=True))}
-             for i, name in enumerate(names)]
+    nodes = [[name, draw(st.lists(AWKWARD_TEXT, max_size=3, unique=True))] for name in names]
     edges = []
     if names:
         node_ids = st.integers(0, len(names) - 1)
-        edge = st.fixed_dictionaries(
-            {"source": node_ids, "target": node_ids, "relation": AWKWARD_TEXT, "provenance": AWKWARD_TEXT}
-        )
+        edge = st.tuples(node_ids, node_ids, AWKWARD_TEXT, AWKWARD_TEXT).map(list)
         edges = draw(st.lists(edge, max_size=8))
     return {"nodes": nodes, "edges": edges}
+
+
+def export_bytes(graph: KnowledgeGraph) -> bytes:
+    """The bytes ``graph.export(path, "json")`` writes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.json"
+        graph.export(path, "json")
+        return path.read_bytes()
+
+
+def compact_dumps(obj: dict) -> bytes:
+    return (json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 class TestJsonTemplate:
     @given(graph_objects())
     @example({"nodes": [], "edges": []})
-    @example({"nodes": [{"id": 0, "name": "lonely", "contexts": []}], "edges": []})
-    @example({"nodes": [{"id": 0, "name": '"q"\\\u2028\u2029\x00🍕', "contexts": ["c\n0"]}],
-              "edges": [{"source": 0, "target": 0, "relation": "\u2029", "provenance": "\\"}]})
-    def test_equals_indent_dumps(self, obj):
+    @example({"nodes": [["lonely", []]], "edges": []})
+    @example({"nodes": [['"q"\\\u2028\u2029\x00🍕', ["c\n0"]]], "edges": [[0, 0, "\u2029", "\\"]]})
+    def test_equals_compact_dumps(self, obj):
         graph = KnowledgeGraph.from_json_obj(obj, context_texts(obj))
-        assert graph.to_json_text() == json.dumps(graph.to_json_obj(), ensure_ascii=False, indent=2) + "\n"
+        assert export_bytes(graph) == compact_dumps(graph.to_json_obj())
 
-    def test_export_writes_the_template(self, tmp_path):
-        graph = chain_graph()
-        graph.export(tmp_path / "g.json", "json")
-        assert (tmp_path / "g.json").read_text(encoding="utf-8") == graph.to_json_text()
+    def test_export_writes_the_template(self):
+        assert export_bytes(chain_graph()) == (
+            b'{"nodes":[["a",["c0"]],["b",["c0","c1"]],["c",["c1"]]],"edges":[[0,1,"r1","c0"],[1,2,"r2","c1"]]}\n'
+        )
 
 
 def context_texts(obj: dict) -> dict[str, str]:
-    """A text for every context id the export-shaped ``obj`` names."""
-    return {cid: f"text of {cid}" for node in obj["nodes"] for cid in node["contexts"]}
+    """A text for every context id the ``graph.json``-shaped ``obj`` names."""
+    return {cid: f"text of {cid}" for _, contexts in obj["nodes"] for cid in contexts}
 
 
 def valid_graph_object() -> dict:
-    return {
-        "nodes": [{"id": 0, "name": "a", "contexts": ["c0"]}, {"id": 1, "name": "b", "contexts": []}],
-        "edges": [{"source": 0, "target": 1, "relation": "r", "provenance": "c0"}],
-    }
+    return {"nodes": [["a", ["c0"]], ["b", []]], "edges": [[0, 1, "r", "c0"]]}
 
 
 def incident_reference(graph: KnowledgeGraph) -> list[list[Edge]]:
@@ -516,7 +522,7 @@ class TestLoadTypes:
     )
     def test_wrong_field_type_is_corrupt(self, section, key, value):
         obj = valid_graph_object()
-        obj[section][0][key] = value
+        obj[section][0][ROW_POSITION[key]] = value
         with pytest.raises(StoreCorruptError):
             KnowledgeGraph.from_json_obj(obj, {"c0": "ctx"})
 
@@ -589,15 +595,9 @@ def snippet_dict_render(sub: Subgraph, names: list[str], contexts: list[dict[str
     return "\n".join(lines)
 
 
-def snippet_dict_json(names: list[str], contexts: list[dict[str, str]], edges: set[Edge]) -> str:
-    obj = {
-        "nodes": [{"id": i, "name": name, "contexts": list(contexts[i])} for i, name in enumerate(names)],
-        "edges": [
-            {"source": e.source, "target": e.target, "relation": e.relation, "provenance": e.provenance}
-            for e in sorted(edges)
-        ],
-    }
-    return json.dumps(obj, ensure_ascii=False, indent=2) + "\n"
+def snippet_dict_json(names: list[str], contexts: list[dict[str, str]], edges: set[Edge]) -> bytes:
+    obj = {"nodes": [[name, list(contexts[i])] for i, name in enumerate(names)], "edges": sorted(map(list, edges))}
+    return compact_dumps(obj)
 
 
 CHUNK_IDS = [f"c{i}" for i in range(4)]
@@ -629,10 +629,10 @@ class TestSnippetDictReference:
         for t in triples:
             built.upsert_triple(t)
         built.seal()
-        loaded = KnowledgeGraph.from_json_obj(json.loads(built.to_json_text()), texts)
+        loaded = KnowledgeGraph.from_json_obj(json.loads(export_bytes(built)), texts)
         seeds = {seed for seed in seeds if seed < len(names)}
         for graph in (built, loaded):
-            assert graph.to_json_text() == snippet_dict_json(names, contexts, edges)
+            assert export_bytes(graph) == snippet_dict_json(names, contexts, edges)
             for sub in (
                 graph.neighborhood(seeds, hops=hops, max_nodes=max_nodes),
                 graph.neighborhood(set(range(len(graph))), hops=1, max_nodes=len(graph)),

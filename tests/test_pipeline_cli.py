@@ -35,7 +35,7 @@ from kgrag.retriever import QueryConfig
 from kgrag.vector_index import VectorStore
 
 from conftest import MINI_CORPUS, MINI_QUESTIONS
-from helpers import record_texts
+from helpers import ROW_POSITION, record_texts
 
 
 def write_corpus(tmp_path: Path) -> Path:
@@ -351,6 +351,14 @@ class TestCmdIndex:
         for name in ("manifest.json", "chunks.jsonl", "vectors.skvx", "graph.json"):
             assert (out / name).is_file()
 
+    def test_last_line_gives_store_and_graph_bytes(self, tmp_path, capsys):
+        out = tmp_path / "store"
+        assert main(["index", "--corpus", str(write_corpus(tmp_path)), "--out", str(out)]) == 0
+        sizes = {p.name: p.stat().st_size for p in out.iterdir()}
+        assert len(sizes) == 4 and sizes["graph.json"] > 0
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last == f"store written to {out} ({sum(sizes.values())} bytes, graph.json {sizes['graph.json']} bytes)"
+
     def test_missing_corpus_exit_2(self, tmp_path, capsys):
         code = main(["index", "--corpus", str(tmp_path / "nope"), "--out", str(tmp_path / "s")])
         assert code == 2
@@ -661,10 +669,10 @@ class TestCmdQuery:
     def test_duplicate_node_name_exit_3(self, store_dir, capsys, rename):
         graph_path = store_dir / "graph.json"
         graph = json.loads(graph_path.read_text())
-        graph["nodes"][1]["name"] = rename(graph["nodes"][0]["name"])
+        graph["nodes"][1][0] = rename(graph["nodes"][0][0])
         graph_path.write_text(json.dumps(graph))
         assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
-        assert "non-contiguous node ids" in capsys.readouterr().err
+        assert "graph node 1 repeats an earlier node's name" in capsys.readouterr().err
 
     def test_duplicate_chunk_id_exit_3(self, store_dir, capsys):
         sidecar = store_dir / "chunks.jsonl"
@@ -683,7 +691,7 @@ class TestCmdQuery:
     def test_bad_edge_endpoint_exit_3(self, store_dir, capsys, key, endpoint):
         graph_path = store_dir / "graph.json"
         graph = json.loads(graph_path.read_text())
-        graph["edges"][0][key] = endpoint(len(graph["nodes"]))
+        graph["edges"][0][ROW_POSITION[key]] = endpoint(len(graph["nodes"]))
         graph_path.write_text(json.dumps(graph))
         assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
         assert "graph" in capsys.readouterr().err
@@ -787,7 +795,7 @@ class TestCmdQuery:
         store = shutil.copytree(mini_store_dir, tmp_path / "mini")
         graph = json.loads((store / "graph.json").read_text())
         for node in graph["nodes"]:
-            node["contexts"] = ["no-such-chunk"]
+            node[1] = ["no-such-chunk"]
         (store / "graph.json").write_text(json.dumps(graph))
         argv = ["query", "--store", str(store), "--question", "Which cheese goes into Carbonara?", "--mode", "kg"]
         assert main(argv) == 3
@@ -913,12 +921,100 @@ class TestCmdEval:
 def test_graph_field_of_wrong_type_exit_3(store_dir, tmp_path, monkeypatch, capsys, command, section, key, value):
     graph_path = store_dir / "graph.json"
     graph = json.loads(graph_path.read_text())
-    graph[section][0][key] = value
+    graph[section][0][ROW_POSITION[key]] = value
     graph_path.write_text(json.dumps(graph))
     monkeypatch.chdir(tmp_path)
     assert main([command[0], "--store", str(store_dir), *command[1:]]) == 3
     assert "graph" in capsys.readouterr().err
     assert not (tmp_path / "kg.json").exists()
+
+
+def _set_node(graph: dict, row) -> None:
+    graph["nodes"][0] = row
+
+
+def _set_edge(graph: dict, edit) -> None:
+    graph["edges"][0] = edit(graph["edges"][0])
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda g: _set_node(g, ["a"]),
+        lambda g: _set_node(g, ["a", [], 1]),
+        lambda g: _set_node(g, "ab"),
+        lambda g: _set_node(g, {"id": 0, "name": "a", "contexts": []}),
+        lambda g: _set_node(g, None),
+        lambda g: _set_edge(g, lambda row: row[:3]),
+        lambda g: _set_edge(g, lambda row: row + ["extra"]),
+        lambda g: _set_edge(g, lambda row: dict(zip(("source", "target", "relation", "provenance"), row))),
+        lambda g: _set_edge(g, lambda row: [row[0], row[1], [row[2]], row[3]]),
+        lambda g: [g["nodes"], g["edges"]],
+        lambda g: {"nodes": g["nodes"]},
+    ],
+    ids=["node-of-one", "node-of-three", "node-string", "node-dict", "node-null", "edge-of-three",
+         "edge-of-five", "edge-dict", "edge-list-label", "top-level-array", "no-edges"],
+)
+@pytest.mark.parametrize(
+    "command",
+    [["query", "--question", "Anything?"], ["graph-export", "--format", "json", "--out", "kg.json"]],
+    ids=["query", "graph-export"],
+)
+def test_graph_row_of_wrong_shape_exit_3(store_dir, tmp_path, monkeypatch, capsys, command, corrupt):
+    # Each node must be a [name, [contexts]] pair and each edge a
+    # [source, target, relation, provenance] row, or the store is corrupt.
+    graph_path = store_dir / "graph.json"
+    graph = json.loads(graph_path.read_text())
+    graph_path.write_text(json.dumps(corrupt(graph) or graph))
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], "--store", str(store_dir), *command[1:]]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt store: ") and "graph" in err and "Traceback" not in err
+    assert not (tmp_path / "kg.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["query", "--question", "Anything?"], ["graph-export", "--format", "json", "--out", "kg.json"]],
+    ids=["query", "graph-export"],
+)
+def test_format_1_store_asks_for_a_rebuild(store_dir, tmp_path, monkeypatch, capsys, command):
+    # A store written before the row layout: manifest format_version 1 and a graph.json of dicts.
+    manifest_path, graph_path = store_dir / "manifest.json", store_dir / "graph.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["format_version"] = 1
+    manifest_path.write_text(json.dumps(manifest, indent=2))
+    graph = json.loads(graph_path.read_text())
+    nodes = [{"id": i, "name": name, "contexts": contexts} for i, (name, contexts) in enumerate(graph["nodes"])]
+    edges = [dict(zip(("source", "target", "relation", "provenance"), row)) for row in graph["edges"]]
+    graph_path.write_text(json.dumps({"nodes": nodes, "edges": edges}, indent=2))
+    monkeypatch.chdir(tmp_path)
+    assert main([command[0], "--store", str(store_dir), *command[1:]]) == 3
+    err = capsys.readouterr().err
+    assert "format version 1" in err and "rebuild the store with `kgrag index`" in err
+    assert not (tmp_path / "kg.json").exists()
+
+
+def test_raw_line_separators_index_open_and_query(tmp_path, capsys):
+    # Raw U+0085, U+2028 and U+2029 inside JSON strings: the corpus, chunks.jsonl
+    # (whose chunk ids carry the doc id) and graph.json all hold them unescaped.
+    docs = [
+        {"id": "rome\u2028a", "text": "Rome is the capital of Italy.\u0085Rome hosts the Tiber festival.\u2028"
+                                     "The Tiber crosses Rome.\u2029Rome hosts the old games."},
+        {"id": "b", "text": "Milan hosts the opera. The Duomo stands in Milan."},
+    ]
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(d, ensure_ascii=False) + "\n" for d in docs), encoding="utf-8")
+    out = tmp_path / "store"
+    assert main(["index", "--corpus", str(corpus), "--out", str(out)]) == 0
+    assert "\u2028" in (out / "chunks.jsonl").read_text(encoding="utf-8")
+    store = open_store(out)
+    assert {c.doc_id for c in store.vectors.metadata.values()} == {"rome\u2028a", "b"}
+    capsys.readouterr()
+    assert main(["query", "--store", str(out), "--question", "What does Rome host?", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["chunks"][0]["id"].startswith("rome\u2028a#")
+    assert "Tiber festival" in payload["structured_text"]
 
 
 class TestCmdGraphExport:
@@ -928,6 +1024,7 @@ class TestCmdGraphExport:
         exported = json.loads(out.read_text())
         original = json.loads((store_dir / "graph.json").read_text())
         assert exported == original
+        assert out.read_bytes() == (store_dir / "graph.json").read_bytes()  # one writer, one layout
 
     def test_dot_export(self, store_dir, tmp_path):
         out = tmp_path / "kg.dot"
@@ -1127,7 +1224,7 @@ class TestMiniCorpusFixture:
         expected = {
             "vectors.skvx": "a081e1ec5e6c45e9727ead13645ba9d178c743d77cdbddb1e0a8820dc5b87fe2",
             "chunks.jsonl": "531770bbb0558eb3355d4bfbf2cbe466b3838a054cde753b8d41e7a835d9db07",
-            "graph.json": "fa478302ec767c1279c38e4d2ee949148e4f2dce0734db67df456963c10101c0",
+            "graph.json": "87ce7b34abafda06038be6a2171315e18abccd241c4653b061b5ec0bfe5bf78f",
         }
         digests = {name: hashlib.sha256((mini_store_dir / name).read_bytes()).hexdigest() for name in expected}
         assert digests == expected
@@ -1181,8 +1278,8 @@ class TestStoreBytesPinnedLargerCorpus:
         expected = {
             "vectors.skvx": "69644bbd8b7fb4eb8c237ced211fc380a03680546d4201e414145912c4951c35",
             "chunks.jsonl": "f90eda607dc55fd411c921288bcffdda38b79aac5906c10aed8c66ada46bcbc4",
-            "graph.json": "1a8d48e018dbad6a7209555486e20652e4c013d1646d39272ac5a8c9d21ce627",
-            "manifest.json": "666e89d30a7989b23ec476cfa033947a312bbbe0976c073952f274c2836cd71a",
+            "graph.json": "b979d93e36497796c82b19c7f921c0fe496d19838bbec706abe94f8abd600816",
+            "manifest.json": "079bee540e238b818fe00f99b3b47685479c8d123f3e5ffc9fcd4bb48a9dc702",
         }
         store = tmp_path / "store"
         digests = {name: hashlib.sha256((store / name).read_bytes()).hexdigest() for name in expected}
