@@ -3,12 +3,12 @@
 Stage one groups each sentence with its neighbors (window size k), embeds
 the windows, takes the cosine distance between each window and the next,
 and closes a chunk wherever that distance strictly exceeds the
-nearest-rank percentile threshold of the document's distances. The
-hashed embedder's window rows come from per-sentence counts, in one pass
-over all documents of a build, out of the sentences' one ``HashedTokens``
-coding, which the build's chunk rows are then counted from too. Stage two
-bounds chunk length with a fixed-stride token window (default 100 tokens,
-16 overlap); a semantic chunk's tokens are its sentences' tokens in turn.
+nearest-rank percentile threshold of the document's distances. With the
+hashed embedder each window is one token range of the build's one
+``HashedTokens`` coding of every sentence, counted the way a chunk row is,
+in one pass over all documents of a build. Stage two bounds chunk length
+with a fixed-stride token window (default 100 tokens, 16 overlap); a
+semantic chunk's tokens are its sentences' tokens in turn.
 """
 
 from __future__ import annotations
@@ -20,8 +20,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .embedding import HashedTokens, cosine_rows, hashed_window_rows
+from . import embedding
+from .embedding import HashedTokens, cosine_rows
 from .exceptions import ProviderError, StoreCorruptError
+
+
+_BLOCK_TOKENS = 1 << 20  # about the most tokens one block of window rows counts
 
 
 @dataclass
@@ -106,18 +110,27 @@ def hashed_window_distances(tokens: HashedTokens, lengths: list[int], k: int) ->
     """``window_distances`` with a hashed embedder, over sentences already hashed.
 
     ``tokens`` holds the sentences of consecutive documents, ``lengths[j]``
-    of them for document j. One ``hashed_window_rows`` pass covers every
-    document and holds one block of rows at a time (one row carries across a
-    block edge).
+    of them for document j. Window i of the document [a, b) is the token
+    range of its sentences ``max(a, i-k) .. min(b, i+k+1) - 1``, counted by
+    ``tokens.rows`` one block at a time; consecutive blocks share one row.
+    A block holds at most ``_BLOCK_ROWS`` windows and, unless one window is
+    longer, about ``_BLOCK_TOKENS`` tokens, however wide the windows are.
     """
-    distances = np.empty(max(len(tokens.offsets) - 2, 0))  # row i to row i+1, across documents too
-    carried = np.empty((0, tokens.dimension), dtype=np.float32)
-    for start, rows in hashed_window_rows(tokens, lengths, k):
-        pairs = np.concatenate([carried, rows])
-        distances[start - len(carried) : start + len(rows) - 1] = 1.0 - cosine_rows(pairs[:-1], pairs[1:])
-        carried = rows[-1:]
-    ends = np.cumsum(lengths).tolist()
-    return [distances[end - n : max(end - n, end - 1)].tolist() for end, n in zip(ends, lengths)]
+    if k < 0:
+        raise ValueError("window size k must be >= 0")
+    total = len(tokens.offsets) - 1
+    k = min(k, total)  # a window never reaches past its document
+    counts = np.asarray(lengths, dtype=np.int64)
+    ends = np.cumsum(counts)
+    sentence = np.arange(total)
+    starts = tokens.offsets[np.maximum(np.repeat(ends - counts, counts), sentence - k)]
+    stops = tokens.offsets[np.minimum(np.repeat(ends, counts), sentence + k + 1)]
+    distances = np.empty(max(total - 1, 0))  # row i to row i+1, across documents too
+    step = max(min(embedding._BLOCK_ROWS - 1, _BLOCK_TOKENS // int((stops - starts).max(initial=1))), 1)
+    for i in range(0, total - 1, step):
+        rows = tokens.rows(starts[i : i + step + 1], stops[i : i + step + 1])
+        distances[i : i + len(rows) - 1] = 1.0 - cosine_rows(rows[:-1], rows[1:])
+    return [distances[end - n : max(end - n, end - 1)].tolist() for end, n in zip(ends.tolist(), lengths)]
 
 
 def _embedded_window_distances(doc_id: str, sentences: list[str], embedder, k: int) -> list[float]:

@@ -8,11 +8,10 @@ Vectors are float32, unit-normalized; empty text maps to the zero vector.
 providers, and ``cosine_rows`` is the one cosine rule applied to such rows.
 The hashed embedder counts tokens in two places. ``HashedTokens`` is the
 batch core: it lowercases, splits and hashes a list of texts once into one
-int64 array of signed columns, and counts rows over any token ranges of it.
+int64 array of signed columns, and ``rows`` counts any token ranges of it.
 A batch of texts is one row per text; an index build codes every sentence
-once and takes both its sentence-window rows (``hashed_window_rows``, from
-sums of per-sentence counts) and its chunk rows (each chunk's token range)
-from that one array. ``embed_hashed`` counts one text straight into one row;
+once, and each of its sentence windows and each of its chunks is one token
+range of that array. ``embed_hashed`` counts one text straight into one row;
 it exists because a query embeds one question, and the batch bookkeeping (a
 flat ``repeat`` index over all rows) cost more than the counting itself.
 Both count the same signed columns in token order, so their rows agree bit
@@ -25,7 +24,6 @@ import math
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
@@ -35,7 +33,8 @@ from .remote import post_json
 Vector = np.ndarray
 
 MAX_BATCH_SIZE = 64
-_BLOCK_ROWS = 256  # rows per counting block in HashedTokens.rows and hashed_window_rows
+MAX_DIMENSION = 2**32 - 1  # vectors.skvx records the dimension as a u32
+_BLOCK_ROWS = 256  # rows per counting block in HashedTokens.rows and hashed_window_distances
 
 _FNV_OFFSET = 0xCBF29CE484222325
 _FNV_PRIME = 0x100000001B3
@@ -57,6 +56,8 @@ class ProviderConfig:
             raise ValueError(f"unknown provider kind {self.kind!r}")
         if self.dimension < 8:
             raise ValueError("embedding dimension must be >= 8")
+        if self.dimension > MAX_DIMENSION:
+            raise ValueError(f"embedding dimension must be <= {MAX_DIMENSION}, got {self.dimension}")
         if not 0 < self.timeout < math.inf:  # also false for NaN
             raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
         if self.max_retries < 0:
@@ -112,65 +113,28 @@ class HashedTokens:
         self.codes = np.frombuffer(codes, dtype=np.int64)
         self.offsets = np.cumsum(lengths, dtype=np.int64)
 
-    def counts(self, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-        """Float64 (len(starts), D) signed token counts, row i over tokens [starts[i], stops[i]).
+    def rows(self, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+        """Float32 unit rows of signed token counts, row i over tokens [starts[i], stops[i]).
 
-        The ranges may overlap. Counts are small integers, exact in any order.
+        The ranges may overlap, and a range without tokens is the zero row.
+        Counts are small integers, exact in float64 in any order. Rows are
+        counted ``_BLOCK_ROWS`` at a time, so the float64 counts and the
+        per-token temporaries stay bounded however many rows there are.
         """
         dimension = self.dimension
-        lengths = stops - starts
-        ends = np.cumsum(lengths)
-        # Position of every counted token, range by range.
-        positions = np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - ends + lengths, lengths)
-        signed = self.codes[positions]
-        flat = np.repeat(np.arange(len(lengths), dtype=np.int64) * dimension, lengths) + (signed >> 1)
-        # bincount gives int64 when there are no tokens at all, hence the cast.
-        values = np.bincount(flat, weights=1.0 - 2.0 * (signed & 1), minlength=len(lengths) * dimension)
-        return values.astype(np.float64, copy=False).reshape(len(lengths), dimension)
-
-    def rows(self, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-        """Float32 unit rows of ``counts(starts, stops)``; a range without tokens is the zero row.
-
-        Rows are counted ``_BLOCK_ROWS`` at a time, so the float64 counts
-        and the per-token temporaries stay bounded however many rows there are.
-        """
-        out = np.empty((len(starts), self.dimension), dtype=np.float32)
+        out = np.empty((len(starts), dimension), dtype=np.float32)
         for i in range(0, len(starts), _BLOCK_ROWS):
             block = slice(i, i + _BLOCK_ROWS)
-            out[block] = _normalized(self.counts(starts[block], stops[block]))
+            lengths = stops[block] - starts[block]
+            ends = np.cumsum(lengths)
+            # Position of every counted token, range by range.
+            positions = np.arange(ends[-1]) + np.repeat(starts[block] - ends + lengths, lengths)
+            signed = self.codes[positions]
+            flat = np.repeat(np.arange(len(lengths), dtype=np.int64) * dimension, lengths) + (signed >> 1)
+            # bincount gives int64 when there are no tokens at all, hence the cast.
+            values = np.bincount(flat, weights=1.0 - 2.0 * (signed & 1), minlength=len(lengths) * dimension)
+            out[block] = _normalized(values.astype(np.float64, copy=False).reshape(len(lengths), dimension))
         return out
-
-
-def hashed_window_rows(tokens: HashedTokens, lengths: list[int], k: int) -> Iterator[tuple[int, np.ndarray]]:
-    """Hashed embeddings of sentence windows, yielded as (first row, float32 rows) blocks.
-
-    ``tokens`` holds the sentences of consecutive documents, ``lengths[j]``
-    of them for document j. Row i embeds window i: the space-joined sentences
-    ``max(a, i-k) .. min(b-1, i+k)`` of the document [a, b) that holds
-    sentence i, exactly as ``embed_hashed_many`` would embed that text.
-
-    Lowercasing and whitespace splitting never carry across the joining
-    space, so a window's signed counts are the sum of its sentences' counts,
-    and a window is a difference of per-sentence prefix sums: small integers,
-    exact in float64 in any order. Blocks are at most ``_BLOCK_ROWS`` rows
-    and count their sentences plus at most k more past either edge, so the
-    temporaries stay bounded however long a document is and however many
-    documents there are.
-    """
-    if k < 0:
-        raise ValueError("window size k must be >= 0")
-    bounds = tokens.offsets  # sentence i's tokens are bounds[i]:bounds[i + 1]
-    total = len(bounds) - 1
-    offsets = np.cumsum([0, *lengths], dtype=np.int64)
-    for start in range(0, total, _BLOCK_ROWS):
-        rows = np.arange(start, min(total, start + _BLOCK_ROWS), dtype=np.int64)
-        doc = np.searchsorted(offsets, rows, side="right") - 1
-        lo = np.maximum(offsets[doc], rows - k)
-        hi = np.minimum(offsets[doc + 1], rows + k + 1)
-        first, last = int(lo[0]), int(hi[-1])
-        prefix = np.zeros((last - first + 1, tokens.dimension))
-        np.cumsum(tokens.counts(bounds[first:last], bounds[first + 1 : last + 1]), axis=0, out=prefix[1:])
-        yield start, _normalized(prefix[hi - first] - prefix[lo - first])
 
 
 def _normalized(values: np.ndarray) -> np.ndarray:

@@ -380,8 +380,11 @@ class KnowledgeGraph:
         normalize alike (``_resolve`` would give the later one the earlier
         id), and, in ``seal``'s one walk over the edge set, that every edge
         row has four items, its endpoints node ids and its labels strings.
+        Only once that walk has failed are the rows scanned, in file order,
+        for the first bad one to name.
         """
         graph = cls(chunk_texts)
+        rows = None
         try:
             for node_id, (name, contexts) in enumerate(obj["nodes"]):
                 if type(name) is not str or type(contexts) is not list or not {*map(type, contexts)} <= {str}:
@@ -392,16 +395,35 @@ class KnowledgeGraph:
                 if unknown:
                     raise StoreCorruptError(f"graph node {node_id} context {unknown[0]!r} names no stored chunk")
                 graph._nodes[node_id].contexts = list(dict.fromkeys(contexts))
-            graph._edges = set(map(_as_edge, obj["edges"]))
+            rows = obj["edges"]
+            graph._edges = set(map(_as_edge, rows))
             graph.seal()
         except (KeyError, TypeError, ValueError) as exc:
-            raise StoreCorruptError(f"malformed graph export: {exc}") from exc
+            row = _first_bad_edge_row(rows, len(graph))
+            if row is None:
+                raise StoreCorruptError(f"malformed graph: {exc}") from exc
+            raise StoreCorruptError(
+                f"graph edge row {row} is not [source, target, relation, provenance] of node ids and strings"
+            ) from exc
         return graph
 
     @classmethod
     def load_json(cls, path: str | Path, chunk_texts: dict[str, str]) -> "KnowledgeGraph":
+        """``from_json_obj`` of the file at ``path``; every StoreCorruptError names the file."""
         try:
             obj = json.loads(Path(path).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise StoreCorruptError(f"cannot load graph from {path}: {exc}") from exc
-        return cls.from_json_obj(obj, chunk_texts)
+        try:
+            return cls.from_json_obj(obj, chunk_texts)
+        except StoreCorruptError as exc:
+            raise StoreCorruptError(f"{path}: {exc}") from exc
+
+
+def _first_bad_edge_row(rows, node_count: int) -> int | None:
+    """Index of the first of ``rows`` that ``seal`` rejects; None if ``rows`` is not a list or has none."""
+    ids = range(node_count)
+    for i, row in enumerate(rows if type(rows) is list else ()):
+        if type(row) is not list or [*map(type, row)] != [int, int, str, str] or row[0] not in ids or row[1] not in ids:
+            return i
+    return None

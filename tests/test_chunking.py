@@ -23,9 +23,10 @@ from kgrag.chunking import (
     window_distances,
     write_chunks_jsonl,
 )
-from kgrag.embedding import HashedEmbedder, HashedTokens, embed_hashed_many, hashed_window_rows
+from kgrag.embedding import HashedEmbedder, HashedTokens, embed_hashed_many
 from kgrag.exceptions import StoreCorruptError
 
+import kgrag.chunking as chunking_mod
 import kgrag.embedding as embedding_mod
 
 from helpers import (
@@ -116,16 +117,28 @@ def reference_window_distances(documents, k, dimension):
     ]
 
 
+def recorded_rows(calls: list):
+    """``HashedTokens.rows``, appending every block of rows it returns to ``calls``."""
+    count = HashedTokens.rows
+
+    def rows(self, starts, stops):
+        calls.append(count(self, starts, stops))
+        return calls[-1]
+
+    return rows
+
+
 class TestHashedWindowDistances:
     @settings(max_examples=200, deadline=None)
     @given(
         st.lists(st.lists(SENTENCE_TEXTS, max_size=12), max_size=4),
-        st.integers(0, 3),
+        st.one_of(st.integers(0, 3), st.sampled_from([50, 10**20])),
         st.sampled_from([1, 2, 3, 5, 256]),
         st.sampled_from([8, 64]),
     )
     @example([["ΟΔΟΣ", "Σ αλφα", "ΑΣ"], ["one"], []], 1, 1, 8)
     @example([[f"w{i} Σ" for i in range(11)]], 3, 2, 8)
+    @example([[f"w{i} Σ" for i in range(11)], ["ΑΣ", "one"]], 10**20, 1, 8)
     def test_bit_for_bit_with_per_document_embedding(self, texts, k, block, dimension):
         documents = [(f"d{i}", t) for i, t in enumerate(texts)]
         expected = reference_window_distances(documents, k, dimension)
@@ -133,24 +146,58 @@ class TestHashedWindowDistances:
             embed_hashed_many(build_windows(sentences, k), dimension) for _, sentences in documents if sentences
         ]
         tokens = HashedTokens([s for t in texts for s in t], dimension)
-        with mock.patch.object(embedding_mod, "_BLOCK_ROWS", block):
+        blocks: list[np.ndarray] = []
+        with mock.patch.object(embedding_mod, "_BLOCK_ROWS", block), mock.patch.object(
+            HashedTokens, "rows", recorded_rows(blocks)
+        ):
             got = hashed_window_distances(tokens, [len(t) for t in texts], k)
-            blocks = list(hashed_window_rows(tokens, [len(t) for t in texts], k))
         assert all(type(d) is float for distances in got for d in distances)
         assert [np.array(d).tobytes() for d in got] == [np.array(d).tobytes() for d in expected]
         generic = window_distances(documents, HashedEmbedder(dimension), k)
         assert [np.array(d).tobytes() for d in generic] == [np.array(d).tobytes() for d in expected]
-        assert all(len(rows) <= block for _, rows in blocks)
-        rows = np.concatenate([rows for _, rows in blocks]) if blocks else np.zeros((0, dimension), np.float32)
-        reference = np.concatenate(expected_rows) if expected_rows else np.zeros((0, dimension), np.float32)
+        # Blocks of at most `block` rows (two for a block of one), each sharing its first row with the last.
+        assert all(len(rows) <= max(block, 2) for rows in blocks)
+        assert all(a[-1].tobytes() == b[0].tobytes() for a, b in zip(blocks, blocks[1:]))
+        # Every window row is counted once a build has two sentences (none is needed before).
+        empty = np.zeros((0, dimension), np.float32)
+        rows = np.concatenate([blocks[0], *(b[1:] for b in blocks[1:])]) if blocks else empty
+        reference = np.concatenate(expected_rows) if len(tokens.offsets) > 2 else empty
         assert rows.dtype == np.float32 and rows.tobytes() == reference.tobytes()
 
     def test_hashes_each_token_once_across_blocks(self, monkeypatch):
         monkeypatch.setattr(embedding_mod, "_BLOCK_ROWS", 4)
         hashed = record_texts(monkeypatch, embedding_mod, "fnv1a64")
         texts = [f"rome w{i} pasta" for i in range(10)] + ["ROME pizza", "rome"]
-        list(hashed_window_rows(HashedTokens(texts, 64), [10, 2], 2))
+        hashed_window_distances(HashedTokens(texts, 64), [10, 2], 2)
         assert sorted(hashed) == sorted([b"rome", b"pasta", b"pizza"] + [f"w{i}".encode() for i in range(10)])
+
+    @pytest.mark.parametrize("k", [50, 10**20])
+    def test_window_beyond_every_document(self, k):
+        # k = 10**20 does not fit in int64; a window never reaches past its document anyway.
+        documents = [(f"d{n}", [f"w{i % 5} s{n}" for i in range(n)]) for n in (60, 0, 1, 3)]
+        tokens = HashedTokens([s for _, sentences in documents for s in sentences], 16)
+        got = hashed_window_distances(tokens, [len(sentences) for _, sentences in documents], k)
+        generic = window_distances(documents, HashedEmbedder(16), k)
+        assert [np.array(d).tobytes() for d in got] == [np.array(d).tobytes() for d in generic]
+        assert [len(d) for d in got] == [59, 0, 0, 2]
+
+    @pytest.mark.parametrize("budget, most_rows", [(1, 2), (27, 4), (1 << 20, 5)])
+    def test_wide_windows_take_fewer_rows_per_block(self, monkeypatch, budget, most_rows):
+        # 9 sentences of 3 tokens at k = 1 make windows of at most 9 tokens.
+        monkeypatch.setattr(embedding_mod, "_BLOCK_ROWS", 5)
+        monkeypatch.setattr(chunking_mod, "_BLOCK_TOKENS", budget)
+        documents = [("d", [f"w{i} x{i % 3} Σ" for i in range(9)])]
+        tokens = HashedTokens(documents[0][1], 16)
+        blocks: list[np.ndarray] = []
+        monkeypatch.setattr(HashedTokens, "rows", recorded_rows(blocks))
+        got = hashed_window_distances(tokens, [9], 1)
+        assert max(len(rows) for rows in blocks) == most_rows
+        monkeypatch.undo()
+        assert np.array(got).tobytes() == np.array(window_distances(documents, HashedEmbedder(16), 1)).tobytes()
+
+    def test_negative_window_rejected(self):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            hashed_window_distances(HashedTokens(["a", "b"], 8), [2], -1)
 
     def test_single_sentence_and_empty_documents(self):
         documents = [("doc", ["only"]), ("doc", []), ("doc", ["a b", "c"])]

@@ -474,6 +474,13 @@ class TestProviderConfig:
         with pytest.raises(ValueError):
             ProviderConfig(kind="hashed", dimension=4)
 
+    def test_dimension_ceiling_is_the_vector_file_u32(self):
+        # Construction only: nothing is embedded, so no row of 2**32 columns is allocated.
+        assert ProviderConfig(dimension=2**32 - 1).dimension == 2**32 - 1
+        for dimension in (2**32, 2**64, 10**20):
+            with pytest.raises(ValueError, match=f"must be <= 4294967295, got {dimension}"):
+                ProviderConfig(dimension=dimension)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ProviderConfig(kind="quantum")

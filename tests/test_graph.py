@@ -13,6 +13,8 @@ from kgrag.exceptions import StoreCorruptError
 from kgrag.extraction import EntityMention, Triple, normalize_entity
 from kgrag.graph import MIN_PREFIX_LEN, Edge, KnowledgeGraph, Subgraph
 
+import kgrag.graph as graph_mod
+
 from helpers import ROW_POSITION
 
 
@@ -529,6 +531,29 @@ class TestLoadTypes:
     def test_context_naming_no_chunk_is_corrupt(self):
         with pytest.raises(StoreCorruptError, match="'c0' names no stored chunk"):
             KnowledgeGraph.from_json_obj(valid_graph_object(), {"c1": "other"})
+
+    @pytest.mark.parametrize(
+        "bad",
+        [[0, 1, "r"], [0, 2, "r", "c0"], [-1, 0, "r", "c0"], [0, True, "r", "c0"], [0, 1, "r", None], {"a": 1}],
+        ids=["three-items", "endpoint-past-nodes", "negative-endpoint", "bool-endpoint", "null-label", "dict"],
+    )
+    def test_names_the_first_bad_edge_row(self, bad):
+        obj = valid_graph_object()
+        obj["edges"] = [[0, 1, "r", "c0"], [1, 0, "s", "c0"], bad, [1, 1, "t", "c0"], [0, 1]]
+        with pytest.raises(StoreCorruptError, match=r"^graph edge row 2 is not \[source, target, relation, provenance"):
+            KnowledgeGraph.from_json_obj(obj, {"c0": "ctx"})
+
+    def test_good_load_scans_no_edge_row(self, monkeypatch):
+        monkeypatch.setattr(graph_mod, "_first_bad_edge_row", None)  # a call would raise TypeError
+        assert KnowledgeGraph.from_json_obj(valid_graph_object(), {"c0": "ctx"}).edge_count == 1
+
+    def test_load_json_names_the_file(self, tmp_path):
+        path = tmp_path / "graph.json"
+        obj = valid_graph_object()
+        obj["edges"].append([0, 1, "r"])
+        path.write_text(json.dumps(obj))
+        with pytest.raises(StoreCorruptError, match=f"^{re.escape(str(path))}: graph edge row 1 is not "):
+            KnowledgeGraph.load_json(path, {"c0": "ctx"})
 
     def test_bad_edge_fails_seal_and_leaves_it_unsealed(self):
         graph = KnowledgeGraph({"c0": "ctx"})

@@ -422,6 +422,30 @@ class TestCmdIndex:
         assert chunker["window_k"] == 0  # flag wins
         assert chunker["percentile"] == 70.0  # file beats default
 
+    @pytest.mark.parametrize("window", [2**63 - 1, 10**20])
+    def test_window_past_every_document_builds_as_window_1000(self, tmp_path, capsys, window):
+        # No mini-corpus document has 1000 sentences, so both windows span whole documents.
+        huge, reference = tmp_path / "huge", tmp_path / "k1000"
+        assert main(["index", "--corpus", str(MINI_CORPUS), "--out", str(huge), "--window", str(window)]) == 0
+        assert main(["index", "--corpus", str(MINI_CORPUS), "--out", str(reference), "--window", "1000"]) == 0
+        for name in ("vectors.skvx", "chunks.jsonl", "graph.json"):
+            assert (huge / name).read_bytes() == (reference / name).read_bytes()
+        manifest = json.loads((huge / "manifest.json").read_text())
+        assert manifest["config"]["chunker"]["window_k"] == window
+        manifest["config"]["chunker"]["window_k"] = 1000
+        assert manifest == json.loads((reference / "manifest.json").read_text())
+        assert open_store(huge).manifest.chunker.window_k == window
+
+    @pytest.mark.parametrize("dimension", [2**64, 10**20])
+    def test_embed_dim_past_the_vector_file_u32_exit_2(self, tmp_path, capsys, dimension):
+        out = tmp_path / "store"
+        assert main(["index", "--corpus", str(MINI_CORPUS), "--out", str(out), "--embed-dim", str(dimension)]) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: config section 'provider': bad value: embedding dimension must be <= 4294967295, got {dimension}\n"
+        )
+        assert not out.exists()
+
     def test_invalid_flag_combo_exit_2(self, tmp_path, capsys):
         corpus = write_corpus(tmp_path)
         code = main(
@@ -938,19 +962,19 @@ def _set_edge(graph: dict, edit) -> None:
 
 
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, edge_row",
     [
-        lambda g: _set_node(g, ["a"]),
-        lambda g: _set_node(g, ["a", [], 1]),
-        lambda g: _set_node(g, "ab"),
-        lambda g: _set_node(g, {"id": 0, "name": "a", "contexts": []}),
-        lambda g: _set_node(g, None),
-        lambda g: _set_edge(g, lambda row: row[:3]),
-        lambda g: _set_edge(g, lambda row: row + ["extra"]),
-        lambda g: _set_edge(g, lambda row: dict(zip(("source", "target", "relation", "provenance"), row))),
-        lambda g: _set_edge(g, lambda row: [row[0], row[1], [row[2]], row[3]]),
-        lambda g: [g["nodes"], g["edges"]],
-        lambda g: {"nodes": g["nodes"]},
+        (lambda g: _set_node(g, ["a"]), None),
+        (lambda g: _set_node(g, ["a", [], 1]), None),
+        (lambda g: _set_node(g, "ab"), None),
+        (lambda g: _set_node(g, {"id": 0, "name": "a", "contexts": []}), None),
+        (lambda g: _set_node(g, None), None),
+        (lambda g: _set_edge(g, lambda row: row[:3]), 0),
+        (lambda g: _set_edge(g, lambda row: row + ["extra"]), 0),
+        (lambda g: _set_edge(g, lambda row: dict(zip(("source", "target", "relation", "provenance"), row))), 0),
+        (lambda g: _set_edge(g, lambda row: [row[0], row[1], [row[2]], row[3]]), 0),
+        (lambda g: [g["nodes"], g["edges"]], None),
+        (lambda g: {"nodes": g["nodes"]}, None),
     ],
     ids=["node-of-one", "node-of-three", "node-string", "node-dict", "node-null", "edge-of-three",
          "edge-of-five", "edge-dict", "edge-list-label", "top-level-array", "no-edges"],
@@ -960,7 +984,7 @@ def _set_edge(graph: dict, edit) -> None:
     [["query", "--question", "Anything?"], ["graph-export", "--format", "json", "--out", "kg.json"]],
     ids=["query", "graph-export"],
 )
-def test_graph_row_of_wrong_shape_exit_3(store_dir, tmp_path, monkeypatch, capsys, command, corrupt):
+def test_graph_row_of_wrong_shape_exit_3(store_dir, tmp_path, monkeypatch, capsys, command, corrupt, edge_row):
     # Each node must be a [name, [contexts]] pair and each edge a
     # [source, target, relation, provenance] row, or the store is corrupt.
     graph_path = store_dir / "graph.json"
@@ -970,6 +994,9 @@ def test_graph_row_of_wrong_shape_exit_3(store_dir, tmp_path, monkeypatch, capsy
     assert main([command[0], "--store", str(store_dir), *command[1:]]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: corrupt store: ") and "graph" in err and "Traceback" not in err
+    assert err.startswith(f"error: corrupt store: {graph_path}: ")
+    if edge_row is not None:
+        assert f"graph edge row {edge_row} is not [source, target, relation, provenance]" in err
     assert not (tmp_path / "kg.json").exists()
 
 
