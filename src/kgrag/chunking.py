@@ -8,7 +8,10 @@ hashed embedder each window is one token range of the build's one
 ``HashedTokens`` coding of every sentence, counted the way a chunk row is,
 in one pass over all documents of a build. Stage two bounds chunk length
 with a fixed-stride token window (default 100 tokens, 16 overlap); a
-semantic chunk's tokens are its sentences' tokens in turn.
+semantic chunk's tokens are its sentences' tokens in turn. ``chunks.jsonl``
+holds one record per chunk, written as f-string rows whose strings the C
+``encode_basestring`` escapes, byte for byte what ``json.dumps`` gives,
+and read back one C ``raw_decode`` call per line.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring
 from pathlib import Path
 
 import numpy as np
@@ -214,15 +218,17 @@ def token_window_split(semantic_chunk: SemanticChunk, chunk_size: int, overlap: 
 
 
 def chunk_to_json(chunk: Chunk) -> str:
-    return json.dumps(
-        {
-            "chunk_id": chunk.chunk_id,
-            "doc_id": chunk.doc_id,
-            "parent": chunk.parent_semantic_chunk,
-            "span": list(chunk.token_span),
-            "text": chunk.text,
-        },
-        ensure_ascii=False,
+    """The chunk's record, byte for byte ``json.dumps(record, ensure_ascii=False)``.
+
+    An f-string row whose strings are escaped by the C ``encode_basestring``
+    that ``ensure_ascii=False`` uses, as ``KnowledgeGraph.export`` writes its
+    rows; the keys are in the record's order, with the default separators.
+    """
+    esc = encode_basestring
+    start, end = chunk.token_span
+    return (
+        f'{{"chunk_id": {esc(chunk.chunk_id)}, "doc_id": {esc(chunk.doc_id)}, '
+        f'"parent": {esc(chunk.parent_semantic_chunk)}, "span": [{start}, {end}], "text": {esc(chunk.text)}}}'
     )
 
 
@@ -249,10 +255,9 @@ def chunk_from_json(line: str) -> Chunk:
 
 
 def write_chunks_jsonl(chunks: list[Chunk], path: Path) -> None:
-    """One chunk per line, in pipeline order (doc, semantic chunk, span start)."""
+    """One ``chunk_to_json`` record per line, in pipeline order (doc, semantic chunk, span start)."""
     with open(path, "w", encoding="utf-8") as fh:
-        for chunk in chunks:
-            fh.write(chunk_to_json(chunk) + "\n")
+        fh.write("".join(f"{chunk_to_json(chunk)}\n" for chunk in chunks))
 
 
 def read_chunks_jsonl(path: Path) -> list[Chunk]:

@@ -29,6 +29,9 @@ ABBREVIATIONS = frozenset(
 # whitespace or the end, so the abbreviation check needs no backward search.
 _TERMINATOR_RE = re.compile(r"(?<!\S)\S*[.?!](?=\s|$)")
 _PARAGRAPH_RE = re.compile(r"\n[ \t]*\n+")
+# json.loads joins an escaped surrogate pair into one character, so any
+# surrogate left in a decoded string is lone.
+_SURROGATE_RE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,8 @@ def load_corpus(path: str | Path) -> list[Document]:
 
     Documents are ordered by (source path lexicographic, line number).
     Empty documents are skipped with a warning. Unreadable files and
-    malformed JSONL lines are hard errors.
+    malformed JSONL lines, one whose ``id`` or ``text`` holds a lone
+    surrogate included, are hard errors.
     """
     root = Path(path)
     if not root.exists():
@@ -117,7 +121,14 @@ def load_corpus(path: str | Path) -> list[Document]:
                     doc_id, text = obj["id"], obj["text"]
                     if type(doc_id) not in (str, int) or type(text) is not str:
                         raise TypeError("'id' must be a string or an integer, and 'text' a string")
-                except (json.JSONDecodeError, KeyError, TypeError) as exc:
+                    if "\\u" in line:  # a \u escape is the one way a decoded line holds a surrogate
+                        for key, value in (("id", str(doc_id)), ("text", text)):
+                            if bad := _SURROGATE_RE.search(value):
+                                raise ValueError(
+                                    f"{key!r} holds the lone surrogate {bad.group()!r} at index {bad.start()},"
+                                    " which UTF-8 cannot encode"
+                                )
+                except (KeyError, TypeError, ValueError) as exc:
                     raise InputError(f"malformed JSONL in {file} line {lineno}: {exc}") from exc
                 add(str(doc_id), text, f"jsonl:{file}:{lineno}")
     return docs

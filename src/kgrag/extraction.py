@@ -4,8 +4,17 @@ Triples come from a list of sentences, a semantic chunk's, never split again.
 The rule extractor is deterministic: capitalized token runs become entity
 mentions, and consecutive mention pairs in a sentence become triples whose
 relation is the (short) token gap between them. One span finder serves
-both triples and entities and normalizes each mention once, and a triple
-is a ``NamedTuple`` of normalized names. The remote extractor sends
+both triples and entities: each token has a one-character shape (not
+capitalized, capitalized stopword, capitalized), and one regex over a
+sentence's shape string gives its mention spans. The triple pass keeps
+tables that classify each distinct token, match each distinct shape
+string and normalize each distinct surface once; they last as long as the
+``RuleExtractor``, which for the extractor a build makes is one build.
+Query NER classifies a question's tokens without tables, so nothing it
+sees stays. The tables only cache pure functions, so the extractor stays
+reentrant: its output never depends on what it saw before, and two calls
+that fill the same missing key fill it with the same value. A triple is a
+``NamedTuple`` of normalized names, built in C. The remote extractor sends
 the space-joined sentences in a fixed prompt to a chat endpoint and parses
 strict-JSON triples, with one repair retry; it skips items whose fields are
 not all strings. Both expose the same interface so the indexing pipeline
@@ -18,6 +27,7 @@ import json
 import logging
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import NamedTuple
 
 from .corpus import split_sentences, string_list, tokenize
@@ -60,6 +70,10 @@ class Triple(NamedTuple):
     provenance: str = ""
 
 
+# Builds a Triple from its 4-tuple in C, skipping NamedTuple's Python-level __new__.
+_triple = partial(tuple.__new__, Triple)
+
+
 @dataclass(frozen=True)
 class EntityMention:
     surface: str
@@ -83,43 +97,117 @@ def _bare(word: str) -> str:
     return word if word.isalnum() else strip_edge_punctuation(word)
 
 
-def _mentions(tokens: list[str], stopwords: frozenset[str]) -> list[tuple[int, int, str, str]]:
-    """(start, end, surface, normalized) of each capitalized token run, in order.
+# Shape codes: "l" a token that does not start with an uppercase character,
+# "S" a capitalized stopword, "U" any other capitalized token. A mention is a
+# maximal capitalized run with its leading stopwords trimmed: group 1 of each
+# match on a sentence's shape string, whose characters are its tokens.
+_MENTION_RE = re.compile(r"S*(U[US]*)")
 
-    A run is maximal tokens whose first character is uppercase, with leading
-    stopwords trimmed, over tokens [start, end); ``surface`` is those tokens
-    space-joined and ``normalized`` its ``normalize_entity`` form, which may
-    be empty. Each mention is normalized here, once.
+
+def _mention_spans(shape: str) -> list[tuple[int, int]]:
+    """[start, end) token spans of the mentions of a sentence of this shape, in order."""
+    return [match.span(1) for match in _MENTION_RE.finditer(shape)]
+
+
+def _triple_plan(shape: str) -> list[tuple[slice, slice, slice | None]]:
+    """(subject, object, relation gap or None) token slices of each consecutive mention pair."""
+    spans = _mention_spans(shape)
+    return [
+        (slice(start, end), slice(after, stop), slice(end, after) if 1 <= after - end <= MAX_RELATION_GAP else None)
+        for (start, end), (after, stop) in zip(spans, spans[1:])
+    ]
+
+
+def _gap_word(token: str) -> str:
+    """A relation word: the token lowercased and edge-stripped, possibly to nothing."""
+    return _bare(token.lower())
+
+
+class _Table(dict):
+    """A dict that fills a missing key with ``make(key)``, once."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value
+
+
+def _shape_code(stopwords: frozenset[str]):
+    """The function giving a token's shape code under ``stopwords``."""
+
+    def code(token: str) -> str:
+        if not token[:1].isupper():
+            return "l"
+        return "S" if _bare(token) in stopwords else "U"
+
+    return code
+
+
+def _entities(sentences: list[str], stopwords: frozenset[str]) -> list[EntityMention]:
+    """The mentions of every sentence in turn, deduplicated by normalized form, empty ones dropped.
+
+    Nothing outlives the call: a question's tokens are nearly all distinct,
+    so it classifies and normalizes without tables.
     """
-    mentions: list[tuple[int, int, str, str]] = []
-    i = 0
-    n = len(tokens)
-    while i < n:
-        if tokens[i][:1].isupper():
-            start = i
-            while i < n and tokens[i][:1].isupper():
-                i += 1
-            while start < i and _bare(tokens[start]) in stopwords:
-                start += 1
-            if start < i:
-                surface = " ".join(tokens[start:i])
-                mentions.append((start, i, surface, normalize_entity(surface)))
-        else:
-            i += 1
+    code = _shape_code(stopwords)
+    mentions: list[EntityMention] = []
+    seen = {""}
+    for sentence in sentences:
+        tokens = tokenize(sentence)
+        for start, end in _mention_spans("".join(map(code, tokens))):
+            surface = " ".join(tokens[start:end])
+            name = normalize_entity(surface)
+            if name not in seen:
+                seen.add(name)
+                mentions.append(EntityMention(surface=surface, normalized=name))
     return mentions
+
+
+class _TripleFinder:
+    """Triples of sentences, from tables that grow with the distinct tokens, shapes and surfaces seen.
+
+    ``shape`` classifies each distinct token once, ``plan`` matches each
+    distinct shape string once, ``normalized`` normalizes each distinct
+    surface once and ``gap_word`` lowercases and strips each distinct
+    relation token once.
+    """
+
+    __slots__ = ("shape", "plan", "normalized", "gap_word")
+
+    def __init__(self) -> None:
+        self.shape = _Table(_shape_code(ENTITY_STOPWORDS))
+        self.plan = _Table(_triple_plan)
+        self.normalized = _Table(normalize_entity)
+        self.gap_word = _Table(_gap_word)
+
+    def triples(self, sentences: list[str], provenance: str) -> list[Triple]:
+        """Each sentence's triples in turn (see ``extract_triples_rule``)."""
+        shape, plan, normalized = self.shape.__getitem__, self.plan, self.normalized
+        gap_word = self.gap_word.__getitem__
+        triples: list[Triple] = []
+        for sentence in sentences:
+            tokens = sentence.split()  # tokenize(sentence), without the call
+            for subject_at, object_at, gap in plan["".join(map(shape, tokens))]:
+                subject = normalized[" ".join(tokens[subject_at])]
+                obj = normalized[" ".join(tokens[object_at])]
+                if subject and obj:
+                    relation = FALLBACK_RELATION
+                    if gap is not None:
+                        relation = "_".join(filter(None, map(gap_word, tokens[gap]))) or relation
+                    triples.append(_triple((subject, relation, obj, provenance)))
+        return triples
 
 
 def extract_entities_rule(
     sentence: str, stopwords: frozenset[str] = ENTITY_STOPWORDS
 ) -> list[EntityMention]:
     """Entity mentions in order of first appearance, deduplicated by normalized form."""
-    mentions: list[EntityMention] = []
-    seen: set[str] = set()
-    for _, _, surface, normalized in _mentions(tokenize(sentence), stopwords):
-        if normalized and normalized not in seen:
-            seen.add(normalized)
-            mentions.append(EntityMention(surface=surface, normalized=normalized))
-    return mentions
+    return _entities([sentence], stopwords)
 
 
 def extract_triples_rule(sentence: str, provenance: str = "") -> list[Triple]:
@@ -130,38 +218,28 @@ def extract_triples_rule(sentence: str, provenance: str = "") -> list[Triple]:
     pairs fall back to "related_to". A pair with an empty normalized name
     gives no triple.
     """
-    tokens = tokenize(sentence)
-    mentions = _mentions(tokens, ENTITY_STOPWORDS)
-    triples: list[Triple] = []
-    for (_, end, _, subject), (start, _, _, obj) in zip(mentions, mentions[1:]):
-        if subject and obj:
-            relation = FALLBACK_RELATION
-            if 1 <= start - end <= MAX_RELATION_GAP:
-                words = map(_bare, map(str.lower, tokens[end:start]))
-                relation = "_".join(filter(None, words)) or FALLBACK_RELATION
-            triples.append(Triple(subject, relation, obj, provenance))
-    return triples
+    return _TripleFinder().triples([sentence], provenance)
 
 
 class RuleExtractor:
-    """Deterministic, pure extractor; reentrant."""
+    """Deterministic extractor; reentrant, since its tables only cache pure functions.
+
+    The triple tables last as long as the extractor, which for a build's
+    extractor is one build. ``entities`` (query NER) keeps nothing between
+    calls, so a long-lived query extractor never grows.
+    """
 
     kind = "rule"
 
+    def __init__(self) -> None:
+        self._finder = _TripleFinder()
+
     def entities(self, text: str, stopwords: frozenset[str] | None = None) -> list[EntityMention]:
-        words = stopwords if stopwords is not None else ENTITY_STOPWORDS
-        mentions: list[EntityMention] = []
-        seen: set[str] = set()
-        for sentence in split_sentences(text):
-            for m in extract_entities_rule(sentence, words):
-                if m.normalized not in seen:
-                    seen.add(m.normalized)
-                    mentions.append(m)
-        return mentions
+        return _entities(split_sentences(text), stopwords if stopwords is not None else ENTITY_STOPWORDS)
 
     def triples(self, sentences: list[str], provenance: str = "") -> list[Triple]:
         """The triples of each sentence in turn; ``sentences`` are not split again."""
-        return [t for sentence in string_list(sentences, "sentences") for t in extract_triples_rule(sentence, provenance)]
+        return self._finder.triples(string_list(sentences, "sentences"), provenance)
 
 
 def extract_triples_remote(text: str, client: ChatClient, provenance: str = "") -> list[Triple]:

@@ -1,8 +1,10 @@
 """Knowledge graph: entity nodes with provenance chunk ids, labeled edges.
 
 Nodes merge on the normalized entity name; every node keeps the ids of the
-chunks its triples came from, read through the graph's one chunk_id -> text
-map, so a traversal can hand back both structure and supporting context.
+chunks its triples came from, first seen first, read through the graph's
+one chunk_id -> text map, so a traversal can hand back both structure and
+supporting context. A build knows which nodes already name a chunk by a
+set of node ids per chunk id, so an upsert checks two small ints there.
 Edges live in one set of sortable tuples; ``seal`` derives each node's
 incident-edge list from it, and a traversal is a seeded breadth-first
 expansion over those lists in both directions, bounded by hop count and
@@ -108,7 +110,7 @@ class KnowledgeGraph:
         self._nodes: list[EntityNode] = []
         self._by_normalized: dict[str, int] = {}
         self._edges: set[Edge] = set()
-        self._node_contexts: set[tuple[int, str]] = set()  # (node id, chunk id) pairs upserted so far
+        self._named_by: dict[str, set[int]] = {}  # chunk id -> ids of the nodes whose contexts hold it
         self._incident: list[list[Edge]] = []  # node id -> its edges, derived at seal
         self._sealed = False
 
@@ -169,21 +171,33 @@ class KnowledgeGraph:
         """Merge a triple into the graph; returns (source, target) node ids.
 
         Endpoint nodes are resolved or created by normalized name; the edge
-        and each endpoint's context chunk id are deduplicated.
+        and each endpoint's context chunk id are deduplicated, the latter by
+        the set of nodes that already name the triple's chunk.
         """
         if self._sealed:
             raise ValueError("graph is sealed; upserts are only allowed during build")
-        if not triple.subject.strip() or not triple.object.strip():
+        subject, relation, obj, provenance = triple
+        if not subject.strip() or not obj.strip():
             raise ValueError(f"triple with empty endpoint rejected: {triple}")
-        if not triple.relation.strip():
+        if not relation.strip():
             raise ValueError(f"triple with empty relation rejected: {triple}")
-        source = self._resolve(triple.subject)
-        target = self._resolve(triple.object)
-        self._edges.add(Edge(source, target, triple.relation, triple.provenance))
-        for node_id in (source, target):
-            if (node_id, triple.provenance) not in self._node_contexts:
-                self._node_contexts.add((node_id, triple.provenance))
-                self._nodes[node_id].contexts.append(triple.provenance)
+        by_normalized = self._by_normalized
+        source = by_normalized.get(subject)
+        if source is None:
+            source = self._resolve(subject)
+        target = by_normalized.get(obj)
+        if target is None:
+            target = self._resolve(obj)
+        self._edges.add(_as_edge((source, target, relation, provenance)))
+        members = self._named_by.get(provenance)
+        if members is None:
+            members = self._named_by[provenance] = set()
+        if source not in members:
+            members.add(source)
+            self._nodes[source].contexts.append(provenance)
+        if target not in members:
+            members.add(target)
+            self._nodes[target].contexts.append(provenance)
         return source, target
 
     def match_entities(self, mentions: list[EntityMention]) -> set[int]:

@@ -230,6 +230,7 @@ def build_store(
         for sem in all_semantic:
             for triple in extractor.triples(sem.sentences, provenance=sem.chunk_id):
                 graph.upsert_triple(triple)
+        del extractor  # its tables serve this loop only; seal and export should not hold them
         graph.seal()
         graph.export(out / GRAPH_FILE, "json")
 

@@ -3,6 +3,8 @@ from __future__ import annotations
 import json
 import math
 import random
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,7 @@ from kgrag.chunking import (
     ChunkerConfig,
     SemanticChunk,
     build_windows,
+    chunk_to_json,
     hashed_window_distances,
     percentile_threshold,
     read_chunks_jsonl,
@@ -426,6 +429,15 @@ def per_line_json_loads(text: str) -> list[Chunk] | None:
     return chunks
 
 
+# JSON's escapes (quote, backslash, control characters) and what it leaves raw
+# (U+2028/U+2029, NBSP, emoji), but no lone surrogate, which UTF-8 cannot encode.
+AWKWARD_RECORD_TEXT = st.text(
+    alphabet=st.one_of(
+        st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\r", "\t", "\x7f", "\u2028", "\u2029", "\xa0", "🍕", "é"]),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=12,
+)
 RECORD = '{"chunk_id": "d#s0#t0", "doc_id": "d", "parent": "d#s0", "span": [0, 3], "text": "a  b"}'
 RECORD_2 = '{"chunk_id":"d#s0#t1","doc_id":"d","parent":"d#s0","span":[2,4],"text":"b c "}'
 
@@ -482,6 +494,23 @@ class TestReadChunksJsonl:
                 read_chunks_jsonl(path)
         else:
             assert read_chunks_jsonl(path) == expected
+
+    @given(st.lists(st.tuples(AWKWARD_RECORD_TEXT, AWKWARD_RECORD_TEXT, AWKWARD_RECORD_TEXT, AWKWARD_RECORD_TEXT,
+                              st.integers(0, 2**40), st.integers(0, 2**40)), max_size=6))
+    @example([('"q"\\', "\x00\x1f\x7f", "\u2028\u2029", "a\xa0🍕\n\t\r", 0, 3)])
+    def test_writer_equals_json_dumps_and_reads_back(self, rows):
+        chunks = [Chunk(cid, parent, doc, (start, stop), text) for cid, parent, doc, text, start, stop in rows]
+        records = [
+            {"chunk_id": c.chunk_id, "doc_id": c.doc_id, "parent": c.parent_semantic_chunk, "span": list(c.token_span),
+             "text": c.text}
+            for c in chunks
+        ]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "chunks.jsonl"
+            write_chunks_jsonl(chunks, path)
+            assert path.read_bytes() == "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records).encode()
+            assert read_chunks_jsonl(path) == chunks
+        assert [chunk_to_json(c) for c in chunks] == [json.dumps(r, ensure_ascii=False) for r in records]
 
     def test_written_chunks_read_back(self, tmp_path):
         sem = SemanticChunk("d#s0", "d", (0, 0), (" ".join(f"w{i}" for i in range(30)),))

@@ -78,6 +78,30 @@ class TestLoadCorpus:
         with pytest.raises(InputError, match="line 2"):
             load_corpus(tmp_path)
 
+    @pytest.mark.parametrize(
+        "line, named",
+        [
+            ('{"id": "d", "text": "Rome \\ud800 is old."}', "'text' holds the lone surrogate '\\ud800' at index 5"),
+            ('{"id": "d", "text": "Rome is old.\\udfff"}', "'text' holds the lone surrogate '\\udfff' at index 12"),
+            ('{"id": "d\\udc00", "text": "Rome is old."}', "'id' holds the lone surrogate '\\udc00' at index 1"),
+            ('{"id": "d", "text": "Rome \\udf55\\ud83c is old."}', "'text' holds the lone surrogate '\\udf55'"),
+        ],
+        ids=["text-high", "text-low-last", "id-low", "pair-reversed"],
+    )
+    def test_lone_surrogate_names_file_and_line(self, tmp_path, line, named):
+        corpus = tmp_path / "docs.jsonl"
+        corpus.write_text('{"id": "ok", "text": "Naples is warm."}\n' + line + "\n", encoding="utf-8")
+        with pytest.raises(InputError) as info:
+            load_corpus(corpus)
+        assert str(info.value).startswith(f"malformed JSONL in {corpus} line 2: {named}")
+
+    def test_escaped_surrogate_pair_and_escaped_backslash_load(self, tmp_path):
+        # A pair of \u escapes decodes to one astral character, and "\\ud800" is a backslash and text.
+        corpus = tmp_path / "docs.jsonl"
+        corpus.write_text('{"id": "d\\ud83c\\udf55", "text": "Pizza \\\\ud800 \\u00e9."}\n', encoding="utf-8")
+        (doc,) = load_corpus(corpus)
+        assert (doc.doc_id, doc.text) == ("d\U0001f355", "Pizza \\ud800 \u00e9.")
+
     def test_unreadable_file_names_file(self, tmp_path):
         # Permission bits don't stop root, but invalid UTF-8 is always unreadable.
         (tmp_path / "trap.txt").write_bytes(b"\xff\xfe broken")

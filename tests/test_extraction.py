@@ -283,8 +283,13 @@ def _reference_strip(token: str) -> str:
     return token[start:end]
 
 
-def _reference_mention_spans(tokens: list[str], stopwords: frozenset[str]) -> list[tuple[int, int]]:
-    spans: list[tuple[int, int]] = []
+def _reference_mentions(tokens: list[str], stopwords: frozenset[str]) -> list[tuple[int, int, str, str]]:
+    """The per-token mention loop the shape-string finder replaced, kept as its reference.
+
+    (start, end, surface, normalized) of each maximal run of tokens whose
+    first character is uppercase, with leading stopwords trimmed.
+    """
+    mentions: list[tuple[int, int, str, str]] = []
     i = 0
     n = len(tokens)
     while i < n:
@@ -295,61 +300,56 @@ def _reference_mention_spans(tokens: list[str], stopwords: frozenset[str]) -> li
             while start < i and _reference_strip(tokens[start]) in stopwords:
                 start += 1
             if start < i:
-                spans.append((start, i))
+                surface = " ".join(tokens[start:i])
+                mentions.append((start, i, surface, normalize_entity(surface)))
         else:
             i += 1
-    return spans
+    return mentions
 
 
-def _reference_entities(sentence: str, stopwords: frozenset[str]) -> list[tuple[str, str]]:
-    tokens = sentence.split()
+def _reference_entities(sentences: list[str], stopwords: frozenset[str]) -> list[tuple[str, str]]:
     mentions: list[tuple[str, str]] = []
     seen: set[str] = set()
-    for start, end in _reference_mention_spans(tokens, stopwords):
-        surface = " ".join(tokens[start:end])
-        normalized = normalize_entity(surface)
-        if normalized and normalized not in seen:
-            seen.add(normalized)
-            mentions.append((surface, normalized))
+    for sentence in sentences:
+        for _, _, surface, normalized in _reference_mentions(sentence.split(), stopwords):
+            if normalized and normalized not in seen:
+                seen.add(normalized)
+                mentions.append((surface, normalized))
     return mentions
 
 
 def _reference_triples(sentence: str, provenance: str) -> list[tuple[str, str, str, str]]:
     tokens = sentence.split()
-    spans = _reference_mention_spans(tokens, ENTITY_STOPWORDS)
+    mentions = _reference_mentions(tokens, ENTITY_STOPWORDS)
     triples = []
-    for (s1, e1), (s2, e2) in zip(spans, spans[1:]):
-        gap = tokens[e1:s2]
+    for (_, end, _, subject), (start, _, _, obj) in zip(mentions, mentions[1:]):
+        gap = tokens[end:start]
         if 1 <= len(gap) <= MAX_RELATION_GAP:
             words = [_reference_strip(t.lower()) for t in gap]
             relation = "_".join(w for w in words if w) or FALLBACK_RELATION
         else:
             relation = FALLBACK_RELATION
-        subject = normalize_entity(" ".join(tokens[s1:e1]))
-        obj = normalize_entity(" ".join(tokens[s2:e2]))
         if subject and obj:
             triples.append((subject, relation, obj, provenance))
     return triples
 
 
 def _reference_query_entities(text: str) -> list[tuple[str, str]]:
-    mentions: list[tuple[str, str]] = []
-    seen: set[str] = set()
-    for sentence in split_sentences(text):
-        for surface, normalized in _reference_entities(sentence, QUERY_STOPWORDS):
-            if normalized not in seen:
-                seen.add(normalized)
-                mentions.append((surface, normalized))
-    return mentions
+    return _reference_entities(split_sentences(text), QUERY_STOPWORDS)
 
 
-# Titlecase (ǅ) and circled (Ⓐ) capitals, stopwords and interrogatives that
-# lead or fill a run, punctuation-only tokens, and words whose lowercasing is
-# context-sensitive.
+# Capitals in several scripts: titlecase ǅ (not uppercase, so never a
+# capital), ℍ (uppercase with no lowercase form), the astral 𐐀, circled Ⓐ
+# (a capital whose normalized form is empty), and words whose lowercasing is
+# context-sensitive. Stopwords and interrogatives lead, fill or (with edge
+# punctuation, as "The,") end a run, and a run may be stopwords only.
 _RUN_WORDS = ["Rome", "Amalfi", "Coast", "ΟΔΟΣ", "İzmir", "Ⓐ", "Ⓐrles", "ǅ", "ǅemal", "Italy.", "Rome,", "(Naples)",
-              "The", "A", "The,", "(The", "What", "Which", "Ὀδυσσεύς"]
-_GAP_WORDS = ["is", "the", "of", "capital", "!!", "—", "...", "-[x]->", "don't", "ǆ", "ⓐ", "σ", "42", "«rome»", "é"]
-_SPACES = [" ", " ", " ", "\t", " "]
+              "The", "A", "The,", "(The", "What", "Which", "Ὀδυσσεύς", "ℍ", "ℍilbert", "𐐀", "𐐀ra", "It.", "And!",
+              "Ⓑ!", "𐐀,", "Зима"]
+_GAP_WORDS = ["is", "the", "of", "capital", "!!", "—", "...", "-[x]->", "don't", "ǆ", "ⓐ", "σ", "42", "«rome»", "é",
+              "𐐨", "ℎ"]
+_STOPWORD_RUNS = ["The", "The,", "A", "It", "And", "What", "Which,"]
+_SPACES = [" ", " ", "\xa0", "\t", "\u2003"]
 
 
 @st.composite
@@ -357,11 +357,25 @@ def _rule_sentences(draw) -> str:
     """Capitalized runs separated by gaps of 0 to 6 tokens (runs may still merge or vanish)."""
     words = draw(st.lists(st.sampled_from(_GAP_WORDS), max_size=2))
     for _ in range(draw(st.integers(0, 5))):
-        words += draw(st.lists(st.sampled_from(_RUN_WORDS), min_size=1, max_size=3))
+        runs = st.sampled_from(_STOPWORD_RUNS) if draw(st.integers(0, 4)) == 0 else st.sampled_from(_RUN_WORDS)
+        words += draw(st.lists(runs, min_size=1, max_size=3))
         gap = draw(st.sampled_from([0, 1, 4, 5, 2, 3, 6]))
         words += draw(st.lists(st.sampled_from(_GAP_WORDS), min_size=gap, max_size=gap))
     spaces = draw(st.lists(st.sampled_from(_SPACES), min_size=len(words), max_size=len(words)))
     return "".join(w + s for w, s in zip(words, spaces)) + draw(st.sampled_from(["", ".", "?"]))
+
+
+_CHUNKS = st.lists(
+    st.tuples(st.lists(_rule_sentences(), min_size=1, max_size=4), st.sampled_from(["", "d#s0", "d#s1"])),
+    min_size=1,
+    max_size=6,
+)
+_BOTH_STOPWORD_SETS = st.sampled_from([ENTITY_STOPWORDS, QUERY_STOPWORDS])
+
+
+def _tables(extractor: RuleExtractor) -> list[dict]:
+    finder = extractor._finder
+    return [dict(finder.shape), dict(finder.plan), dict(finder.normalized), dict(finder.gap_word)]
 
 
 class TestRuleExtractorReference:
@@ -370,6 +384,7 @@ class TestRuleExtractorReference:
     @example(["Rome Ⓐ ǅemal is Naples, Ⓐrles the of is Italy."], "p")
     @example(["Rome Naples . Italy is the of ΟΔΟΣ !! — ... -[x]-> Italy"], "p")  # gaps of 0, 1, 4 and 5
     @example(["Rome is Amalfi is the of capital Coast is the of capital don't İzmir."], "p")
+    @example(["ℍ is 𐐀ra of The, And! Ⓑ! is Rome\xa0of\u2003Зима."], "p")
     def test_triples_equal_the_reference(self, sentences, provenance):
         got = RuleExtractor().triples(sentences, provenance)
         assert all(type(t) is Triple for t in got)
@@ -380,3 +395,49 @@ class TestRuleExtractorReference:
     def test_query_entities_equal_the_reference(self, question):
         got = RuleExtractor().entities(question, QUERY_STOPWORDS)
         assert [(m.surface, m.normalized) for m in got] == _reference_query_entities(question)
+
+    @given(st.lists(_rule_sentences(), min_size=1, max_size=3).map(" ".join), _BOTH_STOPWORD_SETS)
+    @example("The, It And! are 𐐀ra. Which, ℍ?", ENTITY_STOPWORDS)
+    def test_entities_equal_the_reference_with_either_stopword_set(self, text, stopwords):
+        got = RuleExtractor().entities(text, stopwords)
+        assert [(m.surface, m.normalized) for m in got] == _reference_entities(split_sentences(text), stopwords)
+
+    @given(_rule_sentences(), st.sampled_from(["", "d#s0"]))
+    @example("Ⓐ is Rome of Ⓑ! and ℍ", "p")
+    def test_extract_triples_rule_equals_the_reference(self, sentence, provenance):
+        got = extract_triples_rule(sentence, provenance)
+        assert all(type(t) is Triple for t in got)
+        assert [tuple(t) for t in got] == _reference_triples(sentence, provenance)
+
+    @given(_rule_sentences(), _BOTH_STOPWORD_SETS)
+    @example("What\u2003The 𐐀 It Ⓐ", QUERY_STOPWORDS)
+    def test_extract_entities_rule_equals_the_reference(self, sentence, stopwords):
+        got = extract_entities_rule(sentence, stopwords)
+        assert [(m.surface, m.normalized) for m in got] == _reference_entities([sentence], stopwords)
+
+
+class TestRuleExtractorTables:
+    @given(_CHUNKS)
+    def test_one_extractor_over_many_chunks_equals_a_fresh_one_per_chunk(self, chunks):
+        extractor = RuleExtractor()
+        reused = [extractor.triples(sentences, provenance) for sentences, provenance in chunks]
+        assert reused == [RuleExtractor().triples(sentences, provenance) for sentences, provenance in chunks]
+
+    @given(_CHUNKS, st.lists(_rule_sentences(), min_size=1, max_size=3).map(" ".join), _BOTH_STOPWORD_SETS)
+    def test_entities_leaves_the_tables_unchanged(self, chunks, question, stopwords):
+        extractor = RuleExtractor()
+        for sentences, provenance in chunks:
+            extractor.triples(sentences, provenance)
+        before = _tables(extractor)
+        extractor.entities(question, stopwords)
+        query_ner(question, extractor)
+        assert _tables(extractor) == before
+
+    def test_tables_hold_each_distinct_token_shape_and_surface_once(self):
+        extractor = RuleExtractor()
+        extractor.triples(["Rome is near Naples.", "Rome is near Naples."], "d#s0")
+        extractor.triples(["Naples is near Rome."], "d#s1")
+        finder = extractor._finder
+        assert finder.shape == {"Rome": "U", "is": "l", "near": "l", "Naples.": "U", "Naples": "U", "Rome.": "U"}
+        assert list(finder.plan) == ["UllU"]
+        assert finder.normalized == {"Rome": "rome", "Naples.": "naples", "Naples": "naples", "Rome.": "rome"}

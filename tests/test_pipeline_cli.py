@@ -385,6 +385,16 @@ class TestCmdIndex:
         assert f"error: malformed JSONL in {corpus} line 2: 'id' must be" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_jsonl_lone_surrogate_exit_2_before_any_build_work(self, tmp_path, capsys):
+        corpus = tmp_path / "docs.jsonl"
+        lines = ['{"id": "ok", "text": "Naples is warm."}', '{"id": "d", "text": "Rome \\ud800."}']
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "store"
+        assert main(["index", "--corpus", str(corpus), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: malformed JSONL in {corpus} line 2: 'text' holds the lone surrogate" in err
+        assert not out.exists()
+
     def test_deterministic_artifacts(self, tmp_path):
         corpus = write_corpus(tmp_path)
         out1, out2 = tmp_path / "s1", tmp_path / "s2"
