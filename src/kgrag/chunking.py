@@ -9,7 +9,7 @@ hashed embedder each window is one token range of the build's one
 in one pass over all documents of a build. Stage two bounds chunk length
 with a fixed-stride token window (default 100 tokens, 16 overlap); a
 semantic chunk's tokens are its sentences' tokens in turn. ``chunks.jsonl``
-holds one record per chunk, written as f-string rows whose strings the C
+holds one record per chunk, streamed as f-string rows whose strings the C
 ``encode_basestring`` escapes, byte for byte what ``json.dumps`` gives,
 and read back one C ``raw_decode`` call per line.
 """
@@ -257,7 +257,7 @@ def chunk_from_json(line: str) -> Chunk:
 def write_chunks_jsonl(chunks: list[Chunk], path: Path) -> None:
     """One ``chunk_to_json`` record per line, in pipeline order (doc, semantic chunk, span start)."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("".join(f"{chunk_to_json(chunk)}\n" for chunk in chunks))
+        fh.writelines(f"{chunk_to_json(chunk)}\n" for chunk in chunks)
 
 
 def read_chunks_jsonl(path: Path) -> list[Chunk]:

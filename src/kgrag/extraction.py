@@ -3,13 +3,15 @@
 Triples come from a list of sentences, a semantic chunk's, never split again.
 The rule extractor is deterministic: capitalized token runs become entity
 mentions, and consecutive mention pairs in a sentence become triples whose
-relation is the (short) token gap between them. One span finder serves
-both triples and entities: each token has a one-character shape (not
-capitalized, capitalized stopword, capitalized), and one regex over a
-sentence's shape string gives its mention spans. The triple pass keeps
-tables that classify each distinct token, match each distinct shape
-string and normalize each distinct surface once; they last as long as the
-``RuleExtractor``, which for the extractor a build makes is one build.
+relation is the (short) token gap between them. One mention pattern
+serves both triples and entities: each token has a one-character shape
+(not capitalized, capitalized stopword, capitalized), and a regex over the
+shape string gives the mention spans. Query NER matches each sentence's
+mentions; the triple pass matches the consecutive mention pairs of a
+whole chunk in one regex pass, a boundary code after each sentence. The
+triple pass keeps tables that classify each distinct token and normalize
+each distinct surface once; they last as long as the ``RuleExtractor``,
+which for the extractor a build makes is one build.
 Query NER classifies a question's tokens without tables, so nothing it
 sees stays. The tables only cache pure functions, so the extractor stays
 reentrant: its output never depends on what it saw before, and two calls
@@ -99,28 +101,16 @@ def _bare(word: str) -> str:
 
 # Shape codes: "l" a token that does not start with an uppercase character,
 # "S" a capitalized stopword, "U" any other capitalized token. A mention is a
-# maximal capitalized run with its leading stopwords trimmed: group 1 of each
-# match on a sentence's shape string, whose characters are its tokens.
-_MENTION_RE = re.compile(r"S*(U[US]*)")
-
-
-def _mention_spans(shape: str) -> list[tuple[int, int]]:
-    """[start, end) token spans of the mentions of a sentence of this shape, in order."""
-    return [match.span(1) for match in _MENTION_RE.finditer(shape)]
-
-
-def _triple_plan(shape: str) -> list[tuple[slice, slice, slice | None]]:
-    """(subject, object, relation gap or None) token slices of each consecutive mention pair."""
-    spans = _mention_spans(shape)
-    return [
-        (slice(start, end), slice(after, stop), slice(end, after) if 1 <= after - end <= MAX_RELATION_GAP else None)
-        for (start, end), (after, stop) in zip(spans, spans[1:])
-    ]
-
-
-def _gap_word(token: str) -> str:
-    """A relation word: the token lowercased and edge-stripped, possibly to nothing."""
-    return _bare(token.lower())
+# maximal capitalized run with its leading stopwords trimmed, so it runs
+# from a "U" to the end of the run: a match of _MENTION on a shape string,
+# whose characters are its tokens. A pair match is a mention (group 1)
+# followed, with only "l" and "S" between them, by the next mention (group
+# 2), so it never crosses "|", the boundary a chunk's triple pass puts after
+# each sentence. The quantifiers are possessive so that no mention ends
+# inside a capitalized run.
+_MENTION = "U[US]*+"
+_MENTION_RE = re.compile(_MENTION)
+_PAIR_RE = re.compile(f"({_MENTION})(?=[lS]*+({_MENTION}))")
 
 
 class _Table(dict):
@@ -159,7 +149,8 @@ def _entities(sentences: list[str], stopwords: frozenset[str]) -> list[EntityMen
     seen = {""}
     for sentence in sentences:
         tokens = tokenize(sentence)
-        for start, end in _mention_spans("".join(map(code, tokens))):
+        for match in _MENTION_RE.finditer("".join(map(code, tokens))):
+            start, end = match.span()
             surface = " ".join(tokens[start:end])
             name = normalize_entity(surface)
             if name not in seen:
@@ -169,37 +160,41 @@ def _entities(sentences: list[str], stopwords: frozenset[str]) -> list[EntityMen
 
 
 class _TripleFinder:
-    """Triples of sentences, from tables that grow with the distinct tokens, shapes and surfaces seen.
+    """Triples of sentences, from tables that grow with the distinct tokens and surfaces seen.
 
-    ``shape`` classifies each distinct token once, ``plan`` matches each
-    distinct shape string once, ``normalized`` normalizes each distinct
-    surface once and ``gap_word`` lowercases and strips each distinct
-    relation token once.
+    ``shape`` classifies each distinct token once, and holds the empty
+    token, which no sentence has, as the boundary "|" put after each
+    sentence; ``normalized`` normalizes each distinct surface once.
     """
 
-    __slots__ = ("shape", "plan", "normalized", "gap_word")
+    __slots__ = ("shape", "normalized")
 
     def __init__(self) -> None:
         self.shape = _Table(_shape_code(ENTITY_STOPWORDS))
-        self.plan = _Table(_triple_plan)
+        self.shape[""] = "|"
         self.normalized = _Table(normalize_entity)
-        self.gap_word = _Table(_gap_word)
 
     def triples(self, sentences: list[str], provenance: str) -> list[Triple]:
-        """Each sentence's triples in turn (see ``extract_triples_rule``)."""
-        shape, plan, normalized = self.shape.__getitem__, self.plan, self.normalized
-        gap_word = self.gap_word.__getitem__
-        triples: list[Triple] = []
+        """Each sentence's triples in turn (see ``extract_triples_rule``), from one regex pass."""
+        tokens: list[str] = []
         for sentence in sentences:
-            tokens = sentence.split()  # tokenize(sentence), without the call
-            for subject_at, object_at, gap in plan["".join(map(shape, tokens))]:
-                subject = normalized[" ".join(tokens[subject_at])]
-                obj = normalized[" ".join(tokens[object_at])]
-                if subject and obj:
-                    relation = FALLBACK_RELATION
-                    if gap is not None:
-                        relation = "_".join(filter(None, map(gap_word, tokens[gap]))) or relation
-                    triples.append(_triple((subject, relation, obj, provenance)))
+            tokens += sentence.split()  # tokenize(sentence), without the call
+            tokens.append("")
+        normalized = self.normalized
+        triples: list[Triple] = []
+        for match in _PAIR_RE.finditer("".join(map(self.shape.__getitem__, tokens))):
+            start, end = match.span(1)
+            after, stop = match.span(2)
+            subject = normalized[" ".join(tokens[start:end])]
+            obj = normalized[" ".join(tokens[after:stop])]
+            if subject and obj:
+                relation = FALLBACK_RELATION
+                if 1 <= after - end <= MAX_RELATION_GAP:
+                    # lower() maps nothing to whitespace and reads no context across a
+                    # space, so this is each gap token lowercased
+                    gap = " ".join(tokens[end:after]).lower().split()
+                    relation = "_".join(filter(None, map(_bare, gap))) or relation
+                triples.append(_triple((subject, relation, obj, provenance)))
         return triples
 
 

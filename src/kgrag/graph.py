@@ -181,13 +181,8 @@ class KnowledgeGraph:
             raise ValueError(f"triple with empty endpoint rejected: {triple}")
         if not relation.strip():
             raise ValueError(f"triple with empty relation rejected: {triple}")
-        by_normalized = self._by_normalized
-        source = by_normalized.get(subject)
-        if source is None:
-            source = self._resolve(subject)
-        target = by_normalized.get(obj)
-        if target is None:
-            target = self._resolve(obj)
+        source = self._resolve(subject)
+        target = self._resolve(obj)
         self._edges.add(_as_edge((source, target, relation, provenance)))
         members = self._named_by.get(provenance)
         if members is None:

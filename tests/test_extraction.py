@@ -347,7 +347,7 @@ _RUN_WORDS = ["Rome", "Amalfi", "Coast", "ΟΔΟΣ", "İzmir", "Ⓐ", "Ⓐrles",
               "The", "A", "The,", "(The", "What", "Which", "Ὀδυσσεύς", "ℍ", "ℍilbert", "𐐀", "𐐀ra", "It.", "And!",
               "Ⓑ!", "𐐀,", "Зима"]
 _GAP_WORDS = ["is", "the", "of", "capital", "!!", "—", "...", "-[x]->", "don't", "ǆ", "ⓐ", "σ", "42", "«rome»", "é",
-              "𐐨", "ℎ"]
+              "𐐨", "ℎ", "xΣ", "aΣ'", "oİ,"]
 _STOPWORD_RUNS = ["The", "The,", "A", "It", "And", "What", "Which,"]
 _SPACES = [" ", " ", "\xa0", "\t", "\u2003"]
 
@@ -375,7 +375,7 @@ _BOTH_STOPWORD_SETS = st.sampled_from([ENTITY_STOPWORDS, QUERY_STOPWORDS])
 
 def _tables(extractor: RuleExtractor) -> list[dict]:
     finder = extractor._finder
-    return [dict(finder.shape), dict(finder.plan), dict(finder.normalized), dict(finder.gap_word)]
+    return [dict(finder.shape), dict(finder.normalized)]
 
 
 class TestRuleExtractorReference:
@@ -385,6 +385,7 @@ class TestRuleExtractorReference:
     @example(["Rome Naples . Italy is the of ΟΔΟΣ !! — ... -[x]-> Italy"], "p")  # gaps of 0, 1, 4 and 5
     @example(["Rome is Amalfi is the of capital Coast is the of capital don't İzmir."], "p")
     @example(["ℍ is 𐐀ra of The, And! Ⓑ! is Rome\xa0of\u2003Зима."], "p")
+    @example(["Rome of Amalfi Coast", "Naples", "", "The And", "Ⓑ is Ⓐ Ⓒ"], "p")  # no pair across sentences
     def test_triples_equal_the_reference(self, sentences, provenance):
         got = RuleExtractor().triples(sentences, provenance)
         assert all(type(t) is Triple for t in got)
@@ -433,11 +434,10 @@ class TestRuleExtractorTables:
         query_ner(question, extractor)
         assert _tables(extractor) == before
 
-    def test_tables_hold_each_distinct_token_shape_and_surface_once(self):
+    def test_tables_hold_each_distinct_token_and_surface_once(self):
         extractor = RuleExtractor()
         extractor.triples(["Rome is near Naples.", "Rome is near Naples."], "d#s0")
         extractor.triples(["Naples is near Rome."], "d#s1")
         finder = extractor._finder
-        assert finder.shape == {"Rome": "U", "is": "l", "near": "l", "Naples.": "U", "Naples": "U", "Rome.": "U"}
-        assert list(finder.plan) == ["UllU"]
+        assert finder.shape == {"": "|", "Rome": "U", "is": "l", "near": "l", "Naples.": "U", "Naples": "U", "Rome.": "U"}
         assert finder.normalized == {"Rome": "rome", "Naples.": "naples", "Naples": "naples", "Rome.": "rome"}

@@ -475,6 +475,16 @@ class TestExport:
         with pytest.raises(StoreCorruptError):
             KnowledgeGraph.load_json(path, {})
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="an escaped lone surrogate loads, so export fails later with UnicodeEncodeError",
+    )
+    def test_escaped_lone_surrogate_is_corrupt(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text('{"nodes":[["a",["c0"]]],"edges":[[0,0,"\\ud800","c0"]]}\n')
+        with pytest.raises(StoreCorruptError):
+            KnowledgeGraph.load_json(path, {"c0": "ctx"})
+
     def test_unknown_format_rejected(self, tmp_path):
         graph = chain_graph()
         with pytest.raises(ValueError):
@@ -482,10 +492,13 @@ class TestExport:
 
 
 # Characters json escapes, or passes through unescaped with ensure_ascii=False.
+# Lone surrogates are left out: UTF-8 cannot write them, so no graph.json
+# holds one as written; the loader accepting an escaped one is
+# test_escaped_lone_surrogate_is_corrupt.
 AWKWARD_TEXT = st.text(
     alphabet=st.one_of(
         st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u2028", "\u2029", "é", "🍕", "𝔘"]),
-        st.characters(),
+        st.characters(exclude_categories=("Cs",)),
     ),
     max_size=8,
 )
@@ -521,16 +534,9 @@ class TestJsonTemplate:
     @example({"nodes": [], "edges": []})
     @example({"nodes": [["lonely", []]], "edges": []})
     @example({"nodes": [['"q"\\\u2028\u2029\x00🍕', ["c\n0"]]], "edges": [[0, 0, "\u2029", "\\"]]})
-    @example({"nodes": [["", []]], "edges": [[0, 0, "", "\ud800"]]})
     def test_equals_compact_dumps(self, obj):
         graph = KnowledgeGraph.from_json_obj(obj, context_texts(obj))
-        try:
-            expected = compact_dumps(graph.to_json_obj())
-        except UnicodeEncodeError:  # a lone surrogate from st.characters(): UTF-8 cannot write it either way
-            with pytest.raises(UnicodeEncodeError):
-                export_bytes(graph)
-        else:
-            assert export_bytes(graph) == expected
+        assert export_bytes(graph) == compact_dumps(graph.to_json_obj())
 
     def test_export_writes_the_template(self):
         assert export_bytes(chain_graph()) == (
