@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import embedding
+from .corpus import holds_escape, lone_surrogate
 from .embedding import HashedTokens, cosine_rows
 from .exceptions import ProviderError, StoreCorruptError
 
@@ -236,22 +237,32 @@ def chunk_to_json(chunk: Chunk) -> str:
 # json.loads wraps around it, without its per-call Python overhead.
 _decode_record = json.JSONDecoder().raw_decode
 _JSON_WHITESPACE = " \t\n\r"
+_STRING_KEYS = ("chunk_id", "parent", "doc_id", "text")
 
 
-def chunk_from_json(line: str) -> Chunk:
-    """One chunk record; accepts and rejects exactly the lines ``json.loads`` would.
+def chunk_from_json(line: str, lineno: int) -> Chunk:
+    """Line ``lineno``'s chunk record: string ids and text, a span of two ints; else StoreCorruptError.
 
-    Only JSON whitespace may surround the record (so a BOM or ``\\xa0`` before
-    it is rejected), and anything after it is "Extra data".
+    It rejects every line ``json.loads`` would: only JSON whitespace may
+    surround the record (so a BOM or ``\\xa0`` before it is rejected), and
+    anything after it is "Extra data". A ``bool`` is not an int here, and
+    no string may hold a lone surrogate.
     """
     try:
         record = line.strip(_JSON_WHITESPACE)
         obj, end = _decode_record(record)
         if end != len(record):
             raise json.JSONDecodeError("Extra data", record, end)
-        return Chunk(obj["chunk_id"], obj["parent"], obj["doc_id"], (obj["span"][0], obj["span"][1]), obj["text"])
-    except (json.JSONDecodeError, KeyError, IndexError, TypeError) as exc:
-        raise StoreCorruptError(f"bad chunk record: {exc}") from exc
+        chunk_id, parent, doc_id, span, text = obj["chunk_id"], obj["parent"], obj["doc_id"], obj["span"], obj["text"]
+        if type(chunk_id) is not str or type(parent) is not str or type(doc_id) is not str:
+            raise TypeError(f"chunk_id, parent and doc_id must be strings, got {chunk_id!r}, {parent!r}, {doc_id!r}")
+        if type(span) is not list or [*map(type, span), type(text)] != [int, int, str]:
+            raise TypeError(f"chunk {chunk_id!r} has a non-integer span or a non-string text")
+        if holds_escape(record) and (problem := lone_surrogate((repr(key), obj[key]) for key in _STRING_KEYS)):
+            raise ValueError(problem)
+        return Chunk(chunk_id, parent, doc_id, (span[0], span[1]), text)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise StoreCorruptError(f"line {lineno}: bad chunk record: {exc}") from exc
 
 
 def write_chunks_jsonl(chunks: list[Chunk], path: Path) -> None:
@@ -261,14 +272,18 @@ def write_chunks_jsonl(chunks: list[Chunk], path: Path) -> None:
 
 
 def read_chunks_jsonl(path: Path) -> list[Chunk]:
-    """The chunk records of a JSONL file, in line order; raises StoreCorruptError.
+    """The chunk records of a JSONL file, in line order; raises StoreCorruptError naming the file.
 
-    Lines end only at ``"\n"`` (U+2028 and kin are valid raw inside a JSON
+    Lines end only at ``"\\n"`` (U+2028 and kin are valid raw inside a JSON
     string); lines that are blank after ``str.strip`` are skipped, and every
-    other line is decoded by ``chunk_from_json``, one C decoder call per line.
+    other line is checked by ``chunk_from_json`` (one C decoder call), its
+    error naming the line.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").split("\n")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise StoreCorruptError(f"cannot read chunk file {path}: {exc}") from exc
-    return [chunk_from_json(line) for line in lines if line.strip()]
+    try:
+        return [chunk_from_json(line, n) for n, line in enumerate(lines, start=1) if line.strip()]
+    except StoreCorruptError as exc:
+        raise StoreCorruptError(f"{path} {exc}") from exc

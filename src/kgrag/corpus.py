@@ -13,6 +13,7 @@ import json
 import logging
 import re
 import unicodedata
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -32,6 +33,22 @@ _PARAGRAPH_RE = re.compile(r"\n[ \t]*\n+")
 # json.loads joins an escaped surrogate pair into one character, so any
 # surrogate left in a decoded string is lone.
 _SURROGATE_RE = re.compile("[\ud800-\udfff]")
+
+
+def holds_escape(raw: str) -> bool:
+    """Whether JSON text ``raw`` holds a ``\\u`` escape, the one way its decoded strings can hold a surrogate.
+
+    memchr finds a backslash far faster than the two-character search, which then runs only on escapes.
+    """
+    return "\\" in raw and "\\u" in raw
+
+
+def lone_surrogate(fields: Iterable[tuple[str, str]]) -> str | None:
+    """Why the first ``(label, text)`` field holding a lone surrogate (UTF-8 cannot encode one) is bad; else None."""
+    for label, text in fields:
+        if m := _SURROGATE_RE.search(text):
+            return f"{label} holds the lone surrogate {m.group()!r} at index {m.start()}, which UTF-8 cannot encode"
+    return None
 
 
 @dataclass(frozen=True)
@@ -121,13 +138,8 @@ def load_corpus(path: str | Path) -> list[Document]:
                     doc_id, text = obj["id"], obj["text"]
                     if type(doc_id) not in (str, int) or type(text) is not str:
                         raise TypeError("'id' must be a string or an integer, and 'text' a string")
-                    if "\\u" in line:  # a \u escape is the one way a decoded line holds a surrogate
-                        for key, value in (("id", str(doc_id)), ("text", text)):
-                            if bad := _SURROGATE_RE.search(value):
-                                raise ValueError(
-                                    f"{key!r} holds the lone surrogate {bad.group()!r} at index {bad.start()},"
-                                    " which UTF-8 cannot encode"
-                                )
+                    if holds_escape(line) and (problem := lone_surrogate((("'id'", str(doc_id)), ("'text'", text)))):
+                        raise ValueError(problem)
                 except (KeyError, TypeError, ValueError) as exc:
                     raise InputError(f"malformed JSONL in {file} line {lineno}: {exc}") from exc
                 add(str(doc_id), text, f"jsonl:{file}:{lineno}")

@@ -273,8 +273,6 @@ class HashedEmbedder:
     is kept between calls.
     """
 
-    kind = "hashed"
-
     def __init__(self, dimension: int = 256):
         if dimension < 8:
             raise ValueError("embedding dimension must be >= 8")
@@ -289,8 +287,6 @@ class HashedEmbedder:
 
 class RemoteEmbedder:
     """Remote embedder bound to a ProviderConfig."""
-
-    kind = "remote"
 
     def __init__(self, config: ProviderConfig):
         self.config = config

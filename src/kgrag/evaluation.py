@@ -128,8 +128,6 @@ class LexicalJudge:
     contexts' sets.
     """
 
-    kind = "lexical"
-
     def __init__(self, tau: float = DEFAULT_SUPPORT_THRESHOLD):
         if not 0.0 < tau <= 1.0:
             raise ValueError("tau must be in (0, 1]")
@@ -151,8 +149,6 @@ class LexicalJudge:
 
 class RemoteJudge:
     """Chat-backed yes/no support judge; the prompt holds the space-joined contexts."""
-
-    kind = "remote"
 
     def __init__(self, client: ChatClient):
         self.client = client

@@ -224,8 +224,6 @@ class RuleExtractor:
     calls, so a long-lived query extractor never grows.
     """
 
-    kind = "rule"
-
     def __init__(self) -> None:
         self._finder = _TripleFinder()
 
@@ -286,8 +284,6 @@ def _parse_triple_json(raw: str) -> list | None:
 
 class RemoteExtractor:
     """LLM-backed extractor; one triple request holds the space-joined sentences, and the entity pass reuses it."""
-
-    kind = "remote"
 
     def __init__(self, client: ChatClient):
         self.client = client

@@ -34,6 +34,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
+from .corpus import holds_escape, lone_surrogate
 from .extraction import EntityMention, Triple, normalize_entity
 from .exceptions import InputError, StoreCorruptError
 
@@ -125,26 +126,12 @@ class KnowledgeGraph:
         return self._nodes[node_id]
 
     def seal(self) -> None:
-        """Freeze the graph and (re)derive each node's incident-edge list.
-
-        The one walk over the edges also checks each of them, since a load
-        seals what a file says: an endpoint must be a node id (an incident
-        list would take -1 as the last node) and both labels strings (the
-        export sorts the edges and escapes their labels). Raises
-        ``ValueError`` on the first edge that fails, leaving the graph
-        unsealed.
-        """
+        """Freeze the graph and (re)derive each node's incident-edge list; each edge was checked as it entered."""
         incident: list[list[Edge]] = [[] for _ in self._nodes]
-        node_ids = range(len(incident))
         for edge in self._edges:
-            source, target, relation, provenance = edge
-            if type(source) is not int or type(target) is not int or source not in node_ids or target not in node_ids:
-                raise ValueError(f"graph edge endpoint is not a node id: {source!r} -> {target!r}")
-            if type(relation) is not str or type(provenance) is not str:
-                raise ValueError(f"graph edge label is not a string: {relation!r}, {provenance!r}")
-            incident[source].append(edge)
-            if target != source:
-                incident[target].append(edge)
+            incident[edge[0]].append(edge)
+            if edge[1] != edge[0]:
+                incident[edge[1]].append(edge)
         self._incident = incident
         self._sealed = True
 
@@ -172,11 +159,14 @@ class KnowledgeGraph:
 
         Endpoint nodes are resolved or created by normalized name; the edge
         and each endpoint's context chunk id are deduplicated, the latter by
-        the set of nodes that already name the triple's chunk.
+        the set of nodes that already name the triple's chunk. A relation or
+        provenance that is not a string raises ``ValueError``, changing nothing.
         """
         if self._sealed:
             raise ValueError("graph is sealed; upserts are only allowed during build")
         subject, relation, obj, provenance = triple
+        if type(relation) is not str or type(provenance) is not str:
+            raise ValueError(f"triple relation and provenance must be strings: {triple}")
         if not subject.strip() or not obj.strip():
             raise ValueError(f"triple with empty endpoint rejected: {triple}")
         if not relation.strip():
@@ -380,59 +370,56 @@ class KnowledgeGraph:
     def from_json_obj(cls, obj: dict, chunk_texts: dict[str, str]) -> "KnowledgeGraph":
         """Rebuild a sealed graph from the ``graph.json`` layout; raises StoreCorruptError.
 
-        Rows are read by position: node ``i`` is the ``i``-th ``[name,
-        contexts]`` pair and an edge is a ``[source, target, relation,
-        provenance]`` row. The file stores context chunk ids only;
-        ``chunk_texts`` (chunk id -> text, the map a build holds) becomes the
-        graph's map, and every context id must name one of its chunks. A load
-        checks that names and context ids are strings, that no two names
-        normalize alike (``_resolve`` would give the later one the earlier
-        id), and, in ``seal``'s one walk over the edge set, that every edge
-        row has four items, its endpoints node ids and its labels strings.
-        Only once that walk has failed are the rows scanned, in file order,
-        for the first bad one to name.
+        The node rows, then the edge rows, are checked in file order, and the
+        first bad row raises, naming its index. Node ``i`` is the ``i``-th
+        ``[name, contexts]`` pair: no two names may normalize alike
+        (``_resolve`` would give the later one the earlier id), and every
+        context id must be a key of ``chunk_texts`` (chunk id -> text, the map
+        a build holds), which becomes the graph's map. An edge is a ``[source,
+        target, relation, provenance]`` row of two node ids and two strings.
         """
+        if type(obj) is not dict or type(obj.get("nodes")) is not list or type(obj.get("edges")) is not list:
+            raise StoreCorruptError("malformed graph: not an object of a 'nodes' list and an 'edges' list")
         graph = cls(chunk_texts)
-        rows = None
-        try:
-            for node_id, (name, contexts) in enumerate(obj["nodes"]):
-                if type(name) is not str or type(contexts) is not list or not {*map(type, contexts)} <= {str}:
-                    raise StoreCorruptError(f"graph node {node_id} needs a string name and string contexts")
-                if graph._resolve(name) != node_id:
-                    raise StoreCorruptError(f"graph node {node_id} repeats an earlier node's name: {name!r}")
-                unknown = [cid for cid in contexts if cid not in chunk_texts]
-                if unknown:
-                    raise StoreCorruptError(f"graph node {node_id} context {unknown[0]!r} names no stored chunk")
-                graph._nodes[node_id].contexts = list(dict.fromkeys(contexts))
-            rows = obj["edges"]
-            graph._edges = set(map(_as_edge, rows))
-            graph.seal()
-        except (KeyError, TypeError, ValueError) as exc:
-            row = _first_bad_edge_row(rows, len(graph))
-            if row is None:
-                raise StoreCorruptError(f"malformed graph: {exc}") from exc
-            raise StoreCorruptError(
-                f"graph edge row {row} is not [source, target, relation, provenance] of node ids and strings"
-            ) from exc
+        for node_id, row in enumerate(obj["nodes"]):
+            if type(row) is not list or len(row) != 2 or type(row[0]) is not str or type(row[1]) is not list:
+                raise StoreCorruptError(f"graph node row {node_id} is not [name, contexts] of a string and a list")
+            name, contexts = row
+            if graph._resolve(name) != node_id:
+                raise StoreCorruptError(f"graph node {node_id} repeats an earlier node's name: {name!r}")
+            # Every key is a string; the type test spares the lookup an unhashable id, such as a list.
+            unknown = [cid for cid in contexts if type(cid) is not str or cid not in chunk_texts]
+            if unknown:
+                raise StoreCorruptError(f"graph node {node_id} context {unknown[0]!r} names no stored chunk")
+            graph._nodes[node_id].contexts = list(dict.fromkeys(contexts))
+        n = len(graph)
+        for i, row in enumerate(obj["edges"]):
+            if type(row) is not list or len(row) != 4:
+                raise StoreCorruptError(f"graph edge row {i} is not [source, target, relation, provenance]")
+            source, target, relation, provenance = row
+            if not (type(source) is type(target) is int and type(relation) is type(provenance) is str
+                    and -1 < source < n and -1 < target < n):
+                raise StoreCorruptError(
+                    f"graph edge row {i} is not [source, target, relation, provenance] of node ids and strings")
+        graph._edges = set(map(_as_edge, obj["edges"]))
+        graph.seal()
         return graph
 
     @classmethod
     def load_json(cls, path: str | Path, chunk_texts: dict[str, str]) -> "KnowledgeGraph":
-        """``from_json_obj`` of the file at ``path``; every StoreCorruptError names the file."""
+        """``from_json_obj`` of the file at ``path``, names and labels free of lone surrogates; errors name the file."""
         try:
-            obj = json.loads(Path(path).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+            text = Path(path).read_text(encoding="utf-8")
+            obj, escaped = json.loads(text), holds_escape(text)
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise StoreCorruptError(f"cannot load graph from {path}: {exc}") from exc
+        del text  # a load should not hold the file's text and its rows at once
         try:
-            return cls.from_json_obj(obj, chunk_texts)
+            graph = cls.from_json_obj(obj, chunk_texts)
+            names = ((f"graph node {i} name", row[0]) for i, row in enumerate(obj["nodes"]))
+            labels = ((f"graph edge row {i} label", label) for i, row in enumerate(obj["edges"]) for label in row[2:])
+            if escaped and (problem := lone_surrogate(chain(names, labels))):
+                raise StoreCorruptError(problem)
         except StoreCorruptError as exc:
             raise StoreCorruptError(f"{path}: {exc}") from exc
-
-
-def _first_bad_edge_row(rows, node_count: int) -> int | None:
-    """Index of the first of ``rows`` that ``seal`` rejects; None if ``rows`` is not a list or has none."""
-    ids = range(node_count)
-    for i, row in enumerate(rows if type(rows) is list else ()):
-        if type(row) is not list or [*map(type, row)] != [int, int, str, str] or row[0] not in ids or row[1] not in ids:
-            return i
-    return None
+        return graph

@@ -285,8 +285,8 @@ class Store:
 def reconstruct_parent_texts(chunks: list[Chunk]) -> dict[str, str]:
     """Rebuild each semantic chunk's canonical text from its token chunks.
 
-    Spans must be integers and texts strings, and a parent's token windows,
-    in span order, must tile it: the first starts at token 0 and each later
+    A parent's token windows (whose types ``read_chunks_jsonl`` checked), in
+    span order, must tile it: the first starts at token 0 and each later
     one at or before the end covered so far, else the store is corrupt. The
     first window's text is kept whole; from each later one only the part
     after the overlap, ``text.split(" ", skip)[skip]`` with ``skip = covered
@@ -297,9 +297,6 @@ def reconstruct_parent_texts(chunks: list[Chunk]) -> dict[str, str]:
     """
     by_parent: dict[str, list[Chunk]] = {}
     for chunk in chunks:
-        start, end = chunk.token_span
-        if type(start) is not int or type(end) is not int or type(chunk.text) is not str:
-            raise StoreCorruptError(f"chunk {chunk.chunk_id!r} has a non-integer span or a non-string text")
         by_parent.setdefault(chunk.parent_semantic_chunk, []).append(chunk)
     texts: dict[str, str] = {}
     for parent, members in by_parent.items():
@@ -325,12 +322,12 @@ def reconstruct_parent_texts(chunks: list[Chunk]) -> dict[str, str]:
 def open_store(store_dir: str | Path) -> Store:
     """Validate and load a store directory; raises StoreCorruptError.
 
-    Each file is read in one pass: the manifest; the vectors with their
-    chunk records (one decoder call per line, rows finite and one per
-    record); the parent texts, rebuilt from the chunks' overlap cuts, whose
-    spans must tile each parent; then the graph, whose node contexts must
-    name those parents and whose edges ``seal`` checks and indexes in one
-    walk over the edge set.
+    Each file is read, and checked, in one pass: the manifest; the vectors
+    with their chunk records (one decoder call and type check per line,
+    rows finite and one per record); the parent texts, rebuilt from the
+    chunks' overlap cuts, whose spans must tile each parent; then the graph,
+    whose rows are checked in file order and whose contexts must name those
+    parents.
     """
     path = Path(store_dir)
     manifest_path = path / MANIFEST_FILE
@@ -338,7 +335,7 @@ def open_store(store_dir: str | Path) -> Store:
         raise StoreCorruptError(f"missing manifest in {path} (incomplete or foreign directory)")
     try:
         manifest_obj = json.loads(manifest_path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StoreCorruptError(f"unreadable manifest in {path}: {exc}") from exc
     manifest = StoreManifest.from_json_obj(manifest_obj)
     if manifest.format_version != STORE_FORMAT_VERSION:

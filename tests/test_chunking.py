@@ -407,7 +407,10 @@ def per_line_json_loads(text: str) -> list[Chunk] | None:
     """The reference reader: ``json.loads`` per non-blank line; None where it rejects the file.
 
     Lines are what ``read_text`` gives (CR and CRLF read as LF) split at LF
-    alone: U+0085, U+2028 and U+2029 may stand raw inside a JSON string.
+    alone: U+0085, U+2028 and U+2029 may stand raw inside a JSON string. A
+    record's ``chunk_id``, ``parent``, ``doc_id`` and ``text`` must be
+    strings that UTF-8 can encode (no lone surrogate) and its ``span`` a
+    list of two ints, ``bool`` excluded.
     """
     chunks = []
     for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
@@ -415,16 +418,24 @@ def per_line_json_loads(text: str) -> list[Chunk] | None:
             continue
         try:
             obj = json.loads(line)
+            strings = [obj["chunk_id"], obj["parent"], obj["doc_id"], obj["text"]]
+            span = obj["span"]
+            if any(type(v) is not str for v in strings) or type(span) is not list:
+                return None
+            if [type(v) for v in span] != [int, int]:
+                return None
+            for v in strings:
+                v.encode("utf-8")
             chunks.append(
                 Chunk(
                     chunk_id=obj["chunk_id"],
                     parent_semantic_chunk=obj["parent"],
                     doc_id=obj["doc_id"],
-                    token_span=(obj["span"][0], obj["span"][1]),
+                    token_span=(span[0], span[1]),
                     text=obj["text"],
                 )
             )
-        except (json.JSONDecodeError, KeyError, IndexError, TypeError):
+        except (json.JSONDecodeError, KeyError, TypeError, UnicodeEncodeError):
             return None
     return chunks
 
@@ -474,6 +485,16 @@ class TestReadChunksJsonl:
             *(without(key) for key in ("chunk_id", "doc_id", "parent", "span", "text")),
             RECORD.replace("[0, 3]", "[0]"),
             RECORD.replace("[0, 3]", "7"),
+            RECORD.replace("[0, 3]", "[0, 3, 5]"),
+            RECORD.replace("[0, 3]", "[0, true]"),
+            RECORD.replace('"d#s0#t0"', '["x"]'),
+            RECORD.replace('"d#s0#t0"', "7"),
+            RECORD.replace('"d#s0"', '["x"]'),
+            RECORD.replace('"doc_id": "d"', '"doc_id": 5'),
+            RECORD.replace('"a  b"', "null"),
+            RECORD + "\n" + RECORD_2.replace('"b c "', '"b \\ud800c"'),
+            RECORD_2.replace('"d#s0"', '"d#s0\\udfff"'),
+            RECORD.replace('"a  b"', '"a \\ud83c\\udf55 \\\\ud800 b"'),
             RECORD.replace('"a  b"', '"a\u2028 b\u0085\u2029"'),
             RECORD + "\n" + RECORD_2.replace("d#s0#t1", "d\u2028#s0#t1"),
         ],
@@ -481,7 +502,9 @@ class TestReadChunksJsonl:
             "empty-file", "one", "two", "blank-lines", "json-whitespace", "crlf", "nbsp-and-unit-separator-lines",
             "nbsp-before", "nbsp-after", "bom", "ideographic-space", "trailing-data", "two-on-one-line",
             "two-spaced", "truncated", "array", "string", "null", "number", "no-chunk_id", "no-doc_id",
-            "no-parent", "no-span", "no-text", "short-span", "scalar-span", "raw-line-separators-in-text",
+            "no-parent", "no-span", "no-text", "short-span", "scalar-span", "long-span", "bool-in-span",
+            "list-chunk_id", "int-chunk_id", "list-parent", "int-doc_id", "null-text", "lone-surrogate-in-text",
+            "lone-surrogate-in-parent", "escaped-pair-and-escaped-backslash", "raw-line-separators-in-text",
             "raw-line-separator-in-id",
         ],
     )
@@ -494,6 +517,22 @@ class TestReadChunksJsonl:
                 read_chunks_jsonl(path)
         else:
             assert read_chunks_jsonl(path) == expected
+
+    @pytest.mark.parametrize(
+        "span, text",
+        [((0.5, 2), "a b"), (("0", 2), "a b"), ((0, 2.0), "a b"), ((True, 2), "a b"), ((0, 2), 5)],
+        ids=["float-start", "str-start", "float-end", "bool-start", "int-text"],
+    )
+    def test_non_integer_spans_and_non_string_texts_are_corrupt(self, tmp_path, span, text):
+        records = [
+            {"chunk_id": "p#t0", "doc_id": "d", "parent": "p", "span": [0, 2], "text": "a b"},
+            {"chunk_id": "p#t1", "doc_id": "d", "parent": "p", "span": list(span), "text": text},
+        ]
+        path = tmp_path / "chunks.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in records))
+        named = "line 2: bad chunk record: chunk 'p#t1' has a non-integer span or a non-string text"
+        with pytest.raises(StoreCorruptError, match=named):
+            read_chunks_jsonl(path)
 
     @given(st.lists(st.tuples(AWKWARD_RECORD_TEXT, AWKWARD_RECORD_TEXT, AWKWARD_RECORD_TEXT, AWKWARD_RECORD_TEXT,
                               st.integers(0, 2**40), st.integers(0, 2**40)), max_size=6))

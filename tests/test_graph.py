@@ -13,8 +13,6 @@ from kgrag.exceptions import StoreCorruptError
 from kgrag.extraction import EntityMention, Triple, normalize_entity
 from kgrag.graph import MIN_PREFIX_LEN, Edge, KnowledgeGraph, Subgraph
 
-import kgrag.graph as graph_mod
-
 from helpers import ROW_POSITION
 
 
@@ -80,6 +78,15 @@ class TestUpsert:
         graph.seal()
         text = graph.render_subgraph(graph.neighborhood({0}, hops=1))
         assert text.startswith("Contexts:\n- snippet one\n- snippet two\n\n")
+
+    def test_non_string_label_rejected_before_any_change(self):
+        graph = KnowledgeGraph({"c0": "ctx"})
+        graph.upsert_triple(triple("a", "r", "b"))
+        before = graph.to_json_obj()
+        for bad in (Triple("a", 5, "c"), Triple("c", None, "d"), Triple("c", "r", "d", 5), Triple("a", "r", "b", None)):
+            with pytest.raises(ValueError, match="relation and provenance must be strings"):
+                graph.upsert_triple(bad)
+            assert graph.to_json_obj() == before and len(graph) == 2 and graph.edge_count == 1
 
     def test_upsert_after_seal_rejected(self):
         graph = chain_graph()
@@ -475,15 +482,31 @@ class TestExport:
         with pytest.raises(StoreCorruptError):
             KnowledgeGraph.load_json(path, {})
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="an escaped lone surrogate loads, so export fails later with UnicodeEncodeError",
-    )
     def test_escaped_lone_surrogate_is_corrupt(self, tmp_path):
         path = tmp_path / "graph.json"
         path.write_text('{"nodes":[["a",["c0"]]],"edges":[[0,0,"\\ud800","c0"]]}\n')
-        with pytest.raises(StoreCorruptError):
+        with pytest.raises(StoreCorruptError, match=r"graph edge row 0 label holds the lone surrogate '\\ud800'"):
             KnowledgeGraph.load_json(path, {"c0": "ctx"})
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"nodes":[["\\udc00a",["c0"]]],"edges":[]}\n',
+            '{"nodes":[["a",["c0"]]],"edges":[[0,0,"r","c\\ud83c"]]}\n',
+        ],
+        ids=["name", "provenance"],
+    )
+    def test_escaped_lone_surrogate_anywhere_is_corrupt(self, tmp_path, text):
+        path = tmp_path / "graph.json"
+        path.write_text(text)
+        with pytest.raises(StoreCorruptError, match="holds the lone surrogate"):
+            KnowledgeGraph.load_json(path, {"c0": "ctx"})
+
+    def test_escaped_surrogate_pair_and_escaped_backslash_load(self, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text('{"nodes":[["\\ud83c\\udf55",["c0"]],["\\\\ud800",[]]],"edges":[[0,1,"r","c0"]]}\n')
+        graph = KnowledgeGraph.load_json(path, {"c0": "ctx"})
+        assert [graph.node(0).name, graph.node(1).name] == ["\U0001f355", "\\ud800"]
 
     def test_unknown_format_rejected(self, tmp_path):
         graph = chain_graph()
@@ -493,8 +516,8 @@ class TestExport:
 
 # Characters json escapes, or passes through unescaped with ensure_ascii=False.
 # Lone surrogates are left out: UTF-8 cannot write them, so no graph.json
-# holds one as written; the loader accepting an escaped one is
-# test_escaped_lone_surrogate_is_corrupt.
+# holds one as written, and the loader rejects an escaped one
+# (test_escaped_lone_surrogate_is_corrupt).
 AWKWARD_TEXT = st.text(
     alphabet=st.one_of(
         st.sampled_from(['"', "\\", "\x00", "\x1f", "\n", "\t", "\x7f", "\u2028", "\u2029", "é", "🍕", "𝔘"]),
@@ -605,6 +628,13 @@ class TestLoadTypes:
         with pytest.raises(StoreCorruptError, match="'c0' names no stored chunk"):
             KnowledgeGraph.from_json_obj(valid_graph_object(), {"c1": "other"})
 
+    @pytest.mark.parametrize("context", [["c0"], {"c0": 1}, 1, None], ids=["list", "dict", "int", "null"])
+    def test_context_id_that_is_not_a_string_names_no_chunk(self, context):
+        obj = valid_graph_object()
+        obj["nodes"][0][1] = ["c0", context]
+        with pytest.raises(StoreCorruptError, match=f"^graph node 0 context {re.escape(repr(context))} names no stored"):
+            KnowledgeGraph.from_json_obj(obj, {"c0": "ctx"})
+
     @pytest.mark.parametrize(
         "bad",
         [[0, 1, "r"], [0, 2, "r", "c0"], [-1, 0, "r", "c0"], [0, True, "r", "c0"], [0, 1, "r", None], {"a": 1}],
@@ -616,9 +646,21 @@ class TestLoadTypes:
         with pytest.raises(StoreCorruptError, match=r"^graph edge row 2 is not \[source, target, relation, provenance"):
             KnowledgeGraph.from_json_obj(obj, {"c0": "ctx"})
 
-    def test_good_load_scans_no_edge_row(self, monkeypatch):
-        monkeypatch.setattr(graph_mod, "_first_bad_edge_row", None)  # a call would raise TypeError
-        assert KnowledgeGraph.from_json_obj(valid_graph_object(), {"c0": "ctx"}).edge_count == 1
+    @pytest.mark.parametrize(
+        "bad", [["a"], ["a", [], 1], [], "ab", 5, {"a": 1, "b": 2}],
+        ids=["one-item", "three-items", "empty", "string", "number", "dict"],
+    )
+    def test_names_the_first_bad_node_row(self, bad):
+        obj = valid_graph_object()
+        obj["nodes"][1:1] = [bad]
+        obj["edges"] = []
+        with pytest.raises(StoreCorruptError, match=r"^graph node row 1 is not \[name, contexts\]"):
+            KnowledgeGraph.from_json_obj(obj, {"c0": "ctx"})
+
+    @pytest.mark.parametrize("obj", [[], {"nodes": []}, {"nodes": {}, "edges": []}, {"nodes": [], "edges": None}])
+    def test_malformed_layout_is_corrupt(self, obj):
+        with pytest.raises(StoreCorruptError, match="^malformed graph"):
+            KnowledgeGraph.from_json_obj(obj, {})
 
     def test_load_json_names_the_file(self, tmp_path):
         path = tmp_path / "graph.json"
@@ -628,14 +670,6 @@ class TestLoadTypes:
         with pytest.raises(StoreCorruptError, match=f"^{re.escape(str(path))}: graph edge row 1 is not "):
             KnowledgeGraph.load_json(path, {"c0": "ctx"})
 
-    def test_bad_edge_fails_seal_and_leaves_it_unsealed(self):
-        graph = KnowledgeGraph({"c0": "ctx"})
-        graph.upsert_triple(triple("a", "r", "b"))
-        graph._edges.add(Edge(0, 2, "r", "c0"))
-        with pytest.raises(ValueError, match="not a node id"):
-            graph.seal()
-        with pytest.raises(ValueError, match="sealed"):
-            graph.match_entities([mention("a")])
 
 
 def snippet_dicts(triples: list[Triple], texts: dict[str, str]) -> tuple[list[str], list[dict[str, str]], set[Edge]]:

@@ -331,16 +331,6 @@ class TestReconstructParentTexts:
         with pytest.raises(StoreCorruptError, match="past the"):
             reconstruct_parent_texts(chunks)
 
-    @pytest.mark.parametrize(
-        "span, text",
-        [((0.5, 2), "a b"), (("0", 2), "a b"), ((0, 2.0), "a b"), ((True, 2), "a b"), ((0, 2), 5)],
-        ids=["float-start", "str-start", "float-end", "bool-start", "int-text"],
-    )
-    def test_non_integer_spans_and_non_string_texts_are_corrupt(self, span, text):
-        chunks = [window("p", 0, ["a", "b"], 0, 2), Chunk("p#t1", "p", "d", span, text)]
-        with pytest.raises(StoreCorruptError, match="non-integer span or a non-string text"):
-            reconstruct_parent_texts(chunks)
-
 
 class TestCmdIndex:
     def test_success_and_artifact_contract(self, tmp_path, capsys):
@@ -867,6 +857,52 @@ class TestCmdQuery:
         assert captured.out == ""
         assert "chunk 'regions#s0#t1' has a non-integer span" in captured.err
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("parent", ["x"]), ("chunk_id", ["x"]), ("chunk_id", 7), ("doc_id", 5), ("span", [84, 184, 200])],
+        ids=["list-parent", "list-chunk_id", "int-chunk_id", "int-doc_id", "three-item-span"],
+    )
+    def test_chunk_record_of_wrong_shape_exit_3(self, mini_store_dir, tmp_path, capsys, key, value):
+        store = shutil.copytree(mini_store_dir, tmp_path / "mini")
+        sidecar = store / "chunks.jsonl"
+        rows = [json.loads(line) for line in sidecar.read_text().splitlines()]
+        [line] = [i for i, row in enumerate(rows) if row["chunk_id"] == "regions#s0#t1"]
+        rows[line][key] = value
+        sidecar.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+        argv = ["query", "--store", str(store), "--question", "Where do San Marzano tomatoes grow?"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: corrupt store: {sidecar} line {line + 1}: bad chunk record: " in captured.err
+
+    @pytest.mark.parametrize(
+        "name, named",
+        [("chunks.jsonl", "cannot read chunk file {path}"), ("graph.json", "cannot load graph from {path}"),
+         ("manifest.json", "unreadable manifest in {store}")],
+    )
+    def test_store_file_that_is_not_utf8_exit_3(self, mini_store_dir, tmp_path, capsys, name, named):
+        store = shutil.copytree(mini_store_dir, tmp_path / "mini")
+        path = store / name
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\xff\n", 1))
+        argv = ["query", "--store", str(store), "--question", "Where do San Marzano tomatoes grow?"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert named.format(path=path, store=store) + ": 'utf-8' codec can't decode byte 0xff" in captured.err
+
+    def test_chunk_text_with_escaped_lone_surrogate_exit_3(self, mini_store_dir, tmp_path, capsys):
+        store = shutil.copytree(mini_store_dir, tmp_path / "mini")
+        sidecar = store / "chunks.jsonl"
+        rows = [json.loads(line) for line in sidecar.read_text().splitlines()]
+        [line] = [i for i, row in enumerate(rows) if row["chunk_id"] == "regions#s0#t1"]
+        rows[line]["text"] += " \ud800"
+        sidecar.write_text("".join(json.dumps(row) + "\n" for row in rows))  # ASCII, so the surrogate stays escaped
+        argv = ["query", "--store", str(store), "--question", "Where do San Marzano tomatoes grow?", "--json"]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{sidecar} line {line + 1}: bad chunk record: 'text' holds the lone surrogate '\\ud800'" in captured.err
+
 
 class TestCmdEval:
     def test_precomputed_records_pure_metric_run(self, store_dir, tmp_path, capsys):
@@ -963,6 +999,10 @@ def test_graph_field_of_wrong_type_exit_3(store_dir, tmp_path, monkeypatch, caps
     assert not (tmp_path / "kg.json").exists()
 
 
+NODE_ROW_0 = "graph node row 0 is not [name, contexts]"
+EDGE_ROW_0 = "graph edge row 0 is not [source, target, relation, provenance]"
+
+
 def _set_node(graph: dict, row) -> None:
     graph["nodes"][0] = row
 
@@ -972,19 +1012,19 @@ def _set_edge(graph: dict, edit) -> None:
 
 
 @pytest.mark.parametrize(
-    "corrupt, edge_row",
+    "corrupt, named",
     [
-        (lambda g: _set_node(g, ["a"]), None),
-        (lambda g: _set_node(g, ["a", [], 1]), None),
-        (lambda g: _set_node(g, "ab"), None),
-        (lambda g: _set_node(g, {"id": 0, "name": "a", "contexts": []}), None),
-        (lambda g: _set_node(g, None), None),
-        (lambda g: _set_edge(g, lambda row: row[:3]), 0),
-        (lambda g: _set_edge(g, lambda row: row + ["extra"]), 0),
-        (lambda g: _set_edge(g, lambda row: dict(zip(("source", "target", "relation", "provenance"), row))), 0),
-        (lambda g: _set_edge(g, lambda row: [row[0], row[1], [row[2]], row[3]]), 0),
-        (lambda g: [g["nodes"], g["edges"]], None),
-        (lambda g: {"nodes": g["nodes"]}, None),
+        (lambda g: _set_node(g, ["a"]), NODE_ROW_0),
+        (lambda g: _set_node(g, ["a", [], 1]), NODE_ROW_0),
+        (lambda g: _set_node(g, "ab"), NODE_ROW_0),
+        (lambda g: _set_node(g, {"id": 0, "name": "a", "contexts": []}), NODE_ROW_0),
+        (lambda g: _set_node(g, None), NODE_ROW_0),
+        (lambda g: _set_edge(g, lambda row: row[:3]), EDGE_ROW_0),
+        (lambda g: _set_edge(g, lambda row: row + ["extra"]), EDGE_ROW_0),
+        (lambda g: _set_edge(g, lambda row: dict(zip(("source", "target", "relation", "provenance"), row))), EDGE_ROW_0),
+        (lambda g: _set_edge(g, lambda row: [row[0], row[1], [row[2]], row[3]]), EDGE_ROW_0),
+        (lambda g: [g["nodes"], g["edges"]], "malformed graph"),
+        (lambda g: {"nodes": g["nodes"]}, "malformed graph"),
     ],
     ids=["node-of-one", "node-of-three", "node-string", "node-dict", "node-null", "edge-of-three",
          "edge-of-five", "edge-dict", "edge-list-label", "top-level-array", "no-edges"],
@@ -994,7 +1034,7 @@ def _set_edge(graph: dict, edit) -> None:
     [["query", "--question", "Anything?"], ["graph-export", "--format", "json", "--out", "kg.json"]],
     ids=["query", "graph-export"],
 )
-def test_graph_row_of_wrong_shape_exit_3(store_dir, tmp_path, monkeypatch, capsys, command, corrupt, edge_row):
+def test_graph_row_of_wrong_shape_exit_3(store_dir, tmp_path, monkeypatch, capsys, command, corrupt, named):
     # Each node must be a [name, [contexts]] pair and each edge a
     # [source, target, relation, provenance] row, or the store is corrupt.
     graph_path = store_dir / "graph.json"
@@ -1004,9 +1044,7 @@ def test_graph_row_of_wrong_shape_exit_3(store_dir, tmp_path, monkeypatch, capsy
     assert main([command[0], "--store", str(store_dir), *command[1:]]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: corrupt store: ") and "graph" in err and "Traceback" not in err
-    assert err.startswith(f"error: corrupt store: {graph_path}: ")
-    if edge_row is not None:
-        assert f"graph edge row {edge_row} is not [source, target, relation, provenance]" in err
+    assert err.startswith(f"error: corrupt store: {graph_path}: {named}")
     assert not (tmp_path / "kg.json").exists()
 
 
@@ -1068,6 +1106,16 @@ class TestCmdGraphExport:
         assert main(["graph-export", "--store", str(store_dir), "--format", "dot", "--out", str(out)]) == 0
         text = out.read_text()
         assert text.startswith("digraph ") and text.rstrip().endswith("}")
+
+    def test_escaped_lone_surrogate_in_a_name_exit_3(self, store_dir, tmp_path, capsys):
+        graph_path = store_dir / "graph.json"
+        graph = json.loads(graph_path.read_text())
+        graph["nodes"][0][0] += "\udc00"
+        graph_path.write_text(json.dumps(graph))  # ASCII, so the surrogate stays escaped
+        out = tmp_path / "kg.json"
+        assert main(["graph-export", "--store", str(store_dir), "--format", "json", "--out", str(out)]) == 3
+        assert f"{graph_path}: graph node 0 name holds the lone surrogate '\\udc00'" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_corrupt_store_exit_3(self, tmp_path):
         missing = tmp_path / "void"
