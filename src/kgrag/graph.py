@@ -5,8 +5,9 @@ chunks its triples came from, first seen first, read through the graph's
 one chunk_id -> text map, so a traversal can hand back both structure and
 supporting context. A build knows which nodes already name a chunk by a
 set of node ids per chunk id, so an upsert checks two small ints there.
-Edges live in one set of sortable tuples; ``seal`` derives each node's
-incident-edge list from it, and a traversal is a seeded breadth-first
+A build dedups edges in a set of sortable tuples, which ``seal`` sorts,
+once, into the sealed graph's one edge list; it derives each node's
+incident-edge list from that list, and a traversal is a seeded breadth-first
 expansion over those lists in both directions, bounded by hop count and
 node budget. A neighborhood is its admitted nodes and their hops; the edges
 it induces are collected from the incident lists when first read. It
@@ -15,10 +16,10 @@ seed nodes share most ahead, then its edges, produced lazily so a hub seed
 costs what the budget keeps, and a render cut inside the contexts never
 collects the edges at all. Same lifecycle as the vector store:
 single-writer build (or load), seal, then lock-free concurrent reads.
-``export`` writes the store's ``graph.json`` as compact rows, a
-``[name, [chunk ids]]`` pair per node (its id is its position) and the
-sorted ``[source, target, relation, provenance]`` edge rows, and a load
-reads them back by position.
+``export`` writes the store's ``graph.json``: a ``[name, [chunk ids]]``
+row per node (its id is its position) and the sorted edges as four
+columns, ``[sources, targets, relations, provenances]``; a load checks the
+columns whole, in C, and zips them back into the sorted list.
 """
 
 from __future__ import annotations
@@ -28,9 +29,9 @@ from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
 from functools import partial
-from itertools import chain
+from itertools import chain, islice
 from json.encoder import encode_basestring
-from operator import itemgetter
+from operator import itemgetter, lt
 from pathlib import Path
 from typing import NamedTuple
 
@@ -60,7 +61,9 @@ class Edge(NamedTuple):
     provenance: str
 
 
-# Graph load builds each Edge from its export row in C, skipping NamedTuple's
+# The graph.json edge columns, in Edge field order.
+EDGE_COLUMNS = ("sources", "targets", "relations", "provenances")
+# Graph load builds each Edge from its zipped columns in C, skipping NamedTuple's
 # Python-level __new__, which adds 3-7 ms to a 12k-edge load.
 _as_edge = partial(tuple.__new__, Edge)
 # The traversal reads edge endpoints through these in C, not per edge in Python.
@@ -110,7 +113,7 @@ class KnowledgeGraph:
         self._chunk_texts = chunk_texts  # semantic chunk id -> text, shared by every node
         self._nodes: list[EntityNode] = []
         self._by_normalized: dict[str, int] = {}
-        self._edges: set[Edge] = set()
+        self._edges: set[Edge] | list[Edge] = set()  # a build's dedup set; sorted into one list at seal
         self._named_by: dict[str, set[int]] = {}  # chunk id -> ids of the nodes whose contexts hold it
         self._incident: list[list[Edge]] = []  # node id -> its edges, derived at seal
         self._sealed = False
@@ -126,7 +129,13 @@ class KnowledgeGraph:
         return self._nodes[node_id]
 
     def seal(self) -> None:
-        """Freeze the graph and (re)derive each node's incident-edge list; each edge was checked as it entered."""
+        """Freeze the graph: sort a build's edge set into the edge list, and (re)derive each node's incident edges.
+
+        Each edge was checked as it entered: by ``upsert_triple``, or by
+        ``from_json_obj``, which hands over a list it proved sorted and unique.
+        """
+        if type(self._edges) is set:
+            self._edges = sorted(self._edges)
         incident: list[list[Edge]] = [[] for _ in self._nodes]
         for edge in self._edges:
             incident[edge[0]].append(edge)
@@ -327,11 +336,19 @@ class KnowledgeGraph:
             seen.update(fresh)
             yield from fresh
 
+    def _sorted_edges(self) -> list[Edge]:
+        """The edge list; a graph not yet sealed sorts its build set here."""
+        return self._edges if type(self._edges) is list else sorted(self._edges)
+
+    def _edge_columns(self) -> tuple[tuple, ...]:
+        """The sorted edges as four columns, ``EDGE_COLUMNS`` in order."""
+        return tuple(zip(*self._sorted_edges())) or ((), (), (), ())
+
     def to_json_obj(self) -> dict:
-        """The graph as ``graph.json`` holds it: ``[name, contexts]`` per node id, ``[s, t, rel, prov]`` sorted."""
+        """The graph as ``graph.json`` holds it: ``[name, contexts]`` per node id, then the four edge columns."""
         return {
             "nodes": [[n.name, list(n.contexts)] for n in self._nodes],
-            "edges": [list(e) for e in sorted(self._edges)],
+            "edges": list(map(list, self._edge_columns())),
         }
 
     def to_dot(self) -> str:
@@ -341,7 +358,7 @@ class KnowledgeGraph:
         lines = ["digraph knowledge_graph {"]
         for node in self._nodes:
             lines.append(f'  n{node.node_id} [label="{esc(node.name)}"];')
-        for e in sorted(self._edges):
+        for e in self._sorted_edges():
             lines.append(f'  n{e.source} -> n{e.target} [label="{esc(e.relation)}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -352,10 +369,15 @@ class KnowledgeGraph:
         path = Path(path)
         if fmt == "json":
             # json.dumps(self.to_json_obj(), ensure_ascii=False, separators=(",", ":")) + "\n", byte for
-            # byte, from f-string rows escaped by the C encode_basestring that ensure_ascii=False uses.
+            # byte: f-string node rows and columns joined once, labels escaped by the C encode_basestring
+            # that ensure_ascii=False uses.
             esc = encode_basestring
             nodes = ",".join(f"[{esc(n.name)},[{','.join(map(esc, n.contexts))}]]" for n in self._nodes)
-            edges = ",".join(f"[{s},{t},{esc(rel)},{esc(prov)}]" for s, t, rel, prov in sorted(self._edges))
+            sources, targets, relations, provenances = self._edge_columns()
+            edges = (
+                f"[{','.join(map(str, sources))}],[{','.join(map(str, targets))}],"
+                f"[{','.join(map(esc, relations))}],[{','.join(map(esc, provenances))}]"
+            )
             payload = f'{{"nodes":[{nodes}],"edges":[{edges}]}}\n'
         elif fmt == "dot":
             payload = self.to_dot()
@@ -370,38 +392,43 @@ class KnowledgeGraph:
     def from_json_obj(cls, obj: dict, chunk_texts: dict[str, str]) -> "KnowledgeGraph":
         """Rebuild a sealed graph from the ``graph.json`` layout; raises StoreCorruptError.
 
-        The node rows, then the edge rows, are checked in file order, and the
-        first bad row raises, naming its index. Node ``i`` is the ``i``-th
-        ``[name, contexts]`` pair: no two names may normalize alike
-        (``_resolve`` would give the later one the earlier id), and every
-        context id must be a key of ``chunk_texts`` (chunk id -> text, the map
-        a build holds), which becomes the graph's map. An edge is a ``[source,
-        target, relation, provenance]`` row of two node ids and two strings.
+        The node rows are checked in file order, and the first bad row
+        raises, naming its index. Node ``i`` is the ``i``-th ``[name,
+        contexts]`` pair: no two names may normalize alike (``_resolve`` would
+        give the later one the earlier id), and every context id must be a
+        key of ``chunk_texts`` (chunk id -> text, the map a build holds),
+        which becomes the graph's map. The edges are four columns of equal
+        length, ``EDGE_COLUMNS``: sources and targets are node ids, relations
+        and provenances strings, and the zipped edges strictly ascend, as
+        ``export`` writes them, so the list needs no dedup and no sort. The
+        columns are checked whole, in C (``_column_edges``); only when a check
+        fails does ``_edge_fault`` walk them to name the first bad column and
+        index.
         """
         if type(obj) is not dict or type(obj.get("nodes")) is not list or type(obj.get("edges")) is not list:
             raise StoreCorruptError("malformed graph: not an object of a 'nodes' list and an 'edges' list")
         graph = cls(chunk_texts)
+        known = chunk_texts.keys()
         for node_id, row in enumerate(obj["nodes"]):
             if type(row) is not list or len(row) != 2 or type(row[0]) is not str or type(row[1]) is not list:
                 raise StoreCorruptError(f"graph node row {node_id} is not [name, contexts] of a string and a list")
             name, contexts = row
             if graph._resolve(name) != node_id:
                 raise StoreCorruptError(f"graph node {node_id} repeats an earlier node's name: {name!r}")
-            # Every key is a string; the type test spares the lookup an unhashable id, such as a list.
-            unknown = [cid for cid in contexts if type(cid) is not str or cid not in chunk_texts]
-            if unknown:
-                raise StoreCorruptError(f"graph node {node_id} context {unknown[0]!r} names no stored chunk")
-            graph._nodes[node_id].contexts = list(dict.fromkeys(contexts))
+            try:
+                ids = set(contexts)
+            except TypeError:  # an unhashable id, such as a list, names no chunk
+                ids = None
+            if ids is None or not ids <= known:
+                # Every key is a string; the type test spares the lookup an unhashable id.
+                unknown = next(cid for cid in contexts if type(cid) is not str or cid not in chunk_texts)
+                raise StoreCorruptError(f"graph node {node_id} context {unknown!r} names no stored chunk")
+            graph._nodes[node_id].contexts = contexts if len(ids) == len(contexts) else list(dict.fromkeys(contexts))
         n = len(graph)
-        for i, row in enumerate(obj["edges"]):
-            if type(row) is not list or len(row) != 4:
-                raise StoreCorruptError(f"graph edge row {i} is not [source, target, relation, provenance]")
-            source, target, relation, provenance = row
-            if not (type(source) is type(target) is int and type(relation) is type(provenance) is str
-                    and -1 < source < n and -1 < target < n):
-                raise StoreCorruptError(
-                    f"graph edge row {i} is not [source, target, relation, provenance] of node ids and strings")
-        graph._edges = set(map(_as_edge, obj["edges"]))
+        edges = _column_edges(obj["edges"], n)
+        if edges is None:
+            raise StoreCorruptError(_edge_fault(obj["edges"], n))
+        graph._edges = edges
         graph.seal()
         return graph
 
@@ -416,10 +443,68 @@ class KnowledgeGraph:
         del text  # a load should not hold the file's text and its rows at once
         try:
             graph = cls.from_json_obj(obj, chunk_texts)
-            names = ((f"graph node {i} name", row[0]) for i, row in enumerate(obj["nodes"]))
-            labels = ((f"graph edge row {i} label", label) for i, row in enumerate(obj["edges"]) for label in row[2:])
-            if escaped and (problem := lone_surrogate(chain(names, labels))):
-                raise StoreCorruptError(problem)
+            if escaped:
+                names = ((f"graph node {i} name", row[0]) for i, row in enumerate(obj["nodes"]))
+                labels = (
+                    (f"graph edge {column}[{i}]", label)
+                    for column, values in zip(EDGE_COLUMNS[2:], obj["edges"][2:])
+                    for i, label in enumerate(values)
+                )
+                if problem := lone_surrogate(chain(names, labels)):
+                    raise StoreCorruptError(problem)
         except StoreCorruptError as exc:
             raise StoreCorruptError(f"{path}: {exc}") from exc
         return graph
+
+
+def _column_edges(columns: list, n: int) -> list[Edge] | None:
+    """The edges of ``graph.json`` edge columns that pass ``from_json_obj``'s rules, each checked in C; else None.
+
+    The graph has ``n`` nodes. ``_edge_fault`` walks the same rules one value at a time.
+    """
+    if len(columns) != 4 or not all(type(column) is list for column in columns):
+        return None
+    sources, targets, relations, provenances = columns
+    if not (
+        len(sources) == len(targets) == len(relations) == len(provenances)
+        and {*map(type, sources), *map(type, targets)} <= {int}
+        and {*map(type, relations), *map(type, provenances)} <= {str}
+        and (not sources or -1 < min(min(sources), min(targets)) and max(max(sources), max(targets)) < n)
+    ):
+        return None
+    edges = list(map(_as_edge, zip(*columns)))
+    return edges if all(map(lt, edges, islice(edges, 1, None))) else None
+
+
+def _edge_fault(columns: list, n: int) -> str:
+    """Why ``graph.json`` edge columns that ``_column_edges`` rejected are bad, naming the first bad column and index."""
+    layout = "graph edges are not the four columns [sources, targets, relations, provenances]"
+    for k, column in enumerate(EDGE_COLUMNS):
+        if k >= len(columns):
+            return f"{layout}: column {k} ({column}) is missing"
+        if type(columns[k]) is not list:
+            return f"{layout}: column {k} ({column}) is not a list"
+    if len(columns) > 4:
+        return f"{layout}: there are {len(columns)} columns"
+    lengths = list(map(len, columns))
+    if min(lengths) != max(lengths):
+        short, long = lengths.index(min(lengths)), lengths.index(max(lengths))
+        return (
+            f"graph edge {EDGE_COLUMNS[short]}[{lengths[short]}] is missing: "
+            f"{EDGE_COLUMNS[long]} holds {lengths[long]} edges"
+        )
+    previous = None
+    for i, edge in enumerate(zip(*columns)):
+        for column, value in zip(EDGE_COLUMNS[:2], edge[:2]):
+            if not (type(value) is int and -1 < value < n):
+                return f"graph edge {column}[{i}] is {value!r}, not a node id in [0, {n})"
+        for column, value in zip(EDGE_COLUMNS[2:], edge[2:]):
+            if type(value) is not str:
+                return f"graph edge {column}[{i}] is {value!r}, not a string"
+        if previous is not None and not previous < edge:
+            if previous == edge:
+                return f"graph edge {i} repeats edge {i - 1}: edges must be sorted and unique"
+            column = next(c for c, a, b in zip(EDGE_COLUMNS, previous, edge) if a != b)
+            return f"graph edge {column}[{i}] sorts before edge {i - 1}: edges must be sorted and unique"
+        previous = edge
+    raise AssertionError("_column_edges rejected edge columns in which _edge_fault finds no fault")

@@ -4,8 +4,9 @@ A store directory holds four files, written in this order with the manifest
 last so an interrupted build is detectable: chunks.jsonl, vectors.skvx,
 graph.json, manifest.json. A store without a valid manifest is corrupt, and
 so is one whose manifest names another format version than
-``STORE_FORMAT_VERSION``; version 2 stores the graph as compact rows (see
-``graph``), and a version 1 store must be rebuilt.
+``STORE_FORMAT_VERSION``; version 3 stores the graph's nodes as compact rows
+and its sorted edges as four columns (see ``graph``), and a version 1 or 2
+store must be rebuilt.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .retriever import (
 )
 from .vector_index import CHUNKS_SIDECAR, VectorStore
 
-STORE_FORMAT_VERSION = 2
+STORE_FORMAT_VERSION = 3
 VECTORS_FILE = "vectors.skvx"
 GRAPH_FILE = "graph.json"
 MANIFEST_FILE = "manifest.json"
@@ -326,8 +327,10 @@ def open_store(store_dir: str | Path) -> Store:
     with their chunk records (one decoder call and type check per line,
     rows finite and one per record); the parent texts, rebuilt from the
     chunks' overlap cuts, whose spans must tile each parent; then the graph,
-    whose rows are checked in file order and whose contexts must name those
-    parents.
+    whose node rows are checked in file order, whose contexts must name those
+    parents, and whose edge columns are checked whole. The manifest's counts
+    of chunks, semantic chunks (parents), nodes and edges must match what was
+    loaded.
     """
     path = Path(store_dir)
     manifest_path = path / MANIFEST_FILE
@@ -350,12 +353,18 @@ def open_store(store_dir: str | Path) -> Store:
             f"manifest dimension {manifest.provider.dimension} does not match "
             f"{VECTORS_FILE} dimension {vectors.dimension}"
         )
-    if manifest.counts.get("chunks") != len(vectors):
-        raise StoreCorruptError(
-            f"manifest counts {manifest.counts.get('chunks')} chunks but {VECTORS_FILE} "
-            f"holds {len(vectors)}"
-        )
-    graph = KnowledgeGraph.load_json(path / GRAPH_FILE, reconstruct_parent_texts(list(vectors.metadata.values())))
+    parent_texts = reconstruct_parent_texts(list(vectors.metadata.values()))
+    graph = KnowledgeGraph.load_json(path / GRAPH_FILE, parent_texts)
+    # Every semantic chunk has a token, so it has a window: its parent text.
+    loaded = (
+        ("chunks", VECTORS_FILE, len(vectors)),
+        ("semantic_chunks", CHUNKS_SIDECAR, len(parent_texts)),
+        ("nodes", GRAPH_FILE, len(graph)),
+        ("edges", GRAPH_FILE, graph.edge_count),
+    )
+    for key, name, count in loaded:
+        if manifest.counts.get(key) != count:
+            raise StoreCorruptError(f"manifest counts {manifest.counts.get(key)} {key} but {name} holds {count}")
     return Store(path=path, manifest=manifest, vectors=vectors, graph=graph)
 
 

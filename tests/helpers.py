@@ -10,9 +10,27 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 
-# Where each named graph field sits in its graph.json row: a node is
-# [name, contexts] and an edge [source, target, relation, provenance].
-ROW_POSITION = {"name": 0, "contexts": 1, "source": 0, "target": 1, "relation": 2, "provenance": 3}
+# Where each named graph field sits in graph.json: a node row is [name, contexts],
+# and the edges are the columns [sources, targets, relations, provenances].
+NODE_POSITION = {"name": 0, "contexts": 1}
+EDGE_COLUMN = {"source": 0, "target": 1, "relation": 2, "provenance": 3}
+
+
+# The start of the load error for edges that are not four lists.
+EDGE_LAYOUT = "graph edges are not the four columns [sources, targets, relations, provenances]"
+
+
+def set_graph_field(graph: dict, section: str, key: str, value) -> None:
+    """Set field ``key`` of node or edge 0 in a ``graph.json``-shaped object."""
+    if section == "nodes":
+        graph["nodes"][0][NODE_POSITION[key]] = value
+    else:
+        graph["edges"][EDGE_COLUMN[key]][0] = value
+
+
+def edge_columns(edges) -> list[list]:
+    """``graph.json`` edge columns of ``(source, target, relation, provenance)`` edges, sorted."""
+    return list(map(list, zip(*sorted(edges)))) or [[], [], [], []]
 
 
 class SeqEmbedder:

@@ -11,9 +11,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from kgrag.exceptions import StoreCorruptError
 from kgrag.extraction import EntityMention, Triple, normalize_entity
-from kgrag.graph import MIN_PREFIX_LEN, Edge, KnowledgeGraph, Subgraph
+from kgrag.graph import MIN_PREFIX_LEN, Edge, KnowledgeGraph, Subgraph, _column_edges, _edge_fault
 
-from helpers import ROW_POSITION
+from helpers import EDGE_LAYOUT, edge_columns, set_graph_field
 
 
 def mention(text: str) -> EntityMention:
@@ -111,7 +111,7 @@ class TestUpsert:
             names = {graph.node(i).name for i in range(len(graph))}
             obj = graph.to_json_obj()
             id_to_name = [name for name, _ in obj["nodes"]]
-            edges = {(id_to_name[s], r, id_to_name[t]) for s, t, r, _ in obj["edges"]}
+            edges = {(id_to_name[s], r, id_to_name[t]) for s, t, r, _ in zip(*obj["edges"])}
             if baselines is None:
                 baselines = (names, edges)
             else:
@@ -166,9 +166,9 @@ class TestUpsertPairSetReference:
         graph.seal()
         names, contexts, edges = pair_set_upsert(triples)
         assert [(graph.node(i).name, graph.node(i).contexts) for i in range(len(graph))] == list(zip(names, contexts))
-        assert graph._edges == edges
+        assert set(graph._edges) == edges
         nodes = [[name, node_contexts] for name, node_contexts in zip(names, contexts)]
-        assert export_bytes(graph) == compact_dumps({"nodes": nodes, "edges": [list(e) for e in sorted(edges)]})
+        assert export_bytes(graph) == compact_dumps({"nodes": nodes, "edges": edge_columns(edges)})
 
     def test_interleaved_chunks_keep_first_seen_order(self):
         graph = KnowledgeGraph({"c1": "one", "c2": "two"})
@@ -322,7 +322,7 @@ class TestNeighborhood:
 
 def reference_neighborhood(graph: KnowledgeGraph, seeds: set[int], hops: int, max_nodes: int) -> Subgraph:
     """The O(E) form: BFS over adjacency sets, then edges induced by scanning every edge."""
-    edges = {Edge(*e) for e in graph.to_json_obj()["edges"]}
+    edges = set(map(Edge._make, zip(*graph.to_json_obj()["edges"])))
     adjacency: dict[int, set[int]] = {nid: set() for nid in range(len(graph))}
     for e in edges:
         adjacency[e.source].add(e.target)
@@ -452,7 +452,7 @@ class TestExport:
         for fmt in ("json", "dot"):
             graph.export(tmp_path / f"g.{fmt}", fmt)
         obj = json.loads((tmp_path / "g.json").read_text())
-        assert obj == {"nodes": [], "edges": []}
+        assert obj == {"nodes": [], "edges": [[], [], [], []]}
 
     def test_dot_structure(self, tmp_path):
         graph = KnowledgeGraph({"c0": "ctx"})
@@ -484,15 +484,15 @@ class TestExport:
 
     def test_escaped_lone_surrogate_is_corrupt(self, tmp_path):
         path = tmp_path / "graph.json"
-        path.write_text('{"nodes":[["a",["c0"]]],"edges":[[0,0,"\\ud800","c0"]]}\n')
-        with pytest.raises(StoreCorruptError, match=r"graph edge row 0 label holds the lone surrogate '\\ud800'"):
+        path.write_text('{"nodes":[["a",["c0"]]],"edges":[[0],[0],["\\ud800"],["c0"]]}\n')
+        with pytest.raises(StoreCorruptError, match=r"graph edge relations\[0\] holds the lone surrogate '\\ud800'"):
             KnowledgeGraph.load_json(path, {"c0": "ctx"})
 
     @pytest.mark.parametrize(
         "text",
         [
-            '{"nodes":[["\\udc00a",["c0"]]],"edges":[]}\n',
-            '{"nodes":[["a",["c0"]]],"edges":[[0,0,"r","c\\ud83c"]]}\n',
+            '{"nodes":[["\\udc00a",["c0"]]],"edges":[[],[],[],[]]}\n',
+            '{"nodes":[["a",["c0"]]],"edges":[[0],[0],["r"],["c\\ud83c"]]}\n',
         ],
         ids=["name", "provenance"],
     )
@@ -504,7 +504,7 @@ class TestExport:
 
     def test_escaped_surrogate_pair_and_escaped_backslash_load(self, tmp_path):
         path = tmp_path / "graph.json"
-        path.write_text('{"nodes":[["\\ud83c\\udf55",["c0"]],["\\\\ud800",[]]],"edges":[[0,1,"r","c0"]]}\n')
+        path.write_text('{"nodes":[["\\ud83c\\udf55",["c0"]],["\\\\ud800",[]]],"edges":[[0],[1],["r"],["c0"]]}\n')
         graph = KnowledgeGraph.load_json(path, {"c0": "ctx"})
         assert [graph.node(0).name, graph.node(1).name] == ["\U0001f355", "\\ud800"]
 
@@ -529,15 +529,14 @@ AWKWARD_TEXT = st.text(
 
 @st.composite
 def graph_objects(draw) -> dict:
-    """``graph.json``-shaped objects: distinct names, contexts possibly empty, edge rows between drawn nodes."""
+    """``graph.json``-shaped objects: distinct names, contexts possibly empty, edges between drawn nodes."""
     names = draw(st.lists(AWKWARD_TEXT, max_size=6, unique_by=normalize_entity))
     nodes = [[name, draw(st.lists(AWKWARD_TEXT, max_size=3, unique=True))] for name in names]
-    edges = []
+    edges = set()
     if names:
         node_ids = st.integers(0, len(names) - 1)
-        edge = st.tuples(node_ids, node_ids, AWKWARD_TEXT, AWKWARD_TEXT).map(list)
-        edges = draw(st.lists(edge, max_size=8))
-    return {"nodes": nodes, "edges": edges}
+        edges = draw(st.sets(st.tuples(node_ids, node_ids, AWKWARD_TEXT, AWKWARD_TEXT), max_size=8))
+    return {"nodes": nodes, "edges": edge_columns(edges)}
 
 
 def export_bytes(graph: KnowledgeGraph) -> bytes:
@@ -554,17 +553,69 @@ def compact_dumps(obj: dict) -> bytes:
 
 class TestJsonTemplate:
     @given(graph_objects())
-    @example({"nodes": [], "edges": []})
-    @example({"nodes": [["lonely", []]], "edges": []})
-    @example({"nodes": [['"q"\\\u2028\u2029\x00🍕', ["c\n0"]]], "edges": [[0, 0, "\u2029", "\\"]]})
+    @example({"nodes": [], "edges": [[], [], [], []]})
+    @example({"nodes": [["lonely", []]], "edges": [[], [], [], []]})
+    @example({"nodes": [['"q"\\\u2028\u2029\x00🍕', ["c\n0"]]], "edges": [[0], [0], ["\u2029"], ["\\"]]})
     def test_equals_compact_dumps(self, obj):
         graph = KnowledgeGraph.from_json_obj(obj, context_texts(obj))
         assert export_bytes(graph) == compact_dumps(graph.to_json_obj())
 
     def test_export_writes_the_template(self):
         assert export_bytes(chain_graph()) == (
-            b'{"nodes":[["a",["c0"]],["b",["c0","c1"]],["c",["c1"]]],"edges":[[0,1,"r1","c0"],[1,2,"r2","c1"]]}\n'
+            b'{"nodes":[["a",["c0"]],["b",["c0","c1"]],["c",["c1"]]],"edges":[[0,1],[1,2],["r1","r2"],["c0","c1"]]}\n'
         )
+
+
+NON_BLANK_TEXT = AWKWARD_TEXT.filter(str.strip)
+ROUND_TRIP_CHUNKS = ["c0", 'c"1', "c\\2", "c\u20283"]
+round_trip_triples = st.lists(
+    st.builds(
+        Triple,
+        st.one_of(st.sampled_from(["rome", "Rome", " Rome,", "italy"]), NON_BLANK_TEXT),
+        NON_BLANK_TEXT,
+        st.one_of(st.sampled_from(["italy", "Italy.", "rome", "ostia"]), NON_BLANK_TEXT),
+        st.sampled_from(ROUND_TRIP_CHUNKS),
+    ),
+    max_size=30,
+)
+
+
+def reference_dot(names: list[str], edges: set[Edge]) -> str:
+    """``to_dot`` as it read when the graph held its edges as a set and sorted them here."""
+
+    def esc(text: str) -> str:
+        return text.replace("\\", "\\\\").replace('"', '\\"')
+
+    lines = ["digraph knowledge_graph {"]
+    lines += [f'  n{i} [label="{esc(name)}"];' for i, name in enumerate(names)]
+    lines += [f'  n{e.source} -> n{e.target} [label="{esc(e.relation)}"];' for e in sorted(edges)]
+    return "\n".join(lines + ["}"]) + "\n"
+
+
+class TestRoundTrip:
+    @settings(deadline=None)
+    @given(round_trip_triples)
+    @example([])
+    @example([triple("a", "r", "a", "c0"), triple("b", "r", "a", 'c"1'), triple("a", "r", "a", "c0")])
+    def test_export_load_export_same_bytes_and_sorted_set_reference(self, triples):
+        texts = {cid: f"text of {cid}" for cid in ROUND_TRIP_CHUNKS}
+        built = KnowledgeGraph(texts)
+        for t in triples:
+            built.upsert_triple(t)
+        built.seal()
+        names, contexts, edges = pair_set_upsert(triples)
+        expected = {"nodes": [[name, ids] for name, ids in zip(names, contexts)], "edges": edge_columns(edges)}
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "graph.json"
+            built.export(path, "json")
+            written = path.read_bytes()
+            loaded = KnowledgeGraph.load_json(path, texts)
+        assert written == compact_dumps(expected)
+        assert export_bytes(loaded) == written
+        for graph in (built, loaded):
+            assert graph._edges == sorted(edges)
+            assert graph.to_json_obj() == expected
+            assert graph.to_dot() == reference_dot(names, edges)
 
 
 def context_texts(obj: dict) -> dict[str, str]:
@@ -572,8 +623,27 @@ def context_texts(obj: dict) -> dict[str, str]:
     return {cid: f"text of {cid}" for _, contexts in obj["nodes"] for cid in contexts}
 
 
+@st.composite
+def edge_column_objects(draw) -> list:
+    """Edge columns over three nodes: drawn edges, often sorted and unique, then maybe one cell or column broken."""
+    ids, labels = st.integers(0, 2), st.sampled_from(["r", "s"])
+    edges = draw(st.lists(st.tuples(ids, ids, labels, labels), max_size=5))
+    if draw(st.booleans()):
+        edges = sorted(set(edges))
+    columns = [list(column) for column in zip(*edges)] or [[], [], [], []]
+    fault = draw(st.sampled_from(["none", "cell", "shorter", "column"]))
+    if fault == "cell" and edges:
+        bad = st.one_of(st.integers(-1, 3), st.booleans(), st.none(), labels, st.just([0]), st.just(1.0))
+        columns[draw(st.integers(0, 3))][draw(st.integers(0, len(edges) - 1))] = draw(bad)
+    elif fault == "shorter" and edges:
+        del columns[draw(st.integers(0, 3))][-1]
+    elif fault == "column":
+        columns = draw(st.sampled_from([columns[:3], columns + [[]], [{}] + columns[1:]]))
+    return columns
+
+
 def valid_graph_object() -> dict:
-    return {"nodes": [["a", ["c0"]], ["b", []]], "edges": [[0, 1, "r", "c0"]]}
+    return {"nodes": [["a", ["c0"]], ["b", []]], "edges": [[0], [1], ["r"], ["c0"]]}
 
 
 def incident_reference(graph: KnowledgeGraph) -> list[list[Edge]]:
@@ -620,7 +690,7 @@ class TestLoadTypes:
     )
     def test_wrong_field_type_is_corrupt(self, section, key, value):
         obj = valid_graph_object()
-        obj[section][0][ROW_POSITION[key]] = value
+        set_graph_field(obj, section, key, value)
         with pytest.raises(StoreCorruptError):
             KnowledgeGraph.from_json_obj(obj, {"c0": "ctx"})
 
@@ -636,14 +706,31 @@ class TestLoadTypes:
             KnowledgeGraph.from_json_obj(obj, {"c0": "ctx"})
 
     @pytest.mark.parametrize(
-        "bad",
-        [[0, 1, "r"], [0, 2, "r", "c0"], [-1, 0, "r", "c0"], [0, True, "r", "c0"], [0, 1, "r", None], {"a": 1}],
-        ids=["three-items", "endpoint-past-nodes", "negative-endpoint", "bool-endpoint", "null-label", "dict"],
+        "edit, named",
+        [
+            (lambda edges: edges.pop(), f"{EDGE_LAYOUT}: column 3 (provenances) is missing"),
+            (lambda edges: edges[1].pop(), "graph edge targets[3] is missing: sources holds 4 edges"),
+            (lambda edges: edges[0].__setitem__(2, True), "graph edge sources[2] is True, not a node id in [0, 2)"),
+            (lambda edges: edges[1].__setitem__(2, 2), "graph edge targets[2] is 2, not a node id in [0, 2)"),
+            (lambda edges: edges[0].__setitem__(2, -1), "graph edge sources[2] is -1, not a node id in [0, 2)"),
+            (lambda edges: edges[2].__setitem__(2, None), "graph edge relations[2] is None, not a string"),
+            (lambda edges: edges.__setitem__(1, {"a": 1}), f"{EDGE_LAYOUT}: column 1 (targets) is not a list"),
+            (lambda edges: edges.append([]), f"{EDGE_LAYOUT}: there are 5 columns"),
+            (lambda edges: [column.insert(2, column.pop(1)) for column in edges],
+             "graph edge sources[2] sorts before edge 1: edges must be sorted and unique"),
+            (lambda edges: [column.__setitem__(2, column[1]) for column in edges],
+             "graph edge 2 repeats edge 1: edges must be sorted and unique"),
+        ],
+        ids=["three-items", "unequal-lengths", "bool-endpoint", "endpoint-past-nodes", "negative-endpoint",
+             "null-label", "dict", "five-columns", "out-of-order", "repeated"],
     )
-    def test_names_the_first_bad_edge_row(self, bad):
+    def test_names_the_first_bad_edge_row(self, edit, named):
+        # Edge 2, read across the columns, is the first bad one; edge 3 is bad too.
         obj = valid_graph_object()
-        obj["edges"] = [[0, 1, "r", "c0"], [1, 0, "s", "c0"], bad, [1, 1, "t", "c0"], [0, 1]]
-        with pytest.raises(StoreCorruptError, match=r"^graph edge row 2 is not \[source, target, relation, provenance"):
+        obj["edges"] = edge_columns([(0, 1, "r", "c0"), (0, 1, "s", "c0"), (1, 0, "s", "c0"), (1, 1, "t", "c0")])
+        obj["edges"][2][3] = 5
+        edit(obj["edges"])
+        with pytest.raises(StoreCorruptError, match=f"^{re.escape(named)}"):
             KnowledgeGraph.from_json_obj(obj, {"c0": "ctx"})
 
     @pytest.mark.parametrize(
@@ -653,7 +740,7 @@ class TestLoadTypes:
     def test_names_the_first_bad_node_row(self, bad):
         obj = valid_graph_object()
         obj["nodes"][1:1] = [bad]
-        obj["edges"] = []
+        obj["edges"] = [[], [], [], []]
         with pytest.raises(StoreCorruptError, match=r"^graph node row 1 is not \[name, contexts\]"):
             KnowledgeGraph.from_json_obj(obj, {"c0": "ctx"})
 
@@ -665,10 +752,22 @@ class TestLoadTypes:
     def test_load_json_names_the_file(self, tmp_path):
         path = tmp_path / "graph.json"
         obj = valid_graph_object()
-        obj["edges"].append([0, 1, "r"])
+        obj["edges"][1].append(1)
         path.write_text(json.dumps(obj))
-        with pytest.raises(StoreCorruptError, match=f"^{re.escape(str(path))}: graph edge row 1 is not "):
+        named = "graph edge sources[1] is missing: targets holds 2 edges"
+        with pytest.raises(StoreCorruptError, match=f"^{re.escape(str(path))}: {re.escape(named)}$"):
             KnowledgeGraph.load_json(path, {"c0": "ctx"})
+
+    @given(edge_column_objects())
+    def test_fault_walk_agrees_with_the_column_checks(self, columns):
+        # Three nodes: ids 0-2 are valid. _edge_fault names a fault exactly when _column_edges rejects.
+        edges = _column_edges(columns, 3)
+        if edges is None:
+            assert _edge_fault(columns, 3).startswith("graph edge")
+        else:
+            assert edges == sorted(set(edges)) and [list(c) for c in zip(*edges)] == [c for c in columns if c]
+            with pytest.raises(AssertionError, match="finds no fault"):
+                _edge_fault(columns, 3)
 
 
 
@@ -728,7 +827,7 @@ def snippet_dict_render(sub: Subgraph, names: list[str], contexts: list[dict[str
 
 
 def snippet_dict_json(names: list[str], contexts: list[dict[str, str]], edges: set[Edge]) -> bytes:
-    obj = {"nodes": [[name, list(contexts[i])] for i, name in enumerate(names)], "edges": sorted(map(list, edges))}
+    obj = {"nodes": [[name, list(contexts[i])] for i, name in enumerate(names)], "edges": edge_columns(edges)}
     return compact_dumps(obj)
 
 

@@ -35,7 +35,7 @@ from kgrag.retriever import QueryConfig
 from kgrag.vector_index import VectorStore
 
 from conftest import MINI_CORPUS, MINI_QUESTIONS
-from helpers import ROW_POSITION, record_texts
+from helpers import EDGE_LAYOUT, record_texts, set_graph_field
 
 
 def write_corpus(tmp_path: Path) -> Path:
@@ -93,7 +93,8 @@ class TestPipelineUnits:
         assert manifest.counts["documents"] == 2
         graph_obj = json.loads((out / "graph.json").read_text())
         assert manifest.counts["nodes"] == len(graph_obj["nodes"])
-        assert manifest.counts["edges"] == len(graph_obj["edges"])
+        assert len(graph_obj["edges"]) == 4
+        assert [manifest.counts["edges"]] * 4 == list(map(len, graph_obj["edges"]))
 
     def test_build_store_refuses_populated_dir(self, tmp_path):
         corpus = write_corpus(tmp_path)
@@ -249,7 +250,7 @@ class TestSemanticChunkTriples:
         manifest = build_store(corpus, tmp_path / "store")
         assert manifest.counts["semantic_chunks"] == 1
         assert (manifest.counts["nodes"], manifest.counts["edges"]) == (0, 0)
-        assert json.loads((tmp_path / "store" / "graph.json").read_text()) == {"nodes": [], "edges": []}
+        assert json.loads((tmp_path / "store" / "graph.json").read_text()) == {"nodes": [], "edges": [[], [], [], []]}
 
     def test_build_calls_the_splitter_once_per_document(self, tmp_path, monkeypatch):
         import kgrag.extraction
@@ -706,6 +707,27 @@ class TestCmdQuery:
         assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
         assert "duplicate chunk_id" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["edges", "nodes", "semantic_chunks", "chunks"])
+    def test_store_counts_not_the_manifests_exit_3(self, store_dir, capsys, key):
+        # A graph.json that lost edges or gained a node still loads; only the manifest's counts tell.
+        graph_path, manifest_path = store_dir / "graph.json", store_dir / "manifest.json"
+        graph, manifest = json.loads(graph_path.read_text()), json.loads(manifest_path.read_text())
+        expected = manifest["counts"][key]
+        if key == "edges":
+            graph["edges"] = [column[: expected // 2] for column in graph["edges"]]
+            loaded, name = expected // 2, "graph.json"
+        elif key == "nodes":
+            graph["nodes"].append(["an entity no triple names", []])
+            loaded, name = expected + 1, "graph.json"
+        else:
+            manifest["counts"][key] = expected + 1
+            expected, loaded = expected + 1, expected
+            name = "chunks.jsonl" if key == "semantic_chunks" else "vectors.skvx"
+        graph_path.write_text(json.dumps(graph))
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
+        assert f"manifest counts {expected} {key} but {name} holds {loaded}" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "endpoint",
         [lambda n: -1, lambda n: n, lambda n: 0.5, lambda n: "0", lambda n: True, lambda n: None],
@@ -715,7 +737,7 @@ class TestCmdQuery:
     def test_bad_edge_endpoint_exit_3(self, store_dir, capsys, key, endpoint):
         graph_path = store_dir / "graph.json"
         graph = json.loads(graph_path.read_text())
-        graph["edges"][0][ROW_POSITION[key]] = endpoint(len(graph["nodes"]))
+        set_graph_field(graph, "edges", key, endpoint(len(graph["nodes"])))
         graph_path.write_text(json.dumps(graph))
         assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
         assert "graph" in capsys.readouterr().err
@@ -991,7 +1013,7 @@ class TestCmdEval:
 def test_graph_field_of_wrong_type_exit_3(store_dir, tmp_path, monkeypatch, capsys, command, section, key, value):
     graph_path = store_dir / "graph.json"
     graph = json.loads(graph_path.read_text())
-    graph[section][0][ROW_POSITION[key]] = value
+    set_graph_field(graph, section, key, value)
     graph_path.write_text(json.dumps(graph))
     monkeypatch.chdir(tmp_path)
     assert main([command[0], "--store", str(store_dir), *command[1:]]) == 3
@@ -1000,15 +1022,15 @@ def test_graph_field_of_wrong_type_exit_3(store_dir, tmp_path, monkeypatch, caps
 
 
 NODE_ROW_0 = "graph node row 0 is not [name, contexts]"
-EDGE_ROW_0 = "graph edge row 0 is not [source, target, relation, provenance]"
 
 
 def _set_node(graph: dict, row) -> None:
     graph["nodes"][0] = row
 
 
-def _set_edge(graph: dict, edit) -> None:
-    graph["edges"][0] = edit(graph["edges"][0])
+def _edit_columns(graph: dict, edit) -> None:
+    for column in graph["edges"]:
+        edit(column)
 
 
 @pytest.mark.parametrize(
@@ -1019,15 +1041,26 @@ def _set_edge(graph: dict, edit) -> None:
         (lambda g: _set_node(g, "ab"), NODE_ROW_0),
         (lambda g: _set_node(g, {"id": 0, "name": "a", "contexts": []}), NODE_ROW_0),
         (lambda g: _set_node(g, None), NODE_ROW_0),
-        (lambda g: _set_edge(g, lambda row: row[:3]), EDGE_ROW_0),
-        (lambda g: _set_edge(g, lambda row: row + ["extra"]), EDGE_ROW_0),
-        (lambda g: _set_edge(g, lambda row: dict(zip(("source", "target", "relation", "provenance"), row))), EDGE_ROW_0),
-        (lambda g: _set_edge(g, lambda row: [row[0], row[1], [row[2]], row[3]]), EDGE_ROW_0),
+        (lambda g: g["edges"].__delitem__(3), f"{EDGE_LAYOUT}: column 3 (provenances) is missing"),
+        (lambda g: g["edges"].append([]), f"{EDGE_LAYOUT}: there are 5 columns"),
+        (lambda g: g["edges"].__setitem__(0, dict(enumerate(g["edges"][0]))),
+         f"{EDGE_LAYOUT}: column 0 (sources) is not a list"),
+        (lambda g: g["edges"][2].__setitem__(0, [g["edges"][2][0]]), "graph edge relations[0] is ["),
+        (lambda g: g["edges"][1].__delitem__(-1), "graph edge targets[{last}] is missing: sources holds {m} edges"),
+        (lambda g: g["edges"][0].__setitem__(0, True), "graph edge sources[0] is True, not a node id in [0, {n})"),
+        (lambda g: g["edges"][1].__setitem__(0, len(g["nodes"])), "graph edge targets[0] is {n}, not a node id"),
+        (lambda g: g["edges"][0].__setitem__(0, -1), "graph edge sources[0] is -1, not a node id in [0, {n})"),
+        (lambda g: g["edges"][3].__setitem__(0, None), "graph edge provenances[0] is None, not a string"),
+        (lambda g: _edit_columns(g, lambda column: column.insert(0, column.pop())),
+         "graph edge sources[1] sorts before edge 0: edges must be sorted and unique"),
+        (lambda g: _edit_columns(g, lambda column: column.insert(1, column[0])),
+         "graph edge 1 repeats edge 0: edges must be sorted and unique"),
         (lambda g: [g["nodes"], g["edges"]], "malformed graph"),
         (lambda g: {"nodes": g["nodes"]}, "malformed graph"),
     ],
     ids=["node-of-one", "node-of-three", "node-string", "node-dict", "node-null", "edge-of-three",
-         "edge-of-five", "edge-dict", "edge-list-label", "top-level-array", "no-edges"],
+         "edge-of-five", "edge-dict", "edge-list-label", "unequal-lengths", "bool-source", "endpoint-past-nodes",
+         "negative-endpoint", "null-label", "out-of-order", "repeated", "top-level-array", "no-edges"],
 )
 @pytest.mark.parametrize(
     "command",
@@ -1035,39 +1068,53 @@ def _set_edge(graph: dict, edit) -> None:
     ids=["query", "graph-export"],
 )
 def test_graph_row_of_wrong_shape_exit_3(store_dir, tmp_path, monkeypatch, capsys, command, corrupt, named):
-    # Each node must be a [name, [contexts]] pair and each edge a
-    # [source, target, relation, provenance] row, or the store is corrupt.
+    # Each node must be a [name, [contexts]] pair, and the edges four equal columns
+    # [sources, targets, relations, provenances] of node ids and strings, sorted and
+    # unique, or the store is corrupt; the error names the column and index.
     graph_path = store_dir / "graph.json"
     graph = json.loads(graph_path.read_text())
+    m, n = len(graph["edges"][0]), len(graph["nodes"])
+    assert m > 1 and graph["edges"][0][0] < graph["edges"][0][-1]
     graph_path.write_text(json.dumps(corrupt(graph) or graph))
     monkeypatch.chdir(tmp_path)
     assert main([command[0], "--store", str(store_dir), *command[1:]]) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: corrupt store: ") and "graph" in err and "Traceback" not in err
-    assert err.startswith(f"error: corrupt store: {graph_path}: {named}")
+    assert err.startswith(f"error: corrupt store: {graph_path}: {named.format(m=m, n=n, last=m - 1)}")
     assert not (tmp_path / "kg.json").exists()
 
 
+@pytest.mark.parametrize("version", [1, 2])
 @pytest.mark.parametrize(
     "command",
     [["query", "--question", "Anything?"], ["graph-export", "--format", "json", "--out", "kg.json"]],
     ids=["query", "graph-export"],
 )
-def test_format_1_store_asks_for_a_rebuild(store_dir, tmp_path, monkeypatch, capsys, command):
-    # A store written before the row layout: manifest format_version 1 and a graph.json of dicts.
+def test_old_format_store_asks_for_a_rebuild(store_dir, tmp_path, monkeypatch, capsys, command, version):
+    # A store written before the column layout: format 1 held a graph.json of
+    # indented dicts, and format 2 one [source, target, relation, provenance] row per edge.
     manifest_path, graph_path = store_dir / "manifest.json", store_dir / "graph.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["format_version"] = 1
+    manifest["format_version"] = version
     manifest_path.write_text(json.dumps(manifest, indent=2))
     graph = json.loads(graph_path.read_text())
-    nodes = [{"id": i, "name": name, "contexts": contexts} for i, (name, contexts) in enumerate(graph["nodes"])]
-    edges = [dict(zip(("source", "target", "relation", "provenance"), row)) for row in graph["edges"]]
-    graph_path.write_text(json.dumps({"nodes": nodes, "edges": edges}, indent=2))
+    if version == 1:
+        nodes = [{"id": i, "name": name, "contexts": contexts} for i, (name, contexts) in enumerate(graph["nodes"])]
+        edges = [dict(zip(("source", "target", "relation", "provenance"), row)) for row in zip(*graph["edges"])]
+        graph_path.write_text(json.dumps({"nodes": nodes, "edges": edges}, indent=2))
+    else:
+        graph_path.write_bytes(v2_rows(graph))
     monkeypatch.chdir(tmp_path)
     assert main([command[0], "--store", str(store_dir), *command[1:]]) == 3
     err = capsys.readouterr().err
-    assert "format version 1" in err and "rebuild the store with `kgrag index`" in err
+    assert f"format version {version}" in err and "rebuild the store with `kgrag index`" in err
     assert not (tmp_path / "kg.json").exists()
+
+
+def v2_rows(graph: dict) -> bytes:
+    """The format-2 ``graph.json`` bytes of a format-3 graph object: one row per edge instead of four columns."""
+    rows = {"nodes": graph["nodes"], "edges": list(map(list, zip(*graph["edges"])))}
+    return (json.dumps(rows, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
 
 
 def test_raw_line_separators_index_open_and_query(tmp_path, capsys):
@@ -1309,10 +1356,14 @@ class TestMiniCorpusFixture:
         expected = {
             "vectors.skvx": "a081e1ec5e6c45e9727ead13645ba9d178c743d77cdbddb1e0a8820dc5b87fe2",
             "chunks.jsonl": "531770bbb0558eb3355d4bfbf2cbe466b3838a054cde753b8d41e7a835d9db07",
-            "graph.json": "87ce7b34abafda06038be6a2171315e18abccd241c4653b061b5ec0bfe5bf78f",
+            "graph.json": "85e93e32e556d1e4458a616225ba4aa5748a4db3265fca4b2629850708168a60",
         }
         digests = {name: hashlib.sha256((mini_store_dir / name).read_bytes()).hexdigest() for name in expected}
         assert digests == expected
+        # The format-2 digest, on the same graph as one row per edge: only the layout moved.
+        graph = json.loads((mini_store_dir / "graph.json").read_text(encoding="utf-8"))
+        v2 = "87ce7b34abafda06038be6a2171315e18abccd241c4653b061b5ec0bfe5bf78f"
+        assert hashlib.sha256(v2_rows(graph)).hexdigest() == v2
 
 
 # Mixed-case Unicode words for the pinned larger corpus: final sigma, dotted
@@ -1363,9 +1414,17 @@ class TestStoreBytesPinnedLargerCorpus:
         expected = {
             "vectors.skvx": "69644bbd8b7fb4eb8c237ced211fc380a03680546d4201e414145912c4951c35",
             "chunks.jsonl": "f90eda607dc55fd411c921288bcffdda38b79aac5906c10aed8c66ada46bcbc4",
-            "graph.json": "b979d93e36497796c82b19c7f921c0fe496d19838bbec706abe94f8abd600816",
-            "manifest.json": "079bee540e238b818fe00f99b3b47685479c8d123f3e5ffc9fcd4bb48a9dc702",
+            "graph.json": "c80f72604723e52a31dc5dc040075c21fd89a6b00c4fcc3230de52238d71f1a5",
+            "manifest.json": "007c0ab40eedd6d9ca103fa3c3c9d90a9417fcc890c90aee283188c0620e4c19",
         }
         store = tmp_path / "store"
         digests = {name: hashlib.sha256((store / name).read_bytes()).hexdigest() for name in expected}
         assert digests == expected
+        # The format-2 digests: the graph as one row per edge, and the manifest
+        # naming version 2, so only the layout and the version moved.
+        graph = json.loads((store / "graph.json").read_text(encoding="utf-8"))
+        assert hashlib.sha256(v2_rows(graph)).hexdigest() == "b979d93e36497796c82b19c7f921c0fe496d19838bbec706abe94f8abd600816"
+        manifest = (store / "manifest.json").read_bytes()
+        assert manifest.count(b'"format_version": 3,') == 1
+        v2_manifest = manifest.replace(b'"format_version": 3,', b'"format_version": 2,')
+        assert hashlib.sha256(v2_manifest).hexdigest() == "079bee540e238b818fe00f99b3b47685479c8d123f3e5ffc9fcd4bb48a9dc702"
