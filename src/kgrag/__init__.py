@@ -25,7 +25,7 @@ from .extraction import (
     extract_triples_rule,
     query_ner,
 )
-from .graph import Edge, EntityNode, KnowledgeGraph, Subgraph
+from .graph import EntityNode, KnowledgeGraph, Subgraph
 from .pipeline import Store, StoreManifest, build_store, open_store, run_query
 from .retriever import (
     EchoGenerator,
@@ -46,7 +46,6 @@ __all__ = [
     "ChunkerConfig",
     "Document",
     "EchoGenerator",
-    "Edge",
     "EntityMention",
     "EntityNode",
     "EvalRecord",

@@ -58,7 +58,7 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     try:
         obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError(f"config file {path} must hold a JSON object")

@@ -62,6 +62,8 @@ class ProviderConfig:
             raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
         if self.max_retries < 0:
             raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
+        if self.parallelism < 1:
+            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
 
 
 def fnv1a64(data: bytes) -> int:
@@ -262,7 +264,7 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
 
     if len(batches) == 1:
         return fetch(batches[0], 0)
-    with ThreadPoolExecutor(max_workers=max(1, config.parallelism)) as pool:
+    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
         return np.concatenate(list(pool.map(fetch, batches, offsets)))
 
 

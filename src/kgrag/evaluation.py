@@ -26,7 +26,7 @@ from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .corpus import split_sentences, string_list
+from .corpus import holds_escape, lone_surrogate, split_sentences, string_list
 from .embedding import cosine_similarity
 from .exceptions import InputError, ProviderError
 from .lexical import content_tokens, coverage
@@ -290,12 +290,12 @@ def load_records_jsonl(path: str | Path) -> tuple[list[EvalRecord], int]:
     """Parse eval records; malformed lines are skipped and counted.
 
     ``question`` and ``ground_truth`` must be strings, ``answer`` (if present)
-    a string and ``contexts`` (if present) a list of strings; a line with
-    any other value is malformed.
+    a string and ``contexts`` (if present) a list of strings, none holding an
+    escaped lone surrogate; a line with any other value is malformed.
     """
     try:
         lines = Path(path).read_text(encoding="utf-8").split("\n")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read records file {path}: {exc}") from exc
     records: list[EvalRecord] = []
     skipped = 0
@@ -311,6 +311,10 @@ def load_records_jsonl(path: str | Path) -> tuple[list[EvalRecord], int]:
                     raise TypeError(f"{name} must be a string, got {type(value).__name__}")
             if not isinstance(contexts, list) or not all(isinstance(c, str) for c in contexts):
                 raise TypeError("contexts must be a list of strings")
+            if holds_escape(line):
+                fields = [*texts.items(), *((f"contexts[{i}]", c) for i, c in enumerate(contexts))]
+                if problem := lone_surrogate(fields):
+                    raise ValueError(problem)
             records.append(EvalRecord(contexts=contexts, **texts))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             logger.warning("skipping malformed record at %s line %d: %s", path, lineno, exc)

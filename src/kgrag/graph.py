@@ -5,8 +5,10 @@ chunks its triples came from, first seen first, read through the graph's
 one chunk_id -> text map, so a traversal can hand back both structure and
 supporting context. A build knows which nodes already name a chunk by a
 set of node ids per chunk id, so an upsert checks two small ints there.
-A build dedups edges in a set of sortable tuples, which ``seal`` sorts,
-once, into the sealed graph's one edge list; it derives each node's
+A node's id is its position in the node list. An edge is the plain tuple
+``(source, target, relation, provenance)``, node ids then labels, so edges
+sort plainly. A build dedups edges in a set, which ``seal`` sorts, once,
+into the sealed graph's one edge list; it derives each node's
 incident-edge list from that list, and a traversal is a seeded breadth-first
 expansion over those lists in both directions, bounded by hop count and
 node budget. A neighborhood is its admitted nodes and their hops; the edges
@@ -19,7 +21,7 @@ single-writer build (or load), seal, then lock-free concurrent reads.
 ``export`` writes the store's ``graph.json``: a ``[name, [chunk ids]]``
 row per node (its id is its position) and the sorted edges as four
 columns, ``[sources, targets, relations, provenances]``; a load checks the
-columns whole, in C, and zips them back into the sorted list.
+columns whole, in C, and zips them back into the sorted list of tuples.
 """
 
 from __future__ import annotations
@@ -28,12 +30,10 @@ import json
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass, field
-from functools import partial
 from itertools import chain, islice
 from json.encoder import encode_basestring
 from operator import itemgetter, lt
 from pathlib import Path
-from typing import NamedTuple
 
 from .corpus import holds_escape, lone_surrogate
 from .extraction import EntityMention, Triple, normalize_entity
@@ -47,25 +47,12 @@ DEFAULT_MAX_STRUCTURED_TOKENS = 1024
 
 @dataclass
 class EntityNode:
-    node_id: int
     name: str  # canonical = first surface seen
     contexts: list[str] = field(default_factory=list)  # provenance chunk ids, first seen first
 
 
-class Edge(NamedTuple):
-    """A labeled edge; the field order is the export order, so edges sort plainly."""
-
-    source: int
-    target: int
-    relation: str
-    provenance: str
-
-
-# The graph.json edge columns, in Edge field order.
+# The graph.json edge columns, in edge field order.
 EDGE_COLUMNS = ("sources", "targets", "relations", "provenances")
-# Graph load builds each Edge from its zipped columns in C, skipping NamedTuple's
-# Python-level __new__, which adds 3-7 ms to a 12k-edge load.
-_as_edge = partial(tuple.__new__, Edge)
 # The traversal reads edge endpoints through these in C, not per edge in Python.
 _source = itemgetter(0)
 _target = itemgetter(1)
@@ -84,10 +71,10 @@ class Subgraph:
     def __init__(
         self,
         nodes: dict[int, EntityNode],
-        edges: set[Edge] | None = None,
+        edges: set[tuple] | None = None,
         *,
         hop_of: dict[int, int],
-        incident: list[list[Edge]] | None = None,
+        incident: list[list[tuple]] | None = None,
     ) -> None:
         self.nodes = nodes
         self.hop_of = hop_of
@@ -95,16 +82,16 @@ class Subgraph:
         self._incident = incident
 
     @property
-    def edges(self) -> set[Edge]:
+    def edges(self) -> set[tuple]:
         if self._edges is None:
             hop_of = self.hop_of
             self._edges = {
-                e for node in hop_of for e in self._incident[node] if e.source in hop_of and e.target in hop_of
+                e for node in hop_of for e in self._incident[node] if e[0] in hop_of and e[1] in hop_of
             }
         return self._edges
 
     @edges.setter
-    def edges(self, edges: set[Edge]) -> None:
+    def edges(self, edges: set[tuple]) -> None:
         self._edges = edges
 
 
@@ -113,9 +100,9 @@ class KnowledgeGraph:
         self._chunk_texts = chunk_texts  # semantic chunk id -> text, shared by every node
         self._nodes: list[EntityNode] = []
         self._by_normalized: dict[str, int] = {}
-        self._edges: set[Edge] | list[Edge] = set()  # a build's dedup set; sorted into one list at seal
+        self._edges: set[tuple] | list[tuple] = set()  # a build's dedup set; sorted into one list at seal
         self._named_by: dict[str, set[int]] = {}  # chunk id -> ids of the nodes whose contexts hold it
-        self._incident: list[list[Edge]] = []  # node id -> its edges, derived at seal
+        self._incident: list[list[tuple]] = []  # node id -> its edges, derived at seal
         self._sealed = False
 
     def __len__(self) -> int:
@@ -136,7 +123,7 @@ class KnowledgeGraph:
         """
         if type(self._edges) is set:
             self._edges = sorted(self._edges)
-        incident: list[list[Edge]] = [[] for _ in self._nodes]
+        incident: list[list[tuple]] = [[] for _ in self._nodes]
         for edge in self._edges:
             incident[edge[0]].append(edge)
             if edge[1] != edge[0]:
@@ -159,7 +146,7 @@ class KnowledgeGraph:
         node_id = self._by_normalized.get(normalized)
         if node_id is None:
             node_id = len(self._nodes)
-            self._nodes.append(EntityNode(node_id=node_id, name=surface))
+            self._nodes.append(EntityNode(name=surface))
             self._by_normalized[normalized] = node_id
         return node_id
 
@@ -182,7 +169,7 @@ class KnowledgeGraph:
             raise ValueError(f"triple with empty relation rejected: {triple}")
         source = self._resolve(subject)
         target = self._resolve(obj)
-        self._edges.add(_as_edge((source, target, relation, provenance)))
+        self._edges.add((source, target, relation, provenance))
         members = self._named_by.get(provenance)
         if members is None:
             members = self._named_by[provenance] = set()
@@ -310,8 +297,8 @@ class KnowledgeGraph:
             yield "context_lines", f"{header}- {self._chunk_texts[chunk_id]}"
             header = ""
         edge_keys = sorted(
-            (sub.hop_of[e.source], sub.nodes[e.source].name, e.relation, sub.nodes[e.target].name)
-            for e in sub.edges
+            (sub.hop_of[source], sub.nodes[source].name, relation, sub.nodes[target].name)
+            for source, target, relation, _ in sub.edges
         )
         separator = "" if header else "\n"
         for _, source, relation, target in edge_keys:
@@ -336,7 +323,7 @@ class KnowledgeGraph:
             seen.update(fresh)
             yield from fresh
 
-    def _sorted_edges(self) -> list[Edge]:
+    def _sorted_edges(self) -> list[tuple]:
         """The edge list; a graph not yet sealed sorts its build set here."""
         return self._edges if type(self._edges) is list else sorted(self._edges)
 
@@ -356,10 +343,10 @@ class KnowledgeGraph:
             return text.replace("\\", "\\\\").replace('"', '\\"')
 
         lines = ["digraph knowledge_graph {"]
-        for node in self._nodes:
-            lines.append(f'  n{node.node_id} [label="{esc(node.name)}"];')
-        for e in self._sorted_edges():
-            lines.append(f'  n{e.source} -> n{e.target} [label="{esc(e.relation)}"];')
+        for node_id, node in enumerate(self._nodes):
+            lines.append(f'  n{node_id} [label="{esc(node.name)}"];')
+        for source, target, relation, _ in self._sorted_edges():
+            lines.append(f'  n{source} -> n{target} [label="{esc(relation)}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -457,7 +444,7 @@ class KnowledgeGraph:
         return graph
 
 
-def _column_edges(columns: list, n: int) -> list[Edge] | None:
+def _column_edges(columns: list, n: int) -> list[tuple] | None:
     """The edges of ``graph.json`` edge columns that pass ``from_json_obj``'s rules, each checked in C; else None.
 
     The graph has ``n`` nodes. ``_edge_fault`` walks the same rules one value at a time.
@@ -472,7 +459,7 @@ def _column_edges(columns: list, n: int) -> list[Edge] | None:
         and (not sources or -1 < min(min(sources), min(targets)) and max(max(sources), max(targets)) < n)
     ):
         return None
-    edges = list(map(_as_edge, zip(*columns)))
+    edges = list(zip(*columns))
     return edges if all(map(lt, edges, islice(edges, 1, None))) else None
 
 

@@ -484,3 +484,8 @@ class TestProviderConfig:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ProviderConfig(kind="quantum")
+
+    @pytest.mark.parametrize("parallelism", [0, -3])
+    def test_parallelism_below_one_rejected(self, parallelism):
+        with pytest.raises(ValueError, match=f"parallelism must be >= 1, got {parallelism}"):
+            ProviderConfig(parallelism=parallelism)

@@ -24,7 +24,7 @@ from kgrag.evaluation import (
     write_matrix_csv,
     write_report_csv,
 )
-from kgrag.exceptions import ProviderError
+from kgrag.exceptions import InputError, ProviderError
 from kgrag.lexical import content_tokens, coverage
 from kgrag.remote import ChatClient
 import kgrag.evaluation as evaluation_mod
@@ -417,6 +417,32 @@ class TestRecordsJsonl:
             records, skipped = load_records_jsonl(path)
         assert records == [EvalRecord(**good)] and skipped == 1
         assert "skipping malformed record" in caplog.text and "line 2" in caplog.text
+
+    @pytest.mark.parametrize(
+        ("field", "value", "label"),
+        [
+            ("question", "What is \ud800 pizza?", "question"),
+            ("ground_truth", "Pizza \udfff.", "ground_truth"),
+            ("answer", "\udc00", "answer"),
+            ("contexts", ["fine", "bad \ud800"], "contexts[1]"),
+        ],
+    )
+    def test_escaped_lone_surrogate_is_skipped(self, tmp_path, caplog, field, value, label):
+        path = tmp_path / "records.jsonl"
+        good = {"question": "Q1?", "ground_truth": "T1.", "answer": "Pizza \U0001f355", "contexts": ["c"]}
+        bad = {"question": "Q?", "ground_truth": "T.", field: value}
+        path.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n", encoding="utf-8")
+        assert "\\u" in path.read_text(encoding="utf-8")  # json.dumps escapes every surrogate
+        with caplog.at_level("WARNING"):
+            records, skipped = load_records_jsonl(path)
+        assert records == [EvalRecord(**good)] and skipped == 1  # a valid pair decodes to one character
+        assert f"skipping malformed record at {path} line 2: {label} holds the lone surrogate" in caplog.text
+
+    def test_non_utf8_file_names_the_path(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_bytes(b'{"question": "Q\xff?", "ground_truth": "T."}\n')
+        with pytest.raises(InputError, match=f"cannot read records file {path}: 'utf-8' codec can't decode"):
+            load_records_jsonl(path)
 
     def test_record_validation(self):
         with pytest.raises(ValueError):

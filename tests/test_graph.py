@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from kgrag.exceptions import StoreCorruptError
 from kgrag.extraction import EntityMention, Triple, normalize_entity
-from kgrag.graph import MIN_PREFIX_LEN, Edge, KnowledgeGraph, Subgraph, _column_edges, _edge_fault
+from kgrag.graph import MIN_PREFIX_LEN, KnowledgeGraph, Subgraph, _column_edges, _edge_fault
 
 from helpers import EDGE_LAYOUT, edge_columns, set_graph_field
 
@@ -118,12 +118,12 @@ class TestUpsert:
                 assert (names, edges) == baselines
 
 
-def pair_set_upsert(triples: list[Triple]) -> tuple[list[str], list[list[str]], set[Edge]]:
+def pair_set_upsert(triples: list[Triple]) -> tuple[list[str], list[list[str]], set[tuple]]:
     """Names, contexts and edges as the ``(node id, chunk id)`` pair-set upsert kept them."""
     by_normalized: dict[str, int] = {}
     names: list[str] = []
     contexts: list[list[str]] = []
-    edges: set[Edge] = set()
+    edges: set[tuple] = set()
     pairs: set[tuple[int, str]] = set()
     for t in triples:
         ends = []
@@ -134,7 +134,7 @@ def pair_set_upsert(triples: list[Triple]) -> tuple[list[str], list[list[str]], 
                 names.append(surface)
                 contexts.append([])
             ends.append(by_normalized[key])
-        edges.add(Edge(ends[0], ends[1], t.relation, t.provenance))
+        edges.add((ends[0], ends[1], t.relation, t.provenance))
         for node_id in ends:
             if (node_id, t.provenance) not in pairs:
                 pairs.add((node_id, t.provenance))
@@ -261,14 +261,14 @@ class TestNeighborhood:
         graph = chain_graph()
         sub = graph.neighborhood({0}, hops=1)
         assert set(sub.nodes) == {0, 1}
-        assert {(e.source, e.target) for e in sub.edges} == {(0, 1)}
+        assert {(source, target) for source, target, _, _ in sub.edges} == {(0, 1)}
         assert sub.hop_of == {0: 0, 1: 1}
 
     def test_two_hops(self):
         graph = chain_graph()
         sub = graph.neighborhood({0}, hops=2)
         assert set(sub.nodes) == {0, 1, 2}
-        assert {(e.source, e.target) for e in sub.edges} == {(0, 1), (1, 2)}
+        assert {(source, target) for source, target, _, _ in sub.edges} == {(0, 1), (1, 2)}
         assert sub.hop_of[2] == 2
 
     def test_hops_beyond_closure(self):
@@ -322,11 +322,11 @@ class TestNeighborhood:
 
 def reference_neighborhood(graph: KnowledgeGraph, seeds: set[int], hops: int, max_nodes: int) -> Subgraph:
     """The O(E) form: BFS over adjacency sets, then edges induced by scanning every edge."""
-    edges = set(map(Edge._make, zip(*graph.to_json_obj()["edges"])))
+    edges = set(zip(*graph.to_json_obj()["edges"]))
     adjacency: dict[int, set[int]] = {nid: set() for nid in range(len(graph))}
-    for e in edges:
-        adjacency[e.source].add(e.target)
-        adjacency[e.target].add(e.source)
+    for source, target, _, _ in edges:
+        adjacency[source].add(target)
+        adjacency[target].add(source)
     if not seeds:
         return Subgraph(nodes={}, edges=set(), hop_of={})
     hop_of = {seed: 0 for seed in sorted(seeds)}
@@ -345,7 +345,7 @@ def reference_neighborhood(graph: KnowledgeGraph, seeds: set[int], hops: int, ma
             admitted.append(node)
         frontier = admitted
     nodes = {nid: graph.node(nid) for nid in hop_of}
-    induced = {e for e in edges if e.source in hop_of and e.target in hop_of}
+    induced = {e for e in edges if e[0] in hop_of and e[1] in hop_of}
     return Subgraph(nodes=nodes, edges=induced, hop_of=hop_of)
 
 
@@ -380,7 +380,7 @@ class TestNeighborhoodReference:
             graph.upsert_triple(triple(s, r, o, prov))
         graph.seal()
         graph.seal()  # sealing twice must not change the incident lists
-        loops = sum(e.source == e.target for e in graph._edges)
+        loops = sum(source == target for source, target, _, _ in graph._edges)
         assert sum(map(len, graph._incident)) == 2 * graph.edge_count - loops
         seeds = {seed for seed in seeds if seed < len(graph)}
         loaded = KnowledgeGraph.from_json_obj(graph.to_json_obj(), texts)
@@ -580,7 +580,7 @@ round_trip_triples = st.lists(
 )
 
 
-def reference_dot(names: list[str], edges: set[Edge]) -> str:
+def reference_dot(names: list[str], edges: set[tuple]) -> str:
     """``to_dot`` as it read when the graph held its edges as a set and sorted them here."""
 
     def esc(text: str) -> str:
@@ -588,7 +588,7 @@ def reference_dot(names: list[str], edges: set[Edge]) -> str:
 
     lines = ["digraph knowledge_graph {"]
     lines += [f'  n{i} [label="{esc(name)}"];' for i, name in enumerate(names)]
-    lines += [f'  n{e.source} -> n{e.target} [label="{esc(e.relation)}"];' for e in sorted(edges)]
+    lines += [f'  n{source} -> n{target} [label="{esc(relation)}"];' for source, target, relation, _ in sorted(edges)]
     return "\n".join(lines + ["}"]) + "\n"
 
 
@@ -646,13 +646,14 @@ def valid_graph_object() -> dict:
     return {"nodes": [["a", ["c0"]], ["b", []]], "edges": [[0], [1], ["r"], ["c0"]]}
 
 
-def incident_reference(graph: KnowledgeGraph) -> list[list[Edge]]:
+def incident_reference(graph: KnowledgeGraph) -> list[list[tuple]]:
     """Each node's incident edges in the edge set's iteration order, self-loops once."""
-    incident: list[list[Edge]] = [[] for _ in range(len(graph))]
+    incident: list[list[tuple]] = [[] for _ in range(len(graph))]
     for edge in graph._edges:
-        incident[edge.source].append(edge)
-        if edge.target != edge.source:
-            incident[edge.target].append(edge)
+        source, target = edge[:2]
+        incident[source].append(edge)
+        if target != source:
+            incident[target].append(edge)
     return incident
 
 
@@ -666,6 +667,12 @@ class TestLoadIncidentLists:
         graph = mini_store.graph
         assert graph.edge_count > 0
         assert graph._incident == incident_reference(graph)
+
+    def test_mini_store_edges_are_the_zipped_file_columns(self, mini_store, mini_store_dir):
+        columns = json.loads((mini_store_dir / "graph.json").read_text(encoding="utf-8"))["edges"]
+        edges = mini_store.graph._edges
+        assert edges == list(zip(*columns))
+        assert {type(edge) for edge in edges} == {tuple}  # plain tuples, the layout zip gives
 
 
 class TestLoadTypes:
@@ -771,7 +778,7 @@ class TestLoadTypes:
 
 
 
-def snippet_dicts(triples: list[Triple], texts: dict[str, str]) -> tuple[list[str], list[dict[str, str]], set[Edge]]:
+def snippet_dicts(triples: list[Triple], texts: dict[str, str]) -> tuple[list[str], list[dict[str, str]], set[tuple]]:
     """Node names, per-node ``chunk_id -> snippet`` dicts and edges, filled as upserts did with snippet dicts.
 
     The graph once kept a snippet dict per node: each upsert resolved both
@@ -781,7 +788,7 @@ def snippet_dicts(triples: list[Triple], texts: dict[str, str]) -> tuple[list[st
     ids: dict[str, int] = {}
     names: list[str] = []
     contexts: list[dict[str, str]] = []
-    edges: set[Edge] = set()
+    edges: set[tuple] = set()
     for t in triples:
         endpoints = []
         for surface in (t.subject, t.object):
@@ -791,7 +798,7 @@ def snippet_dicts(triples: list[Triple], texts: dict[str, str]) -> tuple[list[st
                 names.append(surface)
                 contexts.append({})
             endpoints.append(ids[normalized])
-        edges.add(Edge(endpoints[0], endpoints[1], t.relation, t.provenance))
+        edges.add((endpoints[0], endpoints[1], t.relation, t.provenance))
         for node_id in endpoints:
             contexts[node_id].setdefault(t.provenance, texts[t.provenance])
     return names, contexts, edges
@@ -805,7 +812,7 @@ def snippet_dict_render(sub: Subgraph, names: list[str], contexts: list[dict[str
     """
     if not sub.nodes:
         return ""
-    edge_lines = sorted((sub.hop_of[e.source], names[e.source], e.relation, names[e.target]) for e in sub.edges)
+    edge_lines = sorted((sub.hop_of[s], names[s], r, names[t]) for s, t, r, _ in sub.edges)
     lines = [f"{source} -[{relation}]-> {target}" for _, source, relation, target in edge_lines]
     snippets: list[tuple[str, str, str]] = []
     for node_id in sub.nodes:
@@ -826,7 +833,7 @@ def snippet_dict_render(sub: Subgraph, names: list[str], contexts: list[dict[str
     return "\n".join(lines)
 
 
-def snippet_dict_json(names: list[str], contexts: list[dict[str, str]], edges: set[Edge]) -> bytes:
+def snippet_dict_json(names: list[str], contexts: list[dict[str, str]], edges: set[tuple]) -> bytes:
     obj = {"nodes": [[name, list(contexts[i])] for i, name in enumerate(names)], "edges": edge_columns(edges)}
     return compact_dumps(obj)
 
@@ -890,8 +897,7 @@ def reference_render(sub: Subgraph, texts: dict[str, str], budget: int) -> tuple
     lines = [f"- {texts[c]}" for c in order]
     if lines:
         lines[0] = "Contexts:\n" + lines[0]
-    edge_keys = sorted((sub.hop_of[e.source], sub.nodes[e.source].name, e.relation, sub.nodes[e.target].name)
-                       for e in sub.edges)
+    edge_keys = sorted((sub.hop_of[s], sub.nodes[s].name, r, sub.nodes[t].name) for s, t, r, _ in sub.edges)
     edge_lines = [f"{source} -[{relation}]-> {target}" for _, source, relation, target in edge_keys]
     if lines and edge_lines:
         edge_lines[0] = "\n" + edge_lines[0]

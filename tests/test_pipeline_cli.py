@@ -547,6 +547,23 @@ class TestConfigFileErrors:
         assert captured.out == ""
         assert "error: config section 'query': bad value: beta must be finite and >= 0" in captured.err
 
+    @pytest.mark.parametrize("command", ["query", "index"])
+    def test_non_utf8_config_file_exit_2(self, store_dir, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"query": {"beta": 0.5}, "\xff": {}}')
+        work = tmp_path / "work"
+        work.mkdir()
+        out = work / "store"
+        if command == "query":
+            argv = ["query", "--store", str(store_dir), "--question", "What crosses Rome?", "--config", str(cfg)]
+        else:
+            argv = ["index", "--corpus", str(write_corpus(work)), "--out", str(out), "--config", str(cfg)]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot read config file {cfg}: 'utf-8' codec can't decode" in captured.err
+        assert not out.exists()
+
     @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
     def test_manifest_non_finite_beta_exit_3(self, store_dir, capsys, beta):
         manifest_path = store_dir / "manifest.json"
@@ -566,6 +583,8 @@ class TestConfigFileErrors:
             ("timeout", float("nan"), "timeout must be finite and > 0, got nan"),
             ("timeout", float("inf"), "timeout must be finite and > 0, got inf"),
             ("max_retries", -1, "max_retries must be >= 0, got -1"),
+            ("parallelism", 0, "parallelism must be >= 1, got 0"),
+            ("parallelism", -3, "parallelism must be >= 1, got -3"),
         ],
     )
     def test_provider_transport_bound_in_config_file_exit_2(self, tmp_path, capsys, key, value, named):
@@ -982,6 +1001,30 @@ class TestCmdEval:
         assert code == 0
         assert "1 skipped" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("matrix", [False, True], ids=["report", "matrix"])
+    def test_escaped_lone_surrogate_record_skipped_and_counted(self, store_dir, tmp_path, capsys, matrix):
+        records = tmp_path / "records.jsonl"
+        records.write_text(
+            '{"question": "What is \\ud800 pizza?", "ground_truth": "Pizza is bread."}\n'
+            '{"question": "What is Rome?", "ground_truth": "Rome is the capital."}\n',
+            encoding="utf-8",
+        )
+        out = tmp_path / "report.csv"
+        argv = ["eval", "--store", str(store_dir), "--records", str(records), "--out", str(out)]
+        if matrix:
+            argv += ["--matrix", str(tmp_path / "matrix.csv")]
+        assert main(argv) == 0
+        assert "1 skipped" in capsys.readouterr().out
+        rows = [line.split(",")[0] for line in out.read_text(encoding="utf-8").splitlines()]
+        assert rows == ["record", "0", "MEAN"]  # the one good record
+
+    def test_non_utf8_records_file_exit_2(self, store_dir, tmp_path, capsys):
+        records = tmp_path / "records.jsonl"
+        records.write_bytes(b'{"question": "What is \xff?", "ground_truth": "Rome."}\n')
+        argv = ["eval", "--store", str(store_dir), "--records", str(records), "--out", str(tmp_path / "r.csv")]
+        assert main(argv) == 2
+        assert f"error: cannot read records file {records}: 'utf-8' codec can't decode" in capsys.readouterr().err
+
     def test_mini_corpus_end_to_end_deterministic(self, tmp_path):
         store = tmp_path / "mini_store"
         assert main(["index", "--corpus", str(MINI_CORPUS), "--out", str(store)]) == 0
@@ -1350,7 +1393,7 @@ class TestMiniCorpusFixture:
             obj = json.loads(line)
             assert obj["question"] and obj["ground_truth"]
 
-    def test_store_bytes_pinned(self, mini_store_dir):
+    def test_store_bytes_pinned(self, mini_store_dir, tmp_path):
         # Two builds of the same code agreeing (criterion 10) cannot catch drift
         # from the algorithm; these digests pin the bytes a default build writes.
         expected = {
@@ -1360,6 +1403,10 @@ class TestMiniCorpusFixture:
         }
         digests = {name: hashlib.sha256((mini_store_dir / name).read_bytes()).hexdigest() for name in expected}
         assert digests == expected
+        # The DOT export of the same graph: node ids are positions, edges in sorted order.
+        dot = tmp_path / "mini.dot"
+        assert main(["graph-export", "--store", str(mini_store_dir), "--format", "dot", "--out", str(dot)]) == 0
+        assert hashlib.sha256(dot.read_bytes()).hexdigest() == "789ef335a10f570b3af09d42de97e3ff35de09f1f20b20a542945e2347024c56"
         # The format-2 digest, on the same graph as one row per edge: only the layout moved.
         graph = json.loads((mini_store_dir / "graph.json").read_text(encoding="utf-8"))
         v2 = "87ce7b34abafda06038be6a2171315e18abccd241c4653b061b5ec0bfe5bf78f"
