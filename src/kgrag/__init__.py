@@ -1,8 +1,8 @@
 """Hybrid retrieval over text corpora: semantic chunks fused with a knowledge graph."""
 
 from .chunking import Chunk, ChunkerConfig, SemanticChunk, semantic_split, token_window_split, window_distances
-from .corpus import Document, load_corpus, split_sentences, tokenize
-from .embedding import HashedEmbedder, ProviderConfig, RemoteEmbedder, cosine_similarity, embed_hashed
+from .corpus import Document, load_corpus, split_sentences
+from .embedding import HashedEmbedder, ProviderConfig, RemoteEmbedder, embed_hashed
 from .evaluation import (
     EvalRecord,
     LexicalJudge,
@@ -77,7 +77,6 @@ __all__ = [
     "confirmation_boost",
     "context_precision",
     "context_recall",
-    "cosine_similarity",
     "embed_hashed",
     "evaluate",
     "extract_entities_rule",
@@ -93,6 +92,5 @@ __all__ = [
     "semantic_split",
     "split_sentences",
     "token_window_split",
-    "tokenize",
     "window_distances",
 ]

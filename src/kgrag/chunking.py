@@ -108,7 +108,15 @@ def window_distances(documents: list[tuple[str, list[str]]], embedder, k: int) -
     ``hashed_window_distances`` gives the hashed embedder's distances bit for
     bit, from sentences it has already hashed.
     """
-    return [_embedded_window_distances(doc_id, sentences, embedder, k) for doc_id, sentences in documents]
+    distances: list[list[float]] = []
+    for doc_id, sentences in documents:
+        try:
+            embeddings = embedder.embed_batch(build_windows(sentences, k)) if len(sentences) > 1 else []
+        except ProviderError as exc:
+            # The provider message already pinpoints the failing window batch.
+            raise ProviderError(f"window embedding failed for doc {doc_id!r}: {exc}") from exc
+        distances.append(sequential_distances(embeddings))
+    return distances
 
 
 def hashed_window_distances(tokens: HashedTokens, lengths: list[int], k: int) -> list[list[float]]:
@@ -136,17 +144,6 @@ def hashed_window_distances(tokens: HashedTokens, lengths: list[int], k: int) ->
         rows = tokens.rows(starts[i : i + step + 1], stops[i : i + step + 1])
         distances[i : i + len(rows) - 1] = 1.0 - cosine_rows(rows[:-1], rows[1:])
     return [distances[end - n : max(end - n, end - 1)].tolist() for end, n in zip(ends.tolist(), lengths)]
-
-
-def _embedded_window_distances(doc_id: str, sentences: list[str], embedder, k: int) -> list[float]:
-    if len(sentences) < 2:
-        return []
-    try:
-        embeddings = embedder.embed_batch(build_windows(sentences, k))
-    except ProviderError as exc:
-        # The provider message already pinpoints the failing window batch.
-        raise ProviderError(f"window embedding failed for doc {doc_id!r}: {exc}") from exc
-    return sequential_distances(embeddings)
 
 
 def semantic_split(doc_id: str, sentences: list[str], distances: list[float], config: ChunkerConfig) -> list[SemanticChunk]:

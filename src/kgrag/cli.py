@@ -19,6 +19,7 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 from .chunking import ChunkerConfig
+from .corpus import lone_surrogate
 from .embedding import ProviderConfig
 from .evaluation import (
     LexicalJudge,
@@ -130,6 +131,9 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_query(args: argparse.Namespace) -> int:
+    # argv decodes with surrogateescape, so bytes that are not UTF-8 arrive as lone surrogates.
+    if problem := lone_surrogate((("--question", args.question),)):
+        raise InputError(problem)
     store = open_store(args.store)
     config = _query_config(store.manifest.query, _load_config_file(args.config), args)
     result = run_query(store, args.question, config)
@@ -230,32 +234,27 @@ def build_parser() -> argparse.ArgumentParser:
     index.add_argument("--embed-model", help="remote embedding model name")
     index.add_argument("--chat-model", help="remote chat model name")
 
-    query = sub.add_parser("query", help="retrieve context for a question")
-    query.add_argument("--store", required=True)
+    # The flags query and eval share: the store and its query settings.
+    retrieval = argparse.ArgumentParser(add_help=False)
+    retrieval.add_argument("--store", required=True, help="store directory")
+    retrieval.add_argument("--config", help="JSON config file (manifest config schema)")
+    retrieval.add_argument("--mode", choices=sorted(MODE_ALIASES), help="retrieval mode")
+    retrieval.add_argument("--top-k", type=int, help="candidate pool size")
+    retrieval.add_argument("--final-m", type=int, help="chunks kept after fusion")
+    retrieval.add_argument("--hops", type=int, help="graph traversal depth")
+    retrieval.add_argument("--beta", type=float, help="confirmation boost weight")
+    retrieval.add_argument("--generator", choices=["echo", "remote"], default="echo", help="answer generator")
+
+    query = sub.add_parser("query", parents=[retrieval], help="retrieve context for a question")
     query.add_argument("--question", required=True)
-    query.add_argument("--config")
-    query.add_argument("--mode", choices=sorted(MODE_ALIASES))
-    query.add_argument("--top-k", type=int, help="candidate pool size")
-    query.add_argument("--final-m", type=int, help="chunks kept after fusion")
-    query.add_argument("--hops", type=int, help="graph traversal depth")
-    query.add_argument("--beta", type=float, help="confirmation boost weight")
     query.add_argument("--answer", action="store_true", help="also generate an answer")
-    query.add_argument("--generator", choices=["echo", "remote"], default="echo")
     query.add_argument("--json", action="store_true", dest="as_json", help="machine-readable output")
 
-    evalp = sub.add_parser("eval", help="run the metric harness over eval records")
-    evalp.add_argument("--store", required=True)
+    evalp = sub.add_parser("eval", parents=[retrieval], help="run the metric harness over eval records")
     evalp.add_argument("--records", required=True, help="records JSONL file")
     evalp.add_argument("--out", required=True, help="report CSV path")
-    evalp.add_argument("--config")
     evalp.add_argument("--judge", choices=["lexical", "remote"], default="lexical")
     evalp.add_argument("--matrix", help="optional per-question matrix CSV path")
-    evalp.add_argument("--generator", choices=["echo", "remote"], default="echo")
-    evalp.add_argument("--mode", choices=sorted(MODE_ALIASES))
-    evalp.add_argument("--top-k", type=int)
-    evalp.add_argument("--final-m", type=int)
-    evalp.add_argument("--hops", type=int)
-    evalp.add_argument("--beta", type=float)
 
     export = sub.add_parser("graph-export", help="export the knowledge graph")
     export.add_argument("--store", required=True)

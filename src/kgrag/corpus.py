@@ -1,4 +1,4 @@
-"""Corpus loading, normalization, sentence splitting and tokenization.
+"""Corpus loading, normalization and sentence splitting.
 
 A corpus is a directory (or single file) of UTF-8 ``.txt`` files and/or
 ``.jsonl`` files with one ``{"id": ..., "text": ...}`` object per line.
@@ -53,16 +53,10 @@ def lone_surrogate(fields: Iterable[tuple[str, str]]) -> str | None:
 
 @dataclass(frozen=True)
 class Document:
-    """One corpus unit: normalized text plus a stable id and provenance."""
+    """One corpus unit: normalized text plus a stable id."""
 
     doc_id: str
     text: str
-    source: str
-
-
-def tokenize(text: str) -> list[str]:
-    """Split on Unicode whitespace; no other normalization."""
-    return text.split()
 
 
 def normalize_text(text: str) -> str:
@@ -120,7 +114,7 @@ def load_corpus(path: str | Path) -> list[Document]:
         if doc_id in seen_ids:
             raise InputError(f"duplicate doc_id {doc_id!r} (from {source})")
         seen_ids.add(doc_id)
-        docs.append(Document(doc_id=doc_id, text=text, source=source))
+        docs.append(Document(doc_id=doc_id, text=text))
 
     for file in _iter_corpus_files(root):
         try:

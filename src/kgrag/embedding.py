@@ -210,11 +210,6 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(cosines, -1.0, 1.0)
 
 
-def cosine_similarity(a: Vector, b: Vector) -> float:
-    """``cosine_rows`` of one pair of vectors, as a float."""
-    return float(cosine_rows(a[None], b[None])[0])
-
-
 def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
     """Embed texts through the remote endpoint, preserving input order.
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .corpus import holds_escape, lone_surrogate, split_sentences, string_list
-from .embedding import cosine_similarity
+from .embedding import cosine_rows
 from .exceptions import InputError, ProviderError
 from .lexical import content_tokens, coverage
 from .remote import ChatClient
@@ -221,7 +221,7 @@ def answer_relevancy(question: str, answer: str, embedder) -> float:
     """Clamped cosine similarity between question and answer, in [0, 1]."""
     if not answer.strip():
         return 0.0
-    return _clamp01(cosine_similarity(embedder.embed(question), embedder.embed(answer)))
+    return _clamp01(float(cosine_rows(embedder.embed(question)[None], embedder.embed(answer)[None])[0]))
 
 
 def f1_context(precision: float, recall: float) -> float:

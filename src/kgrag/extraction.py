@@ -8,10 +8,11 @@ serves both triples and entities: each token has a one-character shape
 (not capitalized, capitalized stopword, capitalized), and a regex over the
 shape string gives the mention spans. Query NER matches each sentence's
 mentions; the triple pass matches the consecutive mention pairs of a
-whole chunk in one regex pass, a boundary code after each sentence. The
-triple pass keeps tables that classify each distinct token and normalize
-each distinct surface once; they last as long as the ``RuleExtractor``,
-which for the extractor a build makes is one build.
+whole chunk in one regex pass, a boundary code after each sentence. A
+``RuleExtractor`` keeps two tables for its triple pass, ``shape`` and
+``normalized``, that classify each distinct token and normalize each
+distinct surface once; they last as long as the extractor, which for the
+extractor a build makes is one build.
 Query NER classifies a question's tokens without tables, so nothing it
 sees stays. The tables only cache pure functions, so the extractor stays
 reentrant: its output never depends on what it saw before, and two calls
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
-from .corpus import split_sentences, string_list, tokenize
+from .corpus import split_sentences, string_list
 from .exceptions import ProviderError
 from .lexical import strip_edge_punctuation
 from .remote import ChatClient
@@ -148,7 +149,7 @@ def _entities(sentences: list[str], stopwords: frozenset[str]) -> list[EntityMen
     mentions: list[EntityMention] = []
     seen = {""}
     for sentence in sentences:
-        tokens = tokenize(sentence)
+        tokens = sentence.split()
         for match in _MENTION_RE.finditer("".join(map(code, tokens))):
             start, end = match.span()
             surface = " ".join(tokens[start:end])
@@ -159,12 +160,16 @@ def _entities(sentences: list[str], stopwords: frozenset[str]) -> list[EntityMen
     return mentions
 
 
-class _TripleFinder:
-    """Triples of sentences, from tables that grow with the distinct tokens and surfaces seen.
+class RuleExtractor:
+    """Deterministic extractor; reentrant, since its tables only cache pure functions.
 
-    ``shape`` classifies each distinct token once, and holds the empty
-    token, which no sentence has, as the boundary "|" put after each
+    The triple tables grow with the distinct tokens and surfaces seen and
+    last as long as the extractor, which for a build's extractor is one
+    build: ``shape`` classifies each distinct token once, and holds the
+    empty token, which no sentence has, as the boundary "|" put after each
     sentence; ``normalized`` normalizes each distinct surface once.
+    ``entities`` (query NER) keeps nothing between calls, so a long-lived
+    query extractor never grows.
     """
 
     __slots__ = ("shape", "normalized")
@@ -174,11 +179,17 @@ class _TripleFinder:
         self.shape[""] = "|"
         self.normalized = _Table(normalize_entity)
 
-    def triples(self, sentences: list[str], provenance: str) -> list[Triple]:
-        """Each sentence's triples in turn (see ``extract_triples_rule``), from one regex pass."""
+    def entities(self, text: str, stopwords: frozenset[str] | None = None) -> list[EntityMention]:
+        return _entities(split_sentences(text), stopwords if stopwords is not None else ENTITY_STOPWORDS)
+
+    def triples(self, sentences: list[str], provenance: str = "") -> list[Triple]:
+        """Each sentence's triples in turn (see ``extract_triples_rule``), from one regex pass.
+
+        ``sentences`` are not split again.
+        """
         tokens: list[str] = []
-        for sentence in sentences:
-            tokens += sentence.split()  # tokenize(sentence), without the call
+        for sentence in string_list(sentences, "sentences"):
+            tokens += sentence.split()
             tokens.append("")
         normalized = self.normalized
         triples: list[Triple] = []
@@ -213,26 +224,7 @@ def extract_triples_rule(sentence: str, provenance: str = "") -> list[Triple]:
     pairs fall back to "related_to". A pair with an empty normalized name
     gives no triple.
     """
-    return _TripleFinder().triples([sentence], provenance)
-
-
-class RuleExtractor:
-    """Deterministic extractor; reentrant, since its tables only cache pure functions.
-
-    The triple tables last as long as the extractor, which for a build's
-    extractor is one build. ``entities`` (query NER) keeps nothing between
-    calls, so a long-lived query extractor never grows.
-    """
-
-    def __init__(self) -> None:
-        self._finder = _TripleFinder()
-
-    def entities(self, text: str, stopwords: frozenset[str] | None = None) -> list[EntityMention]:
-        return _entities(split_sentences(text), stopwords if stopwords is not None else ENTITY_STOPWORDS)
-
-    def triples(self, sentences: list[str], provenance: str = "") -> list[Triple]:
-        """The triples of each sentence in turn; ``sentences`` are not split again."""
-        return self._finder.triples(string_list(sentences, "sentences"), provenance)
+    return RuleExtractor().triples([sentence], provenance)
 
 
 def extract_triples_remote(text: str, client: ChatClient, provenance: str = "") -> list[Triple]:

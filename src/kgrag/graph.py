@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Iterator, Set
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from json.encoder import encode_basestring
@@ -384,13 +384,13 @@ class KnowledgeGraph:
         contexts]`` pair: no two names may normalize alike (``_resolve`` would
         give the later one the earlier id), and every context id must be a
         key of ``chunk_texts`` (chunk id -> text, the map a build holds),
-        which becomes the graph's map. The edges are four columns of equal
-        length, ``EDGE_COLUMNS``: sources and targets are node ids, relations
-        and provenances strings, and the zipped edges strictly ascend, as
-        ``export`` writes them, so the list needs no dedup and no sort. The
-        columns are checked whole, in C (``_column_edges``); only when a check
-        fails does ``_edge_fault`` walk them to name the first bad column and
-        index.
+        which becomes the graph's map, named once per node. The edges are
+        four columns of equal length, ``EDGE_COLUMNS``: sources and targets
+        are node ids, relations strings, provenances keys of ``chunk_texts``,
+        and the zipped edges strictly ascend, as ``export`` writes them, so
+        the list needs no dedup and no sort. The columns are checked whole,
+        in C (``_column_edges``); only when a check fails does ``_edge_fault``
+        walk them to name the first bad column and index.
         """
         if type(obj) is not dict or type(obj.get("nodes")) is not list or type(obj.get("edges")) is not list:
             raise StoreCorruptError("malformed graph: not an object of a 'nodes' list and an 'edges' list")
@@ -410,18 +410,21 @@ class KnowledgeGraph:
                 # Every key is a string; the type test spares the lookup an unhashable id.
                 unknown = next(cid for cid in contexts if type(cid) is not str or cid not in chunk_texts)
                 raise StoreCorruptError(f"graph node {node_id} context {unknown!r} names no stored chunk")
-            graph._nodes[node_id].contexts = contexts if len(ids) == len(contexts) else list(dict.fromkeys(contexts))
+            if len(ids) != len(contexts):
+                repeated = next(cid for cid, count in Counter(contexts).items() if count > 1)
+                raise StoreCorruptError(f"graph node {node_id} names context {repeated!r} more than once")
+            graph._nodes[node_id].contexts = contexts
         n = len(graph)
-        edges = _column_edges(obj["edges"], n)
+        edges = _column_edges(obj["edges"], n, known)
         if edges is None:
-            raise StoreCorruptError(_edge_fault(obj["edges"], n))
+            raise StoreCorruptError(_edge_fault(obj["edges"], n, known))
         graph._edges = edges
         graph.seal()
         return graph
 
     @classmethod
     def load_json(cls, path: str | Path, chunk_texts: dict[str, str]) -> "KnowledgeGraph":
-        """``from_json_obj`` of the file at ``path``, names and labels free of lone surrogates; errors name the file."""
+        """``from_json_obj`` of the file at ``path``, names and relations free of lone surrogates; errors name the file."""
         try:
             text = Path(path).read_text(encoding="utf-8")
             obj, escaped = json.loads(text), holds_escape(text)
@@ -432,22 +435,20 @@ class KnowledgeGraph:
             graph = cls.from_json_obj(obj, chunk_texts)
             if escaped:
                 names = ((f"graph node {i} name", row[0]) for i, row in enumerate(obj["nodes"]))
-                labels = (
-                    (f"graph edge {column}[{i}]", label)
-                    for column, values in zip(EDGE_COLUMNS[2:], obj["edges"][2:])
-                    for i, label in enumerate(values)
-                )
-                if problem := lone_surrogate(chain(names, labels)):
+                # Provenances name stored chunks, whose ids chunks.jsonl's reader checked.
+                relations = ((f"graph edge relations[{i}]", label) for i, label in enumerate(obj["edges"][2]))
+                if problem := lone_surrogate(chain(names, relations)):
                     raise StoreCorruptError(problem)
         except StoreCorruptError as exc:
             raise StoreCorruptError(f"{path}: {exc}") from exc
         return graph
 
 
-def _column_edges(columns: list, n: int) -> list[tuple] | None:
+def _column_edges(columns: list, n: int, known: Set[str]) -> list[tuple] | None:
     """The edges of ``graph.json`` edge columns that pass ``from_json_obj``'s rules, each checked in C; else None.
 
-    The graph has ``n`` nodes. ``_edge_fault`` walks the same rules one value at a time.
+    The graph has ``n`` nodes, and ``known`` holds the stored chunk ids, which
+    every provenance must be. ``_edge_fault`` walks the same rules one value at a time.
     """
     if len(columns) != 4 or not all(type(column) is list for column in columns):
         return None
@@ -456,6 +457,7 @@ def _column_edges(columns: list, n: int) -> list[tuple] | None:
         len(sources) == len(targets) == len(relations) == len(provenances)
         and {*map(type, sources), *map(type, targets)} <= {int}
         and {*map(type, relations), *map(type, provenances)} <= {str}
+        and set(provenances) <= known
         and (not sources or -1 < min(min(sources), min(targets)) and max(max(sources), max(targets)) < n)
     ):
         return None
@@ -463,7 +465,7 @@ def _column_edges(columns: list, n: int) -> list[tuple] | None:
     return edges if all(map(lt, edges, islice(edges, 1, None))) else None
 
 
-def _edge_fault(columns: list, n: int) -> str:
+def _edge_fault(columns: list, n: int, known: Set[str]) -> str:
     """Why ``graph.json`` edge columns that ``_column_edges`` rejected are bad, naming the first bad column and index."""
     layout = "graph edges are not the four columns [sources, targets, relations, provenances]"
     for k, column in enumerate(EDGE_COLUMNS):
@@ -488,6 +490,8 @@ def _edge_fault(columns: list, n: int) -> str:
         for column, value in zip(EDGE_COLUMNS[2:], edge[2:]):
             if type(value) is not str:
                 return f"graph edge {column}[{i}] is {value!r}, not a string"
+        if edge[3] not in known:
+            return f"graph edge provenances[{i}] is {edge[3]!r}, which names no stored chunk"
         if previous is not None and not previous < edge:
             if previous == edge:
                 return f"graph edge {i} repeats edge {i - 1}: edges must be sorted and unique"

@@ -266,7 +266,6 @@ def build_store(
 class Store:
     """A sealed, validated store: everything the query path needs."""
 
-    path: Path
     manifest: StoreManifest
     vectors: VectorStore
     graph: KnowledgeGraph
@@ -365,7 +364,7 @@ def open_store(store_dir: str | Path) -> Store:
     for key, name, count in loaded:
         if manifest.counts.get(key) != count:
             raise StoreCorruptError(f"manifest counts {manifest.counts.get(key)} {key} but {name} holds {count}")
-    return Store(path=path, manifest=manifest, vectors=vectors, graph=graph)
+    return Store(manifest=manifest, vectors=vectors, graph=graph)
 
 
 def run_query(

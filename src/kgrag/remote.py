@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import requests
 
@@ -49,14 +49,13 @@ def post_json(
     *,
     timeout: float = 30.0,
     max_retries: int = 3,
-    api_key: str | None = None,
 ) -> dict:
     """POST a JSON payload, retrying transient failures with backoff.
 
     A response is accepted only on 2xx with a JSON body. ``max_retries``
     counts retries after the first attempt.
     """
-    key = api_key if api_key is not None else os.environ.get(API_KEY_ENV, "")
+    key = os.environ.get(API_KEY_ENV, "")
     headers = {"Content-Type": "application/json"}
     if key:
         headers["Authorization"] = f"Bearer {key}"
@@ -102,18 +101,9 @@ class ChatClient:
 
     endpoint_url: str
     model_name: str
-    timeout: float = 30.0
-    max_retries: int = 3
-    api_key: str | None = field(default=None, repr=False)
 
     def chat(self, messages: list[dict[str, str]]) -> str:
-        data = post_json(
-            self.endpoint_url,
-            {"model": self.model_name, "messages": messages},
-            timeout=self.timeout,
-            max_retries=self.max_retries,
-            api_key=self.api_key,
-        )
+        data = post_json(self.endpoint_url, {"model": self.model_name, "messages": messages})
         try:
             return data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:

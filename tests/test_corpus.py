@@ -11,13 +11,12 @@ from kgrag.corpus import (
     load_corpus,
     normalize_text,
     split_sentences,
-    tokenize,
 )
 from kgrag.exceptions import InputError
 
 
 def make_doc(text: str, doc_id: str = "d") -> Document:
-    return Document(doc_id=doc_id, text=normalize_text(text), source="test")
+    return Document(doc_id=doc_id, text=normalize_text(text))
 
 
 class TestLoadCorpus:
@@ -39,7 +38,6 @@ class TestLoadCorpus:
         )
         docs = load_corpus(tmp_path)
         assert [d.doc_id for d in docs] == ["x1", "x2", "x3"]
-        assert all("jsonl:" in d.source for d in docs)
 
     def test_jsonl_integer_ids_become_strings(self, tmp_path):
         (tmp_path / "corpus.jsonl").write_text('{"id": 7, "text": "first"}\n{"id": "x", "text": "second"}\n')
@@ -57,7 +55,6 @@ class TestLoadCorpus:
         (tmp_path / "corpus.jsonl").write_bytes(payload.encode("utf-8"))
         docs = load_corpus(tmp_path)
         assert [(d.doc_id, d.text) for d in docs] == [(obj["id"], obj["text"]) for obj in lines]
-        assert docs[1].source.endswith(":2")
 
     def test_malformed_line_after_raw_separator_names_its_line(self, tmp_path):
         (tmp_path / "bad.jsonl").write_text('{"id": "a", "text": "x\u2028y"}\nnot json\n', encoding="utf-8")
@@ -178,22 +175,11 @@ class TestSplitSentences:
         assert len(split_sentences(doc.text)) == 2
 
 
-class TestTokenize:
-    def test_basic(self):
-        assert tokenize("chunks of 100 tokens") == ["chunks", "of", "100", "tokens"]
-
-    def test_empty(self):
-        assert tokenize("") == []
-
-    def test_whitespace_collapse(self):
-        assert tokenize("a  b\nc") == ["a", "b", "c"]
-
-
 normalized_docs = (
     st.text(min_size=1, max_size=300)
     .map(normalize_text)
     .filter(lambda t: t.strip())
-    .map(lambda t: Document(doc_id="h", text=t, source="hyp"))
+    .map(lambda t: Document(doc_id="h", text=t))
 )
 
 
@@ -201,7 +187,7 @@ class TestProperties:
     @given(normalized_docs)
     def test_token_counts_sum(self, doc):
         sentences = split_sentences(doc.text)
-        assert sum(len(tokenize(s)) for s in sentences) == len(tokenize(doc.text))
+        assert sum(len(s.split()) for s in sentences) == len(doc.text.split())
 
     @given(normalized_docs)
     def test_non_whitespace_characters_preserved_in_order(self, doc):
@@ -211,7 +197,7 @@ class TestProperties:
 
     @given(normalized_docs)
     def test_no_zero_token_sentence(self, doc):
-        assert all(tokenize(s) for s in split_sentences(doc.text))
+        assert all(s.split() for s in split_sentences(doc.text))
 
     @given(normalized_docs)
     def test_split_deterministic(self, doc):

@@ -374,8 +374,7 @@ _BOTH_STOPWORD_SETS = st.sampled_from([ENTITY_STOPWORDS, QUERY_STOPWORDS])
 
 
 def _tables(extractor: RuleExtractor) -> list[dict]:
-    finder = extractor._finder
-    return [dict(finder.shape), dict(finder.normalized)]
+    return [dict(extractor.shape), dict(extractor.normalized)]
 
 
 class TestRuleExtractorReference:
@@ -438,6 +437,5 @@ class TestRuleExtractorTables:
         extractor = RuleExtractor()
         extractor.triples(["Rome is near Naples.", "Rome is near Naples."], "d#s0")
         extractor.triples(["Naples is near Rome."], "d#s1")
-        finder = extractor._finder
-        assert finder.shape == {"": "|", "Rome": "U", "is": "l", "near": "l", "Naples.": "U", "Naples": "U", "Rome.": "U"}
-        assert finder.normalized == {"Rome": "rome", "Naples.": "naples", "Naples": "naples", "Rome.": "rome"}
+        assert extractor.shape == {"": "|", "Rome": "U", "is": "l", "near": "l", "Naples.": "U", "Naples": "U", "Rome.": "U"}
+        assert extractor.normalized == {"Rome": "rome", "Naples.": "naples", "Naples": "naples", "Rome.": "rome"}

@@ -4,6 +4,7 @@ import json
 import random
 import re
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -488,18 +489,22 @@ class TestExport:
         with pytest.raises(StoreCorruptError, match=r"graph edge relations\[0\] holds the lone surrogate '\\ud800'"):
             KnowledgeGraph.load_json(path, {"c0": "ctx"})
 
+    # A provenance must be a stored chunk id, and no stored chunk id holds a lone surrogate.
     @pytest.mark.parametrize(
-        "text",
+        ("text", "message"),
         [
-            '{"nodes":[["\\udc00a",["c0"]]],"edges":[[],[],[],[]]}\n',
-            '{"nodes":[["a",["c0"]]],"edges":[[0],[0],["r"],["c\\ud83c"]]}\n',
+            ('{"nodes":[["\\udc00a",["c0"]]],"edges":[[],[],[],[]]}\n', r"graph node 0 name holds the lone surrogate"),
+            (
+                '{"nodes":[["a",["c0"]]],"edges":[[0],[0],["r"],["c\\ud83c"]]}\n',
+                r"graph edge provenances\[0\] is 'c\\ud83c', which names no stored chunk",
+            ),
         ],
         ids=["name", "provenance"],
     )
-    def test_escaped_lone_surrogate_anywhere_is_corrupt(self, tmp_path, text):
+    def test_escaped_lone_surrogate_anywhere_is_corrupt(self, tmp_path, text, message):
         path = tmp_path / "graph.json"
         path.write_text(text)
-        with pytest.raises(StoreCorruptError, match="holds the lone surrogate"):
+        with pytest.raises(StoreCorruptError, match=message):
             KnowledgeGraph.load_json(path, {"c0": "ctx"})
 
     def test_escaped_surrogate_pair_and_escaped_backslash_load(self, tmp_path):
@@ -619,8 +624,8 @@ class TestRoundTrip:
 
 
 def context_texts(obj: dict) -> dict[str, str]:
-    """A text for every context id the ``graph.json``-shaped ``obj`` names."""
-    return {cid: f"text of {cid}" for _, contexts in obj["nodes"] for cid in contexts}
+    """A text for every chunk id the ``graph.json``-shaped ``obj`` names: node contexts and edge provenances."""
+    return {cid: f"text of {cid}" for cid in chain(*(contexts for _, contexts in obj["nodes"]), obj["edges"][3])}
 
 
 @st.composite
@@ -633,7 +638,7 @@ def edge_column_objects(draw) -> list:
     columns = [list(column) for column in zip(*edges)] or [[], [], [], []]
     fault = draw(st.sampled_from(["none", "cell", "shorter", "column"]))
     if fault == "cell" and edges:
-        bad = st.one_of(st.integers(-1, 3), st.booleans(), st.none(), labels, st.just([0]), st.just(1.0))
+        bad = st.one_of(st.integers(-1, 3), st.booleans(), st.none(), labels, st.just("t"), st.just([0]), st.just(1.0))
         columns[draw(st.integers(0, 3))][draw(st.integers(0, len(edges) - 1))] = draw(bad)
     elif fault == "shorter" and edges:
         del columns[draw(st.integers(0, 3))][-1]
@@ -705,6 +710,14 @@ class TestLoadTypes:
         with pytest.raises(StoreCorruptError, match="'c0' names no stored chunk"):
             KnowledgeGraph.from_json_obj(valid_graph_object(), {"c1": "other"})
 
+    def test_context_named_twice_in_a_node_is_corrupt(self):
+        # A node names each chunk once; export writes the contexts as they are, so a
+        # deduplicated load would export a graph.json that is not the store's.
+        obj = valid_graph_object()
+        obj["nodes"][1][1] = ["c1", "c0", "c1", "c0"]
+        with pytest.raises(StoreCorruptError, match="^graph node 1 names context 'c1' more than once$"):
+            KnowledgeGraph.from_json_obj(obj, {"c0": "ctx", "c1": "other"})
+
     @pytest.mark.parametrize("context", [["c0"], {"c0": 1}, 1, None], ids=["list", "dict", "int", "null"])
     def test_context_id_that_is_not_a_string_names_no_chunk(self, context):
         obj = valid_graph_object()
@@ -721,6 +734,7 @@ class TestLoadTypes:
             (lambda edges: edges[1].__setitem__(2, 2), "graph edge targets[2] is 2, not a node id in [0, 2)"),
             (lambda edges: edges[0].__setitem__(2, -1), "graph edge sources[2] is -1, not a node id in [0, 2)"),
             (lambda edges: edges[2].__setitem__(2, None), "graph edge relations[2] is None, not a string"),
+            (lambda edges: edges[3].__setitem__(2, "c9"), "graph edge provenances[2] is 'c9', which names no stored chunk"),
             (lambda edges: edges.__setitem__(1, {"a": 1}), f"{EDGE_LAYOUT}: column 1 (targets) is not a list"),
             (lambda edges: edges.append([]), f"{EDGE_LAYOUT}: there are 5 columns"),
             (lambda edges: [column.insert(2, column.pop(1)) for column in edges],
@@ -729,7 +743,7 @@ class TestLoadTypes:
              "graph edge 2 repeats edge 1: edges must be sorted and unique"),
         ],
         ids=["three-items", "unequal-lengths", "bool-endpoint", "endpoint-past-nodes", "negative-endpoint",
-             "null-label", "dict", "five-columns", "out-of-order", "repeated"],
+             "null-label", "unknown-provenance", "dict", "five-columns", "out-of-order", "repeated"],
     )
     def test_names_the_first_bad_edge_row(self, edit, named):
         # Edge 2, read across the columns, is the first bad one; edge 3 is bad too.
@@ -767,14 +781,16 @@ class TestLoadTypes:
 
     @given(edge_column_objects())
     def test_fault_walk_agrees_with_the_column_checks(self, columns):
-        # Three nodes: ids 0-2 are valid. _edge_fault names a fault exactly when _column_edges rejects.
-        edges = _column_edges(columns, 3)
+        # Three nodes: ids 0-2 are valid, and "r" and "s" are chunk ids, "t" is not.
+        # _edge_fault names a fault exactly when _column_edges rejects.
+        known = {"r", "s"}
+        edges = _column_edges(columns, 3, known)
         if edges is None:
-            assert _edge_fault(columns, 3).startswith("graph edge")
+            assert _edge_fault(columns, 3, known).startswith("graph edge")
         else:
             assert edges == sorted(set(edges)) and [list(c) for c in zip(*edges)] == [c for c in columns if c]
             with pytest.raises(AssertionError, match="finds no fault"):
-                _edge_fault(columns, 3)
+                _edge_fault(columns, 3, known)
 
 
 

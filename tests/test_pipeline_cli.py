@@ -58,7 +58,6 @@ class TestPipelineUnits:
         doc = Document(
             doc_id="d",
             text=" ".join(f"w{i}" for i in range(250)) + ".",
-            source="t",
         )
         semantic, chunks, _ = chunk_documents([doc], HashedEmbedder(64), ChunkerConfig(window_k=0))
         rebuilt = reconstruct_parent_texts(chunks)
@@ -67,7 +66,7 @@ class TestPipelineUnits:
 
     def test_repeated_doc_id_reaches_the_duplicate_chunk_check(self):
         # Documents go through chunking as a list, so a repeated id is kept, not merged.
-        docs = [Document("d", "Rome is old.", "s"), Document("d", "Parma makes cheese.", "s")]
+        docs = [Document("d", "Rome is old."), Document("d", "Parma makes cheese.")]
         semantic, chunks, _ = chunk_documents(docs, HashedEmbedder(64), ChunkerConfig())
         assert [c.text for c in chunks] == ["Rome is old.", "Parma makes cheese."]
         assert [c.chunk_id for c in chunks] == ["d#s0#t0", "d#s0#t0"]
@@ -75,8 +74,8 @@ class TestPipelineUnits:
             VectorStore(64).add(chunks, HashedEmbedder(64).embed_batch([c.text for c in chunks]))
 
     def test_fingerprint_sensitive_to_content_and_order(self):
-        docs1 = [Document("a", "text one", "s"), Document("b", "text two", "s")]
-        docs2 = [Document("a", "text one!", "s"), Document("b", "text two", "s")]
+        docs1 = [Document("a", "text one"), Document("b", "text two")]
+        docs2 = [Document("a", "text one!"), Document("b", "text two")]
         docs3 = [docs1[1], docs1[0]]
         prints = {corpus_fingerprint(d) for d in (docs1, docs2, docs3)}
         assert len(prints) == 3
@@ -180,7 +179,7 @@ def row_documents(draw) -> list[Document]:
             words = draw(st.lists(st.sampled_from(ROW_WORDS), min_size=1, max_size=12))
             spaces = draw(st.lists(st.sampled_from(ROW_SPACES), min_size=len(words), max_size=len(words)))
             sentences.append("".join(w + s for w, s in zip(words, spaces)).rstrip() + ".")
-        documents.append(Document(f"d{i}", " ".join(sentences) or draw(st.sampled_from(["", " \t "])), "hyp"))
+        documents.append(Document(f"d{i}", " ".join(sentences) or draw(st.sampled_from(["", " \t "]))))
     return documents
 
 
@@ -217,7 +216,7 @@ class TestHashedChunkRows:
         # 3 x 110 sentences: the default 256-row block ends inside the third document.
         words = [ROW_WORDS[i % len(ROW_WORDS)] for i in range(112)]
         documents = [
-            Document(f"d{d}", " ".join(f"{words[d + i]}\u00a0w{i % 17} ΟΔΟΣ." for i in range(110)), "t") for d in range(3)
+            Document(f"d{d}", " ".join(f"{words[d + i]}\u00a0w{i % 17} ΟΔΟΣ." for i in range(110))) for d in range(3)
         ]
         assert sum(len(split_sentences(doc.text)) for doc in documents) > embedding_mod._BLOCK_ROWS
         chunks = assert_rows_are_the_chunk_texts_rows(documents, ChunkerConfig(chunk_size=6, overlap=2), 64)
@@ -229,7 +228,7 @@ class TestSemanticChunkTriples:
     @given(st.lists(paragraphs(), min_size=1, max_size=6))
     @settings(max_examples=150, deadline=None)
     def test_triples_of_a_chunk_are_those_of_its_document_sentences(self, drawn):
-        doc = Document("d", normalize_text("\n\n".join(text for text, _ in drawn)), "hyp")
+        doc = Document("d", normalize_text("\n\n".join(text for text, _ in drawn)))
         doc_sentences = split_sentences(doc.text)
         semantic, _, _ = chunk_documents([doc], HashedEmbedder(64), ChunkerConfig(window_k=1, percentile=50))
         for sem in semantic:
@@ -847,6 +846,17 @@ class TestCmdQuery:
         assert from_file[0]["final"] == from_file[0]["score"]  # stored beta still applies
         assert len(chunks(["--config", str(override), "--final-m", "3"])) == 3
 
+    @pytest.mark.parametrize("mode", ["hybrid", "semantic", "kg"])
+    def test_question_with_lone_surrogate_exit_2(self, store_dir, capsys, mode):
+        # The command line decodes bytes that are not UTF-8 (here 0xff) as lone surrogates.
+        argv = ["query", "--store", str(store_dir), "--question", "What is \udcff pizza?", "--mode", mode]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --question holds the lone surrogate '\\udcff' at index 8, which UTF-8 cannot encode\n"
+        )
+
     def test_remote_generator_without_chat_model_exit_2(self, store_dir, capsys):
         code = main(
             ["query", "--store", str(store_dir), "--question", "What crosses Rome?",
@@ -1084,6 +1094,7 @@ def _edit_columns(graph: dict, edit) -> None:
         (lambda g: _set_node(g, "ab"), NODE_ROW_0),
         (lambda g: _set_node(g, {"id": 0, "name": "a", "contexts": []}), NODE_ROW_0),
         (lambda g: _set_node(g, None), NODE_ROW_0),
+        (lambda g: g["nodes"][0][1].append(g["nodes"][0][1][0]), "graph node 0 names context "),
         (lambda g: g["edges"].__delitem__(3), f"{EDGE_LAYOUT}: column 3 (provenances) is missing"),
         (lambda g: g["edges"].append([]), f"{EDGE_LAYOUT}: there are 5 columns"),
         (lambda g: g["edges"].__setitem__(0, dict(enumerate(g["edges"][0]))),
@@ -1094,6 +1105,8 @@ def _edit_columns(graph: dict, edit) -> None:
         (lambda g: g["edges"][1].__setitem__(0, len(g["nodes"])), "graph edge targets[0] is {n}, not a node id"),
         (lambda g: g["edges"][0].__setitem__(0, -1), "graph edge sources[0] is -1, not a node id in [0, {n})"),
         (lambda g: g["edges"][3].__setitem__(0, None), "graph edge provenances[0] is None, not a string"),
+        (lambda g: g["edges"][3].__setitem__(0, "no such chunk"),
+         "graph edge provenances[0] is 'no such chunk', which names no stored chunk"),
         (lambda g: _edit_columns(g, lambda column: column.insert(0, column.pop())),
          "graph edge sources[1] sorts before edge 0: edges must be sorted and unique"),
         (lambda g: _edit_columns(g, lambda column: column.insert(1, column[0])),
@@ -1101,9 +1114,10 @@ def _edit_columns(graph: dict, edit) -> None:
         (lambda g: [g["nodes"], g["edges"]], "malformed graph"),
         (lambda g: {"nodes": g["nodes"]}, "malformed graph"),
     ],
-    ids=["node-of-one", "node-of-three", "node-string", "node-dict", "node-null", "edge-of-three",
-         "edge-of-five", "edge-dict", "edge-list-label", "unequal-lengths", "bool-source", "endpoint-past-nodes",
-         "negative-endpoint", "null-label", "out-of-order", "repeated", "top-level-array", "no-edges"],
+    ids=["node-of-one", "node-of-three", "node-string", "node-dict", "node-null", "repeated-context",
+         "edge-of-three", "edge-of-five", "edge-dict", "edge-list-label", "unequal-lengths", "bool-source",
+         "endpoint-past-nodes", "negative-endpoint", "null-label", "unknown-provenance", "out-of-order", "repeated",
+         "top-level-array", "no-edges"],
 )
 @pytest.mark.parametrize(
     "command",
