@@ -6,7 +6,9 @@ graph.json, manifest.json. A store without a valid manifest is corrupt, and
 so is one whose manifest names another format version than
 ``STORE_FORMAT_VERSION``; version 3 stores the graph's nodes as compact rows
 and its sorted edges as four columns (see ``graph``), and a version 1 or 2
-store must be rebuilt.
+store must be rebuilt. Opening a store reads and checks every file but
+graph.json, which is read and checked the first time ``Store.graph`` is
+read: a semantic query never reads it.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import hashlib
 import json
 import shutil
 from dataclasses import asdict, dataclass, field, fields
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +39,7 @@ from .extraction import RemoteExtractor, RuleExtractor
 from .graph import KnowledgeGraph
 from .remote import ChatClient
 from .retriever import (
+    GRAPH_MODES,
     EchoGenerator,
     QueryConfig,
     RemoteGenerator,
@@ -264,11 +268,23 @@ def build_store(
 
 @dataclass
 class Store:
-    """A sealed, validated store: everything the query path needs."""
+    """An open store: its manifest, vectors and parent texts checked at open, its graph on first read.
+
+    ``parent_texts`` is each semantic chunk's text, rebuilt from the chunk
+    records; the graph takes it as its ``chunk_id -> text`` map.
+    """
 
     manifest: StoreManifest
     vectors: VectorStore
-    graph: KnowledgeGraph
+    path: Path
+    parent_texts: dict[str, str] = field(repr=False)
+
+    @cached_property
+    def graph(self) -> KnowledgeGraph:
+        """``graph.json``, loaded and checked against the manifest's counts on first read; raises StoreCorruptError."""
+        graph = KnowledgeGraph.load_json(self.path / GRAPH_FILE, self.parent_texts)
+        _check_counts(self.manifest, (("nodes", GRAPH_FILE, len(graph)), ("edges", GRAPH_FILE, graph.edge_count)))
+        return graph
 
     def make_embedder(self) -> HashedEmbedder | RemoteEmbedder:
         return make_embedder(self.manifest.provider)
@@ -319,17 +335,25 @@ def reconstruct_parent_texts(chunks: list[Chunk]) -> dict[str, str]:
     return texts
 
 
+def _check_counts(manifest: StoreManifest, loaded) -> None:
+    """Each ``(key, file name, count)`` of ``loaded`` must be the manifest's count; raises StoreCorruptError."""
+    for key, name, count in loaded:
+        if manifest.counts.get(key) != count:
+            raise StoreCorruptError(f"manifest counts {manifest.counts.get(key)} {key} but {name} holds {count}")
+
+
 def open_store(store_dir: str | Path) -> Store:
-    """Validate and load a store directory; raises StoreCorruptError.
+    """Validate and load a store directory but its graph; raises StoreCorruptError.
 
     Each file is read, and checked, in one pass: the manifest; the vectors
     with their chunk records (one decoder call and type check per line,
-    rows finite and one per record); the parent texts, rebuilt from the
-    chunks' overlap cuts, whose spans must tile each parent; then the graph,
-    whose node rows are checked in file order, whose contexts must name those
-    parents, and whose edge columns are checked whole. The manifest's counts
-    of chunks, semantic chunks (parents), nodes and edges must match what was
-    loaded.
+    rows finite and one per record); then the parent texts, rebuilt from the
+    chunks' overlap cuts, whose spans must tile each parent. The manifest's
+    counts of chunks and semantic chunks (parents) must match what was
+    loaded. The graph waits for the first read of ``Store.graph``: its node
+    rows are checked in file order, its contexts must name those parents,
+    its edge columns are checked whole, and its node and edge counts must
+    match the manifest's.
     """
     path = Path(store_dir)
     manifest_path = path / MANIFEST_FILE
@@ -353,18 +377,11 @@ def open_store(store_dir: str | Path) -> Store:
             f"{VECTORS_FILE} dimension {vectors.dimension}"
         )
     parent_texts = reconstruct_parent_texts(list(vectors.metadata.values()))
-    graph = KnowledgeGraph.load_json(path / GRAPH_FILE, parent_texts)
     # Every semantic chunk has a token, so it has a window: its parent text.
-    loaded = (
-        ("chunks", VECTORS_FILE, len(vectors)),
-        ("semantic_chunks", CHUNKS_SIDECAR, len(parent_texts)),
-        ("nodes", GRAPH_FILE, len(graph)),
-        ("edges", GRAPH_FILE, graph.edge_count),
+    _check_counts(
+        manifest, (("chunks", VECTORS_FILE, len(vectors)), ("semantic_chunks", CHUNKS_SIDECAR, len(parent_texts)))
     )
-    for key, name, count in loaded:
-        if manifest.counts.get(key) != count:
-            raise StoreCorruptError(f"manifest counts {manifest.counts.get(key)} {key} but {name} holds {count}")
-    return Store(manifest=manifest, vectors=vectors, graph=graph)
+    return Store(manifest=manifest, vectors=vectors, path=path, parent_texts=parent_texts)
 
 
 def run_query(
@@ -375,14 +392,19 @@ def run_query(
     embedder=None,
     extractor=None,
 ) -> RetrievalResult:
-    """One hybrid retrieval over an open store with its manifest providers."""
+    """One hybrid retrieval over an open store with its manifest providers.
+
+    Only the modes in ``GRAPH_MODES`` read ``store.graph`` or build an extractor.
+    """
+    config = config or store.manifest.query
+    reads_graph = config.mode in GRAPH_MODES
     return retrieve_hybrid(
         question,
         embedder=embedder or store.make_embedder(),
         store=store.vectors,
-        extractor=extractor or store.make_extractor(),
-        graph=store.graph,
-        config=config or store.manifest.query,
+        extractor=extractor or (store.make_extractor() if reads_graph else None),
+        graph=store.graph if reads_graph else None,
+        config=config,
     )
 
 
@@ -396,7 +418,7 @@ def answer_records(
     (when non-empty) followed by the ranked chunk texts. Returns the number
     of retrievals run.
     """
-    extractor = store.make_extractor()
+    extractor = store.make_extractor() if config.mode in GRAPH_MODES else None
     runs = 0
     for record in records:
         if record.contexts and record.answer:

@@ -23,6 +23,7 @@ from .remote import ChatClient
 from .vector_index import VectorStore
 
 MODES = ("hybrid", "unstructured_only", "structured_only")
+GRAPH_MODES = ("hybrid", "structured_only")  # the modes that read the graph
 
 KG_SECTION_HEADER = "KNOWLEDGE GRAPH:"
 PASSAGES_SECTION_HEADER = "PASSAGES:"
@@ -103,13 +104,14 @@ class RemoteGenerator:
 
 def _structured_parts(
     question: str, extractor, graph: KnowledgeGraph, config: QueryConfig
-) -> tuple[set[int], list[str], str, dict]:
+) -> tuple[list[str], list[str], str, dict]:
     """Query NER -> entity match -> bounded neighborhood -> text within the token budget.
 
-    Each mention is matched once. No entity match is not an error: the
-    result is an empty string. The last item is the subgraph's node count
-    (``subgraph_nodes``) and the counts ``render_subgraph`` fills in, or
-    ``{}`` when nothing matched.
+    Returns the matched entities' names, sorted, the unmatched mention
+    surfaces, the text, and the subgraph's node count (``subgraph_nodes``)
+    with the counts ``render_subgraph`` fills in, or ``{}`` when nothing
+    matched. Each mention is matched once. No entity match is not an error:
+    the text is then an empty string.
     """
     matched: set[int] = set()
     unmatched: list[str] = []
@@ -120,11 +122,12 @@ def _structured_parts(
         else:
             unmatched.append(mention.surface)
     if not matched:
-        return matched, unmatched, "", {}
+        return [], unmatched, "", {}
     subgraph = graph.neighborhood(matched, hops=config.hops, max_nodes=config.max_nodes)
     kept: dict = {}
     text = graph.render_subgraph(subgraph, kept=kept)
-    return matched, unmatched, text, {"subgraph_nodes": len(subgraph.nodes), **kept}
+    names = sorted(graph.node(nid).name for nid in matched)
+    return names, unmatched, text, {"subgraph_nodes": len(subgraph.nodes), **kept}
 
 
 def retrieve_unstructured(
@@ -174,18 +177,22 @@ def retrieve_hybrid(
     embedder,
     store: VectorStore,
     extractor,
-    graph: KnowledgeGraph,
+    graph: KnowledgeGraph | None,
     config: QueryConfig | None = None,
 ) -> RetrievalResult:
-    """Run both retrievers (subject to mode), fuse, and assemble the context."""
+    """Run both retrievers (subject to mode), fuse, and assemble the context.
+
+    Only the modes in ``GRAPH_MODES`` touch ``extractor`` and ``graph``; the
+    unstructured mode may pass None for both.
+    """
     config = config or QueryConfig()
 
-    matched: set[int] = set()
+    matched_names: list[str] = []
     unmatched: list[str] = []
     structured_text = ""
     shape: dict = {}
-    if config.mode in ("hybrid", "structured_only"):
-        matched, unmatched, structured_text, shape = _structured_parts(question, extractor, graph, config)
+    if config.mode in GRAPH_MODES:
+        matched_names, unmatched, structured_text, shape = _structured_parts(question, extractor, graph, config)
 
     candidates: list[tuple[str, str, float]] = []
     if config.mode in ("hybrid", "unstructured_only"):
@@ -199,7 +206,6 @@ def retrieve_hybrid(
     ranked = rank_with_boosts(candidates, boosts, config.beta)[: config.final_m_chunks]
 
     unified = build_unified_context(structured_text, [c.text for c in ranked])
-    matched_names = sorted(graph.node(nid).name for nid in matched)
     return RetrievalResult(
         structured_text=structured_text,
         ranked_chunks=ranked,

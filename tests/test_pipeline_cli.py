@@ -23,6 +23,7 @@ from kgrag.corpus import Document, load_corpus, normalize_text, split_sentences
 from kgrag.embedding import HashedEmbedder, embed_hashed_many
 from kgrag.exceptions import StoreCorruptError
 from kgrag.extraction import EXTRACTION_USER_TEMPLATE, RuleExtractor, extract_triples_rule
+from kgrag.graph import KnowledgeGraph
 from kgrag.pipeline import (
     build_store,
     chunk_documents,
@@ -31,7 +32,7 @@ from kgrag.pipeline import (
     reconstruct_parent_texts,
     run_query,
 )
-from kgrag.retriever import QueryConfig
+from kgrag.retriever import MODES, QueryConfig
 from kgrag.vector_index import VectorStore
 
 from conftest import MINI_CORPUS, MINI_QUESTIONS
@@ -647,6 +648,31 @@ def store_dir(tmp_path) -> Path:
     return out
 
 
+# Every command that reads graph.json, as its argv without ``--store``; eval's
+# records (written by run_in) carry no contexts, so its retrieval runs.
+GRAPH_READERS = {
+    "query": ["query", "--question", "Anything?"],
+    "query-kg": ["query", "--mode", "kg", "--question", "Anything?"],
+    "eval": ["eval", "--records", "records.jsonl", "--out", "report.csv"],
+    "graph-export": ["graph-export", "--format", "json", "--out", "kg.json"],
+}
+each_graph_reader = pytest.mark.parametrize("command", list(GRAPH_READERS.values()), ids=list(GRAPH_READERS))
+SEMANTIC_QUERY = ["query", "--mode", "semantic", "--json", "--question", "What crosses Rome?"]
+
+
+def run_in(workdir: Path, monkeypatch, store_dir: Path, command: list[str]) -> int:
+    """``main`` of ``command`` over ``store_dir``, run in ``workdir`` beside an eval records file."""
+    record = {"question": "What crosses Rome?", "ground_truth": "The Tiber crosses Rome."}
+    (workdir / "records.jsonl").write_text(json.dumps(record) + "\n", encoding="utf-8")
+    monkeypatch.chdir(workdir)
+    return main([command[0], "--store", str(store_dir), *command[1:]])
+
+
+def assert_nothing_written(workdir: Path) -> None:
+    assert not (workdir / "kg.json").exists()
+    assert not (workdir / "report.csv").exists()
+
+
 class TestCmdQuery:
     def test_semantic_mode_has_no_graph_section(self, store_dir, capsys):
         code = main(
@@ -726,8 +752,9 @@ class TestCmdQuery:
         assert "duplicate chunk_id" in capsys.readouterr().err
 
     @pytest.mark.parametrize("key", ["edges", "nodes", "semantic_chunks", "chunks"])
-    def test_store_counts_not_the_manifests_exit_3(self, store_dir, capsys, key):
+    def test_store_counts_not_the_manifests_exit_3(self, store_dir, tmp_path, monkeypatch, capsys, key):
         # A graph.json that lost edges or gained a node still loads; only the manifest's counts tell.
+        # A chunk count is checked at open, so a semantic query exits 3 on it too.
         graph_path, manifest_path = store_dir / "graph.json", store_dir / "manifest.json"
         graph, manifest = json.loads(graph_path.read_text()), json.loads(manifest_path.read_text())
         expected = manifest["counts"][key]
@@ -743,8 +770,11 @@ class TestCmdQuery:
             name = "chunks.jsonl" if key == "semantic_chunks" else "vectors.skvx"
         graph_path.write_text(json.dumps(graph))
         manifest_path.write_text(json.dumps(manifest))
-        assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
-        assert f"manifest counts {expected} {key} but {name} holds {loaded}" in capsys.readouterr().err
+        commands = [*GRAPH_READERS.values()] + ([SEMANTIC_QUERY] if key in ("semantic_chunks", "chunks") else [])
+        for command in commands:
+            assert run_in(tmp_path, monkeypatch, store_dir, command) == 3, command
+            assert f"manifest counts {expected} {key} but {name} holds {loaded}" in capsys.readouterr().err
+        assert_nothing_written(tmp_path)
 
     @pytest.mark.parametrize(
         "endpoint",
@@ -1058,20 +1088,15 @@ class TestCmdEval:
     [("nodes", "name", 5), ("nodes", "contexts", "abc"), ("edges", "relation", 5), ("edges", "provenance", None)],
     ids=["numeric-name", "string-contexts", "numeric-relation", "null-provenance"],
 )
-@pytest.mark.parametrize(
-    "command",
-    [["query", "--question", "Anything?"], ["graph-export", "--format", "json", "--out", "kg.json"]],
-    ids=["query", "graph-export"],
-)
+@each_graph_reader
 def test_graph_field_of_wrong_type_exit_3(store_dir, tmp_path, monkeypatch, capsys, command, section, key, value):
     graph_path = store_dir / "graph.json"
     graph = json.loads(graph_path.read_text())
     set_graph_field(graph, section, key, value)
     graph_path.write_text(json.dumps(graph))
-    monkeypatch.chdir(tmp_path)
-    assert main([command[0], "--store", str(store_dir), *command[1:]]) == 3
+    assert run_in(tmp_path, monkeypatch, store_dir, command) == 3
     assert "graph" in capsys.readouterr().err
-    assert not (tmp_path / "kg.json").exists()
+    assert_nothing_written(tmp_path)
 
 
 NODE_ROW_0 = "graph node row 0 is not [name, contexts]"
@@ -1119,11 +1144,7 @@ def _edit_columns(graph: dict, edit) -> None:
          "endpoint-past-nodes", "negative-endpoint", "null-label", "unknown-provenance", "out-of-order", "repeated",
          "top-level-array", "no-edges"],
 )
-@pytest.mark.parametrize(
-    "command",
-    [["query", "--question", "Anything?"], ["graph-export", "--format", "json", "--out", "kg.json"]],
-    ids=["query", "graph-export"],
-)
+@each_graph_reader
 def test_graph_row_of_wrong_shape_exit_3(store_dir, tmp_path, monkeypatch, capsys, command, corrupt, named):
     # Each node must be a [name, [contexts]] pair, and the edges four equal columns
     # [sources, targets, relations, provenances] of node ids and strings, sorted and
@@ -1133,12 +1154,11 @@ def test_graph_row_of_wrong_shape_exit_3(store_dir, tmp_path, monkeypatch, capsy
     m, n = len(graph["edges"][0]), len(graph["nodes"])
     assert m > 1 and graph["edges"][0][0] < graph["edges"][0][-1]
     graph_path.write_text(json.dumps(corrupt(graph) or graph))
-    monkeypatch.chdir(tmp_path)
-    assert main([command[0], "--store", str(store_dir), *command[1:]]) == 3
+    assert run_in(tmp_path, monkeypatch, store_dir, command) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: corrupt store: ") and "graph" in err and "Traceback" not in err
     assert err.startswith(f"error: corrupt store: {graph_path}: {named.format(m=m, n=n, last=m - 1)}")
-    assert not (tmp_path / "kg.json").exists()
+    assert_nothing_written(tmp_path)
 
 
 @pytest.mark.parametrize("version", [1, 2])
@@ -1194,6 +1214,76 @@ def test_raw_line_separators_index_open_and_query(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["chunks"][0]["id"].startswith("rome\u2028a#")
     assert "Tiber festival" in payload["structured_text"]
+
+
+def _grow_nodes(graph_path: Path) -> None:
+    graph = json.loads(graph_path.read_text())
+    graph["nodes"].append(["an entity no triple names", []])
+    graph_path.write_text(json.dumps(graph))
+
+
+def _halve_edges(graph_path: Path) -> None:
+    graph = json.loads(graph_path.read_text())
+    graph["edges"] = [column[: len(column) // 2] for column in graph["edges"]]
+    graph_path.write_text(json.dumps(graph))
+
+
+class TestGraphOnFirstRead:
+    """graph.json is read and checked when a command first needs the graph, never by a semantic query."""
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [Path.unlink, lambda path: path.write_text("{not json"), _grow_nodes, _halve_edges],
+        ids=["missing", "not-json", "node-count", "edge-count"],
+    )
+    def test_semantic_query_over_a_corrupt_graph_prints_the_intact_bytes(
+        self, store_dir, tmp_path, monkeypatch, capsys, corrupt
+    ):
+        assert run_in(tmp_path, monkeypatch, store_dir, SEMANTIC_QUERY) == 0
+        intact = capsys.readouterr().out
+        corrupt(store_dir / "graph.json")
+        assert run_in(tmp_path, monkeypatch, store_dir, SEMANTIC_QUERY) == 0
+        assert capsys.readouterr() == (intact, "")
+        for command in GRAPH_READERS.values():
+            assert run_in(tmp_path, monkeypatch, store_dir, command) == 3, command
+            assert capsys.readouterr().err.startswith("error: corrupt store: ")
+        assert_nothing_written(tmp_path)
+
+    @pytest.mark.parametrize(
+        "records, mode",
+        [
+            ({"answer": "Rome is the capital of Italy.", "contexts": ["Rome is the capital of Italy."]}, []),
+            ({}, ["--mode", "semantic"]),
+        ],
+        ids=["no-retrieval", "semantic-retrieval"],
+    )
+    def test_eval_that_reads_no_graph_over_a_missing_graph(self, store_dir, tmp_path, capsys, records, mode):
+        path, out = tmp_path / "records.jsonl", tmp_path / "report.csv"
+        record = {"question": "What crosses Rome?", "ground_truth": "The Tiber crosses Rome.", **records}
+        path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        argv = ["eval", "--store", str(store_dir), "--records", str(path), "--out", str(out), *mode]
+        assert main(argv) == 0
+        intact = out.read_bytes()
+        out.unlink()
+        (store_dir / "graph.json").unlink()
+        assert main(argv) == 0
+        assert out.read_bytes() == intact
+
+    def test_open_and_semantic_query_never_load_the_graph(self, store_dir):
+        with mock.patch.object(KnowledgeGraph, "load_json", side_effect=AssertionError("graph loaded")) as load:
+            store = open_store(store_dir)
+            result = run_query(store, "What crosses Rome?", QueryConfig(mode="unstructured_only"))
+            assert result.ranked_chunks and result.structured_text == ""
+            assert load.call_count == 0
+            with pytest.raises(AssertionError, match="graph loaded"):
+                run_query(store, "What crosses Rome?", QueryConfig(mode="hybrid"))
+
+    def test_the_graph_is_loaded_once(self, store_dir):
+        store = open_store(store_dir)
+        with mock.patch.object(KnowledgeGraph, "load_json", wraps=KnowledgeGraph.load_json) as load:
+            results = [run_query(store, "What crosses Rome?", QueryConfig(mode=mode)) for mode in MODES * 2]
+        assert load.call_count == 1
+        assert results[: len(MODES)] == results[len(MODES) :]
 
 
 class TestCmdGraphExport:
