@@ -8,16 +8,19 @@ set of node ids per chunk id, so an upsert checks two small ints there.
 A node's id is its position in the node list. An edge is the plain tuple
 ``(source, target, relation, provenance)``, node ids then labels, so edges
 sort plainly. A build dedups edges in a set, which ``seal`` sorts, once,
-into the sealed graph's one edge list; it derives each node's
-incident-edge list from that list, and a traversal is a seeded breadth-first
-expansion over those lists in both directions, bounded by hop count and
-node budget. A neighborhood is its admitted nodes and their hops; the edges
-it induces are collected from the incident lists when first read. It
-renders as text within a token budget: its context chunks first, those the
-seed nodes share most ahead, then its edges, produced lazily so a hub seed
-costs what the budget keeps, and a render cut inside the contexts never
-collects the edges at all. Same lifecycle as the vector store:
-single-writer build (or load), seal, then lock-free concurrent reads.
+into the sealed graph's one edge list. The first traversal derives two
+sorted lists per node from it: the node's distinct neighbour ids in both
+directions, and its context ids. A traversal is a seeded breadth-first
+expansion that merges the frontier's neighbour lists lazily, bounded by hop
+count and node budget, so a hub costs what the budget admits, not its
+parallel edges. A neighborhood is its admitted nodes and their hops; the
+edges it induces are collected, when first read, from each admitted node's
+source range of the edge list. It renders as text within a token budget:
+its context chunks first, those the seed nodes share most ahead, merged
+lazily from the sorted context lists, then its edges, so a hub seed costs
+what the budget keeps, and a render cut inside the contexts never collects
+the edges at all. Same lifecycle as the vector store: single-writer build
+(or load), seal, then lock-free concurrent reads.
 ``export`` writes the store's ``graph.json``: a ``[name, [chunk ids]]``
 row per node (its id is its position) and the sorted edges as four
 columns, ``[sources, targets, relations, provenances]``; a load checks the
@@ -27,12 +30,15 @@ columns whole, in C, and zips them back into the sorted list of tuples.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterator, Set
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from functools import cached_property
+from heapq import merge
+from itertools import chain, filterfalse, groupby, islice
 from json.encoder import encode_basestring
-from operator import itemgetter, lt
+from operator import eq, itemgetter, lt
 from pathlib import Path
 
 from .corpus import holds_escape, lone_surrogate
@@ -53,7 +59,6 @@ class EntityNode:
 
 # The graph.json edge columns, in edge field order.
 EDGE_COLUMNS = ("sources", "targets", "relations", "provenances")
-# The traversal reads edge endpoints through these in C, not per edge in Python.
 _source = itemgetter(0)
 _target = itemgetter(1)
 
@@ -61,12 +66,13 @@ _target = itemgetter(1)
 class Subgraph:
     """Admitted nodes by id, each node's hop, and the edges induced on them.
 
-    A traversal passes the graph's incident lists instead of ``edges``; the
-    induced set is then collected from the admitted nodes' lists on first
-    read and kept. ``edges`` may also be given or assigned outright.
+    A traversal passes the graph's sorted edge list instead of ``edges``;
+    the induced set is then collected on first read, from each admitted
+    node's range of that list as a source, and kept. ``edges`` may also be
+    given or assigned outright.
     """
 
-    __slots__ = ("nodes", "hop_of", "_edges", "_incident")
+    __slots__ = ("nodes", "hop_of", "_edges", "_graph_edges")
 
     def __init__(
         self,
@@ -74,20 +80,23 @@ class Subgraph:
         edges: set[tuple] | None = None,
         *,
         hop_of: dict[int, int],
-        incident: list[list[tuple]] | None = None,
+        graph_edges: list[tuple] | None = None,
     ) -> None:
         self.nodes = nodes
         self.hop_of = hop_of
         self._edges = edges
-        self._incident = incident
+        self._graph_edges = graph_edges
 
     @property
     def edges(self) -> set[tuple]:
         if self._edges is None:
-            hop_of = self.hop_of
-            self._edges = {
-                e for node in hop_of for e in self._incident[node] if e[0] in hop_of and e[1] in hop_of
-            }
+            hop_of, edges = self.hop_of, self._graph_edges
+            induced = set()
+            for node in hop_of:
+                start = bisect_left(edges, node, key=_source)
+                stop = bisect_left(edges, node + 1, start, key=_source)
+                induced.update(e for e in edges[start:stop] if e[1] in hop_of)
+            self._edges = induced
         return self._edges
 
     @edges.setter
@@ -102,7 +111,6 @@ class KnowledgeGraph:
         self._by_normalized: dict[str, int] = {}
         self._edges: set[tuple] | list[tuple] = set()  # a build's dedup set; sorted into one list at seal
         self._named_by: dict[str, set[int]] = {}  # chunk id -> ids of the nodes whose contexts hold it
-        self._incident: list[list[tuple]] = []  # node id -> its edges, derived at seal
         self._sealed = False
 
     def __len__(self) -> int:
@@ -116,20 +124,49 @@ class KnowledgeGraph:
         return self._nodes[node_id]
 
     def seal(self) -> None:
-        """Freeze the graph: sort a build's edge set into the edge list, and (re)derive each node's incident edges.
+        """Freeze the graph: sort a build's edge set into the edge list.
 
         Each edge was checked as it entered: by ``upsert_triple``, or by
         ``from_json_obj``, which hands over a list it proved sorted and unique.
+        The per-node lists a traversal reads are derived by its first call,
+        so a build, which never traverses, never derives them.
         """
         if type(self._edges) is set:
             self._edges = sorted(self._edges)
-        incident: list[list[tuple]] = [[] for _ in self._nodes]
-        for edge in self._edges:
-            incident[edge[0]].append(edge)
-            if edge[1] != edge[0]:
-                incident[edge[1]].append(edge)
-        self._incident = incident
         self._sealed = True
+
+    @cached_property
+    def _neighbours(self) -> list[list[int]]:
+        """Node id -> its distinct neighbour ids in both directions, ascending.
+
+        The sorted edge list holds each (source, target) pair's edges back to
+        back, so ``groupby`` yields the distinct pairs in order, and a node's
+        list gets its lower sources, its targets and its higher sources, each
+        run ascending: one sort merges the runs, and then the only repeats,
+        a neighbour on both sides or the node's own self-loop, are dropped.
+        """
+        neighbours: list[list[int]] = [[] for _ in self._nodes]
+        edges = self._edges
+        for (source, target), _ in groupby(zip(map(_source, edges), map(_target, edges))):
+            neighbours[source].append(target)
+            neighbours[target].append(source)
+        for node, ids in enumerate(neighbours):
+            ids.sort()
+            if any(map(eq, ids, islice(ids, 1, None))):
+                neighbours[node] = [n for n, _ in groupby(ids)]
+        return neighbours
+
+    @cached_property
+    def _sorted_contexts(self) -> list[list[str]]:
+        """Node id -> its context chunk ids, ascending; ``contexts`` keeps the first-seen order ``export`` writes.
+
+        A build that meets its chunks in id order leaves ``contexts`` sorted
+        already; such a list is shared, not copied.
+        """
+        return [
+            ids if all(map(lt, ids, islice(ids, 1, None))) else sorted(ids)
+            for ids in (node.contexts for node in self._nodes)
+        ]
 
     def _resolve(self, surface: str) -> int:
         """The node id of ``surface``'s normalized name, a new node (named ``surface``) if none.
@@ -210,11 +247,13 @@ class KnowledgeGraph:
     def neighborhood(self, seeds: set[int], hops: int = DEFAULT_HOPS, max_nodes: int = DEFAULT_MAX_NODES) -> Subgraph:
         """Breadth-first expansion from the seeds, both edge directions.
 
-        Frontiers are admitted depth by depth; when the node budget truncates
-        a frontier, lower node ids win. Edges are the graph edges induced on
-        the admitted node set; they are collected from the admitted nodes'
-        incident lists when ``Subgraph.edges`` is first read, so a caller
-        that never reads them never pays for them.
+        Each depth reads the frontier's sorted neighbour lists (one list, or
+        a lazy merge of several), skips nodes already admitted and stops at
+        ``max_nodes``, so lower node ids win a truncated frontier and a hub
+        costs what the budget admits, not its parallel edges. Edges are the
+        graph edges induced on the admitted node set, collected when
+        ``Subgraph.edges`` is first read, so a caller that never reads them
+        never pays for them.
         """
         if not self._sealed:
             raise ValueError("graph must be sealed before traversal")
@@ -225,28 +264,20 @@ class KnowledgeGraph:
         if not seeds:
             return Subgraph(nodes={}, edges=set(), hop_of={})
 
-        incident = self._incident
-        hop_of: dict[int, int] = {seed: 0 for seed in sorted(seeds)}
+        neighbours = self._neighbours
         frontier = sorted(seeds)
+        hop_of: dict[int, int] = dict.fromkeys(frontier, 0)
         for depth in range(1, hops + 1):
-            if len(hop_of) >= max_nodes:
+            if len(hop_of) >= max_nodes or not frontier:
                 break
-            edges = list(chain.from_iterable(map(incident.__getitem__, frontier)))
-            reached = set(map(_source, edges))
-            reached.update(map(_target, edges))
-            next_frontier = sorted(reached - hop_of.keys())
-            if not next_frontier:
-                break
-            admitted = []
-            for node in next_frontier:
-                if len(hop_of) >= max_nodes:
-                    break
-                hop_of[node] = depth
-                admitted.append(node)
-            frontier = admitted
+            reached = neighbours[frontier[0]] if len(frontier) == 1 else merge(*map(neighbours.__getitem__, frontier))
+            frontier = []
+            for node in islice(filterfalse(hop_of.__contains__, reached), max_nodes - len(hop_of)):
+                hop_of[node] = depth  # admitted now, so a repeat later in the merge is skipped
+                frontier.append(node)
 
         nodes = {nid: self._nodes[nid] for nid in hop_of}
-        return Subgraph(nodes=nodes, hop_of=hop_of, incident=incident)
+        return Subgraph(nodes=nodes, hop_of=hop_of, graph_edges=self._edges)
 
     # -- rendering and export ------------------------------------------------
 
@@ -305,23 +336,29 @@ class KnowledgeGraph:
             yield "edge_lines", f"{separator}{source} -[{relation}]-> {target}"
             separator = ""
 
-    @staticmethod
-    def _context_order(sub: Subgraph) -> Iterator[str]:
-        """Context chunk ids in render order, one hop level at a time.
+    def _context_order(self, sub: Subgraph) -> Iterator[str]:
+        """Context chunk ids in render order, one hop level at a time, from the graph's sorted lists.
 
-        A level's chunks are those its nodes name and no lower level did,
-        so their least hop is the level's; a later level is read only when
-        the reader asks for more ids.
+        A level's chunks are those its nodes name and no lower level did, so
+        their least hop is the level's. Hop 0 yields the ids several seeds
+        share first (``_shared_ids``); every level then yields the rest
+        ascending, from its one list or a lazy merge, so a reader that stops
+        early, or before a later level, never reads the rest.
         """
-        levels: dict[int, list[EntityNode]] = {}
+        contexts = self._sorted_contexts
+        levels: dict[int, list[list[str]]] = {}
         for node_id, hop in sub.hop_of.items():
-            levels.setdefault(hop, []).append(sub.nodes[node_id])
+            levels.setdefault(hop, []).append(contexts[node_id])
         seen: set[str] = set()
         for hop in sorted(levels):
-            named = Counter(c for node in levels[hop] for c in node.contexts if c not in seen)
-            fresh = sorted(named, key=lambda c: (-named[c], c)) if hop == 0 else sorted(named)
-            seen.update(fresh)
-            yield from fresh
+            lists = levels[hop]
+            if hop == 0 and len(lists) > 1:
+                shared = _shared_ids(lists)
+                seen.update(shared)
+                yield from shared
+            for chunk_id in filterfalse(seen.__contains__, lists[0] if len(lists) == 1 else merge(*lists)):
+                seen.add(chunk_id)
+                yield chunk_id
 
     def _sorted_edges(self) -> list[tuple]:
         """The edge list; a graph not yet sealed sorts its build set here."""
@@ -442,6 +479,21 @@ class KnowledgeGraph:
         except StoreCorruptError as exc:
             raise StoreCorruptError(f"{path}: {exc}") from exc
         return graph
+
+
+def _shared_ids(lists: list[list[str]]) -> list[str]:
+    """The ids two or more of the sorted, repeat-free ``lists`` hold, by (lists holding it descending, id).
+
+    Only the ids of the lists other than the largest are counted; each is
+    then looked up in the largest by bisection.
+    """
+    k = max(range(len(lists)), key=lambda i: len(lists[i]))
+    largest = lists[k]
+    counts = Counter(chain.from_iterable(lists[:k] + lists[k + 1 :]))
+    for chunk_id in counts:
+        i = bisect_left(largest, chunk_id)
+        counts[chunk_id] += i < len(largest) and largest[i] == chunk_id
+    return [chunk_id for _, chunk_id in sorted((-n, chunk_id) for chunk_id, n in counts.items() if n > 1)]
 
 
 def _column_edges(columns: list, n: int, known: Set[str]) -> list[tuple] | None:

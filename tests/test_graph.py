@@ -13,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from kgrag.exceptions import StoreCorruptError
 from kgrag.extraction import EntityMention, Triple, normalize_entity
 from kgrag.graph import MIN_PREFIX_LEN, KnowledgeGraph, Subgraph, _column_edges, _edge_fault
+from kgrag.pipeline import build_store
 
 from helpers import EDGE_LAYOUT, edge_columns, set_graph_field
 
@@ -350,6 +351,19 @@ def reference_neighborhood(graph: KnowledgeGraph, seeds: set[int], hops: int, ma
     return Subgraph(nodes=nodes, edges=induced, hop_of=hop_of)
 
 
+def neighbour_reference(graph: KnowledgeGraph) -> list[list[int]]:
+    """Each node's distinct neighbours in both directions, ascending, from a set per node over ``graph._edges``."""
+    adjacency: list[set[int]] = [set() for _ in range(len(graph))]
+    for source, target, _, _ in graph._edges:
+        adjacency[source].add(target)
+        adjacency[target].add(source)
+    return [sorted(ids) for ids in adjacency]
+
+
+def sorted_contexts_reference(graph: KnowledgeGraph) -> list[list[str]]:
+    return [sorted(graph.node(node_id).contexts) for node_id in range(len(graph))]
+
+
 small_triples = st.lists(
     st.tuples(
         st.sampled_from([f"n{i}" for i in range(8)]),
@@ -380,9 +394,11 @@ class TestNeighborhoodReference:
         for s, r, o, prov in triples:
             graph.upsert_triple(triple(s, r, o, prov))
         graph.seal()
-        graph.seal()  # sealing twice must not change the incident lists
-        loops = sum(source == target for source, target, _, _ in graph._edges)
-        assert sum(map(len, graph._incident)) == 2 * graph.edge_count - loops
+        edges, neighbours = graph._edges, graph._neighbours
+        graph.seal()  # sealing twice must not change the edge list or the lists derived from it
+        assert graph._edges is edges == sorted(edges)
+        assert graph._neighbours == neighbours == neighbour_reference(graph)
+        assert graph._sorted_contexts == sorted_contexts_reference(graph)
         seeds = {seed for seed in seeds if seed < len(graph)}
         loaded = KnowledgeGraph.from_json_obj(graph.to_json_obj(), texts)
         for g in (graph, loaded):
@@ -651,27 +667,20 @@ def valid_graph_object() -> dict:
     return {"nodes": [["a", ["c0"]], ["b", []]], "edges": [[0], [1], ["r"], ["c0"]]}
 
 
-def incident_reference(graph: KnowledgeGraph) -> list[list[tuple]]:
-    """Each node's incident edges in the edge set's iteration order, self-loops once."""
-    incident: list[list[tuple]] = [[] for _ in range(len(graph))]
-    for edge in graph._edges:
-        source, target = edge[:2]
-        incident[source].append(edge)
-        if target != source:
-            incident[target].append(edge)
-    return incident
-
-
 class TestLoadIncidentLists:
+    """A node's neighbour list names the far end of each of its incident edges once; see ``neighbour_reference``."""
+
     @given(graph_objects())
     def test_loaded_lists_equal_seal_derivation(self, obj):
         loaded = KnowledgeGraph.from_json_obj(obj, context_texts(obj))
-        assert loaded._incident == incident_reference(loaded)
+        assert loaded._neighbours == neighbour_reference(loaded)
+        assert loaded._sorted_contexts == sorted_contexts_reference(loaded)
 
     def test_mini_store_lists_equal_seal_derivation(self, mini_store):
         graph = mini_store.graph
         assert graph.edge_count > 0
-        assert graph._incident == incident_reference(graph)
+        assert graph._neighbours == neighbour_reference(graph)
+        assert graph._sorted_contexts == sorted_contexts_reference(graph)
 
     def test_mini_store_edges_are_the_zipped_file_columns(self, mini_store, mini_store_dir):
         columns = json.loads((mini_store_dir / "graph.json").read_text(encoding="utf-8"))["edges"]
@@ -943,14 +952,27 @@ class Unreadable:
         raise AssertionError("edges read after the budget ran out")
 
 
-class CountingIncident(list):
-    """Incident lists that count how many times a node's list is read."""
+class CountingIds(list):
+    """A neighbour list that adds each id read through its iterator to a shared tally."""
+
+    def __init__(self, ids: list[int], tally: list[int]) -> None:
+        super().__init__(ids)
+        self.tally = tally
+
+    def __iter__(self):
+        for node_id in super().__iter__():
+            self.tally[0] += 1
+            yield node_id
+
+
+class CountingEdges(list):
+    """An edge list that counts its item and slice reads."""
 
     reads = 0
 
-    def __getitem__(self, node_id):
+    def __getitem__(self, index):
         self.reads += 1
-        return super().__getitem__(node_id)
+        return super().__getitem__(index)
 
 
 class TestBudgetedRender:
@@ -1020,13 +1042,104 @@ class TestBudgetedRender:
         assert text.split("\n")[1:3] == ["- hub fact 0 holds here", "- hub fact 1 holds here"]
         assert texts.lookups <= kept["context_lines"] + 1
 
-        graph._incident = CountingIncident(graph._incident)
+        tally = [0]
+        graph._neighbours = [CountingIds(ids, tally) for ids in graph._neighbours]
+        for k in (2, 20, 200):
+            tally[0] = 0
+            cut = graph.neighborhood({0}, hops=2, max_nodes=k)
+            assert list(cut.hop_of) == list(range(k))
+            assert tally[0] == k - 1  # the hub's list up to the budget, not its 600 edges
+        tally[0] = 0
+        graph._edges = CountingEdges(graph._edges)
         lazy = graph.neighborhood({0}, hops=2, max_nodes=1000)
-        reads = graph._incident.reads
-        assert reads == 1 + 600  # the seed's list, then each spoke's
+        assert tally[0] == 600 + 600  # each admitted node's list once: the hub's, then each spoke's
         assert graph.render_subgraph(lazy, 100) == text
-        assert graph._incident.reads == reads  # the cut render never collected the edges
+        assert graph._edges.reads == 0  # the cut render never collected the edges
         assert lazy.edges == reference_neighborhood(graph, {0}, 2, 1000).edges
-        assert graph._incident.reads == reads + len(lazy.hop_of)
+        reads = graph._edges.reads
+        assert reads > 0
         assert graph.render_subgraph(lazy, UNBOUNDED).count(" -[r]-> ") == 600
-        assert graph._incident.reads == reads + len(lazy.hop_of)  # collected once, then kept
+        assert graph._edges.reads == reads  # collected once, then kept
+
+
+@st.composite
+def hub_multigraphs(draw) -> tuple[list[tuple], dict[str, str]]:
+    """Rows of a hub-shaped multigraph, and a text per chunk id.
+
+    The hub has several relations and provenances per spoke, in both
+    directions, up to hundreds of parallel edges in all, over 40 to 64
+    chunk ids, so seeds share many contexts. Sparse spoke-spoke edges and
+    tails off the spokes reach hops 2 and 3. The rows are shuffled, so node
+    ids do not follow the shape.
+    """
+    rng = draw(st.randoms(use_true_random=False))
+    chunks = [f"k{i:02d}" for i in range(draw(st.integers(40, 64)))]
+    spokes = [f"spoke{i}" for i in range(draw(st.integers(3, 30)))]
+    parallel = draw(st.integers(2, 16))
+    relations = ["r1", "r2", "r3"]
+    rows = []
+    for spoke in spokes:
+        for _ in range(rng.randint(1, parallel)):
+            source, target = ("hub", spoke) if rng.random() < 0.7 else (spoke, "hub")
+            rows.append((source, rng.choice(relations), target, rng.choice(chunks)))
+    for _ in range(len(spokes)):
+        a, b = rng.sample(spokes, 2)
+        rows.append((a, rng.choice(relations), b, rng.choice(chunks)))
+        rows.append((a, "r1", f"tail{rng.randrange(len(spokes))}", rng.choice(chunks)))
+    rng.shuffle(rows)
+    return rows, {cid: f"fact {cid}" for cid in chunks}
+
+
+class TestHubMultigraphReference:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        hub_multigraphs(),
+        st.integers(2, 4),
+        st.booleans(),
+        st.randoms(use_true_random=False),
+        st.integers(1, 3),
+        st.integers(1, 80),
+        st.integers(1, 300),
+    )
+    def test_traversal_and_render_match_references(self, graph_rows, n_seeds, with_hub, rng, hops, max_nodes, budget):
+        rows, texts = graph_rows
+        built = KnowledgeGraph(texts)
+        for row in rows:
+            built.upsert_triple(triple(*row))
+        built.seal()
+        loaded = KnowledgeGraph.from_json_obj(json.loads(export_bytes(built)), texts)
+        hub = built.match_entities([mention("hub")])
+        seeds = set(rng.sample(range(len(built)), n_seeds - with_hub)) | (hub if with_hub else set())
+        for graph in (built, loaded):
+            assert graph._neighbours == neighbour_reference(graph)
+            sub = graph.neighborhood(seeds, hops=hops, max_nodes=max_nodes)
+            ref = reference_neighborhood(graph, seeds, hops, max_nodes)
+            assert list(sub.hop_of.items()) == list(ref.hop_of.items())
+            assert sub.edges == ref.edges
+            for max_tokens in (budget, UNBOUNDED):
+                kept: dict = {}
+                text = graph.render_subgraph(sub, max_tokens, kept=kept)
+                expected, context_lines, edge_lines = reference_render(ref, texts, max_tokens)
+                assert text == expected == graph.render_subgraph(ref, max_tokens)
+                assert (kept["context_lines"], kept["edge_lines"]) == (context_lines, edge_lines)
+
+
+class TestDerivedListsAreLazy:
+    def test_first_traversal_not_seal_derives_the_lists(self):
+        graph = chain_graph()
+        loaded = KnowledgeGraph.from_json_obj(graph.to_json_obj(), {"c0": "ctx-ab", "c1": "ctx-bc"})
+        for g in (graph, loaded):
+            assert "_neighbours" not in vars(g) and "_sorted_contexts" not in vars(g)  # seal derived nothing
+            g.render_subgraph(g.neighborhood({0}, hops=2))
+            neighbours, contexts = vars(g)["_neighbours"], vars(g)["_sorted_contexts"]
+            assert g.render_subgraph(g.neighborhood({2}, hops=1)) == "Contexts:\n- ctx-bc\n- ctx-ab\n\nb -[r2]-> c"
+            assert vars(g)["_neighbours"] is neighbours and vars(g)["_sorted_contexts"] is contexts  # reused
+
+    def test_build_never_derives_the_lists(self, mini_corpus_dir, tmp_path, monkeypatch):
+        def fail(graph):
+            raise AssertionError("a build derived a traversal list")
+
+        monkeypatch.setattr(KnowledgeGraph, "_neighbours", property(fail))
+        monkeypatch.setattr(KnowledgeGraph, "_sorted_contexts", property(fail))
+        build_store(mini_corpus_dir, tmp_path / "store")
+        assert (tmp_path / "store" / "graph.json").stat().st_size > 0
