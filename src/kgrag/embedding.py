@@ -215,8 +215,9 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
 
     Requests are batched at most MAX_BATCH_SIZE texts each and issued
     concurrently up to ``config.parallelism``. Each reply must hold one
-    vector of ``config.dimension`` finite JSON numbers per text sent; its
-    rows are re-normalized to unit length. Returns float32, shape (len(texts), D).
+    item per text sent, indexed 0 to n - 1, each a vector of
+    ``config.dimension`` finite JSON numbers; its rows are re-normalized to
+    unit length. Returns float32, shape (len(texts), D).
     """
     if not texts:
         return np.zeros((0, config.dimension), dtype=np.float32)
@@ -235,6 +236,10 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
             raise ProviderError(f"embedding batch at input {offset} failed: {exc}") from exc
         try:
             items = sorted(data["data"], key=lambda item: item["index"])
+            indices = [item["index"] for item in items]
+            # JSON true and 1.0 compare equal to 1, so the index type is checked too.
+            if indices != list(range(len(batch))) or {*map(type, indices)} - {int}:
+                raise ValueError("reply indices are not one per input text")
             # dtype=object keeps a ragged reply as a 1-D array, so the shape check names it.
             rows = np.array([item["embedding"] for item in items], dtype=object)
         except (KeyError, TypeError, ValueError) as exc:

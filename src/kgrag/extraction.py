@@ -257,7 +257,8 @@ def extract_triples_remote(text: str, client: ChatClient, provenance: str = "") 
             skipped += 1
             continue
         subject, relation, obj = subject.strip(), snake_case(relation), obj.strip()
-        if subject and relation and obj:
+        # A name that normalizes to "" (such as "???") would merge every such name into one node.
+        if normalize_entity(subject) and relation and normalize_entity(obj):
             triples.append(Triple(subject=subject, relation=relation, object=obj, provenance=provenance))
         else:
             skipped += 1

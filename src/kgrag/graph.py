@@ -1,22 +1,22 @@
 """Knowledge graph: entity nodes with provenance chunk ids, labeled edges.
 
 Nodes merge on the normalized entity name; every node keeps the ids of the
-chunks its triples came from, first seen first, read through the graph's
-one chunk_id -> text map, so a traversal can hand back both structure and
-supporting context. A build knows which nodes already name a chunk by a
-set of node ids per chunk id, so an upsert checks two small ints there.
+chunks its triples came from, read through the graph's one chunk_id -> text
+map, so a traversal can hand back both structure and supporting context.
 A node's id is its position in the node list. An edge is the plain tuple
 ``(source, target, relation, provenance)``, node ids then labels, so edges
-sort plainly. A build dedups edges in a set, which ``seal`` sorts, once,
-into the sealed graph's one edge list. The first traversal derives two
-sorted lists per node from it: the node's distinct neighbour ids in both
-directions, and its context ids. A traversal is a seeded breadth-first
-expansion that merges the frontier's neighbour lists lazily, bounded by hop
-count and node budget, so a hub costs what the budget admits, not its
-parallel edges. A neighborhood is its admitted nodes and their hops; the
-edges it induces are collected, when first read, from each admitted node's
-source range of the edge list. It renders as text within a token budget:
-its context chunks first, those the seed nodes share most ahead, merged
+sort plainly. A build collects edges in a set and appends each triple's
+provenance to both endpoints' contexts; ``seal`` puts both in canonical
+form, once: one sorted edge list, and each node's contexts ascending and
+repeat-free. A load sorts each node's contexts too. The first traversal
+derives each node's distinct neighbour ids in both directions, ascending,
+from the edge list. A traversal is a seeded breadth-first expansion that
+merges the frontier's neighbour lists lazily, bounded by hop count and
+node budget, so a hub costs what the budget admits, not its parallel
+edges. A neighborhood is its admitted nodes and their hops; the edges it
+induces are collected, when first read, from each admitted node's source
+range of the edge list. It renders as text within a token budget: its
+context chunks first, those the seed nodes share most ahead, merged
 lazily from the sorted context lists, then its edges, so a hub seed costs
 what the budget keeps, and a render cut inside the contexts never collects
 the edges at all. Same lifecycle as the vector store: single-writer build
@@ -54,7 +54,7 @@ DEFAULT_MAX_STRUCTURED_TOKENS = 1024
 @dataclass
 class EntityNode:
     name: str  # canonical = first surface seen
-    contexts: list[str] = field(default_factory=list)  # provenance chunk ids, first seen first
+    contexts: list[str] = field(default_factory=list)  # provenance chunk ids; ascending, each once, when sealed
 
 
 # The graph.json edge columns, in edge field order.
@@ -110,7 +110,6 @@ class KnowledgeGraph:
         self._nodes: list[EntityNode] = []
         self._by_normalized: dict[str, int] = {}
         self._edges: set[tuple] | list[tuple] = set()  # a build's dedup set; sorted into one list at seal
-        self._named_by: dict[str, set[int]] = {}  # chunk id -> ids of the nodes whose contexts hold it
         self._sealed = False
 
     def __len__(self) -> int:
@@ -124,15 +123,17 @@ class KnowledgeGraph:
         return self._nodes[node_id]
 
     def seal(self) -> None:
-        """Freeze the graph: sort a build's edge set into the edge list.
+        """Freeze the graph: sort a build's edge set into the edge list, and each node's contexts.
 
         Each edge was checked as it entered: by ``upsert_triple``, or by
         ``from_json_obj``, which hands over a list it proved sorted and unique.
-        The per-node lists a traversal reads are derived by its first call,
+        The neighbour lists a traversal reads are derived by its first call,
         so a build, which never traverses, never derives them.
         """
         if type(self._edges) is set:
             self._edges = sorted(self._edges)
+            for node in self._nodes:
+                node.contexts = sorted(set(node.contexts))
         self._sealed = True
 
     @cached_property
@@ -155,18 +156,6 @@ class KnowledgeGraph:
             if any(map(eq, ids, islice(ids, 1, None))):
                 neighbours[node] = [n for n, _ in groupby(ids)]
         return neighbours
-
-    @cached_property
-    def _sorted_contexts(self) -> list[list[str]]:
-        """Node id -> its context chunk ids, ascending; ``contexts`` keeps the first-seen order ``export`` writes.
-
-        A build that meets its chunks in id order leaves ``contexts`` sorted
-        already; such a list is shared, not copied.
-        """
-        return [
-            ids if all(map(lt, ids, islice(ids, 1, None))) else sorted(ids)
-            for ids in (node.contexts for node in self._nodes)
-        ]
 
     def _resolve(self, surface: str) -> int:
         """The node id of ``surface``'s normalized name, a new node (named ``surface``) if none.
@@ -191,8 +180,8 @@ class KnowledgeGraph:
         """Merge a triple into the graph; returns (source, target) node ids.
 
         Endpoint nodes are resolved or created by normalized name; the edge
-        and each endpoint's context chunk id are deduplicated, the latter by
-        the set of nodes that already name the triple's chunk. A relation or
+        enters the build's set, and the provenance is appended to both
+        endpoints' contexts, which ``seal`` sorts and dedups. A relation or
         provenance that is not a string raises ``ValueError``, changing nothing.
         """
         if self._sealed:
@@ -207,15 +196,8 @@ class KnowledgeGraph:
         source = self._resolve(subject)
         target = self._resolve(obj)
         self._edges.add((source, target, relation, provenance))
-        members = self._named_by.get(provenance)
-        if members is None:
-            members = self._named_by[provenance] = set()
-        if source not in members:
-            members.add(source)
-            self._nodes[source].contexts.append(provenance)
-        if target not in members:
-            members.add(target)
-            self._nodes[target].contexts.append(provenance)
+        self._nodes[source].contexts.append(provenance)
+        self._nodes[target].contexts.append(provenance)
         return source, target
 
     def match_entities(self, mentions: list[EntityMention]) -> set[int]:
@@ -337,7 +319,7 @@ class KnowledgeGraph:
             separator = ""
 
     def _context_order(self, sub: Subgraph) -> Iterator[str]:
-        """Context chunk ids in render order, one hop level at a time, from the graph's sorted lists.
+        """Context chunk ids in render order, one hop level at a time, from the nodes' sorted contexts.
 
         A level's chunks are those its nodes name and no lower level did, so
         their least hop is the level's. Hop 0 yields the ids several seeds
@@ -345,10 +327,9 @@ class KnowledgeGraph:
         ascending, from its one list or a lazy merge, so a reader that stops
         early, or before a later level, never reads the rest.
         """
-        contexts = self._sorted_contexts
         levels: dict[int, list[list[str]]] = {}
         for node_id, hop in sub.hop_of.items():
-            levels.setdefault(hop, []).append(contexts[node_id])
+            levels.setdefault(hop, []).append(sub.nodes[node_id].contexts)
         seen: set[str] = set()
         for hop in sorted(levels):
             lists = levels[hop]
@@ -360,29 +341,30 @@ class KnowledgeGraph:
                 seen.add(chunk_id)
                 yield chunk_id
 
-    def _sorted_edges(self) -> list[tuple]:
-        """The edge list; a graph not yet sealed sorts its build set here."""
-        return self._edges if type(self._edges) is list else sorted(self._edges)
-
     def _edge_columns(self) -> tuple[tuple, ...]:
-        """The sorted edges as four columns, ``EDGE_COLUMNS`` in order."""
-        return tuple(zip(*self._sorted_edges())) or ((), (), (), ())
+        """The sealed edge list as four columns, ``EDGE_COLUMNS`` in order."""
+        return tuple(zip(*self._edges)) or ((), (), (), ())
 
     def to_json_obj(self) -> dict:
-        """The graph as ``graph.json`` holds it: ``[name, contexts]`` per node id, then the four edge columns."""
+        """The sealed graph as ``graph.json`` holds it: ``[name, contexts]`` per node id, then the four edge columns."""
+        if not self._sealed:
+            raise ValueError("seal the graph before exporting")
         return {
             "nodes": [[n.name, list(n.contexts)] for n in self._nodes],
             "edges": list(map(list, self._edge_columns())),
         }
 
     def to_dot(self) -> str:
+        if not self._sealed:
+            raise ValueError("seal the graph before exporting")
+
         def esc(text: str) -> str:
             return text.replace("\\", "\\\\").replace('"', '\\"')
 
         lines = ["digraph knowledge_graph {"]
         for node_id, node in enumerate(self._nodes):
             lines.append(f'  n{node_id} [label="{esc(node.name)}"];')
-        for source, target, relation, _ in self._sorted_edges():
+        for source, target, relation, _ in self._edges:
             lines.append(f'  n{source} -> n{target} [label="{esc(relation)}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -421,7 +403,8 @@ class KnowledgeGraph:
         contexts]`` pair: no two names may normalize alike (``_resolve`` would
         give the later one the earlier id), and every context id must be a
         key of ``chunk_texts`` (chunk id -> text, the map a build holds),
-        which becomes the graph's map, named once per node. The edges are
+        which becomes the graph's map, named once per node; the contexts are
+        then sorted in place, as ``seal`` leaves a build's. The edges are
         four columns of equal length, ``EDGE_COLUMNS``: sources and targets
         are node ids, relations strings, provenances keys of ``chunk_texts``,
         and the zipped edges strictly ascend, as ``export`` writes them, so
@@ -450,6 +433,7 @@ class KnowledgeGraph:
             if len(ids) != len(contexts):
                 repeated = next(cid for cid, count in Counter(contexts).items() if count > 1)
                 raise StoreCorruptError(f"graph node {node_id} names context {repeated!r} more than once")
+            contexts.sort()
             graph._nodes[node_id].contexts = contexts
         n = len(graph)
         edges = _column_edges(obj["edges"], n, known)

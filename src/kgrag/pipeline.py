@@ -230,8 +230,7 @@ def build_store(
         vectors.seal()
         vectors.save(out / VECTORS_FILE)
 
-        # The texts open_store rebuilds, so a built graph equals its reload.
-        graph = KnowledgeGraph(reconstruct_parent_texts(all_chunks))
+        graph = KnowledgeGraph({})  # exported, never rendered, so it needs no chunk texts
         for sem in all_semantic:
             for triple in extractor.triples(sem.sentences, provenance=sem.chunk_id):
                 graph.upsert_triple(triple)
@@ -308,7 +307,7 @@ def reconstruct_parent_texts(chunks: list[Chunk]) -> dict[str, str]:
     after the overlap, ``text.split(" ", skip)[skip]`` with ``skip = covered
     - start``, is appended. The pieces joined with single spaces are the
     semantic chunk's tokens joined the same way, as if every window were
-    split into tokens and re-joined. Build and open both take the graph's
+    split into tokens and re-joined. ``open_store`` takes the graph's
     ``chunk_id -> text`` map from here.
     """
     by_parent: dict[str, list[Chunk]] = {}

@@ -394,6 +394,17 @@ class TestRemoteEmbedder:
         assert len(fake.calls) == 2
         assert sleeps == [1.0]
 
+    @pytest.mark.parametrize(
+        "indices",
+        [[0, 0], [0, 2], [5, 9], [0], [0, 1, 2], [False, True], [0.0, 1.0]],
+        ids=["repeat", "gap", "out-of-range", "short", "long", "bools", "floats"],
+    )
+    def test_reply_indices_other_than_one_per_text_are_malformed(self, monkeypatch, indices):
+        payload = {"data": [{"index": i, "embedding": [1.0] * 8} for i in indices]}
+        monkeypatch.setattr(remote_mod.requests, "post", FakePost([FakeResponse(200, payload)]))
+        with pytest.raises(ProviderError, match="^malformed embedding response at input 0$"):
+            embed_remote(["a", "b"], remote_config())
+
     def test_dimension_mismatch_within_batch(self, monkeypatch):
         payload = {
             "data": [

@@ -212,6 +212,24 @@ class TestRemoteExtractor:
             "skipped 3 invalid triple item(s) from extraction response"
         ]
 
+    def test_punctuation_only_names_skipped_with_count(self, monkeypatch, caplog):
+        # Both names normalize to "", so kept they would become one node linking Rome to Tokyo.
+        body = json.dumps(
+            [
+                {"subject": "Rome", "relation": "near", "object": "???"},
+                {"subject": " !!! ", "relation": "near", "object": "Tokyo"},
+                {"subject": "Rome", "relation": "near", "object": "Ostia."},
+            ]
+        )
+        fake = FakePost([FakeResponse(200, chat_payload(body))])
+        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        with caplog.at_level("WARNING"):
+            triples = extract_triples_remote("text", chat_client())
+        assert triples == [Triple(subject="Rome", relation="near", object="Ostia.")]
+        assert [r.message for r in caplog.records] == [
+            "skipped 2 invalid triple item(s) from extraction response"
+        ]
+
     def test_triples_send_the_space_joined_sentences(self, monkeypatch):
         fake = FakePost([FakeResponse(200, chat_payload("[]"))] * 2)
         monkeypatch.setattr(remote_mod.requests, "post", fake)

@@ -73,22 +73,26 @@ class TestUpsert:
 
     def test_context_dedup_by_chunk_id(self):
         graph = KnowledgeGraph({"c0": "snippet one", "c1": "snippet two"})
-        graph.upsert_triple(triple("a", "r", "b", prov="c0"))
+        graph.upsert_triple(triple("a", "r", "b", prov="c1"))
         graph.upsert_triple(triple("a", "r2", "b", prov="c0"))
         graph.upsert_triple(triple("a", "r3", "b", prov="c1"))
-        assert list(graph.node(0).contexts) == ["c0", "c1"]
         graph.seal()
+        assert graph.node(0).contexts == graph.node(1).contexts == ["c0", "c1"]  # ascending, each once
         text = graph.render_subgraph(graph.neighborhood({0}, hops=1))
         assert text.startswith("Contexts:\n- snippet one\n- snippet two\n\n")
 
     def test_non_string_label_rejected_before_any_change(self):
         graph = KnowledgeGraph({"c0": "ctx"})
         graph.upsert_triple(triple("a", "r", "b"))
-        before = graph.to_json_obj()
+
+        def state():
+            return [(node.name, list(node.contexts)) for node in graph._nodes], set(graph._edges)
+
+        before = state()
         for bad in (Triple("a", 5, "c"), Triple("c", None, "d"), Triple("c", "r", "d", 5), Triple("a", "r", "b", None)):
             with pytest.raises(ValueError, match="relation and provenance must be strings"):
                 graph.upsert_triple(bad)
-            assert graph.to_json_obj() == before and len(graph) == 2 and graph.edge_count == 1
+            assert state() == before and len(graph) == 2 and graph.edge_count == 1
 
     def test_upsert_after_seal_rejected(self):
         graph = chain_graph()
@@ -167,17 +171,77 @@ class TestUpsertPairSetReference:
             graph.upsert_triple(t)
         graph.seal()
         names, contexts, edges = pair_set_upsert(triples)
+        contexts = [sorted(ids) for ids in contexts]  # seal sorts what the pair set kept first seen first
         assert [(graph.node(i).name, graph.node(i).contexts) for i in range(len(graph))] == list(zip(names, contexts))
         assert set(graph._edges) == edges
         nodes = [[name, node_contexts] for name, node_contexts in zip(names, contexts)]
         assert export_bytes(graph) == compact_dumps({"nodes": nodes, "edges": edge_columns(edges)})
 
-    def test_interleaved_chunks_keep_first_seen_order(self):
+    def test_interleaved_chunks_ascend_after_seal(self):
         graph = KnowledgeGraph({"c1": "one", "c2": "two"})
         graph.upsert_triple(triple("a", "r", "b", "c1"))
         graph.upsert_triple(triple("a", "r", "c", "c2"))
-        graph.upsert_triple(triple("c", "r", "a", "c1"))
-        assert [graph.node(i).contexts for i in range(3)] == [["c1", "c2"], ["c1"], ["c2", "c1"]]
+        graph.upsert_triple(triple("c", "r", "a", "c1"))  # c meets c2, then c1
+        graph.seal()
+        assert [graph.node(i).contexts for i in range(3)] == [["c1", "c2"], ["c1"], ["c1", "c2"]]
+
+
+# A document's semantic chunk ids in the order a build meets them; as strings "d#s10" sorts first.
+DOC_ORDER_CHUNKS = [f"d#s{i}" for i in range(2, 11)]
+doc_order_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "c", "d", "e"]),
+        st.sampled_from(["r", "s"]),
+        st.sampled_from(["a", "b", "c", "d", "e"]),
+        st.sampled_from(DOC_ORDER_CHUNKS),
+    ),
+    max_size=40,
+)
+
+
+class TestContextsAscendAfterSeal:
+    @given(doc_order_rows, st.booleans())
+    @example([("a", "r", "b", cid) for cid in DOC_ORDER_CHUNKS], True)
+    @example([("a", "r", "b", "d#s2"), ("c", "r", "a", "d#s10"), ("a", "s", "c", "d#s2")], False)
+    def test_contexts_ascend_once_and_round_trip(self, rows, in_doc_order):
+        if in_doc_order:  # the order a build walks one document's chunks, interleaved across nodes
+            rows = sorted(rows, key=lambda row: DOC_ORDER_CHUNKS.index(row[3]))
+        texts = {cid: f"text of {cid}" for cid in DOC_ORDER_CHUNKS}
+        built = KnowledgeGraph(texts)
+        named: dict[str, set[str]] = {}
+        for s, r, o, prov in rows:
+            built.upsert_triple(triple(s, r, o, prov))
+            for name in (s, o):
+                named.setdefault(name, set()).add(prov)
+        built.seal()
+        for node_id in range(len(built)):
+            contexts = built.node(node_id).contexts
+            assert contexts == sorted(named[built.node(node_id).name])  # every chunk the node met, ascending, once
+        written = export_bytes(built)
+        loaded = KnowledgeGraph.from_json_obj(json.loads(written), texts)
+        assert node_contexts(loaded) == node_contexts(built)
+        assert export_bytes(loaded) == written
+
+    def test_file_listing_contexts_out_of_order_loads_sorted(self, tmp_path):
+        # A graph.json written while contexts were kept first seen first: node a met
+        # d#s2 before d#s10, though "d#s10" sorts first. It loads, renders as the
+        # graph did then (the render always read the contexts ascending) and
+        # exports them ascending.
+        texts = {"d#s2": "two", "d#s10": "ten", "d#s3": "three"}
+        path = tmp_path / "graph.json"
+        path.write_text(
+            '{"nodes":[["a",["d#s2","d#s10","d#s3"]],["b",["d#s2"]],["c",["d#s10"]]],'
+            '"edges":[[0,0],[1,2],["r","s"],["d#s2","d#s10"]]}\n'
+        )
+        graph = KnowledgeGraph.load_json(path, texts)
+        assert node_contexts(graph) == [["d#s10", "d#s2", "d#s3"], ["d#s2"], ["d#s10"]]
+        assert graph.render_subgraph(graph.neighborhood({0}, hops=1)) == (
+            "Contexts:\n- ten\n- two\n- three\n\na -[r]-> b\na -[s]-> c"
+        )
+        assert graph.render_subgraph(graph.neighborhood({1, 2}, hops=1)) == (
+            "Contexts:\n- ten\n- two\n- three\n\na -[r]-> b\na -[s]-> c"
+        )
+        assert export_bytes(graph) == path.read_bytes().replace(b'"d#s2","d#s10","d#s3"', b'"d#s10","d#s2","d#s3"')
 
 
 class TestMatchEntities:
@@ -361,7 +425,16 @@ def neighbour_reference(graph: KnowledgeGraph) -> list[list[int]]:
 
 
 def sorted_contexts_reference(graph: KnowledgeGraph) -> list[list[str]]:
-    return [sorted(graph.node(node_id).contexts) for node_id in range(len(graph))]
+    """Each node's context ids as a built graph holds them: its edges' provenances in ``graph._edges``, ascending, once."""
+    provenances: list[set[str]] = [set() for _ in range(len(graph))]
+    for source, target, _, provenance in graph._edges:
+        provenances[source].add(provenance)
+        provenances[target].add(provenance)
+    return [sorted(ids) for ids in provenances]
+
+
+def node_contexts(graph: KnowledgeGraph) -> list[list[str]]:
+    return [graph.node(node_id).contexts for node_id in range(len(graph))]
 
 
 small_triples = st.lists(
@@ -398,7 +471,7 @@ class TestNeighborhoodReference:
         graph.seal()  # sealing twice must not change the edge list or the lists derived from it
         assert graph._edges is edges == sorted(edges)
         assert graph._neighbours == neighbours == neighbour_reference(graph)
-        assert graph._sorted_contexts == sorted_contexts_reference(graph)
+        assert node_contexts(graph) == sorted_contexts_reference(graph)
         seeds = {seed for seed in seeds if seed < len(graph)}
         loaded = KnowledgeGraph.from_json_obj(graph.to_json_obj(), texts)
         for g in (graph, loaded):
@@ -625,6 +698,7 @@ class TestRoundTrip:
             built.upsert_triple(t)
         built.seal()
         names, contexts, edges = pair_set_upsert(triples)
+        contexts = [sorted(ids) for ids in contexts]  # seal sorts what the pair set kept first seen first
         expected = {"nodes": [[name, ids] for name, ids in zip(names, contexts)], "edges": edge_columns(edges)}
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "graph.json"
@@ -672,15 +746,16 @@ class TestLoadIncidentLists:
 
     @given(graph_objects())
     def test_loaded_lists_equal_seal_derivation(self, obj):
+        rows = [sorted(contexts) for _, contexts in obj["nodes"]]  # drawn rows hold any chunk ids, in any order
         loaded = KnowledgeGraph.from_json_obj(obj, context_texts(obj))
         assert loaded._neighbours == neighbour_reference(loaded)
-        assert loaded._sorted_contexts == sorted_contexts_reference(loaded)
+        assert node_contexts(loaded) == rows
 
     def test_mini_store_lists_equal_seal_derivation(self, mini_store):
         graph = mini_store.graph
         assert graph.edge_count > 0
         assert graph._neighbours == neighbour_reference(graph)
-        assert graph._sorted_contexts == sorted_contexts_reference(graph)
+        assert node_contexts(graph) == sorted_contexts_reference(graph)
 
     def test_mini_store_edges_are_the_zipped_file_columns(self, mini_store, mini_store_dir):
         columns = json.loads((mini_store_dir / "graph.json").read_text(encoding="utf-8"))["edges"]
@@ -720,8 +795,8 @@ class TestLoadTypes:
             KnowledgeGraph.from_json_obj(valid_graph_object(), {"c1": "other"})
 
     def test_context_named_twice_in_a_node_is_corrupt(self):
-        # A node names each chunk once; export writes the contexts as they are, so a
-        # deduplicated load would export a graph.json that is not the store's.
+        # A node names each chunk once, and no build writes a repeat: a file holding
+        # one is corrupt, not merged away by the sort a load does.
         obj = valid_graph_object()
         obj["nodes"][1][1] = ["c1", "c0", "c1", "c0"]
         with pytest.raises(StoreCorruptError, match="^graph node 1 names context 'c1' more than once$"):
@@ -859,7 +934,7 @@ def snippet_dict_render(sub: Subgraph, names: list[str], contexts: list[dict[str
 
 
 def snippet_dict_json(names: list[str], contexts: list[dict[str, str]], edges: set[tuple]) -> bytes:
-    obj = {"nodes": [[name, list(contexts[i])] for i, name in enumerate(names)], "edges": edge_columns(edges)}
+    obj = {"nodes": [[name, sorted(contexts[i])] for i, name in enumerate(names)], "edges": edge_columns(edges)}
     return compact_dumps(obj)
 
 
@@ -1129,17 +1204,19 @@ class TestDerivedListsAreLazy:
         graph = chain_graph()
         loaded = KnowledgeGraph.from_json_obj(graph.to_json_obj(), {"c0": "ctx-ab", "c1": "ctx-bc"})
         for g in (graph, loaded):
-            assert "_neighbours" not in vars(g) and "_sorted_contexts" not in vars(g)  # seal derived nothing
+            assert "_neighbours" not in vars(g)  # seal derived nothing
+            assert node_contexts(g) == sorted_contexts_reference(g)  # the contexts a render reads, as sealed
             g.render_subgraph(g.neighborhood({0}, hops=2))
-            neighbours, contexts = vars(g)["_neighbours"], vars(g)["_sorted_contexts"]
+            neighbours = vars(g)["_neighbours"]
             assert g.render_subgraph(g.neighborhood({2}, hops=1)) == "Contexts:\n- ctx-bc\n- ctx-ab\n\nb -[r2]-> c"
-            assert vars(g)["_neighbours"] is neighbours and vars(g)["_sorted_contexts"] is contexts  # reused
+            assert vars(g)["_neighbours"] is neighbours  # reused
 
     def test_build_never_derives_the_lists(self, mini_corpus_dir, tmp_path, monkeypatch):
-        def fail(graph):
-            raise AssertionError("a build derived a traversal list")
+        def fail(*_):
+            raise AssertionError("a build derived a traversal list or rendered")
 
         monkeypatch.setattr(KnowledgeGraph, "_neighbours", property(fail))
-        monkeypatch.setattr(KnowledgeGraph, "_sorted_contexts", property(fail))
+        monkeypatch.setattr(KnowledgeGraph, "_context_order", fail)
         build_store(mini_corpus_dir, tmp_path / "store")
-        assert (tmp_path / "store" / "graph.json").stat().st_size > 0
+        rows = json.loads((tmp_path / "store" / "graph.json").read_text(encoding="utf-8"))["nodes"]
+        assert rows and all(contexts and contexts == sorted(set(contexts)) for _, contexts in rows)

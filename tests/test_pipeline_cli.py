@@ -1318,6 +1318,38 @@ class TestCmdGraphExport:
                      "--out", str(tmp_path / "x.json")]) == 3
 
 
+class TestGraphFileListingContextsOutOfOrder:
+    def test_queries_alike_and_exports_contexts_ascending(self, tmp_path, capsys):
+        # A graph.json written before contexts were sorted at seal listed each node's
+        # chunks in the order its triples met them; reversing every row stands in for it.
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(pinned_corpus_lines()) + "\n", encoding="utf-8")
+        store, old = tmp_path / "store", tmp_path / "old"
+        build_store(corpus, store)
+        shutil.copytree(store, old)
+        graph = json.loads((old / "graph.json").read_text(encoding="utf-8"))
+        assert sum(len(contexts) > 1 for _, contexts in graph["nodes"]) > 50
+        for _, contexts in graph["nodes"]:
+            contexts.reverse()
+        (old / "graph.json").write_text(json.dumps(graph, ensure_ascii=False, separators=(",", ":")) + "\n", "utf-8")
+
+        new_graph, old_graph = open_store(store).graph, open_store(old).graph
+        for seeds in [{node} for node in range(len(new_graph))] + [{0, 1, 2}, {3, 40, 80}]:
+            assert old_graph.render_subgraph(old_graph.neighborhood(seeds)) == new_graph.render_subgraph(
+                new_graph.neighborhood(seeds)
+            )
+        for question in ("Where does Rome cross the Tiber?", "Does Naples bake Margherita?", "Who hosts Milan opera?"):
+            for mode in ("hybrid", "kg"):
+                outputs = []
+                for path in (store, old):
+                    assert main(["query", "--store", str(path), "--question", question, "--mode", mode, "--json"]) == 0
+                    outputs.append(capsys.readouterr().out)
+                assert outputs[0] == outputs[1] and json.loads(outputs[0])["structured_text"]
+        out = tmp_path / "kg.json"
+        assert main(["graph-export", "--store", str(old), "--format", "json", "--out", str(out)]) == 0
+        assert out.read_bytes() == (store / "graph.json").read_bytes()  # every row ascending again
+
+
 class TestRemoteProviderWiring:
     def fake_embedding_post(self):
         import random
