@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import ProviderError
+from .exceptions import InputError, ProviderError
 from .remote import post_json
 
 Vector = np.ndarray
@@ -304,4 +304,6 @@ class RemoteEmbedder:
 def make_embedder(config: ProviderConfig) -> HashedEmbedder | RemoteEmbedder:
     if config.kind == "hashed":
         return HashedEmbedder(config.dimension)
+    if not config.endpoint_url:
+        raise InputError("remote embedder requires endpoint_url (index with --api-base)")
     return RemoteEmbedder(config)

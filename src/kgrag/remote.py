@@ -9,7 +9,11 @@ non-2xx status raises ProviderError at once, and so do 501 (Not
 Implemented) and 505 (HTTP Version Not Supported), which say the server
 will never serve the request; a retryable failure raises it once
 max_retries is exhausted. Either way the error carries the status and a
-body excerpt.
+body excerpt. A malformed endpoint URL raises it before any attempt.
+
+``_send`` is the one HTTP seam: one POST through the standard library's
+``urllib.request``. It follows a 301, 302 or 303 as a GET; a 307 or 308 is
+a reply like any other non-retryable status.
 """
 
 from __future__ import annotations
@@ -17,10 +21,14 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-
-import requests
+from json import dumps, loads
+from typing import TYPE_CHECKING, NamedTuple
+from urllib.parse import urlsplit
 
 from .exceptions import ProviderError
+
+if TYPE_CHECKING:
+    from email.message import Message
 
 API_KEY_ENV = "SKETCH_API_KEY"
 BACKOFF_BASE_SECONDS = 1.0
@@ -43,6 +51,39 @@ def _retry_after(value: str | None, limit: float) -> int | None:
     return seconds if seconds <= limit else None
 
 
+class _Reply(NamedTuple):
+    """An HTTP reply: status, body decoded as UTF-8, and headers (``get`` ignores case)."""
+
+    status_code: int
+    text: str
+    headers: Message
+
+    def json(self):
+        return loads(self.text)
+
+
+def _send(url: str, *, json: dict, headers: dict[str, str], timeout: float) -> _Reply:
+    """POST ``json`` to ``url`` once. An HTTP error status is a reply; no reply at all raises OSError."""
+    # Imported here, not at module scope: urllib.request (with http.client, ssl and
+    # email parsing) costs ~7 MB and ~75 ms at import, and only a remote call needs it.
+    import http.client
+    import urllib.error
+    import urllib.request
+
+    request = urllib.request.Request(url, data=dumps(json).encode("utf-8"), method="POST")
+    for name, value in headers.items():
+        request.add_unredirected_header(name, value)  # a followed redirect carries no bearer token
+    try:
+        try:
+            reply = urllib.request.urlopen(request, timeout=timeout)
+        except urllib.error.HTTPError as exc:
+            reply = exc
+        with reply:
+            return _Reply(reply.status, reply.read().decode("utf-8", "replace"), reply.headers)
+    except http.client.HTTPException as exc:  # a reply http.client cannot read is no reply
+        raise ConnectionError(f"{type(exc).__name__}: {exc}") from exc
+
+
 def post_json(
     url: str,
     payload: dict,
@@ -55,6 +96,14 @@ def post_json(
     A response is accepted only on 2xx with a JSON body. ``max_retries``
     counts retries after the first attempt.
     """
+    try:
+        parts = urlsplit(url)
+        parts.port  # raises ValueError on a port that is not a number from 0 to 65535
+        usable = parts.scheme in ("http", "https") and bool(parts.hostname)
+    except ValueError:
+        usable = False
+    if not usable or " " in url or not url.isprintable():  # http.client refuses spaces and control characters
+        raise ProviderError(f"invalid endpoint URL {url!r}: needs http or https, a host, and no whitespace")
     key = os.environ.get(API_KEY_ENV, "")
     headers = {"Content-Type": "application/json"}
     if key:
@@ -68,8 +117,8 @@ def post_json(
             time.sleep(BACKOFF_BASE_SECONDS * BACKOFF_FACTOR ** (attempt - 1) if wait is None else wait)
             wait = None
         try:
-            resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-        except requests.RequestException as exc:
+            resp = _send(url, json=payload, headers=headers, timeout=timeout)
+        except OSError as exc:
             last_status, last_body = "connection-error", str(exc)
             continue
         if 200 <= resp.status_code < 300:

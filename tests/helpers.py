@@ -121,7 +121,7 @@ class FakeResponse:
 
 
 class FakePost:
-    """Swap in for requests.post: pops scripted responses, records calls."""
+    """Swap in for ``remote._send``: pops scripted responses, records calls."""
 
     def __init__(self, responses):
         self.responses = list(responses)

@@ -313,7 +313,7 @@ def test_criterion_11_end_to_end_offline(tmp_path, monkeypatch):
     def no_network(*args, **kwargs):
         raise AssertionError("network access attempted during offline run")
 
-    monkeypatch.setattr(remote_mod.requests, "post", no_network)
+    monkeypatch.setattr(remote_mod, "_send", no_network)
 
     store = tmp_path / "store"
     report = tmp_path / "report.csv"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import urllib.error
 
 import numpy as np
 import pytest
@@ -265,14 +266,14 @@ class TestRemoteEmbedder:
             ]
         }
         fake = FakePost([FakeResponse(200, payload)])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         out = embed_remote(["first", "second", "third"], remote_config())
         assert len(out) == 3
         assert out[0][0] == 1.0 and out[1][1] == 1.0 and out[2][7] == 1.0
 
     def test_responses_renormalized(self, monkeypatch):
         fake = FakePost([FakeResponse(200, embedding_payload([[3.0, 4.0] + [0.0] * 6]))])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         (v,) = embed_remote(["x"], remote_config())
         assert v[:2] == pytest.approx([0.6, 0.8])
 
@@ -286,7 +287,7 @@ class TestRemoteEmbedder:
             calls.append(len(json["input"]))
             return FakeResponse(200, batch_response(json))
 
-        monkeypatch.setattr(remote_mod.requests, "post", fake_post)
+        monkeypatch.setattr(remote_mod, "_send", fake_post)
         out = embed_remote([f"t{i}" for i in range(130)], remote_config())
         assert len(out) == 130
         assert sorted(calls, reverse=True) == [64, 64, 2]
@@ -301,7 +302,7 @@ class TestRemoteEmbedder:
                 FakeResponse(200, embedding_payload([[1.0] + [0.0] * 7])),
             ]
         )
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         out = embed_remote(["x"], remote_config())
         assert len(out) == 1
         assert sleeps == [1.0, 2.0]
@@ -317,7 +318,7 @@ class TestRemoteEmbedder:
                 FakeResponse(200, embedding_payload([[1.0] + [0.0] * 7])),
             ]
         )
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         assert len(embed_remote(["x"], remote_config(timeout=30.0))) == 1
         assert sleeps == [waits, 2.0]  # the header covers only the attempt after its own response
 
@@ -329,7 +330,7 @@ class TestRemoteEmbedder:
             [FakeResponse(429, text="slow down", headers={"Retry-After": retry_after})] * 2
             + [FakeResponse(200, embedding_payload([[1.0] + [0.0] * 7]))]
         )
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         assert len(embed_remote(["x"], remote_config(timeout=30.0))) == 1
         assert sleeps == [1.0, 2.0]
 
@@ -355,14 +356,14 @@ class TestRemoteEmbedder:
             [FakeResponse(status, text="busy", headers=headers)] * 2
             + [FakeResponse(200, embedding_payload([[1.0] + [0.0] * 7]))]
         )
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         assert len(embed_remote(["x"], remote_config(timeout=30.0))) == 1
         assert sleeps == [1.0, 2.0]
 
     def test_error_after_max_retries_carries_status_and_body(self, monkeypatch):
         monkeypatch.setattr(remote_mod.time, "sleep", lambda _: None)
         fake = FakePost([FakeResponse(503, text="upstream fell over")] * 4)
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         with pytest.raises(ProviderError, match="503") as excinfo:
             embed_remote(["x"], remote_config())
         assert "upstream fell over" in str(excinfo.value)
@@ -373,7 +374,7 @@ class TestRemoteEmbedder:
         sleeps = []
         monkeypatch.setattr(remote_mod.time, "sleep", sleeps.append)
         fake = FakePost([FakeResponse(status, text="cannot ever succeed")])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         with pytest.raises(ProviderError, match=str(status)) as excinfo:
             embed_remote(["x"], remote_config())
         assert "cannot ever succeed" in str(excinfo.value)
@@ -385,11 +386,11 @@ class TestRemoteEmbedder:
         monkeypatch.setattr(remote_mod.time, "sleep", sleeps.append)
         fake = FakePost(
             [
-                remote_mod.requests.ConnectionError("connection refused"),
+                urllib.error.URLError("connection refused"),
                 FakeResponse(200, embedding_payload([[1.0] + [0.0] * 7])),
             ]
         )
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         assert len(embed_remote(["x"], remote_config())) == 1
         assert len(fake.calls) == 2
         assert sleeps == [1.0]
@@ -401,7 +402,7 @@ class TestRemoteEmbedder:
     )
     def test_reply_indices_other_than_one_per_text_are_malformed(self, monkeypatch, indices):
         payload = {"data": [{"index": i, "embedding": [1.0] * 8} for i in indices]}
-        monkeypatch.setattr(remote_mod.requests, "post", FakePost([FakeResponse(200, payload)]))
+        monkeypatch.setattr(remote_mod, "_send", FakePost([FakeResponse(200, payload)]))
         with pytest.raises(ProviderError, match="^malformed embedding response at input 0$"):
             embed_remote(["a", "b"], remote_config())
 
@@ -413,20 +414,20 @@ class TestRemoteEmbedder:
             ]
         }
         fake = FakePost([FakeResponse(200, payload)])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         with pytest.raises(ProviderError, match="dimension mismatch"):
             embed_remote(["a", "b"], remote_config())
 
     def test_wrong_dimension_vs_config(self, monkeypatch):
         fake = FakePost([FakeResponse(200, embedding_payload([[1.0] * 6]))])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         embedder = RemoteEmbedder(remote_config())
         with pytest.raises(ProviderError, match="dimension"):
             embedder.embed("x")
 
     def test_api_key_header(self, monkeypatch):
         fake = FakePost([FakeResponse(200, embedding_payload([[1.0] + [0.0] * 7]))])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         monkeypatch.setenv("SKETCH_API_KEY", "sekrit")
         embed_remote(["x"], remote_config())
         assert fake.calls[0]["headers"]["Authorization"] == "Bearer sekrit"
@@ -455,7 +456,7 @@ class TestRemoteEmbedder:
     )
     def test_bad_embedding_value_is_provider_error(self, monkeypatch, value):
         payload = {"data": [{"index": 0, "embedding": value}, {"index": 1, "embedding": [1.0] * 8}]}
-        monkeypatch.setattr(remote_mod.requests, "post", FakePost([FakeResponse(200, payload)]))
+        monkeypatch.setattr(remote_mod, "_send", FakePost([FakeResponse(200, payload)]))
         with pytest.raises(ProviderError, match="at input 0"):
             embed_remote(["a", "b"], remote_config())
 
@@ -463,7 +464,7 @@ class TestRemoteEmbedder:
         def fake_post(url, json=None, headers=None, timeout=None):
             return FakeResponse(200, embedding_payload([[3.0, 4.0] + [0.0] * 6] * len(json["input"])))
 
-        monkeypatch.setattr(remote_mod.requests, "post", fake_post)
+        monkeypatch.setattr(remote_mod, "_send", fake_post)
         out = RemoteEmbedder(remote_config()).embed_batch([f"t{i}" for i in range(130)])
         assert isinstance(out, np.ndarray) and out.dtype == np.float32 and out.shape == (130, 8)
         assert np.array_equal(out[:, :2], np.tile(np.float32([0.6, 0.8]), (130, 1)))
@@ -473,13 +474,13 @@ class TestRemoteEmbedder:
             dim = 8 if json["input"][0] == "t0" else 6
             return FakeResponse(200, embedding_payload([[1.0] * dim] * len(json["input"])))
 
-        monkeypatch.setattr(remote_mod.requests, "post", fake_post)
+        monkeypatch.setattr(remote_mod, "_send", fake_post)
         with pytest.raises(ProviderError, match="dimension mismatch at input 64"):
             RemoteEmbedder(remote_config()).embed_batch([f"t{i}" for i in range(100)])
 
     def test_empty_input_no_calls(self, monkeypatch):
         fake = FakePost([])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         assert embed_remote([], remote_config()).shape == (0, 8)
         assert fake.calls == []
 

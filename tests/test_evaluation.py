@@ -457,17 +457,17 @@ class TestRemoteJudge:
 
     def test_yes_verdict(self, monkeypatch):
         fake = FakePost([FakeResponse(200, chat_payload("Yes, it is supported."))])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         assert list(RemoteJudge(self.client()).supported(["stmt"], ["ctx"])) == [True]
 
     def test_no_verdict(self, monkeypatch):
         fake = FakePost([FakeResponse(200, chat_payload("No."))])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         assert list(RemoteJudge(self.client()).supported(["stmt"], ["ctx"])) == [False]
 
     def test_context_precision_stops_at_first_supported_statement(self, monkeypatch):
         fake = FakePost([FakeResponse(200, chat_payload("Yes."))] * 2)
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         gt = "Rome hosts festivals. Parma makes cheese."
         assert context_precision(gt, ["rome hosts festivals"], RemoteJudge(self.client())) == 1.0
         assert len(fake.calls) == 1
@@ -536,7 +536,7 @@ class TestContextList:
     @pytest.mark.parametrize("kind", ["lexical", "remote"])
     def test_str_contexts_raise_type_error(self, monkeypatch, kind):
         fake = FakePost([])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         judge = LexicalJudge() if kind == "lexical" else RemoteJudge(ChatClient("http://j.test", "judge-1"))
         with pytest.raises(TypeError, match="not a str"):
             judge.supported(["rome hosts festivals"], "rome hosts festivals")
@@ -558,7 +558,7 @@ class TestContextList:
         asked = [(" ".join(contexts), s) for s in answer_statements + truth_statements]
         asked += [(ctx, s) for ctx in contexts for s in truth_statements]
         fake = FakePost([FakeResponse(200, chat_payload("No."))] * len(asked))
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         client = ChatClient(endpoint_url="http://j.test/v1/chat/completions", model_name="judge-1")
         row = evaluate([record], RemoteJudge(client), EMBEDDER).per_record[0]
         assert (row["faithfulness"], row["context_recall"], row["context_precision"]) == (0.0, 0.0, 0.0)

@@ -144,13 +144,13 @@ class TestRemoteExtractor:
             [{"subject": "Rome", "relation": "capital of", "object": "Italy"}]
         )
         fake = FakePost([FakeResponse(200, chat_payload(body))])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         (triple,) = extract_triples_remote("Rome is the capital of Italy.", chat_client())
         assert triple == Triple(subject="Rome", relation="capital_of", object="Italy")
 
     def test_empty_array_ok(self, monkeypatch):
         fake = FakePost([FakeResponse(200, chat_payload("[]"))])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         assert extract_triples_remote("nothing here", chat_client()) == []
 
     def test_prose_then_repair_succeeds(self, monkeypatch):
@@ -161,7 +161,7 @@ class TestRemoteExtractor:
                 FakeResponse(200, chat_payload(good)),
             ]
         )
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         (triple,) = extract_triples_remote("text", chat_client())
         assert triple.relation == "r"
         assert "Return only valid JSON." in fake.calls[1]["json"]["messages"][1]["content"]
@@ -173,7 +173,7 @@ class TestRemoteExtractor:
                 FakeResponse(200, chat_payload("still chatting")),
             ]
         )
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         with pytest.raises(ProviderError, match="still chatting"):
             extract_triples_remote("text", chat_client())
 
@@ -187,7 +187,7 @@ class TestRemoteExtractor:
             ]
         )
         fake = FakePost([FakeResponse(200, chat_payload(body))])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         with caplog.at_level("WARNING"):
             triples = extract_triples_remote("text", chat_client())
         assert len(triples) == 1
@@ -204,7 +204,7 @@ class TestRemoteExtractor:
             ]
         )
         fake = FakePost([FakeResponse(200, chat_payload(body))])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         with caplog.at_level("WARNING"):
             triples = extract_triples_remote("text", chat_client())
         assert triples == [Triple(subject="Rome", relation="near", object="Ostia")]
@@ -222,7 +222,7 @@ class TestRemoteExtractor:
             ]
         )
         fake = FakePost([FakeResponse(200, chat_payload(body))])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         with caplog.at_level("WARNING"):
             triples = extract_triples_remote("text", chat_client())
         assert triples == [Triple(subject="Rome", relation="near", object="Ostia.")]
@@ -232,7 +232,7 @@ class TestRemoteExtractor:
 
     def test_triples_send_the_space_joined_sentences(self, monkeypatch):
         fake = FakePost([FakeResponse(200, chat_payload("[]"))] * 2)
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         extractor = RemoteExtractor(chat_client())
         assert extractor.triples(["Naples Pizza", "It is from Rome."], provenance="d#s0") == []
         assert extractor.entities("Naples Pizza It is from Rome.") == []
@@ -242,7 +242,7 @@ class TestRemoteExtractor:
     @pytest.mark.parametrize("extractor", [RuleExtractor(), RemoteExtractor(chat_client())], ids=["rule", "remote"])
     def test_bare_string_is_type_error(self, monkeypatch, extractor):
         fake = FakePost([])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         with pytest.raises(TypeError, match="sentences must be a list of strings, not a str"):
             extractor.triples("Rome rules Lazio.")
         assert fake.calls == []
@@ -255,7 +255,7 @@ class TestRemoteExtractor:
             ]
         )
         fake = FakePost([FakeResponse(200, chat_payload(body))])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         mentions = RemoteExtractor(chat_client()).entities("whatever")
         assert [m.normalized for m in mentions] == ["rome", "italy", "vatican"]
 

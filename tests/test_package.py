@@ -1,6 +1,17 @@
 from __future__ import annotations
 
+import ast
+import os
+import re
+import subprocess
+import sys
+import tomllib
+from pathlib import Path
+
 import kgrag
+
+PACKAGE_DIR = Path(kgrag.__file__).resolve().parent
+REPO_ROOT = PACKAGE_DIR.parents[1]
 
 
 def test_star_import_resolves_every_exported_name():
@@ -11,3 +22,25 @@ def test_star_import_resolves_every_exported_name():
 
 def test_exported_names_are_unique():
     assert len(set(kgrag.__all__)) == len(kgrag.__all__)
+
+
+def test_cli_import_loads_no_http_stack():
+    """The offline path never makes an HTTP call, so importing the CLI must not pay for an HTTP client."""
+    code = "import sys, kgrag, kgrag.cli; print(*(m for m in ('requests', 'urllib.request', 'http.client') if m in sys.modules))"
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.split() == []
+
+
+def test_every_import_is_stdlib_or_a_declared_dependency():
+    project = tomllib.loads((REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    declared = {re.match(r"[A-Za-z0-9_.-]+", dep)[0].lower() for dep in project["dependencies"]}
+    imported = set()
+    for path in PACKAGE_DIR.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.partition(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    assert imported, "no imports found"
+    assert imported - set(sys.stdlib_module_names) - {"kgrag"} <= declared

@@ -616,6 +616,20 @@ class TestConfigFileErrors:
         assert captured.out == ""
         assert f"error: corrupt store: invalid manifest: {named}" in captured.err
 
+    def test_manifest_remote_embedder_without_endpoint_exit_2(self, store_dir, monkeypatch, capsys):
+        import kgrag.remote as remote_mod
+
+        sleeps = []
+        monkeypatch.setattr(remote_mod.time, "sleep", sleeps.append)
+        manifest_path = store_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        assert manifest["config"]["provider"]["endpoint_url"] == ""
+        manifest["config"]["provider"]["kind"] = "remote"
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["query", "--store", str(store_dir), "--question", "Anything?", "--json"]) == 2
+        assert "(index with --api-base)" in capsys.readouterr().err
+        assert sleeps == []
+
     @pytest.mark.parametrize("key", ["hops", "max_nodes"])
     def test_manifest_query_bound_below_one_exit_3(self, store_dir, capsys, key):
         manifest_path = store_dir / "manifest.json"
@@ -1374,7 +1388,7 @@ class TestRemoteProviderWiring:
         from helpers import FakePost, FakeResponse, chat_payload
 
         fake = FakePost([FakeResponse(200, chat_payload("[]"))] * 3)
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         corpus = write_corpus(tmp_path)
         (corpus / "c.txt").write_text("Naples Pizza\n\nIt is from Rome.", encoding="utf-8")
         code = main(
@@ -1403,7 +1417,7 @@ class TestRemoteProviderWiring:
     def test_index_and_query_with_remote_embedder(self, tmp_path, monkeypatch, capsys):
         import kgrag.remote as remote_mod
 
-        monkeypatch.setattr(remote_mod.requests, "post", self.fake_embedding_post())
+        monkeypatch.setattr(remote_mod, "_send", self.fake_embedding_post())
         corpus = write_corpus(tmp_path)
         out = tmp_path / "store"
         code = main(
@@ -1430,7 +1444,7 @@ class TestRemoteProviderWiring:
             inputs.append(list(json["input"]))
             return fake_post(url, json=json, headers=headers, timeout=timeout)
 
-        monkeypatch.setattr(remote_mod.requests, "post", recording_post)
+        monkeypatch.setattr(remote_mod, "_send", recording_post)
         corpus = write_corpus(tmp_path)
         out = tmp_path / "store"
         code = main(
@@ -1450,7 +1464,7 @@ class TestRemoteProviderWiring:
         monkeypatch.setattr(remote_mod.time, "sleep", lambda _: None)
         first_doc = [[0.5] * 16] * 3  # a.txt has three sentences
         fake = FakePost([FakeResponse(200, embedding_payload(first_doc)), FakeResponse(400, text="bad input")])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         corpus = write_corpus(tmp_path)
         out = tmp_path / "store"
         code = main(
@@ -1470,14 +1484,25 @@ class TestRemoteProviderWiring:
         assert code == 2
         assert not out.exists()  # partial store removed
 
+    def test_remote_embedder_without_api_base_exit_2(self, tmp_path, monkeypatch, capsys):
+        import kgrag.remote as remote_mod
+
+        sleeps = []
+        monkeypatch.setattr(remote_mod.time, "sleep", sleeps.append)
+        corpus = write_corpus(tmp_path)
+        out = tmp_path / "store"
+        code = main(["index", "--corpus", str(corpus), "--out", str(out), "--embedder", "remote"])
+        assert code == 2
+        assert "(index with --api-base)" in capsys.readouterr().err
+        assert sleeps == []
+        assert not out.exists()  # partial store removed
+
     def test_provider_failure_exit_4(self, tmp_path, monkeypatch):
         import kgrag.remote as remote_mod
         from helpers import FakePost, FakeResponse
 
         monkeypatch.setattr(remote_mod.time, "sleep", lambda _: None)
-        monkeypatch.setattr(
-            remote_mod.requests, "post", FakePost([FakeResponse(500, text="boom")] * 16)
-        )
+        monkeypatch.setattr(remote_mod, "_send", FakePost([FakeResponse(500, text="boom")] * 16))
         corpus = write_corpus(tmp_path)
         out = tmp_path / "store"
         code = main(
@@ -1502,7 +1527,7 @@ class TestRemoteProviderWiring:
             items = [{"index": i, "embedding": value} for i in range(len(json["input"]))]
             return FakeResponse(200, {"data": items})
 
-        monkeypatch.setattr(remote_mod.requests, "post", fake_post)
+        monkeypatch.setattr(remote_mod, "_send", fake_post)
         corpus = write_corpus(tmp_path)
         out = tmp_path / "store"
         code = main(

@@ -362,7 +362,7 @@ class TestGenerateAnswer:
 
     def test_remote_returns_model_text(self, monkeypatch):
         fake = FakePost([FakeResponse(200, chat_payload("Rome."))])
-        monkeypatch.setattr(remote_mod.requests, "post", fake)
+        monkeypatch.setattr(remote_mod, "_send", fake)
         generator = RemoteGenerator(ChatClient(endpoint_url="http://c.test/v1/chat/completions", model_name="m"))
         assert generator.generate("Capital of Italy?", "Context here") == "Rome."
         sent = fake.calls[0]["json"]
