@@ -194,18 +194,45 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+# Below this squared norm a row's squares fall into the subnormal range (or to
+# zero) by more than rounding, so its norm and cosines lose bits.
+MIN_EXACT_SQUARED_NORM = 2.0**-969
+
+
+def _scaled_out_of_range_rows(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``x`` and its squared row norms, each row too small or too large rescaled.
+
+    A row whose squared norm is below ``MIN_EXACT_SQUARED_NORM`` or not finite
+    is multiplied by the power of two that brings its largest magnitude into
+    [0.5, 1). That scaling is exact and leaves every cosine of the row as it
+    is; all other rows are untouched, bit for bit.
+    """
+    with np.errstate(over="ignore"):
+        squares = _row_dots(x, x)
+    out = (squares < MIN_EXACT_SQUARED_NORM) | ~np.isfinite(squares)
+    if not out.any():
+        return x, squares
+    x, squares = x.copy(), squares.copy()
+    _, exponents = np.frexp(np.abs(x[out]).max(axis=1, initial=0.0))
+    x[out] = np.ldexp(x[out], -exponents[:, None])
+    squares[out] = _row_dots(x[out], x[out])
+    return x, squares
+
+
 def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Cosine of row i of ``a`` with row i of ``b``, float64, clipped to [-1, 1].
 
-    A row pair where either row is all-zero gives 0.0. This is the one cosine
-    rule of the package; ``VectorStore.top_k`` alone keeps its own cached-norm
-    form.
+    A row pair where either row is all-zero gives 0.0. A row so small or so
+    large that its squared norm would underflow or overflow is first rescaled
+    by a power of two, so the cosine is the same at any scale. This is the one
+    cosine rule of the package; ``VectorStore.top_k`` alone keeps its own
+    cached-norm form.
     """
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    a = np.ascontiguousarray(a, dtype=np.float64)
-    b = np.ascontiguousarray(b, dtype=np.float64)
-    denom = np.sqrt(_row_dots(a, a)) * np.sqrt(_row_dots(b, b))
+    a, a_squares = _scaled_out_of_range_rows(np.ascontiguousarray(a, dtype=np.float64))
+    b, b_squares = _scaled_out_of_range_rows(np.ascontiguousarray(b, dtype=np.float64))
+    denom = np.sqrt(a_squares) * np.sqrt(b_squares)
     cosines = np.divide(_row_dots(a, b), denom, out=np.zeros(len(a)), where=denom != 0.0)
     return np.clip(cosines, -1.0, 1.0)
 

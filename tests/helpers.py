@@ -48,10 +48,25 @@ class SeqEmbedder:
         return self.vectors[0]
 
 
+def _reference_rescaled(v) -> np.ndarray:
+    """``v`` as float64, times the power of two that brings its largest magnitude
+    into [0.5, 1) when its squared norm is below 2**-969 or not finite."""
+    v64 = np.asarray(v, dtype=np.float64)
+    squared = float(np.dot(v64, v64))
+    if squared >= 2.0**-969 and math.isfinite(squared):
+        return v64
+    largest = float(np.max(np.abs(v64), initial=0.0))
+    return np.ldexp(v64, -math.frexp(largest)[1])
+
+
 def reference_cosine(a, b) -> float:
-    """The one-pair cosine rule ``cosine_rows`` replaced, kept as its reference."""
-    a64 = np.asarray(a, dtype=np.float64)
-    b64 = np.asarray(b, dtype=np.float64)
+    """The one-pair cosine rule ``cosine_rows`` replaced, kept as its reference.
+
+    Like ``cosine_rows``, a vector whose squared norm would underflow or
+    overflow is first rescaled by a power of two.
+    """
+    a64 = _reference_rescaled(a)
+    b64 = _reference_rescaled(b)
     denom = float(np.linalg.norm(a64) * np.linalg.norm(b64))
     if denom == 0.0:
         return 0.0

@@ -210,6 +210,7 @@ class TestCosineSimilarity:
         assert cosine(a, b) == pytest.approx(cosine(b, a), abs=1e-12)
 
     @given(vectors, vectors, st.floats(0.1, 10.0))
+    @example(np.array([6.921560364447015e-158, 0.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]), 0.1015625)
     def test_scale_invariance(self, a, b, alpha):
         assert cosine(alpha * a, b) == pytest.approx(cosine(a, b), abs=1e-9)
 
@@ -231,6 +232,12 @@ class TestCosineRows:
         a = np.array([[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [1e-3, 1e-3]])
         b = np.array([[1.0, 0.0], [0.0, 0.0], [-1.0, 0.0], [1e3, 1e3]])
         assert cosine_rows(a, b).tolist() == [0.0, 0.0, -1.0, 1.0]
+
+    def test_rows_whose_squared_norm_underflows_or_overflows(self):
+        a = np.array([[3e-170, 4e-170], [3e-320, 4e-320], [3e200, 4e200], [3.0, 4.0]])
+        b = np.array([[3.0, 4.0], [3e200, 4e200], [-3e-170, -4e-170], [0.0, 1e-300]])
+        assert cosine_rows(a, b) == pytest.approx([1.0, 1.0, -1.0, 0.8], abs=1e-15)
+        assert cosine_rows(a, a).tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
