@@ -19,8 +19,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,8 +63,7 @@ class SemanticChunk:
     sentences: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Chunk:
+class Chunk(NamedTuple):
     """A token-bounded slice of a semantic chunk; the unit that gets indexed."""
 
     chunk_id: str
@@ -70,6 +71,10 @@ class Chunk:
     doc_id: str
     token_span: tuple[int, int]  # half-open
     text: str
+
+
+# Builds a Chunk from its 5-tuple in C, skipping NamedTuple's Python-level __new__.
+_chunk = partial(tuple.__new__, Chunk)
 
 
 def build_windows(sentences: list[str], k: int) -> list[str]:
@@ -195,20 +200,13 @@ def token_window_split(semantic_chunk: SemanticChunk, chunk_size: int, overlap: 
         return []
 
     stride = chunk_size - overlap
+    parent, doc_id = semantic_chunk.chunk_id, semantic_chunk.doc_id
     chunks: list[Chunk] = []
     start = 0
     j = 0
     while True:
         end = min(start + chunk_size, total)
-        chunks.append(
-            Chunk(
-                chunk_id=f"{semantic_chunk.chunk_id}#t{j}",
-                parent_semantic_chunk=semantic_chunk.chunk_id,
-                doc_id=semantic_chunk.doc_id,
-                token_span=(start, end),
-                text=" ".join(tokens[start:end]),
-            )
-        )
+        chunks.append(_chunk((f"{parent}#t{j}", parent, doc_id, (start, end), " ".join(tokens[start:end]))))
         if end >= total:
             return chunks
         start += stride
@@ -257,7 +255,7 @@ def chunk_from_json(line: str, lineno: int) -> Chunk:
             raise TypeError(f"chunk {chunk_id!r} has a non-integer span or a non-string text")
         if holds_escape(record) and (problem := lone_surrogate((repr(key), obj[key]) for key in _STRING_KEYS)):
             raise ValueError(problem)
-        return Chunk(chunk_id, parent, doc_id, (span[0], span[1]), text)
+        return _chunk((chunk_id, parent, doc_id, (span[0], span[1]), text))
     except (KeyError, TypeError, ValueError) as exc:
         raise StoreCorruptError(f"line {lineno}: bad chunk record: {exc}") from exc
 

@@ -226,7 +226,7 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     large that its squared norm would underflow or overflow is first rescaled
     by a power of two, so the cosine is the same at any scale. This is the one
     cosine rule of the package; ``VectorStore.top_k`` alone keeps its own
-    cached-norm form.
+    cached-norm form, over a query rescaled the same way.
     """
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")

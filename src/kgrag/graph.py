@@ -8,19 +8,21 @@ A node's id is its position in the node list. An edge is the plain tuple
 sort plainly. A build collects edges in a set and appends each triple's
 provenance to both endpoints' contexts; ``seal`` puts both in canonical
 form, once: one sorted edge list, and each node's contexts ascending and
-repeat-free. A load sorts each node's contexts too. The first traversal
-derives each node's distinct neighbour ids in both directions, ascending,
-from the edge list. A traversal is a seeded breadth-first expansion that
-merges the frontier's neighbour lists lazily, bounded by hop count and
-node budget, so a hub costs what the budget admits, not its parallel
-edges. A neighborhood is its admitted nodes and their hops; the edges it
-induces are collected, when first read, from each admitted node's source
-range of the edge list. It renders as text within a token budget: its
-context chunks first, those the seed nodes share most ahead, merged
-lazily from the sorted context lists, then its edges, so a hub seed costs
-what the budget keeps, and a render cut inside the contexts never collects
-the edges at all. Same lifecycle as the vector store: single-writer build
-(or load), seal, then lock-free concurrent reads.
+repeat-free. A load sorts each node's contexts too. A node's distinct
+neighbour ids in both directions, ascending, are derived the first time a
+traversal expands it: its targets from its source range of the edge list,
+its sources from its range of one target-ordered copy of that list, which
+the first traversal sorts in C. A traversal is a seeded breadth-first
+expansion that merges the frontier's neighbour lists lazily, bounded by
+hop count and node budget, so a hub costs what the budget admits, not its
+parallel edges. A neighborhood is its admitted nodes and their hops; the
+edges it induces are collected, when first read, from each admitted
+node's source range of the edge list. It renders as text within a token
+budget: its context chunks first, those the seed nodes share most ahead,
+merged lazily from the sorted context lists, then its edges, so a hub
+seed costs what the budget keeps, and a render cut inside the contexts
+never collects the edges at all. Same lifecycle as the vector store:
+single-writer build (or load), seal, then lock-free concurrent reads.
 ``export`` writes the store's ``graph.json``: a ``[name, [chunk ids]]``
 row per node (its id is its position) and the sorted edges as four
 columns, ``[sources, targets, relations, provenances]``; a load checks the
@@ -36,9 +38,9 @@ from collections.abc import Iterator, Set
 from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import merge
-from itertools import chain, filterfalse, groupby, islice
+from itertools import chain, filterfalse, islice
 from json.encoder import encode_basestring
-from operator import eq, itemgetter, lt
+from operator import itemgetter, lt
 from pathlib import Path
 
 from .corpus import holds_escape, lone_surrogate
@@ -104,6 +106,47 @@ class Subgraph:
         self._edges = edges
 
 
+class _NeighbourLists(dict):
+    """Node id -> its distinct neighbour ids in both directions, ascending, each derived on first read.
+
+    A node's targets are its source range of the sorted edge list; its
+    sources are its target range of ``_by_target``, the same edges stably
+    sorted by target in one C call, so they ascend too. Both ranges are
+    found by bisection, and one sort of the union gives the list, a
+    neighbour on both sides or a self-loop once. A derived list is kept, so
+    a later read is the C ``dict.__getitem__``; two readers that miss the
+    same node derive the same list, so concurrent reads need no lock. The
+    mapping equals the list of every node's list in node order, and
+    compares so, deriving the rest.
+    """
+
+    __slots__ = ("_edges", "_by_target", "_n")
+
+    def __init__(self, edges: list[tuple], n: int) -> None:
+        super().__init__()
+        self._edges = edges
+        self._by_target = sorted(edges, key=_target)
+        self._n = n
+
+    def __missing__(self, node: int) -> list[int]:
+        edges, by_target = self._edges, self._by_target
+        start = bisect_left(edges, node, key=_source)
+        stop = bisect_left(edges, node + 1, start, key=_source)
+        first = bisect_left(by_target, node, key=_target)
+        last = bisect_left(by_target, node + 1, first, key=_target)
+        ids = self[node] = sorted({*map(_target, edges[start:stop]), *map(_source, by_target[first:last])})
+        return ids
+
+    def __eq__(self, other):
+        if type(other) is list:
+            return other == list(map(self.__getitem__, range(self._n)))
+        return dict.__eq__(self, other)
+
+    def __ne__(self, other):
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+
 class KnowledgeGraph:
     def __init__(self, chunk_texts: dict[str, str]) -> None:
         self._chunk_texts = chunk_texts  # semantic chunk id -> text, shared by every node
@@ -127,7 +170,7 @@ class KnowledgeGraph:
 
         Each edge was checked as it entered: by ``upsert_triple``, or by
         ``from_json_obj``, which hands over a list it proved sorted and unique.
-        The neighbour lists a traversal reads are derived by its first call,
+        The neighbour lists a traversal reads are derived as it reads them,
         so a build, which never traverses, never derives them.
         """
         if type(self._edges) is set:
@@ -137,25 +180,9 @@ class KnowledgeGraph:
         self._sealed = True
 
     @cached_property
-    def _neighbours(self) -> list[list[int]]:
-        """Node id -> its distinct neighbour ids in both directions, ascending.
-
-        The sorted edge list holds each (source, target) pair's edges back to
-        back, so ``groupby`` yields the distinct pairs in order, and a node's
-        list gets its lower sources, its targets and its higher sources, each
-        run ascending: one sort merges the runs, and then the only repeats,
-        a neighbour on both sides or the node's own self-loop, are dropped.
-        """
-        neighbours: list[list[int]] = [[] for _ in self._nodes]
-        edges = self._edges
-        for (source, target), _ in groupby(zip(map(_source, edges), map(_target, edges))):
-            neighbours[source].append(target)
-            neighbours[target].append(source)
-        for node, ids in enumerate(neighbours):
-            ids.sort()
-            if any(map(eq, ids, islice(ids, 1, None))):
-                neighbours[node] = [n for n, _ in groupby(ids)]
-        return neighbours
+    def _neighbours(self) -> _NeighbourLists:
+        """Node id -> its distinct neighbour ids in both directions, ascending, each list derived on first read."""
+        return _NeighbourLists(self._edges, len(self._nodes))
 
     def _resolve(self, surface: str) -> int:
         """The node id of ``surface``'s normalized name, a new node (named ``surface``) if none.

@@ -7,8 +7,9 @@ so is one whose manifest names another format version than
 ``STORE_FORMAT_VERSION``; version 3 stores the graph's nodes as compact rows
 and its sorted edges as four columns (see ``graph``), and a version 1 or 2
 store must be rebuilt. Opening a store reads and checks every file but
-graph.json, which is read and checked the first time ``Store.graph`` is
-read: a semantic query never reads it.
+graph.json. That file, and the parent texts the graph renders (rebuilt from
+the chunk records, whose spans must tile each parent), are read and checked
+the first time ``Store.graph`` is read: a semantic query reads neither.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import json
 import shutil
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +54,7 @@ STORE_FORMAT_VERSION = 3
 VECTORS_FILE = "vectors.skvx"
 GRAPH_FILE = "graph.json"
 MANIFEST_FILE = "manifest.json"
+_parent = attrgetter("parent_semantic_chunk")
 
 CHAT_PATH = "/chat/completions"
 EMBEDDINGS_PATH = "/embeddings"
@@ -267,16 +270,21 @@ def build_store(
 
 @dataclass
 class Store:
-    """An open store: its manifest, vectors and parent texts checked at open, its graph on first read.
+    """An open store: its manifest and vectors checked at open, its parent texts and graph on first read.
 
     ``parent_texts`` is each semantic chunk's text, rebuilt from the chunk
-    records; the graph takes it as its ``chunk_id -> text`` map.
+    records; the graph takes it as its ``chunk_id -> text`` map, and nothing
+    else reads it.
     """
 
     manifest: StoreManifest
     vectors: VectorStore
     path: Path
-    parent_texts: dict[str, str] = field(repr=False)
+
+    @cached_property
+    def parent_texts(self) -> dict[str, str]:
+        """``reconstruct_parent_texts`` of the chunk records, on first read; raises StoreCorruptError."""
+        return reconstruct_parent_texts(list(self.vectors.metadata.values()))
 
     @cached_property
     def graph(self) -> KnowledgeGraph:
@@ -307,8 +315,8 @@ def reconstruct_parent_texts(chunks: list[Chunk]) -> dict[str, str]:
     after the overlap, ``text.split(" ", skip)[skip]`` with ``skip = covered
     - start``, is appended. The pieces joined with single spaces are the
     semantic chunk's tokens joined the same way, as if every window were
-    split into tokens and re-joined. ``open_store`` takes the graph's
-    ``chunk_id -> text`` map from here.
+    split into tokens and re-joined. ``Store.parent_texts``, the graph's
+    ``chunk_id -> text`` map, comes from here.
     """
     by_parent: dict[str, list[Chunk]] = {}
     for chunk in chunks:
@@ -346,13 +354,14 @@ def open_store(store_dir: str | Path) -> Store:
 
     Each file is read, and checked, in one pass: the manifest; the vectors
     with their chunk records (one decoder call and type check per line,
-    rows finite and one per record); then the parent texts, rebuilt from the
-    chunks' overlap cuts, whose spans must tile each parent. The manifest's
-    counts of chunks and semantic chunks (parents) must match what was
-    loaded. The graph waits for the first read of ``Store.graph``: its node
-    rows are checked in file order, its contexts must name those parents,
-    its edge columns are checked whole, and its node and edge counts must
-    match the manifest's.
+    rows finite and one per record). The manifest's counts of chunks and
+    semantic chunks (the distinct parents the records name) must match
+    what was loaded. The graph waits for the first read of ``Store.graph``,
+    and so do the parent texts it renders: they are rebuilt from the
+    chunks' overlap cuts, whose spans must tile each parent. The graph's
+    node rows are checked in file order, its contexts must name those
+    parents, its edge columns are checked whole, and its node and edge
+    counts must match the manifest's.
     """
     path = Path(store_dir)
     manifest_path = path / MANIFEST_FILE
@@ -375,12 +384,10 @@ def open_store(store_dir: str | Path) -> Store:
             f"manifest dimension {manifest.provider.dimension} does not match "
             f"{VECTORS_FILE} dimension {vectors.dimension}"
         )
-    parent_texts = reconstruct_parent_texts(list(vectors.metadata.values()))
-    # Every semantic chunk has a token, so it has a window: its parent text.
-    _check_counts(
-        manifest, (("chunks", VECTORS_FILE, len(vectors)), ("semantic_chunks", CHUNKS_SIDECAR, len(parent_texts)))
-    )
-    return Store(manifest=manifest, vectors=vectors, path=path, parent_texts=parent_texts)
+    # Every semantic chunk has a token, so it has a window naming it as parent.
+    parents = len(set(map(_parent, vectors.metadata.values())))
+    _check_counts(manifest, (("chunks", VECTORS_FILE, len(vectors)), ("semantic_chunks", CHUNKS_SIDECAR, parents)))
+    return Store(manifest=manifest, vectors=vectors, path=path)
 
 
 def run_query(

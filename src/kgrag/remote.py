@@ -9,7 +9,9 @@ non-2xx status raises ProviderError at once, and so do 501 (Not
 Implemented) and 505 (HTTP Version Not Supported), which say the server
 will never serve the request; a retryable failure raises it once
 max_retries is exhausted. Either way the error carries the status and a
-body excerpt. A malformed endpoint URL raises it before any attempt.
+body excerpt. A malformed endpoint URL raises it before any attempt, and
+a non-ASCII path or query, which ``http.client`` cannot send, is
+percent-encoded as UTF-8 first.
 
 ``_send`` is the one HTTP seam: one POST through the standard library's
 ``urllib.request``. It follows a 301, 302 or 303 as a GET; a 307 or 308 is
@@ -23,7 +25,7 @@ import time
 from dataclasses import dataclass
 from json import dumps, loads
 from typing import TYPE_CHECKING, NamedTuple
-from urllib.parse import urlsplit
+from urllib.parse import quote, urlsplit, urlunsplit
 
 from .exceptions import ProviderError
 
@@ -36,6 +38,7 @@ BACKOFF_FACTOR = 2.0
 BODY_EXCERPT_CHARS = 200
 NEVER_RETRIED_5XX = frozenset({501, 505})
 RETRY_AFTER_STATUSES = frozenset({429, 503})
+_ASCII = "".join(map(chr, range(128)))  # what quote() leaves as it is: only non-ASCII is encoded
 
 
 def _retry_after(value: str | None, limit: float) -> int | None:
@@ -104,6 +107,8 @@ def post_json(
         usable = False
     if not usable or " " in url or not url.isprintable():  # http.client refuses spaces and control characters
         raise ProviderError(f"invalid endpoint URL {url!r}: needs http or https, a host, and no whitespace")
+    if not url.isascii():
+        url = urlunsplit(parts._replace(path=quote(parts.path, safe=_ASCII), query=quote(parts.query, safe=_ASCII)))
     key = os.environ.get(API_KEY_ENV, "")
     headers = {"Content-Type": "application/json"}
     if key:

@@ -20,12 +20,13 @@ order matches the entry order.
 from __future__ import annotations
 
 import struct
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
 
 from .chunking import Chunk, read_chunks_jsonl, write_chunks_jsonl
-from .embedding import Vector
+from .embedding import Vector, _scaled_out_of_range_rows
 from .exceptions import StoreCorruptError
 
 MAGIC = b"SKVX"
@@ -33,6 +34,7 @@ FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHIQ")
 
 CHUNKS_SIDECAR = "chunks.jsonl"
+_chunk_id = attrgetter("chunk_id")
 
 
 class VectorStore:
@@ -51,17 +53,23 @@ class VectorStore:
         return len(self.metadata)
 
     def add(self, chunks: list[Chunk], rows: np.ndarray) -> None:
-        """Append ``chunks`` with their vectors, one row each: shape ``(len(chunks), D)``."""
+        """Append ``chunks`` with their vectors, one row each: shape ``(len(chunks), D)``.
+
+        A chunk id already stored, or repeated in ``chunks``, raises
+        ``ValueError`` naming the first repeat, and nothing is added.
+        """
         if self._sealed:
             raise ValueError("store is sealed; adds are only allowed during build")
         rows = np.asarray(rows, dtype=np.float32)
         if rows.shape != (len(chunks), self.dimension):
             raise ValueError(f"dimension mismatch: got {rows.shape}, expected {(len(chunks), self.dimension)}")
-        added: dict[str, Chunk] = {}
-        for chunk in chunks:
-            if chunk.chunk_id in self.metadata or chunk.chunk_id in added:
-                raise ValueError(f"duplicate chunk_id {chunk.chunk_id!r}")
-            added[chunk.chunk_id] = chunk
+        added = dict(zip(map(_chunk_id, chunks), chunks))
+        if len(added) != len(chunks) or not self.metadata.keys().isdisjoint(added):
+            seen = set(self.metadata)
+            for chunk_id in map(_chunk_id, chunks):  # only to name the first repeat
+                if chunk_id in seen:
+                    raise ValueError(f"duplicate chunk_id {chunk_id!r}")
+                seen.add(chunk_id)
         self._pending.append(rows)
         self.metadata.update(added)
 
@@ -92,8 +100,11 @@ class VectorStore:
         The result equals ``np.argsort(-scores, kind="stable")[:k]``. Every row
         scoring at least the k-th largest score, ties across the cut included,
         is stable-sorted in insertion order, then cut to k. Rows and query are
-        finite, so no score is NaN. A query that is not finite, or whose norm
-        overflows float64, raises ``ValueError``.
+        finite, so no score is NaN: a query that is not finite raises
+        ``ValueError``. A query whose squared norm would underflow or overflow
+        is first rescaled by a power of two, as ``cosine_rows`` rescales a
+        row, so it scores as it would at any other scale; any other query is
+        used as given.
         """
         if not self._sealed:
             raise ValueError("store must be sealed before querying")
@@ -101,7 +112,7 @@ class VectorStore:
             raise ValueError("k must be >= 1")
         if query.shape != (self.dimension,):
             raise ValueError(f"dimension mismatch: got {query.shape}, store is {self.dimension}")
-        q = np.asarray(query, dtype=np.float64)
+        q = _scaled_out_of_range_rows(np.asarray(query, dtype=np.float64)[None, :])[0][0]
         qnorm = float(np.linalg.norm(q))
         if not np.isfinite(qnorm):
             raise ValueError("query vector is not finite")

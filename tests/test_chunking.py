@@ -555,4 +555,8 @@ class TestReadChunksJsonl:
         sem = SemanticChunk("d#s0", "d", (0, 0), (" ".join(f"w{i}" for i in range(30)),))
         chunks = token_window_split(sem, chunk_size=8, overlap=3)
         write_chunks_jsonl(chunks, tmp_path / "chunks.jsonl")
-        assert read_chunks_jsonl(tmp_path / "chunks.jsonl") == chunks
+        read = read_chunks_jsonl(tmp_path / "chunks.jsonl")
+        assert read == chunks
+        text = " ".join(f"w{i}" for i in range(5, 13))
+        expected = Chunk(chunk_id="d#s0#t1", parent_semantic_chunk="d#s0", doc_id="d", token_span=(5, 13), text=text)
+        assert {type(chunk) for chunk in chunks + read} == {Chunk} and read[1] == chunks[1] == expected

@@ -1118,7 +1118,7 @@ class TestBudgetedRender:
         assert texts.lookups <= kept["context_lines"] + 1
 
         tally = [0]
-        graph._neighbours = [CountingIds(ids, tally) for ids in graph._neighbours]
+        graph._neighbours = {node: CountingIds(graph._neighbours[node], tally) for node in range(len(graph))}
         for k in (2, 20, 200):
             tally[0] = 0
             cut = graph.neighborhood({0}, hops=2, max_nodes=k)
@@ -1199,7 +1199,36 @@ class TestHubMultigraphReference:
                 assert (kept["context_lines"], kept["edge_lines"]) == (context_lines, edge_lines)
 
 
+def expanded_nodes(hop_of: dict[int, int], hops: int, max_nodes: int) -> set[int]:
+    """The nodes whose neighbour lists a traversal that admitted ``hop_of`` read: each depth's frontier, until a stop."""
+    expanded: set[int] = set()
+    for depth in range(1, hops + 1):
+        frontier = {node for node, hop in hop_of.items() if hop == depth - 1}
+        if sum(hop < depth for hop in hop_of.values()) >= max_nodes or not frontier:
+            break
+        expanded |= frontier
+    return expanded
+
+
 class TestDerivedListsAreLazy:
+    @settings(max_examples=200, deadline=None)
+    @given(small_triples, st.sets(st.integers(0, 7), max_size=3), st.integers(1, 3), st.integers(1, 10))
+    @example(OUT_OF_ORDER_REPEAT, {0}, 1, 10)
+    def test_a_traversal_derives_only_the_lists_it_expands(self, triples, seeds, hops, max_nodes):
+        texts = {f"c{i}": f"ctx c{i}" for i in range(3)}
+        built = KnowledgeGraph(texts)
+        for s, r, o, prov in triples:
+            built.upsert_triple(triple(s, r, o, prov))
+        built.seal()
+        loaded = KnowledgeGraph.from_json_obj(built.to_json_obj(), texts)
+        seeds = {seed for seed in seeds if seed < len(built)}
+        reference = neighbour_reference(built)
+        for graph in (built, loaded):
+            sub = graph.neighborhood(seeds, hops=hops, max_nodes=max_nodes)
+            derived = dict(vars(graph).get("_neighbours", {}))
+            assert set(derived) == expanded_nodes(sub.hop_of, hops, max_nodes)
+            assert derived == {node: reference[node] for node in derived}
+
     def test_first_traversal_not_seal_derives_the_lists(self):
         graph = chain_graph()
         loaded = KnowledgeGraph.from_json_obj(graph.to_json_obj(), {"c0": "ctx-ab", "c1": "ctx-bc"})
@@ -1208,6 +1237,7 @@ class TestDerivedListsAreLazy:
             assert node_contexts(g) == sorted_contexts_reference(g)  # the contexts a render reads, as sealed
             g.render_subgraph(g.neighborhood({0}, hops=2))
             neighbours = vars(g)["_neighbours"]
+            assert dict(neighbours) == {0: [1], 1: [0, 2]}  # the lists of a and b, which it expanded; not c's
             assert g.render_subgraph(g.neighborhood({2}, hops=1)) == "Contexts:\n- ctx-bc\n- ctx-ab\n\nb -[r2]-> c"
             assert vars(g)["_neighbours"] is neighbours  # reused
 

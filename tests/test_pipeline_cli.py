@@ -674,6 +674,21 @@ each_graph_reader = pytest.mark.parametrize("command", list(GRAPH_READERS.values
 SEMANTIC_QUERY = ["query", "--mode", "semantic", "--json", "--question", "What crosses Rome?"]
 
 
+# A mini-store chunk and a span that leaves its parent untiled: a gap, or a first window past token 0.
+each_untiled_span = pytest.mark.parametrize(
+    "chunk_id, span", [("regions#s0#t1", [120, 184]), ("dishes#s0#t0", [1, 68])], ids=["gap", "first-past-0"]
+)
+
+
+def respan(store_dir: Path, chunk_id: str, span: list) -> None:
+    """Rewrite ``chunk_id``'s span in the store's chunks.jsonl."""
+    sidecar = store_dir / "chunks.jsonl"
+    rows = [json.loads(line) for line in sidecar.read_text().splitlines()]
+    [row] = [row for row in rows if row["chunk_id"] == chunk_id]
+    row["span"] = span
+    sidecar.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+
+
 def run_in(workdir: Path, monkeypatch, store_dir: Path, command: list[str]) -> int:
     """``main`` of ``command`` over ``store_dir``, run in ``workdir`` beside an eval records file."""
     record = {"question": "What crosses Rome?", "ground_truth": "The Tiber crosses Rome."}
@@ -922,16 +937,10 @@ class TestCmdQuery:
         assert captured.out == ""
         assert "'no-such-chunk' names no stored chunk" in captured.err
 
-    @pytest.mark.parametrize(
-        "chunk_id, span", [("regions#s0#t1", [120, 184]), ("dishes#s0#t0", [1, 68])], ids=["gap", "first-past-0"]
-    )
+    @each_untiled_span
     def test_chunk_spans_that_do_not_tile_exit_3(self, mini_store_dir, tmp_path, capsys, chunk_id, span):
         store = shutil.copytree(mini_store_dir, tmp_path / "mini")
-        sidecar = store / "chunks.jsonl"
-        rows = [json.loads(line) for line in sidecar.read_text().splitlines()]
-        [row] = [row for row in rows if row["chunk_id"] == chunk_id]
-        row["span"] = span
-        sidecar.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+        respan(store, chunk_id, span)
         argv = ["query", "--store", str(store), "--question", "Where do San Marzano tomatoes grow?"]
         assert main(argv) == 3
         captured = capsys.readouterr()
@@ -1263,6 +1272,23 @@ class TestGraphOnFirstRead:
             assert capsys.readouterr().err.startswith("error: corrupt store: ")
         assert_nothing_written(tmp_path)
 
+    @each_untiled_span
+    def test_semantic_query_over_untiled_spans_prints_the_intact_bytes(
+        self, mini_store_dir, tmp_path, monkeypatch, capsys, chunk_id, span
+    ):
+        store, workdir = shutil.copytree(mini_store_dir, tmp_path / "mini"), tmp_path / "work"
+        workdir.mkdir()
+        assert run_in(workdir, monkeypatch, store, SEMANTIC_QUERY) == 0
+        intact = capsys.readouterr().out
+        respan(store, chunk_id, span)
+        assert run_in(workdir, monkeypatch, store, SEMANTIC_QUERY) == 0
+        assert capsys.readouterr() == (intact, "")
+        for command in GRAPH_READERS.values():
+            assert run_in(workdir, monkeypatch, store, command) == 3, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: corrupt store: ") and f"chunk {chunk_id!r} starts at token {span[0]}" in err
+        assert_nothing_written(workdir)
+
     @pytest.mark.parametrize(
         "records, mode",
         [
@@ -1291,6 +1317,24 @@ class TestGraphOnFirstRead:
             assert load.call_count == 0
             with pytest.raises(AssertionError, match="graph loaded"):
                 run_query(store, "What crosses Rome?", QueryConfig(mode="hybrid"))
+
+    def test_open_and_semantic_query_never_rebuild_the_parent_texts(self, store_dir):
+        fail = AssertionError("parent texts rebuilt")
+        with mock.patch("kgrag.pipeline.reconstruct_parent_texts", side_effect=fail) as rebuild:
+            store = open_store(store_dir)
+            assert run_query(store, "What crosses Rome?", QueryConfig(mode="unstructured_only")).ranked_chunks
+            assert rebuild.call_count == 0
+            with pytest.raises(AssertionError, match="parent texts rebuilt"):
+                store.graph
+
+    def test_the_parent_texts_are_rebuilt_once(self, store_dir):
+        store = open_store(store_dir)
+        with mock.patch("kgrag.pipeline.reconstruct_parent_texts", wraps=reconstruct_parent_texts) as rebuild:
+            for mode in MODES * 2:
+                run_query(store, "What crosses Rome?", QueryConfig(mode=mode))
+            assert store.graph is store.graph and store.parent_texts is store.parent_texts
+        assert rebuild.call_count == 1
+        assert store.parent_texts == reconstruct_parent_texts(list(store.vectors.metadata.values()))
 
     def test_the_graph_is_loaded_once(self, store_dir):
         store = open_store(store_dir)

@@ -15,7 +15,7 @@ from kgrag.embedding import ProviderConfig, embed_remote
 from kgrag.exceptions import ProviderError
 from kgrag.remote import post_json
 
-from helpers import FakePost
+from helpers import FakePost, FakeResponse
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -93,6 +93,38 @@ def test_malformed_endpoint_url_fails_without_attempt(monkeypatch, sleeps, url):
         post_json(url, {"model": "m"})
     assert fake.calls == []
     assert sleeps == []
+
+
+@pytest.mark.parametrize(
+    "url, sent",
+    [
+        ("http://127.0.0.1:9/v1/café", "http://127.0.0.1:9/v1/caf%C3%A9"),
+        ("http://127.0.0.1:9/v1/é?q=ü&r=%20", "http://127.0.0.1:9/v1/%C3%A9?q=%C3%BC&r=%20"),
+        ("http://127.0.0.1:9/v1/a%C3?b=[x]#é", "http://127.0.0.1:9/v1/a%C3?b=[x]#é"),  # ASCII path and query
+    ],
+)
+def test_non_ascii_path_or_query_is_percent_encoded(monkeypatch, sleeps, url, sent):
+    fake = FakePost([OSError("refused")])
+    monkeypatch.setattr(remote_mod, "_send", fake)
+    with pytest.raises(ProviderError, match="status connection-error"):
+        post_json(url, {"model": "m"}, max_retries=0)
+    assert [call["url"] for call in fake.calls] == [sent]
+
+
+def test_ascii_url_reaches_send_as_given(monkeypatch, sleeps):
+    url = "http://127.0.0.1:9/v1//x;p?q=a%20b&&#"
+    fake = FakePost([FakeResponse(200, {"ok": True})])
+    monkeypatch.setattr(remote_mod, "_send", fake)
+    assert post_json(url, {"model": "m"}) == {"ok": True}
+    assert [call["url"] for call in fake.calls] == [url]
+
+
+def test_non_ascii_path_over_loopback(server, sleeps):
+    server.respond = scripted((200, {}, b'{"ok": true}'))
+    url = server.url.replace("/embeddings", "/café/embeddings?model=é")
+    assert post_json(url, {"model": "m"}, timeout=5.0) == {"ok": True}
+    (request,) = server.received
+    assert request["path"] == "/v1/caf%C3%A9/embeddings?model=%C3%A9"
 
 
 @pytest.mark.parametrize("key", ["", "sekrit"])

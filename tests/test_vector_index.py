@@ -99,6 +99,9 @@ class TestBuildPhase:
             store.add([chunk("a")], np.ones((1, 4), dtype=np.float32))
         with pytest.raises(ValueError, match="duplicate"):
             store.add([chunk("b"), chunk("b")], np.ones((2, 4), dtype=np.float32))
+        for ids, repeat in ((["c", "a", "d", "d"], "a"), (["c", "d", "c", "d"], "c"), (["e", "f", "f", "e"], "f")):
+            with pytest.raises(ValueError, match=f"^duplicate chunk_id '{repeat}'$"):  # the first repeat
+                store.add([chunk(cid) for cid in ids], np.ones((len(ids), 4), dtype=np.float32))
         assert list(store.metadata) == ["a"]
 
     def test_dimension_mismatch_error(self):
@@ -176,6 +179,17 @@ class TestTopK:
         query = np.array([1.0, bad, 0.0, 0.0], dtype=np.float32)
         with pytest.raises(ValueError, match="not finite"):
             store.top_k(query, 1)
+
+    @pytest.mark.parametrize(
+        "scale", [1e-170, 6.92e-158, 2.0**-1074, 1e200, 1.7e308], ids=["tiny", "subnormal-square", "least", "huge", "max"]
+    )
+    def test_query_whose_squared_norm_underflows_or_overflows(self, scale):
+        store = build({"e1": unit([0, 1, 0, 0]), "e0": unit([1, 0, 0, 0])})
+        query = np.array([scale, 0.0, 0.0, 0.0])
+        assert store.top_k(query, 2) == [("e0", 1.0), ("e1", 0.0)]
+        diagonal = store.top_k(np.array([scale, scale, 0.0, 0.0]), 2)
+        assert [cid for cid, _ in diagonal] == ["e1", "e0"]  # a tie, in insertion order
+        assert [score for _, score in diagonal] == [pytest.approx(math.sqrt(0.5), abs=1e-15)] * 2
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(99)
