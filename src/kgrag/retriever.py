@@ -16,6 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+from .exceptions import InputError
 from .extraction import query_ner
 from .graph import DEFAULT_HOPS, DEFAULT_MAX_NODES, DEFAULT_MAX_STRUCTURED_TOKENS, KnowledgeGraph
 from .lexical import content_tokens, coverage
@@ -183,8 +184,11 @@ def retrieve_hybrid(
     """Run both retrievers (subject to mode), fuse, and assemble the context.
 
     Only the modes in ``GRAPH_MODES`` touch ``extractor`` and ``graph``; the
-    unstructured mode may pass None for both.
+    unstructured mode may pass None for both. A question without tokens
+    (empty or only whitespace) raises ``InputError`` in every mode.
     """
+    if not question.strip():
+        raise InputError("question must hold at least one token")
     config = config or QueryConfig()
 
     matched_names: list[str] = []

@@ -916,6 +916,15 @@ class TestCmdQuery:
             "error: --question holds the lone surrogate '\\udcff' at index 8, which UTF-8 cannot encode\n"
         )
 
+    @pytest.mark.parametrize("question", ["", "   ", "\t\n"])
+    @pytest.mark.parametrize("mode", ["hybrid", "semantic", "kg"])
+    def test_question_without_tokens_exit_2(self, store_dir, capsys, mode, question):
+        argv = ["query", "--store", str(store_dir), "--question", question, "--mode", mode, "--json"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: question must hold at least one token\n"
+
     def test_remote_generator_without_chat_model_exit_2(self, store_dir, capsys):
         code = main(
             ["query", "--store", str(store_dir), "--question", "What crosses Rome?",

@@ -4,6 +4,7 @@ import pytest
 
 from kgrag.chunking import Chunk
 from kgrag.embedding import HashedEmbedder
+from kgrag.exceptions import InputError
 from kgrag.extraction import RuleExtractor, Triple
 from kgrag.graph import KnowledgeGraph
 from kgrag.lexical import content_tokens
@@ -324,6 +325,11 @@ class TestRetrieveHybrid:
         )
         assert result.unified_context == ""
         assert result.diagnostics["empty"] is True
+
+    @pytest.mark.parametrize("mode", ["hybrid", "unstructured_only", "structured_only"])
+    def test_question_without_tokens_rejected(self, mode):
+        with pytest.raises(InputError, match="at least one token"):
+            retrieve_hybrid(" \t\n", **self.deps(), config=QueryConfig(mode=mode))
 
     def test_diagnostics_contents(self):
         result = retrieve_hybrid("How is Alpha tied to Atlantis?", **self.deps(), config=QueryConfig())

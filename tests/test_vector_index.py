@@ -1,14 +1,18 @@
 from __future__ import annotations
 
+import json
 import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+import kgrag.vector_index as vector_index
 from kgrag.chunking import Chunk
+from kgrag.embedding import HashedEmbedder
 from kgrag.exceptions import StoreCorruptError
 from kgrag.vector_index import FORMAT_VERSION, MAGIC, VectorStore
 
@@ -48,6 +52,14 @@ def brute_force_top_k(entries: list[tuple[str, list[float]]], query: list[float]
     return [scored[i] for i in order[:k]]
 
 
+def rule_dots(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The scoring rule's dot products: float64, left to right over q's nonzero coordinates, from +0.0."""
+    dots = np.zeros(len(matrix))
+    for j in np.flatnonzero(q):
+        dots = dots + q[j] * matrix[:, j]
+    return dots
+
+
 def stable_argsort_top_k(rows: np.ndarray, query: np.ndarray, k: int) -> list[tuple[int, float]]:
     """The sort-everything top-k that selection replaced: scores, then a full stable argsort."""
     matrix = rows.astype(np.float64)
@@ -58,7 +70,7 @@ def stable_argsort_top_k(rows: np.ndarray, query: np.ndarray, k: int) -> list[tu
         scores = np.zeros(n)
     else:
         denom = np.linalg.norm(matrix, axis=1) * qnorm
-        scores = np.divide(matrix @ q, denom, out=np.zeros(n), where=denom > 0.0)
+        scores = np.divide(rule_dots(matrix, q), denom, out=np.zeros(n), where=denom > 0.0)
     return [(int(i), float(scores[i])) for i in np.argsort(-scores, kind="stable")[:k]]
 
 
@@ -83,6 +95,43 @@ def tied_stores(draw):
         )
     )
     return rows, query, draw(st.integers(1, n + 2))
+
+
+@st.composite
+def column_stores(draw):
+    """Rows added in several parts (often past a seal block), a query, k, and a gather budget.
+
+    Rows are Gaussian float32 with some all-zero rows and copies. The query
+    has zero coordinates (some of them -0.0), is dense, or copies a row.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = draw(st.integers(1, 48))
+    parts = draw(st.lists(st.integers(0, 300), min_size=1, max_size=4))
+    n = sum(parts)
+    rows = rng.standard_normal((n, dim)).astype(np.float32)
+    rows[rng.random(n) < 0.05] = 0.0
+    copies = np.flatnonzero(rng.random(n) < 0.05)
+    if n:
+        rows[copies] = rows[rng.integers(0, n, len(copies))]
+    kind = draw(st.sampled_from(["sparse", "negative-zero", "dense", "row"] if n else ["sparse", "dense"]))
+    query = rng.standard_normal(dim).astype(np.float32)
+    if kind in ("sparse", "negative-zero"):
+        zeros = rng.random(dim) < draw(st.floats(0.0, 1.0))
+        query[zeros] = -0.0 if kind == "negative-zero" else 0.0
+    elif kind == "row":
+        query = rows[rng.integers(0, n)].copy()
+    budget = draw(st.sampled_from([1, 5, 64, 1000, vector_index._GATHER_VALUES]))
+    return parts, rows, query, draw(st.integers(1, n + 2)), budget
+
+
+def build_parts(parts: list[int], rows: np.ndarray) -> VectorStore:
+    store = VectorStore(rows.shape[1])
+    start = 0
+    for size in parts:
+        store.add([chunk(f"v{i}") for i in range(start, start + size)], rows[start : start + size])
+        start += size
+    store.seal()
+    return store
 
 
 class TestBuildPhase:
@@ -191,6 +240,43 @@ class TestTopK:
         assert [cid for cid, _ in diagonal] == ["e1", "e0"]  # a tie, in insertion order
         assert [score for _, score in diagonal] == [pytest.approx(math.sqrt(0.5), abs=1e-15)] * 2
 
+    @settings(max_examples=60, deadline=None)
+    @given(column_stores())
+    def test_column_scan_equals_full_stable_argsort(self, case):
+        parts, rows, query, k, budget = case
+        store = build_parts(parts, rows)
+        expected = [(f"v{i}", score) for i, score in stable_argsort_top_k(rows, query, k)]
+        with mock.patch.object(vector_index, "_GATHER_VALUES", budget):
+            assert store.top_k(query, k) == expected
+        assert store._norms.tobytes() == np.linalg.norm(rows.astype(np.float64), axis=1).tobytes()
+
+    def test_dense_query_over_two_gather_blocks(self):
+        rng = np.random.default_rng(3)
+        rows = rng.standard_normal((1100, 256)).astype(np.float32)  # 1,024 rows per block at 256 nonzeros
+        store = build_parts([600, 500], rows)
+        for query in (rng.standard_normal(256).astype(np.float32), rows[1099]):
+            assert store.top_k(query, 1100) == [(f"v{i}", s) for i, s in stable_argsort_top_k(rows, query, 1100)]
+
+    def test_hashed_scores_equal_dense_product(self, mini_store, mini_store_dir, mini_questions_path):
+        """Hashed questions score as the dense float64 product ``rows64 @ q / (norms * qnorm)``, bit for bit.
+
+        That was the scoring rule before the scan read only the query's
+        nonzero coordinates; this keeps ``query --json`` byte-identical for
+        the default embedder.
+        """
+        store = mini_store.vectors
+        blob = (mini_store_dir / "vectors.skvx").read_bytes()
+        rows64 = np.frombuffer(blob, dtype="<f4", offset=18).reshape(len(store), store.dimension).astype(np.float64)
+        norms = np.linalg.norm(rows64, axis=1)
+        questions = [json.loads(line)["question"] for line in mini_questions_path.read_text().splitlines()]
+        embedder = HashedEmbedder(store.dimension)
+        for text in questions:
+            q = embedder.embed(text).astype(np.float64)
+            denom = norms * float(np.linalg.norm(q))
+            scores = np.divide(rows64 @ q, denom, out=np.zeros(len(rows64)), where=denom > 0.0)
+            expected = [(cid, float(scores[i])) for i, cid in enumerate(store.metadata)]
+            assert sorted(store.top_k(embedder.embed(text), len(store))) == sorted(expected), text
+
     def test_matches_brute_force_oracle(self):
         rng = random.Random(99)
         dim, n = 32, 200
@@ -295,6 +381,14 @@ class TestPersistence:
         path.write_bytes(bytes(blob))
         with pytest.raises(StoreCorruptError, match="not finite"):
             VectorStore.load(path)
+
+    @settings(max_examples=30, deadline=None)
+    @given(column_stores())
+    def test_save_writes_the_rows_as_little_endian_float32(self, tmp_path_factory, case):
+        parts, rows, _, _, _ = case
+        path = tmp_path_factory.mktemp("save") / "vectors.skvx"
+        build_parts(parts, rows).save(path)
+        assert path.read_bytes()[18:] == rows.astype("<f4").tobytes()
 
     def test_header_layout(self, tmp_path):
         store = build({"a": unit([1, 0, 0, 0])})
