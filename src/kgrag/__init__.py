@@ -21,8 +21,6 @@ from .extraction import (
     RemoteExtractor,
     RuleExtractor,
     Triple,
-    extract_entities_rule,
-    extract_triples_rule,
     query_ner,
 )
 from .graph import EntityNode, KnowledgeGraph, Subgraph
@@ -79,8 +77,6 @@ __all__ = [
     "context_recall",
     "embed_hashed",
     "evaluate",
-    "extract_entities_rule",
-    "extract_triples_rule",
     "f1_context",
     "faithfulness",
     "load_corpus",

@@ -172,6 +172,10 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    # The reports are written last, after every retrieval and judge call.
+    for out in filter(None, (args.out, args.matrix)):
+        if not Path(out).parent.is_dir():
+            raise InputError(f"cannot write {out}: directory {Path(out).parent} does not exist")
     store = open_store(args.store)
     records, skipped = load_records_jsonl(args.records)
     if not records:

@@ -140,8 +140,11 @@ class HashedTokens:
 
 
 def _normalized(values: np.ndarray) -> np.ndarray:
-    """Float32 copy of float64 rows divided in place by their L2 norms; all-zero rows stay zero."""
-    norms = np.sqrt(np.einsum("ij,ij->i", values, values))[:, None]
+    """Float32 copy of float64 rows divided in place by their L2 norms; all-zero rows stay zero.
+
+    Both providers' rows come here. Squared norms are ``_row_dots``, exact for a hashed row's integer counts.
+    """
+    norms = np.sqrt(_row_dots(values, values))[:, None]
     np.divide(values, norms, out=values, where=norms > 0.0)
     return values.astype(np.float32)
 
@@ -285,9 +288,7 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
                 raise ValueError("NaN or infinite item")
         except (TypeError, ValueError, OverflowError) as exc:
             raise ProviderError(f"non-numeric embedding value at input {offset}: {exc}") from exc
-        norms = np.sqrt(_row_dots(rows, rows))[:, None]
-        np.divide(rows, norms, out=rows, where=norms > 0.0)
-        return rows.astype(np.float32)
+        return _normalized(rows)
 
     if len(batches) == 1:
         return fetch(batches[0], 0)

@@ -267,23 +267,28 @@ def _cell(value: float | None) -> str:
     return "" if value is None else f"{value:.6f}"
 
 
+def _write_csv(path: str | Path, header: list[str], rows) -> None:
+    """``header`` then ``rows`` as CSV at ``path``; raises InputError naming the path if it cannot be written."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from exc
+
+
 def write_report_csv(report: MetricReport, path: str | Path) -> None:
     """Per-record rows plus a MEAN aggregate row; null metrics as empty cells."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["record", *METRIC_NAMES])
-        for row in report.per_record:
-            writer.writerow([row["record_index"], *(_cell(row.get(n)) for n in METRIC_NAMES)])
-        writer.writerow(["MEAN", *(_cell(report.aggregate.get(n)) for n in METRIC_NAMES)])
+    rows = [[row["record_index"], *(_cell(row.get(n)) for n in METRIC_NAMES)] for row in report.per_record]
+    rows.append(["MEAN", *(_cell(report.aggregate.get(n)) for n in METRIC_NAMES)])
+    _write_csv(path, ["record", *METRIC_NAMES], rows)
 
 
 def write_matrix_csv(report: MetricReport, records: list[EvalRecord], path: str | Path) -> None:
     """Question-by-metric matrix (the data behind per-question heatmaps)."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["question", *METRIC_NAMES])
-        for record, row in zip(records, report.per_record):
-            writer.writerow([record.question, *(_cell(row.get(n)) for n in METRIC_NAMES)])
+    rows = ([r.question, *(_cell(row.get(n)) for n in METRIC_NAMES)] for r, row in zip(records, report.per_record))
+    _write_csv(path, ["question", *METRIC_NAMES], rows)
 
 
 def load_records_jsonl(path: str | Path) -> tuple[list[EvalRecord], int]:

@@ -183,9 +183,12 @@ class RuleExtractor:
         return _entities(split_sentences(text), stopwords if stopwords is not None else ENTITY_STOPWORDS)
 
     def triples(self, sentences: list[str], provenance: str = "") -> list[Triple]:
-        """Each sentence's triples in turn (see ``extract_triples_rule``), from one regex pass.
+        """Each sentence's triples in turn, from consecutive mention pairs within it, in one regex pass.
 
-        ``sentences`` are not split again.
+        A gap of 1..MAX_RELATION_GAP tokens between the pair becomes the
+        relation (lowercased, punctuation-stripped, underscore-joined);
+        adjacent or distant pairs fall back to "related_to". A pair with an
+        empty normalized name gives no triple. ``sentences`` are not split again.
         """
         tokens: list[str] = []
         for sentence in string_list(sentences, "sentences"):
@@ -207,24 +210,6 @@ class RuleExtractor:
                     relation = "_".join(filter(None, map(_bare, gap))) or relation
                 triples.append(_triple((subject, relation, obj, provenance)))
         return triples
-
-
-def extract_entities_rule(
-    sentence: str, stopwords: frozenset[str] = ENTITY_STOPWORDS
-) -> list[EntityMention]:
-    """Entity mentions in order of first appearance, deduplicated by normalized form."""
-    return _entities([sentence], stopwords)
-
-
-def extract_triples_rule(sentence: str, provenance: str = "") -> list[Triple]:
-    """Triples from consecutive mention pairs within one sentence.
-
-    A gap of 1..MAX_RELATION_GAP tokens between the pair becomes the relation
-    (lowercased, punctuation-stripped, underscore-joined); adjacent or distant
-    pairs fall back to "related_to". A pair with an empty normalized name
-    gives no triple.
-    """
-    return RuleExtractor().triples([sentence], provenance)
 
 
 def extract_triples_remote(text: str, client: ChatClient, provenance: str = "") -> list[Triple]:

@@ -16,7 +16,7 @@ the first traversal sorts in C. A traversal is a seeded breadth-first
 expansion that merges the frontier's neighbour lists lazily, bounded by
 hop count and node budget, so a hub costs what the budget admits, not its
 parallel edges. A neighborhood is its admitted nodes and their hops; the
-edges it induces are collected, when first read, from each admitted
+edges it induces are only ever collected, when first read, from each admitted
 node's source range of the edge list. It renders as text within a token
 budget: its context chunks first, those the seed nodes share most ahead,
 merged lazily from the sorted context lists, then its edges, so a hub
@@ -68,25 +68,16 @@ _target = itemgetter(1)
 class Subgraph:
     """Admitted nodes by id, each node's hop, and the edges induced on them.
 
-    A traversal passes the graph's sorted edge list instead of ``edges``;
-    the induced set is then collected on first read, from each admitted
-    node's range of that list as a source, and kept. ``edges`` may also be
-    given or assigned outright.
+    ``edges`` is collected on first read, from each admitted node's range of
+    the graph's sorted edge list as a source, and kept.
     """
 
     __slots__ = ("nodes", "hop_of", "_edges", "_graph_edges")
 
-    def __init__(
-        self,
-        nodes: dict[int, EntityNode],
-        edges: set[tuple] | None = None,
-        *,
-        hop_of: dict[int, int],
-        graph_edges: list[tuple] | None = None,
-    ) -> None:
+    def __init__(self, nodes: dict[int, EntityNode], *, hop_of: dict[int, int], graph_edges: list[tuple]) -> None:
         self.nodes = nodes
         self.hop_of = hop_of
-        self._edges = edges
+        self._edges: set[tuple] | None = None
         self._graph_edges = graph_edges
 
     @property
@@ -101,10 +92,6 @@ class Subgraph:
             self._edges = induced
         return self._edges
 
-    @edges.setter
-    def edges(self, edges: set[tuple]) -> None:
-        self._edges = edges
-
 
 class _NeighbourLists(dict):
     """Node id -> its distinct neighbour ids in both directions, ascending, each derived on first read.
@@ -115,18 +102,15 @@ class _NeighbourLists(dict):
     found by bisection, and one sort of the union gives the list, a
     neighbour on both sides or a self-loop once. A derived list is kept, so
     a later read is the C ``dict.__getitem__``; two readers that miss the
-    same node derive the same list, so concurrent reads need no lock. The
-    mapping equals the list of every node's list in node order, and
-    compares so, deriving the rest.
+    same node derive the same list, so concurrent reads need no lock.
     """
 
-    __slots__ = ("_edges", "_by_target", "_n")
+    __slots__ = ("_edges", "_by_target")
 
-    def __init__(self, edges: list[tuple], n: int) -> None:
+    def __init__(self, edges: list[tuple]) -> None:
         super().__init__()
         self._edges = edges
         self._by_target = sorted(edges, key=_target)
-        self._n = n
 
     def __missing__(self, node: int) -> list[int]:
         edges, by_target = self._edges, self._by_target
@@ -136,15 +120,6 @@ class _NeighbourLists(dict):
         last = bisect_left(by_target, node + 1, first, key=_target)
         ids = self[node] = sorted({*map(_target, edges[start:stop]), *map(_source, by_target[first:last])})
         return ids
-
-    def __eq__(self, other):
-        if type(other) is list:
-            return other == list(map(self.__getitem__, range(self._n)))
-        return dict.__eq__(self, other)
-
-    def __ne__(self, other):
-        equal = self.__eq__(other)
-        return equal if equal is NotImplemented else not equal
 
 
 class KnowledgeGraph:
@@ -182,7 +157,7 @@ class KnowledgeGraph:
     @cached_property
     def _neighbours(self) -> _NeighbourLists:
         """Node id -> its distinct neighbour ids in both directions, ascending, each list derived on first read."""
-        return _NeighbourLists(self._edges, len(self._nodes))
+        return _NeighbourLists(self._edges)
 
     def _resolve(self, surface: str) -> int:
         """The node id of ``surface``'s normalized name, a new node (named ``surface``) if none.
@@ -271,7 +246,7 @@ class KnowledgeGraph:
         if max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
         if not seeds:
-            return Subgraph(nodes={}, edges=set(), hop_of={})
+            return Subgraph(nodes={}, hop_of={}, graph_edges=self._edges)
 
         neighbours = self._neighbours
         frontier = sorted(seeds)

@@ -208,6 +208,8 @@ def build_store(
 
     On any error the partially written directory is removed (if this call
     created or populated it), so a store either exists whole or not at all.
+    An output path that is a file, or lies under one, and a corpus without
+    documents raise ``InputError``.
     """
     chunker = chunker or ChunkerConfig()
     provider = provider or ProviderConfig()
@@ -215,13 +217,18 @@ def build_store(
     query_defaults = query_defaults or QueryConfig()
 
     out = Path(out_dir)
-    if out.exists() and any(out.iterdir()):
-        raise InputError(f"output directory {out} exists and is not empty")
     created = not out.exists()
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        if not created and any(out.iterdir()):
+            raise InputError(f"output directory {out} exists and is not empty")
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file at the path or above it
+        raise InputError(f"cannot use {out} as the output directory: {exc}") from exc
 
     try:
         documents = load_corpus(corpus_path)
+        if not documents:
+            raise InputError(f"no documents in corpus {corpus_path}")
         embedder = make_embedder(provider)
         extractor = make_extractor(extractor_config)
 
@@ -270,26 +277,17 @@ def build_store(
 
 @dataclass
 class Store:
-    """An open store: its manifest and vectors checked at open, its parent texts and graph on first read.
-
-    ``parent_texts`` is each semantic chunk's text, rebuilt from the chunk
-    records; the graph takes it as its ``chunk_id -> text`` map, and nothing
-    else reads it.
-    """
+    """An open store: its manifest and vectors checked at open, its graph on first read."""
 
     manifest: StoreManifest
     vectors: VectorStore
     path: Path
 
     @cached_property
-    def parent_texts(self) -> dict[str, str]:
-        """``reconstruct_parent_texts`` of the chunk records, on first read; raises StoreCorruptError."""
-        return reconstruct_parent_texts(list(self.vectors.metadata.values()))
-
-    @cached_property
     def graph(self) -> KnowledgeGraph:
-        """``graph.json``, loaded and checked against the manifest's counts on first read; raises StoreCorruptError."""
-        graph = KnowledgeGraph.load_json(self.path / GRAPH_FILE, self.parent_texts)
+        """``graph.json`` over the chunk records' parent texts, checked on first read; raises StoreCorruptError."""
+        texts = reconstruct_parent_texts(list(self.vectors.metadata.values()))
+        graph = KnowledgeGraph.load_json(self.path / GRAPH_FILE, texts)
         _check_counts(self.manifest, (("nodes", GRAPH_FILE, len(graph)), ("edges", GRAPH_FILE, graph.edge_count)))
         return graph
 
@@ -315,8 +313,8 @@ def reconstruct_parent_texts(chunks: list[Chunk]) -> dict[str, str]:
     after the overlap, ``text.split(" ", skip)[skip]`` with ``skip = covered
     - start``, is appended. The pieces joined with single spaces are the
     semantic chunk's tokens joined the same way, as if every window were
-    split into tokens and re-joined. ``Store.parent_texts``, the graph's
-    ``chunk_id -> text`` map, comes from here.
+    split into tokens and re-joined. ``Store.graph`` takes its
+    ``chunk_id -> text`` map from here.
     """
     by_parent: dict[str, list[Chunk]] = {}
     for chunk in chunks:
@@ -357,8 +355,8 @@ def open_store(store_dir: str | Path) -> Store:
     rows finite and one per record). The manifest's counts of chunks and
     semantic chunks (the distinct parents the records name) must match
     what was loaded. The graph waits for the first read of ``Store.graph``,
-    and so do the parent texts it renders: they are rebuilt from the
-    chunks' overlap cuts, whose spans must tile each parent. The graph's
+    which also rebuilds the parent texts it renders from the chunks'
+    overlap cuts, whose spans must tile each parent. The graph's
     node rows are checked in file order, its contexts must name those
     parents, its edge columns are checked whole, and its node and edge
     counts must match the manifest's.

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 
 import pytest
@@ -372,6 +373,14 @@ class TestCsv:
         write_report_csv(report, a)
         write_report_csv(report, b)
         assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("where", ["missing-dir", "a-directory"])
+    def test_unwritable_path_is_input_error_naming_it(self, tmp_path, where):
+        report, records = self.report()
+        path = tmp_path / "missing" / "r.csv" if where == "missing-dir" else tmp_path
+        for write in (lambda: write_report_csv(report, path), lambda: write_matrix_csv(report, records, path)):
+            with pytest.raises(InputError, match=f"^cannot write {re.escape(str(path))}: "):
+                write()
 
 
 class TestRecordsJsonl:

@@ -17,9 +17,8 @@ from kgrag.extraction import (
     RemoteExtractor,
     RuleExtractor,
     Triple,
-    extract_entities_rule,
+    _entities,
     extract_triples_remote,
-    extract_triples_rule,
     normalize_entity,
     query_ner,
     snake_case,
@@ -33,29 +32,29 @@ import kgrag.remote as remote_mod
 
 class TestEntityRule:
     def test_two_entities(self):
-        mentions = extract_entities_rule("Rome is the capital of Italy.")
+        mentions = _entities(["Rome is the capital of Italy."], ENTITY_STOPWORDS)
         assert [m.normalized for m in mentions] == ["rome", "italy"]
 
     def test_no_capitals_no_entities(self):
-        assert extract_entities_rule("the quick brown fox") == []
+        assert _entities(["the quick brown fox"], ENTITY_STOPWORDS) == []
 
     def test_leading_stopword_trimmed_from_run(self):
-        mentions = extract_entities_rule("The Amalfi Coast attracts tourists.")
+        mentions = _entities(["The Amalfi Coast attracts tourists."], ENTITY_STOPWORDS)
         assert [m.normalized for m in mentions] == ["amalfi coast"]
 
     def test_lone_stopword_dropped(self):
-        assert extract_entities_rule("The weather is nice.") == []
+        assert _entities(["The weather is nice."], ENTITY_STOPWORDS) == []
 
     def test_multiple_leading_stopwords_trimmed(self):
-        mentions = extract_entities_rule("On The Amalfi Coast olives grow.")
+        mentions = _entities(["On The Amalfi Coast olives grow."], ENTITY_STOPWORDS)
         assert [m.normalized for m in mentions] == ["amalfi coast"]
 
     def test_order_of_first_appearance_with_dedup(self):
-        mentions = extract_entities_rule("Naples loves Naples and Rome follows Naples.")
+        mentions = _entities(["Naples loves Naples and Rome follows Naples."], ENTITY_STOPWORDS)
         assert [m.normalized for m in mentions] == ["naples", "rome"]
 
     def test_surface_keeps_original_casing(self):
-        (m,) = extract_entities_rule("tourists climb Vesuvius!")
+        (m,) = _entities(["tourists climb Vesuvius!"], ENTITY_STOPWORDS)
         assert m.surface == "Vesuvius!"
         assert m.normalized == "vesuvius"
 
@@ -76,32 +75,30 @@ class TestNormalization:
 
 class TestTripleRule:
     def test_gap_becomes_relation(self):
-        (triple,) = extract_triples_rule("Rome is the capital of Italy.")
+        (triple,) = RuleExtractor().triples(["Rome is the capital of Italy."])
         assert triple == Triple(subject="rome", relation="is_the_capital_of", object="italy")
 
     def test_single_entity_no_triples(self):
-        assert extract_triples_rule("Rome shines in the evening sun.") == []
+        assert RuleExtractor().triples(["Rome shines in the evening sun."]) == []
 
     def test_long_gap_falls_back_to_related_to(self):
-        (triple,) = extract_triples_rule(
-            "Rome lies quite far away from the region called Lazio."
-        )
+        (triple,) = RuleExtractor().triples(["Rome lies quite far away from the region called Lazio."])
         assert triple.relation == "related_to"
         assert (triple.subject, triple.object) == ("rome", "lazio")
 
     def test_gap_punctuation_stripped(self):
-        (triple,) = extract_triples_rule("Parma gave (the world) Parmigiano.")
+        (triple,) = RuleExtractor().triples(["Parma gave (the world) Parmigiano."])
         assert triple.relation == "gave_the_world"
 
     def test_chain_of_three_entities(self):
-        triples = extract_triples_rule("Margherita honors Queen Margherita of Savoy.")
+        triples = RuleExtractor().triples(["Margherita honors Queen Margherita of Savoy."])
         assert [(t.subject, t.relation, t.object) for t in triples] == [
             ("margherita", "honors", "queen margherita"),
             ("queen margherita", "of", "savoy"),
         ]
 
     def test_provenance_carried(self):
-        (triple,) = extract_triples_rule("Rome rules Lazio.", provenance="chunk-9")
+        (triple,) = RuleExtractor().triples(["Rome rules Lazio."], provenance="chunk-9")
         assert triple.provenance == "chunk-9"
 
     def test_subjects_and_objects_are_extracted_entities(self):
@@ -111,8 +108,8 @@ class TestTripleRule:
             "The Margherita honors Queen Margherita of Savoy.",
         ]
         for sentence in sentences:
-            entities = {m.normalized for m in extract_entities_rule(sentence)}
-            for triple in extract_triples_rule(sentence):
+            entities = {m.normalized for m in _entities([sentence], ENTITY_STOPWORDS)}
+            for triple in RuleExtractor().triples([sentence]):
                 assert triple.subject in entities
                 assert triple.object in entities
 
@@ -423,14 +420,14 @@ class TestRuleExtractorReference:
     @given(_rule_sentences(), st.sampled_from(["", "d#s0"]))
     @example("Ⓐ is Rome of Ⓑ! and ℍ", "p")
     def test_extract_triples_rule_equals_the_reference(self, sentence, provenance):
-        got = extract_triples_rule(sentence, provenance)
+        got = RuleExtractor().triples([sentence], provenance)
         assert all(type(t) is Triple for t in got)
         assert [tuple(t) for t in got] == _reference_triples(sentence, provenance)
 
     @given(_rule_sentences(), _BOTH_STOPWORD_SETS)
     @example("What\u2003The 𐐀 It Ⓐ", QUERY_STOPWORDS)
     def test_extract_entities_rule_equals_the_reference(self, sentence, stopwords):
-        got = extract_entities_rule(sentence, stopwords)
+        got = _entities([sentence], stopwords)
         assert [(m.surface, m.normalized) for m in got] == _reference_entities([sentence], stopwords)
 
 

@@ -44,3 +44,45 @@ def test_every_import_is_stdlib_or_a_declared_dependency():
                 imported.add(node.module.partition(".")[0])
     assert imported, "no imports found"
     assert imported - set(sys.stdlib_module_names) - {"kgrag"} <= declared
+
+
+def _top_level_names(tree: ast.Module) -> set[str]:
+    """The functions, classes and assigned names a module defines at top level."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return names
+
+
+def _referenced_names(tree: ast.Module) -> set[str]:
+    """Names read, attributes read and names imported; a definition or an assignment target is not a reference."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+def test_every_top_level_name_has_a_program_reader():
+    """A name defined in src/kgrag is read by the package, scripts/ or bench/, not only by tests.
+
+    ``__init__.py`` re-exports names, so its imports and definitions count for nothing.
+    """
+    modules = [p for p in sorted(PACKAGE_DIR.glob("*.py")) if p.name != "__init__.py"]
+    readers = [*modules, *sorted((REPO_ROOT / "scripts").glob("*.py")), *sorted((REPO_ROOT / "bench").glob("*.py"))]
+    referenced = set().union(*(_referenced_names(ast.parse(p.read_text(encoding="utf-8"))) for p in readers))
+    unread = {
+        f"{path.stem}.{name}"
+        for path in modules
+        for name in _top_level_names(ast.parse(path.read_text(encoding="utf-8")))
+        if name not in referenced
+    }
+    assert not unread, f"defined in src/kgrag but read only by tests, if at all: {sorted(unread)}"

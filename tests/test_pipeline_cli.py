@@ -21,8 +21,8 @@ from kgrag.chunking import Chunk, ChunkerConfig, build_windows
 from kgrag.cli import main
 from kgrag.corpus import Document, load_corpus, normalize_text, split_sentences
 from kgrag.embedding import HashedEmbedder, embed_hashed_many
-from kgrag.exceptions import StoreCorruptError
-from kgrag.extraction import EXTRACTION_USER_TEMPLATE, RuleExtractor, extract_triples_rule
+from kgrag.exceptions import InputError, StoreCorruptError
+from kgrag.extraction import EXTRACTION_USER_TEMPLATE, RuleExtractor
 from kgrag.graph import KnowledgeGraph
 from kgrag.pipeline import (
     build_store,
@@ -161,7 +161,7 @@ def paragraphs(draw) -> tuple[str, bool]:
 
 def reference_route_triples(sentences: tuple[str, ...], provenance: str) -> list:
     """The reference route: join the chunk's sentences, split them again, extract per sentence."""
-    return [t for s in split_sentences(" ".join(sentences)) for t in extract_triples_rule(s, provenance)]
+    return [t for s in split_sentences(" ".join(sentences)) for t in RuleExtractor().triples([s], provenance)]
 
 
 # Words whose lowercasing is context- or length-sensitive (final sigma, dotted
@@ -235,7 +235,7 @@ class TestSemanticChunkTriples:
         for sem in semantic:
             start, end = sem.sentence_span
             assert sem.sentences == tuple(doc_sentences[start : end + 1])
-            expected = [t for s in doc_sentences[start : end + 1] for t in extract_triples_rule(s, sem.chunk_id)]
+            expected = [t for s in doc_sentences[start : end + 1] for t in RuleExtractor().triples([s], sem.chunk_id)]
             got = RuleExtractor().triples(sem.sentences, sem.chunk_id)
             assert got == expected
             if all(terminated for _, terminated in drawn):
@@ -354,6 +354,37 @@ class TestCmdIndex:
         code = main(["index", "--corpus", str(tmp_path / "nope"), "--out", str(tmp_path / "s")])
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", [(), ("sub",), ("sub", "deeper")], ids=["file", "under-file", "two-under-file"])
+    def test_out_at_or_under_a_file_exit_2_and_file_untouched(self, tmp_path, capsys, below):
+        blocker = tmp_path / "taken"
+        blocker.write_text("mine", encoding="utf-8")
+        out = blocker.joinpath(*below)
+        assert main(["index", "--corpus", str(write_corpus(tmp_path)), "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot use {out} as the output directory: ")
+        assert blocker.read_text(encoding="utf-8") == "mine"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "taken"]
+
+    @pytest.mark.parametrize("files", [{}, {"notes.md": "Rome is old."}, {"a.txt": " \n\n ", "b.jsonl": '{"id": "b", "text": ""}\n'}],
+                             ids=["empty-dir", "no-corpus-files", "only-empty-documents"])
+    def test_corpus_without_documents_exit_2_and_no_store(self, tmp_path, capsys, files):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        for name, text in files.items():
+            (corpus / name).write_text(text, encoding="utf-8")
+        out = tmp_path / "store"
+        assert main(["index", "--corpus", str(corpus), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: no documents in corpus {corpus}\n"
+        assert not out.exists()
+
+    def test_corpus_without_documents_leaves_an_empty_out_dir_empty(self, tmp_path):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        out = tmp_path / "store"
+        out.mkdir()
+        with pytest.raises(InputError, match="no documents"):
+            build_store(corpus, out)
+        assert list(out.iterdir()) == []
 
     @pytest.mark.parametrize(
         "line",
@@ -1056,6 +1087,23 @@ class TestCmdEval:
         assert code == 2
         assert "remote judge" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--out", "--matrix"])
+    def test_output_in_a_missing_directory_exit_2_before_any_retrieval(self, store_dir, tmp_path, capsys, flag):
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"question": "What crosses Rome?", "ground_truth": "The Tiber."}) + "\n")
+        paths = {"--out": tmp_path / "report.csv", "--matrix": tmp_path / "matrix.csv"}
+        paths[flag] = tmp_path / "missing" / "r.csv"
+        argv = ["eval", "--store", str(store_dir), "--records", str(records)]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        with mock.patch("kgrag.pipeline.run_query", wraps=run_query) as runs:
+            assert main(argv) == 2
+        assert runs.call_count == 0
+        assert capsys.readouterr().err == (
+            f"error: cannot write {paths[flag]}: directory {tmp_path / 'missing'} does not exist\n"
+        )
+        assert not any(path.exists() for path in paths.values())
+
     def test_empty_records_exit_2(self, store_dir, tmp_path):
         records = tmp_path / "records.jsonl"
         records.write_text("", encoding="utf-8")
@@ -1341,9 +1389,9 @@ class TestGraphOnFirstRead:
         with mock.patch("kgrag.pipeline.reconstruct_parent_texts", wraps=reconstruct_parent_texts) as rebuild:
             for mode in MODES * 2:
                 run_query(store, "What crosses Rome?", QueryConfig(mode=mode))
-            assert store.graph is store.graph and store.parent_texts is store.parent_texts
+            assert store.graph is store.graph
         assert rebuild.call_count == 1
-        assert store.parent_texts == reconstruct_parent_texts(list(store.vectors.metadata.values()))
+        assert store.graph._chunk_texts == reconstruct_parent_texts(list(store.vectors.metadata.values()))
 
     def test_the_graph_is_loaded_once(self, store_dir):
         store = open_store(store_dir)
