@@ -173,9 +173,14 @@ def cmd_query(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     # The reports are written last, after every retrieval and judge call.
-    for out in filter(None, (args.out, args.matrix)):
-        if not Path(out).parent.is_dir():
-            raise InputError(f"cannot write {out}: directory {Path(out).parent} does not exist")
+    outs = [Path(out) for out in (args.out, args.matrix) if out]
+    for out in outs:
+        if out.is_dir():
+            raise InputError(f"cannot write {out}: it is a directory")
+        if not out.parent.is_dir():
+            raise InputError(f"cannot write {out}: directory {out.parent} does not exist")
+    if len(outs) == 2 and outs[0].resolve() == outs[1].resolve():
+        raise InputError(f"--out and --matrix name the same file: {args.out}")
     store = open_store(args.store)
     records, skipped = load_records_jsonl(args.records)
     if not records:

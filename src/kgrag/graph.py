@@ -2,31 +2,31 @@
 
 Nodes merge on the normalized entity name; every node keeps the ids of the
 chunks its triples came from, read through the graph's one chunk_id -> text
-map, so a traversal can hand back both structure and supporting context.
-A node's id is its position in the node list. An edge is the plain tuple
+map, so a traversal can hand back both structure and supporting context. A
+node's id is its position in the node list. An edge is the plain tuple
 ``(source, target, relation, provenance)``, node ids then labels, so edges
-sort plainly. A build collects edges in a set and appends each triple's
-provenance to both endpoints' contexts; ``seal`` puts both in canonical
-form, once: one sorted edge list, and each node's contexts ascending and
-repeat-free. A load sorts each node's contexts too. A node's distinct
-neighbour ids in both directions, ascending, are derived the first time a
-traversal expands it: its targets from its source range of the edge list,
-its sources from its range of one target-ordered copy of that list, which
-the first traversal sorts in C. A traversal is a seeded breadth-first
-expansion that merges the frontier's neighbour lists lazily, bounded by
-hop count and node budget, so a hub costs what the budget admits, not its
-parallel edges. A neighborhood is its admitted nodes and their hops; the
-edges it induces are only ever collected, when first read, from each admitted
-node's source range of the edge list. It renders as text within a token
-budget: its context chunks first, those the seed nodes share most ahead,
-merged lazily from the sorted context lists, then its edges, so a hub
-seed costs what the budget keeps, and a render cut inside the contexts
-never collects the edges at all. Same lifecycle as the vector store:
-single-writer build (or load), seal, then lock-free concurrent reads.
-``export`` writes the store's ``graph.json``: a ``[name, [chunk ids]]``
-row per node (its id is its position) and the sorted edges as four
-columns, ``[sources, targets, relations, provenances]``; a load checks the
-columns whole, in C, and zips them back into the sorted list of tuples.
+sort plainly. A build collects edges in a set; ``seal`` puts the graph in
+canonical form, once, for a build and a load alike: one sorted edge list,
+and each node's contexts, its edges' distinct provenances, ascending. A
+node's distinct neighbour ids in both directions, ascending, are derived
+the first time a traversal expands it: its targets from its source range of
+the edge list, its sources from its range of one target-ordered copy of
+that list, which the first traversal sorts in C. A traversal is a seeded
+breadth-first expansion that merges the frontier's neighbour lists lazily,
+bounded by hop count and node budget, so a hub costs what the budget
+admits, not its parallel edges. A neighborhood is its admitted nodes and
+their hops; the edges it induces are only ever collected, when first read,
+from each admitted node's source range of the edge list. It renders as text
+within a token budget: its context chunks first, those the seed nodes share
+most ahead, merged lazily from the sorted context lists, then its edges, so
+a hub seed costs what the budget keeps, and a render cut inside the
+contexts never collects the edges at all. Same lifecycle as the vector
+store: single-writer build (or load), seal, then lock-free concurrent
+reads. ``export`` writes the store's ``graph.json``: each node's name (its
+id is its position) and the sorted edges as four columns, ``[sources,
+targets, relations, provenances]``; no contexts, which ``seal`` derives. A
+load checks the columns whole, in C, and zips them back into the sorted
+list of tuples.
 """
 
 from __future__ import annotations
@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from heapq import merge
 from itertools import chain, filterfalse, islice
-from json.encoder import encode_basestring
 from operator import itemgetter, lt
 from pathlib import Path
 
@@ -52,11 +51,14 @@ DEFAULT_HOPS = 2
 DEFAULT_MAX_NODES = 50
 DEFAULT_MAX_STRUCTURED_TOKENS = 1024
 
+# The one graph.json writer: compact, non-ASCII kept, run by the C encoder.
+_encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
 
 @dataclass
 class EntityNode:
     name: str  # canonical = first surface seen
-    contexts: list[str] = field(default_factory=list)  # provenance chunk ids; ascending, each once, when sealed
+    contexts: list[str] = field(default_factory=list)  # its edges' provenance chunk ids, ascending, each once; set by seal
 
 
 # The graph.json edge columns, in edge field order.
@@ -141,17 +143,23 @@ class KnowledgeGraph:
         return self._nodes[node_id]
 
     def seal(self) -> None:
-        """Freeze the graph: sort a build's edge set into the edge list, and each node's contexts.
+        """Freeze the graph: sort a build's edge set into the edge list, and derive each node's contexts.
 
-        Each edge was checked as it entered: by ``upsert_triple``, or by
-        ``from_json_obj``, which hands over a list it proved sorted and unique.
-        The neighbour lists a traversal reads are derived as it reads them,
-        so a build, which never traverses, never derives them.
+        A node's contexts, its edges' distinct provenances ascending, are
+        made here only, for a build and a load alike. Each edge was checked
+        as it entered, by ``upsert_triple`` or by ``from_json_obj``. Neighbour
+        lists wait for a traversal, which a build never makes. A second seal does nothing.
         """
+        if self._sealed:
+            return
         if type(self._edges) is set:
             self._edges = sorted(self._edges)
-            for node in self._nodes:
-                node.contexts = sorted(set(node.contexts))
+        provenances: list[list[str]] = [[] for _ in self._nodes]
+        for source, target, _, provenance in self._edges:
+            provenances[source].append(provenance)
+            provenances[target].append(provenance)
+        for node, ids in zip(self._nodes, provenances):
+            node.contexts = sorted(set(ids))
         self._sealed = True
 
     @cached_property
@@ -181,10 +189,10 @@ class KnowledgeGraph:
     def upsert_triple(self, triple: Triple) -> tuple[int, int]:
         """Merge a triple into the graph; returns (source, target) node ids.
 
-        Endpoint nodes are resolved or created by normalized name; the edge
-        enters the build's set, and the provenance is appended to both
-        endpoints' contexts, which ``seal`` sorts and dedups. A relation or
-        provenance that is not a string raises ``ValueError``, changing nothing.
+        Endpoint nodes are resolved or created by normalized name, and the
+        edge enters the build's set; ``seal`` derives the nodes' contexts from
+        the edges. A relation or provenance that is not a string raises
+        ``ValueError``, changing nothing.
         """
         if self._sealed:
             raise ValueError("graph is sealed; upserts are only allowed during build")
@@ -198,8 +206,6 @@ class KnowledgeGraph:
         source = self._resolve(subject)
         target = self._resolve(obj)
         self._edges.add((source, target, relation, provenance))
-        self._nodes[source].contexts.append(provenance)
-        self._nodes[target].contexts.append(provenance)
         return source, target
 
     def match_entities(self, mentions: list[EntityMention]) -> set[int]:
@@ -343,17 +349,13 @@ class KnowledgeGraph:
                 seen.add(chunk_id)
                 yield chunk_id
 
-    def _edge_columns(self) -> tuple[tuple, ...]:
-        """The sealed edge list as four columns, ``EDGE_COLUMNS`` in order."""
-        return tuple(zip(*self._edges)) or ((), (), (), ())
-
     def to_json_obj(self) -> dict:
-        """The sealed graph as ``graph.json`` holds it: ``[name, contexts]`` per node id, then the four edge columns."""
+        """The sealed graph as ``graph.json`` holds it: the name of each node id, then the four edge columns."""
         if not self._sealed:
             raise ValueError("seal the graph before exporting")
         return {
-            "nodes": [[n.name, list(n.contexts)] for n in self._nodes],
-            "edges": list(map(list, self._edge_columns())),
+            "nodes": [node.name for node in self._nodes],
+            "edges": list(map(list, zip(*self._edges))) or [[], [], [], []],
         }
 
     def to_dot(self) -> str:
@@ -376,17 +378,7 @@ class KnowledgeGraph:
             raise ValueError("seal the graph before exporting")
         path = Path(path)
         if fmt == "json":
-            # json.dumps(self.to_json_obj(), ensure_ascii=False, separators=(",", ":")) + "\n", byte for
-            # byte: f-string node rows and columns joined once, labels escaped by the C encode_basestring
-            # that ensure_ascii=False uses.
-            esc = encode_basestring
-            nodes = ",".join(f"[{esc(n.name)},[{','.join(map(esc, n.contexts))}]]" for n in self._nodes)
-            sources, targets, relations, provenances = self._edge_columns()
-            edges = (
-                f"[{','.join(map(str, sources))}],[{','.join(map(str, targets))}],"
-                f"[{','.join(map(esc, relations))}],[{','.join(map(esc, provenances))}]"
-            )
-            payload = f'{{"nodes":[{nodes}],"edges":[{edges}]}}\n'
+            payload = _encode(self.to_json_obj()) + "\n"
         elif fmt == "dot":
             payload = self.to_dot()
         else:
@@ -400,44 +392,26 @@ class KnowledgeGraph:
     def from_json_obj(cls, obj: dict, chunk_texts: dict[str, str]) -> "KnowledgeGraph":
         """Rebuild a sealed graph from the ``graph.json`` layout; raises StoreCorruptError.
 
-        The node rows are checked in file order, and the first bad row
-        raises, naming its index. Node ``i`` is the ``i``-th ``[name,
-        contexts]`` pair: no two names may normalize alike (``_resolve`` would
-        give the later one the earlier id), and every context id must be a
-        key of ``chunk_texts`` (chunk id -> text, the map a build holds),
-        which becomes the graph's map, named once per node; the contexts are
-        then sorted in place, as ``seal`` leaves a build's. The edges are
-        four columns of equal length, ``EDGE_COLUMNS``: sources and targets
-        are node ids, relations strings, provenances keys of ``chunk_texts``,
-        and the zipped edges strictly ascend, as ``export`` writes them, so
-        the list needs no dedup and no sort. The columns are checked whole,
-        in C (``_column_edges``); only when a check fails does ``_edge_fault``
-        walk them to name the first bad column and index.
+        Node ``i`` is the ``i``-th name, a string that no earlier name
+        normalizes alike (``_resolve`` would give it the earlier id); the
+        first bad node raises, naming its index. The edges are four columns
+        of equal length, ``EDGE_COLUMNS``: sources and targets are node ids,
+        relations strings, provenances keys of ``chunk_texts`` (the graph's
+        chunk id -> text map), and the zipped edges strictly ascend, as
+        ``export`` writes them, so the list needs no dedup and no sort. The
+        columns are checked whole, in C (``_column_edges``); only when a
+        check fails does ``_edge_fault`` walk them to name the first bad
+        column and index. ``seal`` then derives the contexts, as for a build.
         """
         if type(obj) is not dict or type(obj.get("nodes")) is not list or type(obj.get("edges")) is not list:
             raise StoreCorruptError("malformed graph: not an object of a 'nodes' list and an 'edges' list")
         graph = cls(chunk_texts)
-        known = chunk_texts.keys()
-        for node_id, row in enumerate(obj["nodes"]):
-            if type(row) is not list or len(row) != 2 or type(row[0]) is not str or type(row[1]) is not list:
-                raise StoreCorruptError(f"graph node row {node_id} is not [name, contexts] of a string and a list")
-            name, contexts = row
+        for node_id, name in enumerate(obj["nodes"]):
+            if type(name) is not str:
+                raise StoreCorruptError(f"graph node {node_id} is a {type(name).__name__}, not a name string")
             if graph._resolve(name) != node_id:
                 raise StoreCorruptError(f"graph node {node_id} repeats an earlier node's name: {name!r}")
-            try:
-                ids = set(contexts)
-            except TypeError:  # an unhashable id, such as a list, names no chunk
-                ids = None
-            if ids is None or not ids <= known:
-                # Every key is a string; the type test spares the lookup an unhashable id.
-                unknown = next(cid for cid in contexts if type(cid) is not str or cid not in chunk_texts)
-                raise StoreCorruptError(f"graph node {node_id} context {unknown!r} names no stored chunk")
-            if len(ids) != len(contexts):
-                repeated = next(cid for cid, count in Counter(contexts).items() if count > 1)
-                raise StoreCorruptError(f"graph node {node_id} names context {repeated!r} more than once")
-            contexts.sort()
-            graph._nodes[node_id].contexts = contexts
-        n = len(graph)
+        n, known = len(graph), chunk_texts.keys()
         edges = _column_edges(obj["edges"], n, known)
         if edges is None:
             raise StoreCorruptError(_edge_fault(obj["edges"], n, known))
@@ -457,7 +431,7 @@ class KnowledgeGraph:
         try:
             graph = cls.from_json_obj(obj, chunk_texts)
             if escaped:
-                names = ((f"graph node {i} name", row[0]) for i, row in enumerate(obj["nodes"]))
+                names = ((f"graph node {i} name", name) for i, name in enumerate(obj["nodes"]))
                 # Provenances name stored chunks, whose ids chunks.jsonl's reader checked.
                 relations = ((f"graph edge relations[{i}]", label) for i, label in enumerate(obj["edges"][2]))
                 if problem := lone_surrogate(chain(names, relations)):

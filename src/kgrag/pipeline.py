@@ -4,9 +4,9 @@ A store directory holds four files, written in this order with the manifest
 last so an interrupted build is detectable: chunks.jsonl, vectors.skvx,
 graph.json, manifest.json. A store without a valid manifest is corrupt, and
 so is one whose manifest names another format version than
-``STORE_FORMAT_VERSION``; version 3 stores the graph's nodes as compact rows
-and its sorted edges as four columns (see ``graph``), and a version 1 or 2
-store must be rebuilt. Opening a store reads and checks every file but
+``STORE_FORMAT_VERSION``; version 4 stores the graph's node names and its
+sorted edges as four columns (see ``graph``), and a version 1, 2 or 3 store
+must be rebuilt. Opening a store reads and checks every file but
 graph.json. That file, and the parent texts the graph renders (rebuilt from
 the chunk records, whose spans must tile each parent), are read and checked
 the first time ``Store.graph`` is read: a semantic query reads neither.
@@ -50,7 +50,7 @@ from .retriever import (
 )
 from .vector_index import CHUNKS_SIDECAR, VectorStore
 
-STORE_FORMAT_VERSION = 3
+STORE_FORMAT_VERSION = 4
 VECTORS_FILE = "vectors.skvx"
 GRAPH_FILE = "graph.json"
 MANIFEST_FILE = "manifest.json"
@@ -239,6 +239,7 @@ def build_store(
         del rows  # seal copies the rows into its matrix and drops them; nothing here should hold them on
         vectors.seal()
         vectors.save(out / VECTORS_FILE)
+        del vectors  # saved; the graph phase below should not hold its matrix
 
         graph = KnowledgeGraph({})  # exported, never rendered, so it needs no chunk texts
         for sem in all_semantic:
@@ -357,9 +358,9 @@ def open_store(store_dir: str | Path) -> Store:
     what was loaded. The graph waits for the first read of ``Store.graph``,
     which also rebuilds the parent texts it renders from the chunks'
     overlap cuts, whose spans must tile each parent. The graph's
-    node rows are checked in file order, its contexts must name those
-    parents, its edge columns are checked whole, and its node and edge
-    counts must match the manifest's.
+    node names are checked in file order, its edge columns are checked
+    whole (every provenance must name one of those parents), and its node
+    and edge counts must match the manifest's.
     """
     path = Path(store_dir)
     manifest_path = path / MANIFEST_FILE

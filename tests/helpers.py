@@ -10,9 +10,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 
-# Where each named graph field sits in graph.json: a node row is [name, contexts],
-# and the edges are the columns [sources, targets, relations, provenances].
-NODE_POSITION = {"name": 0, "contexts": 1}
+# Where each named edge field sits in graph.json: the edges are the columns
+# [sources, targets, relations, provenances]; a node is its name.
 EDGE_COLUMN = {"source": 0, "target": 1, "relation": 2, "provenance": 3}
 
 
@@ -21,9 +20,10 @@ EDGE_LAYOUT = "graph edges are not the four columns [sources, targets, relations
 
 
 def set_graph_field(graph: dict, section: str, key: str, value) -> None:
-    """Set field ``key`` of node or edge 0 in a ``graph.json``-shaped object."""
+    """Set field ``key`` of node or edge 0 in a ``graph.json``-shaped object; a node's one field is its name."""
     if section == "nodes":
-        graph["nodes"][0][NODE_POSITION[key]] = value
+        assert key == "name"
+        graph["nodes"][0] = value
     else:
         graph["edges"][EDGE_COLUMN[key]][0] = value
 

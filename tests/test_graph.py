@@ -4,7 +4,6 @@ import json
 import random
 import re
 import tempfile
-from itertools import chain
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from kgrag.exceptions import StoreCorruptError
 from kgrag.extraction import EntityMention, Triple, normalize_entity
 from kgrag.graph import MIN_PREFIX_LEN, KnowledgeGraph, Subgraph, _column_edges, _edge_fault
-from kgrag.pipeline import build_store
+from kgrag.pipeline import build_store, open_store
 
 from helpers import EDGE_LAYOUT, edge_columns, set_graph_field
 
@@ -52,6 +51,7 @@ class TestUpsert:
         again, _ = graph.upsert_triple(triple(later, "near", "ostia", prov="c1"))
         assert again == source and len(graph) == 3
         assert graph.node(source).name == first  # first surface seen wins
+        graph.seal()
         assert graph.node(source).contexts == ["c0", "c1"]
 
     def test_identical_triple_dedup(self):
@@ -117,7 +117,7 @@ class TestUpsert:
             graph.seal()
             names = {graph.node(i).name for i in range(len(graph))}
             obj = graph.to_json_obj()
-            id_to_name = [name for name, _ in obj["nodes"]]
+            id_to_name = obj["nodes"]
             edges = {(id_to_name[s], r, id_to_name[t]) for s, t, r, _ in zip(*obj["edges"])}
             if baselines is None:
                 baselines = (names, edges)
@@ -175,8 +175,7 @@ class TestUpsertPairSetReference:
         contexts = [sorted(ids) for ids in contexts]  # seal sorts what the pair set kept first seen first
         assert [(graph.node(i).name, graph.node(i).contexts) for i in range(len(graph))] == list(zip(names, contexts))
         assert set(graph._edges) == edges
-        nodes = [[name, node_contexts] for name, node_contexts in zip(names, contexts)]
-        assert export_bytes(graph) == compact_dumps({"nodes": nodes, "edges": edge_columns(edges)})
+        assert export_bytes(graph) == compact_dumps({"nodes": names, "edges": edge_columns(edges)})
 
     def test_interleaved_chunks_ascend_after_seal(self):
         graph = KnowledgeGraph({"c1": "one", "c2": "two"})
@@ -222,27 +221,6 @@ class TestContextsAscendAfterSeal:
         loaded = KnowledgeGraph.from_json_obj(json.loads(written), texts)
         assert node_contexts(loaded) == node_contexts(built)
         assert export_bytes(loaded) == written
-
-    def test_file_listing_contexts_out_of_order_loads_sorted(self, tmp_path):
-        # A graph.json written while contexts were kept first seen first: node a met
-        # d#s2 before d#s10, though "d#s10" sorts first. It loads, renders as the
-        # graph did then (the render always read the contexts ascending) and
-        # exports them ascending.
-        texts = {"d#s2": "two", "d#s10": "ten", "d#s3": "three"}
-        path = tmp_path / "graph.json"
-        path.write_text(
-            '{"nodes":[["a",["d#s2","d#s10","d#s3"]],["b",["d#s2"]],["c",["d#s10"]]],'
-            '"edges":[[0,0],[1,2],["r","s"],["d#s2","d#s10"]]}\n'
-        )
-        graph = KnowledgeGraph.load_json(path, texts)
-        assert node_contexts(graph) == [["d#s10", "d#s2", "d#s3"], ["d#s2"], ["d#s10"]]
-        assert graph.render_subgraph(graph.neighborhood({0}, hops=1)) == (
-            "Contexts:\n- ten\n- two\n- three\n\na -[r]-> b\na -[s]-> c"
-        )
-        assert graph.render_subgraph(graph.neighborhood({1, 2}, hops=1)) == (
-            "Contexts:\n- ten\n- two\n- three\n\na -[r]-> b\na -[s]-> c"
-        )
-        assert export_bytes(graph) == path.read_bytes().replace(b'"d#s2","d#s10","d#s3"', b'"d#s10","d#s2","d#s3"')
 
 
 class TestMatchEntities:
@@ -579,7 +557,7 @@ class TestExport:
 
     def test_escaped_lone_surrogate_is_corrupt(self, tmp_path):
         path = tmp_path / "graph.json"
-        path.write_text('{"nodes":[["a",["c0"]]],"edges":[[0],[0],["\\ud800"],["c0"]]}\n')
+        path.write_text('{"nodes":["a"],"edges":[[0],[0],["\\ud800"],["c0"]]}\n')
         with pytest.raises(StoreCorruptError, match=r"graph edge relations\[0\] holds the lone surrogate '\\ud800'"):
             KnowledgeGraph.load_json(path, {"c0": "ctx"})
 
@@ -587,9 +565,9 @@ class TestExport:
     @pytest.mark.parametrize(
         ("text", "message"),
         [
-            ('{"nodes":[["\\udc00a",["c0"]]],"edges":[[],[],[],[]]}\n', r"graph node 0 name holds the lone surrogate"),
+            ('{"nodes":["\\udc00a"],"edges":[[],[],[],[]]}\n', r"graph node 0 name holds the lone surrogate"),
             (
-                '{"nodes":[["a",["c0"]]],"edges":[[0],[0],["r"],["c\\ud83c"]]}\n',
+                '{"nodes":["a"],"edges":[[0],[0],["r"],["c\\ud83c"]]}\n',
                 r"graph edge provenances\[0\] is 'c\\ud83c', which names no stored chunk",
             ),
         ],
@@ -603,7 +581,7 @@ class TestExport:
 
     def test_escaped_surrogate_pair_and_escaped_backslash_load(self, tmp_path):
         path = tmp_path / "graph.json"
-        path.write_text('{"nodes":[["\\ud83c\\udf55",["c0"]],["\\\\ud800",[]]],"edges":[[0],[1],["r"],["c0"]]}\n')
+        path.write_text('{"nodes":["\\ud83c\\udf55","\\\\ud800"],"edges":[[0],[1],["r"],["c0"]]}\n')
         graph = KnowledgeGraph.load_json(path, {"c0": "ctx"})
         assert [graph.node(0).name, graph.node(1).name] == ["\U0001f355", "\\ud800"]
 
@@ -628,14 +606,13 @@ AWKWARD_TEXT = st.text(
 
 @st.composite
 def graph_objects(draw) -> dict:
-    """``graph.json``-shaped objects: distinct names, contexts possibly empty, edges between drawn nodes."""
+    """``graph.json``-shaped objects: distinct names, edges between drawn nodes, so some nodes touch none."""
     names = draw(st.lists(AWKWARD_TEXT, max_size=6, unique_by=normalize_entity))
-    nodes = [[name, draw(st.lists(AWKWARD_TEXT, max_size=3, unique=True))] for name in names]
     edges = set()
     if names:
         node_ids = st.integers(0, len(names) - 1)
         edges = draw(st.sets(st.tuples(node_ids, node_ids, AWKWARD_TEXT, AWKWARD_TEXT), max_size=8))
-    return {"nodes": nodes, "edges": edge_columns(edges)}
+    return {"nodes": names, "edges": edge_columns(edges)}
 
 
 def export_bytes(graph: KnowledgeGraph) -> bytes:
@@ -653,15 +630,15 @@ def compact_dumps(obj: dict) -> bytes:
 class TestJsonTemplate:
     @given(graph_objects())
     @example({"nodes": [], "edges": [[], [], [], []]})
-    @example({"nodes": [["lonely", []]], "edges": [[], [], [], []]})
-    @example({"nodes": [['"q"\\\u2028\u2029\x00🍕', ["c\n0"]]], "edges": [[0], [0], ["\u2029"], ["\\"]]})
+    @example({"nodes": ["lonely"], "edges": [[], [], [], []]})
+    @example({"nodes": ['"q"\\\u2028\u2029\x00🍕'], "edges": [[0, 0], [0, 0], ["\u2029", "\u2029"], ["\\", "c\n0"]]})
     def test_equals_compact_dumps(self, obj):
         graph = KnowledgeGraph.from_json_obj(obj, context_texts(obj))
         assert export_bytes(graph) == compact_dumps(graph.to_json_obj())
 
     def test_export_writes_the_template(self):
         assert export_bytes(chain_graph()) == (
-            b'{"nodes":[["a",["c0"]],["b",["c0","c1"]],["c",["c1"]]],"edges":[[0,1],[1,2],["r1","r2"],["c0","c1"]]}\n'
+            b'{"nodes":["a","b","c"],"edges":[[0,1],[1,2],["r1","r2"],["c0","c1"]]}\n'
         )
 
 
@@ -704,7 +681,7 @@ class TestRoundTrip:
         built.seal()
         names, contexts, edges = pair_set_upsert(triples)
         contexts = [sorted(ids) for ids in contexts]  # seal sorts what the pair set kept first seen first
-        expected = {"nodes": [[name, ids] for name, ids in zip(names, contexts)], "edges": edge_columns(edges)}
+        expected = {"nodes": names, "edges": edge_columns(edges)}
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "graph.json"
             built.export(path, "json")
@@ -714,13 +691,23 @@ class TestRoundTrip:
         assert export_bytes(loaded) == written
         for graph in (built, loaded):
             assert graph._edges == sorted(edges)
+            assert node_contexts(graph) == contexts
             assert graph.to_json_obj() == expected
             assert graph.to_dot() == reference_dot(names, edges)
 
 
 def context_texts(obj: dict) -> dict[str, str]:
-    """A text for every chunk id the ``graph.json``-shaped ``obj`` names: node contexts and edge provenances."""
-    return {cid: f"text of {cid}" for cid in chain(*(contexts for _, contexts in obj["nodes"]), obj["edges"][3])}
+    """A text for every chunk id the ``graph.json``-shaped ``obj`` names: its edge provenances."""
+    return {cid: f"text of {cid}" for cid in obj["edges"][3]}
+
+
+def contexts_from_columns(obj: dict) -> list[list[str]]:
+    """Each node's chunk ids, derived from a ``graph.json``-shaped ``obj``: its edges' provenances, ascending, once."""
+    provenances: list[set[str]] = [set() for _ in obj["nodes"]]
+    for source, target, _, provenance in zip(*obj["edges"]):
+        provenances[source].add(provenance)
+        provenances[target].add(provenance)
+    return [sorted(ids) for ids in provenances]
 
 
 @st.composite
@@ -743,7 +730,7 @@ def edge_column_objects(draw) -> list:
 
 
 def valid_graph_object() -> dict:
-    return {"nodes": [["a", ["c0"]], ["b", []]], "edges": [[0], [1], ["r"], ["c0"]]}
+    return {"nodes": ["a", "b"], "edges": [[0], [1], ["r"], ["c0"]]}
 
 
 class TestLoadIncidentLists:
@@ -751,7 +738,7 @@ class TestLoadIncidentLists:
 
     @given(graph_objects())
     def test_loaded_lists_equal_seal_derivation(self, obj):
-        rows = [sorted(contexts) for _, contexts in obj["nodes"]]  # drawn rows hold any chunk ids, in any order
+        rows = contexts_from_columns(obj)
         loaded = KnowledgeGraph.from_json_obj(obj, context_texts(obj))
         assert [loaded._neighbours[i] for i in range(len(loaded))] == neighbour_reference(loaded)
         assert node_contexts(loaded) == rows
@@ -779,10 +766,6 @@ class TestLoadTypes:
             ("nodes", "name", 5),
             ("nodes", "name", None),
             ("nodes", "name", ["a"]),
-            ("nodes", "contexts", "abc"),
-            ("nodes", "contexts", ["c0", 1]),
-            ("nodes", "contexts", {"c0": "x"}),
-            ("nodes", "contexts", None),
             ("edges", "relation", 5),
             ("edges", "relation", None),
             ("edges", "provenance", 7.5),
@@ -796,23 +779,9 @@ class TestLoadTypes:
             KnowledgeGraph.from_json_obj(obj, {"c0": "ctx"})
 
     def test_context_naming_no_chunk_is_corrupt(self):
-        with pytest.raises(StoreCorruptError, match="'c0' names no stored chunk"):
+        # Node a's one context is its edge's provenance, so the chunk it names is checked there.
+        with pytest.raises(StoreCorruptError, match="'c0', which names no stored chunk"):
             KnowledgeGraph.from_json_obj(valid_graph_object(), {"c1": "other"})
-
-    def test_context_named_twice_in_a_node_is_corrupt(self):
-        # A node names each chunk once, and no build writes a repeat: a file holding
-        # one is corrupt, not merged away by the sort a load does.
-        obj = valid_graph_object()
-        obj["nodes"][1][1] = ["c1", "c0", "c1", "c0"]
-        with pytest.raises(StoreCorruptError, match="^graph node 1 names context 'c1' more than once$"):
-            KnowledgeGraph.from_json_obj(obj, {"c0": "ctx", "c1": "other"})
-
-    @pytest.mark.parametrize("context", [["c0"], {"c0": 1}, 1, None], ids=["list", "dict", "int", "null"])
-    def test_context_id_that_is_not_a_string_names_no_chunk(self, context):
-        obj = valid_graph_object()
-        obj["nodes"][0][1] = ["c0", context]
-        with pytest.raises(StoreCorruptError, match=f"^graph node 0 context {re.escape(repr(context))} names no stored"):
-            KnowledgeGraph.from_json_obj(obj, {"c0": "ctx"})
 
     @pytest.mark.parametrize(
         "edit, named",
@@ -844,14 +813,15 @@ class TestLoadTypes:
             KnowledgeGraph.from_json_obj(obj, {"c0": "ctx"})
 
     @pytest.mark.parametrize(
-        "bad", [["a"], ["a", [], 1], [], "ab", 5, {"a": 1, "b": 2}],
-        ids=["one-item", "three-items", "empty", "string", "number", "dict"],
+        "bad", [["a"], ["a", [], 1], [], ["ab", ["c0"]], 5, {"a": 1, "b": 2}],
+        ids=["one-item", "three-items", "empty", "format-3-row", "number", "dict"],
     )
     def test_names_the_first_bad_node_row(self, bad):
         obj = valid_graph_object()
         obj["nodes"][1:1] = [bad]
         obj["edges"] = [[], [], [], []]
-        with pytest.raises(StoreCorruptError, match=r"^graph node row 1 is not \[name, contexts\]"):
+        kind = type(bad).__name__
+        with pytest.raises(StoreCorruptError, match=rf"^graph node 1 is a {kind}, not a name string$"):
             KnowledgeGraph.from_json_obj(obj, {"c0": "ctx"})
 
     @pytest.mark.parametrize("obj", [[], {"nodes": []}, {"nodes": {}, "edges": []}, {"nodes": [], "edges": None}])
@@ -938,9 +908,8 @@ def snippet_dict_render(sub: Subgraph, names: list[str], contexts: list[dict[str
     return "\n".join(lines)
 
 
-def snippet_dict_json(names: list[str], contexts: list[dict[str, str]], edges: set[tuple]) -> bytes:
-    obj = {"nodes": [[name, sorted(contexts[i])] for i, name in enumerate(names)], "edges": edge_columns(edges)}
-    return compact_dumps(obj)
+def snippet_dict_json(names: list[str], edges: set[tuple]) -> bytes:
+    return compact_dumps({"nodes": names, "edges": edge_columns(edges)})
 
 
 CHUNK_IDS = [f"c{i}" for i in range(4)]
@@ -975,7 +944,8 @@ class TestSnippetDictReference:
         loaded = KnowledgeGraph.from_json_obj(json.loads(export_bytes(built)), texts)
         seeds = {seed for seed in seeds if seed < len(names)}
         for graph in (built, loaded):
-            assert export_bytes(graph) == snippet_dict_json(names, contexts, edges)
+            assert export_bytes(graph) == snippet_dict_json(names, edges)
+            assert node_contexts(graph) == [sorted(ids) for ids in contexts]
             for sub in (
                 graph.neighborhood(seeds, hops=hops, max_nodes=max_nodes),
                 graph.neighborhood(set(range(len(graph))), hops=1, max_nodes=len(graph)),
@@ -1204,6 +1174,34 @@ class TestHubMultigraphReference:
                 assert (kept["context_lines"], kept["edge_lines"]) == (context_lines, edge_lines)
 
 
+class TestContextsDerivedFromEdges:
+    @settings(max_examples=100, deadline=None)
+    @given(hub_multigraphs(), st.integers(1, 3), st.integers(1, 80))
+    def test_export_then_load_gives_each_node_its_edges_chunks(self, graph_rows, hops, max_nodes):
+        # graph.json stores names and edges only: a load must give every node the
+        # contexts the build gave it, and so render every neighborhood the same text.
+        rows, texts = graph_rows
+        built = KnowledgeGraph(texts)
+        for row in rows:
+            built.upsert_triple(triple(*row))
+        built.seal()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "graph.json"
+            built.export(path, "json")
+            names = json.loads(path.read_text(encoding="utf-8"))["nodes"]
+            loaded = KnowledgeGraph.load_json(path, texts)
+        named: dict[str, set[str]] = {}  # normalized name -> the chunk ids of the rows naming it
+        for subject, _, obj, provenance in rows:
+            for name in (subject, obj):
+                named.setdefault(normalize_entity(name), set()).add(provenance)
+        assert names == [built.node(i).name for i in range(len(built))]
+        reference = [sorted(named[normalize_entity(name)]) for name in names]
+        assert node_contexts(built) == node_contexts(loaded) == reference
+        for seeds in [{i} for i in range(len(built))] + [set(range(len(built)))]:
+            text = built.render_subgraph(built.neighborhood(seeds, hops=hops, max_nodes=max_nodes), UNBOUNDED)
+            assert loaded.render_subgraph(loaded.neighborhood(seeds, hops=hops, max_nodes=max_nodes), UNBOUNDED) == text
+
+
 def expanded_nodes(hop_of: dict[int, int], hops: int, max_nodes: int) -> set[int]:
     """The nodes whose neighbour lists a traversal that admitted ``hop_of`` read: each depth's frontier, until a stop."""
     expanded: set[int] = set()
@@ -1253,5 +1251,7 @@ class TestDerivedListsAreLazy:
         monkeypatch.setattr(KnowledgeGraph, "_neighbours", property(fail))
         monkeypatch.setattr(KnowledgeGraph, "_context_order", fail)
         build_store(mini_corpus_dir, tmp_path / "store")
-        rows = json.loads((tmp_path / "store" / "graph.json").read_text(encoding="utf-8"))["nodes"]
-        assert rows and all(contexts and contexts == sorted(set(contexts)) for _, contexts in rows)
+        names = json.loads((tmp_path / "store" / "graph.json").read_text(encoding="utf-8"))["nodes"]
+        graph = open_store(tmp_path / "store").graph  # seal, which derives the contexts, reads no traversal list
+        assert names == [graph.node(i).name for i in range(len(graph))]
+        assert names and all(contexts and contexts == sorted(set(contexts)) for contexts in node_contexts(graph))

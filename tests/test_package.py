@@ -86,3 +86,11 @@ def test_every_top_level_name_has_a_program_reader():
         if name not in referenced
     }
     assert not unread, f"defined in src/kgrag but read only by tests, if at all: {sorted(unread)}"
+
+
+def test_readme_names_the_store_format_version():
+    """README's store layout states the format version a build writes; a bump must move the sentence with it."""
+    from kgrag.pipeline import STORE_FORMAT_VERSION
+
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    assert re.findall(r"The store format version is (\d+)\.", readme) == [str(STORE_FORMAT_VERSION)]

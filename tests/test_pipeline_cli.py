@@ -798,7 +798,7 @@ class TestCmdQuery:
     def test_duplicate_node_name_exit_3(self, store_dir, capsys, rename):
         graph_path = store_dir / "graph.json"
         graph = json.loads(graph_path.read_text())
-        graph["nodes"][1][0] = rename(graph["nodes"][0][0])
+        graph["nodes"][1] = rename(graph["nodes"][0])
         graph_path.write_text(json.dumps(graph))
         assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
         assert "graph node 1 repeats an earlier node's name" in capsys.readouterr().err
@@ -822,7 +822,7 @@ class TestCmdQuery:
             graph["edges"] = [column[: expected // 2] for column in graph["edges"]]
             loaded, name = expected // 2, "graph.json"
         elif key == "nodes":
-            graph["nodes"].append(["an entity no triple names", []])
+            graph["nodes"].append("an entity no triple names")
             loaded, name = expected + 1, "graph.json"
         else:
             manifest["counts"][key] = expected + 1
@@ -968,14 +968,14 @@ class TestCmdQuery:
     def test_graph_context_naming_no_chunk_exit_3(self, mini_store_dir, tmp_path, capsys):
         store = shutil.copytree(mini_store_dir, tmp_path / "mini")
         graph = json.loads((store / "graph.json").read_text())
-        for node in graph["nodes"]:
-            node[1] = ["no-such-chunk"]
+        provenances = graph["edges"][3]
+        provenances[:] = ["no-such-chunk"] * len(provenances)  # a node's contexts are its edges' provenances
         (store / "graph.json").write_text(json.dumps(graph))
         argv = ["query", "--store", str(store), "--question", "Which cheese goes into Carbonara?", "--mode", "kg"]
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "'no-such-chunk' names no stored chunk" in captured.err
+        assert "'no-such-chunk', which names no stored chunk" in captured.err
 
     @each_untiled_span
     def test_chunk_spans_that_do_not_tile_exit_3(self, mini_store_dir, tmp_path, capsys, chunk_id, span):
@@ -1104,6 +1104,37 @@ class TestCmdEval:
         )
         assert not any(path.exists() for path in paths.values())
 
+    @pytest.mark.parametrize("flag", ["--out", "--matrix"])
+    def test_output_that_is_a_directory_exit_2_before_any_retrieval(self, store_dir, tmp_path, capsys, flag):
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"question": "What crosses Rome?", "ground_truth": "The Tiber."}) + "\n")
+        paths = {"--out": tmp_path / "report.csv", "--matrix": tmp_path / "matrix.csv"}
+        paths[flag] = tmp_path / "adir"
+        paths[flag].mkdir()
+        argv = ["eval", "--store", str(store_dir), "--records", str(records)]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        with mock.patch("kgrag.pipeline.run_query", wraps=run_query) as runs:
+            assert main(argv) == 2
+        assert runs.call_count == 0
+        assert capsys.readouterr().err == f"error: cannot write {paths[flag]}: it is a directory\n"
+        assert list(paths[flag].iterdir()) == [] and not any(path.is_file() for path in paths.values())
+
+    @pytest.mark.parametrize("matrix", ["report.csv", "./report.csv"])
+    def test_out_and_matrix_naming_one_file_exit_2_before_any_retrieval(
+        self, store_dir, tmp_path, monkeypatch, capsys, matrix
+    ):
+        # The matrix would overwrite the report.
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"question": "What crosses Rome?", "ground_truth": "The Tiber."}) + "\n")
+        monkeypatch.chdir(tmp_path)
+        argv = ["eval", "--store", str(store_dir), "--records", str(records), "--out", "report.csv", "--matrix", matrix]
+        with mock.patch("kgrag.pipeline.run_query", wraps=run_query) as runs:
+            assert main(argv) == 2
+        assert runs.call_count == 0
+        assert capsys.readouterr().err == "error: --out and --matrix name the same file: report.csv\n"
+        assert not (tmp_path / "report.csv").exists()
+
     def test_empty_records_exit_2(self, store_dir, tmp_path):
         records = tmp_path / "records.jsonl"
         records.write_text("", encoding="utf-8")
@@ -1165,8 +1196,8 @@ class TestCmdEval:
 
 @pytest.mark.parametrize(
     "section, key, value",
-    [("nodes", "name", 5), ("nodes", "contexts", "abc"), ("edges", "relation", 5), ("edges", "provenance", None)],
-    ids=["numeric-name", "string-contexts", "numeric-relation", "null-provenance"],
+    [("nodes", "name", 5), ("edges", "relation", 5), ("edges", "provenance", None)],
+    ids=["numeric-name", "numeric-relation", "null-provenance"],
 )
 @each_graph_reader
 def test_graph_field_of_wrong_type_exit_3(store_dir, tmp_path, monkeypatch, capsys, command, section, key, value):
@@ -1179,7 +1210,7 @@ def test_graph_field_of_wrong_type_exit_3(store_dir, tmp_path, monkeypatch, caps
     assert_nothing_written(tmp_path)
 
 
-NODE_ROW_0 = "graph node row 0 is not [name, contexts]"
+NODE_0 = "graph node 0 is a {kind}, not a name string"
 
 
 def _set_node(graph: dict, row) -> None:
@@ -1194,12 +1225,11 @@ def _edit_columns(graph: dict, edit) -> None:
 @pytest.mark.parametrize(
     "corrupt, named",
     [
-        (lambda g: _set_node(g, ["a"]), NODE_ROW_0),
-        (lambda g: _set_node(g, ["a", [], 1]), NODE_ROW_0),
-        (lambda g: _set_node(g, "ab"), NODE_ROW_0),
-        (lambda g: _set_node(g, {"id": 0, "name": "a", "contexts": []}), NODE_ROW_0),
-        (lambda g: _set_node(g, None), NODE_ROW_0),
-        (lambda g: g["nodes"][0][1].append(g["nodes"][0][1][0]), "graph node 0 names context "),
+        (lambda g: _set_node(g, ["a"]), NODE_0.format(kind="list")),
+        (lambda g: _set_node(g, ["a", [], 1]), NODE_0.format(kind="list")),
+        (lambda g: _set_node(g, [g["nodes"][0], [g["edges"][3][0]]]), NODE_0.format(kind="list")),
+        (lambda g: _set_node(g, {"id": 0, "name": "a", "contexts": []}), NODE_0.format(kind="dict")),
+        (lambda g: _set_node(g, None), NODE_0.format(kind="NoneType")),
         (lambda g: g["edges"].__delitem__(3), f"{EDGE_LAYOUT}: column 3 (provenances) is missing"),
         (lambda g: g["edges"].append([]), f"{EDGE_LAYOUT}: there are 5 columns"),
         (lambda g: g["edges"].__setitem__(0, dict(enumerate(g["edges"][0]))),
@@ -1219,14 +1249,14 @@ def _edit_columns(graph: dict, edit) -> None:
         (lambda g: [g["nodes"], g["edges"]], "malformed graph"),
         (lambda g: {"nodes": g["nodes"]}, "malformed graph"),
     ],
-    ids=["node-of-one", "node-of-three", "node-string", "node-dict", "node-null", "repeated-context",
+    ids=["node-of-one", "node-of-three", "node-format-3-row", "node-dict", "node-null",
          "edge-of-three", "edge-of-five", "edge-dict", "edge-list-label", "unequal-lengths", "bool-source",
          "endpoint-past-nodes", "negative-endpoint", "null-label", "unknown-provenance", "out-of-order", "repeated",
          "top-level-array", "no-edges"],
 )
 @each_graph_reader
 def test_graph_row_of_wrong_shape_exit_3(store_dir, tmp_path, monkeypatch, capsys, command, corrupt, named):
-    # Each node must be a [name, [contexts]] pair, and the edges four equal columns
+    # Each node must be a name string, and the edges four equal columns
     # [sources, targets, relations, provenances] of node ids and strings, sorted and
     # unique, or the store is corrupt; the error names the column and index.
     graph_path = store_dir / "graph.json"
@@ -1241,26 +1271,29 @@ def test_graph_row_of_wrong_shape_exit_3(store_dir, tmp_path, monkeypatch, capsy
     assert_nothing_written(tmp_path)
 
 
-@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("version", [1, 2, 3])
 @pytest.mark.parametrize(
     "command",
     [["query", "--question", "Anything?"], ["graph-export", "--format", "json", "--out", "kg.json"]],
     ids=["query", "graph-export"],
 )
 def test_old_format_store_asks_for_a_rebuild(store_dir, tmp_path, monkeypatch, capsys, command, version):
-    # A store written before the column layout: format 1 held a graph.json of
-    # indented dicts, and format 2 one [source, target, relation, provenance] row per edge.
+    # A store written before the names-only layout: format 1 held a graph.json of
+    # indented dicts, format 2 one [source, target, relation, provenance] row per
+    # edge, and format 3 a [name, [chunk ids]] row per node.
     manifest_path, graph_path = store_dir / "manifest.json", store_dir / "graph.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["format_version"] = version
     manifest_path.write_text(json.dumps(manifest, indent=2))
-    graph = json.loads(graph_path.read_text())
+    graph = v3_graph(json.loads(graph_path.read_text()))
     if version == 1:
         nodes = [{"id": i, "name": name, "contexts": contexts} for i, (name, contexts) in enumerate(graph["nodes"])]
         edges = [dict(zip(("source", "target", "relation", "provenance"), row)) for row in zip(*graph["edges"])]
         graph_path.write_text(json.dumps({"nodes": nodes, "edges": edges}, indent=2))
-    else:
+    elif version == 2:
         graph_path.write_bytes(v2_rows(graph))
+    else:
+        graph_path.write_bytes(compact_bytes(graph))
     monkeypatch.chdir(tmp_path)
     assert main([command[0], "--store", str(store_dir), *command[1:]]) == 3
     err = capsys.readouterr().err
@@ -1268,10 +1301,28 @@ def test_old_format_store_asks_for_a_rebuild(store_dir, tmp_path, monkeypatch, c
     assert not (tmp_path / "kg.json").exists()
 
 
+def compact_bytes(obj: dict) -> bytes:
+    """``obj`` as one compact line of JSON, the way every format of ``graph.json`` is written."""
+    return (json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def v3_graph(graph: dict) -> dict:
+    """The format-3 graph object of a format-4 one: each node's name with its contexts, its edges' provenances.
+
+    Format 3 stored a node as ``[name, [chunk ids]]``, its chunk ids ascending
+    and each once; they are exactly the provenances of the edges that touch it.
+    """
+    contexts: list[set[str]] = [set() for _ in graph["nodes"]]
+    sources, targets, _, provenances = graph["edges"]
+    for source, target, provenance in zip(sources, targets, provenances):
+        contexts[source].add(provenance)
+        contexts[target].add(provenance)
+    return {"nodes": [[name, sorted(ids)] for name, ids in zip(graph["nodes"], contexts)], "edges": graph["edges"]}
+
+
 def v2_rows(graph: dict) -> bytes:
     """The format-2 ``graph.json`` bytes of a format-3 graph object: one row per edge instead of four columns."""
-    rows = {"nodes": graph["nodes"], "edges": list(map(list, zip(*graph["edges"])))}
-    return (json.dumps(rows, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
+    return compact_bytes({"nodes": graph["nodes"], "edges": list(map(list, zip(*graph["edges"])))})
 
 
 def test_raw_line_separators_index_open_and_query(tmp_path, capsys):
@@ -1298,7 +1349,7 @@ def test_raw_line_separators_index_open_and_query(tmp_path, capsys):
 
 def _grow_nodes(graph_path: Path) -> None:
     graph = json.loads(graph_path.read_text())
-    graph["nodes"].append(["an entity no triple names", []])
+    graph["nodes"].append("an entity no triple names")
     graph_path.write_text(json.dumps(graph))
 
 
@@ -1419,7 +1470,7 @@ class TestCmdGraphExport:
     def test_escaped_lone_surrogate_in_a_name_exit_3(self, store_dir, tmp_path, capsys):
         graph_path = store_dir / "graph.json"
         graph = json.loads(graph_path.read_text())
-        graph["nodes"][0][0] += "\udc00"
+        graph["nodes"][0] += "\udc00"
         graph_path.write_text(json.dumps(graph))  # ASCII, so the surrogate stays escaped
         out = tmp_path / "kg.json"
         assert main(["graph-export", "--store", str(store_dir), "--format", "json", "--out", str(out)]) == 3
@@ -1431,38 +1482,6 @@ class TestCmdGraphExport:
         missing.mkdir()
         assert main(["graph-export", "--store", str(missing), "--format", "json",
                      "--out", str(tmp_path / "x.json")]) == 3
-
-
-class TestGraphFileListingContextsOutOfOrder:
-    def test_queries_alike_and_exports_contexts_ascending(self, tmp_path, capsys):
-        # A graph.json written before contexts were sorted at seal listed each node's
-        # chunks in the order its triples met them; reversing every row stands in for it.
-        corpus = tmp_path / "corpus.jsonl"
-        corpus.write_text("\n".join(pinned_corpus_lines()) + "\n", encoding="utf-8")
-        store, old = tmp_path / "store", tmp_path / "old"
-        build_store(corpus, store)
-        shutil.copytree(store, old)
-        graph = json.loads((old / "graph.json").read_text(encoding="utf-8"))
-        assert sum(len(contexts) > 1 for _, contexts in graph["nodes"]) > 50
-        for _, contexts in graph["nodes"]:
-            contexts.reverse()
-        (old / "graph.json").write_text(json.dumps(graph, ensure_ascii=False, separators=(",", ":")) + "\n", "utf-8")
-
-        new_graph, old_graph = open_store(store).graph, open_store(old).graph
-        for seeds in [{node} for node in range(len(new_graph))] + [{0, 1, 2}, {3, 40, 80}]:
-            assert old_graph.render_subgraph(old_graph.neighborhood(seeds)) == new_graph.render_subgraph(
-                new_graph.neighborhood(seeds)
-            )
-        for question in ("Where does Rome cross the Tiber?", "Does Naples bake Margherita?", "Who hosts Milan opera?"):
-            for mode in ("hybrid", "kg"):
-                outputs = []
-                for path in (store, old):
-                    assert main(["query", "--store", str(path), "--question", question, "--mode", mode, "--json"]) == 0
-                    outputs.append(capsys.readouterr().out)
-                assert outputs[0] == outputs[1] and json.loads(outputs[0])["structured_text"]
-        out = tmp_path / "kg.json"
-        assert main(["graph-export", "--store", str(old), "--format", "json", "--out", str(out)]) == 0
-        assert out.read_bytes() == (store / "graph.json").read_bytes()  # every row ascending again
 
 
 class TestRemoteProviderWiring:
@@ -1661,7 +1680,7 @@ class TestMiniCorpusFixture:
         expected = {
             "vectors.skvx": "a081e1ec5e6c45e9727ead13645ba9d178c743d77cdbddb1e0a8820dc5b87fe2",
             "chunks.jsonl": "531770bbb0558eb3355d4bfbf2cbe466b3838a054cde753b8d41e7a835d9db07",
-            "graph.json": "85e93e32e556d1e4458a616225ba4aa5748a4db3265fca4b2629850708168a60",
+            "graph.json": "6fd5fae5607511e413f5cb046887c92f92bf21c83db881a29b94495ac2ddf57b",
         }
         digests = {name: hashlib.sha256((mini_store_dir / name).read_bytes()).hexdigest() for name in expected}
         assert digests == expected
@@ -1669,8 +1688,11 @@ class TestMiniCorpusFixture:
         dot = tmp_path / "mini.dot"
         assert main(["graph-export", "--store", str(mini_store_dir), "--format", "dot", "--out", str(dot)]) == 0
         assert hashlib.sha256(dot.read_bytes()).hexdigest() == "789ef335a10f570b3af09d42de97e3ff35de09f1f20b20a542945e2347024c56"
-        # The format-2 digest, on the same graph as one row per edge: only the layout moved.
-        graph = json.loads((mini_store_dir / "graph.json").read_text(encoding="utf-8"))
+        # The format-3 digest, each node's contexts filled back from its edges, and the
+        # format-2 digest, the same graph as one row per edge: only the layout moved.
+        graph = v3_graph(json.loads((mini_store_dir / "graph.json").read_text(encoding="utf-8")))
+        v3 = "85e93e32e556d1e4458a616225ba4aa5748a4db3265fca4b2629850708168a60"
+        assert hashlib.sha256(compact_bytes(graph)).hexdigest() == v3
         v2 = "87ce7b34abafda06038be6a2171315e18abccd241c4653b061b5ec0bfe5bf78f"
         assert hashlib.sha256(v2_rows(graph)).hexdigest() == v2
 
@@ -1723,17 +1745,21 @@ class TestStoreBytesPinnedLargerCorpus:
         expected = {
             "vectors.skvx": "69644bbd8b7fb4eb8c237ced211fc380a03680546d4201e414145912c4951c35",
             "chunks.jsonl": "f90eda607dc55fd411c921288bcffdda38b79aac5906c10aed8c66ada46bcbc4",
-            "graph.json": "c80f72604723e52a31dc5dc040075c21fd89a6b00c4fcc3230de52238d71f1a5",
-            "manifest.json": "007c0ab40eedd6d9ca103fa3c3c9d90a9417fcc890c90aee283188c0620e4c19",
+            "graph.json": "b682750d9f648fe8828123f48f59fb1fa3a6efd977c43c8aa84dbb7cd5b2976e",
+            "manifest.json": "620712cd82e197e45e6e79232fa738fd190a05fa061081a64484594960ab9384",
         }
         store = tmp_path / "store"
         digests = {name: hashlib.sha256((store / name).read_bytes()).hexdigest() for name in expected}
         assert digests == expected
-        # The format-2 digests: the graph as one row per edge, and the manifest
-        # naming version 2, so only the layout and the version moved.
-        graph = json.loads((store / "graph.json").read_text(encoding="utf-8"))
+        # The format-3 and format-2 digests: the graph with each node's contexts filled
+        # back from its edges, then as one row per edge, and the manifest naming
+        # version 3, then 2, so only the layout and the version moved.
+        graph = v3_graph(json.loads((store / "graph.json").read_text(encoding="utf-8")))
+        assert hashlib.sha256(compact_bytes(graph)).hexdigest() == "c80f72604723e52a31dc5dc040075c21fd89a6b00c4fcc3230de52238d71f1a5"
         assert hashlib.sha256(v2_rows(graph)).hexdigest() == "b979d93e36497796c82b19c7f921c0fe496d19838bbec706abe94f8abd600816"
         manifest = (store / "manifest.json").read_bytes()
-        assert manifest.count(b'"format_version": 3,') == 1
-        v2_manifest = manifest.replace(b'"format_version": 3,', b'"format_version": 2,')
+        assert manifest.count(b'"format_version": 4,') == 1
+        v3_manifest = manifest.replace(b'"format_version": 4,', b'"format_version": 3,')
+        assert hashlib.sha256(v3_manifest).hexdigest() == "007c0ab40eedd6d9ca103fa3c3c9d90a9417fcc890c90aee283188c0620e4c19"
+        v2_manifest = manifest.replace(b'"format_version": 4,', b'"format_version": 2,')
         assert hashlib.sha256(v2_manifest).hexdigest() == "079bee540e238b818fe00f99b3b47685479c8d123f3e5ffc9fcd4bb48a9dc702"
