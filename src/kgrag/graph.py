@@ -1,32 +1,25 @@
-"""Knowledge graph: entity nodes with provenance chunk ids, labeled edges.
+"""Knowledge graph: entity nodes with provenance chunk ids, labeled edges, held as integer columns.
 
-Nodes merge on the normalized entity name; every node keeps the ids of the
-chunks its triples came from, read through the graph's one chunk_id -> text
-map, so a traversal can hand back both structure and supporting context. A
-node's id is its position in the node list. An edge is the plain tuple
-``(source, target, relation, provenance)``, node ids then labels, so edges
-sort plainly. A build collects edges in a set; ``seal`` puts the graph in
-canonical form, once, for a build and a load alike: one sorted edge list,
-and each node's contexts, its edges' distinct provenances, ascending. A
-node's distinct neighbour ids in both directions, ascending, are derived
-the first time a traversal expands it: its targets from its source range of
-the edge list, its sources from its range of one target-ordered copy of
-that list, which the first traversal sorts in C. A traversal is a seeded
+Nodes merge on the normalized entity name, and a node's id is its position
+in the node list. A build collects each edge as the tuple ``(source, target,
+relation, provenance)`` in a set; ``seal`` turns it into the graph's one
+sealed form, which a load reads straight from ``graph.json``: the distinct
+relations and provenance chunk ids as two ascending tables, and four int32
+edge columns (node ids, then table indices) in sorted edge order. Index
+order is string order, so the columns list the edges in their tuples' order.
+
+A node's distinct neighbour ids and its contexts, its edges' distinct chunk
+ids, each ascending, are derived the first time they are read, then kept:
+its out-edges are one ``searchsorted`` range of the source column, its
+in-edges one range of a stable argsort by target. A traversal is a seeded
 breadth-first expansion that merges the frontier's neighbour lists lazily,
-bounded by hop count and node budget, so a hub costs what the budget
-admits, not its parallel edges. A neighborhood is its admitted nodes and
-their hops; the edges it induces are only ever collected, when first read,
-from each admitted node's source range of the edge list. It renders as text
-within a token budget: its context chunks first, those the seed nodes share
-most ahead, merged lazily from the sorted context lists, then its edges, so
-a hub seed costs what the budget keeps, and a render cut inside the
-contexts never collects the edges at all. Same lifecycle as the vector
-store: single-writer build (or load), seal, then lock-free concurrent
-reads. ``export`` writes the store's ``graph.json``: each node's name (its
-id is its position) and the sorted edges as four columns, ``[sources,
-targets, relations, provenances]``; no contexts, which ``seal`` derives. A
-load checks the columns whole, in C, and zips them back into the sorted
-list of tuples.
+bounded by hop count and node budget, so a hub costs what the budget admits.
+A neighborhood renders as text within a token budget: its context chunks,
+read through the graph's one chunk_id -> text map, those the seed nodes
+share most ahead, then its edges, collected from the columns only if the
+budget reaches them. Same lifecycle as the vector store: single-writer build
+(or load), seal, then lock-free concurrent reads. ``export`` writes
+``graph.json`` one piece at a time; a load checks it whole, in C or numpy.
 """
 
 from __future__ import annotations
@@ -34,13 +27,15 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Iterator, Set
-from dataclasses import dataclass, field
+from collections.abc import Callable, Iterable, Iterator
+from dataclasses import dataclass
 from functools import cached_property
 from heapq import merge
 from itertools import chain, filterfalse, islice
-from operator import itemgetter, lt
+from operator import ge, itemgetter, lt
 from pathlib import Path
+
+import numpy as np
 
 from .corpus import holds_escape, lone_surrogate
 from .extraction import EntityMention, Triple, normalize_entity
@@ -54,118 +49,121 @@ DEFAULT_MAX_STRUCTURED_TOKENS = 1024
 # The one graph.json writer: compact, non-ASCII kept, run by the C encoder.
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
+# The graph.json edge columns, in edge field order; the last two index the tables of the same names.
+EDGE_COLUMNS = ("sources", "targets", "relations", "chunks")
+
 
 @dataclass
 class EntityNode:
     name: str  # canonical = first surface seen
-    contexts: list[str] = field(default_factory=list)  # its edges' provenance chunk ids, ascending, each once; set by seal
-
-
-# The graph.json edge columns, in edge field order.
-EDGE_COLUMNS = ("sources", "targets", "relations", "provenances")
-_source = itemgetter(0)
-_target = itemgetter(1)
+    contexts: list[str]  # its edges' provenance chunk ids, ascending, each once
 
 
 class Subgraph:
-    """Admitted nodes by id, each node's hop, and the edges induced on them.
+    """Admitted nodes by id, each node's hop, and the edges induced on them, as tuples collected on first read."""
 
-    ``edges`` is collected on first read, from each admitted node's range of
-    the graph's sorted edge list as a source, and kept.
-    """
+    __slots__ = ("nodes", "hop_of", "_edges", "_graph")
 
-    __slots__ = ("nodes", "hop_of", "_edges", "_graph_edges")
-
-    def __init__(self, nodes: dict[int, EntityNode], *, hop_of: dict[int, int], graph_edges: list[tuple]) -> None:
+    def __init__(self, nodes: dict[int, EntityNode], *, hop_of: dict[int, int], graph: KnowledgeGraph) -> None:
         self.nodes = nodes
         self.hop_of = hop_of
         self._edges: set[tuple] | None = None
-        self._graph_edges = graph_edges
+        self._graph = graph
 
     @property
     def edges(self) -> set[tuple]:
         if self._edges is None:
-            hop_of, edges = self.hop_of, self._graph_edges
-            induced = set()
-            for node in hop_of:
-                start = bisect_left(edges, node, key=_source)
-                stop = bisect_left(edges, node + 1, start, key=_source)
-                induced.update(e for e in edges[start:stop] if e[1] in hop_of)
-            self._edges = induced
+            self._edges = self._graph._induced_edges(self.hop_of)
         return self._edges
 
 
-class _NeighbourLists(dict):
-    """Node id -> its distinct neighbour ids in both directions, ascending, each derived on first read.
+class _PerNode(dict):
+    """Node id -> ``derive(node)``, derived on first read and kept; readers that race derive the same value."""
 
-    A node's targets are its source range of the sorted edge list; its
-    sources are its target range of ``_by_target``, the same edges stably
-    sorted by target in one C call, so they ascend too. Both ranges are
-    found by bisection, and one sort of the union gives the list, a
-    neighbour on both sides or a self-loop once. A derived list is kept, so
-    a later read is the C ``dict.__getitem__``; two readers that miss the
-    same node derive the same list, so concurrent reads need no lock.
-    """
+    __slots__ = ("_derive",)
 
-    __slots__ = ("_edges", "_by_target")
-
-    def __init__(self, edges: list[tuple]) -> None:
+    def __init__(self, derive: Callable[[int], object]) -> None:
         super().__init__()
-        self._edges = edges
-        self._by_target = sorted(edges, key=_target)
+        self._derive = derive
 
-    def __missing__(self, node: int) -> list[int]:
-        edges, by_target = self._edges, self._by_target
-        start = bisect_left(edges, node, key=_source)
-        stop = bisect_left(edges, node + 1, start, key=_source)
-        first = bisect_left(by_target, node, key=_target)
-        last = bisect_left(by_target, node + 1, first, key=_target)
-        ids = self[node] = sorted({*map(_target, edges[start:stop]), *map(_source, by_target[first:last])})
-        return ids
+    def __missing__(self, node: int):
+        value = self[node] = self._derive(node)
+        return value
 
 
 class KnowledgeGraph:
     def __init__(self, chunk_texts: dict[str, str]) -> None:
         self._chunk_texts = chunk_texts  # semantic chunk id -> text, shared by every node
-        self._nodes: list[EntityNode] = []
+        self._names: list[str] = []
         self._by_normalized: dict[str, int] = {}
-        self._edges: set[tuple] | list[tuple] = set()  # a build's dedup set; sorted into one list at seal
+        self._edges: set[tuple] | None = set()  # a build's tuples; seal turns them into the tables and columns
+        self._relations: list[str] = []
+        self._chunks: list[str] = []
+        self._columns = np.zeros((4, 0), np.int32)  # EDGE_COLUMNS, one row each
         self._sealed = False
 
     def __len__(self) -> int:
-        return len(self._nodes)
+        return len(self._names)
 
     @property
     def edge_count(self) -> int:
-        return len(self._edges)
+        return self._columns.shape[1] if self._sealed else len(self._edges)
 
     def node(self, node_id: int) -> EntityNode:
-        return self._nodes[node_id]
+        if not self._sealed:
+            raise ValueError("graph must be sealed before reading a node")
+        return self._entities[node_id]
 
     def seal(self) -> None:
-        """Freeze the graph: sort a build's edge set into the edge list, and derive each node's contexts.
+        """Freeze a build: turn its edge set, checked by ``upsert_triple``, into the tables and the sorted columns.
 
-        A node's contexts, its edges' distinct provenances ascending, are
-        made here only, for a build and a load alike. Each edge was checked
-        as it entered, by ``upsert_triple`` or by ``from_json_obj``. Neighbour
-        lists wait for a traversal, which a build never makes. A second seal does nothing.
+        Index order is string order, so one ``np.lexsort`` of the columns sorts
+        the edges as their tuples sort. A load is sealed as it is read.
         """
         if self._sealed:
             return
-        if type(self._edges) is set:
-            self._edges = sorted(self._edges)
-        provenances: list[list[str]] = [[] for _ in self._nodes]
-        for source, target, _, provenance in self._edges:
-            provenances[source].append(provenance)
-            provenances[target].append(provenance)
-        for node, ids in zip(self._nodes, provenances):
-            node.contexts = sorted(set(ids))
+        if self._edges:
+            edges = list(self._edges)
+            sources, targets, *labels = (list(map(itemgetter(k), edges)) for k in range(4))
+            self._relations, self._chunks = tables = [sorted(set(column)) for column in labels]
+            ids = [list(map({label: i for i, label in enumerate(t)}.__getitem__, c)) for t, c in zip(tables, labels)]
+            columns = np.array((sources, targets, *ids), np.int32)
+            self._columns = columns[:, np.lexsort(columns[::-1])]  # the last key sorts first
+        self._edges = None
         self._sealed = True
 
     @cached_property
-    def _neighbours(self) -> _NeighbourLists:
+    def _target_order(self) -> tuple[np.ndarray, np.ndarray]:
+        """The edge indices stably sorted by target, and the targets in that order, so a node's in-edges are one range."""
+        order = np.argsort(self._columns[1], kind="stable")
+        return order, self._columns[1][order]
+
+    def _distinct(self, node: int, out: int, into: int) -> list[int]:
+        """The distinct values, ascending, of column ``out`` of a node's out-edges and ``into`` of its in-edges."""
+        start, stop = np.searchsorted(self._columns[0], (node, node + 1))
+        order, targets = self._target_order
+        first, last = np.searchsorted(targets, (node, node + 1))
+        return sorted({*self._columns[out, start:stop].tolist(), *self._columns[into, order[first:last]].tolist()})
+
+    @cached_property
+    def _neighbours(self) -> _PerNode:
         """Node id -> its distinct neighbour ids in both directions, ascending, each list derived on first read."""
-        return _NeighbourLists(self._edges)
+        return _PerNode(lambda node: self._distinct(node, 1, 0))
+
+    @cached_property
+    def _entities(self) -> _PerNode:
+        """Node id -> its ``EntityNode``, its contexts (its edges' distinct chunk ids, ascending) derived on first read."""
+        names, chunks = self._names, self._chunks
+        return _PerNode(lambda node: EntityNode(names[node], [chunks[i] for i in self._distinct(node, 3, 3)]))
+
+    def _induced_edges(self, nodes: Iterable[int]) -> set[tuple]:
+        """The edges with both ends in ``nodes``, as ``(source, target, relation, provenance)`` tuples."""
+        admitted = np.zeros(len(self._names), bool)
+        admitted[list(nodes)] = True
+        columns = self._columns
+        sources, targets, relations, chunks = columns[:, admitted[columns[0]] & admitted[columns[1]]].tolist()
+        labels = map(self._relations.__getitem__, relations)
+        return set(zip(sources, targets, labels, map(self._chunks.__getitem__, chunks)))
 
     def _resolve(self, surface: str) -> int:
         """The node id of ``surface``'s normalized name, a new node (named ``surface``) if none.
@@ -181,8 +179,8 @@ class KnowledgeGraph:
         normalized = normalize_entity(surface)
         node_id = self._by_normalized.get(normalized)
         if node_id is None:
-            node_id = len(self._nodes)
-            self._nodes.append(EntityNode(name=surface))
+            node_id = len(self._names)
+            self._names.append(surface)
             self._by_normalized[normalized] = node_id
         return node_id
 
@@ -190,8 +188,8 @@ class KnowledgeGraph:
         """Merge a triple into the graph; returns (source, target) node ids.
 
         Endpoint nodes are resolved or created by normalized name, and the
-        edge enters the build's set; ``seal`` derives the nodes' contexts from
-        the edges. A relation or provenance that is not a string raises
+        edge enters the build's set; ``seal`` turns the set into the tables
+        and columns. A relation or provenance that is not a string raises
         ``ValueError``, changing nothing.
         """
         if self._sealed:
@@ -252,7 +250,7 @@ class KnowledgeGraph:
         if max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
         if not seeds:
-            return Subgraph(nodes={}, hop_of={}, graph_edges=self._edges)
+            return Subgraph(nodes={}, hop_of={}, graph=self)
 
         neighbours = self._neighbours
         frontier = sorted(seeds)
@@ -266,8 +264,8 @@ class KnowledgeGraph:
                 hop_of[node] = depth  # admitted now, so a repeat later in the merge is skipped
                 frontier.append(node)
 
-        nodes = {nid: self._nodes[nid] for nid in hop_of}
-        return Subgraph(nodes=nodes, hop_of=hop_of, graph_edges=self._edges)
+        entities = self._entities
+        return Subgraph(nodes={nid: entities[nid] for nid in hop_of}, hop_of=hop_of, graph=self)
 
     # -- rendering and export ------------------------------------------------
 
@@ -350,13 +348,18 @@ class KnowledgeGraph:
                 yield chunk_id
 
     def to_json_obj(self) -> dict:
-        """The sealed graph as ``graph.json`` holds it: the name of each node id, then the four edge columns."""
+        """The sealed graph as ``graph.json`` holds it: node names, the relation and chunk tables, the four edge columns."""
         if not self._sealed:
             raise ValueError("seal the graph before exporting")
-        return {
-            "nodes": [node.name for node in self._nodes],
-            "edges": list(map(list, zip(*self._edges))) or [[], [], [], []],
-        }
+        return {"nodes": [*self._names], "relations": [*self._relations], "chunks": [*self._chunks],
+                "edges": self._columns.tolist()}
+
+    def _json_pieces(self) -> Iterator[str]:
+        """``_encode(self.to_json_obj()) + "\\n"``, made as written: the names and tables, then one piece per column."""
+        yield f'{{"nodes":{_encode(self._names)},"relations":{_encode(self._relations)},"chunks":{_encode(self._chunks)}'
+        for k, column in enumerate(self._columns):
+            yield (',"edges":[' if k == 0 else ",") + _encode(column.tolist())
+        yield "]}\n"
 
     def to_dot(self) -> str:
         if not self._sealed:
@@ -366,57 +369,59 @@ class KnowledgeGraph:
             return text.replace("\\", "\\\\").replace('"', '\\"')
 
         lines = ["digraph knowledge_graph {"]
-        for node_id, node in enumerate(self._nodes):
-            lines.append(f'  n{node_id} [label="{esc(node.name)}"];')
-        for source, target, relation, _ in self._edges:
-            lines.append(f'  n{source} -> n{target} [label="{esc(relation)}"];')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        lines += [f'  n{node_id} [label="{esc(name)}"];' for node_id, name in enumerate(self._names)]
+        labels = list(map(esc, self._relations))
+        sources, targets, relations, _ = self._columns.tolist()
+        lines += [f'  n{s} -> n{t} [label="{labels[r]}"];' for s, t, r in zip(sources, targets, relations)]
+        return "\n".join([*lines, "}\n"])
 
     def export(self, path: str | Path, fmt: str = "json") -> None:
         if not self._sealed:
             raise ValueError("seal the graph before exporting")
-        path = Path(path)
         if fmt == "json":
-            payload = _encode(self.to_json_obj()) + "\n"
+            pieces = self._json_pieces()
         elif fmt == "dot":
-            payload = self.to_dot()
+            pieces = [self.to_dot()]
         else:
             raise ValueError(f"unknown export format {fmt!r}")
         try:
-            path.write_text(payload, encoding="utf-8")
+            with Path(path).open("w", encoding="utf-8") as out:
+                out.writelines(pieces)
         except OSError as exc:
             raise InputError(f"cannot write graph export to {path}: {exc}") from exc
 
     @classmethod
     def from_json_obj(cls, obj: dict, chunk_texts: dict[str, str]) -> "KnowledgeGraph":
-        """Rebuild a sealed graph from the ``graph.json`` layout; raises StoreCorruptError.
+        """Rebuild a sealed graph from the ``graph.json`` layout; raises StoreCorruptError naming the first fault.
 
         Node ``i`` is the ``i``-th name, a string that no earlier name
-        normalizes alike (``_resolve`` would give it the earlier id); the
-        first bad node raises, naming its index. The edges are four columns
-        of equal length, ``EDGE_COLUMNS``: sources and targets are node ids,
-        relations strings, provenances keys of ``chunk_texts`` (the graph's
-        chunk id -> text map), and the zipped edges strictly ascend, as
-        ``export`` writes them, so the list needs no dedup and no sort. The
-        columns are checked whole, in C (``_column_edges``); only when a
-        check fails does ``_edge_fault`` walk them to name the first bad
-        column and index. ``seal`` then derives the contexts, as for a build.
+        normalizes alike (``_resolve`` would give it the earlier id). The two
+        tables are strings, strictly ascending, and every chunk id is a key of
+        ``chunk_texts``; then ``_edge_columns``. Every check but the node walk
+        runs whole, in C or numpy, and a fault is found by ``np.flatnonzero``.
         """
-        if type(obj) is not dict or type(obj.get("nodes")) is not list or type(obj.get("edges")) is not list:
-            raise StoreCorruptError("malformed graph: not an object of a 'nodes' list and an 'edges' list")
+        if type(obj) is not dict or any(type(obj.get(k)) is not list for k in ("nodes", "relations", "chunks", "edges")):
+            raise StoreCorruptError("malformed graph: not an object of 'nodes', 'relations', 'chunks' and 'edges' lists")
         graph = cls(chunk_texts)
         for node_id, name in enumerate(obj["nodes"]):
             if type(name) is not str:
                 raise StoreCorruptError(f"graph node {node_id} is a {type(name).__name__}, not a name string")
             if graph._resolve(name) != node_id:
                 raise StoreCorruptError(f"graph node {node_id} repeats an earlier node's name: {name!r}")
-        n, known = len(graph), chunk_texts.keys()
-        edges = _column_edges(obj["edges"], n, known)
-        if edges is None:
-            raise StoreCorruptError(_edge_fault(obj["edges"], n, known))
-        graph._edges = edges
-        graph.seal()
+        relations, chunks = obj["relations"], obj["chunks"]
+        for key, table in (("relations", relations), ("chunks", chunks)):
+            if not {*map(type, table)} <= {str}:
+                i = np.flatnonzero(np.array([*map(type, table)], object) != str)[0]
+                raise StoreCorruptError(f"graph {key}[{i}] is {table[i]!r}, not a string")
+            if not all(map(lt, table, islice(table, 1, None))):
+                i = np.flatnonzero(list(map(ge, table, islice(table, 1, None))))[0] + 1
+                how = "repeats" if table[i] == table[i - 1] else "sorts before"
+                raise StoreCorruptError(f"graph {key}[{i}] {how} {key}[{i - 1}]: a table must be sorted and unique")
+        if not chunk_texts.keys() >= set(chunks):
+            i = np.flatnonzero(~np.fromiter(map(chunk_texts.__contains__, chunks), bool, len(chunks)))[0]
+            raise StoreCorruptError(f"graph chunks[{i}] is {chunks[i]!r}, which names no stored chunk")
+        graph._columns = _edge_columns(obj["edges"], (len(graph), len(graph), len(relations), len(chunks)))
+        graph._relations, graph._chunks, graph._edges, graph._sealed = relations, chunks, None, True
         return graph
 
     @classmethod
@@ -432,8 +437,8 @@ class KnowledgeGraph:
             graph = cls.from_json_obj(obj, chunk_texts)
             if escaped:
                 names = ((f"graph node {i} name", name) for i, name in enumerate(obj["nodes"]))
-                # Provenances name stored chunks, whose ids chunks.jsonl's reader checked.
-                relations = ((f"graph edge relations[{i}]", label) for i, label in enumerate(obj["edges"][2]))
+                # Chunk ids name stored chunks, whose ids chunks.jsonl's reader checked.
+                relations = ((f"graph relations[{i}]", label) for i, label in enumerate(obj["relations"]))
                 if problem := lone_surrogate(chain(names, relations)):
                     raise StoreCorruptError(problem)
         except StoreCorruptError as exc:
@@ -456,58 +461,49 @@ def _shared_ids(lists: list[list[str]]) -> list[str]:
     return [chunk_id for _, chunk_id in sorted((-n, chunk_id) for chunk_id, n in counts.items() if n > 1)]
 
 
-def _column_edges(columns: list, n: int, known: Set[str]) -> list[tuple] | None:
-    """The edges of ``graph.json`` edge columns that pass ``from_json_obj``'s rules, each checked in C; else None.
+def _edge_columns(columns: list, bounds: tuple[int, ...]) -> np.ndarray:
+    """``graph.json`` edge columns as one (4, edges) int32 array; raises StoreCorruptError naming the first fault.
 
-    The graph has ``n`` nodes, and ``known`` holds the stored chunk ids, which
-    every provenance must be. ``_edge_fault`` walks the same rules one value at a time.
+    Four lists of equal length, of ints only (``true`` and ``1.0`` fail), each
+    in ``[0, bound)`` of its column, listing strictly ascending edges: checked
+    in that order, the first failed check naming its first bad edge and column.
     """
-    if len(columns) != 4 or not all(type(column) is list for column in columns):
-        return None
-    sources, targets, relations, provenances = columns
-    if not (
-        len(sources) == len(targets) == len(relations) == len(provenances)
-        and {*map(type, sources), *map(type, targets)} <= {int}
-        and {*map(type, relations), *map(type, provenances)} <= {str}
-        and set(provenances) <= known
-        and (not sources or -1 < min(min(sources), min(targets)) and max(max(sources), max(targets)) < n)
-    ):
-        return None
-    edges = list(zip(*columns))
-    return edges if all(map(lt, edges, islice(edges, 1, None))) else None
-
-
-def _edge_fault(columns: list, n: int, known: Set[str]) -> str:
-    """Why ``graph.json`` edge columns that ``_column_edges`` rejected are bad, naming the first bad column and index."""
-    layout = "graph edges are not the four columns [sources, targets, relations, provenances]"
+    layout = "graph edges are not the four columns [sources, targets, relations, chunks]"
     for k, column in enumerate(EDGE_COLUMNS):
         if k >= len(columns):
-            return f"{layout}: column {k} ({column}) is missing"
+            raise StoreCorruptError(f"{layout}: column {k} ({column}) is missing")
         if type(columns[k]) is not list:
-            return f"{layout}: column {k} ({column}) is not a list"
+            raise StoreCorruptError(f"{layout}: column {k} ({column}) is not a list")
     if len(columns) > 4:
-        return f"{layout}: there are {len(columns)} columns"
+        raise StoreCorruptError(f"{layout}: there are {len(columns)} columns")
     lengths = list(map(len, columns))
     if min(lengths) != max(lengths):
         short, long = lengths.index(min(lengths)), lengths.index(max(lengths))
-        return (
-            f"graph edge {EDGE_COLUMNS[short]}[{lengths[short]}] is missing: "
-            f"{EDGE_COLUMNS[long]} holds {lengths[long]} edges"
+        missing = f"{EDGE_COLUMNS[short]}[{lengths[short]}] is missing"
+        raise StoreCorruptError(f"graph edge {missing}: {EDGE_COLUMNS[long]} holds {lengths[long]} edges")
+    if all({*map(type, column)} <= {int} for column in columns):
+        try:
+            array = np.array(columns, np.int64)
+            bad = (array < 0) | (array >= np.array(bounds)[:, None])
+        except OverflowError:  # a value past int64, so out of range; compare as Python ints
+            array = np.array(columns, object)
+            bad = ((array < 0) | (array >= np.array(bounds, object)[:, None])).astype(bool)
+    else:
+        bad = np.array([[*map(type, column)] for column in columns], object) != int
+    if bad.any():
+        i = np.flatnonzero(bad.any(axis=0))[0]
+        k = np.flatnonzero(bad[:, i])[0]
+        what = "a node id" if k < 2 else f"an index of the {EDGE_COLUMNS[k]} table"
+        raise StoreCorruptError(f"graph edge {EDGE_COLUMNS[k]}[{i}] is {columns[k][i]!r}, not {what} in [0, {bounds[k]})")
+    array = array.astype(np.int32)
+    steps = np.diff(array, axis=1)
+    first = (steps != 0).argmax(axis=0)  # the first column where each edge differs from the one before
+    step = np.take_along_axis(steps, first[None], axis=0)[0]
+    if (step <= 0).any():
+        i = np.flatnonzero(step <= 0)[0] + 1
+        if step[i - 1] == 0:
+            raise StoreCorruptError(f"graph edge {i} repeats edge {i - 1}: edges must be sorted and unique")
+        raise StoreCorruptError(
+            f"graph edge {EDGE_COLUMNS[first[i - 1]]}[{i}] sorts before edge {i - 1}: edges must be sorted and unique"
         )
-    previous = None
-    for i, edge in enumerate(zip(*columns)):
-        for column, value in zip(EDGE_COLUMNS[:2], edge[:2]):
-            if not (type(value) is int and -1 < value < n):
-                return f"graph edge {column}[{i}] is {value!r}, not a node id in [0, {n})"
-        for column, value in zip(EDGE_COLUMNS[2:], edge[2:]):
-            if type(value) is not str:
-                return f"graph edge {column}[{i}] is {value!r}, not a string"
-        if edge[3] not in known:
-            return f"graph edge provenances[{i}] is {edge[3]!r}, which names no stored chunk"
-        if previous is not None and not previous < edge:
-            if previous == edge:
-                return f"graph edge {i} repeats edge {i - 1}: edges must be sorted and unique"
-            column = next(c for c, a, b in zip(EDGE_COLUMNS, previous, edge) if a != b)
-            return f"graph edge {column}[{i}] sorts before edge {i - 1}: edges must be sorted and unique"
-        previous = edge
-    raise AssertionError("_column_edges rejected edge columns in which _edge_fault finds no fault")
+    return array

@@ -4,9 +4,9 @@ A store directory holds four files, written in this order with the manifest
 last so an interrupted build is detectable: chunks.jsonl, vectors.skvx,
 graph.json, manifest.json. A store without a valid manifest is corrupt, and
 so is one whose manifest names another format version than
-``STORE_FORMAT_VERSION``; version 4 stores the graph's node names and its
-sorted edges as four columns (see ``graph``), and a version 1, 2 or 3 store
-must be rebuilt. Opening a store reads and checks every file but
+``STORE_FORMAT_VERSION``; version 5 stores the graph's node names, its
+relation and chunk tables and its sorted edges as four integer columns (see
+``graph``), and a version 1, 2, 3 or 4 store must be rebuilt. Opening a store reads and checks every file but
 graph.json. That file, and the parent texts the graph renders (rebuilt from
 the chunk records, whose spans must tile each parent), are read and checked
 the first time ``Store.graph`` is read: a semantic query reads neither.
@@ -50,7 +50,7 @@ from .retriever import (
 )
 from .vector_index import CHUNKS_SIDECAR, VectorStore
 
-STORE_FORMAT_VERSION = 4
+STORE_FORMAT_VERSION = 5
 VECTORS_FILE = "vectors.skvx"
 GRAPH_FILE = "graph.json"
 MANIFEST_FILE = "manifest.json"

@@ -10,13 +10,14 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 
-# Where each named edge field sits in graph.json: the edges are the columns
-# [sources, targets, relations, provenances]; a node is its name.
-EDGE_COLUMN = {"source": 0, "target": 1, "relation": 2, "provenance": 3}
+# Where each named edge field sits in graph.json: a node is its name, an
+# endpoint a cell of the sources or targets column, and a relation or
+# provenance an entry of the relations or chunks table.
+EDGE_FIELD = {"source": ("edges", 0), "target": ("edges", 1), "relation": ("relations",), "provenance": ("chunks",)}
 
 
 # The start of the load error for edges that are not four lists.
-EDGE_LAYOUT = "graph edges are not the four columns [sources, targets, relations, provenances]"
+EDGE_LAYOUT = "graph edges are not the four columns [sources, targets, relations, chunks]"
 
 
 def set_graph_field(graph: dict, section: str, key: str, value) -> None:
@@ -25,12 +26,31 @@ def set_graph_field(graph: dict, section: str, key: str, value) -> None:
         assert key == "name"
         graph["nodes"][0] = value
     else:
-        graph["edges"][EDGE_COLUMN[key]][0] = value
+        cells = graph
+        for step in EDGE_FIELD[key]:
+            cells = cells[step]
+        cells[0] = value
 
 
-def edge_columns(edges) -> list[list]:
-    """``graph.json`` edge columns of ``(source, target, relation, provenance)`` edges, sorted."""
-    return list(map(list, zip(*sorted(edges)))) or [[], [], [], []]
+def graph_object(names, edges) -> dict:
+    """The ``graph.json`` object of node names and ``(source, target, relation, provenance)`` edges.
+
+    Its tables are the distinct relations and provenances, ascending, and its
+    columns the sorted edges, the last two as indices into those tables.
+    """
+    edges = sorted(edges)
+    relations, chunks = sorted({edge[2] for edge in edges}), sorted({edge[3] for edge in edges})
+    relation_ids, chunk_ids = {r: i for i, r in enumerate(relations)}, {c: i for i, c in enumerate(chunks)}
+    rows = [(s, t, relation_ids[r], chunk_ids[c]) for s, t, r, c in edges]
+    columns = list(map(list, zip(*rows))) or [[], [], [], []]
+    return {"nodes": list(names), "relations": relations, "chunks": chunks, "edges": columns}
+
+
+def tuple_edges(graph: dict) -> list[tuple]:
+    """The edges of a ``graph.json``-shaped object, in file order, as ``(source, target, relation, provenance)``."""
+    sources, targets, relations, chunks = graph["edges"]
+    labels = [graph["relations"][i] for i in relations]
+    return list(zip(sources, targets, labels, [graph["chunks"][i] for i in chunks]))
 
 
 class SeqEmbedder:

@@ -7,15 +7,16 @@ import tempfile
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from kgrag.exceptions import StoreCorruptError
 from kgrag.extraction import EntityMention, Triple, normalize_entity
-from kgrag.graph import MIN_PREFIX_LEN, KnowledgeGraph, Subgraph, _column_edges, _edge_fault
+from kgrag.graph import EDGE_COLUMNS, MIN_PREFIX_LEN, KnowledgeGraph, Subgraph, _encode
 from kgrag.pipeline import build_store, open_store
 
-from helpers import EDGE_LAYOUT, edge_columns, set_graph_field
+from helpers import EDGE_LAYOUT, graph_object, set_graph_field, tuple_edges
 
 
 def mention(text: str) -> EntityMention:
@@ -50,8 +51,8 @@ class TestUpsert:
         source, _ = graph.upsert_triple(triple(first, "in", "italy"))
         again, _ = graph.upsert_triple(triple(later, "near", "ostia", prov="c1"))
         assert again == source and len(graph) == 3
-        assert graph.node(source).name == first  # first surface seen wins
         graph.seal()
+        assert graph.node(source).name == first  # first surface seen wins
         assert graph.node(source).contexts == ["c0", "c1"]
 
     def test_identical_triple_dedup(self):
@@ -87,7 +88,7 @@ class TestUpsert:
         graph.upsert_triple(triple("a", "r", "b"))
 
         def state():
-            return [(node.name, list(node.contexts)) for node in graph._nodes], set(graph._edges)
+            return list(graph._names), set(graph._edges)
 
         before = state()
         for bad in (Triple("a", 5, "c"), Triple("c", None, "d"), Triple("c", "r", "d", 5), Triple("a", "r", "b", None)):
@@ -118,7 +119,7 @@ class TestUpsert:
             names = {graph.node(i).name for i in range(len(graph))}
             obj = graph.to_json_obj()
             id_to_name = obj["nodes"]
-            edges = {(id_to_name[s], r, id_to_name[t]) for s, t, r, _ in zip(*obj["edges"])}
+            edges = {(id_to_name[s], r, id_to_name[t]) for s, t, r, _ in tuple_edges(obj)}
             if baselines is None:
                 baselines = (names, edges)
             else:
@@ -174,8 +175,8 @@ class TestUpsertPairSetReference:
         names, contexts, edges = pair_set_upsert(triples)
         contexts = [sorted(ids) for ids in contexts]  # seal sorts what the pair set kept first seen first
         assert [(graph.node(i).name, graph.node(i).contexts) for i in range(len(graph))] == list(zip(names, contexts))
-        assert set(graph._edges) == edges
-        assert export_bytes(graph) == compact_dumps({"nodes": names, "edges": edge_columns(edges)})
+        assert set(graph_edges(graph)) == edges
+        assert export_bytes(graph) == compact_dumps(graph_object(names, edges))
 
     def test_interleaved_chunks_ascend_after_seal(self):
         graph = KnowledgeGraph({"c1": "one", "c2": "two"})
@@ -370,7 +371,7 @@ def reference_neighborhood(graph: KnowledgeGraph, seeds: set[int], hops: int, ma
 
     Returns the ``nodes``, ``hop_of`` and ``edges`` a ``Subgraph`` reads as, in a namespace.
     """
-    edges = set(zip(*graph.to_json_obj()["edges"]))
+    edges = set(graph_edges(graph))
     adjacency: dict[int, set[int]] = {nid: set() for nid in range(len(graph))}
     for source, target, _, _ in edges:
         adjacency[source].add(target)
@@ -397,19 +398,24 @@ def reference_neighborhood(graph: KnowledgeGraph, seeds: set[int], hops: int, ma
     return SimpleNamespace(nodes=nodes, hop_of=hop_of, edges=induced)
 
 
+def graph_edges(graph: KnowledgeGraph) -> list[tuple]:
+    """A sealed graph's edges in column order, as ``(source, target, relation, provenance)`` tuples."""
+    return tuple_edges(graph.to_json_obj())
+
+
 def neighbour_reference(graph: KnowledgeGraph) -> list[list[int]]:
-    """Each node's distinct neighbours in both directions, ascending, from a set per node over ``graph._edges``."""
+    """Each node's distinct neighbours in both directions, ascending, from a set per node over the graph's edges."""
     adjacency: list[set[int]] = [set() for _ in range(len(graph))]
-    for source, target, _, _ in graph._edges:
+    for source, target, _, _ in graph_edges(graph):
         adjacency[source].add(target)
         adjacency[target].add(source)
     return [sorted(ids) for ids in adjacency]
 
 
 def sorted_contexts_reference(graph: KnowledgeGraph) -> list[list[str]]:
-    """Each node's context ids as a built graph holds them: its edges' provenances in ``graph._edges``, ascending, once."""
+    """Each node's context ids as a built graph holds them: its edges' provenances, ascending, once."""
     provenances: list[set[str]] = [set() for _ in range(len(graph))]
-    for source, target, _, provenance in graph._edges:
+    for source, target, _, provenance in graph_edges(graph):
         provenances[source].add(provenance)
         provenances[target].add(provenance)
     return [sorted(ids) for ids in provenances]
@@ -449,9 +455,9 @@ class TestNeighborhoodReference:
         for s, r, o, prov in triples:
             graph.upsert_triple(triple(s, r, o, prov))
         graph.seal()
-        edges, neighbours = graph._edges, graph._neighbours
-        graph.seal()  # sealing twice must not change the edge list or the lists derived from it
-        assert graph._edges is edges == sorted(edges)
+        columns, neighbours = graph._columns, graph._neighbours
+        graph.seal()  # sealing twice must not change the columns or the lists derived from them
+        assert graph._columns is columns and graph_edges(graph) == sorted(graph_edges(graph))
         assert graph._neighbours is neighbours
         assert [neighbours[i] for i in range(len(graph))] == neighbour_reference(graph)
         assert node_contexts(graph) == sorted_contexts_reference(graph)
@@ -525,7 +531,7 @@ class TestExport:
         for fmt in ("json", "dot"):
             graph.export(tmp_path / f"g.{fmt}", fmt)
         obj = json.loads((tmp_path / "g.json").read_text())
-        assert obj == {"nodes": [], "edges": [[], [], [], []]}
+        assert obj == {"nodes": [], "relations": [], "chunks": [], "edges": [[], [], [], []]}
 
     def test_dot_structure(self, tmp_path):
         graph = KnowledgeGraph({"c0": "ctx"})
@@ -557,18 +563,19 @@ class TestExport:
 
     def test_escaped_lone_surrogate_is_corrupt(self, tmp_path):
         path = tmp_path / "graph.json"
-        path.write_text('{"nodes":["a"],"edges":[[0],[0],["\\ud800"],["c0"]]}\n')
-        with pytest.raises(StoreCorruptError, match=r"graph edge relations\[0\] holds the lone surrogate '\\ud800'"):
+        path.write_text('{"nodes":["a"],"relations":["\\ud800"],"chunks":["c0"],"edges":[[0],[0],[0],[0]]}\n')
+        with pytest.raises(StoreCorruptError, match=r"graph relations\[0\] holds the lone surrogate '\\ud800'"):
             KnowledgeGraph.load_json(path, {"c0": "ctx"})
 
     # A provenance must be a stored chunk id, and no stored chunk id holds a lone surrogate.
     @pytest.mark.parametrize(
         ("text", "message"),
         [
-            ('{"nodes":["\\udc00a"],"edges":[[],[],[],[]]}\n', r"graph node 0 name holds the lone surrogate"),
+            ('{"nodes":["\\udc00a"],"relations":[],"chunks":[],"edges":[[],[],[],[]]}\n',
+             r"graph node 0 name holds the lone surrogate"),
             (
-                '{"nodes":["a"],"edges":[[0],[0],["r"],["c\\ud83c"]]}\n',
-                r"graph edge provenances\[0\] is 'c\\ud83c', which names no stored chunk",
+                '{"nodes":["a"],"relations":["r"],"chunks":["c\\ud83c"],"edges":[[0],[0],[0],[0]]}\n',
+                r"graph chunks\[0\] is 'c\\ud83c', which names no stored chunk",
             ),
         ],
         ids=["name", "provenance"],
@@ -581,7 +588,7 @@ class TestExport:
 
     def test_escaped_surrogate_pair_and_escaped_backslash_load(self, tmp_path):
         path = tmp_path / "graph.json"
-        path.write_text('{"nodes":["\\ud83c\\udf55","\\\\ud800"],"edges":[[0],[1],["r"],["c0"]]}\n')
+        path.write_text('{"nodes":["\\ud83c\\udf55","\\\\ud800"],"relations":["r"],"chunks":["c0"],"edges":[[0],[1],[0],[0]]}\n')
         graph = KnowledgeGraph.load_json(path, {"c0": "ctx"})
         assert [graph.node(0).name, graph.node(1).name] == ["\U0001f355", "\\ud800"]
 
@@ -612,7 +619,7 @@ def graph_objects(draw) -> dict:
     if names:
         node_ids = st.integers(0, len(names) - 1)
         edges = draw(st.sets(st.tuples(node_ids, node_ids, AWKWARD_TEXT, AWKWARD_TEXT), max_size=8))
-    return {"nodes": names, "edges": edge_columns(edges)}
+    return graph_object(names, edges)
 
 
 def export_bytes(graph: KnowledgeGraph) -> bytes:
@@ -629,16 +636,17 @@ def compact_dumps(obj: dict) -> bytes:
 
 class TestJsonTemplate:
     @given(graph_objects())
-    @example({"nodes": [], "edges": [[], [], [], []]})
-    @example({"nodes": ["lonely"], "edges": [[], [], [], []]})
-    @example({"nodes": ['"q"\\\u2028\u2029\x00🍕'], "edges": [[0, 0], [0, 0], ["\u2029", "\u2029"], ["\\", "c\n0"]]})
+    @example(graph_object([], []))
+    @example(graph_object(["lonely"], []))
+    @example(graph_object(['"q"\\\u2028\u2029\x00🍕'], [(0, 0, "\u2029", "\\"), (0, 0, "\u2029", "c\n0")]))
     def test_equals_compact_dumps(self, obj):
+        # export writes the names, each table and each column through _encode one at a time.
         graph = KnowledgeGraph.from_json_obj(obj, context_texts(obj))
-        assert export_bytes(graph) == compact_dumps(graph.to_json_obj())
+        assert export_bytes(graph) == compact_dumps(graph.to_json_obj()) == (_encode(obj) + "\n").encode("utf-8")
 
     def test_export_writes_the_template(self):
         assert export_bytes(chain_graph()) == (
-            b'{"nodes":["a","b","c"],"edges":[[0,1],[1,2],["r1","r2"],["c0","c1"]]}\n'
+            b'{"nodes":["a","b","c"],"relations":["r1","r2"],"chunks":["c0","c1"],"edges":[[0,1],[1,2],[0,1],[0,1]]}\n'
         )
 
 
@@ -681,7 +689,7 @@ class TestRoundTrip:
         built.seal()
         names, contexts, edges = pair_set_upsert(triples)
         contexts = [sorted(ids) for ids in contexts]  # seal sorts what the pair set kept first seen first
-        expected = {"nodes": names, "edges": edge_columns(edges)}
+        expected = graph_object(names, edges)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "graph.json"
             built.export(path, "json")
@@ -690,37 +698,42 @@ class TestRoundTrip:
         assert written == compact_dumps(expected)
         assert export_bytes(loaded) == written
         for graph in (built, loaded):
-            assert graph._edges == sorted(edges)
+            assert graph_edges(graph) == sorted(edges)
             assert node_contexts(graph) == contexts
             assert graph.to_json_obj() == expected
             assert graph.to_dot() == reference_dot(names, edges)
 
 
 def context_texts(obj: dict) -> dict[str, str]:
-    """A text for every chunk id the ``graph.json``-shaped ``obj`` names: its edge provenances."""
-    return {cid: f"text of {cid}" for cid in obj["edges"][3]}
+    """A text for every chunk id the ``graph.json``-shaped ``obj`` names: its chunk table."""
+    return {cid: f"text of {cid}" for cid in obj["chunks"]}
 
 
 def contexts_from_columns(obj: dict) -> list[list[str]]:
     """Each node's chunk ids, derived from a ``graph.json``-shaped ``obj``: its edges' provenances, ascending, once."""
     provenances: list[set[str]] = [set() for _ in obj["nodes"]]
-    for source, target, _, provenance in zip(*obj["edges"]):
+    for source, target, _, provenance in tuple_edges(obj):
         provenances[source].add(provenance)
         provenances[target].add(provenance)
     return [sorted(ids) for ids in provenances]
 
 
+# The bounds of the drawn edge columns: three nodes, a two-entry relation table and a two-entry chunk table.
+DRAWN_BOUNDS = (3, 3, 2, 2)
+
+
 @st.composite
 def edge_column_objects(draw) -> list:
-    """Edge columns over three nodes: drawn edges, often sorted and unique, then maybe one cell or column broken."""
-    ids, labels = st.integers(0, 2), st.sampled_from(["r", "s"])
+    """Edge columns over ``DRAWN_BOUNDS``: drawn edges, often sorted and unique, then maybe one cell or column broken."""
+    ids, labels = st.integers(0, 2), st.integers(0, 1)
     edges = draw(st.lists(st.tuples(ids, ids, labels, labels), max_size=5))
     if draw(st.booleans()):
         edges = sorted(set(edges))
     columns = [list(column) for column in zip(*edges)] or [[], [], [], []]
     fault = draw(st.sampled_from(["none", "cell", "shorter", "column"]))
     if fault == "cell" and edges:
-        bad = st.one_of(st.integers(-1, 3), st.booleans(), st.none(), labels, st.just("t"), st.just([0]), st.just(1.0))
+        bad = st.one_of(st.integers(-1, 3), st.booleans(), st.none(), st.just("0"), st.just([0]), st.just(1.0),
+                        st.just(2**40), st.just(-(2**70)))
         columns[draw(st.integers(0, 3))][draw(st.integers(0, len(edges) - 1))] = draw(bad)
     elif fault == "shorter" and edges:
         del columns[draw(st.integers(0, 3))][-1]
@@ -729,8 +742,42 @@ def edge_column_objects(draw) -> list:
     return columns
 
 
+def reference_fault(columns: list, bounds: tuple[int, ...]) -> str | None:
+    """The load's edge-column rules, one value at a time: the message of the first fault, or None.
+
+    The rules run in the load's order (layout, lengths, ints, ranges, edge
+    order); the first rule that fails names its first bad edge, then that
+    edge's first bad column.
+    """
+    for k, column in enumerate(EDGE_COLUMNS):
+        if k >= len(columns):
+            return f"{EDGE_LAYOUT}: column {k} ({column}) is missing"
+        if type(columns[k]) is not list:
+            return f"{EDGE_LAYOUT}: column {k} ({column}) is not a list"
+    if len(columns) > 4:
+        return f"{EDGE_LAYOUT}: there are {len(columns)} columns"
+    lengths = list(map(len, columns))
+    if min(lengths) != max(lengths):
+        short, long = lengths.index(min(lengths)), lengths.index(max(lengths))
+        return f"graph edge {EDGE_COLUMNS[short]}[{lengths[short]}] is missing: {EDGE_COLUMNS[long]} holds {lengths[long]} edges"
+    edges = list(zip(*columns))
+    all_ints = all(type(value) is int for edge in edges for value in edge)
+    for i, edge in enumerate(edges):
+        for k, value in enumerate(edge):
+            if not (type(value) is int and (not all_ints or -1 < value < bounds[k])):
+                what = "a node id" if k < 2 else f"an index of the {EDGE_COLUMNS[k]} table"
+                return f"graph edge {EDGE_COLUMNS[k]}[{i}] is {value!r}, not {what} in [0, {bounds[k]})"
+    for i in range(1, len(edges)):
+        if edges[i] == edges[i - 1]:
+            return f"graph edge {i} repeats edge {i - 1}: edges must be sorted and unique"
+        if edges[i] < edges[i - 1]:
+            column = next(c for c, a, b in zip(EDGE_COLUMNS, edges[i - 1], edges[i]) if a != b)
+            return f"graph edge {column}[{i}] sorts before edge {i - 1}: edges must be sorted and unique"
+    return None
+
+
 def valid_graph_object() -> dict:
-    return {"nodes": ["a", "b"], "edges": [[0], [1], ["r"], ["c0"]]}
+    return {"nodes": ["a", "b"], "relations": ["r"], "chunks": ["c0"], "edges": [[0], [1], [0], [0]]}
 
 
 class TestLoadIncidentLists:
@@ -750,10 +797,10 @@ class TestLoadIncidentLists:
         assert node_contexts(graph) == sorted_contexts_reference(graph)
 
     def test_mini_store_edges_are_the_zipped_file_columns(self, mini_store, mini_store_dir):
-        columns = json.loads((mini_store_dir / "graph.json").read_text(encoding="utf-8"))["edges"]
-        edges = mini_store.graph._edges
-        assert edges == list(zip(*columns))
-        assert {type(edge) for edge in edges} == {tuple}  # plain tuples, the layout zip gives
+        obj = json.loads((mini_store_dir / "graph.json").read_text(encoding="utf-8"))
+        columns = mini_store.graph._columns
+        assert columns.dtype == np.int32 and columns.tolist() == obj["edges"]  # the file's columns, held as int32
+        assert graph_edges(mini_store.graph) == tuple_edges(obj)
 
 
 class TestLoadTypes:
@@ -779,38 +826,68 @@ class TestLoadTypes:
             KnowledgeGraph.from_json_obj(obj, {"c0": "ctx"})
 
     def test_context_naming_no_chunk_is_corrupt(self):
-        # Node a's one context is its edge's provenance, so the chunk it names is checked there.
-        with pytest.raises(StoreCorruptError, match="'c0', which names no stored chunk"):
+        # Node a's one context is its edge's chunk, so the chunk it names is checked in the chunk table.
+        with pytest.raises(StoreCorruptError, match=r"^graph chunks\[0\] is 'c0', which names no stored chunk$"):
             KnowledgeGraph.from_json_obj(valid_graph_object(), {"c1": "other"})
 
     @pytest.mark.parametrize(
         "edit, named",
         [
-            (lambda edges: edges.pop(), f"{EDGE_LAYOUT}: column 3 (provenances) is missing"),
+            (lambda edges: edges.pop(), f"{EDGE_LAYOUT}: column 3 (chunks) is missing"),
             (lambda edges: edges[1].pop(), "graph edge targets[3] is missing: sources holds 4 edges"),
-            (lambda edges: edges[0].__setitem__(2, True), "graph edge sources[2] is True, not a node id in [0, 2)"),
-            (lambda edges: edges[1].__setitem__(2, 2), "graph edge targets[2] is 2, not a node id in [0, 2)"),
-            (lambda edges: edges[0].__setitem__(2, -1), "graph edge sources[2] is -1, not a node id in [0, 2)"),
-            (lambda edges: edges[2].__setitem__(2, None), "graph edge relations[2] is None, not a string"),
-            (lambda edges: edges[3].__setitem__(2, "c9"), "graph edge provenances[2] is 'c9', which names no stored chunk"),
+            (lambda edges: (edges[1].__setitem__(2, True), edges[0].__setitem__(3, True)),
+             "graph edge targets[2] is True, not a node id in [0, 2)"),
+            (lambda edges: (edges[1].__setitem__(2, 2), edges[0].__setitem__(3, 2)),
+             "graph edge targets[2] is 2, not a node id in [0, 2)"),
+            (lambda edges: (edges[0].__setitem__(2, -1), edges[0].__setitem__(3, -1)),
+             "graph edge sources[2] is -1, not a node id in [0, 2)"),
+            (lambda edges: (edges[2].__setitem__(2, None), edges[0].__setitem__(3, None)),
+             "graph edge relations[2] is None, not an index of the relations table in [0, 3)"),
+            (lambda edges: (edges[3].__setitem__(2, 1), edges[3].__setitem__(3, 1)),
+             "graph edge chunks[2] is 1, not an index of the chunks table in [0, 1)"),
             (lambda edges: edges.__setitem__(1, {"a": 1}), f"{EDGE_LAYOUT}: column 1 (targets) is not a list"),
             (lambda edges: edges.append([]), f"{EDGE_LAYOUT}: there are 5 columns"),
             (lambda edges: [column.insert(2, column.pop(1)) for column in edges],
              "graph edge sources[2] sorts before edge 1: edges must be sorted and unique"),
             (lambda edges: [column.__setitem__(2, column[1]) for column in edges],
              "graph edge 2 repeats edge 1: edges must be sorted and unique"),
+            (lambda edges: (edges[2].__setitem__(2, 1.0), edges[0].__setitem__(3, 1.0)),
+             "graph edge relations[2] is 1.0, not an index of the relations table in [0, 3)"),
+            (lambda edges: (edges[2].__setitem__(2, 3), edges[0].__setitem__(3, 2)),
+             "graph edge relations[2] is 3, not an index of the relations table in [0, 3)"),
+            (lambda edges: (edges[1].__setitem__(2, 2**40), edges[0].__setitem__(3, -(2**70))),
+             f"graph edge targets[2] is {2**40}, not a node id in [0, 2)"),
         ],
         ids=["three-items", "unequal-lengths", "bool-endpoint", "endpoint-past-nodes", "negative-endpoint",
-             "null-label", "unknown-provenance", "dict", "five-columns", "out-of-order", "repeated"],
+             "null-label", "unknown-provenance", "dict", "five-columns", "out-of-order", "repeated",
+             "float-index", "index-past-table", "index-past-int64"],
     )
     def test_names_the_first_bad_edge_row(self, edit, named):
-        # Edge 2, read across the columns, is the first bad one; edge 3 is bad too.
-        obj = valid_graph_object()
-        obj["edges"] = edge_columns([(0, 1, "r", "c0"), (0, 1, "s", "c0"), (1, 0, "s", "c0"), (1, 1, "t", "c0")])
-        obj["edges"][2][3] = 5
+        # Edge 2, read across the columns, is the first bad one; edge 3 is bad too, in an earlier column.
+        obj = graph_object(["a", "b"], [(0, 1, "r", "c0"), (0, 1, "s", "c0"), (1, 0, "s", "c0"), (1, 1, "t", "c0")])
         edit(obj["edges"])
-        with pytest.raises(StoreCorruptError, match=f"^{re.escape(named)}"):
+        with pytest.raises(StoreCorruptError, match=f"^{re.escape(named)}$"):
             KnowledgeGraph.from_json_obj(obj, {"c0": "ctx"})
+
+    @pytest.mark.parametrize(
+        "key, table, named",
+        [
+            ("relations", ["r", "t", "s"], "graph relations[2] sorts before relations[1]: a table must be sorted and unique"),
+            ("relations", ["r", "s", "s"], "graph relations[2] repeats relations[1]: a table must be sorted and unique"),
+            ("relations", ["r", 5, None], "graph relations[1] is 5, not a string"),
+            ("chunks", ["c0", "c2", "c1"], "graph chunks[2] sorts before chunks[1]: a table must be sorted and unique"),
+            ("chunks", ["c0", "c0"], "graph chunks[1] repeats chunks[0]: a table must be sorted and unique"),
+            ("chunks", ["c0", ["c1"]], "graph chunks[1] is ['c1'], not a string"),
+            ("chunks", ["c0", "c1", "c9", "d"], "graph chunks[2] is 'c9', which names no stored chunk"),
+        ],
+        ids=["relations-unsorted", "relations-repeated", "relations-non-string", "chunks-unsorted",
+             "chunks-repeated", "chunks-non-string", "chunks-not-stored"],
+    )
+    def test_names_the_first_bad_table_entry(self, key, table, named):
+        obj = valid_graph_object()
+        obj[key] = table
+        with pytest.raises(StoreCorruptError, match=f"^{re.escape(named)}$"):
+            KnowledgeGraph.from_json_obj(obj, {"c0": "ctx", "c1": "ctx", "c2": "ctx"})
 
     @pytest.mark.parametrize(
         "bad", [["a"], ["a", [], 1], [], ["ab", ["c0"]], 5, {"a": 1, "b": 2}],
@@ -824,7 +901,11 @@ class TestLoadTypes:
         with pytest.raises(StoreCorruptError, match=rf"^graph node 1 is a {kind}, not a name string$"):
             KnowledgeGraph.from_json_obj(obj, {"c0": "ctx"})
 
-    @pytest.mark.parametrize("obj", [[], {"nodes": []}, {"nodes": {}, "edges": []}, {"nodes": [], "edges": None}])
+    @pytest.mark.parametrize(
+        "obj",
+        [[], {"nodes": []}, {"nodes": {}, "edges": []}, {"nodes": [], "edges": None},
+         {"nodes": [], "edges": [[], [], [], []]}, {"nodes": [], "relations": [], "chunks": {}, "edges": []}],
+    )
     def test_malformed_layout_is_corrupt(self, obj):
         with pytest.raises(StoreCorruptError, match="^malformed graph"):
             KnowledgeGraph.from_json_obj(obj, {})
@@ -838,19 +919,18 @@ class TestLoadTypes:
         with pytest.raises(StoreCorruptError, match=f"^{re.escape(str(path))}: {re.escape(named)}$"):
             KnowledgeGraph.load_json(path, {"c0": "ctx"})
 
+    @settings(max_examples=300)
     @given(edge_column_objects())
     def test_fault_walk_agrees_with_the_column_checks(self, columns):
-        # Three nodes: ids 0-2 are valid, and "r" and "s" are chunk ids, "t" is not.
-        # _edge_fault names a fault exactly when _column_edges rejects.
-        known = {"r", "s"}
-        edges = _column_edges(columns, 3, known)
-        if edges is None:
-            assert _edge_fault(columns, 3, known).startswith("graph edge")
+        # The load names exactly the fault the one-value-at-a-time walk finds first, or loads the edges as written.
+        obj = {"nodes": ["a", "b", "c"], "relations": ["r", "s"], "chunks": ["c0", "c1"], "edges": columns}
+        fault = reference_fault(columns, DRAWN_BOUNDS)
+        if fault is None:
+            graph = KnowledgeGraph.from_json_obj(obj, {"c0": "x", "c1": "y"})
+            assert graph.to_json_obj()["edges"] == columns and graph.edge_count == len(columns[0])
         else:
-            assert edges == sorted(set(edges)) and [list(c) for c in zip(*edges)] == [c for c in columns if c]
-            with pytest.raises(AssertionError, match="finds no fault"):
-                _edge_fault(columns, 3, known)
-
+            with pytest.raises(StoreCorruptError, match=f"^{re.escape(fault)}$"):
+                KnowledgeGraph.from_json_obj(obj, {"c0": "x", "c1": "y"})
 
 
 def snippet_dicts(triples: list[Triple], texts: dict[str, str]) -> tuple[list[str], list[dict[str, str]], set[tuple]]:
@@ -909,7 +989,7 @@ def snippet_dict_render(sub: Subgraph, names: list[str], contexts: list[dict[str
 
 
 def snippet_dict_json(names: list[str], edges: set[tuple]) -> bytes:
-    return compact_dumps({"nodes": names, "edges": edge_columns(edges)})
+    return compact_dumps(graph_object(names, edges))
 
 
 CHUNK_IDS = [f"c{i}" for i in range(4)]
@@ -993,12 +1073,9 @@ class CountingTexts(dict):
 
 
 class Unreadable:
-    """An edge set that fails the test if the render reads it."""
+    """A graph whose edges fail the test if the render reads them."""
 
-    def __iter__(self):
-        raise AssertionError("edges read after the budget ran out")
-
-    def __len__(self):
+    def _induced_edges(self, nodes):
         raise AssertionError("edges read after the budget ran out")
 
 
@@ -1015,14 +1092,15 @@ class CountingIds(list):
             yield node_id
 
 
-class CountingEdges(list):
-    """An edge list that counts its item and slice reads."""
+class CountingCalls:
+    """A function that counts its calls."""
 
-    reads = 0
+    def __init__(self, function) -> None:
+        self.function, self.calls = function, 0
 
-    def __getitem__(self, index):
-        self.reads += 1
-        return super().__getitem__(index)
+    def __call__(self, *args):
+        self.calls += 1
+        return self.function(*args)
 
 
 class TestBudgetedRender:
@@ -1084,7 +1162,7 @@ class TestBudgetedRender:
         graph.seal()
         sub = graph.neighborhood({0}, hops=2, max_nodes=1000)
         assert len(sub.nodes[0].contexts) == 600
-        sub = Subgraph(nodes=sub.nodes, hop_of=sub.hop_of, graph_edges=Unreadable())
+        sub = Subgraph(nodes=sub.nodes, hop_of=sub.hop_of, graph=Unreadable())
         kept: dict = {}
         text = graph.render_subgraph(sub, 100, kept=kept)
         assert len(text.split()) == kept["tokens"] <= 100
@@ -1100,16 +1178,15 @@ class TestBudgetedRender:
             assert list(cut.hop_of) == list(range(k))
             assert tally[0] == k - 1  # the hub's list up to the budget, not its 600 edges
         tally[0] = 0
-        graph._edges = CountingEdges(graph._edges)
+        graph._induced_edges = collect = CountingCalls(graph._induced_edges)
         lazy = graph.neighborhood({0}, hops=2, max_nodes=1000)
         assert tally[0] == 600 + 600  # each admitted node's list once: the hub's, then each spoke's
         assert graph.render_subgraph(lazy, 100) == text
-        assert graph._edges.reads == 0  # the cut render never collected the edges
+        assert collect.calls == 0  # the cut render never collected the edges
         assert lazy.edges == reference_neighborhood(graph, {0}, 2, 1000).edges
-        reads = graph._edges.reads
-        assert reads > 0
+        assert collect.calls == 1
         assert graph.render_subgraph(lazy, UNBOUNDED).count(" -[r]-> ") == 600
-        assert graph._edges.reads == reads  # collected once, then kept
+        assert collect.calls == 1  # collected once, then kept
 
 
 @st.composite
@@ -1202,6 +1279,31 @@ class TestContextsDerivedFromEdges:
             assert loaded.render_subgraph(loaded.neighborhood(seeds, hops=hops, max_nodes=max_nodes), UNBOUNDED) == text
 
 
+class TestColumnRoundTrip:
+    @settings(max_examples=100, deadline=None)
+    @given(hub_multigraphs(), st.randoms(use_true_random=False), st.integers(1, 3), st.integers(1, 80), st.integers(1, 300))
+    def test_build_export_load_gives_the_same_graph(self, graph_rows, rng, hops, max_nodes, budget):
+        rows, texts = graph_rows
+        built = KnowledgeGraph(texts)
+        for row in rows:
+            built.upsert_triple(triple(*row))
+        built.seal()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "graph.json"
+            built.export(path, "json")
+            loaded = KnowledgeGraph.load_json(path, texts)
+        assert loaded.to_json_obj() == built.to_json_obj()
+        assert loaded.to_dot() == built.to_dot()
+        assert [loaded._neighbours[i] for i in range(len(loaded))] == [built._neighbours[i] for i in range(len(built))]
+        assert node_contexts(loaded) == node_contexts(built)
+        for _ in range(4):
+            seeds = set(rng.sample(range(len(built)), rng.randint(1, 4)))
+            subs = [graph.neighborhood(seeds, hops=hops, max_nodes=max_nodes) for graph in (built, loaded)]
+            assert subs[0].hop_of == subs[1].hop_of and subs[0].edges == subs[1].edges
+            for max_tokens in (budget, UNBOUNDED):
+                assert built.render_subgraph(subs[0], max_tokens) == loaded.render_subgraph(subs[1], max_tokens)
+
+
 def expanded_nodes(hop_of: dict[int, int], hops: int, max_nodes: int) -> set[int]:
     """The nodes whose neighbour lists a traversal that admitted ``hop_of`` read: each depth's frontier, until a stop."""
     expanded: set[int] = set()
@@ -1226,19 +1328,23 @@ class TestDerivedListsAreLazy:
         loaded = KnowledgeGraph.from_json_obj(built.to_json_obj(), texts)
         seeds = {seed for seed in seeds if seed < len(built)}
         reference = neighbour_reference(built)
+        contexts = sorted_contexts_reference(built)
         for graph in (built, loaded):
             sub = graph.neighborhood(seeds, hops=hops, max_nodes=max_nodes)
             derived = dict(vars(graph).get("_neighbours", {}))
             assert set(derived) == expanded_nodes(sub.hop_of, hops, max_nodes)
             assert derived == {node: reference[node] for node in derived}
+            entities = dict(vars(graph).get("_entities", {}))  # a node's contexts, derived once it is admitted
+            assert set(entities) == set(sub.hop_of)
+            assert {node: entity.contexts for node, entity in entities.items()} == {n: contexts[n] for n in entities}
 
     def test_first_traversal_not_seal_derives_the_lists(self):
         graph = chain_graph()
         loaded = KnowledgeGraph.from_json_obj(graph.to_json_obj(), {"c0": "ctx-ab", "c1": "ctx-bc"})
         for g in (graph, loaded):
-            assert "_neighbours" not in vars(g)  # seal derived nothing
-            assert node_contexts(g) == sorted_contexts_reference(g)  # the contexts a render reads, as sealed
+            assert not {"_neighbours", "_entities", "_target_order"} & set(vars(g))  # seal derived nothing
             g.render_subgraph(g.neighborhood({0}, hops=2))
+            assert node_contexts(g) == sorted_contexts_reference(g)  # the contexts the render read
             neighbours = vars(g)["_neighbours"]
             assert dict(neighbours) == {0: [1], 1: [0, 2]}  # the lists of a and b, which it expanded; not c's
             assert g.render_subgraph(g.neighborhood({2}, hops=1)) == "Contexts:\n- ctx-bc\n- ctx-ab\n\nb -[r2]-> c"
@@ -1248,10 +1354,12 @@ class TestDerivedListsAreLazy:
         def fail(*_):
             raise AssertionError("a build derived a traversal list or rendered")
 
-        monkeypatch.setattr(KnowledgeGraph, "_neighbours", property(fail))
+        for name in ("_neighbours", "_entities", "_target_order"):
+            monkeypatch.setattr(KnowledgeGraph, name, property(fail))
         monkeypatch.setattr(KnowledgeGraph, "_context_order", fail)
         build_store(mini_corpus_dir, tmp_path / "store")
+        graph = open_store(tmp_path / "store").graph  # a load derives nothing either
+        monkeypatch.undo()
         names = json.loads((tmp_path / "store" / "graph.json").read_text(encoding="utf-8"))["nodes"]
-        graph = open_store(tmp_path / "store").graph  # seal, which derives the contexts, reads no traversal list
         assert names == [graph.node(i).name for i in range(len(graph))]
         assert names and all(contexts and contexts == sorted(set(contexts)) for contexts in node_contexts(graph))

@@ -23,7 +23,7 @@ from kgrag.corpus import Document, load_corpus, normalize_text, split_sentences
 from kgrag.embedding import HashedEmbedder, embed_hashed_many
 from kgrag.exceptions import InputError, StoreCorruptError
 from kgrag.extraction import EXTRACTION_USER_TEMPLATE, RuleExtractor
-from kgrag.graph import KnowledgeGraph
+from kgrag.graph import KnowledgeGraph, _encode
 from kgrag.pipeline import (
     build_store,
     chunk_documents,
@@ -250,7 +250,8 @@ class TestSemanticChunkTriples:
         manifest = build_store(corpus, tmp_path / "store")
         assert manifest.counts["semantic_chunks"] == 1
         assert (manifest.counts["nodes"], manifest.counts["edges"]) == (0, 0)
-        assert json.loads((tmp_path / "store" / "graph.json").read_text()) == {"nodes": [], "edges": [[], [], [], []]}
+        empty = {"nodes": [], "relations": [], "chunks": [], "edges": [[], [], [], []]}
+        assert json.loads((tmp_path / "store" / "graph.json").read_text()) == empty
 
     def test_build_calls_the_splitter_once_per_document(self, tmp_path, monkeypatch):
         import kgrag.extraction
@@ -968,14 +969,14 @@ class TestCmdQuery:
     def test_graph_context_naming_no_chunk_exit_3(self, mini_store_dir, tmp_path, capsys):
         store = shutil.copytree(mini_store_dir, tmp_path / "mini")
         graph = json.loads((store / "graph.json").read_text())
-        provenances = graph["edges"][3]
-        provenances[:] = ["no-such-chunk"] * len(provenances)  # a node's contexts are its edges' provenances
+        chunks = graph["chunks"]  # a node's contexts are its edges' chunks, entries of this table
+        chunks[-1] = "~no-such-chunk"  # "~" sorts after every mini-corpus chunk id
         (store / "graph.json").write_text(json.dumps(graph))
         argv = ["query", "--store", str(store), "--question", "Which cheese goes into Carbonara?", "--mode", "kg"]
         assert main(argv) == 3
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "'no-such-chunk', which names no stored chunk" in captured.err
+        assert f"graph chunks[{len(chunks) - 1}] is '~no-such-chunk', which names no stored chunk" in captured.err
 
     @each_untiled_span
     def test_chunk_spans_that_do_not_tile_exit_3(self, mini_store_dir, tmp_path, capsys, chunk_id, span):
@@ -1230,7 +1231,7 @@ def _edit_columns(graph: dict, edit) -> None:
         (lambda g: _set_node(g, [g["nodes"][0], [g["edges"][3][0]]]), NODE_0.format(kind="list")),
         (lambda g: _set_node(g, {"id": 0, "name": "a", "contexts": []}), NODE_0.format(kind="dict")),
         (lambda g: _set_node(g, None), NODE_0.format(kind="NoneType")),
-        (lambda g: g["edges"].__delitem__(3), f"{EDGE_LAYOUT}: column 3 (provenances) is missing"),
+        (lambda g: g["edges"].__delitem__(3), f"{EDGE_LAYOUT}: column 3 (chunks) is missing"),
         (lambda g: g["edges"].append([]), f"{EDGE_LAYOUT}: there are 5 columns"),
         (lambda g: g["edges"].__setitem__(0, dict(enumerate(g["edges"][0]))),
          f"{EDGE_LAYOUT}: column 0 (sources) is not a list"),
@@ -1239,54 +1240,66 @@ def _edit_columns(graph: dict, edit) -> None:
         (lambda g: g["edges"][0].__setitem__(0, True), "graph edge sources[0] is True, not a node id in [0, {n})"),
         (lambda g: g["edges"][1].__setitem__(0, len(g["nodes"])), "graph edge targets[0] is {n}, not a node id"),
         (lambda g: g["edges"][0].__setitem__(0, -1), "graph edge sources[0] is -1, not a node id in [0, {n})"),
-        (lambda g: g["edges"][3].__setitem__(0, None), "graph edge provenances[0] is None, not a string"),
-        (lambda g: g["edges"][3].__setitem__(0, "no such chunk"),
-         "graph edge provenances[0] is 'no such chunk', which names no stored chunk"),
+        (lambda g: g["relations"].__setitem__(0, None), "graph relations[0] is None, not a string"),
+        (lambda g: g["chunks"].__setitem__(0, " no such chunk"),  # " " sorts before every stored chunk id
+         "graph chunks[0] is ' no such chunk', which names no stored chunk"),
         (lambda g: _edit_columns(g, lambda column: column.insert(0, column.pop())),
          "graph edge sources[1] sorts before edge 0: edges must be sorted and unique"),
         (lambda g: _edit_columns(g, lambda column: column.insert(1, column[0])),
          "graph edge 1 repeats edge 0: edges must be sorted and unique"),
         (lambda g: [g["nodes"], g["edges"]], "malformed graph"),
         (lambda g: {"nodes": g["nodes"]}, "malformed graph"),
+        (lambda g: g["edges"][3].__setitem__(0, 0.0), "graph edge chunks[0] is 0.0, not an index of the chunks table"),
+        (lambda g: g["edges"][2].__setitem__(0, len(g["relations"])),
+         "graph edge relations[0] is {r}, not an index of the relations table in [0, {r})"),
+        (lambda g: g["relations"].insert(0, g["relations"].pop(1)),
+         "graph relations[1] sorts before relations[0]: a table must be sorted and unique"),
+        (lambda g: g["chunks"].__setitem__(1, g["chunks"][0]),
+         "graph chunks[1] repeats chunks[0]: a table must be sorted and unique"),
     ],
     ids=["node-of-one", "node-of-three", "node-format-3-row", "node-dict", "node-null",
          "edge-of-three", "edge-of-five", "edge-dict", "edge-list-label", "unequal-lengths", "bool-source",
          "endpoint-past-nodes", "negative-endpoint", "null-label", "unknown-provenance", "out-of-order", "repeated",
-         "top-level-array", "no-edges"],
+         "top-level-array", "no-edges", "float-index", "index-past-table", "unsorted-table", "repeated-table-entry"],
 )
 @each_graph_reader
 def test_graph_row_of_wrong_shape_exit_3(store_dir, tmp_path, monkeypatch, capsys, command, corrupt, named):
-    # Each node must be a name string, and the edges four equal columns
-    # [sources, targets, relations, provenances] of node ids and strings, sorted and
+    # Each node must be a name string, the relation and chunk tables strings
+    # in strictly ascending order, and the edges four equal columns [sources,
+    # targets, relations, chunks] of node ids and table indices, sorted and
     # unique, or the store is corrupt; the error names the column and index.
     graph_path = store_dir / "graph.json"
     graph = json.loads(graph_path.read_text())
-    m, n = len(graph["edges"][0]), len(graph["nodes"])
-    assert m > 1 and graph["edges"][0][0] < graph["edges"][0][-1]
+    m, n, r = len(graph["edges"][0]), len(graph["nodes"]), len(graph["relations"])
+    assert m > 1 and graph["edges"][0][0] < graph["edges"][0][-1] and r > 1 and len(graph["chunks"]) > 1
     graph_path.write_text(json.dumps(corrupt(graph) or graph))
     assert run_in(tmp_path, monkeypatch, store_dir, command) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: corrupt store: ") and "graph" in err and "Traceback" not in err
-    assert err.startswith(f"error: corrupt store: {graph_path}: {named.format(m=m, n=n, last=m - 1)}")
+    assert err.startswith(f"error: corrupt store: {graph_path}: {named.format(m=m, n=n, r=r, last=m - 1)}")
     assert_nothing_written(tmp_path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3])
+@pytest.mark.parametrize("version", [1, 2, 3, 4])
 @pytest.mark.parametrize(
     "command",
     [["query", "--question", "Anything?"], ["graph-export", "--format", "json", "--out", "kg.json"]],
     ids=["query", "graph-export"],
 )
 def test_old_format_store_asks_for_a_rebuild(store_dir, tmp_path, monkeypatch, capsys, command, version):
-    # A store written before the names-only layout: format 1 held a graph.json of
-    # indented dicts, format 2 one [source, target, relation, provenance] row per
-    # edge, and format 3 a [name, [chunk ids]] row per node.
+    # A store written before the integer-column layout: format 1 held a graph.json
+    # of indented dicts, format 2 one [source, target, relation, provenance] row per
+    # edge, format 3 a [name, [chunk ids]] row per node, and format 4 node names
+    # and the four edge columns with each relation and chunk id written out.
     manifest_path, graph_path = store_dir / "manifest.json", store_dir / "graph.json"
     manifest = json.loads(manifest_path.read_text())
     manifest["format_version"] = version
     manifest_path.write_text(json.dumps(manifest, indent=2))
-    graph = v3_graph(json.loads(graph_path.read_text()))
-    if version == 1:
+    v4 = v4_graph(json.loads(graph_path.read_text()))
+    graph = v3_graph(v4)
+    if version == 4:
+        graph_path.write_bytes(compact_bytes(v4))
+    elif version == 1:
         nodes = [{"id": i, "name": name, "contexts": contexts} for i, (name, contexts) in enumerate(graph["nodes"])]
         edges = [dict(zip(("source", "target", "relation", "provenance"), row)) for row in zip(*graph["edges"])]
         graph_path.write_text(json.dumps({"nodes": nodes, "edges": edges}, indent=2))
@@ -1301,9 +1314,26 @@ def test_old_format_store_asks_for_a_rebuild(store_dir, tmp_path, monkeypatch, c
     assert not (tmp_path / "kg.json").exists()
 
 
+def assert_export_is_one_encode(store: Path) -> None:
+    """The store's graph.json, written one piece at a time, is the one C encoding of the whole graph object."""
+    graph = open_store(store).graph
+    assert (store / "graph.json").read_bytes() == (_encode(graph.to_json_obj()) + "\n").encode("utf-8")
+
+
 def compact_bytes(obj: dict) -> bytes:
     """``obj`` as one compact line of JSON, the way every format of ``graph.json`` is written."""
     return (json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def v4_graph(graph: dict) -> dict:
+    """The format-4 graph object of a format-5 one: node names and the four edge columns, labels written out.
+
+    Format 4 held no tables; its relations and provenances columns held each
+    edge's relation and chunk id, where format 5 holds indices into the tables.
+    """
+    sources, targets, relations, chunks = graph["edges"]
+    labels = [graph["relations"][i] for i in relations]
+    return {"nodes": graph["nodes"], "edges": [sources, targets, labels, [graph["chunks"][i] for i in chunks]]}
 
 
 def v3_graph(graph: dict) -> dict:
@@ -1475,6 +1505,17 @@ class TestCmdGraphExport:
         out = tmp_path / "kg.json"
         assert main(["graph-export", "--store", str(store_dir), "--format", "json", "--out", str(out)]) == 3
         assert f"{graph_path}: graph node 0 name holds the lone surrogate '\\udc00'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_escaped_lone_surrogate_in_a_relation_exit_3(self, store_dir, tmp_path, capsys):
+        graph_path = store_dir / "graph.json"
+        graph = json.loads(graph_path.read_text())
+        last = len(graph["relations"]) - 1
+        graph["relations"][last] += "\udc00"  # still the greatest entry, so the table stays sorted
+        graph_path.write_text(json.dumps(graph))  # ASCII, so the surrogate stays escaped
+        out = tmp_path / "kg.json"
+        assert main(["graph-export", "--store", str(store_dir), "--format", "json", "--out", str(out)]) == 3
+        assert f"{graph_path}: graph relations[{last}] holds the lone surrogate '\\udc00'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_corrupt_store_exit_3(self, tmp_path):
@@ -1680,17 +1721,21 @@ class TestMiniCorpusFixture:
         expected = {
             "vectors.skvx": "a081e1ec5e6c45e9727ead13645ba9d178c743d77cdbddb1e0a8820dc5b87fe2",
             "chunks.jsonl": "531770bbb0558eb3355d4bfbf2cbe466b3838a054cde753b8d41e7a835d9db07",
-            "graph.json": "6fd5fae5607511e413f5cb046887c92f92bf21c83db881a29b94495ac2ddf57b",
+            "graph.json": "0a00e0b7185eeff78256048934ad15d9e11834415b7bf03bc701aac648743e51",
         }
         digests = {name: hashlib.sha256((mini_store_dir / name).read_bytes()).hexdigest() for name in expected}
         assert digests == expected
+        assert_export_is_one_encode(mini_store_dir)
         # The DOT export of the same graph: node ids are positions, edges in sorted order.
         dot = tmp_path / "mini.dot"
         assert main(["graph-export", "--store", str(mini_store_dir), "--format", "dot", "--out", str(dot)]) == 0
         assert hashlib.sha256(dot.read_bytes()).hexdigest() == "789ef335a10f570b3af09d42de97e3ff35de09f1f20b20a542945e2347024c56"
-        # The format-3 digest, each node's contexts filled back from its edges, and the
+        # The format-4 digest, each relation and chunk id written out in its column;
+        # the format-3 digest, each node's contexts filled back from its edges; and the
         # format-2 digest, the same graph as one row per edge: only the layout moved.
-        graph = v3_graph(json.loads((mini_store_dir / "graph.json").read_text(encoding="utf-8")))
+        v4 = v4_graph(json.loads((mini_store_dir / "graph.json").read_text(encoding="utf-8")))
+        assert hashlib.sha256(compact_bytes(v4)).hexdigest() == "6fd5fae5607511e413f5cb046887c92f92bf21c83db881a29b94495ac2ddf57b"
+        graph = v3_graph(v4)
         v3 = "85e93e32e556d1e4458a616225ba4aa5748a4db3265fca4b2629850708168a60"
         assert hashlib.sha256(compact_bytes(graph)).hexdigest() == v3
         v2 = "87ce7b34abafda06038be6a2171315e18abccd241c4653b061b5ec0bfe5bf78f"
@@ -1745,21 +1790,25 @@ class TestStoreBytesPinnedLargerCorpus:
         expected = {
             "vectors.skvx": "69644bbd8b7fb4eb8c237ced211fc380a03680546d4201e414145912c4951c35",
             "chunks.jsonl": "f90eda607dc55fd411c921288bcffdda38b79aac5906c10aed8c66ada46bcbc4",
-            "graph.json": "b682750d9f648fe8828123f48f59fb1fa3a6efd977c43c8aa84dbb7cd5b2976e",
-            "manifest.json": "620712cd82e197e45e6e79232fa738fd190a05fa061081a64484594960ab9384",
+            "graph.json": "9ab2b3a4030f0a8067ef3ef56d73820398a835f1c79367fe3a5214c8a0da29fb",
+            "manifest.json": "248e7d46bd36145a7b67f22445dbee7a705ab46c3cff6ee8caadc20df78a9a9a",
         }
         store = tmp_path / "store"
         digests = {name: hashlib.sha256((store / name).read_bytes()).hexdigest() for name in expected}
         assert digests == expected
-        # The format-3 and format-2 digests: the graph with each node's contexts filled
-        # back from its edges, then as one row per edge, and the manifest naming
-        # version 3, then 2, so only the layout and the version moved.
-        graph = v3_graph(json.loads((store / "graph.json").read_text(encoding="utf-8")))
+        assert_export_is_one_encode(store)
+        # The format-4, format-3 and format-2 digests: the graph with its labels
+        # written out, then with each node's contexts filled back from its edges,
+        # then as one row per edge, and the manifest naming version 4, 3, then 2,
+        # so only the layout and the version moved.
+        v4 = v4_graph(json.loads((store / "graph.json").read_text(encoding="utf-8")))
+        assert hashlib.sha256(compact_bytes(v4)).hexdigest() == "b682750d9f648fe8828123f48f59fb1fa3a6efd977c43c8aa84dbb7cd5b2976e"
+        graph = v3_graph(v4)
         assert hashlib.sha256(compact_bytes(graph)).hexdigest() == "c80f72604723e52a31dc5dc040075c21fd89a6b00c4fcc3230de52238d71f1a5"
         assert hashlib.sha256(v2_rows(graph)).hexdigest() == "b979d93e36497796c82b19c7f921c0fe496d19838bbec706abe94f8abd600816"
         manifest = (store / "manifest.json").read_bytes()
-        assert manifest.count(b'"format_version": 4,') == 1
-        v3_manifest = manifest.replace(b'"format_version": 4,', b'"format_version": 3,')
-        assert hashlib.sha256(v3_manifest).hexdigest() == "007c0ab40eedd6d9ca103fa3c3c9d90a9417fcc890c90aee283188c0620e4c19"
-        v2_manifest = manifest.replace(b'"format_version": 4,', b'"format_version": 2,')
-        assert hashlib.sha256(v2_manifest).hexdigest() == "079bee540e238b818fe00f99b3b47685479c8d123f3e5ffc9fcd4bb48a9dc702"
+        assert manifest.count(b'"format_version": 5,') == 1
+        old = {version: manifest.replace(b'"format_version": 5,', f'"format_version": {version},'.encode()) for version in (4, 3, 2)}
+        assert hashlib.sha256(old[4]).hexdigest() == "620712cd82e197e45e6e79232fa738fd190a05fa061081a64484594960ab9384"
+        assert hashlib.sha256(old[3]).hexdigest() == "007c0ab40eedd6d9ca103fa3c3c9d90a9417fcc890c90aee283188c0620e4c19"
+        assert hashlib.sha256(old[2]).hexdigest() == "079bee540e238b818fe00f99b3b47685479c8d123f3e5ffc9fcd4bb48a9dc702"
