@@ -23,7 +23,7 @@ from .extraction import (
     Triple,
     query_ner,
 )
-from .graph import EntityNode, KnowledgeGraph, Subgraph
+from .graph import KnowledgeGraph, Subgraph
 from .pipeline import Store, StoreManifest, build_store, open_store, run_query
 from .retriever import (
     EchoGenerator,
@@ -45,7 +45,6 @@ __all__ = [
     "Document",
     "EchoGenerator",
     "EntityMention",
-    "EntityNode",
     "EvalRecord",
     "HashedEmbedder",
     "InputError",

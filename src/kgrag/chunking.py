@@ -217,8 +217,8 @@ def chunk_to_json(chunk: Chunk) -> str:
     """The chunk's record, byte for byte ``json.dumps(record, ensure_ascii=False)``.
 
     An f-string row whose strings are escaped by the C ``encode_basestring``
-    that ``ensure_ascii=False`` uses, as ``KnowledgeGraph.export`` writes its
-    rows; the keys are in the record's order, with the default separators.
+    that ``ensure_ascii=False`` uses; the keys are in the record's order,
+    with the default separators.
     """
     esc = encode_basestring
     start, end = chunk.token_span

@@ -13,7 +13,7 @@ import json
 import logging
 import re
 import unicodedata
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -170,3 +170,17 @@ def string_list(items: list[str], name: str) -> list[str]:
     if isinstance(items, str):
         raise TypeError(f"{name} must be a list of strings, not a str")
     return items
+
+
+class Table(dict):
+    """A dict that fills a missing key with ``make(key)`` and keeps it; a pure ``make`` lets readers race."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable) -> None:
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        value = self[key] = self.make(key)
+        return value

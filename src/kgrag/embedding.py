@@ -24,9 +24,11 @@ import math
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
+from .corpus import Table
 from .exceptions import InputError, ProviderError
 from .remote import post_json
 
@@ -75,17 +77,10 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-class _SignedColumns(dict):
-    """token -> ``2 * column + sign bit`` of its FNV-1a hash, hashed on first sight."""
-
-    def __init__(self, dimension: int):
-        super().__init__()
-        self.dimension = dimension
-
-    def __missing__(self, token: str) -> int:
-        h = fnv1a64(token.encode("utf-8"))
-        code = self[token] = (h % self.dimension) << 1 | h >> 63
-        return code
+def _signed_column(dimension: int, token: str) -> int:
+    """``2 * column + sign bit`` of ``token``'s FNV-1a hash: column ``h mod dimension``, sign its top bit."""
+    h = fnv1a64(token.encode("utf-8"))
+    return (h % dimension) << 1 | h >> 63
 
 
 class HashedTokens:
@@ -104,7 +99,7 @@ class HashedTokens:
     def __init__(self, texts: list[str], dimension: int):
         if dimension < 8:
             raise ValueError("embedding dimension must be >= 8")
-        table = _SignedColumns(dimension)
+        table = Table(partial(_signed_column, dimension))
         codes = array("q")
         lengths = [0]
         for text in texts:
@@ -177,7 +172,7 @@ def embed_hashed(text: str, dimension: int = 256) -> Vector:
     tokens = text.lower().split()
     if not tokens:
         return np.zeros(dimension, dtype=np.float32)
-    table = _SignedColumns(dimension)
+    table = Table(partial(_signed_column, dimension))
     signed = np.fromiter(map(table.__getitem__, tokens), dtype=np.int64, count=len(tokens))
     row = np.bincount(signed >> 1, weights=1.0 - 2.0 * (signed & 1), minlength=dimension)
     norm = math.sqrt(row @ row)

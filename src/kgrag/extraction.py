@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import NamedTuple
 
-from .corpus import split_sentences, string_list
+from .corpus import Table, split_sentences, string_list
 from .exceptions import ProviderError
 from .lexical import strip_edge_punctuation
 from .remote import ChatClient
@@ -114,20 +114,6 @@ _MENTION_RE = re.compile(_MENTION)
 _PAIR_RE = re.compile(f"({_MENTION})(?=[lS]*+({_MENTION}))")
 
 
-class _Table(dict):
-    """A dict that fills a missing key with ``make(key)``, once."""
-
-    __slots__ = ("make",)
-
-    def __init__(self, make) -> None:
-        super().__init__()
-        self.make = make
-
-    def __missing__(self, key):
-        value = self[key] = self.make(key)
-        return value
-
-
 def _shape_code(stopwords: frozenset[str]):
     """The function giving a token's shape code under ``stopwords``."""
 
@@ -175,9 +161,9 @@ class RuleExtractor:
     __slots__ = ("shape", "normalized")
 
     def __init__(self) -> None:
-        self.shape = _Table(_shape_code(ENTITY_STOPWORDS))
+        self.shape = Table(_shape_code(ENTITY_STOPWORDS))
         self.shape[""] = "|"
-        self.normalized = _Table(normalize_entity)
+        self.normalized = Table(normalize_entity)
 
     def entities(self, text: str, stopwords: frozenset[str] | None = None) -> list[EntityMention]:
         return _entities(split_sentences(text), stopwords if stopwords is not None else ENTITY_STOPWORDS)

@@ -1,24 +1,26 @@
-"""Knowledge graph: entity nodes with provenance chunk ids, labeled edges, held as integer columns.
+"""Knowledge graph: named entity nodes and labeled edges with provenance chunk ids, held as integer columns.
 
-Nodes merge on the normalized entity name, and a node's id is its position
-in the node list. A build collects each edge as the tuple ``(source, target,
-relation, provenance)`` in a set; ``seal`` turns it into the graph's one
-sealed form, which a load reads straight from ``graph.json``: the distinct
-relations and provenance chunk ids as two ascending tables, and four int32
-edge columns (node ids, then table indices) in sorted edge order. Index
-order is string order, so the columns list the edges in their tuples' order.
+Nodes merge on the normalized entity name. A node is its id, its position
+in the node list: ``name(i)`` reads its name, ``contexts(i)`` its chunk ids,
+and a ``Subgraph`` maps each admitted id to its hop. A build collects each
+edge as the tuple ``(source, target, relation, provenance)`` in a set;
+``seal`` turns it into the graph's one sealed form, which a load reads
+straight from ``graph.json``: the distinct relations and provenance chunk
+ids as two ascending tables, and four int32 edge columns (node ids, then
+table indices) in sorted edge order. Index order is string order, so the
+columns list the edges in their tuples' order.
 
 A node's distinct neighbour ids and its contexts, its edges' distinct chunk
-ids, each ascending, are derived the first time they are read, then kept:
-its out-edges are one ``searchsorted`` range of the source column, its
-in-edges one range of a stable argsort by target. A traversal is a seeded
-breadth-first expansion that merges the frontier's neighbour lists lazily,
-bounded by hop count and node budget, so a hub costs what the budget admits.
-A neighborhood renders as text within a token budget: its context chunks,
-read through the graph's one chunk_id -> text map, those the seed nodes
-share most ahead, then its edges, collected from the columns only if the
-budget reaches them. Same lifecycle as the vector store: single-writer build
-(or load), seal, then lock-free concurrent reads. ``export`` writes
+ids, each ascending, are derived the first time they are read, then kept in
+one table each: its out-edges are one ``searchsorted`` range of the source
+column, its in-edges one range of a stable argsort by target. A traversal is
+a seeded breadth-first expansion that merges the frontier's neighbour lists
+lazily, bounded by hop count and node budget, so a hub costs what the budget
+admits. A neighborhood renders as text within a token budget: its context
+chunks, read through the graph's one chunk_id -> text map, those the seed
+nodes share most ahead, then its edges, collected from the columns only if
+the budget reaches them. Same lifecycle as the vector store: single-writer
+build (or load), seal, then lock-free concurrent reads. ``export`` writes
 ``graph.json`` one piece at a time; a load checks it whole, in C or numpy.
 """
 
@@ -27,8 +29,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import Counter
-from collections.abc import Callable, Iterable, Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator
 from functools import cached_property
 from heapq import merge
 from itertools import chain, filterfalse, islice
@@ -37,7 +38,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import holds_escape, lone_surrogate
+from .corpus import Table, holds_escape, lone_surrogate
 from .extraction import EntityMention, Triple, normalize_entity
 from .exceptions import InputError, StoreCorruptError
 
@@ -53,42 +54,21 @@ _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 EDGE_COLUMNS = ("sources", "targets", "relations", "chunks")
 
 
-@dataclass
-class EntityNode:
-    name: str  # canonical = first surface seen
-    contexts: list[str]  # its edges' provenance chunk ids, ascending, each once
-
-
 class Subgraph:
-    """Admitted nodes by id, each node's hop, and the edges induced on them, as tuples collected on first read."""
+    """Admitted node ids, each mapped to its hop, and the edges induced on them, as tuples collected on first read."""
 
-    __slots__ = ("nodes", "hop_of", "_edges", "_graph")
+    __slots__ = ("nodes", "_edges", "_graph")
 
-    def __init__(self, nodes: dict[int, EntityNode], *, hop_of: dict[int, int], graph: KnowledgeGraph) -> None:
+    def __init__(self, nodes: dict[int, int], graph: KnowledgeGraph) -> None:
         self.nodes = nodes
-        self.hop_of = hop_of
         self._edges: set[tuple] | None = None
         self._graph = graph
 
     @property
     def edges(self) -> set[tuple]:
         if self._edges is None:
-            self._edges = self._graph._induced_edges(self.hop_of)
+            self._edges = self._graph._induced_edges(self.nodes)
         return self._edges
-
-
-class _PerNode(dict):
-    """Node id -> ``derive(node)``, derived on first read and kept; readers that race derive the same value."""
-
-    __slots__ = ("_derive",)
-
-    def __init__(self, derive: Callable[[int], object]) -> None:
-        super().__init__()
-        self._derive = derive
-
-    def __missing__(self, node: int):
-        value = self[node] = self._derive(node)
-        return value
 
 
 class KnowledgeGraph:
@@ -109,10 +89,15 @@ class KnowledgeGraph:
     def edge_count(self) -> int:
         return self._columns.shape[1] if self._sealed else len(self._edges)
 
-    def node(self, node_id: int) -> EntityNode:
+    def name(self, node_id: int) -> str:
+        """The node's name: the first surface that resolved to it."""
+        return self._names[node_id]
+
+    def contexts(self, node_id: int) -> list[str]:
+        """The node's edges' distinct provenance chunk ids, ascending, derived on first read."""
         if not self._sealed:
-            raise ValueError("graph must be sealed before reading a node")
-        return self._entities[node_id]
+            raise ValueError("graph must be sealed before reading a node's contexts")
+        return self._contexts[node_id]
 
     def seal(self) -> None:
         """Freeze a build: turn its edge set, checked by ``upsert_triple``, into the tables and the sorted columns.
@@ -146,15 +131,15 @@ class KnowledgeGraph:
         return sorted({*self._columns[out, start:stop].tolist(), *self._columns[into, order[first:last]].tolist()})
 
     @cached_property
-    def _neighbours(self) -> _PerNode:
+    def _neighbours(self) -> Table:
         """Node id -> its distinct neighbour ids in both directions, ascending, each list derived on first read."""
-        return _PerNode(lambda node: self._distinct(node, 1, 0))
+        return Table(lambda node: self._distinct(node, 1, 0))
 
     @cached_property
-    def _entities(self) -> _PerNode:
-        """Node id -> its ``EntityNode``, its contexts (its edges' distinct chunk ids, ascending) derived on first read."""
-        names, chunks = self._names, self._chunks
-        return _PerNode(lambda node: EntityNode(names[node], [chunks[i] for i in self._distinct(node, 3, 3)]))
+    def _contexts(self) -> Table:
+        """Node id -> its edges' distinct chunk ids, ascending, each list derived on first read."""
+        chunks = self._chunks
+        return Table(lambda node: [chunks[i] for i in self._distinct(node, 3, 3)])
 
     def _induced_edges(self, nodes: Iterable[int]) -> set[tuple]:
         """The edges with both ends in ``nodes``, as ``(source, target, relation, provenance)`` tuples."""
@@ -250,7 +235,7 @@ class KnowledgeGraph:
         if max_nodes < 1:
             raise ValueError("max_nodes must be >= 1")
         if not seeds:
-            return Subgraph(nodes={}, hop_of={}, graph=self)
+            return Subgraph({}, self)
 
         neighbours = self._neighbours
         frontier = sorted(seeds)
@@ -263,9 +248,7 @@ class KnowledgeGraph:
             for node in islice(filterfalse(hop_of.__contains__, reached), max_nodes - len(hop_of)):
                 hop_of[node] = depth  # admitted now, so a repeat later in the merge is skipped
                 frontier.append(node)
-
-        entities = self._entities
-        return Subgraph(nodes={nid: entities[nid] for nid in hop_of}, hop_of=hop_of, graph=self)
+        return Subgraph(hop_of, self)
 
     # -- rendering and export ------------------------------------------------
 
@@ -315,9 +298,9 @@ class KnowledgeGraph:
         for chunk_id in self._context_order(sub):
             yield "context_lines", f"{header}- {self._chunk_texts[chunk_id]}"
             header = ""
+        hop_of, names = sub.nodes, self._names
         edge_keys = sorted(
-            (sub.hop_of[source], sub.nodes[source].name, relation, sub.nodes[target].name)
-            for source, target, relation, _ in sub.edges
+            (hop_of[source], names[source], relation, names[target]) for source, target, relation, _ in sub.edges
         )
         separator = "" if header else "\n"
         for _, source, relation, target in edge_keys:
@@ -331,14 +314,15 @@ class KnowledgeGraph:
         their least hop is the level's. Hop 0 yields the ids several seeds
         share first (``_shared_ids``); every level then yields the rest
         ascending, from its one list or a lazy merge, so a reader that stops
-        early, or before a later level, never reads the rest.
+        early, or before a later level, never reads the rest. A level's
+        contexts are read only when it is reached.
         """
-        levels: dict[int, list[list[str]]] = {}
-        for node_id, hop in sub.hop_of.items():
-            levels.setdefault(hop, []).append(sub.nodes[node_id].contexts)
+        levels: dict[int, list[int]] = {}
+        for node_id, hop in sub.nodes.items():
+            levels.setdefault(hop, []).append(node_id)
         seen: set[str] = set()
         for hop in sorted(levels):
-            lists = levels[hop]
+            lists = list(map(self.contexts, levels[hop]))
             if hop == 0 and len(lists) > 1:
                 shared = _shared_ids(lists)
                 seen.update(shared)

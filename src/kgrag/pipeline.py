@@ -6,10 +6,11 @@ graph.json, manifest.json. A store without a valid manifest is corrupt, and
 so is one whose manifest names another format version than
 ``STORE_FORMAT_VERSION``; version 5 stores the graph's node names, its
 relation and chunk tables and its sorted edges as four integer columns (see
-``graph``), and a version 1, 2, 3 or 4 store must be rebuilt. Opening a store reads and checks every file but
-graph.json. That file, and the parent texts the graph renders (rebuilt from
-the chunk records, whose spans must tile each parent), are read and checked
-the first time ``Store.graph`` is read: a semantic query reads neither.
+``graph``), and a version 1, 2, 3 or 4 store must be rebuilt. Opening a
+store reads and checks every file but graph.json. That file, and the parent
+texts the graph renders (rebuilt from the chunk records, whose spans must
+tile each parent), are read and checked the first time ``Store.graph`` is
+read: a semantic query reads neither.
 """
 
 from __future__ import annotations
@@ -308,8 +309,9 @@ def reconstruct_parent_texts(chunks: list[Chunk]) -> dict[str, str]:
     """Rebuild each semantic chunk's canonical text from its token chunks.
 
     A parent's token windows (whose types ``read_chunks_jsonl`` checked), in
-    span order, must tile it: the first starts at token 0 and each later
-    one at or before the end covered so far, else the store is corrupt. The
+    span order, must tile it: each span is ``0 <= start < end``, the first
+    starts at token 0 and each later one at or before the end covered so
+    far, else the store is corrupt. The
     first window's text is kept whole; from each later one only the part
     after the overlap, ``text.split(" ", skip)[skip]`` with ``skip = covered
     - start``, is appended. The pieces joined with single spaces are the
@@ -327,6 +329,11 @@ def reconstruct_parent_texts(chunks: list[Chunk]) -> dict[str, str]:
         covered = 0
         for member in members:
             start, end = member.token_span
+            if not 0 <= start < end:
+                raise StoreCorruptError(
+                    f"chunk {member.chunk_id!r} starts at token {start} and ends at token {end}: "
+                    "a span must satisfy 0 <= start < end"
+                )
             skip = covered - start
             if skip < 0:
                 raise StoreCorruptError(

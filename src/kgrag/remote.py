@@ -159,6 +159,9 @@ class ChatClient:
     def chat(self, messages: list[dict[str, str]]) -> str:
         data = post_json(self.endpoint_url, {"model": self.model_name, "messages": messages})
         try:
-            return data["choices"][0]["message"]["content"]
+            content = data["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError) as exc:
             raise ProviderError(f"malformed chat response: {data!r:.200}") from exc
+        if type(content) is not str:
+            raise ProviderError(f"malformed chat response: content is not a string: {data!r:.200}")
+        return content

@@ -127,7 +127,7 @@ def _structured_parts(
     subgraph = graph.neighborhood(matched, hops=config.hops, max_nodes=config.max_nodes)
     kept: dict = {}
     text = graph.render_subgraph(subgraph, kept=kept)
-    names = sorted(graph.node(nid).name for nid in matched)
+    names = sorted(map(graph.name, matched))
     return names, unmatched, text, {"subgraph_nodes": len(subgraph.nodes), **kept}
 
 

@@ -176,7 +176,7 @@ def embedding_payload(vectors) -> dict:
     return {"data": [{"index": i, "embedding": list(map(float, v))} for i, v in enumerate(vectors)]}
 
 
-def chat_payload(content: str) -> dict:
+def chat_payload(content: object) -> dict:
     return {"choices": [{"message": {"content": content}}]}
 
 

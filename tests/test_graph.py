@@ -43,7 +43,7 @@ class TestUpsert:
         graph.seal()
         assert len(graph) == 3  # rome, italy, vatican
         assert graph.edge_count == 2
-        assert graph.node(0).name == "rome"  # first surface seen wins
+        assert graph.name(0) == "rome"  # first surface seen wins
 
     @pytest.mark.parametrize("first, later", [("rome", "  Rome,"), ("  Rome,", "rome"), ("rome", "rome")])
     def test_surface_resolves_to_the_node_of_its_normalized_name(self, first, later):
@@ -51,9 +51,11 @@ class TestUpsert:
         source, _ = graph.upsert_triple(triple(first, "in", "italy"))
         again, _ = graph.upsert_triple(triple(later, "near", "ostia", prov="c1"))
         assert again == source and len(graph) == 3
+        with pytest.raises(ValueError, match="must be sealed"):
+            graph.contexts(source)
         graph.seal()
-        assert graph.node(source).name == first  # first surface seen wins
-        assert graph.node(source).contexts == ["c0", "c1"]
+        assert graph.name(source) == first  # first surface seen wins
+        assert graph.contexts(source) == ["c0", "c1"]
 
     def test_identical_triple_dedup(self):
         graph = KnowledgeGraph({"c0": "ctx"})
@@ -79,7 +81,7 @@ class TestUpsert:
         graph.upsert_triple(triple("a", "r2", "b", prov="c0"))
         graph.upsert_triple(triple("a", "r3", "b", prov="c1"))
         graph.seal()
-        assert graph.node(0).contexts == graph.node(1).contexts == ["c0", "c1"]  # ascending, each once
+        assert graph.contexts(0) == graph.contexts(1) == ["c0", "c1"]  # ascending, each once
         text = graph.render_subgraph(graph.neighborhood({0}, hops=1))
         assert text.startswith("Contexts:\n- snippet one\n- snippet two\n\n")
 
@@ -116,7 +118,7 @@ class TestUpsert:
             for t in shuffled:
                 graph.upsert_triple(t)
             graph.seal()
-            names = {graph.node(i).name for i in range(len(graph))}
+            names = {graph.name(i) for i in range(len(graph))}
             obj = graph.to_json_obj()
             id_to_name = obj["nodes"]
             edges = {(id_to_name[s], r, id_to_name[t]) for s, t, r, _ in tuple_edges(obj)}
@@ -174,7 +176,7 @@ class TestUpsertPairSetReference:
         graph.seal()
         names, contexts, edges = pair_set_upsert(triples)
         contexts = [sorted(ids) for ids in contexts]  # seal sorts what the pair set kept first seen first
-        assert [(graph.node(i).name, graph.node(i).contexts) for i in range(len(graph))] == list(zip(names, contexts))
+        assert [(graph.name(i), graph.contexts(i)) for i in range(len(graph))] == list(zip(names, contexts))
         assert set(graph_edges(graph)) == edges
         assert export_bytes(graph) == compact_dumps(graph_object(names, edges))
 
@@ -184,7 +186,7 @@ class TestUpsertPairSetReference:
         graph.upsert_triple(triple("a", "r", "c", "c2"))
         graph.upsert_triple(triple("c", "r", "a", "c1"))  # c meets c2, then c1
         graph.seal()
-        assert [graph.node(i).contexts for i in range(3)] == [["c1", "c2"], ["c1"], ["c1", "c2"]]
+        assert [graph.contexts(i) for i in range(3)] == [["c1", "c2"], ["c1"], ["c1", "c2"]]
 
 
 # A document's semantic chunk ids in the order a build meets them; as strings "d#s10" sorts first.
@@ -216,8 +218,8 @@ class TestContextsAscendAfterSeal:
                 named.setdefault(name, set()).add(prov)
         built.seal()
         for node_id in range(len(built)):
-            contexts = built.node(node_id).contexts
-            assert contexts == sorted(named[built.node(node_id).name])  # every chunk the node met, ascending, once
+            contexts = built.contexts(node_id)
+            assert contexts == sorted(named[built.name(node_id)])  # every chunk the node met, ascending, once
         written = export_bytes(built)
         loaded = KnowledgeGraph.from_json_obj(json.loads(written), texts)
         assert node_contexts(loaded) == node_contexts(built)
@@ -308,14 +310,14 @@ class TestNeighborhood:
         sub = graph.neighborhood({0}, hops=1)
         assert set(sub.nodes) == {0, 1}
         assert {(source, target) for source, target, _, _ in sub.edges} == {(0, 1)}
-        assert sub.hop_of == {0: 0, 1: 1}
+        assert sub.nodes == {0: 0, 1: 1}
 
     def test_two_hops(self):
         graph = chain_graph()
         sub = graph.neighborhood({0}, hops=2)
         assert set(sub.nodes) == {0, 1, 2}
         assert {(source, target) for source, target, _, _ in sub.edges} == {(0, 1), (1, 2)}
-        assert sub.hop_of[2] == 2
+        assert sub.nodes[2] == 2
 
     def test_hops_beyond_closure(self):
         graph = chain_graph()
@@ -349,7 +351,7 @@ class TestNeighborhood:
     def test_hop_bound_respected(self):
         graph = chain_graph()
         sub = graph.neighborhood({0}, hops=2)
-        assert all(h <= 2 for h in sub.hop_of.values())
+        assert all(h <= 2 for h in sub.nodes.values())
 
     @pytest.mark.parametrize("kwargs", [{"hops": 0}, {"max_nodes": 0}, {"max_nodes": -1}])
     def test_bound_below_one_rejected(self, kwargs):
@@ -369,7 +371,7 @@ class TestNeighborhood:
 def reference_neighborhood(graph: KnowledgeGraph, seeds: set[int], hops: int, max_nodes: int) -> SimpleNamespace:
     """The O(E) form: BFS over adjacency sets, then edges induced by scanning every edge.
 
-    Returns the ``nodes``, ``hop_of`` and ``edges`` a ``Subgraph`` reads as, in a namespace.
+    Returns the ``nodes`` (id -> hop) and ``edges`` a ``Subgraph`` reads as, in a namespace.
     """
     edges = set(graph_edges(graph))
     adjacency: dict[int, set[int]] = {nid: set() for nid in range(len(graph))}
@@ -377,7 +379,7 @@ def reference_neighborhood(graph: KnowledgeGraph, seeds: set[int], hops: int, ma
         adjacency[source].add(target)
         adjacency[target].add(source)
     if not seeds:
-        return SimpleNamespace(nodes={}, hop_of={}, edges=set())
+        return SimpleNamespace(nodes={}, edges=set())
     hop_of = {seed: 0 for seed in sorted(seeds)}
     frontier = sorted(seeds)
     for depth in range(1, hops + 1):
@@ -393,9 +395,8 @@ def reference_neighborhood(graph: KnowledgeGraph, seeds: set[int], hops: int, ma
             hop_of[node] = depth
             admitted.append(node)
         frontier = admitted
-    nodes = {nid: graph.node(nid) for nid in hop_of}
     induced = {e for e in edges if e[0] in hop_of and e[1] in hop_of}
-    return SimpleNamespace(nodes=nodes, hop_of=hop_of, edges=induced)
+    return SimpleNamespace(nodes=hop_of, edges=induced)
 
 
 def graph_edges(graph: KnowledgeGraph) -> list[tuple]:
@@ -422,7 +423,7 @@ def sorted_contexts_reference(graph: KnowledgeGraph) -> list[list[str]]:
 
 
 def node_contexts(graph: KnowledgeGraph) -> list[list[str]]:
-    return [graph.node(node_id).contexts for node_id in range(len(graph))]
+    return [graph.contexts(node_id) for node_id in range(len(graph))]
 
 
 small_triples = st.lists(
@@ -466,8 +467,7 @@ class TestNeighborhoodReference:
         for g in (graph, loaded):
             sub = g.neighborhood(seeds, hops=hops, max_nodes=max_nodes)
             ref = reference_neighborhood(g, seeds, hops, max_nodes)
-            assert list(sub.hop_of.items()) == list(ref.hop_of.items())
-            assert list(sub.nodes) == list(ref.nodes)
+            assert list(sub.nodes.items()) == list(ref.nodes.items())
             assert sub.edges == ref.edges
             assert g.render_subgraph(sub) == g.render_subgraph(ref)
 
@@ -514,7 +514,7 @@ class TestExport:
         path = tmp_path / "graph.json"
         graph.export(path, "json")
         loaded = KnowledgeGraph.load_json(path, {"c0": "ctx-ab", "c1": "ctx-bc"})
-        assert {loaded.node(i).name for i in range(len(loaded))} == {graph.node(i).name for i in range(len(graph))}
+        assert {loaded.name(i) for i in range(len(loaded))} == {graph.name(i) for i in range(len(graph))}
         assert loaded.to_json_obj() == graph.to_json_obj()
 
     def test_snippets_rehydrated(self, tmp_path):
@@ -522,7 +522,7 @@ class TestExport:
         path = tmp_path / "graph.json"
         graph.export(path, "json")
         loaded = KnowledgeGraph.load_json(path, {"c0": "ctx-ab", "c1": "ctx-bc"})
-        assert loaded.node(0).contexts == ["c0"]
+        assert loaded.contexts(0) == ["c0"]
         assert loaded.render_subgraph(loaded.neighborhood({0}, hops=1, max_nodes=1)) == "Contexts:\n- ctx-ab"
 
     def test_empty_graph_exports(self, tmp_path):
@@ -590,7 +590,7 @@ class TestExport:
         path = tmp_path / "graph.json"
         path.write_text('{"nodes":["\\ud83c\\udf55","\\\\ud800"],"relations":["r"],"chunks":["c0"],"edges":[[0],[1],[0],[0]]}\n')
         graph = KnowledgeGraph.load_json(path, {"c0": "ctx"})
-        assert [graph.node(0).name, graph.node(1).name] == ["\U0001f355", "\\ud800"]
+        assert [graph.name(0), graph.name(1)] == ["\U0001f355", "\\ud800"]
 
     def test_unknown_format_rejected(self, tmp_path):
         graph = chain_graph()
@@ -967,7 +967,7 @@ def snippet_dict_render(sub: Subgraph, names: list[str], contexts: list[dict[str
     """
     if not sub.nodes:
         return ""
-    edge_lines = sorted((sub.hop_of[s], names[s], r, names[t]) for s, t, r, _ in sub.edges)
+    edge_lines = sorted((sub.nodes[s], names[s], r, names[t]) for s, t, r, _ in sub.edges)
     lines = [f"{source} -[{relation}]-> {target}" for _, source, relation, target in edge_lines]
     snippets: list[tuple[str, str, str]] = []
     for node_id in sub.nodes:
@@ -1034,25 +1034,26 @@ class TestSnippetDictReference:
                 assert sorted(unbounded.split("\n")) == sorted(snippet_dict_render(sub, names, contexts).split("\n"))
 
 
-def reference_render(sub: Subgraph, texts: dict[str, str], budget: int) -> tuple[str, int, int]:
-    """Every line in render order, then the longest prefix within ``budget`` whitespace tokens.
+def reference_render(graph: KnowledgeGraph, sub: Subgraph, texts: dict[str, str], budget: int) -> tuple[str, int, int]:
+    """Every line of ``graph``'s ``sub`` in render order, then the longest prefix within ``budget`` whitespace tokens.
 
     Chunks sort by (seed nodes naming them descending, least hop, chunk id);
     the ``Contexts:`` header rides with the first context line and the blank
     line between the sections with the first edge line. Returns the text and
     the context and edge lines it keeps.
     """
+    names, contexts = graph.to_json_obj()["nodes"], sorted_contexts_reference(graph)
     seed_count: dict[str, int] = {}
     least_hop: dict[str, int] = {}
-    for node_id, hop in sub.hop_of.items():
-        for chunk_id in sub.nodes[node_id].contexts:
+    for node_id, hop in sub.nodes.items():
+        for chunk_id in contexts[node_id]:
             seed_count[chunk_id] = seed_count.get(chunk_id, 0) + (hop == 0)
             least_hop[chunk_id] = min(least_hop.get(chunk_id, hop), hop)
     order = sorted(seed_count, key=lambda c: (-seed_count[c], least_hop[c], c))
     lines = [f"- {texts[c]}" for c in order]
     if lines:
         lines[0] = "Contexts:\n" + lines[0]
-    edge_keys = sorted((sub.hop_of[s], sub.nodes[s].name, r, sub.nodes[t].name) for s, t, r, _ in sub.edges)
+    edge_keys = sorted((sub.nodes[s], names[s], r, names[t]) for s, t, r, _ in sub.edges)
     edge_lines = [f"{source} -[{relation}]-> {target}" for _, source, relation, target in edge_keys]
     if lines and edge_lines:
         edge_lines[0] = "\n" + edge_lines[0]
@@ -1123,7 +1124,7 @@ class TestBudgetedRender:
         for max_tokens in (budget, UNBOUNDED):
             kept: dict = {}
             text = graph.render_subgraph(sub, max_tokens, kept=kept)
-            expected, context_lines, edge_lines = reference_render(sub, texts, max_tokens)
+            expected, context_lines, edge_lines = reference_render(graph, sub, texts, max_tokens)
             assert text == expected
             assert kept == {"context_lines": context_lines, "edge_lines": edge_lines, "tokens": len(text.split())}
             assert kept["tokens"] <= max_tokens
@@ -1161,8 +1162,8 @@ class TestBudgetedRender:
             graph.upsert_triple(triple("hub", "r", f"spoke{i}", prov=f"c{i:03d}"))
         graph.seal()
         sub = graph.neighborhood({0}, hops=2, max_nodes=1000)
-        assert len(sub.nodes[0].contexts) == 600
-        sub = Subgraph(nodes=sub.nodes, hop_of=sub.hop_of, graph=Unreadable())
+        assert len(graph.contexts(0)) == 600
+        sub = Subgraph(sub.nodes, Unreadable())
         kept: dict = {}
         text = graph.render_subgraph(sub, 100, kept=kept)
         assert len(text.split()) == kept["tokens"] <= 100
@@ -1175,7 +1176,7 @@ class TestBudgetedRender:
         for k in (2, 20, 200):
             tally[0] = 0
             cut = graph.neighborhood({0}, hops=2, max_nodes=k)
-            assert list(cut.hop_of) == list(range(k))
+            assert list(cut.nodes) == list(range(k))
             assert tally[0] == k - 1  # the hub's list up to the budget, not its 600 edges
         tally[0] = 0
         graph._induced_edges = collect = CountingCalls(graph._induced_edges)
@@ -1241,12 +1242,12 @@ class TestHubMultigraphReference:
             assert [graph._neighbours[i] for i in range(len(graph))] == neighbour_reference(graph)
             sub = graph.neighborhood(seeds, hops=hops, max_nodes=max_nodes)
             ref = reference_neighborhood(graph, seeds, hops, max_nodes)
-            assert list(sub.hop_of.items()) == list(ref.hop_of.items())
+            assert list(sub.nodes.items()) == list(ref.nodes.items())
             assert sub.edges == ref.edges
             for max_tokens in (budget, UNBOUNDED):
                 kept: dict = {}
                 text = graph.render_subgraph(sub, max_tokens, kept=kept)
-                expected, context_lines, edge_lines = reference_render(ref, texts, max_tokens)
+                expected, context_lines, edge_lines = reference_render(graph, ref, texts, max_tokens)
                 assert text == expected == graph.render_subgraph(ref, max_tokens)
                 assert (kept["context_lines"], kept["edge_lines"]) == (context_lines, edge_lines)
 
@@ -1271,7 +1272,7 @@ class TestContextsDerivedFromEdges:
         for subject, _, obj, provenance in rows:
             for name in (subject, obj):
                 named.setdefault(normalize_entity(name), set()).add(provenance)
-        assert names == [built.node(i).name for i in range(len(built))]
+        assert names == [built.name(i) for i in range(len(built))]
         reference = [sorted(named[normalize_entity(name)]) for name in names]
         assert node_contexts(built) == node_contexts(loaded) == reference
         for seeds in [{i} for i in range(len(built))] + [set(range(len(built)))]:
@@ -1295,11 +1296,11 @@ class TestColumnRoundTrip:
         assert loaded.to_json_obj() == built.to_json_obj()
         assert loaded.to_dot() == built.to_dot()
         assert [loaded._neighbours[i] for i in range(len(loaded))] == [built._neighbours[i] for i in range(len(built))]
-        assert node_contexts(loaded) == node_contexts(built)
+        assert node_contexts(loaded) == node_contexts(built) == sorted_contexts_reference(built)
         for _ in range(4):
             seeds = set(rng.sample(range(len(built)), rng.randint(1, 4)))
             subs = [graph.neighborhood(seeds, hops=hops, max_nodes=max_nodes) for graph in (built, loaded)]
-            assert subs[0].hop_of == subs[1].hop_of and subs[0].edges == subs[1].edges
+            assert subs[0].nodes == subs[1].nodes and subs[0].edges == subs[1].edges
             for max_tokens in (budget, UNBOUNDED):
                 assert built.render_subgraph(subs[0], max_tokens) == loaded.render_subgraph(subs[1], max_tokens)
 
@@ -1315,11 +1316,31 @@ def expanded_nodes(hop_of: dict[int, int], hops: int, max_nodes: int) -> set[int
     return expanded
 
 
+def read_levels(sub: Subgraph, contexts: list[list[str]], context_lines: int) -> set[int]:
+    """The nodes of the hop levels a render that kept ``context_lines`` context lines reached.
+
+    A render reaches a level once it has kept a line for every chunk the
+    lower levels name, so it asks for the next line.
+    """
+    reached: set[int] = set()
+    lower: set[str] = set()
+    for hop in sorted(set(sub.nodes.values())):
+        if len(lower) > context_lines:
+            break
+        level = [node for node, node_hop in sub.nodes.items() if node_hop == hop]
+        reached.update(level)
+        lower.update(*(contexts[node] for node in level))
+    return reached
+
+
 class TestDerivedListsAreLazy:
     @settings(max_examples=200, deadline=None)
-    @given(small_triples, st.sets(st.integers(0, 7), max_size=3), st.integers(1, 3), st.integers(1, 10))
-    @example(OUT_OF_ORDER_REPEAT, {0}, 1, 10)
-    def test_a_traversal_derives_only_the_lists_it_expands(self, triples, seeds, hops, max_nodes):
+    @given(
+        small_triples, st.sets(st.integers(0, 7), max_size=3), st.integers(1, 3), st.integers(1, 10), st.integers(0, 12)
+    )
+    @example(OUT_OF_ORDER_REPEAT, {0}, 1, 10, 0)
+    @example(OUT_OF_ORDER_REPEAT, {0}, 2, 10, 4)  # the cut lands in hop 0, so hop 1 is never read
+    def test_a_traversal_derives_only_the_lists_it_expands(self, triples, seeds, hops, max_nodes, budget):
         texts = {f"c{i}": f"ctx c{i}" for i in range(3)}
         built = KnowledgeGraph(texts)
         for s, r, o, prov in triples:
@@ -1332,19 +1353,22 @@ class TestDerivedListsAreLazy:
         for graph in (built, loaded):
             sub = graph.neighborhood(seeds, hops=hops, max_nodes=max_nodes)
             derived = dict(vars(graph).get("_neighbours", {}))
-            assert set(derived) == expanded_nodes(sub.hop_of, hops, max_nodes)
+            assert set(derived) == expanded_nodes(sub.nodes, hops, max_nodes)
             assert derived == {node: reference[node] for node in derived}
-            entities = dict(vars(graph).get("_entities", {}))  # a node's contexts, derived once it is admitted
-            assert set(entities) == set(sub.hop_of)
-            assert {node: entity.contexts for node, entity in entities.items()} == {n: contexts[n] for n in entities}
+            assert "_contexts" not in vars(graph)  # a traversal derives no contexts
+            kept: dict = {}
+            graph.render_subgraph(sub, budget, kept=kept)
+            read = dict(vars(graph).get("_contexts", {}))  # the contexts of the hop levels the render reached
+            assert set(read) == read_levels(sub, contexts, kept["context_lines"])
+            assert read == {node: contexts[node] for node in read}
 
     def test_first_traversal_not_seal_derives_the_lists(self):
         graph = chain_graph()
         loaded = KnowledgeGraph.from_json_obj(graph.to_json_obj(), {"c0": "ctx-ab", "c1": "ctx-bc"})
         for g in (graph, loaded):
-            assert not {"_neighbours", "_entities", "_target_order"} & set(vars(g))  # seal derived nothing
+            assert not {"_neighbours", "_contexts", "_target_order"} & set(vars(g))  # seal derived nothing
             g.render_subgraph(g.neighborhood({0}, hops=2))
-            assert node_contexts(g) == sorted_contexts_reference(g)  # the contexts the render read
+            assert dict(vars(g)["_contexts"]) == dict(enumerate(sorted_contexts_reference(g)))  # each level's, read
             neighbours = vars(g)["_neighbours"]
             assert dict(neighbours) == {0: [1], 1: [0, 2]}  # the lists of a and b, which it expanded; not c's
             assert g.render_subgraph(g.neighborhood({2}, hops=1)) == "Contexts:\n- ctx-bc\n- ctx-ab\n\nb -[r2]-> c"
@@ -1354,12 +1378,12 @@ class TestDerivedListsAreLazy:
         def fail(*_):
             raise AssertionError("a build derived a traversal list or rendered")
 
-        for name in ("_neighbours", "_entities", "_target_order"):
+        for name in ("_neighbours", "_contexts", "_target_order"):
             monkeypatch.setattr(KnowledgeGraph, name, property(fail))
         monkeypatch.setattr(KnowledgeGraph, "_context_order", fail)
         build_store(mini_corpus_dir, tmp_path / "store")
         graph = open_store(tmp_path / "store").graph  # a load derives nothing either
         monkeypatch.undo()
         names = json.loads((tmp_path / "store" / "graph.json").read_text(encoding="utf-8"))["nodes"]
-        assert names == [graph.node(i).name for i in range(len(graph))]
+        assert names == [graph.name(i) for i in range(len(graph))]
         assert names and all(contexts and contexts == sorted(set(contexts)) for contexts in node_contexts(graph))

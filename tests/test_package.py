@@ -88,6 +88,18 @@ def test_every_top_level_name_has_a_program_reader():
     assert not unread, f"defined in src/kgrag but read only by tests, if at all: {sorted(unread)}"
 
 
+def test_one_class_fills_missing_keys():
+    """``corpus.Table`` is the package's one derive-on-first-read dict; a second ``__missing__`` repeats it."""
+    owners = [
+        f"{path.stem}.{node.name}"
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "__missing__" for f in node.body)
+    ]
+    assert owners == ["corpus.Table"]
+
+
 def test_readme_names_the_store_format_version():
     """README's store layout states the format version a build writes; a bump must move the sentence with it."""
     from kgrag.pipeline import STORE_FORMAT_VERSION

@@ -297,17 +297,17 @@ def window(parent: str, j: int, tokens: list[str], start: int, end: int) -> Chun
 def tiled_windows(draw) -> list[Chunk]:
     """Windows of 1-3 parents that tile them, shuffled together.
 
-    Tokens may be empty (``"a  b"``, a trailing space); a window may start
-    right at the covered end (overlap 0), lie wholly inside it (overlap of
-    the whole window) or be empty.
+    Tokens may be empty (``"a  b"``, a trailing space); a window holds at
+    least one token, as a build's do, and may start right at the covered end
+    (overlap 0) or lie wholly inside it (overlap of the whole window).
     """
     chunks = []
     for p in range(draw(st.integers(1, 3))):
         tokens = draw(st.lists(st.sampled_from(["a", "bc", "", "d", "é"]), min_size=1, max_size=12))
         covered = 0
         for j in range(draw(st.integers(1, 5))):
-            start = draw(st.integers(0, covered))
-            end = draw(st.integers(start, len(tokens)))
+            start = draw(st.integers(0, min(covered, len(tokens) - 1)))
+            end = draw(st.integers(start + 1, len(tokens)))
             chunks.append(window(f"p{p}", j, tokens, start, end))
             covered = max(covered, end)
     return draw(st.permutations(chunks))
@@ -320,17 +320,25 @@ class TestReconstructParentTexts:
     @example([window("p", 0, ["a", "b"], 0, 1), window("p", 1, ["a", "b"], 1, 2)])  # overlap 0
     @example([window("p", 0, ["a", "b", "c"], 0, 3), window("p", 1, ["a", "b", "c"], 1, 3)])  # whole window
     @example([window("p", 0, ["", ""], 0, 2), window("p", 1, ["", ""], 1, 2)])
-    @example([window("p", 0, ["a"], 0, 1), window("p", 1, ["a"], 1, 1)])  # an empty window
     def test_equals_split_join_reference(self, chunks):
         assert reconstruct_parent_texts(chunks) == split_join_reference(list(chunks))
 
     @pytest.mark.parametrize(
-        "spans", [[(1, 3)], [(0, 2), (3, 4)], [(0, 1), (0, 2), (3, 4)]], ids=["first-past-0", "gap", "gap-after-nested"]
+        "spans, fault",
+        [
+            ([(1, 3)], "past the"),
+            ([(0, 2), (3, 4)], "past the"),
+            ([(0, 1), (0, 2), (3, 4)], "past the"),
+            ([(-3, 2), (2, 4)], "^chunk 'p#t0' starts at token -3 and ends at token 2: a span must satisfy 0 <= start < end$"),
+            ([(0, 1), (1, 1)], "^chunk 'p#t1' starts at token 1 and ends at token 1: a span must satisfy"),
+            ([(0, 3), (2, 1)], "^chunk 'p#t1' starts at token 2 and ends at token 1: a span must satisfy"),
+        ],
+        ids=["first-past-0", "gap", "gap-after-nested", "negative-start", "empty", "end-before-start"],
     )
-    def test_windows_that_do_not_tile_are_corrupt(self, spans):
+    def test_windows_that_do_not_tile_are_corrupt(self, spans, fault):
         tokens = ["a", "b", "c", "d"]
         chunks = [window("p", j, tokens, start, end) for j, (start, end) in enumerate(spans)]
-        with pytest.raises(StoreCorruptError, match="past the"):
+        with pytest.raises(StoreCorruptError, match=fault):
             reconstruct_parent_texts(chunks)
 
 
@@ -706,9 +714,11 @@ each_graph_reader = pytest.mark.parametrize("command", list(GRAPH_READERS.values
 SEMANTIC_QUERY = ["query", "--mode", "semantic", "--json", "--question", "What crosses Rome?"]
 
 
-# A mini-store chunk and a span that leaves its parent untiled: a gap, or a first window past token 0.
+# A mini-store chunk and a span that leaves its parent untiled: a gap, a first window past token 0, or a negative start.
 each_untiled_span = pytest.mark.parametrize(
-    "chunk_id, span", [("regions#s0#t1", [120, 184]), ("dishes#s0#t0", [1, 68])], ids=["gap", "first-past-0"]
+    "chunk_id, span",
+    [("regions#s0#t1", [120, 184]), ("dishes#s0#t0", [1, 68]), ("dishes#s0#t0", [-3, 68])],
+    ids=["gap", "first-past-0", "negative-start"],
 )
 
 
@@ -1087,6 +1097,24 @@ class TestCmdEval:
         )
         assert code == 2
         assert "remote judge" in capsys.readouterr().err
+
+    def test_remote_judge_reply_without_string_content_nulls_the_judged_metrics(self, store_dir, tmp_path, monkeypatch):
+        import kgrag.remote as remote_mod
+        from helpers import FakePost, FakeResponse, chat_payload
+
+        monkeypatch.setattr(remote_mod, "_send", FakePost([FakeResponse(200, chat_payload(None))]))
+        manifest_path = store_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["extractor"].update(api_base="http://api.test/v1", chat_model="chat-1")
+        manifest_path.write_text(json.dumps(manifest))
+        records = tmp_path / "records.jsonl"
+        record = {"question": "What is Rome?", "ground_truth": "Rome is the capital of Italy.",
+                  "answer": "Rome is the capital of Italy.", "contexts": ["Rome is the capital of Italy."]}
+        records.write_text(json.dumps(record) + "\n", encoding="utf-8")
+        out = tmp_path / "report.csv"
+        argv = ["eval", "--store", str(store_dir), "--records", str(records), "--out", str(out), "--judge", "remote"]
+        assert main(argv) == 0  # a judge failure nulls the record's judged metrics, as any provider error does
+        assert out.read_text().splitlines()[1].split(",")[2:] == ["", "", "", ""]
 
     @pytest.mark.parametrize("flag", ["--out", "--matrix"])
     def test_output_in_a_missing_directory_exit_2_before_any_retrieval(self, store_dir, tmp_path, capsys, flag):
@@ -1574,6 +1602,17 @@ class TestRemoteProviderWiring:
             }
             for text in texts
         ]
+
+    @pytest.mark.parametrize("content", [None, 7])
+    def test_remote_extractor_reply_without_string_content_exit_4(self, tmp_path, monkeypatch, capsys, content):
+        import kgrag.remote as remote_mod
+        from helpers import FakePost, FakeResponse, chat_payload
+
+        monkeypatch.setattr(remote_mod, "_send", FakePost([FakeResponse(200, chat_payload(content))]))
+        argv = ["index", "--corpus", str(write_corpus(tmp_path)), "--out", str(tmp_path / "store"),
+                "--extractor", "remote", "--api-base", "http://api.test/v1", "--chat-model", "chat-1"]
+        assert main(argv) == 4
+        assert "error: provider failure: malformed chat response: content is not a string" in capsys.readouterr().err
 
     def test_index_and_query_with_remote_embedder(self, tmp_path, monkeypatch, capsys):
         import kgrag.remote as remote_mod

@@ -12,10 +12,13 @@ import pytest
 
 import kgrag.remote as remote_mod
 from kgrag.embedding import ProviderConfig, embed_remote
+from kgrag.evaluation import RemoteJudge
 from kgrag.exceptions import ProviderError
-from kgrag.remote import post_json
+from kgrag.extraction import RemoteExtractor
+from kgrag.remote import ChatClient, post_json
+from kgrag.retriever import RemoteGenerator
 
-from helpers import FakePost, FakeResponse
+from helpers import FakePost, FakeResponse, chat_payload
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -197,3 +200,19 @@ def test_embed_remote_over_parallel_batches(server, sleeps):
     expected /= np.linalg.norm(expected, axis=1, keepdims=True)
     assert np.allclose(out, expected, atol=1e-6)
     assert sleeps == []
+
+
+@pytest.mark.parametrize("content", [None, 7])
+@pytest.mark.parametrize(
+    "ask",
+    [
+        lambda client: list(RemoteJudge(client).supported(["stmt"], ["ctx"])),
+        lambda client: RemoteExtractor(client).triples(["Rome is in Italy."], "c0"),
+        lambda client: RemoteGenerator(client).generate("What is Rome?", "context"),
+    ],
+    ids=["judge", "extractor", "generator"],
+)
+def test_chat_reply_whose_content_is_not_a_string_is_a_provider_error(monkeypatch, sleeps, ask, content):
+    monkeypatch.setattr(remote_mod, "_send", FakePost([FakeResponse(200, chat_payload(content))]))
+    with pytest.raises(ProviderError, match="malformed chat response: content is not a string"):
+        ask(ChatClient("http://chat.test/v1/chat/completions", "chat-1"))
