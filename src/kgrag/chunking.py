@@ -8,10 +8,11 @@ hashed embedder each window is one token range of the build's one
 ``HashedTokens`` coding of every sentence, counted the way a chunk row is,
 in one pass over all documents of a build. Stage two bounds chunk length
 with a fixed-stride token window (default 100 tokens, 16 overlap); a
-semantic chunk's tokens are its sentences' tokens in turn. ``chunks.jsonl``
-holds one record per chunk, streamed as f-string rows whose strings the C
-``encode_basestring`` escapes, byte for byte what ``json.dumps`` gives,
-and read back one C ``raw_decode`` call per line.
+semantic chunk's tokens are its sentences' tokens in turn. Chunk j of
+semantic chunk ``<doc>#s<i>`` is ``<doc>#s<i>#t<j>``, so ``chunks.jsonl``
+holds only each chunk's id, span and text, streamed as f-string rows whose
+strings the C ``encode_basestring`` escapes, byte for byte what
+``json.dumps`` gives, and read back one C ``raw_decode`` call per line.
 """
 
 from __future__ import annotations
@@ -57,8 +58,7 @@ class ChunkerConfig:
 class SemanticChunk:
     """A contiguous run of a document's sentences, its only text, forming one coherent unit."""
 
-    chunk_id: str
-    doc_id: str
+    chunk_id: str  # <doc id>#s<i>
     sentence_span: tuple[int, int]  # inclusive
     sentences: tuple[str, ...]
 
@@ -66,14 +66,17 @@ class SemanticChunk:
 class Chunk(NamedTuple):
     """A token-bounded slice of a semantic chunk; the unit that gets indexed."""
 
-    chunk_id: str
-    parent_semantic_chunk: str
-    doc_id: str
+    chunk_id: str  # <semantic chunk id>#t<j>
     token_span: tuple[int, int]  # half-open
     text: str
 
+    @property
+    def parent_semantic_chunk(self) -> str:
+        """The id of the semantic chunk this slice belongs to: ``chunk_id`` up to its last ``#t``."""
+        return self.chunk_id.rpartition("#t")[0]
 
-# Builds a Chunk from its 5-tuple in C, skipping NamedTuple's Python-level __new__.
+
+# Builds a Chunk from its 3-tuple in C, skipping NamedTuple's Python-level __new__.
 _chunk = partial(tuple.__new__, Chunk)
 
 
@@ -177,7 +180,6 @@ def semantic_split(doc_id: str, sentences: list[str], distances: list[float], co
         chunks.append(
             SemanticChunk(
                 chunk_id=f"{doc_id}#s{seq}",
-                doc_id=doc_id,
                 sentence_span=span,
                 sentences=tuple(sentences[start : boundary + 1]),
             )
@@ -200,13 +202,13 @@ def token_window_split(semantic_chunk: SemanticChunk, chunk_size: int, overlap: 
         return []
 
     stride = chunk_size - overlap
-    parent, doc_id = semantic_chunk.chunk_id, semantic_chunk.doc_id
+    parent = semantic_chunk.chunk_id
     chunks: list[Chunk] = []
     start = 0
     j = 0
     while True:
         end = min(start + chunk_size, total)
-        chunks.append(_chunk((f"{parent}#t{j}", parent, doc_id, (start, end), " ".join(tokens[start:end]))))
+        chunks.append(_chunk((f"{parent}#t{j}", (start, end), " ".join(tokens[start:end]))))
         if end >= total:
             return chunks
         start += stride
@@ -222,40 +224,36 @@ def chunk_to_json(chunk: Chunk) -> str:
     """
     esc = encode_basestring
     start, end = chunk.token_span
-    return (
-        f'{{"chunk_id": {esc(chunk.chunk_id)}, "doc_id": {esc(chunk.doc_id)}, '
-        f'"parent": {esc(chunk.parent_semantic_chunk)}, "span": [{start}, {end}], "text": {esc(chunk.text)}}}'
-    )
+    return f'{{"chunk_id": {esc(chunk.chunk_id)}, "span": [{start}, {end}], "text": {esc(chunk.text)}}}'
 
 
 # The C decoder behind json.loads; chunk_from_json repeats the checks that
 # json.loads wraps around it, without its per-call Python overhead.
 _decode_record = json.JSONDecoder().raw_decode
 _JSON_WHITESPACE = " \t\n\r"
-_STRING_KEYS = ("chunk_id", "parent", "doc_id", "text")
 
 
 def chunk_from_json(line: str, lineno: int) -> Chunk:
-    """Line ``lineno``'s chunk record: string ids and text, a span of two ints; else StoreCorruptError.
+    """Line ``lineno``'s chunk record: a string id and text, a span of two ints; else StoreCorruptError.
 
     It rejects every line ``json.loads`` would: only JSON whitespace may
     surround the record (so a BOM or ``\\xa0`` before it is rejected), and
     anything after it is "Extra data". A ``bool`` is not an int here, and
-    no string may hold a lone surrogate.
+    no string may hold a lone surrogate. The id must hold a parent before its last ``#t``.
     """
     try:
         record = line.strip(_JSON_WHITESPACE)
         obj, end = _decode_record(record)
         if end != len(record):
             raise json.JSONDecodeError("Extra data", record, end)
-        chunk_id, parent, doc_id, span, text = obj["chunk_id"], obj["parent"], obj["doc_id"], obj["span"], obj["text"]
-        if type(chunk_id) is not str or type(parent) is not str or type(doc_id) is not str:
-            raise TypeError(f"chunk_id, parent and doc_id must be strings, got {chunk_id!r}, {parent!r}, {doc_id!r}")
+        chunk_id, span, text = obj["chunk_id"], obj["span"], obj["text"]
+        if type(chunk_id) is not str or not chunk_id.rpartition("#t")[0]:
+            raise ValueError(f"chunk_id must be a string '<parent>#t<j>' with a non-empty parent, got {chunk_id!r}")
         if type(span) is not list or [*map(type, span), type(text)] != [int, int, str]:
             raise TypeError(f"chunk {chunk_id!r} has a non-integer span or a non-string text")
-        if holds_escape(record) and (problem := lone_surrogate((repr(key), obj[key]) for key in _STRING_KEYS)):
+        if holds_escape(record) and (problem := lone_surrogate((repr(key), obj[key]) for key in ("chunk_id", "text"))):
             raise ValueError(problem)
-        return _chunk((chunk_id, parent, doc_id, (span[0], span[1]), text))
+        return _chunk((chunk_id, (span[0], span[1]), text))
     except (KeyError, TypeError, ValueError) as exc:
         raise StoreCorruptError(f"line {lineno}: bad chunk record: {exc}") from exc
 

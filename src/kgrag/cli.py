@@ -33,6 +33,7 @@ from .exceptions import InputError, ProviderError, StoreCorruptError
 from .pipeline import (
     EMBEDDINGS_PATH,
     GRAPH_FILE,
+    STORE_FILES,
     ExtractorConfig,
     answer_records,
     build_store,
@@ -171,9 +172,18 @@ def cmd_query(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _refuse_to_overwrite_inputs(outs: list[Path], store: str, *inputs: str) -> None:
+    """No output may be one of the store's files or ``inputs``, by any path or link; raises InputError."""
+    read = [Path(store) / name for name in STORE_FILES] + [Path(path) for path in inputs]
+    for out in outs:
+        if out.exists() and any(path.exists() and out.samefile(path) for path in read):
+            raise InputError(f"cannot write {out}: the command reads that file")
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     # The reports are written last, after every retrieval and judge call.
     outs = [Path(out) for out in (args.out, args.matrix) if out]
+    _refuse_to_overwrite_inputs(outs, args.store, args.records)
     for out in outs:
         if out.is_dir():
             raise InputError(f"cannot write {out}: it is a directory")
@@ -215,6 +225,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_graph_export(args: argparse.Namespace) -> int:
+    _refuse_to_overwrite_inputs([Path(args.out)], args.store)
     store = open_store(args.store)
     store.graph.export(args.out, args.format)
     print(f"graph exported to {args.out} ({args.format})")

@@ -125,13 +125,13 @@ def _shape_code(stopwords: frozenset[str]):
     return code
 
 
-def _entities(sentences: list[str], stopwords: frozenset[str]) -> list[EntityMention]:
+def _entities(sentences: list[str]) -> list[EntityMention]:
     """The mentions of every sentence in turn, deduplicated by normalized form, empty ones dropped.
 
     Nothing outlives the call: a question's tokens are nearly all distinct,
     so it classifies and normalizes without tables.
     """
-    code = _shape_code(stopwords)
+    code = _shape_code(QUERY_STOPWORDS)
     mentions: list[EntityMention] = []
     seen = {""}
     for sentence in sentences:
@@ -165,8 +165,8 @@ class RuleExtractor:
         self.shape[""] = "|"
         self.normalized = Table(normalize_entity)
 
-    def entities(self, text: str, stopwords: frozenset[str] | None = None) -> list[EntityMention]:
-        return _entities(split_sentences(text), stopwords if stopwords is not None else ENTITY_STOPWORDS)
+    def entities(self, text: str) -> list[EntityMention]:
+        return _entities(split_sentences(text))
 
     def triples(self, sentences: list[str], provenance: str = "") -> list[Triple]:
         """Each sentence's triples in turn, from consecutive mention pairs within it, in one regex pass.
@@ -252,10 +252,10 @@ class RemoteExtractor:
     def __init__(self, client: ChatClient):
         self.client = client
 
-    def entities(self, text: str, stopwords: frozenset[str] | None = None) -> list[EntityMention]:
+    def entities(self, text: str) -> list[EntityMention]:
         mentions: list[EntityMention] = []
         seen: set[str] = set()
-        drop = {normalize_entity(w) for w in (stopwords or frozenset())}
+        drop = {normalize_entity(w) for w in QUERY_STOPWORDS}
         for triple in self.triples([text]):
             for surface in (triple.subject, triple.object):
                 normalized = normalize_entity(surface)
@@ -270,4 +270,4 @@ class RemoteExtractor:
 
 def query_ner(question: str, extractor) -> list[EntityMention]:
     """Entity mentions of a question, deduplicated by normalized form."""
-    return extractor.entities(question, stopwords=QUERY_STOPWORDS)
+    return extractor.entities(question)

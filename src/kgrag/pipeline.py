@@ -1,21 +1,19 @@
 """Index-build and store-open orchestration.
 
-A store directory holds four files, written in this order with the manifest
-last so an interrupted build is detectable: chunks.jsonl, vectors.skvx,
-graph.json, manifest.json. A store without a valid manifest is corrupt, and
-so is one whose manifest names another format version than
-``STORE_FORMAT_VERSION``; version 5 stores the graph's node names, its
-relation and chunk tables and its sorted edges as four integer columns (see
-``graph``), and a version 1, 2, 3 or 4 store must be rebuilt. Opening a
-store reads and checks every file but graph.json. That file, and the parent
-texts the graph renders (rebuilt from the chunk records, whose spans must
-tile each parent), are read and checked the first time ``Store.graph`` is
-read: a semantic query reads neither.
+A store directory holds the four ``STORE_FILES``, written in that order
+with the manifest last so an interrupted build is detectable. A store
+without a valid manifest is corrupt, and so is one whose manifest names
+another format version than ``STORE_FORMAT_VERSION``; version 6 stores a
+chunk record as its id, span and text, and the graph as integer columns
+(see ``chunking`` and ``graph``); a version 1 to 5 store must be rebuilt.
+Opening a store reads and checks every file but graph.json. That file, and
+the parent texts the graph renders (rebuilt from the chunk records, whose
+spans must tile each parent), are read and checked the first time
+``Store.graph`` is read: a semantic query reads neither.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import shutil
 from dataclasses import asdict, dataclass, field, fields
@@ -51,10 +49,11 @@ from .retriever import (
 )
 from .vector_index import CHUNKS_SIDECAR, VectorStore
 
-STORE_FORMAT_VERSION = 5
+STORE_FORMAT_VERSION = 6
 VECTORS_FILE = "vectors.skvx"
 GRAPH_FILE = "graph.json"
 MANIFEST_FILE = "manifest.json"
+STORE_FILES = (VECTORS_FILE, CHUNKS_SIDECAR, GRAPH_FILE, MANIFEST_FILE)
 _parent = attrgetter("parent_semantic_chunk")
 
 CHAT_PATH = "/chat/completions"
@@ -89,7 +88,6 @@ def make_config(cls, values: dict):
 @dataclass
 class StoreManifest:
     format_version: int
-    corpus_fingerprint: str
     chunker: ChunkerConfig
     provider: ProviderConfig
     extractor: ExtractorConfig
@@ -99,7 +97,6 @@ class StoreManifest:
     def to_json_obj(self) -> dict:
         return {
             "format_version": self.format_version,
-            "corpus_fingerprint": self.corpus_fingerprint,
             "config": {
                 "chunker": asdict(self.chunker),
                 "provider": asdict(self.provider),
@@ -113,14 +110,13 @@ class StoreManifest:
     def from_json_obj(cls, obj: dict) -> "StoreManifest":
         try:
             config, counts = obj["config"], obj["counts"]
-            for key, kind in (("format_version", int), ("corpus_fingerprint", str), ("counts", dict)):
+            for key, kind in (("format_version", int), ("counts", dict)):
                 if type(obj[key]) is not kind:
                     raise TypeError(f"{key!r} must be {kind.__name__}, got {type(obj[key]).__name__}")
             if not {*map(type, counts.values())} <= {int}:
                 raise TypeError(f"'counts' values must be int, got {counts!r}")
             return cls(
                 format_version=obj["format_version"],
-                corpus_fingerprint=obj["corpus_fingerprint"],
                 chunker=make_config(ChunkerConfig, config["chunker"]),
                 provider=make_config(ProviderConfig, config["provider"]),
                 extractor=make_config(ExtractorConfig, config["extractor"]),
@@ -129,15 +125,6 @@ class StoreManifest:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise StoreCorruptError(f"invalid manifest: {exc}") from exc
-
-
-def corpus_fingerprint(documents: list[Document]) -> str:
-    """Order-sensitive 64-bit content hash (BLAKE2b) over (doc_id, text) pairs."""
-    h = hashlib.blake2b(digest_size=8)
-    for doc in documents:
-        for piece in (doc.doc_id, "\x00", doc.text, "\x00"):
-            h.update(piece.encode("utf-8"))
-    return h.hexdigest()
 
 
 def make_chat_client(config: ExtractorConfig, role: str) -> ChatClient:
@@ -252,7 +239,6 @@ def build_store(
 
         manifest = StoreManifest(
             format_version=STORE_FORMAT_VERSION,
-            corpus_fingerprint=corpus_fingerprint(documents),
             chunker=chunker,
             provider=provider,
             extractor=extractor_config,
@@ -272,7 +258,7 @@ def build_store(
         if created:
             shutil.rmtree(out, ignore_errors=True)
         else:
-            for name in (VECTORS_FILE, CHUNKS_SIDECAR, GRAPH_FILE, MANIFEST_FILE):
+            for name in STORE_FILES:
                 (out / name).unlink(missing_ok=True)
         raise
 

@@ -116,7 +116,6 @@ def test_criterion_03_splitter_exactness():
             total = rng.randint(1, 2000)
             sem = SemanticChunk(
                 chunk_id="d#s0",
-                doc_id="d",
                 sentence_span=(0, 0),
                 sentences=(" ".join(f"t{i}" for i in range(total)),),
             )
@@ -153,7 +152,7 @@ def test_criterion_05_top_k_matches_brute_force():
     dim, n, n_queries, k = 64, 1000, 100, 10
 
     def mk_chunk(cid: str) -> Chunk:
-        return Chunk(chunk_id=cid, parent_semantic_chunk="p", doc_id="d", token_span=(0, 1), text=cid)
+        return Chunk(chunk_id=cid, token_span=(0, 1), text=cid)
 
     store = VectorStore(dim)
     rows = []

@@ -16,6 +16,7 @@ from kgrag.chunking import (
     ChunkerConfig,
     SemanticChunk,
     build_windows,
+    chunk_from_json,
     chunk_to_json,
     hashed_window_distances,
     percentile_threshold,
@@ -324,7 +325,7 @@ class TestSemanticSplit:
 
 def sem_chunk(total_tokens: int) -> SemanticChunk:
     text = " ".join(f"t{i}" for i in range(total_tokens))
-    return SemanticChunk(chunk_id="d#s0", doc_id="d", sentence_span=(0, 0), sentences=(text,))
+    return SemanticChunk(chunk_id="d#s0", sentence_span=(0, 0), sentences=(text,))
 
 
 class TestTokenWindowSplit:
@@ -408,9 +409,10 @@ def per_line_json_loads(text: str) -> list[Chunk] | None:
 
     Lines are what ``read_text`` gives (CR and CRLF read as LF) split at LF
     alone: U+0085, U+2028 and U+2029 may stand raw inside a JSON string. A
-    record's ``chunk_id``, ``parent``, ``doc_id`` and ``text`` must be
-    strings that UTF-8 can encode (no lone surrogate) and its ``span`` a
-    list of two ints, ``bool`` excluded.
+    record's ``chunk_id`` and ``text`` must be strings that UTF-8 can encode
+    (no lone surrogate), the id must hold ``#t`` after at least one
+    character, and its ``span`` must be a list of two ints, ``bool`` excluded.
+    Other keys are not read.
     """
     chunks = []
     for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
@@ -418,23 +420,17 @@ def per_line_json_loads(text: str) -> list[Chunk] | None:
             continue
         try:
             obj = json.loads(line)
-            strings = [obj["chunk_id"], obj["parent"], obj["doc_id"], obj["text"]]
+            strings = [obj["chunk_id"], obj["text"]]
             span = obj["span"]
             if any(type(v) is not str for v in strings) or type(span) is not list:
+                return None
+            if obj["chunk_id"].rfind("#t") < 1:
                 return None
             if [type(v) for v in span] != [int, int]:
                 return None
             for v in strings:
                 v.encode("utf-8")
-            chunks.append(
-                Chunk(
-                    chunk_id=obj["chunk_id"],
-                    parent_semantic_chunk=obj["parent"],
-                    doc_id=obj["doc_id"],
-                    token_span=(span[0], span[1]),
-                    text=obj["text"],
-                )
-            )
+            chunks.append(Chunk(chunk_id=obj["chunk_id"], token_span=(span[0], span[1]), text=obj["text"]))
         except (json.JSONDecodeError, KeyError, TypeError, UnicodeEncodeError):
             return None
     return chunks
@@ -449,8 +445,8 @@ AWKWARD_RECORD_TEXT = st.text(
     ),
     max_size=12,
 )
-RECORD = '{"chunk_id": "d#s0#t0", "doc_id": "d", "parent": "d#s0", "span": [0, 3], "text": "a  b"}'
-RECORD_2 = '{"chunk_id":"d#s0#t1","doc_id":"d","parent":"d#s0","span":[2,4],"text":"b c "}'
+RECORD = '{"chunk_id": "d#s0#t0", "span": [0, 3], "text": "a  b"}'
+RECORD_2 = '{"chunk_id":"d#s0#t1","span":[2,4],"text":"b c "}'
 
 
 def without(key: str) -> str:
@@ -482,18 +478,21 @@ class TestReadChunksJsonl:
             '"text"',
             "null",
             "42",
-            *(without(key) for key in ("chunk_id", "doc_id", "parent", "span", "text")),
+            without("chunk_id"),
+            RECORD.replace('"d#s0#t0"', '"#t0"'),  # an id that names no document
+            RECORD.replace('"d#s0#t0"', '"d#s0"'),  # an id that names no parent
+            *(without(key) for key in ("span", "text")),
             RECORD.replace("[0, 3]", "[0]"),
             RECORD.replace("[0, 3]", "7"),
             RECORD.replace("[0, 3]", "[0, 3, 5]"),
             RECORD.replace("[0, 3]", "[0, true]"),
             RECORD.replace('"d#s0#t0"', '["x"]'),
             RECORD.replace('"d#s0#t0"', "7"),
-            RECORD.replace('"d#s0"', '["x"]'),
-            RECORD.replace('"doc_id": "d"', '"doc_id": 5'),
+            RECORD.replace('"span"', '"parent": ["x"], "span"'),  # format-5 keys, which no reader reads
+            RECORD.replace('"span"', '"doc_id": 5, "span"'),
             RECORD.replace('"a  b"', "null"),
             RECORD + "\n" + RECORD_2.replace('"b c "', '"b \\ud800c"'),
-            RECORD_2.replace('"d#s0"', '"d#s0\\udfff"'),
+            RECORD_2.replace('"d#s0#t1"', '"d#s0\\udfff#t1"'),
             RECORD.replace('"a  b"', '"a \\ud83c\\udf55 \\\\ud800 b"'),
             RECORD.replace('"a  b"', '"a\u2028 b\u0085\u2029"'),
             RECORD + "\n" + RECORD_2.replace("d#s0#t1", "d\u2028#s0#t1"),
@@ -525,8 +524,8 @@ class TestReadChunksJsonl:
     )
     def test_non_integer_spans_and_non_string_texts_are_corrupt(self, tmp_path, span, text):
         records = [
-            {"chunk_id": "p#t0", "doc_id": "d", "parent": "p", "span": [0, 2], "text": "a b"},
-            {"chunk_id": "p#t1", "doc_id": "d", "parent": "p", "span": list(span), "text": text},
+            {"chunk_id": "p#t0", "span": [0, 2], "text": "a b"},
+            {"chunk_id": "p#t1", "span": list(span), "text": text},
         ]
         path = tmp_path / "chunks.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
@@ -534,16 +533,12 @@ class TestReadChunksJsonl:
         with pytest.raises(StoreCorruptError, match=named):
             read_chunks_jsonl(path)
 
-    @given(st.lists(st.tuples(AWKWARD_RECORD_TEXT, AWKWARD_RECORD_TEXT, AWKWARD_RECORD_TEXT, AWKWARD_RECORD_TEXT,
+    @given(st.lists(st.tuples(AWKWARD_RECORD_TEXT.filter(bool), AWKWARD_RECORD_TEXT, AWKWARD_RECORD_TEXT,
                               st.integers(0, 2**40), st.integers(0, 2**40)), max_size=6))
-    @example([('"q"\\', "\x00\x1f\x7f", "\u2028\u2029", "a\xa0🍕\n\t\r", 0, 3)])
+    @example([('"q"\\', "\x00\x1f\x7f\u2028\u2029", "a\xa0🍕\n\t\r", 0, 3)])
     def test_writer_equals_json_dumps_and_reads_back(self, rows):
-        chunks = [Chunk(cid, parent, doc, (start, stop), text) for cid, parent, doc, text, start, stop in rows]
-        records = [
-            {"chunk_id": c.chunk_id, "doc_id": c.doc_id, "parent": c.parent_semantic_chunk, "span": list(c.token_span),
-             "text": c.text}
-            for c in chunks
-        ]
+        chunks = [Chunk(f"{parent}#t{tail}", (start, stop), text) for parent, tail, text, start, stop in rows]
+        records = [{"chunk_id": c.chunk_id, "span": list(c.token_span), "text": c.text} for c in chunks]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "chunks.jsonl"
             write_chunks_jsonl(chunks, path)
@@ -551,12 +546,30 @@ class TestReadChunksJsonl:
             assert read_chunks_jsonl(path) == chunks
         assert [chunk_to_json(c) for c in chunks] == [json.dumps(r, ensure_ascii=False) for r in records]
 
+    @given(
+        st.lists(st.one_of(st.sampled_from(["#t", "#s", "#t0", "\n", "\u2028", "é", "🍕", "Ω"]),
+                           st.characters(blacklist_categories=("Cs",))), max_size=8).map("".join),
+        st.lists(st.lists(st.sampled_from(["Rome", "#t1", "é", "a\u2028b"]), min_size=1, max_size=9).map(" ".join),
+                 min_size=1, max_size=5),
+        st.lists(st.floats(0.0, 2.0), min_size=4, max_size=4),
+    )
+    @example("d#t3#s1\nΩ", ["Rome Rome é", "#t1 Rome", "é"], [0.0, 1.0, 0.5, 0.5])
+    def test_ids_name_their_parents_and_round_trip(self, doc_id, sentences, distances):
+        """Every chunk a document's split gives reads back as itself and names its semantic chunk."""
+        distances = distances[: len(sentences) - 1]
+        for sem in semantic_split(doc_id, sentences, distances, ChunkerConfig(percentile=50.0)):
+            assert sem.chunk_id.startswith(doc_id)
+            for chunk in token_window_split(sem, chunk_size=3, overlap=1):
+                assert chunk.parent_semantic_chunk == sem.chunk_id
+                assert chunk_from_json(chunk_to_json(chunk), 1) == chunk
+
     def test_written_chunks_read_back(self, tmp_path):
-        sem = SemanticChunk("d#s0", "d", (0, 0), (" ".join(f"w{i}" for i in range(30)),))
+        sem = SemanticChunk("d#s0", (0, 0), (" ".join(f"w{i}" for i in range(30)),))
         chunks = token_window_split(sem, chunk_size=8, overlap=3)
         write_chunks_jsonl(chunks, tmp_path / "chunks.jsonl")
         read = read_chunks_jsonl(tmp_path / "chunks.jsonl")
         assert read == chunks
         text = " ".join(f"w{i}" for i in range(5, 13))
-        expected = Chunk(chunk_id="d#s0#t1", parent_semantic_chunk="d#s0", doc_id="d", token_span=(5, 13), text=text)
+        expected = Chunk(chunk_id="d#s0#t1", token_span=(5, 13), text=text)
         assert {type(chunk) for chunk in chunks + read} == {Chunk} and read[1] == chunks[1] == expected
+        assert {chunk.parent_semantic_chunk for chunk in read} == {"d#s0"}

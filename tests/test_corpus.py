@@ -117,7 +117,7 @@ class TestLoadCorpus:
         (tmp_path / "a.jsonl").write_text(
             '{"id": "dup", "text": "one"}\n{"id": "dup", "text": "two"}\n', encoding="utf-8"
         )
-        with pytest.raises(InputError, match="dup"):
+        with pytest.raises(InputError, match="^duplicate doc_id 'dup'"):
             load_corpus(tmp_path)
 
     def test_deterministic_across_invocations(self, tmp_path):

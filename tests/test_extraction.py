@@ -32,29 +32,29 @@ import kgrag.remote as remote_mod
 
 class TestEntityRule:
     def test_two_entities(self):
-        mentions = _entities(["Rome is the capital of Italy."], ENTITY_STOPWORDS)
+        mentions = _entities(["Rome is the capital of Italy."])
         assert [m.normalized for m in mentions] == ["rome", "italy"]
 
     def test_no_capitals_no_entities(self):
-        assert _entities(["the quick brown fox"], ENTITY_STOPWORDS) == []
+        assert _entities(["the quick brown fox"]) == []
 
     def test_leading_stopword_trimmed_from_run(self):
-        mentions = _entities(["The Amalfi Coast attracts tourists."], ENTITY_STOPWORDS)
+        mentions = _entities(["The Amalfi Coast attracts tourists."])
         assert [m.normalized for m in mentions] == ["amalfi coast"]
 
     def test_lone_stopword_dropped(self):
-        assert _entities(["The weather is nice."], ENTITY_STOPWORDS) == []
+        assert _entities(["The weather is nice."]) == []
 
     def test_multiple_leading_stopwords_trimmed(self):
-        mentions = _entities(["On The Amalfi Coast olives grow."], ENTITY_STOPWORDS)
+        mentions = _entities(["On The Amalfi Coast olives grow."])
         assert [m.normalized for m in mentions] == ["amalfi coast"]
 
     def test_order_of_first_appearance_with_dedup(self):
-        mentions = _entities(["Naples loves Naples and Rome follows Naples."], ENTITY_STOPWORDS)
+        mentions = _entities(["Naples loves Naples and Rome follows Naples."])
         assert [m.normalized for m in mentions] == ["naples", "rome"]
 
     def test_surface_keeps_original_casing(self):
-        (m,) = _entities(["tourists climb Vesuvius!"], ENTITY_STOPWORDS)
+        (m,) = _entities(["tourists climb Vesuvius!"])
         assert m.surface == "Vesuvius!"
         assert m.normalized == "vesuvius"
 
@@ -108,7 +108,7 @@ class TestTripleRule:
             "The Margherita honors Queen Margherita of Savoy.",
         ]
         for sentence in sentences:
-            entities = {m.normalized for m in _entities([sentence], ENTITY_STOPWORDS)}
+            entities = {m.normalized for m in _entities([sentence])}
             for triple in RuleExtractor().triples([sentence]):
                 assert triple.subject in entities
                 assert triple.object in entities
@@ -249,6 +249,7 @@ class TestRemoteExtractor:
             [
                 {"subject": "Rome", "relation": "capital_of", "object": "Italy"},
                 {"subject": "Rome", "relation": "hosts", "object": "Vatican"},
+                {"subject": "Which", "relation": "is", "object": "The"},  # query stopwords are dropped
             ]
         )
         fake = FakePost([FakeResponse(200, chat_payload(body))])
@@ -385,7 +386,6 @@ _CHUNKS = st.lists(
     min_size=1,
     max_size=6,
 )
-_BOTH_STOPWORD_SETS = st.sampled_from([ENTITY_STOPWORDS, QUERY_STOPWORDS])
 
 
 def _tables(extractor: RuleExtractor) -> list[dict]:
@@ -407,15 +407,10 @@ class TestRuleExtractorReference:
 
     @given(st.lists(_rule_sentences(), min_size=1, max_size=3).map(" ".join))
     @example("What is The Amalfi Coast? Which Rome, which Ⓐ ǅemal?")
+    @example("The, It And! are 𐐀ra. Which, ℍ?")
     def test_query_entities_equal_the_reference(self, question):
-        got = RuleExtractor().entities(question, QUERY_STOPWORDS)
+        got = RuleExtractor().entities(question)
         assert [(m.surface, m.normalized) for m in got] == _reference_query_entities(question)
-
-    @given(st.lists(_rule_sentences(), min_size=1, max_size=3).map(" ".join), _BOTH_STOPWORD_SETS)
-    @example("The, It And! are 𐐀ra. Which, ℍ?", ENTITY_STOPWORDS)
-    def test_entities_equal_the_reference_with_either_stopword_set(self, text, stopwords):
-        got = RuleExtractor().entities(text, stopwords)
-        assert [(m.surface, m.normalized) for m in got] == _reference_entities(split_sentences(text), stopwords)
 
     @given(_rule_sentences(), st.sampled_from(["", "d#s0"]))
     @example("Ⓐ is Rome of Ⓑ! and ℍ", "p")
@@ -424,11 +419,11 @@ class TestRuleExtractorReference:
         assert all(type(t) is Triple for t in got)
         assert [tuple(t) for t in got] == _reference_triples(sentence, provenance)
 
-    @given(_rule_sentences(), _BOTH_STOPWORD_SETS)
-    @example("What\u2003The 𐐀 It Ⓐ", QUERY_STOPWORDS)
-    def test_extract_entities_rule_equals_the_reference(self, sentence, stopwords):
-        got = _entities([sentence], stopwords)
-        assert [(m.surface, m.normalized) for m in got] == _reference_entities([sentence], stopwords)
+    @given(_rule_sentences())
+    @example("What\u2003The 𐐀 It Ⓐ")
+    def test_extract_entities_rule_equals_the_reference(self, sentence):
+        got = _entities([sentence])
+        assert [(m.surface, m.normalized) for m in got] == _reference_entities([sentence], QUERY_STOPWORDS)
 
 
 class TestRuleExtractorTables:
@@ -438,13 +433,13 @@ class TestRuleExtractorTables:
         reused = [extractor.triples(sentences, provenance) for sentences, provenance in chunks]
         assert reused == [RuleExtractor().triples(sentences, provenance) for sentences, provenance in chunks]
 
-    @given(_CHUNKS, st.lists(_rule_sentences(), min_size=1, max_size=3).map(" ".join), _BOTH_STOPWORD_SETS)
-    def test_entities_leaves_the_tables_unchanged(self, chunks, question, stopwords):
+    @given(_CHUNKS, st.lists(_rule_sentences(), min_size=1, max_size=3).map(" ".join))
+    def test_entities_leaves_the_tables_unchanged(self, chunks, question):
         extractor = RuleExtractor()
         for sentences, provenance in chunks:
             extractor.triples(sentences, provenance)
         before = _tables(extractor)
-        extractor.entities(question, stopwords)
+        extractor.entities(question)
         query_ner(question, extractor)
         assert _tables(extractor) == before
 

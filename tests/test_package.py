@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import json
 import os
 import re
 import subprocess
@@ -98,6 +99,16 @@ def test_one_class_fills_missing_keys():
         and any(isinstance(f, ast.FunctionDef) and f.name == "__missing__" for f in node.body)
     ]
     assert owners == ["corpus.Table"]
+
+
+def test_readme_chunk_record_row_names_the_keys_a_build_writes():
+    """README's ``chunks.jsonl`` row lists exactly the keys of a record, in order; a layout change must move it."""
+    from kgrag.chunking import Chunk, chunk_to_json
+
+    readme = (REPO_ROOT / "README.md").read_text(encoding="utf-8")
+    [row] = [line for line in readme.splitlines() if line.startswith("| `chunks.jsonl`")]
+    [record] = re.findall(r"`(\{.*?\})`", row)
+    assert re.findall(r'"(\w+)"', record) == list(json.loads(chunk_to_json(Chunk("d#s0#t0", (0, 1), "a"))))
 
 
 def test_readme_names_the_store_format_version():

@@ -25,9 +25,9 @@ from kgrag.exceptions import InputError, StoreCorruptError
 from kgrag.extraction import EXTRACTION_USER_TEMPLATE, RuleExtractor
 from kgrag.graph import KnowledgeGraph, _encode
 from kgrag.pipeline import (
+    STORE_FILES,
     build_store,
     chunk_documents,
-    corpus_fingerprint,
     open_store,
     reconstruct_parent_texts,
     run_query,
@@ -73,14 +73,6 @@ class TestPipelineUnits:
         assert [c.chunk_id for c in chunks] == ["d#s0#t0", "d#s0#t0"]
         with pytest.raises(ValueError, match="duplicate chunk_id 'd#s0#t0'"):
             VectorStore(64).add(chunks, HashedEmbedder(64).embed_batch([c.text for c in chunks]))
-
-    def test_fingerprint_sensitive_to_content_and_order(self):
-        docs1 = [Document("a", "text one"), Document("b", "text two")]
-        docs2 = [Document("a", "text one!"), Document("b", "text two")]
-        docs3 = [docs1[1], docs1[0]]
-        prints = {corpus_fingerprint(d) for d in (docs1, docs2, docs3)}
-        assert len(prints) == 3
-        assert corpus_fingerprint(docs1) == corpus_fingerprint(list(docs1))
 
     def test_build_store_writes_all_files_and_counts(self, tmp_path):
         corpus = write_corpus(tmp_path)
@@ -290,7 +282,7 @@ def split_join_reference(chunks: list[Chunk]) -> dict[str, str]:
 
 
 def window(parent: str, j: int, tokens: list[str], start: int, end: int) -> Chunk:
-    return Chunk(f"{parent}#t{j}", parent, "d", (start, end), " ".join(tokens[start:end]))
+    return Chunk(f"{parent}#t{j}", (start, end), " ".join(tokens[start:end]))
 
 
 @st.composite
@@ -880,13 +872,11 @@ class TestCmdQuery:
             ("format_version", lambda manifest: 1.9),
             ("format_version", lambda manifest: "1"),
             ("format_version", lambda manifest: True),
-            ("corpus_fingerprint", lambda manifest: 5),
             ("counts", lambda manifest: list(manifest["counts"].items())),
             ("counts", lambda manifest: {**manifest["counts"], "nodes": "3"}),
             ("counts", lambda manifest: {**manifest["counts"], "edges": True}),
         ],
-        ids=["version-float", "version-str", "version-bool", "fingerprint-int", "counts-list", "count-str",
-             "count-bool"],
+        ids=["version-float", "version-str", "version-bool", "counts-list", "count-str", "count-bool"],
     )
     def test_manifest_field_of_wrong_type_exit_3(self, store_dir, capsys, key, bad):
         manifest_path = store_dir / "manifest.json"
@@ -1014,8 +1004,10 @@ class TestCmdQuery:
 
     @pytest.mark.parametrize(
         "key, value",
-        [("parent", ["x"]), ("chunk_id", ["x"]), ("chunk_id", 7), ("doc_id", 5), ("span", [84, 184, 200])],
-        ids=["list-parent", "list-chunk_id", "int-chunk_id", "int-doc_id", "three-item-span"],
+        [("chunk_id", "x"), ("chunk_id", "#t0"), ("chunk_id", "regions#s0"), ("chunk_id", ["x"]), ("chunk_id", 7),
+         ("span", [84, 184, 200])],
+        ids=["id-without-t", "id-with-empty-parent", "semantic-chunk-id", "list-chunk_id", "int-chunk_id",
+             "three-item-span"],
     )
     def test_chunk_record_of_wrong_shape_exit_3(self, mini_store_dir, tmp_path, capsys, key, value):
         store = shutil.copytree(mini_store_dir, tmp_path / "mini")
@@ -1164,6 +1156,27 @@ class TestCmdEval:
         assert capsys.readouterr().err == "error: --out and --matrix name the same file: report.csv\n"
         assert not (tmp_path / "report.csv").exists()
 
+    @pytest.mark.parametrize("flag", ["--out", "--matrix"])
+    @pytest.mark.parametrize("target", [*STORE_FILES, "records"])
+    def test_output_naming_a_file_the_command_reads_exit_2_before_any_retrieval(
+        self, store_dir, tmp_path, capsys, flag, target
+    ):
+        # Writing the report over a store file would leave a store every later command rejects.
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"question": "What crosses Rome?", "ground_truth": "The Tiber."}) + "\n")
+        read = {path: path.read_bytes() for path in [*(store_dir / name for name in STORE_FILES), records]}
+        paths = {"--out": tmp_path / "report.csv", "--matrix": tmp_path / "matrix.csv"}
+        paths[flag] = records if target == "records" else store_dir / ".." / "store" / target
+        argv = ["eval", "--store", str(store_dir), "--records", str(records)]
+        for name, path in paths.items():
+            argv += [name, str(path)]
+        with mock.patch("kgrag.pipeline.run_query", wraps=run_query) as runs:
+            assert main(argv) == 2
+        assert runs.call_count == 0
+        assert capsys.readouterr().err == f"error: cannot write {paths[flag]}: the command reads that file\n"
+        assert {path: path.read_bytes() for path in read} == read
+        assert not any((tmp_path / name).exists() for name in ("report.csv", "matrix.csv"))
+
     def test_empty_records_exit_2(self, store_dir, tmp_path):
         records = tmp_path / "records.jsonl"
         records.write_text("", encoding="utf-8")
@@ -1308,21 +1321,25 @@ def test_graph_row_of_wrong_shape_exit_3(store_dir, tmp_path, monkeypatch, capsy
     assert_nothing_written(tmp_path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
 @pytest.mark.parametrize(
     "command",
     [["query", "--question", "Anything?"], ["graph-export", "--format", "json", "--out", "kg.json"]],
     ids=["query", "graph-export"],
 )
 def test_old_format_store_asks_for_a_rebuild(store_dir, tmp_path, monkeypatch, capsys, command, version):
-    # A store written before the integer-column layout: format 1 held a graph.json
+    # A store written before format 6, whose chunk records held their doc id and
+    # parent and whose manifest held a corpus fingerprint. Format 1 held a graph.json
     # of indented dicts, format 2 one [source, target, relation, provenance] row per
-    # edge, format 3 a [name, [chunk ids]] row per node, and format 4 node names
-    # and the four edge columns with each relation and chunk id written out.
+    # edge, format 3 a [name, [chunk ids]] row per node, format 4 node names and the
+    # four edge columns with each relation and chunk id written out, and format 5
+    # the graph.json of format 6.
     manifest_path, graph_path = store_dir / "manifest.json", store_dir / "graph.json"
-    manifest = json.loads(manifest_path.read_text())
+    chunks_path = store_dir / "chunks.jsonl"
+    manifest = json.loads(v5_manifest(manifest_path.read_bytes(), load_corpus(tmp_path / "corpus")))
     manifest["format_version"] = version
     manifest_path.write_text(json.dumps(manifest, indent=2))
+    chunks_path.write_bytes(v5_chunks(chunks_path.read_bytes()))
     v4 = v4_graph(json.loads(graph_path.read_text()))
     graph = v3_graph(v4)
     if version == 4:
@@ -1333,7 +1350,7 @@ def test_old_format_store_asks_for_a_rebuild(store_dir, tmp_path, monkeypatch, c
         graph_path.write_text(json.dumps({"nodes": nodes, "edges": edges}, indent=2))
     elif version == 2:
         graph_path.write_bytes(v2_rows(graph))
-    else:
+    elif version == 3:
         graph_path.write_bytes(compact_bytes(graph))
     monkeypatch.chdir(tmp_path)
     assert main([command[0], "--store", str(store_dir), *command[1:]]) == 3
@@ -1351,6 +1368,38 @@ def assert_export_is_one_encode(store: Path) -> None:
 def compact_bytes(obj: dict) -> bytes:
     """``obj`` as one compact line of JSON, the way every format of ``graph.json`` is written."""
     return (json.dumps(obj, ensure_ascii=False, separators=(",", ":")) + "\n").encode("utf-8")
+
+
+def v5_chunks(chunks: bytes) -> bytes:
+    """The format-5 ``chunks.jsonl`` bytes of a format-6 file: each record's doc id and parent written out.
+
+    Format 5 held ``doc_id`` and ``parent`` between the id and the span. Both
+    are prefixes of the id ``<doc>#s<i>#t<j>``: the parent ends before its
+    last ``#t``, and the doc id before the parent's last ``#s``.
+    """
+    records = []
+    for line in chunks.decode("utf-8").split("\n")[:-1]:  # U+2028 may stand raw inside a record
+        record = json.loads(line)
+        parent = record["chunk_id"].rpartition("#t")[0]
+        old = {"chunk_id": record["chunk_id"], "doc_id": parent.rpartition("#s")[0], "parent": parent}
+        records.append(json.dumps({**old, "span": record["span"], "text": record["text"]}, ensure_ascii=False) + "\n")
+    return "".join(records).encode("utf-8")
+
+
+def v5_manifest(manifest: bytes, documents: list[Document]) -> bytes:
+    """The format-5 ``manifest.json`` bytes of a format-6 one: version 5, and the corpus fingerprint after it.
+
+    The fingerprint was an order-sensitive 64-bit BLAKE2b over each
+    document's id and text, each followed by a NUL.
+    """
+    fingerprint = hashlib.blake2b(digest_size=8)
+    for doc in documents:
+        for piece in (doc.doc_id, "\x00", doc.text, "\x00"):
+            fingerprint.update(piece.encode("utf-8"))
+    obj = json.loads(manifest)
+    del obj["format_version"]
+    obj = {"format_version": 5, "corpus_fingerprint": fingerprint.hexdigest(), **obj}
+    return (json.dumps(obj, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
 
 
 def v4_graph(graph: dict) -> dict:
@@ -1397,7 +1446,8 @@ def test_raw_line_separators_index_open_and_query(tmp_path, capsys):
     assert main(["index", "--corpus", str(corpus), "--out", str(out)]) == 0
     assert "\u2028" in (out / "chunks.jsonl").read_text(encoding="utf-8")
     store = open_store(out)
-    assert {c.doc_id for c in store.vectors.metadata.values()} == {"rome\u2028a", "b"}
+    doc_ids = {c.parent_semantic_chunk.rpartition("#s")[0] for c in store.vectors.metadata.values()}
+    assert doc_ids == {"rome\u2028a", "b"}
     capsys.readouterr()
     assert main(["query", "--store", str(out), "--question", "What does Rome host?", "--json"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -1545,6 +1595,17 @@ class TestCmdGraphExport:
         assert main(["graph-export", "--store", str(store_dir), "--format", "json", "--out", str(out)]) == 3
         assert f"{graph_path}: graph relations[{last}] holds the lone surrogate '\\udc00'" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("name", STORE_FILES)
+    def test_output_naming_a_store_file_exit_2(self, store_dir, tmp_path, monkeypatch, capsys, name):
+        before = {path: path.read_bytes() for path in (store_dir / n for n in STORE_FILES)}
+        alias = tmp_path / "kg.dot"
+        os.link(store_dir / name, alias)  # another name for the same file
+        monkeypatch.chdir(store_dir)
+        assert main(["graph-export", "--store", ".", "--format", "dot", "--out", str(alias)]) == 2
+        assert capsys.readouterr().err == f"error: cannot write {alias}: the command reads that file\n"
+        assert {path: path.read_bytes() for path in before} == before
+        assert main(["query", "--store", str(store_dir), "--question", "What crosses Rome?"]) == 0
 
     def test_corrupt_store_exit_3(self, tmp_path):
         missing = tmp_path / "void"
@@ -1759,11 +1820,18 @@ class TestMiniCorpusFixture:
         # from the algorithm; these digests pin the bytes a default build writes.
         expected = {
             "vectors.skvx": "a081e1ec5e6c45e9727ead13645ba9d178c743d77cdbddb1e0a8820dc5b87fe2",
-            "chunks.jsonl": "531770bbb0558eb3355d4bfbf2cbe466b3838a054cde753b8d41e7a835d9db07",
+            "chunks.jsonl": "c2e56f04940f94942241dc30c28e7caa39fca958c9bda84c52071e35e18fd6e4",
             "graph.json": "0a00e0b7185eeff78256048934ad15d9e11834415b7bf03bc701aac648743e51",
+            "manifest.json": "a7b635ed63b23bf72017f969a983573485d35652f29518aae5c080bdf89d78e6",
         }
         digests = {name: hashlib.sha256((mini_store_dir / name).read_bytes()).hexdigest() for name in expected}
         assert digests == expected
+        # The format-5 digests, each chunk record's doc id and parent and the corpus
+        # fingerprint written back: only the layout moved.
+        v5 = v5_chunks((mini_store_dir / "chunks.jsonl").read_bytes())
+        assert hashlib.sha256(v5).hexdigest() == "531770bbb0558eb3355d4bfbf2cbe466b3838a054cde753b8d41e7a835d9db07"
+        v5 = v5_manifest((mini_store_dir / "manifest.json").read_bytes(), load_corpus(MINI_CORPUS))
+        assert hashlib.sha256(v5).hexdigest() == "346aedc432131b05bd0fa7d52ab28251454dfb59103be72903d5ee0046b4c89a"
         assert_export_is_one_encode(mini_store_dir)
         # The DOT export of the same graph: node ids are positions, edges in sorted order.
         dot = tmp_path / "mini.dot"
@@ -1828,24 +1896,29 @@ class TestStoreBytesPinnedLargerCorpus:
         assert manifest.counts["chunks"] >= 2 * manifest.counts["semantic_chunks"]
         expected = {
             "vectors.skvx": "69644bbd8b7fb4eb8c237ced211fc380a03680546d4201e414145912c4951c35",
-            "chunks.jsonl": "f90eda607dc55fd411c921288bcffdda38b79aac5906c10aed8c66ada46bcbc4",
+            "chunks.jsonl": "32343ea9e5d3127c7d56561cd1d5135ffcd58b9936a127c495618fad4282673c",
             "graph.json": "9ab2b3a4030f0a8067ef3ef56d73820398a835f1c79367fe3a5214c8a0da29fb",
-            "manifest.json": "248e7d46bd36145a7b67f22445dbee7a705ab46c3cff6ee8caadc20df78a9a9a",
+            "manifest.json": "b4601ebcc1def288962044a7bba4942273d5ccd1749a6de58194f0290d323691",
         }
         store = tmp_path / "store"
         digests = {name: hashlib.sha256((store / name).read_bytes()).hexdigest() for name in expected}
         assert digests == expected
         assert_export_is_one_encode(store)
-        # The format-4, format-3 and format-2 digests: the graph with its labels
-        # written out, then with each node's contexts filled back from its edges,
-        # then as one row per edge, and the manifest naming version 4, 3, then 2,
-        # so only the layout and the version moved.
+        # The format-5 digests: each chunk record's doc id and parent written out, and
+        # the manifest's corpus fingerprint. Then the format-4, format-3 and format-2
+        # digests: the graph with its labels written out, then with each node's
+        # contexts filled back from its edges, then as one row per edge, and the
+        # format-5 manifest naming version 4, 3, then 2, so only the layout and the
+        # version moved.
+        v5 = v5_chunks((store / "chunks.jsonl").read_bytes())
+        assert hashlib.sha256(v5).hexdigest() == "f90eda607dc55fd411c921288bcffdda38b79aac5906c10aed8c66ada46bcbc4"
+        manifest = v5_manifest((store / "manifest.json").read_bytes(), docs)
+        assert hashlib.sha256(manifest).hexdigest() == "248e7d46bd36145a7b67f22445dbee7a705ab46c3cff6ee8caadc20df78a9a9a"
         v4 = v4_graph(json.loads((store / "graph.json").read_text(encoding="utf-8")))
         assert hashlib.sha256(compact_bytes(v4)).hexdigest() == "b682750d9f648fe8828123f48f59fb1fa3a6efd977c43c8aa84dbb7cd5b2976e"
         graph = v3_graph(v4)
         assert hashlib.sha256(compact_bytes(graph)).hexdigest() == "c80f72604723e52a31dc5dc040075c21fd89a6b00c4fcc3230de52238d71f1a5"
         assert hashlib.sha256(v2_rows(graph)).hexdigest() == "b979d93e36497796c82b19c7f921c0fe496d19838bbec706abe94f8abd600816"
-        manifest = (store / "manifest.json").read_bytes()
         assert manifest.count(b'"format_version": 5,') == 1
         old = {version: manifest.replace(b'"format_version": 5,', f'"format_version": {version},'.encode()) for version in (4, 3, 2)}
         assert hashlib.sha256(old[4]).hexdigest() == "620712cd82e197e45e6e79232fa738fd190a05fa061081a64484594960ab9384"

@@ -34,7 +34,7 @@ def make_store(texts: dict[str, str]) -> VectorStore:
     store = VectorStore(DIM)
     store.add(
         [
-            Chunk(chunk_id=cid, parent_semantic_chunk="p", doc_id="d", token_span=(0, 1), text=text)
+            Chunk(chunk_id=cid, token_span=(0, 1), text=text)
             for cid, text in texts.items()
         ],
         EMBEDDER.embed_batch(list(texts.values())),

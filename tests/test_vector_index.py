@@ -18,9 +18,7 @@ from kgrag.vector_index import FORMAT_VERSION, MAGIC, VectorStore
 
 
 def chunk(cid: str) -> Chunk:
-    return Chunk(
-        chunk_id=cid, parent_semantic_chunk="p", doc_id="d", token_span=(0, 1), text=f"text {cid}"
-    )
+    return Chunk(chunk_id=cid, token_span=(0, 1), text=f"text {cid}")
 
 
 def unit(values) -> np.ndarray:
@@ -301,7 +299,7 @@ class TestTopK:
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = random.Random(7)
-        store = build({f"v{i}": unit([rng.gauss(0, 1) for _ in range(12)]) for i in range(9)})
+        store = build({f"d#s0#t{i}": unit([rng.gauss(0, 1) for _ in range(12)]) for i in range(9)})
         path = tmp_path / "vectors.skvx"
         store.save(path)
         loaded = VectorStore.load(path)
@@ -332,7 +330,7 @@ class TestPersistence:
         blob = bytearray(path.read_bytes())
         blob[:4] = b"XXXX"
         path.write_bytes(bytes(blob))
-        with pytest.raises(StoreCorruptError, match="magic"):
+        with pytest.raises(StoreCorruptError, match="bad magic in .*: b'XXXX'"):
             VectorStore.load(path)
 
     def test_version_mismatch(self, tmp_path):
@@ -342,7 +340,7 @@ class TestPersistence:
         blob = bytearray(path.read_bytes())
         blob[4:6] = (FORMAT_VERSION + 1).to_bytes(2, "little")
         path.write_bytes(bytes(blob))
-        with pytest.raises(StoreCorruptError, match="version"):
+        with pytest.raises(StoreCorruptError, match=f"unsupported format version {FORMAT_VERSION + 1} in "):
             VectorStore.load(path)
 
     def test_truncated_file_reports_offset(self, tmp_path):
@@ -355,25 +353,25 @@ class TestPersistence:
             VectorStore.load(path)
 
     def test_sidecar_count_mismatch(self, tmp_path):
-        store = build({"a": unit([1, 0, 0, 0]), "b": unit([0, 1, 0, 0])})
+        store = build({"d#ta": unit([1, 0, 0, 0]), "d#tb": unit([0, 1, 0, 0])})
         path = tmp_path / "vectors.skvx"
         store.save(path)
         sidecar = tmp_path / "chunks.jsonl"
         lines = sidecar.read_text().splitlines()
         sidecar.write_text(lines[0] + "\n")
-        with pytest.raises(StoreCorruptError, match="mismatch"):
+        with pytest.raises(StoreCorruptError, match="vector/metadata mismatch: 2 vectors vs 1 chunk records"):
             VectorStore.load(path)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_row_rejected_at_seal_and_load(self, tmp_path, bad):
         rows = np.ones((3, 4), dtype=np.float32)
-        store = build({"a": rows[0], "b": rows[1], "c": rows[2]})
+        store = build({"d#ta": rows[0], "d#tb": rows[1], "d#tc": rows[2]})
         path = tmp_path / "vectors.skvx"
         store.save(path)
         rows[1, 2] = bad
         unsealed = VectorStore(4)
-        unsealed.add([chunk(c) for c in "abc"], rows)
-        with pytest.raises(ValueError, match="row 1 .*'b'.* not finite"):
+        unsealed.add([chunk(f"d#t{c}") for c in "abc"], rows)
+        with pytest.raises(ValueError, match="row 1 .*'d#tb'.* not finite"):
             unsealed.seal()
         blob = bytearray(path.read_bytes())
         offset = 18 + (1 * 4 + 2) * 4
@@ -391,7 +389,7 @@ class TestPersistence:
         assert path.read_bytes()[18:] == rows.astype("<f4").tobytes()
 
     def test_header_layout(self, tmp_path):
-        store = build({"a": unit([1, 0, 0, 0])})
+        store = build({"d#ta": unit([1, 0, 0, 0])})
         path = tmp_path / "vectors.skvx"
         store.save(path)
         blob = path.read_bytes()
