@@ -26,9 +26,11 @@ ABBREVIATIONS = frozenset(
     {"Mr.", "Mrs.", "Dr.", "e.g.", "i.e.", "etc.", "vs.", "Fig.", "Eq."}
 )
 
-# A whole word (preceded by whitespace or the start) that ends in [.?!] before
-# whitespace or the end, so the abbreviation check needs no backward search.
-_TERMINATOR_RE = re.compile(r"(?<!\S)\S*[.?!](?=\s|$)")
+# A [.?!] before whitespace or the end: the last character of its word. The
+# pattern opens with its character class, so the engine skips ahead to each one.
+_TERMINATOR_RE = re.compile(r"[.?!](?=\s|$)")
+# A word longer than this ends in no abbreviation, so the check looks back this far.
+_LOOKBACK = max(map(len, ABBREVIATIONS)) + 1
 _PARAGRAPH_RE = re.compile(r"\n[ \t]*\n+")
 # json.loads joins an escaped surrogate pair into one character, so any
 # surrogate left in a decoded string is lone.
@@ -152,9 +154,11 @@ def split_sentences(text: str) -> list[str]:
     for paragraph in _PARAGRAPH_RE.split(text):
         start = 0
         for match in _TERMINATOR_RE.finditer(paragraph):
-            if match.group() in ABBREVIATIONS:
-                continue
             end = match.end()
+            # The word ending here: whole when it is at most _LOOKBACK - 1
+            # characters, else a _LOOKBACK-character tail, which is no abbreviation.
+            if paragraph[max(end - _LOOKBACK, 0) : end].rsplit(None, 1)[-1] in ABBREVIATIONS:
+                continue
             fragment = paragraph[start:end].strip()
             if fragment:
                 sentences.append(fragment)

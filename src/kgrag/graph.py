@@ -19,7 +19,10 @@ lazily, bounded by hop count and node budget, so a hub costs what the budget
 admits. A neighborhood renders as text within a token budget: its context
 chunks, read through the graph's one chunk_id -> text map, those the seed
 nodes share most ahead, then its edges, collected from the columns only if
-the budget reaches them. Same lifecycle as the vector store: single-writer
+the budget reaches them. The render hands back its text's content tokens
+too: the union of the kept chunks' token tuples, each made from its text the
+first time a render keeps it and kept in one table, with the header's and
+the kept edge lines' tokens. Same lifecycle as the vector store: single-writer
 build (or load), seal, then lock-free concurrent reads. ``export`` writes
 ``graph.json`` one piece at a time; a load checks it whole, in C or numpy.
 """
@@ -41,6 +44,7 @@ import numpy as np
 from .corpus import Table, holds_escape, lone_surrogate
 from .extraction import EntityMention, Triple, normalize_entity
 from .exceptions import InputError, StoreCorruptError
+from .lexical import content_tokens
 
 MIN_PREFIX_LEN = 3
 DEFAULT_HOPS = 2
@@ -49,6 +53,10 @@ DEFAULT_MAX_STRUCTURED_TOKENS = 1024
 
 # The one graph.json writer: compact, non-ASCII kept, run by the C encoder.
 _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
+
+# The first context line opens with this header.
+_CONTEXTS_HEADER = "Contexts:\n"
+_HEADER_TOKENS = frozenset(content_tokens(_CONTEXTS_HEADER))
 
 # The graph.json edge columns, in edge field order; the last two index the tables of the same names.
 EDGE_COLUMNS = ("sources", "targets", "relations", "chunks")
@@ -140,6 +148,23 @@ class KnowledgeGraph:
         """Node id -> its edges' distinct chunk ids, ascending, each list derived on first read."""
         chunks = self._chunks
         return Table(lambda node: [chunks[i] for i in self._distinct(node, 3, 3)])
+
+    @cached_property
+    def _chunk_tokens(self) -> Table:
+        """Semantic chunk id -> its text's distinct content tokens, made on first render.
+
+        Each is a tuple, not a set, whose strings come from one graph-wide
+        vocabulary, so a token many chunks hold is one string: with every
+        chunk made, the table is about the size of the chunk texts.
+        """
+        vocabulary: dict[str, str] = {}
+        texts = self._chunk_texts
+
+        def make(chunk_id: str) -> tuple[str, ...]:
+            tokens = content_tokens(texts[chunk_id])
+            return tuple(map(vocabulary.setdefault, tokens, tokens))
+
+        return Table(make)
 
     def _induced_edges(self, nodes: Iterable[int]) -> set[tuple]:
         """The edges with both ends in ``nodes``, as ``(source, target, relation, provenance)`` tuples."""
@@ -268,24 +293,32 @@ class KnowledgeGraph:
         collected only once every lower level's lines fit, and the edges
         sorted only once every context line fits. ``kept``, when given, is
         filled with ``context_lines`` and ``edge_lines`` (the lines kept of
-        each section) and ``tokens`` (the tokens rendered).
+        each section), ``tokens`` (the tokens rendered) and ``content_tokens``
+        (``content_tokens`` of the text, made without reading it: a chunk's
+        tokens are made the first time a render keeps it, then kept).
         """
         lines: list[str] = []
-        counts = {"context_lines": 0, "edge_lines": 0}
+        chunk_ids: list[str] = []
         used = 0
-        for section, line in self._lines(sub):
+        for chunk_id, line in self._lines(sub):
             cost = len(line.split())
             if used + cost > max_tokens:
                 break
             used += cost
             lines.append(line)
-            counts[section] += 1
+            if chunk_id is not None:
+                chunk_ids.append(chunk_id)
         if kept is not None:
-            kept.update(counts, tokens=used)
+            edge_lines = lines[len(chunk_ids) :]
+            # Lines join on whitespace, which never merges or splits a word, so the
+            # text's tokens are its lines': the header's, each kept chunk's, the edges'.
+            tokens = set(_HEADER_TOKENS) if chunk_ids else set()
+            tokens.update(*map(self._chunk_tokens.__getitem__, chunk_ids), content_tokens("\n".join(edge_lines)))
+            kept.update(context_lines=len(chunk_ids), edge_lines=len(edge_lines), tokens=used, content_tokens=tokens)
         return "\n".join(lines)
 
-    def _lines(self, sub: Subgraph) -> Iterator[tuple[str, str]]:
-        """Every line of the unbounded render, lazily, as (section, line) pairs.
+    def _lines(self, sub: Subgraph) -> Iterator[tuple[str | None, str]]:
+        """Every line of the unbounded render, lazily, as (chunk id, line) pairs; an edge line's chunk id is None.
 
         Context chunks are ordered by the number of seed (hop 0) nodes whose
         contexts name them, descending, then by their least hop, then by
@@ -294,9 +327,9 @@ class KnowledgeGraph:
         carries the ``Contexts:`` header and the first edge line, after any
         context, the blank line.
         """
-        header = "Contexts:\n"
+        header = _CONTEXTS_HEADER
         for chunk_id in self._context_order(sub):
-            yield "context_lines", f"{header}- {self._chunk_texts[chunk_id]}"
+            yield chunk_id, f"{header}- {self._chunk_texts[chunk_id]}"
             header = ""
         hop_of, names = sub.nodes, self._names
         edge_keys = sorted(
@@ -304,7 +337,7 @@ class KnowledgeGraph:
         )
         separator = "" if header else "\n"
         for _, source, relation, target in edge_keys:
-            yield "edge_lines", f"{separator}{source} -[{relation}]-> {target}"
+            yield None, f"{separator}{source} -[{relation}]-> {target}"
             separator = ""
 
     def _context_order(self, sub: Subgraph) -> Iterator[str]:

@@ -4,7 +4,10 @@ Both the retriever's confirmation boost and the lexical support judge score
 token overlap over the same definition of "content token": lowercased, edge
 punctuation/symbols stripped, stopwords and pure-punctuation tokens dropped.
 Both score it with ``coverage``, the one place the overlap ratio is written.
-Callers turn each text into its token set once and reuse the set.
+Callers turn each text into its token set once and reuse the set. The
+graph's render is the one caller that tokenizes no text it returns: the set
+of lines joined on whitespace is the union of the lines' sets, so it unions
+the token tuples it keeps per chunk.
 """
 
 from __future__ import annotations

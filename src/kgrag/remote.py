@@ -2,7 +2,8 @@
 
 All remote calls share one policy: bearer token from the SKETCH_API_KEY
 environment variable, and exponential backoff (base 1s, factor 2) on 429,
-5xx and connection errors, the failures a later attempt can outlive. A 429
+5xx and connection errors, the failures a later attempt can outlive; a
+server certificate that fails verification is not one of them. A 429
 or 503 whose ``Retry-After`` header is whole seconds, at most the request
 timeout, waits that long before the next attempt instead. Any other
 non-2xx status raises ProviderError at once, and so do 501 (Not
@@ -66,10 +67,15 @@ class _Reply(NamedTuple):
 
 
 def _send(url: str, *, json: dict, headers: dict[str, str], timeout: float) -> _Reply:
-    """POST ``json`` to ``url`` once. An HTTP error status is a reply; no reply at all raises OSError."""
+    """POST ``json`` to ``url`` once. An HTTP error status is a reply; no reply at all raises OSError.
+
+    A server certificate that fails verification raises ProviderError: no
+    later attempt can pass the same check.
+    """
     # Imported here, not at module scope: urllib.request (with http.client, ssl and
     # email parsing) costs ~7 MB and ~75 ms at import, and only a remote call needs it.
     import http.client
+    import ssl
     import urllib.error
     import urllib.request
 
@@ -81,6 +87,10 @@ def _send(url: str, *, json: dict, headers: dict[str, str], timeout: float) -> _
             reply = urllib.request.urlopen(request, timeout=timeout)
         except urllib.error.HTTPError as exc:
             reply = exc
+        except urllib.error.URLError as exc:  # urlopen wraps what failed before a reply
+            if isinstance(exc.reason, ssl.SSLCertVerificationError):
+                raise ProviderError(f"POST {url} failed: TLS certificate not verified: {exc.reason}") from exc
+            raise
         with reply:
             return _Reply(reply.status, reply.read().decode("utf-8", "replace"), reply.headers)
     except http.client.HTTPException as exc:  # a reply http.client cannot read is no reply

@@ -7,8 +7,10 @@ unstructured retriever embeds the question and scans the vector store.
 Fusion boosts each candidate chunk's cosine score by beta times its token
 overlap with the structured text (shared tokens act as confirmation
 signals), re-ranks, and assembles one unified context for the generator.
-The structured text is tokenized once per query, each candidate once; with
-no structured text every boost is 0.0 and nothing is tokenized.
+The structured text is never tokenized: the render hands back its content
+tokens, the union of its kept chunks' token tuples, which the graph makes
+once per chunk. Each candidate is tokenized once per query; with no
+structured text every boost is 0.0 and nothing is tokenized.
 """
 
 from __future__ import annotations
@@ -110,9 +112,10 @@ def _structured_parts(
 
     Returns the matched entities' names, sorted, the unmatched mention
     surfaces, the text, and the subgraph's node count (``subgraph_nodes``)
-    with the counts ``render_subgraph`` fills in, or ``{}`` when nothing
-    matched. Each mention is matched once. No entity match is not an error:
-    the text is then an empty string.
+    with what ``render_subgraph`` fills in (its line and token counts and
+    the text's ``content_tokens``), or ``{}`` when nothing matched. Each
+    mention is matched once. No entity match is not an error: the text is
+    then an empty string.
     """
     matched: set[int] = set()
     unmatched: list[str] = []
@@ -203,7 +206,7 @@ def retrieve_hybrid(
         candidates = retrieve_unstructured(question, embedder, store, config)
 
     if structured_text:
-        structured_tokens = content_tokens(structured_text)
+        structured_tokens = shape["content_tokens"]  # content_tokens(structured_text), from the render's chunk tables
         boosts = [confirmation_boost(content_tokens(text), structured_tokens) for _, text, _ in candidates]
     else:
         boosts = [0.0] * len(candidates)  # nothing can confirm a chunk

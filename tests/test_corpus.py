@@ -1,12 +1,14 @@
 from __future__ import annotations
 
 import json
+import re
 import unicodedata
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from kgrag.corpus import (
+    ABBREVIATIONS,
     Document,
     load_corpus,
     normalize_text,
@@ -181,6 +183,55 @@ normalized_docs = (
     .filter(lambda t: t.strip())
     .map(lambda t: Document(doc_id="h", text=t))
 )
+
+
+_WORD_TERMINATOR_RE = re.compile(r"(?<!\S)\S*[.?!](?=\s|$)")
+_PARAGRAPH_RE = re.compile(r"\n[ \t]*\n+")
+
+
+def split_sentences_reference(text: str) -> list[str]:
+    """The splitter that matched each whole word ending in a terminator, kept as its reference.
+
+    Its regex tried a match at every character; the word it matched was
+    looked up in ``ABBREVIATIONS`` as it stood.
+    """
+    sentences: list[str] = []
+    for paragraph in _PARAGRAPH_RE.split(text):
+        start = 0
+        for match in _WORD_TERMINATOR_RE.finditer(paragraph):
+            if match.group() in ABBREVIATIONS:
+                continue
+            end = match.end()
+            fragment = paragraph[start:end].strip()
+            if fragment:
+                sentences.append(fragment)
+            start = end
+        tail = paragraph[start:].strip()
+        if tail:
+            sentences.append(tail)
+    return sentences
+
+
+# Pieces that sit at the edges of the abbreviation check: abbreviations with
+# and without a prefix or a second terminator, words as long as the look-back
+# and one longer, every terminator, whitespace str.split and re agree on.
+_SPLITTER_PIECES = st.sampled_from(
+    [*ABBREVIATIONS, "(Mr.", "Mr..", "Mr?", "Mr!", "xMr.", "e.g.,", "i.e", ".", "?", "!", "..", "a.", "Rossi.",
+     "abcdefg.", "abcdefgh.", "123456789?", " ", "  ", "\n", "\n\n", "\n \n", "\t", "\x1c", "\x1f", "\xa0", "\u2003",
+     "\u2028", "\x85", "word", "é", "🍕"]
+)
+
+
+class TestSplitSentencesReference:
+    @settings(max_examples=500, deadline=None)
+    @given(st.lists(st.one_of(_SPLITTER_PIECES, st.text(max_size=4)), max_size=40).map("".join))
+    @example("We met Dr. Rossi (Mr. Bianchi's friend). He cooks.")
+    @example("Mr.. Mr? (Mr. e.g. x\x1cMr. \xa0Dr. y")
+    @example("abcdefghMr. next. i.e.\n\nEq. end")
+    def test_matches_the_whole_word_splitter(self, text):
+        assert split_sentences(text) == split_sentences_reference(text)
+        normalized = normalize_text(text)
+        assert split_sentences(normalized) == split_sentences_reference(normalized)
 
 
 class TestProperties:

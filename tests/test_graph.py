@@ -3,7 +3,9 @@ from __future__ import annotations
 import json
 import random
 import re
+import sys
 import tempfile
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -14,7 +16,9 @@ from hypothesis import example, given, settings, strategies as st
 from kgrag.exceptions import StoreCorruptError
 from kgrag.extraction import EntityMention, Triple, normalize_entity
 from kgrag.graph import EDGE_COLUMNS, MIN_PREFIX_LEN, KnowledgeGraph, Subgraph, _encode
-from kgrag.pipeline import build_store, open_store
+from kgrag.lexical import content_tokens
+from kgrag.pipeline import build_store, open_store, run_query
+from kgrag.retriever import QueryConfig
 
 from helpers import EDGE_LAYOUT, graph_object, set_graph_field, tuple_edges
 
@@ -1126,7 +1130,12 @@ class TestBudgetedRender:
             text = graph.render_subgraph(sub, max_tokens, kept=kept)
             expected, context_lines, edge_lines = reference_render(graph, sub, texts, max_tokens)
             assert text == expected
-            assert kept == {"context_lines": context_lines, "edge_lines": edge_lines, "tokens": len(text.split())}
+            assert kept == {
+                "context_lines": context_lines,
+                "edge_lines": edge_lines,
+                "tokens": len(text.split()),
+                "content_tokens": content_tokens(text),
+            }
             assert kept["tokens"] <= max_tokens
 
     def test_seed_shared_chunks_first_then_least_hop_then_id(self):
@@ -1169,7 +1178,10 @@ class TestBudgetedRender:
         assert len(text.split()) == kept["tokens"] <= 100
         assert kept["context_lines"] == 16 and kept["edge_lines"] == 0  # 1 + 16 * 6 tokens
         assert text.split("\n")[1:3] == ["- hub fact 0 holds here", "- hub fact 1 holds here"]
-        assert texts.lookups <= kept["context_lines"] + 1
+        assert texts.lookups <= 2 * kept["context_lines"] + 1  # each kept text for its line, then for its tokens
+        texts.lookups = 0
+        assert graph.render_subgraph(sub, 100, kept=kept) == text
+        assert texts.lookups <= kept["context_lines"] + 1  # a chunk's tokens are made once, then kept
 
         tally = [0]
         graph._neighbours = {node: CountingIds(graph._neighbours[node], tally) for node in range(len(graph))}
@@ -1188,6 +1200,98 @@ class TestBudgetedRender:
         assert collect.calls == 1
         assert graph.render_subgraph(lazy, UNBOUNDED).count(" -[r]-> ") == 600
         assert collect.calls == 1  # collected once, then kept
+
+
+# Words at the edges of the content-token rule: stopwords, edge and interior
+# punctuation, case, final sigma, and the header's own word.
+_TOKEN_WORDS = st.sampled_from(
+    ["The", "of", "Rome", "ROME", "rome.", "-[capital_of]->", "(Naples)", "don't", "ΟΔΟΣ", "ΣΟΦΊΑ", "xΣ\u0301",
+     "Contexts:", "contexts", "-", "—", "İzmir", "🍕", "1889,", "a.b"]
+)
+_token_text = st.lists(st.one_of(_TOKEN_WORDS, AWKWARD_TEXT), max_size=8).map(" ".join)
+_token_texts = st.tuples(*[_token_text] * len(CHUNK_IDS)).map(lambda drawn: dict(zip(CHUNK_IDS, drawn)))
+_token_rows = st.lists(
+    st.tuples(
+        st.sampled_from(["alpha", "Beta.", "ΟΔΟΣ", "(gamma)", "delta's"]),
+        st.sampled_from(["r1", "has part", "is-in", "of", "ΣΟΦΊΑ"]),
+        st.sampled_from(["alpha", "BETA", "eps", "the end"]),
+        st.sampled_from(CHUNK_IDS),
+    ),
+    min_size=1,
+    max_size=20,
+)
+
+
+class TestRenderedTokens:
+    @settings(max_examples=300, deadline=None)
+    @given(_token_rows, _token_texts, st.sets(st.integers(0, 6), min_size=1, max_size=3), st.integers(0, 60))
+    @example([("alpha", "r1", "BETA", "c0")], {cid: "Rome of ROME" for cid in CHUNK_IDS}, {0}, 0)  # no line
+    @example([("alpha", "r1", "BETA", "c0"), ("alpha", "of", "eps", "c1")], {"c0": "a b", "c1": "c d"}, {0}, 4)
+    @example([("alpha", "has part", "BETA", "c0")], {cid: "ΣΟΦΊΑ (Naples)" for cid in CHUNK_IDS}, {0}, 60)
+    def test_equals_the_rendered_texts_tokens(self, rows, texts, seeds, budget):
+        graph = KnowledgeGraph(texts)
+        for row in rows:
+            graph.upsert_triple(triple(*row))
+        graph.seal()
+        loaded = KnowledgeGraph.from_json_obj(graph.to_json_obj(), texts)
+        for g in (graph, loaded):
+            sub = g.neighborhood({seed for seed in seeds if seed < len(g)}, hops=2)
+            for max_tokens in (budget, UNBOUNDED):
+                kept: dict = {}
+                text = g.render_subgraph(sub, max_tokens, kept=kept)
+                assert kept["content_tokens"] == content_tokens(text)
+
+    def test_no_line_a_cut_in_the_contexts_and_the_edges(self):
+        graph = KnowledgeGraph({"c0": "The Tiber crosses ROME.", "c1": "contexts of (Naples)"})
+        graph.upsert_triple(triple("Rome", "has part", "Tiber", prov="c0"))
+        graph.upsert_triple(triple("Rome", "of", "Naples", prov="c1"))
+        graph.seal()
+        sub = graph.neighborhood({0}, hops=1)
+        for budget, lines, tokens in [
+            (0, (0, 0), set()),
+            (6, (1, 0), {"contexts", "tiber", "crosses", "rome"}),
+            (50, (2, 2), {"contexts", "tiber", "crosses", "rome", "naples", "part"}),  # "has" and "of" are stopwords
+        ]:
+            kept: dict = {}
+            text = graph.render_subgraph(sub, budget, kept=kept)
+            assert (kept["context_lines"], kept["edge_lines"]) == lines
+            assert kept["content_tokens"] == content_tokens(text) == tokens
+
+    def test_concurrent_renders_share_one_string_per_token(self):
+        texts = {f"c{i:02d}": f"Fact {i} about Rome{i % 7} and the Tiber." for i in range(40)}
+        graph = KnowledgeGraph(texts)
+        for i in range(40):
+            graph.upsert_triple(triple(f"n{i % 9}", "r", f"n{i * 5 % 9}", prov=f"c{i:02d}"))
+        graph.seal()
+        subs = [graph.neighborhood({seed}, hops=2) for seed in range(len(graph))]
+        wrong: list[str] = []
+
+        def render_all() -> None:
+            for sub in subs:
+                for budget in (5, 40, UNBOUNDED):
+                    kept: dict = {}
+                    text = graph.render_subgraph(sub, budget, kept=kept)
+                    if kept["content_tokens"] != content_tokens(text):
+                        wrong.append(text)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=render_all) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        made = vars(graph)["_chunk_tokens"]
+        assert set(made) == set(texts)
+        strings: dict[str, str] = {}
+        for chunk_id, tokens in made.items():
+            assert set(tokens) == content_tokens(texts[chunk_id])
+            assert all(strings.setdefault(token, token) is token for token in tokens)  # one vocabulary
 
 
 @st.composite
@@ -1374,11 +1478,49 @@ class TestDerivedListsAreLazy:
             assert g.render_subgraph(g.neighborhood({2}, hops=1)) == "Contexts:\n- ctx-bc\n- ctx-ab\n\nb -[r2]-> c"
             assert vars(g)["_neighbours"] is neighbours  # reused
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        small_triples,
+        st.lists(st.tuples(st.sets(st.integers(0, 7), max_size=3), st.integers(0, 12), st.booleans()), max_size=4),
+    )
+    @example(OUT_OF_ORDER_REPEAT, [({0}, 4, True), ({1}, 0, True), ({2}, 12, False)])
+    def test_renders_make_the_tokens_of_the_chunks_they_keep(self, triples, renders):
+        texts = {f"c{i}": f"ctx c{i} Word{i}." for i in range(3)}
+        built = KnowledgeGraph(texts)
+        for s, r, o, prov in triples:
+            built.upsert_triple(triple(s, r, o, prov))
+        built.seal()
+        loaded = KnowledgeGraph.from_json_obj(built.to_json_obj(), texts)
+        for graph in (built, loaded):
+            rendered: set[str] = set()
+            for seeds, budget, asked in renders:
+                sub = graph.neighborhood({seed for seed in seeds if seed < len(graph)}, hops=2)
+                text = graph.render_subgraph(sub, budget, kept={} if asked else None)
+                if asked:  # a render nobody asks for tokens makes none
+                    rendered.update(line.split()[2] for line in text.split("\n") if line.startswith("- ctx "))
+                made = dict(vars(graph).get("_chunk_tokens", {}))
+                assert set(made) == rendered
+                assert all(set(made[chunk_id]) == content_tokens(texts[chunk_id]) for chunk_id in made)
+
+    def test_queries_make_the_tokens_of_the_chunks_they_render(self, mini_store_dir, mini_questions_path):
+        store = open_store(mini_store_dir)
+        texts = {f"- {text}": chunk_id for chunk_id, text in store.graph._chunk_texts.items()}
+        rendered: set[str] = set()
+        for line in mini_questions_path.read_text(encoding="utf-8").splitlines():
+            question = json.loads(line)["question"]
+            assert not run_query(store, question, QueryConfig(mode="unstructured_only")).structured_text
+            assert set(vars(store.graph).get("_chunk_tokens", {})) == rendered  # a semantic query renders nothing
+            for mode in ("structured_only", "hybrid"):
+                text = run_query(store, question, QueryConfig(mode=mode)).structured_text
+                rendered.update(texts[row] for row in text.split("\n\n")[0].split("\n")[1:])  # after the header
+                assert set(vars(store.graph).get("_chunk_tokens", {})) == rendered
+        assert rendered
+
     def test_build_never_derives_the_lists(self, mini_corpus_dir, tmp_path, monkeypatch):
         def fail(*_):
             raise AssertionError("a build derived a traversal list or rendered")
 
-        for name in ("_neighbours", "_contexts", "_target_order"):
+        for name in ("_neighbours", "_contexts", "_target_order", "_chunk_tokens"):
             monkeypatch.setattr(KnowledgeGraph, name, property(fail))
         monkeypatch.setattr(KnowledgeGraph, "_context_order", fail)
         build_store(mini_corpus_dir, tmp_path / "store")

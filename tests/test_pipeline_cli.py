@@ -848,10 +848,13 @@ class TestCmdQuery:
     def test_bad_edge_endpoint_exit_3(self, store_dir, capsys, key, endpoint):
         graph_path = store_dir / "graph.json"
         graph = json.loads(graph_path.read_text())
-        set_graph_field(graph, "edges", key, endpoint(len(graph["nodes"])))
+        nodes = len(graph["nodes"])
+        set_graph_field(graph, "edges", key, value := endpoint(nodes))
         graph_path.write_text(json.dumps(graph))
         assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
-        assert "graph" in capsys.readouterr().err
+        column = {"source": "sources", "target": "targets"}[key]
+        expected = f"{graph_path}: graph edge {column}[0] is {value!r}, not a node id in [0, {nodes})"
+        assert f"error: corrupt store: {expected}\n" == capsys.readouterr().err
 
     @pytest.mark.parametrize(
         ("section", "key", "value"),
@@ -901,9 +904,17 @@ class TestCmdQuery:
         assert err == ""
 
     @pytest.mark.parametrize(
-        "field, value", [(("config", "provider", "dimension"), 128), (("counts", "chunks"), 1)]
+        "field, value, message",
+        [
+            (
+                ("config", "provider", "dimension"),
+                128,
+                "manifest dimension 128 does not match vectors.skvx dimension 256",
+            ),
+            (("counts", "chunks"), 1, "manifest counts 1 chunks but vectors.skvx holds 2"),
+        ],
     )
-    def test_manifest_disagrees_with_vectors_exit_3(self, store_dir, capsys, field, value):
+    def test_manifest_disagrees_with_vectors_exit_3(self, store_dir, capsys, field, value, message):
         manifest_path = store_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
         section = manifest
@@ -912,7 +923,7 @@ class TestCmdQuery:
         section[field[-1]] = value
         manifest_path.write_text(json.dumps(manifest))
         assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
-        assert "manifest" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: corrupt store: {message}\n"
 
     def test_store_query_defaults_apply_and_flags_override(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
@@ -1237,18 +1248,24 @@ class TestCmdEval:
 
 
 @pytest.mark.parametrize(
-    "section, key, value",
-    [("nodes", "name", 5), ("edges", "relation", 5), ("edges", "provenance", None)],
+    "section, key, value, message",
+    [
+        ("nodes", "name", 5, "graph node 0 is a int, not a name string"),
+        ("edges", "relation", 5, "graph relations[0] is 5, not a string"),
+        ("edges", "provenance", None, "graph chunks[0] is None, not a string"),
+    ],
     ids=["numeric-name", "numeric-relation", "null-provenance"],
 )
 @each_graph_reader
-def test_graph_field_of_wrong_type_exit_3(store_dir, tmp_path, monkeypatch, capsys, command, section, key, value):
+def test_graph_field_of_wrong_type_exit_3(
+    store_dir, tmp_path, monkeypatch, capsys, command, section, key, value, message
+):
     graph_path = store_dir / "graph.json"
     graph = json.loads(graph_path.read_text())
     set_graph_field(graph, section, key, value)
     graph_path.write_text(json.dumps(graph))
     assert run_in(tmp_path, monkeypatch, store_dir, command) == 3
-    assert "graph" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: corrupt store: {graph_path}: {message}\n"
     assert_nothing_written(tmp_path)
 
 
@@ -1814,6 +1831,51 @@ class TestMiniCorpusFixture:
         for line in lines:
             obj = json.loads(line)
             assert obj["question"] and obj["ground_truth"]
+
+    def test_query_json_pinned(self, mini_store_dir, capsys):
+        # Every question's ``query --json`` bytes in each mode (hybrid, semantic, kg):
+        # a change to rendering, fusion or the boost that moves any output fails here.
+        expected = {
+            "What is the Margherita pizza named after?": (
+                "1d61e13854d19b1b6ec9c777282dcc241c02a0180a58188daf45be432804d130",
+                "0a8d21f7e155e7c7def1c2152a81ee329a0d0e1f422efb2f4f006278cd47bff5",
+                "00bd58bab1f7320a88da04c911800a16b3683ce56110808ea1a53fee918416b3",
+            ),
+            "Which cheese goes into Carbonara in Rome?": (
+                "024c0be3edb9695b43f8c43b8f1824c0861bab6cd7c9e086edcd85503501ef8a",
+                "4a7ee26573ca0bd4c3c26464c1e1543ddc1ba673955d752567ac630412060d76",
+                "e9dbf0028a6e52aea0f7192525a32ffbb201a8727cd3d168b59a4c5cd661053d",
+            ),
+            "Where do San Marzano tomatoes grow?": (
+                "bec48caca5e21882eefa074911c10c2141cc48611c086c2bfa790c20eaf65eec",
+                "d9fdbd6380b732e9d44aebd5895e320ecf1011b2bb698584e96c49ee5cf57196",
+                "ba294a5f53293a82b595729962bd2be9d5cc9210e11591735faa35710eecadb3",
+            ),
+            "How long does Parmigiano-Reggiano age?": (
+                "aeb9fe04a375a5ffc235fa7ee6a4c323e7c7c8ba1a929823362b5a54e27c1abc",
+                "0b4e381251d17f8cfde09e261df115765d35d8238a05a7248ced2e1f8a45f8e3",
+                "239c9317c5fa5e204af2a86f3d5ed443f2df6e8ccb19a343e97b06f523ac0861",
+            ),
+            "What does Venice celebrate with frittelle?": (
+                "c2ca7d683c792cd7bb03788bde37bac51d4304c45e64643e44c9d0aa57f6e203",
+                "eef2476acd2a19aa294f1d37b74dbeeb67ff12453515478dd0717eefafecbbc7",
+                "d88939a72b66e2e556d58d6b699bad4a849d5de3e131b7d05801576c848b56d7",
+            ),
+            "When do Italians drink cappuccino?": (
+                "5580146e69e86aebc4848488e1b69b7a26c2115bae632902d996701b20f88e1d",
+                "744fa675d5d927ef55b113cbcc018f718dcb88d69ff48520fb0534939959f555",
+                "c77b075c90c7a06eeb0ad89c43ac6a5074aad190158bf5f1344714b0f1a6513f",
+            ),
+        }
+        assert list(expected) == [json.loads(line)["question"] for line in MINI_QUESTIONS.read_text().splitlines()]
+
+        def digest(question: str, mode: str) -> str:
+            argv = ["query", "--store", str(mini_store_dir), "--mode", mode, "--question", question, "--json"]
+            assert main(argv) == 0
+            return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+        modes = ("hybrid", "semantic", "kg")
+        assert {question: tuple(digest(question, mode) for mode in modes) for question in expected} == expected
 
     def test_store_bytes_pinned(self, mini_store_dir, tmp_path):
         # Two builds of the same code agreeing (criterion 10) cannot catch drift

@@ -184,6 +184,24 @@ def test_closed_port_is_a_connection_error_after_the_retries(sleeps):
     assert sleeps == [1.0, 2.0]
 
 
+def test_tls_certificate_failure_is_not_retried(monkeypatch, sleeps):
+    import ssl
+    import urllib.error
+    import urllib.request
+
+    attempts = []
+
+    def urlopen(request, timeout):
+        attempts.append(request.full_url)
+        raise urllib.error.URLError(ssl.SSLCertVerificationError(1, "certificate verify failed: self-signed"))
+
+    monkeypatch.setattr(urllib.request, "urlopen", urlopen)
+    with pytest.raises(ProviderError, match="TLS certificate not verified: .*self-signed"):
+        post_json("https://127.0.0.1:9/v1/chat", {"model": "m"}, max_retries=3)
+    assert attempts == ["https://127.0.0.1:9/v1/chat"]
+    assert sleeps == []
+
+
 def test_embed_remote_over_parallel_batches(server, sleeps):
     def respond(body):
         texts = json.loads(body)["input"]

@@ -7,7 +7,7 @@ from kgrag.embedding import HashedEmbedder
 from kgrag.exceptions import InputError
 from kgrag.extraction import RuleExtractor, Triple
 from kgrag.graph import KnowledgeGraph
-from kgrag.lexical import content_tokens
+from kgrag.lexical import content_tokens, coverage
 from kgrag.retriever import (
     EchoGenerator,
     QueryConfig,
@@ -214,13 +214,15 @@ class TestRetrieveHybrid:
         graph = make_graph(CHAIN, snippet="alpha feeds bravo daily")
         return dict(embedder=EMBEDDER, store=store, extractor=RuleExtractor(), graph=graph)
 
-    def test_structured_text_tokenized_once(self, monkeypatch):
+    def test_structured_text_not_tokenized_each_candidate_once(self, monkeypatch):
         texts = record_texts(monkeypatch, retriever_mod)
-        config = QueryConfig(top_n_candidates=4, final_m_chunks=2)
+        config = QueryConfig(top_n_candidates=4, final_m_chunks=4)
         result = retrieve_hybrid("Where does Alpha store grain?", **self.deps(), config=config)
         assert result.structured_text
-        assert texts.count(result.structured_text) == 1
-        assert len(texts) == 1 + config.top_n_candidates  # plus each candidate once
+        assert sorted(texts) == sorted(c.text for c in result.ranked_chunks)  # the render handed back its tokens
+        structured = content_tokens(result.structured_text)
+        assert [c.boost for c in result.ranked_chunks] == [coverage(content_tokens(c.text), structured)
+                                                           for c in result.ranked_chunks]
 
     def test_no_structured_text_no_tokenizing(self, monkeypatch):
         texts = record_texts(monkeypatch, retriever_mod)
