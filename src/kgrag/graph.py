@@ -19,17 +19,19 @@ lazily, bounded by hop count and node budget, so a hub costs what the budget
 admits. A neighborhood renders as text within a token budget: its context
 chunks, read through the graph's one chunk_id -> text map, those the seed
 nodes share most ahead, then its edges, collected from the columns only if
-the budget reaches them. The render hands back its text's content tokens
-too: the union of the kept chunks' token tuples, each made from its text the
-first time a render keeps it and kept in one table, with the header's and
-the kept edge lines' tokens. Same lifecycle as the vector store: single-writer
-build (or load), seal, then lock-free concurrent reads. ``export`` writes
-``graph.json`` one piece at a time; a load checks it whole, in C or numpy.
+the budget reaches them. Asked for its text's content tokens, a render
+hands back the union of the kept chunks' token tuples, each made from its
+text the first time a render keeps it and kept in one table, with the
+header's and the kept edge lines' tokens. Same lifecycle as the vector
+store: single-writer build (or load), seal, then lock-free concurrent
+reads. ``export`` writes ``graph.json`` one piece at a time; a load checks
+it whole, in C or numpy.
 """
 
 from __future__ import annotations
 
 import json
+import sys
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Iterable, Iterator
@@ -150,21 +152,15 @@ class KnowledgeGraph:
         return Table(lambda node: [chunks[i] for i in self._distinct(node, 3, 3)])
 
     @cached_property
-    def _chunk_tokens(self) -> Table:
-        """Semantic chunk id -> its text's distinct content tokens, made on first render.
+    def _text_tokens(self) -> Table:
+        """Semantic chunk text -> its distinct content tokens, made when a render filling ``content`` first keeps it.
 
-        Each is a tuple, not a set, whose strings come from one graph-wide
-        vocabulary, so a token many chunks hold is one string: with every
-        chunk made, the table is about the size of the chunk texts.
+        Keyed by the text the render has just read for the line, so making a
+        tuple reads no text again. Each is a tuple, not a set, of interned
+        strings, so a token many chunks hold is one string: with every chunk
+        made, the table is about the size of the chunk texts.
         """
-        vocabulary: dict[str, str] = {}
-        texts = self._chunk_texts
-
-        def make(chunk_id: str) -> tuple[str, ...]:
-            tokens = content_tokens(texts[chunk_id])
-            return tuple(map(vocabulary.setdefault, tokens, tokens))
-
-        return Table(make)
+        return Table(lambda text: tuple(map(sys.intern, content_tokens(text))))
 
     def _induced_edges(self, nodes: Iterable[int]) -> set[tuple]:
         """The edges with both ends in ``nodes``, as ``(source, target, relation, provenance)`` tuples."""
@@ -278,7 +274,12 @@ class KnowledgeGraph:
     # -- rendering and export ------------------------------------------------
 
     def render_subgraph(
-        self, sub: Subgraph, max_tokens: int = DEFAULT_MAX_STRUCTURED_TOKENS, *, kept: dict | None = None
+        self,
+        sub: Subgraph,
+        max_tokens: int = DEFAULT_MAX_STRUCTURED_TOKENS,
+        *,
+        kept: dict | None = None,
+        content: set[str] | None = None,
     ) -> str:
         """Deterministic text form within ``max_tokens`` whitespace tokens.
 
@@ -293,32 +294,34 @@ class KnowledgeGraph:
         collected only once every lower level's lines fit, and the edges
         sorted only once every context line fits. ``kept``, when given, is
         filled with ``context_lines`` and ``edge_lines`` (the lines kept of
-        each section), ``tokens`` (the tokens rendered) and ``content_tokens``
-        (``content_tokens`` of the text, made without reading it: a chunk's
-        tokens are made the first time a render keeps it, then kept).
+        each section) and ``tokens`` (the tokens rendered). ``content``, when
+        given, is filled with ``content_tokens`` of the text, made without
+        tokenizing a context line: a kept chunk's tokens are made from its
+        text the first time a render keeps it, then kept.
         """
         lines: list[str] = []
-        chunk_ids: list[str] = []
+        texts: list[str] = []  # the kept context lines' chunk texts
         used = 0
-        for chunk_id, line in self._lines(sub):
+        for text, line in self._lines(sub):
             cost = len(line.split())
             if used + cost > max_tokens:
                 break
             used += cost
             lines.append(line)
-            if chunk_id is not None:
-                chunk_ids.append(chunk_id)
+            if text is not None:
+                texts.append(text)
         if kept is not None:
-            edge_lines = lines[len(chunk_ids) :]
+            kept.update(context_lines=len(texts), edge_lines=len(lines) - len(texts), tokens=used)
+        if content is not None:
             # Lines join on whitespace, which never merges or splits a word, so the
             # text's tokens are its lines': the header's, each kept chunk's, the edges'.
-            tokens = set(_HEADER_TOKENS) if chunk_ids else set()
-            tokens.update(*map(self._chunk_tokens.__getitem__, chunk_ids), content_tokens("\n".join(edge_lines)))
-            kept.update(context_lines=len(chunk_ids), edge_lines=len(edge_lines), tokens=used, content_tokens=tokens)
+            content.update(*map(self._text_tokens.__getitem__, texts), content_tokens("\n".join(lines[len(texts) :])))
+            if texts:
+                content.update(_HEADER_TOKENS)
         return "\n".join(lines)
 
     def _lines(self, sub: Subgraph) -> Iterator[tuple[str | None, str]]:
-        """Every line of the unbounded render, lazily, as (chunk id, line) pairs; an edge line's chunk id is None.
+        """Every line of the unbounded render, lazily, as (chunk text, line) pairs; an edge line's text is None.
 
         Context chunks are ordered by the number of seed (hop 0) nodes whose
         contexts name them, descending, then by their least hop, then by
@@ -329,7 +332,8 @@ class KnowledgeGraph:
         """
         header = _CONTEXTS_HEADER
         for chunk_id in self._context_order(sub):
-            yield chunk_id, f"{header}- {self._chunk_texts[chunk_id]}"
+            text = self._chunk_texts[chunk_id]
+            yield text, f"{header}- {text}"
             header = ""
         hop_of, names = sub.nodes, self._names
         edge_keys = sorted(

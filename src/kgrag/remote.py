@@ -75,9 +75,13 @@ def _send(url: str, *, json: dict, headers: dict[str, str], timeout: float) -> _
     # Imported here, not at module scope: urllib.request (with http.client, ssl and
     # email parsing) costs ~7 MB and ~75 ms at import, and only a remote call needs it.
     import http.client
-    import ssl
     import urllib.error
     import urllib.request
+
+    try:
+        from ssl import SSLCertVerificationError
+    except ImportError:  # a Python built without ssl makes no certificate check to fail
+        SSLCertVerificationError = ()
 
     request = urllib.request.Request(url, data=dumps(json).encode("utf-8"), method="POST")
     for name, value in headers.items():
@@ -88,7 +92,7 @@ def _send(url: str, *, json: dict, headers: dict[str, str], timeout: float) -> _
         except urllib.error.HTTPError as exc:
             reply = exc
         except urllib.error.URLError as exc:  # urlopen wraps what failed before a reply
-            if isinstance(exc.reason, ssl.SSLCertVerificationError):
+            if isinstance(exc.reason, SSLCertVerificationError):
                 raise ProviderError(f"POST {url} failed: TLS certificate not verified: {exc.reason}") from exc
             raise
         with reply:

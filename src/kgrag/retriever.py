@@ -7,10 +7,11 @@ unstructured retriever embeds the question and scans the vector store.
 Fusion boosts each candidate chunk's cosine score by beta times its token
 overlap with the structured text (shared tokens act as confirmation
 signals), re-ranks, and assembles one unified context for the generator.
-The structured text is never tokenized: the render hands back its content
-tokens, the union of its kept chunks' token tuples, which the graph makes
-once per chunk. Each candidate is tokenized once per query; with no
-structured text every boost is 0.0 and nothing is tokenized.
+The structured text is never tokenized: in hybrid mode, the one with
+candidates to boost, the render hands back its content tokens, the union
+of its kept chunks' token tuples, which the graph makes once per chunk.
+Each candidate is tokenized once per query; with no structured text every
+boost is 0.0 and nothing is tokenized.
 """
 
 from __future__ import annotations
@@ -112,8 +113,9 @@ def _structured_parts(
 
     Returns the matched entities' names, sorted, the unmatched mention
     surfaces, the text, and the subgraph's node count (``subgraph_nodes``)
-    with what ``render_subgraph`` fills in (its line and token counts and
-    the text's ``content_tokens``), or ``{}`` when nothing matched. Each
+    with the line and token counts ``render_subgraph`` fills in and, in
+    hybrid mode, the text's ``content_tokens`` (``None`` in the others:
+    only the boost reads them), or ``{}`` when nothing matched. Each
     mention is matched once. No entity match is not an error: the text is
     then an empty string.
     """
@@ -129,9 +131,10 @@ def _structured_parts(
         return [], unmatched, "", {}
     subgraph = graph.neighborhood(matched, hops=config.hops, max_nodes=config.max_nodes)
     kept: dict = {}
-    text = graph.render_subgraph(subgraph, kept=kept)
+    content = set() if config.mode == "hybrid" else None
+    text = graph.render_subgraph(subgraph, kept=kept, content=content)
     names = sorted(map(graph.name, matched))
-    return names, unmatched, text, {"subgraph_nodes": len(subgraph.nodes), **kept}
+    return names, unmatched, text, {"subgraph_nodes": len(subgraph.nodes), **kept, "content_tokens": content}
 
 
 def retrieve_unstructured(

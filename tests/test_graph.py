@@ -1127,16 +1127,13 @@ class TestBudgetedRender:
         sub = graph.neighborhood({seed for seed in seeds if seed < len(graph)}, hops=hops, max_nodes=max_nodes)
         for max_tokens in (budget, UNBOUNDED):
             kept: dict = {}
-            text = graph.render_subgraph(sub, max_tokens, kept=kept)
+            content: set[str] = set()
+            text = graph.render_subgraph(sub, max_tokens, kept=kept, content=content)
             expected, context_lines, edge_lines = reference_render(graph, sub, texts, max_tokens)
             assert text == expected
-            assert kept == {
-                "context_lines": context_lines,
-                "edge_lines": edge_lines,
-                "tokens": len(text.split()),
-                "content_tokens": content_tokens(text),
-            }
+            assert kept == {"context_lines": context_lines, "edge_lines": edge_lines, "tokens": len(text.split())}
             assert kept["tokens"] <= max_tokens
+            assert content == content_tokens(text)
 
     def test_seed_shared_chunks_first_then_least_hop_then_id(self):
         texts = {cid: f"text {cid}" for cid in ("k1", "k2", "k3", "k4", "k5")}
@@ -1174,14 +1171,11 @@ class TestBudgetedRender:
         assert len(graph.contexts(0)) == 600
         sub = Subgraph(sub.nodes, Unreadable())
         kept: dict = {}
-        text = graph.render_subgraph(sub, 100, kept=kept)
+        text = graph.render_subgraph(sub, 100, kept=kept, content=set())
         assert len(text.split()) == kept["tokens"] <= 100
         assert kept["context_lines"] == 16 and kept["edge_lines"] == 0  # 1 + 16 * 6 tokens
         assert text.split("\n")[1:3] == ["- hub fact 0 holds here", "- hub fact 1 holds here"]
-        assert texts.lookups <= 2 * kept["context_lines"] + 1  # each kept text for its line, then for its tokens
-        texts.lookups = 0
-        assert graph.render_subgraph(sub, 100, kept=kept) == text
-        assert texts.lookups <= kept["context_lines"] + 1  # a chunk's tokens are made once, then kept
+        assert texts.lookups <= kept["context_lines"] + 1  # the tokens are made from the texts read for the lines
 
         tally = [0]
         graph._neighbours = {node: CountingIds(graph._neighbours[node], tally) for node in range(len(graph))}
@@ -1237,9 +1231,9 @@ class TestRenderedTokens:
         for g in (graph, loaded):
             sub = g.neighborhood({seed for seed in seeds if seed < len(g)}, hops=2)
             for max_tokens in (budget, UNBOUNDED):
-                kept: dict = {}
-                text = g.render_subgraph(sub, max_tokens, kept=kept)
-                assert kept["content_tokens"] == content_tokens(text)
+                content: set[str] = set()
+                text = g.render_subgraph(sub, max_tokens, content=content)
+                assert content == content_tokens(text)
 
     def test_no_line_a_cut_in_the_contexts_and_the_edges(self):
         graph = KnowledgeGraph({"c0": "The Tiber crosses ROME.", "c1": "contexts of (Naples)"})
@@ -1253,9 +1247,10 @@ class TestRenderedTokens:
             (50, (2, 2), {"contexts", "tiber", "crosses", "rome", "naples", "part"}),  # "has" and "of" are stopwords
         ]:
             kept: dict = {}
-            text = graph.render_subgraph(sub, budget, kept=kept)
+            content: set[str] = set()
+            text = graph.render_subgraph(sub, budget, kept=kept, content=content)
             assert (kept["context_lines"], kept["edge_lines"]) == lines
-            assert kept["content_tokens"] == content_tokens(text) == tokens
+            assert content == content_tokens(text) == tokens
 
     def test_concurrent_renders_share_one_string_per_token(self):
         texts = {f"c{i:02d}": f"Fact {i} about Rome{i % 7} and the Tiber." for i in range(40)}
@@ -1269,9 +1264,9 @@ class TestRenderedTokens:
         def render_all() -> None:
             for sub in subs:
                 for budget in (5, 40, UNBOUNDED):
-                    kept: dict = {}
-                    text = graph.render_subgraph(sub, budget, kept=kept)
-                    if kept["content_tokens"] != content_tokens(text):
+                    content: set[str] = set()
+                    text = graph.render_subgraph(sub, budget, content=content)
+                    if content != content_tokens(text):
                         wrong.append(text)
 
         interval = sys.getswitchinterval()
@@ -1286,12 +1281,12 @@ class TestRenderedTokens:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-        made = vars(graph)["_chunk_tokens"]
-        assert set(made) == set(texts)
+        made = vars(graph)["_text_tokens"]
+        assert set(made) == set(texts.values())
         strings: dict[str, str] = {}
-        for chunk_id, tokens in made.items():
-            assert set(tokens) == content_tokens(texts[chunk_id])
-            assert all(strings.setdefault(token, token) is token for token in tokens)  # one vocabulary
+        for text, tokens in made.items():
+            assert set(tokens) == content_tokens(text)
+            assert all(strings.setdefault(token, token) is token for token in tokens)  # one string per token
 
 
 @st.composite
@@ -1495,32 +1490,32 @@ class TestDerivedListsAreLazy:
             rendered: set[str] = set()
             for seeds, budget, asked in renders:
                 sub = graph.neighborhood({seed for seed in seeds if seed < len(graph)}, hops=2)
-                text = graph.render_subgraph(sub, budget, kept={} if asked else None)
+                text = graph.render_subgraph(sub, budget, content=set() if asked else None)
                 if asked:  # a render nobody asks for tokens makes none
                     rendered.update(line.split()[2] for line in text.split("\n") if line.startswith("- ctx "))
-                made = dict(vars(graph).get("_chunk_tokens", {}))
-                assert set(made) == rendered
-                assert all(set(made[chunk_id]) == content_tokens(texts[chunk_id]) for chunk_id in made)
+                made = dict(vars(graph).get("_text_tokens", {}))
+                assert set(made) == {texts[chunk_id] for chunk_id in rendered}
+                assert all(set(tokens) == content_tokens(text) for text, tokens in made.items())
 
-    def test_queries_make_the_tokens_of_the_chunks_they_render(self, mini_store_dir, mini_questions_path):
+    def test_hybrid_queries_make_the_tokens_of_the_chunks_they_render(self, mini_store_dir, mini_questions_path):
         store = open_store(mini_store_dir)
-        texts = {f"- {text}": chunk_id for chunk_id, text in store.graph._chunk_texts.items()}
         rendered: set[str] = set()
         for line in mini_questions_path.read_text(encoding="utf-8").splitlines():
             question = json.loads(line)["question"]
-            assert not run_query(store, question, QueryConfig(mode="unstructured_only")).structured_text
-            assert set(vars(store.graph).get("_chunk_tokens", {})) == rendered  # a semantic query renders nothing
-            for mode in ("structured_only", "hybrid"):
-                text = run_query(store, question, QueryConfig(mode=mode)).structured_text
-                rendered.update(texts[row] for row in text.split("\n\n")[0].split("\n")[1:])  # after the header
-                assert set(vars(store.graph).get("_chunk_tokens", {})) == rendered
+            for mode in ("unstructured_only", "structured_only"):  # no boost reads the structured text's tokens
+                run_query(store, question, QueryConfig(mode=mode))
+                assert set(vars(store.graph).get("_text_tokens", {})) == rendered
+            text = run_query(store, question, QueryConfig(mode="hybrid")).structured_text
+            rendered.update(row[2:] for row in text.split("\n\n")[0].split("\n")[1:])  # "- " + text, after the header
+            assert set(vars(store.graph).get("_text_tokens", {})) == rendered
+        assert rendered <= set(store.graph._chunk_texts.values())
         assert rendered
 
     def test_build_never_derives_the_lists(self, mini_corpus_dir, tmp_path, monkeypatch):
         def fail(*_):
             raise AssertionError("a build derived a traversal list or rendered")
 
-        for name in ("_neighbours", "_contexts", "_target_order", "_chunk_tokens"):
+        for name in ("_neighbours", "_contexts", "_target_order", "_text_tokens"):
             monkeypatch.setattr(KnowledgeGraph, name, property(fail))
         monkeypatch.setattr(KnowledgeGraph, "_context_order", fail)
         build_store(mini_corpus_dir, tmp_path / "store")

@@ -202,6 +202,20 @@ def test_tls_certificate_failure_is_not_retried(monkeypatch, sleeps):
     assert sleeps == []
 
 
+def test_a_python_without_ssl_still_posts_over_http(monkeypatch, server, sleeps):
+    import sys
+
+    monkeypatch.setitem(sys.modules, "ssl", None)  # any ``import ssl`` now raises ImportError
+    server.respond = scripted((500, {}, b"boom"), (200, {}, b'{"ok": true}'))
+    assert post_json(server.url, {"model": "m"}, timeout=5.0) == {"ok": True}
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    with pytest.raises(ProviderError, match="failed after 1 retries: status connection-error"):
+        post_json(f"http://127.0.0.1:{port}/v1/chat", {"model": "m"}, timeout=5.0, max_retries=1)
+    assert sleeps == [1.0, 1.0]
+
+
 def test_embed_remote_over_parallel_batches(server, sleeps):
     def respond(body):
         texts = json.loads(body)["input"]

@@ -23,6 +23,7 @@ from kgrag.vector_index import VectorStore
 
 from helpers import FakePost, FakeResponse, chat_payload, record_texts
 
+import kgrag.graph as graph_mod
 import kgrag.remote as remote_mod
 import kgrag.retriever as retriever_mod
 
@@ -223,6 +224,15 @@ class TestRetrieveHybrid:
         structured = content_tokens(result.structured_text)
         assert [c.boost for c in result.ranked_chunks] == [coverage(content_tokens(c.text), structured)
                                                            for c in result.ranked_chunks]
+
+    def test_kg_mode_tokenizes_nothing(self, monkeypatch):
+        texts = record_texts(monkeypatch, retriever_mod), record_texts(monkeypatch, graph_mod)
+        config = QueryConfig(mode="structured_only")
+        result = retrieve_hybrid("Where does Alpha store grain?", **self.deps(), config=config)
+        assert result.structured_text and result.ranked_chunks == []
+        assert texts == ([], [])  # no candidate to boost, so no token set is made
+        retrieve_hybrid("Where does Alpha store grain?", **self.deps())
+        assert texts[0] and texts[1]  # a hybrid query tokenizes its candidates and the render its chunks
 
     def test_no_structured_text_no_tokenizing(self, monkeypatch):
         texts = record_texts(monkeypatch, retriever_mod)
