@@ -21,8 +21,9 @@ chunks, read through the graph's one chunk_id -> text map, those the seed
 nodes share most ahead, then its edges, collected from the columns only if
 the budget reaches them. Asked for its text's content tokens, a render
 hands back the union of the kept chunks' token tuples, each made from its
-text the first time a render keeps it and kept in one table, with the
-header's and the kept edge lines' tokens. Same lifecycle as the vector
+text the first time a render keeps it and kept in ``text_tokens``, with the
+header's and the kept edge lines' tokens; the boost reads its candidate
+chunks' tuples from the same table. Same lifecycle as the vector
 store: single-writer build (or load), seal, then lock-free concurrent
 reads. ``export`` writes ``graph.json`` one piece at a time; a load checks
 it whole, in C or numpy.
@@ -152,13 +153,16 @@ class KnowledgeGraph:
         return Table(lambda node: [chunks[i] for i in self._distinct(node, 3, 3)])
 
     @cached_property
-    def _text_tokens(self) -> Table:
-        """Semantic chunk text -> its distinct content tokens, made when a render filling ``content`` first keeps it.
+    def text_tokens(self) -> Table:
+        """Text -> its distinct content tokens, made the first time a hybrid query scores the text, then kept.
 
-        Keyed by the text the render has just read for the line, so making a
-        tuple reads no text again. Each is a tuple, not a set, of interned
-        strings, so a token many chunks hold is one string: with every chunk
-        made, the table is about the size of the chunk texts.
+        The one table of the texts a hybrid query scores: a render filling
+        ``content`` fills it for the semantic chunks it keeps, keyed by the
+        text it has just read for the line, and the boost for its candidate
+        chunks' texts. So it holds no text but the store's own. Each value is
+        a tuple, not a set, of interned strings, so a token many texts hold
+        is one string: with every text made, the table is about the size of
+        the texts.
         """
         return Table(lambda text: tuple(map(sys.intern, content_tokens(text))))
 
@@ -297,7 +301,7 @@ class KnowledgeGraph:
         each section) and ``tokens`` (the tokens rendered). ``content``, when
         given, is filled with ``content_tokens`` of the text, made without
         tokenizing a context line: a kept chunk's tokens are made from its
-        text the first time a render keeps it, then kept.
+        text the first time a render keeps it, then kept in ``text_tokens``.
         """
         lines: list[str] = []
         texts: list[str] = []  # the kept context lines' chunk texts
@@ -315,7 +319,7 @@ class KnowledgeGraph:
         if content is not None:
             # Lines join on whitespace, which never merges or splits a word, so the
             # text's tokens are its lines': the header's, each kept chunk's, the edges'.
-            content.update(*map(self._text_tokens.__getitem__, texts), content_tokens("\n".join(lines[len(texts) :])))
+            content.update(*map(self.text_tokens.__getitem__, texts), content_tokens("\n".join(lines[len(texts) :])))
             if texts:
                 content.update(_HEADER_TOKENS)
         return "\n".join(lines)

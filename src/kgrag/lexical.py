@@ -3,14 +3,18 @@
 Both the retriever's confirmation boost and the lexical support judge score
 token overlap over the same definition of "content token": lowercased, edge
 punctuation/symbols stripped, stopwords and pure-punctuation tokens dropped.
-Both score it with ``coverage``, the one place the overlap ratio is written.
-Callers turn each text into its token set once and reuse the set. The
-graph's render is the one caller that tokenizes no text it returns: the set
-of lines joined on whitespace is the union of the lines' sets, so it unions
-the token tuples it keeps per chunk.
+Both score it with ``coverage``, the one place the overlap ratio is written,
+over the distinct tokens of a text in any collection: the judge's sets, or
+the tuples the graph keeps per text. Callers turn each text into its tokens
+once and reuse them. The graph's render is the one caller that tokenizes no
+text it returns: the set of lines joined on whitespace is the union of the
+lines' sets, so it unions the token tuples it keeps per chunk, and a hybrid
+query's boost reads its candidates' tuples from the same table.
 """
 
 from __future__ import annotations
+
+from collections.abc import Collection
 
 STOPWORDS = frozenset(
     """
@@ -51,11 +55,13 @@ def content_tokens(text: str) -> set[str]:
     return tokens
 
 
-def coverage(tokens: set[str], reference: set[str]) -> float:
+def coverage(tokens: Collection[str], reference: set[str]) -> float:
     """|tokens & reference| / |tokens|: the share of ``tokens`` found in ``reference``.
 
-    0.0 when ``tokens`` is empty.
+    ``tokens`` are distinct tokens, in any collection (a set, or a tuple
+    without repeats), so its length is the count of the set. 0.0 when
+    ``tokens`` is empty.
     """
     if not tokens:
         return 0.0
-    return len(tokens & reference) / len(tokens)
+    return len(reference.intersection(tokens)) / len(tokens)

@@ -9,20 +9,23 @@ overlap with the structured text (shared tokens act as confirmation
 signals), re-ranks, and assembles one unified context for the generator.
 The structured text is never tokenized: in hybrid mode, the one with
 candidates to boost, the render hands back its content tokens, the union
-of its kept chunks' token tuples, which the graph makes once per chunk.
-Each candidate is tokenized once per query; with no structured text every
-boost is 0.0 and nothing is tokenized.
+of its kept chunks' token tuples. Each candidate's tokens come from the
+same table, ``KnowledgeGraph.text_tokens``, which makes a text's tuple the
+first time a hybrid query scores it, so a warm query tokenizes only its
+kept edge lines. With no structured text every boost is 0.0 and nothing
+is tokenized.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from .exceptions import InputError
 from .extraction import query_ner
 from .graph import DEFAULT_HOPS, DEFAULT_MAX_NODES, DEFAULT_MAX_STRUCTURED_TOKENS, KnowledgeGraph
-from .lexical import content_tokens, coverage
+from .lexical import content_tokens, coverage  # noqa: F401 (content_tokens: the bench tracer patches it here)
 from .remote import ChatClient
 from .vector_index import VectorStore
 
@@ -146,8 +149,8 @@ def retrieve_unstructured(
     return [(chunk_id, store.metadata[chunk_id].text, score) for chunk_id, score in hits]
 
 
-def confirmation_boost(chunk_tokens: set[str], structured_tokens: set[str]) -> float:
-    """Fraction of the chunk's content tokens confirmed by the structured text."""
+def confirmation_boost(chunk_tokens: Collection[str], structured_tokens: set[str]) -> float:
+    """Fraction of the chunk's distinct content tokens confirmed by the structured text."""
     return coverage(chunk_tokens, structured_tokens)
 
 
@@ -210,7 +213,8 @@ def retrieve_hybrid(
 
     if structured_text:
         structured_tokens = shape["content_tokens"]  # content_tokens(structured_text), from the render's chunk tables
-        boosts = [confirmation_boost(content_tokens(text), structured_tokens) for _, text, _ in candidates]
+        # each candidate's tuple, made the first time a hybrid query boosts its text
+        boosts = [confirmation_boost(graph.text_tokens[text], structured_tokens) for _, text, _ in candidates]
     else:
         boosts = [0.0] * len(candidates)  # nothing can confirm a chunk
     ranked = rank_with_boosts(candidates, boosts, config.beta)[: config.final_m_chunks]

@@ -18,7 +18,7 @@ from kgrag.extraction import EntityMention, Triple, normalize_entity
 from kgrag.graph import EDGE_COLUMNS, MIN_PREFIX_LEN, KnowledgeGraph, Subgraph, _encode
 from kgrag.lexical import content_tokens
 from kgrag.pipeline import build_store, open_store, run_query
-from kgrag.retriever import QueryConfig
+from kgrag.retriever import QueryConfig, retrieve_unstructured
 
 from helpers import EDGE_LAYOUT, graph_object, set_graph_field, tuple_edges
 
@@ -1281,7 +1281,7 @@ class TestRenderedTokens:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-        made = vars(graph)["_text_tokens"]
+        made = vars(graph)["text_tokens"]
         assert set(made) == set(texts.values())
         strings: dict[str, str] = {}
         for text, tokens in made.items():
@@ -1493,29 +1493,72 @@ class TestDerivedListsAreLazy:
                 text = graph.render_subgraph(sub, budget, content=set() if asked else None)
                 if asked:  # a render nobody asks for tokens makes none
                     rendered.update(line.split()[2] for line in text.split("\n") if line.startswith("- ctx "))
-                made = dict(vars(graph).get("_text_tokens", {}))
+                made = dict(vars(graph).get("text_tokens", {}))
                 assert set(made) == {texts[chunk_id] for chunk_id in rendered}
                 assert all(set(tokens) == content_tokens(text) for text, tokens in made.items())
 
     def test_hybrid_queries_make_the_tokens_of_the_chunks_they_render(self, mini_store_dir, mini_questions_path):
         store = open_store(mini_store_dir)
         rendered: set[str] = set()
+        scored: set[str] = set()  # the boosted candidates' texts
         for line in mini_questions_path.read_text(encoding="utf-8").splitlines():
             question = json.loads(line)["question"]
             for mode in ("unstructured_only", "structured_only"):  # no boost reads the structured text's tokens
                 run_query(store, question, QueryConfig(mode=mode))
-                assert set(vars(store.graph).get("_text_tokens", {})) == rendered
-            text = run_query(store, question, QueryConfig(mode="hybrid")).structured_text
+                assert set(vars(store.graph).get("text_tokens", {})) == rendered | scored
+            config = QueryConfig(mode="hybrid")
+            text = run_query(store, question, config).structured_text
             rendered.update(row[2:] for row in text.split("\n\n")[0].split("\n")[1:])  # "- " + text, after the header
-            assert set(vars(store.graph).get("_text_tokens", {})) == rendered
+            if text:  # with no structured text nothing is boosted
+                scored.update(hit[1] for hit in retrieve_unstructured(question, store.make_embedder(), store.vectors, config))
+            assert set(vars(store.graph).get("text_tokens", {})) == rendered | scored
         assert rendered <= set(store.graph._chunk_texts.values())
-        assert rendered
+        assert rendered and scored - rendered
+
+    def test_the_token_table_holds_only_the_stores_texts(self, mini_store_dir, mini_questions_path):
+        store = open_store(mini_store_dir)
+        own = {*store.graph._chunk_texts.values(), *(chunk.text for chunk in store.vectors.metadata.values())}
+        for line in mini_questions_path.read_text(encoding="utf-8").splitlines():
+            for mode in ("hybrid", "unstructured_only", "structured_only"):
+                run_query(store, json.loads(line)["question"], QueryConfig(mode=mode))
+                assert set(store.graph.text_tokens) <= own
+        assert store.graph.text_tokens
+
+    def test_concurrent_hybrid_queries_share_one_string_per_token(self, mini_store_dir, mini_questions_path):
+        questions = [json.loads(line)["question"] for line in mini_questions_path.read_text(encoding="utf-8").splitlines()]
+        alone = open_store(mini_store_dir)
+        expected = [run_query(alone, question, QueryConfig()) for question in questions]
+        store = open_store(mini_store_dir)
+        store.graph  # loaded before the threads start, so they share one graph and its empty table
+        results: list[list] = []
+
+        def run_all() -> None:
+            results.append([run_query(store, question, QueryConfig()) for question in questions])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run_all) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 8
+        made = store.graph.text_tokens
+        assert set(made) == set(alone.graph.text_tokens)
+        strings: dict[str, str] = {}
+        for text, tokens in made.items():
+            assert set(tokens) == content_tokens(text)
+            assert all(strings.setdefault(token, token) is token for token in tokens)  # one string per token
 
     def test_build_never_derives_the_lists(self, mini_corpus_dir, tmp_path, monkeypatch):
         def fail(*_):
             raise AssertionError("a build derived a traversal list or rendered")
 
-        for name in ("_neighbours", "_contexts", "_target_order", "_text_tokens"):
+        for name in ("_neighbours", "_contexts", "_target_order", "text_tokens"):
             monkeypatch.setattr(KnowledgeGraph, name, property(fail))
         monkeypatch.setattr(KnowledgeGraph, "_context_order", fail)
         build_store(mini_corpus_dir, tmp_path / "store")

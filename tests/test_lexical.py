@@ -3,7 +3,7 @@ from __future__ import annotations
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kgrag.lexical import STOPWORDS, content_tokens, strip_edge_punctuation
+from kgrag.lexical import STOPWORDS, content_tokens, coverage, strip_edge_punctuation
 
 
 def per_token_content_tokens(text: str) -> set[str]:
@@ -45,3 +45,17 @@ class TestContentTokens:
 
     def test_stopwords_inside_punctuation_are_dropped(self):
         assert content_tokens("(The, Tiber) and. -- crosses") == {"tiber", "crosses"}
+
+
+class TestCoverage:
+    @settings(max_examples=300, deadline=None)
+    @given(texts, texts)
+    @example("", "Rome crosses the Tiber.")
+    @example("Rome crosses the Tiber.", "")
+    @example("", "")
+    @example("The Tiber, THE tiber; rome Rome.", "tiber rome naples")
+    def test_a_tuple_of_the_tokens_scores_as_their_set(self, a, b):
+        tokens, reference = content_tokens(a), content_tokens(b)
+        score = coverage(tuple(tokens), reference)
+        assert score.hex() == coverage(tokens, reference).hex()  # bit for bit
+        assert score == (len(tokens & reference) / len(tokens) if tokens else 0.0)

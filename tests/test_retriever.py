@@ -216,23 +216,36 @@ class TestRetrieveHybrid:
         return dict(embedder=EMBEDDER, store=store, extractor=RuleExtractor(), graph=graph)
 
     def test_structured_text_not_tokenized_each_candidate_once(self, monkeypatch):
-        texts = record_texts(monkeypatch, retriever_mod)
+        texts = record_texts(monkeypatch, graph_mod)
+        deps = self.deps()
         config = QueryConfig(top_n_candidates=4, final_m_chunks=4)
-        result = retrieve_hybrid("Where does Alpha store grain?", **self.deps(), config=config)
+        result = retrieve_hybrid("Where does Alpha store grain?", **deps, config=config)
         assert result.structured_text
-        assert sorted(texts) == sorted(c.text for c in result.ranked_chunks)  # the render handed back its tokens
+        made = vars(deps["graph"])["text_tokens"]
+        candidates = {c.text for c in result.ranked_chunks}
+        assert set(made) == {"alpha feeds bravo daily", *candidates}  # the rendered chunk's tuple and one per candidate
+        edge_block = result.structured_text[result.structured_text.index("\n\n") + 1 :]  # the blank line opens it
+        assert sorted(texts) == sorted([*made, edge_block])  # each text tokenized once, the structured text never whole
+        texts.clear()
+        again = retrieve_hybrid("Where does Alpha store grain?", **deps, config=config)
+        assert again == result
+        assert texts == [edge_block]  # a warm query tokenizes its edge block and no chunk text
         structured = content_tokens(result.structured_text)
         assert [c.boost for c in result.ranked_chunks] == [coverage(content_tokens(c.text), structured)
                                                            for c in result.ranked_chunks]
 
     def test_kg_mode_tokenizes_nothing(self, monkeypatch):
         texts = record_texts(monkeypatch, retriever_mod), record_texts(monkeypatch, graph_mod)
+        deps = self.deps()
         config = QueryConfig(mode="structured_only")
-        result = retrieve_hybrid("Where does Alpha store grain?", **self.deps(), config=config)
+        result = retrieve_hybrid("Where does Alpha store grain?", **deps, config=config)
         assert result.structured_text and result.ranked_chunks == []
         assert texts == ([], [])  # no candidate to boost, so no token set is made
-        retrieve_hybrid("Where does Alpha store grain?", **self.deps())
-        assert texts[0] and texts[1]  # a hybrid query tokenizes its candidates and the render its chunks
+        assert "text_tokens" not in vars(deps["graph"])
+        retrieve_hybrid("Where does Alpha store grain?", **deps)
+        made = vars(deps["graph"])["text_tokens"]
+        assert set(made) == {"alpha feeds bravo daily", *(chunk.text for chunk in deps["store"].metadata.values())}
+        assert texts[0] == [] and set(made) < set(texts[1])  # the hybrid half's tuples come through the graph's table
 
     def test_no_structured_text_no_tokenizing(self, monkeypatch):
         texts = record_texts(monkeypatch, retriever_mod)
