@@ -189,8 +189,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
             raise InputError(f"cannot write {out}: it is a directory")
         if not out.parent.is_dir():
             raise InputError(f"cannot write {out}: directory {out.parent} does not exist")
-    if len(outs) == 2 and outs[0].resolve() == outs[1].resolve():
-        raise InputError(f"--out and --matrix name the same file: {args.out}")
+    if len(outs) == 2:
+        out, matrix = outs
+        # Hard links resolve to two paths, so two files that exist are compared as files.
+        if out.samefile(matrix) if out.exists() and matrix.exists() else out.resolve() == matrix.resolve():
+            raise InputError(f"--out and --matrix name the same file: {args.out}")
     store = open_store(args.store)
     records, skipped = load_records_jsonl(args.records)
     if not records:

@@ -35,6 +35,7 @@ from .remote import post_json
 Vector = np.ndarray
 
 MAX_BATCH_SIZE = 64
+MAX_PARALLEL_REQUESTS = 4
 MAX_DIMENSION = 2**32 - 1  # vectors.skvx records the dimension as a u32
 _BLOCK_ROWS = 256  # rows per counting block in HashedTokens.rows and hashed_window_distances
 
@@ -45,13 +46,15 @@ _U64_MASK = 0xFFFFFFFFFFFFFFFF
 
 @dataclass
 class ProviderConfig:
+    """The embedder a store is built and queried with; each field is set by a ``kgrag index`` flag.
+
+    Transport is not config: every remote call takes ``post_json``'s policy.
+    """
+
     kind: str = "hashed"  # "hashed" | "remote"
     dimension: int = 256
     endpoint_url: str = ""
     model_name: str = ""
-    timeout: float = 30.0
-    max_retries: int = 3
-    parallelism: int = 4
 
     def __post_init__(self) -> None:
         if self.kind not in ("hashed", "remote"):
@@ -60,12 +63,6 @@ class ProviderConfig:
             raise ValueError("embedding dimension must be >= 8")
         if self.dimension > MAX_DIMENSION:
             raise ValueError(f"embedding dimension must be <= {MAX_DIMENSION}, got {self.dimension}")
-        if not 0 < self.timeout < math.inf:  # also false for NaN
-            raise ValueError(f"timeout must be finite and > 0, got {self.timeout}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.parallelism < 1:
-            raise ValueError(f"parallelism must be >= 1, got {self.parallelism}")
 
 
 def fnv1a64(data: bytes) -> int:
@@ -238,8 +235,9 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
     """Embed texts through the remote endpoint, preserving input order.
 
-    Requests are batched at most MAX_BATCH_SIZE texts each and issued
-    concurrently up to ``config.parallelism``. Each reply must hold one
+    Requests are batched at most MAX_BATCH_SIZE texts each, issued on at
+    most MAX_PARALLEL_REQUESTS workers, and sent with ``post_json``'s
+    defaults, the one policy of every remote call. Each reply must hold one
     item per text sent, indexed 0 to n - 1, each a vector of
     ``config.dimension`` finite JSON numbers; its rows are re-normalized to
     unit length. Returns float32, shape (len(texts), D).
@@ -251,12 +249,7 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
 
     def fetch(batch: list[str], offset: int) -> np.ndarray:
         try:
-            data = post_json(
-                config.endpoint_url,
-                {"model": config.model_name, "input": batch},
-                timeout=config.timeout,
-                max_retries=config.max_retries,
-            )
+            data = post_json(config.endpoint_url, {"model": config.model_name, "input": batch})
         except ProviderError as exc:
             raise ProviderError(f"embedding batch at input {offset} failed: {exc}") from exc
         try:
@@ -287,7 +280,7 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
 
     if len(batches) == 1:
         return fetch(batches[0], 0)
-    with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
+    with ThreadPoolExecutor(max_workers=MAX_PARALLEL_REQUESTS) as pool:
         return np.concatenate(list(pool.map(fetch, batches, offsets)))
 
 

@@ -3,9 +3,10 @@
 A store directory holds the four ``STORE_FILES``, written in that order
 with the manifest last so an interrupted build is detectable. A store
 without a valid manifest is corrupt, and so is one whose manifest names
-another format version than ``STORE_FORMAT_VERSION``; version 6 stores a
-chunk record as its id, span and text, and the graph as integer columns
-(see ``chunking`` and ``graph``); a version 1 to 5 store must be rebuilt.
+another format version than ``STORE_FORMAT_VERSION``; version 7 stores a
+chunk record as its id, span and text, the graph as integer columns (see
+``chunking`` and ``graph``), and in the manifest only the config values a
+``kgrag`` flag sets; a version 1 to 6 store must be rebuilt.
 Opening a store reads and checks every file but graph.json. That file, and
 the parent texts the graph renders (rebuilt from the chunk records, whose
 spans must tile each parent), are read and checked the first time
@@ -49,7 +50,7 @@ from .retriever import (
 )
 from .vector_index import CHUNKS_SIDECAR, VectorStore
 
-STORE_FORMAT_VERSION = 6
+STORE_FORMAT_VERSION = 7
 VECTORS_FILE = "vectors.skvx"
 GRAPH_FILE = "graph.json"
 MANIFEST_FILE = "manifest.json"
@@ -363,12 +364,13 @@ def open_store(store_dir: str | Path) -> Store:
         manifest_obj = json.loads(manifest_path.read_text(encoding="utf-8"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise StoreCorruptError(f"unreadable manifest in {path}: {exc}") from exc
-    manifest = StoreManifest.from_json_obj(manifest_obj)
-    if manifest.format_version != STORE_FORMAT_VERSION:
+    # The version is checked first: an older store's config blocks may hold keys this one lacks.
+    version = manifest_obj.get("format_version") if type(manifest_obj) is dict else None
+    if type(version) is int and version != STORE_FORMAT_VERSION:
         raise StoreCorruptError(
-            f"store format version {manifest.format_version} is not {STORE_FORMAT_VERSION}; "
-            f"rebuild the store with `kgrag index`"
+            f"store format version {version} is not {STORE_FORMAT_VERSION}; rebuild the store with `kgrag index`"
         )
+    manifest = StoreManifest.from_json_obj(manifest_obj)
 
     vectors = VectorStore.load(path / VECTORS_FILE)
     if vectors.dimension != manifest.provider.dimension:

@@ -1,18 +1,19 @@
 """HTTP plumbing for remote providers: retrying JSON POST and a chat client.
 
-All remote calls share one policy: bearer token from the SKETCH_API_KEY
-environment variable, and exponential backoff (base 1s, factor 2) on 429,
-5xx and connection errors, the failures a later attempt can outlive; a
-server certificate that fails verification is not one of them. A 429
-or 503 whose ``Retry-After`` header is whole seconds, at most the request
-timeout, waits that long before the next attempt instead. Any other
-non-2xx status raises ProviderError at once, and so do 501 (Not
-Implemented) and 505 (HTTP Version Not Supported), which say the server
-will never serve the request; a retryable failure raises it once
-max_retries is exhausted. Either way the error carries the status and a
-body excerpt. A malformed endpoint URL raises it before any attempt, and
-a non-ASCII path or query, which ``http.client`` cannot send, is
-percent-encoded as UTF-8 first.
+All remote calls share one policy, ``post_json``'s defaults, which the
+embedder and ``ChatClient`` both post with: bearer token from the
+SKETCH_API_KEY environment variable, a 30 s request timeout, 3 retries,
+and exponential backoff (base 1s, factor 2) on 429, 5xx and connection
+errors, the failures a later attempt can outlive; a server certificate
+that fails verification is not one of them. A 429 or 503 whose
+``Retry-After`` header is whole seconds, at most the request timeout,
+waits that long before the next attempt instead. Any other non-2xx status
+raises ProviderError at once, and so do 501 (Not Implemented) and 505
+(HTTP Version Not Supported), which say the server will never serve the
+request; a retryable failure raises it once the retries are exhausted.
+Either way the error carries the status and a body excerpt. A malformed
+endpoint URL raises it before any attempt, and a non-ASCII path or query,
+which ``http.client`` cannot send, is percent-encoded as UTF-8 first.
 
 ``_send`` is the one HTTP seam: one POST through the standard library's
 ``urllib.request``. It follows a 301, 302 or 303 as a GET; a 307 or 308 is

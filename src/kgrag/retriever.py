@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 from .exceptions import InputError
 from .extraction import query_ner
-from .graph import DEFAULT_HOPS, DEFAULT_MAX_NODES, DEFAULT_MAX_STRUCTURED_TOKENS, KnowledgeGraph
+from .graph import DEFAULT_HOPS, DEFAULT_MAX_STRUCTURED_TOKENS, KnowledgeGraph
 from .lexical import content_tokens, coverage  # noqa: F401 (content_tokens: the bench tracer patches it here)
 from .remote import ChatClient
 from .vector_index import VectorStore
@@ -49,7 +49,6 @@ class QueryConfig:
     hops: int = DEFAULT_HOPS
     beta: float = 0.25
     mode: str = "hybrid"
-    max_nodes: int = DEFAULT_MAX_NODES
 
     def __post_init__(self) -> None:
         if self.top_n_candidates < 1:
@@ -58,8 +57,6 @@ class QueryConfig:
             raise ValueError("final_m_chunks must be in [0, top_n_candidates]")
         if self.hops < 1:
             raise ValueError("hops must be >= 1")
-        if self.max_nodes < 1:
-            raise ValueError("max_nodes must be >= 1")
         if not 0 <= self.beta < math.inf:  # also false for NaN
             raise ValueError(f"beta must be finite and >= 0, got {self.beta}")
         if self.mode not in MODES:
@@ -132,7 +129,7 @@ def _structured_parts(
             unmatched.append(mention.surface)
     if not matched:
         return [], unmatched, "", {}
-    subgraph = graph.neighborhood(matched, hops=config.hops, max_nodes=config.max_nodes)
+    subgraph = graph.neighborhood(matched, hops=config.hops)
     kept: dict = {}
     content = set() if config.mode == "hybrid" else None
     text = graph.render_subgraph(subgraph, kept=kept, content=content)

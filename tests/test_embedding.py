@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import threading
 import urllib.error
 
 import numpy as np
@@ -8,6 +9,8 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 from kgrag.embedding import (
+    MAX_BATCH_SIZE,
+    MAX_PARALLEL_REQUESTS,
     HashedEmbedder,
     ProviderConfig,
     RemoteEmbedder,
@@ -255,9 +258,6 @@ def remote_config(**kwargs) -> ProviderConfig:
         dimension=8,
         endpoint_url="http://provider.test/v1/embeddings",
         model_name="embedder-1",
-        timeout=5.0,
-        max_retries=3,
-        parallelism=2,
     )
     base.update(kwargs)
     return ProviderConfig(**base)
@@ -299,6 +299,28 @@ class TestRemoteEmbedder:
         assert len(out) == 130
         assert sorted(calls, reverse=True) == [64, 64, 2]
 
+    def test_batches_share_post_jsons_policy_on_four_workers(self, monkeypatch):
+        # Each group of four batches meets at the barrier, so fewer workers time out and more show in the peak.
+        barrier = threading.Barrier(MAX_PARALLEL_REQUESTS, timeout=30)
+        lock = threading.Lock()
+        timeouts, in_flight, peak = [], [0], [0]
+
+        def fake_post(url, json=None, headers=None, timeout=None):
+            with lock:
+                timeouts.append(timeout)
+                in_flight[0] += 1
+                peak[0] = max(peak[0], in_flight[0])
+            barrier.wait()
+            with lock:
+                in_flight[0] -= 1
+            return FakeResponse(200, embedding_payload([[1.0] + [0.0] * 7] * len(json["input"])))
+
+        monkeypatch.setattr(remote_mod, "_send", fake_post)
+        texts = [f"t{i}" for i in range(8 * MAX_BATCH_SIZE)]
+        assert len(embed_remote(texts, remote_config())) == len(texts)
+        assert MAX_PARALLEL_REQUESTS == 4 and peak == [4]
+        assert timeouts == [30.0] * 8  # post_json's default, as every remote call
+
     def test_retry_backoff_on_429(self, monkeypatch):
         sleeps = []
         monkeypatch.setattr(remote_mod.time, "sleep", sleeps.append)
@@ -326,7 +348,7 @@ class TestRemoteEmbedder:
             ]
         )
         monkeypatch.setattr(remote_mod, "_send", fake)
-        assert len(embed_remote(["x"], remote_config(timeout=30.0))) == 1
+        assert len(embed_remote(["x"], remote_config())) == 1
         assert sleeps == [waits, 2.0]  # the header covers only the attempt after its own response
 
     @pytest.mark.parametrize("retry_after", ["31", "86400", "99999999999999999999"])
@@ -338,7 +360,7 @@ class TestRemoteEmbedder:
             + [FakeResponse(200, embedding_payload([[1.0] + [0.0] * 7]))]
         )
         monkeypatch.setattr(remote_mod, "_send", fake)
-        assert len(embed_remote(["x"], remote_config(timeout=30.0))) == 1
+        assert len(embed_remote(["x"], remote_config())) == 1
         assert sleeps == [1.0, 2.0]
 
     @pytest.mark.parametrize(
@@ -364,7 +386,7 @@ class TestRemoteEmbedder:
             + [FakeResponse(200, embedding_payload([[1.0] + [0.0] * 7]))]
         )
         monkeypatch.setattr(remote_mod, "_send", fake)
-        assert len(embed_remote(["x"], remote_config(timeout=30.0))) == 1
+        assert len(embed_remote(["x"], remote_config())) == 1
         assert sleeps == [1.0, 2.0]
 
     def test_error_after_max_retries_carries_status_and_body(self, monkeypatch):
@@ -507,8 +529,3 @@ class TestProviderConfig:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             ProviderConfig(kind="quantum")
-
-    @pytest.mark.parametrize("parallelism", [0, -3])
-    def test_parallelism_below_one_rejected(self, parallelism):
-        with pytest.raises(ValueError, match=f"parallelism must be >= 1, got {parallelism}"):
-            ProviderConfig(parallelism=parallelism)

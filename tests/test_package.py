@@ -89,6 +89,34 @@ def test_every_top_level_name_has_a_program_reader():
     assert not unread, f"defined in src/kgrag but read only by tests, if at all: {sorted(unread)}"
 
 
+def test_every_config_field_is_set_by_a_flag():
+    """Each field of a config dataclass is a keyword of one of cli.py's ``_section`` calls, so a ``kgrag`` flag sets it.
+
+    ``_query_config`` makes its config through ``_section`` too, and the
+    provider's ``endpoint_url`` is the one derived from ``--api-base``. A value
+    no flag sets is a constant, not config.
+    """
+    from dataclasses import fields
+
+    from kgrag.chunking import ChunkerConfig
+    from kgrag.embedding import ProviderConfig
+    from kgrag.pipeline import ExtractorConfig
+    from kgrag.retriever import QueryConfig
+
+    set_by_flags: dict[str, set[str]] = {}
+    for node in ast.walk(ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_section":
+            keywords = {keyword.arg for keyword in node.keywords} - {"base"}
+            set_by_flags.setdefault(node.args[2].id, set()).update(keywords)
+    unset = {
+        f"{cls.__name__}.{f.name}"
+        for cls in (ChunkerConfig, ProviderConfig, ExtractorConfig, QueryConfig)
+        for f in fields(cls)
+        if f.name not in set_by_flags.get(cls.__name__, set())
+    }
+    assert not unset, f"config fields no kgrag flag sets: {sorted(unset)}"
+
+
 def test_one_class_fills_missing_keys():
     """``corpus.Table`` is the package's one derive-on-first-read dict; a second ``__missing__`` repeats it."""
     owners = [

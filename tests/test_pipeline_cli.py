@@ -26,6 +26,7 @@ from kgrag.extraction import EXTRACTION_USER_TEMPLATE, RuleExtractor
 from kgrag.graph import KnowledgeGraph, _encode
 from kgrag.pipeline import (
     STORE_FILES,
+    STORE_FORMAT_VERSION,
     build_store,
     chunk_documents,
     open_store,
@@ -499,7 +500,6 @@ class TestConfigFileErrors:
             ({"query": {"top_k": 3}}, ["'query'", "'top_k'"]),
             ({"chunker": {"window_k": "2"}}, ["'chunker'"]),
             ({"chunkr": {"window_k": 2}}, ["'chunkr'"]),
-            ({"query": {"max_nodes": 0}}, ["'query'", "max_nodes must be >= 1"]),
             ({"chunker": {"chunk_size": 50.5}}, ["'chunker'", "'chunk_size' must be int, got float"]),
             ({"chunker": {"window_k": 1.5}}, ["'chunker'", "'window_k' must be int, got float"]),
             ({"chunker": {"window_k": True}}, ["'chunker'", "'window_k' must be int, got bool"]),
@@ -608,45 +608,21 @@ class TestConfigFileErrors:
         assert "error: corrupt store: invalid manifest: beta must be finite and >= 0" in captured.err
 
     @pytest.mark.parametrize(
-        ("key", "value", "named"),
-        [
-            ("timeout", 0.0, "timeout must be finite and > 0, got 0.0"),
-            ("timeout", -1.0, "timeout must be finite and > 0, got -1.0"),
-            ("timeout", float("nan"), "timeout must be finite and > 0, got nan"),
-            ("timeout", float("inf"), "timeout must be finite and > 0, got inf"),
-            ("max_retries", -1, "max_retries must be >= 0, got -1"),
-            ("parallelism", 0, "parallelism must be >= 1, got 0"),
-            ("parallelism", -3, "parallelism must be >= 1, got -3"),
-        ],
+        ("section", "key", "value"),
+        [("provider", "timeout", 30.0), ("provider", "max_retries", 3), ("provider", "parallelism", 4),
+         ("query", "max_nodes", 50)],
     )
-    def test_provider_transport_bound_in_config_file_exit_2(self, tmp_path, capsys, key, value, named):
+    def test_config_file_naming_a_format_6_key_exit_2(self, tmp_path, capsys, section, key, value):
+        # Format 6 held these; every remote call now takes post_json's policy, and the node budget is the graph's.
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"provider": {key: value}}))
+        cfg.write_text(json.dumps({section: {key: value}}))
         out = tmp_path / "store"
         argv = ["index", "--corpus", str(write_corpus(tmp_path)), "--out", str(out), "--config", str(cfg)]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"error: config section 'provider': bad value: {named}" in captured.err
+        assert captured.err == f"error: config section {section!r}: unknown key {key!r}\n"
         assert not out.exists()
-
-    @pytest.mark.parametrize(
-        ("key", "value", "named"),
-        [
-            ("timeout", 0.0, "timeout must be finite and > 0"),
-            ("timeout", float("inf"), "timeout must be finite and > 0"),
-            ("max_retries", -1, "max_retries must be >= 0"),
-        ],
-    )
-    def test_manifest_provider_transport_bound_exit_3(self, store_dir, capsys, key, value, named):
-        manifest_path = store_dir / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["config"]["provider"][key] = value
-        manifest_path.write_text(json.dumps(manifest))
-        assert main(["query", "--store", str(store_dir), "--question", "Anything?", "--json"]) == 3
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"error: corrupt store: invalid manifest: {named}" in captured.err
 
     def test_manifest_remote_embedder_without_endpoint_exit_2(self, store_dir, monkeypatch, capsys):
         import kgrag.remote as remote_mod
@@ -662,7 +638,7 @@ class TestConfigFileErrors:
         assert "(index with --api-base)" in capsys.readouterr().err
         assert sleeps == []
 
-    @pytest.mark.parametrize("key", ["hops", "max_nodes"])
+    @pytest.mark.parametrize("key", ["hops", "top_n_candidates"])
     def test_manifest_query_bound_below_one_exit_3(self, store_dir, capsys, key):
         manifest_path = store_dir / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
@@ -673,7 +649,7 @@ class TestConfigFileErrors:
         assert captured.out == ""
         assert f"error: corrupt store: invalid manifest: {key} must be >= 1" in captured.err
 
-    @pytest.mark.parametrize("key", ["hops", "max_nodes"])
+    @pytest.mark.parametrize("key", ["hops", "top_n_candidates"])
     def test_query_bound_below_one_exit_2(self, tmp_path, capsys, key):
         store = tmp_path / "store"
         build_store(write_corpus(tmp_path), store)
@@ -858,7 +834,7 @@ class TestCmdQuery:
 
     @pytest.mark.parametrize(
         ("section", "key", "value"),
-        [("query", "hops", 1.5), ("query", "max_nodes", True), ("chunker", "percentile", "95"),
+        [("query", "hops", 1.5), ("query", "top_n_candidates", True), ("chunker", "percentile", "95"),
          ("provider", "dimension", 256.0), ("extractor", "kind", None)],
     )
     def test_manifest_config_of_wrong_type_exit_3(self, store_dir, capsys, section, key, value):
@@ -1167,6 +1143,22 @@ class TestCmdEval:
         assert capsys.readouterr().err == "error: --out and --matrix name the same file: report.csv\n"
         assert not (tmp_path / "report.csv").exists()
 
+    def test_out_and_matrix_hard_links_of_one_file_exit_2_before_any_retrieval(
+        self, store_dir, tmp_path, monkeypatch, capsys
+    ):
+        # Two links resolve to two paths, but writing the matrix through one would overwrite the report.
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"question": "What crosses Rome?", "ground_truth": "The Tiber."}) + "\n")
+        (tmp_path / "report.csv").write_text("an earlier report\n")
+        os.link(tmp_path / "report.csv", tmp_path / "matrix.csv")
+        monkeypatch.chdir(tmp_path)
+        argv = ["eval", "--store", str(store_dir), "--records", str(records), "--out", "report.csv", "--matrix", "matrix.csv"]
+        with mock.patch("kgrag.pipeline.run_query", wraps=run_query) as runs:
+            assert main(argv) == 2
+        assert runs.call_count == 0
+        assert capsys.readouterr().err == "error: --out and --matrix name the same file: report.csv\n"
+        assert (tmp_path / "report.csv").read_text() == "an earlier report\n"
+
     @pytest.mark.parametrize("flag", ["--out", "--matrix"])
     @pytest.mark.parametrize("target", [*STORE_FILES, "records"])
     def test_output_naming_a_file_the_command_reads_exit_2_before_any_retrieval(
@@ -1338,25 +1330,29 @@ def test_graph_row_of_wrong_shape_exit_3(store_dir, tmp_path, monkeypatch, capsy
     assert_nothing_written(tmp_path)
 
 
-@pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("version", [1, 2, 3, 4, 5, 6])
 @pytest.mark.parametrize(
     "command",
     [["query", "--question", "Anything?"], ["graph-export", "--format", "json", "--out", "kg.json"]],
     ids=["query", "graph-export"],
 )
 def test_old_format_store_asks_for_a_rebuild(store_dir, tmp_path, monkeypatch, capsys, command, version):
-    # A store written before format 6, whose chunk records held their doc id and
-    # parent and whose manifest held a corpus fingerprint. Format 1 held a graph.json
-    # of indented dicts, format 2 one [source, target, relation, provenance] row per
-    # edge, format 3 a [name, [chunk ids]] row per node, format 4 node names and the
-    # four edge columns with each relation and chunk id written out, and format 5
-    # the graph.json of format 6.
+    # A store written before format 7, whose manifest held config keys this one
+    # does not know. Format 6 held the files of format 7. Before it, chunk records
+    # held their doc id and parent and the manifest a corpus fingerprint: format 1
+    # held a graph.json of indented dicts, format 2 one [source, target, relation,
+    # provenance] row per edge, format 3 a [name, [chunk ids]] row per node, format
+    # 4 node names and the four edge columns with each relation and chunk id written
+    # out, and format 5 the graph.json of format 6.
     manifest_path, graph_path = store_dir / "manifest.json", store_dir / "graph.json"
     chunks_path = store_dir / "chunks.jsonl"
-    manifest = json.loads(v5_manifest(manifest_path.read_bytes(), load_corpus(tmp_path / "corpus")))
+    manifest = v6_manifest(manifest_path.read_bytes())
+    if version < 6:
+        manifest = v5_manifest(manifest, load_corpus(tmp_path / "corpus"))
+        chunks_path.write_bytes(v5_chunks(chunks_path.read_bytes()))
+    manifest = json.loads(manifest)
     manifest["format_version"] = version
     manifest_path.write_text(json.dumps(manifest, indent=2))
-    chunks_path.write_bytes(v5_chunks(chunks_path.read_bytes()))
     v4 = v4_graph(json.loads(graph_path.read_text()))
     graph = v3_graph(v4)
     if version == 4:
@@ -1374,6 +1370,29 @@ def test_old_format_store_asks_for_a_rebuild(store_dir, tmp_path, monkeypatch, c
     err = capsys.readouterr().err
     assert f"format version {version}" in err and "rebuild the store with `kgrag index`" in err
     assert not (tmp_path / "kg.json").exists()
+
+
+@pytest.mark.parametrize(
+    ("version", "named"),
+    [
+        ("6", "'format_version' must be int, got str"),
+        (6.0, "'format_version' must be int, got float"),
+        (True, "'format_version' must be int, got bool"),
+        (None, "'format_version' must be int, got NoneType"),
+        (STORE_FORMAT_VERSION, "got an unexpected keyword argument 'timeout'"),
+    ],
+    ids=["str", "float", "bool", "null", "current"],
+)
+def test_format_6_keys_under_no_older_int_version_are_an_invalid_manifest(store_dir, capsys, version, named):
+    # Only an integer version other than the current one asks for a rebuild, before
+    # the config is read; any other manifest that holds format 6's keys is invalid.
+    manifest_path = store_dir / "manifest.json"
+    manifest = json.loads(v6_manifest(manifest_path.read_bytes()))
+    manifest["format_version"] = version
+    manifest_path.write_text(json.dumps(manifest))
+    assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: corrupt store: invalid manifest: ") and named in err and "rebuild" not in err
 
 
 def assert_export_is_one_encode(store: Path) -> None:
@@ -1401,6 +1420,22 @@ def v5_chunks(chunks: bytes) -> bytes:
         old = {"chunk_id": record["chunk_id"], "doc_id": parent.rpartition("#s")[0], "parent": parent}
         records.append(json.dumps({**old, "span": record["span"], "text": record["text"]}, ensure_ascii=False) + "\n")
     return "".join(records).encode("utf-8")
+
+
+def v6_manifest(manifest: bytes) -> bytes:
+    """The format-6 ``manifest.json`` bytes of a format-7 one: version 6, and the four config values it held.
+
+    Format 6 also held the provider's ``timeout``, ``max_retries`` and
+    ``parallelism`` after its ``model_name``, and the query's ``max_nodes``
+    after its ``mode``, each at the one value no flag changed.
+    """
+    obj = json.loads(manifest)
+    provider, query = obj["config"]["provider"], obj["config"]["query"]
+    assert list(provider)[-1] == "model_name" and list(query)[-1] == "mode"
+    obj["format_version"] = 6
+    provider.update(timeout=30.0, max_retries=3, parallelism=4)
+    query["max_nodes"] = 50
+    return (json.dumps(obj, ensure_ascii=False, indent=2) + "\n").encode("utf-8")
 
 
 def v5_manifest(manifest: bytes, documents: list[Document]) -> bytes:
@@ -1884,15 +1919,18 @@ class TestMiniCorpusFixture:
             "vectors.skvx": "a081e1ec5e6c45e9727ead13645ba9d178c743d77cdbddb1e0a8820dc5b87fe2",
             "chunks.jsonl": "c2e56f04940f94942241dc30c28e7caa39fca958c9bda84c52071e35e18fd6e4",
             "graph.json": "0a00e0b7185eeff78256048934ad15d9e11834415b7bf03bc701aac648743e51",
-            "manifest.json": "a7b635ed63b23bf72017f969a983573485d35652f29518aae5c080bdf89d78e6",
+            "manifest.json": "08706f47718b3c5d981fe0c7e958f7be3ae50b7c4ee8d4a51406a7262a667fc5",
         }
         digests = {name: hashlib.sha256((mini_store_dir / name).read_bytes()).hexdigest() for name in expected}
         assert digests == expected
-        # The format-5 digests, each chunk record's doc id and parent and the corpus
-        # fingerprint written back: only the layout moved.
+        # The format-6 manifest digest, the four config values it held written back;
+        # then the format-5 digests, each chunk record's doc id and parent and the
+        # corpus fingerprint written back: only the layout moved.
+        v6 = v6_manifest((mini_store_dir / "manifest.json").read_bytes())
+        assert hashlib.sha256(v6).hexdigest() == "a7b635ed63b23bf72017f969a983573485d35652f29518aae5c080bdf89d78e6"
         v5 = v5_chunks((mini_store_dir / "chunks.jsonl").read_bytes())
         assert hashlib.sha256(v5).hexdigest() == "531770bbb0558eb3355d4bfbf2cbe466b3838a054cde753b8d41e7a835d9db07"
-        v5 = v5_manifest((mini_store_dir / "manifest.json").read_bytes(), load_corpus(MINI_CORPUS))
+        v5 = v5_manifest(v6, load_corpus(MINI_CORPUS))
         assert hashlib.sha256(v5).hexdigest() == "346aedc432131b05bd0fa7d52ab28251454dfb59103be72903d5ee0046b4c89a"
         assert_export_is_one_encode(mini_store_dir)
         # The DOT export of the same graph: node ids are positions, edges in sorted order.
@@ -1960,21 +1998,24 @@ class TestStoreBytesPinnedLargerCorpus:
             "vectors.skvx": "69644bbd8b7fb4eb8c237ced211fc380a03680546d4201e414145912c4951c35",
             "chunks.jsonl": "32343ea9e5d3127c7d56561cd1d5135ffcd58b9936a127c495618fad4282673c",
             "graph.json": "9ab2b3a4030f0a8067ef3ef56d73820398a835f1c79367fe3a5214c8a0da29fb",
-            "manifest.json": "b4601ebcc1def288962044a7bba4942273d5ccd1749a6de58194f0290d323691",
+            "manifest.json": "3eaac7ec6008179f63f3a31cd050b6b0f06acf9c7bd6ed59e53057dc02cf218f",
         }
         store = tmp_path / "store"
         digests = {name: hashlib.sha256((store / name).read_bytes()).hexdigest() for name in expected}
         assert digests == expected
         assert_export_is_one_encode(store)
+        # The format-6 manifest digest, the four config values it held written back.
         # The format-5 digests: each chunk record's doc id and parent written out, and
         # the manifest's corpus fingerprint. Then the format-4, format-3 and format-2
         # digests: the graph with its labels written out, then with each node's
         # contexts filled back from its edges, then as one row per edge, and the
         # format-5 manifest naming version 4, 3, then 2, so only the layout and the
         # version moved.
+        v6 = v6_manifest((store / "manifest.json").read_bytes())
+        assert hashlib.sha256(v6).hexdigest() == "b4601ebcc1def288962044a7bba4942273d5ccd1749a6de58194f0290d323691"
         v5 = v5_chunks((store / "chunks.jsonl").read_bytes())
         assert hashlib.sha256(v5).hexdigest() == "f90eda607dc55fd411c921288bcffdda38b79aac5906c10aed8c66ada46bcbc4"
-        manifest = v5_manifest((store / "manifest.json").read_bytes(), docs)
+        manifest = v5_manifest(v6, docs)
         assert hashlib.sha256(manifest).hexdigest() == "248e7d46bd36145a7b67f22445dbee7a705ab46c3cff6ee8caadc20df78a9a9a"
         v4 = v4_graph(json.loads((store / "graph.json").read_text(encoding="utf-8")))
         assert hashlib.sha256(compact_bytes(v4)).hexdigest() == "b682750d9f648fe8828123f48f59fb1fa3a6efd977c43c8aa84dbb7cd5b2976e"

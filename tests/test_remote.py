@@ -223,7 +223,7 @@ def test_embed_remote_over_parallel_batches(server, sleeps):
         return 200, {}, json.dumps({"data": [{"index": i, "embedding": r} for i, r in enumerate(rows)]}).encode()
 
     server.respond = respond
-    config = ProviderConfig(kind="remote", dimension=8, endpoint_url=server.url, model_name="e", parallelism=4)
+    config = ProviderConfig(kind="remote", dimension=8, endpoint_url=server.url, model_name="e")
     out = embed_remote([f"t{i}" for i in range(130)], config)
     assert sorted(len(json.loads(r["body"])["input"]) for r in server.received) == [2, 64, 64]
     expected = np.zeros((130, 8))

@@ -421,7 +421,6 @@ class TestQueryConfig:
             {"hops": 0},
             {"mode": "psychic"},
             {"top_n_candidates": 0},
-            {"max_nodes": 0},
         ],
     )
     def test_validation(self, kwargs):
