@@ -15,7 +15,7 @@ import logging
 import os
 import sys
 from collections.abc import Callable
-from dataclasses import asdict, fields
+from dataclasses import asdict
 from pathlib import Path
 
 from .chunking import ChunkerConfig
@@ -37,6 +37,7 @@ from .pipeline import (
     ExtractorConfig,
     answer_records,
     build_store,
+    check_config_block,
     make_chat_client,
     make_config,
     open_store,
@@ -73,16 +74,14 @@ def _load_config_file(path: str | None) -> dict:
 def _section(file_cfg: dict, name: str, cls, base: dict | None = None, **flags):
     """Config dataclass ``cls`` from ``base``, then the file's ``name`` block, then the set flags."""
     block = file_cfg.get(name, {})
-    if not isinstance(block, dict):
-        raise InputError(f"config section {name!r} must be a JSON object, got {type(block).__name__}")
-    known = {f.name for f in fields(cls)}
-    for key in block:
-        if key not in known:
-            raise InputError(f"config section {name!r}: unknown key {key!r}")
+    try:
+        check_config_block(name, cls, block)
+    except TypeError as exc:
+        raise InputError(str(exc)) from exc
     values = {**(base or {}), **block}
     values.update({k: v for k, v in flags.items() if v is not None})
     try:
-        return make_config(cls, values)
+        return make_config(name, cls, values)
     except (TypeError, ValueError) as exc:
         raise InputError(f"config section {name!r}: bad value: {exc}") from exc
 

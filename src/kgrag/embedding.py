@@ -11,11 +11,15 @@ batch core: it lowercases, splits and hashes a list of texts once into one
 int64 array of signed columns, and ``rows`` counts any token ranges of it.
 A batch of texts is one row per text; an index build codes every sentence
 once, and each of its sentence windows and each of its chunks is one token
-range of that array. ``embed_hashed`` counts one text straight into one row;
-it exists because a query embeds one question, and the batch bookkeeping (a
-flat ``repeat`` index over all rows) cost more than the counting itself.
-Both count the same signed columns in token order, so their rows agree bit
-for bit.
+range of that array. ``embed_batch`` keeps nothing between calls: a batch
+hashes through its own table and drops it. ``embed_hashed`` counts one text
+straight into one row; it exists because a query embeds one question, and
+the batch bookkeeping (a flat ``repeat`` index over all rows) cost more than
+the counting itself. ``HashedEmbedder.embed`` counts through it with one
+token -> signed column table kept for the embedder's lifetime and cleared
+once it holds ``MAX_KEPT_TOKENS`` entries, so a run of questions hashes only
+the tokens the embedder has not seen. Both paths count the same signed
+columns in token order, so their rows agree bit for bit.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ Vector = np.ndarray
 MAX_BATCH_SIZE = 64
 MAX_PARALLEL_REQUESTS = 4
 MAX_DIMENSION = 2**32 - 1  # vectors.skvx records the dimension as a u32
+MAX_KEPT_TOKENS = 2**16  # entries HashedEmbedder.embed keeps; ~7 MB when the tokens are 3-12 letters
 _BLOCK_ROWS = 256  # rows per counting block in HashedTokens.rows and hashed_window_distances
 
 _FNV_OFFSET = 0xCBF29CE484222325
@@ -158,19 +163,23 @@ def embed_hashed_many(texts: list[str], dimension: int = 256) -> np.ndarray:
     return tokens.rows(tokens.offsets[:-1], tokens.offsets[1:])
 
 
-def embed_hashed(text: str, dimension: int = 256) -> Vector:
+def embed_hashed(text: str, dimension: int = 256, columns: Table | None = None) -> Vector:
     """``embed_hashed_many([text], dimension)[0]``, bit for bit, without the batch index.
 
-    The counts are small integers, so their sum of squares is exact in any
-    order and the norm matches the batch path's.
+    ``columns`` is a token -> signed column table for ``dimension`` to look
+    tokens up in and fill (a ``HashedEmbedder`` passes its own); without one
+    the call hashes through a fresh table and drops it. The counts are small
+    integers, so their sum of squares is exact in any order and the norm
+    matches the batch path's.
     """
     if dimension < 8:
         raise ValueError("embedding dimension must be >= 8")
     tokens = text.lower().split()
     if not tokens:
         return np.zeros(dimension, dtype=np.float32)
-    table = Table(partial(_signed_column, dimension))
-    signed = np.fromiter(map(table.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+    if columns is None:
+        columns = Table(partial(_signed_column, dimension))
+    signed = np.fromiter(map(columns.__getitem__, tokens), dtype=np.int64, count=len(tokens))
     row = np.bincount(signed >> 1, weights=1.0 - 2.0 * (signed & 1), minlength=dimension)
     norm = math.sqrt(row @ row)
     if norm > 0.0:
@@ -285,19 +294,28 @@ def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
 
 
 class HashedEmbedder:
-    """Deterministic local embedder; pure and safe to share across threads.
+    """Deterministic local embedder; safe to share across threads.
 
-    ``embed_batch`` hashes each distinct token of the batch once; no state
-    is kept between calls.
+    ``embed`` counts one text through the embedder's token -> signed column
+    table, so each distinct token is hashed once per embedder, not once per
+    call; the table is cleared whenever a call leaves it holding
+    ``MAX_KEPT_TOKENS`` entries. The table only caches a pure function, so
+    threads that race on a missing token store the same int, and a row never
+    depends on what the embedder saw before. ``embed_batch`` hashes each
+    distinct token of the batch once and keeps nothing between calls.
     """
 
     def __init__(self, dimension: int = 256):
         if dimension < 8:
             raise ValueError("embedding dimension must be >= 8")
         self.dimension = dimension
+        self._columns = Table(partial(_signed_column, dimension))
 
     def embed(self, text: str) -> Vector:
-        return embed_hashed(text, self.dimension)
+        row = embed_hashed(text, self.dimension, self._columns)
+        if len(self._columns) >= MAX_KEPT_TOKENS:
+            self._columns.clear()
+        return row
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
         return embed_hashed_many(texts, self.dimension)

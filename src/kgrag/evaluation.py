@@ -196,11 +196,14 @@ def context_precision(ground_truth: str, contexts: list[str], judge) -> float | 
 
     A context is relevant when it alone supports any ground-truth statement.
     Score = sum_k(precision@k * v_k) / sum_k(v_k); 0.0 when nothing is
-    relevant, None (undefined) when there are no contexts at all.
+    relevant, None (undefined) when there are no contexts at all. A ground
+    truth without statements raises ValueError, as in ``context_recall``.
     """
     if not contexts:
         return None
     statements = split_statements(ground_truth)
+    if not statements:
+        raise ValueError("ground_truth must be non-empty")
     verdicts = [1 if any(judge.supported(statements, [ctx])) else 0 for ctx in contexts]
     if sum(verdicts) == 0:
         return 0.0

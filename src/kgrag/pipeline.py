@@ -72,12 +72,25 @@ class ExtractorConfig:
             raise ValueError(f"unknown extractor kind {self.kind!r}")
 
 
-def make_config(cls, values: dict):
-    """``cls(**values)`` once each value has its field's default type; raises TypeError.
+def check_config_block(section: str, cls, block) -> None:
+    """Raise TypeError naming ``section`` unless ``block`` is a dict whose every key is a field of ``cls``."""
+    if not isinstance(block, dict):
+        raise TypeError(f"config section {section!r} must be a JSON object, got {type(block).__name__}")
+    known = {f.name for f in fields(cls)}
+    for key in block:
+        if key not in known:
+            raise TypeError(f"config section {section!r}: unknown key {key!r}")
 
-    An ``int`` field takes only ``int`` (not ``bool`` or ``float``), a ``float``
-    field ``int`` or ``float``, and a ``str`` field only ``str``.
+
+def make_config(section: str, cls, values: dict):
+    """``cls(**values)`` once ``check_config_block`` passes and each value has its field's default type.
+
+    Raises TypeError: an ``int`` field takes only ``int`` (not ``bool`` or
+    ``float``), a ``float`` field ``int`` or ``float``, and a ``str`` field
+    only ``str``. The store manifest and a ``--config`` file are both read
+    through here.
     """
+    check_config_block(section, cls, values)
     for f in fields(cls):
         if f.name in values:
             kind, got = type(f.default), type(values[f.name])
@@ -118,10 +131,10 @@ class StoreManifest:
                 raise TypeError(f"'counts' values must be int, got {counts!r}")
             return cls(
                 format_version=obj["format_version"],
-                chunker=make_config(ChunkerConfig, config["chunker"]),
-                provider=make_config(ProviderConfig, config["provider"]),
-                extractor=make_config(ExtractorConfig, config["extractor"]),
-                query=make_config(QueryConfig, config["query"]),
+                chunker=make_config("chunker", ChunkerConfig, config["chunker"]),
+                provider=make_config("provider", ProviderConfig, config["provider"]),
+                extractor=make_config("extractor", ExtractorConfig, config["extractor"]),
+                query=make_config("query", QueryConfig, config["query"]),
                 counts=counts,
             )
         except (KeyError, TypeError, ValueError) as exc:
@@ -395,6 +408,10 @@ def run_query(
     """One hybrid retrieval over an open store with its manifest providers.
 
     Only the modes in ``GRAPH_MODES`` read ``store.graph`` or build an extractor.
+    Pass one ``embedder`` (``store.make_embedder()``) across calls to reuse
+    what it keeps: a hashed embedder's token table, so each question hashes
+    only tokens it has not seen. Without one, each call makes a fresh
+    embedder and hashes every token of the question again.
     """
     config = config or store.manifest.query
     reads_graph = config.mode in GRAPH_MODES

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import threading
 import urllib.error
 
@@ -112,18 +113,15 @@ class TestHashedEmbedder:
         assert len(batch) == 2
 
 
+HASHED_TEXTS = st.one_of(
+    st.text(max_size=60),
+    st.sampled_from(TRICKY_TEXTS),
+    st.lists(st.sampled_from(["rome", "Rome", "pasta", "İstanbul", "ΟΔΟΣ", "🍕"]), max_size=20).map(" ".join),
+)
+
+
 class TestBatchedHashedEmbedder:
-    @given(
-        st.lists(
-            st.one_of(
-                st.text(max_size=60),
-                st.sampled_from(TRICKY_TEXTS),
-                st.lists(st.sampled_from(["rome", "Rome", "pasta", "İstanbul", "ΟΔΟΣ", "🍕"]), max_size=20).map(" ".join),
-            ),
-            max_size=8,
-        ),
-        st.sampled_from([8, 13, 64, 256]),
-    )
+    @given(st.lists(HASHED_TEXTS, max_size=8), st.sampled_from([8, 13, 64, 256]))
     @example(TRICKY_TEXTS, 64)
     def test_rows_match_reference_bytes(self, texts, dimension):
         batch = HashedEmbedder(dimension).embed_batch(texts)
@@ -172,6 +170,90 @@ class TestBatchedHashedEmbedder:
         second = embedder.embed_batch(["rome pasta"])
         assert sorted(hashed) == [b"pasta", b"rome"]
         assert first[0].tobytes() == second[0].tobytes()
+
+
+class TestKeptTokenTable:
+    def test_embed_hashes_only_tokens_new_to_the_embedder(self, monkeypatch):
+        hashed = record_texts(monkeypatch, embedding_mod, "fnv1a64")
+        embedder = HashedEmbedder(64)
+        embedder.embed("rome pasta Rome")
+        assert sorted(hashed) == [b"pasta", b"rome"]
+        hashed.clear()
+        row = embedder.embed("pasta sauce ROME")
+        assert hashed == [b"sauce"]
+        assert row.tobytes() == reference_embed_hashed("pasta sauce ROME", 64).tobytes()
+        hashed.clear()
+        HashedEmbedder(64).embed("pasta sauce ROME")
+        assert sorted(hashed) == [b"pasta", b"rome", b"sauce"]
+
+    def test_one_shot_function_hashes_every_call(self, monkeypatch):
+        hashed = record_texts(monkeypatch, embedding_mod, "fnv1a64")
+        embed_hashed("rome pasta", 64)
+        embed_hashed("rome pasta", 64)
+        assert sorted(hashed) == [b"pasta", b"pasta", b"rome", b"rome"]
+
+    def test_table_cleared_once_it_holds_the_bound(self, monkeypatch):
+        monkeypatch.setattr(embedding_mod, "MAX_KEPT_TOKENS", 4)
+        hashed = record_texts(monkeypatch, embedding_mod, "fnv1a64")
+        embedder = HashedEmbedder(64)
+        embedder.embed("a b c")
+        assert len(embedder._columns) == 3
+        embedder.embed("c d")
+        assert len(embedder._columns) == 0
+        hashed.clear()
+        assert embedder.embed("a d").tobytes() == reference_embed_hashed("a d", 64).tobytes()
+        assert sorted(hashed) == [b"a", b"d"]
+
+    def test_batch_neither_reads_nor_fills_the_table(self):
+        embedder = HashedEmbedder(64)
+        embedder.embed("rome pasta")
+        kept = dict(embedder._columns)
+        embedder.embed_batch(["rome sauce", "cheese"])
+        assert embedder._columns == kept
+
+    @pytest.mark.parametrize("bound", [None, 4])
+    @given(st.lists(HASHED_TEXTS, max_size=12), st.sampled_from([8, 13, 64, 256]))
+    @example(TRICKY_TEXTS * 2, 64)
+    def test_texts_through_one_embedder_match_reference_bytes(self, bound, texts, dimension):
+        with pytest.MonkeyPatch.context() as patch:
+            if bound is not None:
+                patch.setattr(embedding_mod, "MAX_KEPT_TOKENS", bound)
+            embedder = HashedEmbedder(dimension)
+            for text in texts:
+                row = embedder.embed(text)
+                assert row.dtype == np.float32 and row.shape == (dimension,)
+                assert row.tobytes() == reference_embed_hashed(text, dimension).tobytes()
+                assert len(embedder._columns) <= embedding_mod.MAX_KEPT_TOKENS
+
+    @pytest.mark.parametrize("bound", [None, 16])
+    def test_threads_sharing_one_embedder_get_single_thread_bytes(self, monkeypatch, bound):
+        if bound is not None:
+            monkeypatch.setattr(embedding_mod, "MAX_KEPT_TOKENS", bound)
+        texts = [" ".join(f"w{(i * 7 + j) % 97}" for j in range(i % 11 + 1)) for i in range(120)]
+        expected = [HashedEmbedder(64).embed(text).tobytes() for text in texts]
+        embedder = HashedEmbedder(64)
+        results: list[list[bytes]] = []
+        start = threading.Barrier(8, timeout=30)
+
+        def embed_all(shift: int) -> None:
+            start.wait()
+            order = texts[shift:] + texts[:shift]
+            rows = [embedder.embed(text).tobytes() for text in order]
+            results.append(rows[len(texts) - shift :] + rows[: len(texts) - shift])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=embed_all, args=(13 * i,)) for i in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [expected] * 8
+        assert len(embedder._columns) <= embedding_mod.MAX_KEPT_TOKENS
 
 
 def cosine(a: np.ndarray, b: np.ndarray) -> float:

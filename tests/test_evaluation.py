@@ -140,6 +140,15 @@ class TestContextPrecision:
     def test_all_irrelevant_zero(self):
         assert context_precision("Rome hosts festivals.", ["x y z", "p q r"], JUDGE) == 0.0
 
+    @pytest.mark.parametrize("ground_truth", ["", "   \n "], ids=["empty", "blank"])
+    def test_ground_truth_without_statements_raises_as_recall_does(self, ground_truth):
+        # An undefined metric must not read as a zero score.
+        contexts = ["rome hosts festivals"]
+        with pytest.raises(ValueError, match="ground_truth must be non-empty"):
+            context_recall(ground_truth, contexts, JUDGE)
+        with pytest.raises(ValueError, match="ground_truth must be non-empty"):
+            context_precision(ground_truth, contexts, JUDGE)
+
     def test_appending_irrelevant_never_raises(self):
         rng = random.Random(17)
         gt = "Rome hosts festivals. Parma makes cheese."

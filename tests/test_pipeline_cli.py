@@ -846,6 +846,32 @@ class TestCmdQuery:
         assert f"error: corrupt store: invalid manifest: {key!r} must be" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        ("section", "key"), [("provider", "timeout"), ("query", "max_nodes"), ("chunker", "k"), ("extractor", "")]
+    )
+    def test_manifest_config_with_unknown_key_names_section_and_key_exit_3(self, store_dir, capsys, section, key):
+        # The manifest and a --config file share one check, so both name the section and the key.
+        manifest_path = store_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"][section][key] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: corrupt store: invalid manifest: config section {section!r}: unknown key {key!r}\n"
+        )
+
+    @pytest.mark.parametrize("block", [[], ["kind"], "hashed", 3, None])
+    def test_manifest_config_section_not_an_object_exit_3(self, store_dir, capsys, block):
+        manifest_path = store_dir / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["config"]["provider"] = block
+        manifest_path.write_text(json.dumps(manifest))
+        assert main(["query", "--store", str(store_dir), "--question", "Anything?"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: corrupt store: invalid manifest: config section 'provider' must be a JSON object")
+
+    @pytest.mark.parametrize(
         "key, bad",
         [
             ("format_version", lambda manifest: 1.9),
@@ -1379,7 +1405,7 @@ def test_old_format_store_asks_for_a_rebuild(store_dir, tmp_path, monkeypatch, c
         (6.0, "'format_version' must be int, got float"),
         (True, "'format_version' must be int, got bool"),
         (None, "'format_version' must be int, got NoneType"),
-        (STORE_FORMAT_VERSION, "got an unexpected keyword argument 'timeout'"),
+        (STORE_FORMAT_VERSION, "config section 'provider': unknown key 'timeout'"),
     ],
     ids=["str", "float", "bool", "null", "current"],
 )
