@@ -60,7 +60,7 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+        obj = json.loads(Path(path).read_text(encoding="utf-8-sig"))
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(obj, dict):

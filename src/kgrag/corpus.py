@@ -1,7 +1,8 @@
 """Corpus loading, normalization and sentence splitting.
 
 A corpus is a directory (or single file) of UTF-8 ``.txt`` files and/or
-``.jsonl`` files with one ``{"id": ..., "text": ...}`` object per line.
+``.jsonl`` files with one ``{"id": ..., "text": ...}`` object per line; a
+byte order mark at the start of a file is dropped.
 Text is normalized (NFC, CRLF->LF, runs of blank lines collapsed) before
 anything downstream sees it, so every other module can assume normalized
 input.
@@ -120,7 +121,7 @@ def load_corpus(path: str | Path) -> list[Document]:
 
     for file in _iter_corpus_files(root):
         try:
-            raw = file.read_text(encoding="utf-8")
+            raw = file.read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise InputError(f"unreadable corpus file {file}: {exc}") from exc
         if file.suffix == ".txt":

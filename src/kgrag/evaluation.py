@@ -302,7 +302,7 @@ def load_records_jsonl(path: str | Path) -> tuple[list[EvalRecord], int]:
     escaped lone surrogate; a line with any other value is malformed.
     """
     try:
-        lines = Path(path).read_text(encoding="utf-8").split("\n")
+        lines = Path(path).read_text(encoding="utf-8-sig").split("\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read records file {path}: {exc}") from exc
     records: list[EvalRecord] = []

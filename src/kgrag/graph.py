@@ -19,14 +19,11 @@ lazily, bounded by hop count and node budget, so a hub costs what the budget
 admits. A neighborhood renders as text within a token budget: its context
 chunks, read through the graph's one chunk_id -> text map, those the seed
 nodes share most ahead, then its edges, collected from the columns only if
-the budget reaches them. Asked for its text's content tokens, a render
-hands back the union of the kept chunks' token tuples, each made from its
-text the first time a render keeps it and kept in ``text_tokens``, with the
-header's and the kept edge lines' tokens; the boost reads its candidate
-chunks' tuples from the same table. Same lifecycle as the vector
-store: single-writer build (or load), seal, then lock-free concurrent
-reads. ``export`` writes ``graph.json`` one piece at a time; a load checks
-it whole, in C or numpy.
+the budget reaches them. A render makes text only; ``text_tokens`` keeps
+each text's content tokens for the boost, which fills it. Same lifecycle
+as the vector store: single-writer build (or load), seal, then lock-free
+concurrent reads. ``export`` writes ``graph.json`` one piece at a time; a
+load checks it whole, in C or numpy.
 """
 
 from __future__ import annotations
@@ -59,7 +56,6 @@ _encode = json.JSONEncoder(ensure_ascii=False, separators=(",", ":")).encode
 
 # The first context line opens with this header.
 _CONTEXTS_HEADER = "Contexts:\n"
-_HEADER_TOKENS = frozenset(content_tokens(_CONTEXTS_HEADER))
 
 # The graph.json edge columns, in edge field order; the last two index the tables of the same names.
 EDGE_COLUMNS = ("sources", "targets", "relations", "chunks")
@@ -156,13 +152,11 @@ class KnowledgeGraph:
     def text_tokens(self) -> Table:
         """Text -> its distinct content tokens, made the first time a hybrid query scores the text, then kept.
 
-        The one table of the texts a hybrid query scores: a render filling
-        ``content`` fills it for the semantic chunks it keeps, keyed by the
-        text it has just read for the line, and the boost for its candidate
-        chunks' texts. So it holds no text but the store's own. Each value is
-        a tuple, not a set, of interned strings, so a token many texts hold
-        is one string: with every text made, the table is about the size of
-        the texts.
+        The one table of the texts a hybrid query's boost scores: the lines
+        of its structured text and its candidate chunks' texts, all derived
+        from the store. Each value is a tuple, not a set, of interned
+        strings, so a token many texts hold is one string: with every text
+        made, the table is about the size of the texts.
         """
         return Table(lambda text: tuple(map(sys.intern, content_tokens(text))))
 
@@ -278,12 +272,7 @@ class KnowledgeGraph:
     # -- rendering and export ------------------------------------------------
 
     def render_subgraph(
-        self,
-        sub: Subgraph,
-        max_tokens: int = DEFAULT_MAX_STRUCTURED_TOKENS,
-        *,
-        kept: dict | None = None,
-        content: set[str] | None = None,
+        self, sub: Subgraph, max_tokens: int = DEFAULT_MAX_STRUCTURED_TOKENS, *, kept: dict | None = None
     ) -> str:
         """Deterministic text form within ``max_tokens`` whitespace tokens.
 
@@ -298,34 +287,23 @@ class KnowledgeGraph:
         collected only once every lower level's lines fit, and the edges
         sorted only once every context line fits. ``kept``, when given, is
         filled with ``context_lines`` and ``edge_lines`` (the lines kept of
-        each section) and ``tokens`` (the tokens rendered). ``content``, when
-        given, is filled with ``content_tokens`` of the text, made without
-        tokenizing a context line: a kept chunk's tokens are made from its
-        text the first time a render keeps it, then kept in ``text_tokens``.
+        each section) and ``tokens`` (the tokens rendered).
         """
         lines: list[str] = []
-        texts: list[str] = []  # the kept context lines' chunk texts
-        used = 0
-        for text, line in self._lines(sub):
+        contexts = used = 0
+        for is_context, line in self._lines(sub):
             cost = len(line.split())
             if used + cost > max_tokens:
                 break
             used += cost
             lines.append(line)
-            if text is not None:
-                texts.append(text)
+            contexts += is_context
         if kept is not None:
-            kept.update(context_lines=len(texts), edge_lines=len(lines) - len(texts), tokens=used)
-        if content is not None:
-            # Lines join on whitespace, which never merges or splits a word, so the
-            # text's tokens are its lines': the header's, each kept chunk's, the edges'.
-            content.update(*map(self.text_tokens.__getitem__, texts), content_tokens("\n".join(lines[len(texts) :])))
-            if texts:
-                content.update(_HEADER_TOKENS)
+            kept.update(context_lines=contexts, edge_lines=len(lines) - contexts, tokens=used)
         return "\n".join(lines)
 
-    def _lines(self, sub: Subgraph) -> Iterator[tuple[str | None, str]]:
-        """Every line of the unbounded render, lazily, as (chunk text, line) pairs; an edge line's text is None.
+    def _lines(self, sub: Subgraph) -> Iterator[tuple[bool, str]]:
+        """Every line of the unbounded render, lazily, as (is a context line, line) pairs.
 
         Context chunks are ordered by the number of seed (hop 0) nodes whose
         contexts name them, descending, then by their least hop, then by
@@ -336,8 +314,7 @@ class KnowledgeGraph:
         """
         header = _CONTEXTS_HEADER
         for chunk_id in self._context_order(sub):
-            text = self._chunk_texts[chunk_id]
-            yield text, f"{header}- {text}"
+            yield True, f"{header}- {self._chunk_texts[chunk_id]}"
             header = ""
         hop_of, names = sub.nodes, self._names
         edge_keys = sorted(
@@ -345,7 +322,7 @@ class KnowledgeGraph:
         )
         separator = "" if header else "\n"
         for _, source, relation, target in edge_keys:
-            yield None, f"{separator}{source} -[{relation}]-> {target}"
+            yield False, f"{separator}{source} -[{relation}]-> {target}"
             separator = ""
 
     def _context_order(self, sub: Subgraph) -> Iterator[str]:

@@ -6,10 +6,9 @@ punctuation/symbols stripped, stopwords and pure-punctuation tokens dropped.
 Both score it with ``coverage``, the one place the overlap ratio is written,
 over the distinct tokens of a text in any collection: the judge's sets, or
 the tuples the graph keeps per text. Callers turn each text into its tokens
-once and reuse them. The graph's render is the one caller that tokenizes no
-text it returns: the set of lines joined on whitespace is the union of the
-lines' sets, so it unions the token tuples it keeps per chunk, and a hybrid
-query's boost reads its candidates' tuples from the same table.
+once and reuse them. No word spans a line break, so a text's set is the
+union of its lines' sets: the boost reads a structured text's tokens line
+by line from the graph's table.
 """
 
 from __future__ import annotations

@@ -311,10 +311,10 @@ def reconstruct_parent_texts(chunks: list[Chunk]) -> dict[str, str]:
     A parent's token windows (whose types ``read_chunks_jsonl`` checked), in
     span order, must tile it: each span is ``0 <= start < end``, the first
     starts at token 0 and each later one at or before the end covered so
-    far, else the store is corrupt. The
-    first window's text is kept whole; from each later one only the part
-    after the overlap, ``text.split(" ", skip)[skip]`` with ``skip = covered
-    - start``, is appended. The pieces joined with single spaces are the
+    far, and its text is ``end - start`` tokens joined with single spaces,
+    else the store is corrupt. The first window's text is kept whole; from
+    each later one only the part after the overlap, ``text.split(" ",
+    skip)[skip]`` with ``skip = covered - start``, is appended. The pieces joined with single spaces are the
     semantic chunk's tokens joined the same way, as if every window were
     split into tokens and re-joined. ``Store.graph`` takes its
     ``chunk_id -> text`` map from here.
@@ -339,6 +339,11 @@ def reconstruct_parent_texts(chunks: list[Chunk]) -> dict[str, str]:
                 raise StoreCorruptError(
                     f"chunk {member.chunk_id!r} starts at token {start}, past the {covered} tokens "
                     f"covered of parent {parent!r}"
+                )
+            if member.text.count(" ") != end - start - 1:
+                raise StoreCorruptError(
+                    f"chunk {member.chunk_id!r} text holds {member.text.count(' ') + 1} space-separated tokens, "
+                    f"but its span [{start}, {end}) covers {end - start}"
                 )
             rest = member.text.split(" ", skip)
             if member.text and len(rest) > skip:  # else the window adds no token

@@ -7,13 +7,12 @@ unstructured retriever embeds the question and scans the vector store.
 Fusion boosts each candidate chunk's cosine score by beta times its token
 overlap with the structured text (shared tokens act as confirmation
 signals), re-ranks, and assembles one unified context for the generator.
-The structured text is never tokenized: in hybrid mode, the one with
-candidates to boost, the render hands back its content tokens, the union
-of its kept chunks' token tuples. Each candidate's tokens come from the
-same table, ``KnowledgeGraph.text_tokens``, which makes a text's tuple the
-first time a hybrid query scores it, so a warm query tokenizes only its
-kept edge lines. With no structured text every boost is 0.0 and nothing
-is tokenized.
+No word spans a line break, so the structured text's content tokens are
+the union of its lines'. A query with structured text and candidates to
+boost reads each line's tokens, and each candidate's, from one table,
+``KnowledgeGraph.text_tokens``, which makes a text's tuple the first time a
+hybrid query scores it, so a warm query tokenizes nothing. With no
+structured text or no candidate nothing is tokenized.
 """
 
 from __future__ import annotations
@@ -113,11 +112,9 @@ def _structured_parts(
 
     Returns the matched entities' names, sorted, the unmatched mention
     surfaces, the text, and the subgraph's node count (``subgraph_nodes``)
-    with the line and token counts ``render_subgraph`` fills in and, in
-    hybrid mode, the text's ``content_tokens`` (``None`` in the others:
-    only the boost reads them), or ``{}`` when nothing matched. Each
-    mention is matched once. No entity match is not an error: the text is
-    then an empty string.
+    with the line and token counts ``render_subgraph`` fills in, or ``{}``
+    when nothing matched. Each mention is matched once. No entity match is
+    not an error: the text is then an empty string.
     """
     matched: set[int] = set()
     unmatched: list[str] = []
@@ -131,10 +128,9 @@ def _structured_parts(
         return [], unmatched, "", {}
     subgraph = graph.neighborhood(matched, hops=config.hops)
     kept: dict = {}
-    content = set() if config.mode == "hybrid" else None
-    text = graph.render_subgraph(subgraph, kept=kept, content=content)
+    text = graph.render_subgraph(subgraph, kept=kept)
     names = sorted(map(graph.name, matched))
-    return names, unmatched, text, {"subgraph_nodes": len(subgraph.nodes), **kept, "content_tokens": content}
+    return names, unmatched, text, {"subgraph_nodes": len(subgraph.nodes), **kept}
 
 
 def retrieve_unstructured(
@@ -208,10 +204,10 @@ def retrieve_hybrid(
     if config.mode in ("hybrid", "unstructured_only"):
         candidates = retrieve_unstructured(question, embedder, store, config)
 
-    if structured_text:
-        structured_tokens = shape["content_tokens"]  # content_tokens(structured_text), from the render's chunk tables
-        # each candidate's tuple, made the first time a hybrid query boosts its text
-        boosts = [confirmation_boost(graph.text_tokens[text], structured_tokens) for _, text, _ in candidates]
+    if structured_text and candidates:
+        tokens = graph.text_tokens  # each text's tuple, made the first time a hybrid query scores it
+        structured_tokens = set().union(*map(tokens.__getitem__, structured_text.split("\n")))
+        boosts = [confirmation_boost(tokens[text], structured_tokens) for _, text, _ in candidates]
     else:
         boosts = [0.0] * len(candidates)  # nothing can confirm a chunk
     ranked = rank_with_boosts(candidates, boosts, config.beta)[: config.final_m_chunks]

@@ -407,6 +407,11 @@ class TestRecordsJsonl:
         assert records[1].answer == "A2"
         assert records[1].contexts == ["c"]
 
+    def test_a_byte_order_mark_opening_the_file_is_dropped(self, tmp_path):
+        path = tmp_path / "records.jsonl"
+        path.write_text('\ufeff{"question": "Q1?", "ground_truth": "T1."}\n', encoding="utf-8")
+        assert load_records_jsonl(path) == ([EvalRecord(question="Q1?", ground_truth="T1.")], 0)
+
     def test_raw_line_separators_inside_strings_are_kept(self, tmp_path):
         odd = {"question": "Q\u2028one?", "ground_truth": "T\u0085.", "answer": "A", "contexts": ["c\u2029d"]}
         plain = {"question": "Q2?", "ground_truth": "T2."}

@@ -1127,13 +1127,12 @@ class TestBudgetedRender:
         sub = graph.neighborhood({seed for seed in seeds if seed < len(graph)}, hops=hops, max_nodes=max_nodes)
         for max_tokens in (budget, UNBOUNDED):
             kept: dict = {}
-            content: set[str] = set()
-            text = graph.render_subgraph(sub, max_tokens, kept=kept, content=content)
+            text = graph.render_subgraph(sub, max_tokens, kept=kept)
             expected, context_lines, edge_lines = reference_render(graph, sub, texts, max_tokens)
             assert text == expected
             assert kept == {"context_lines": context_lines, "edge_lines": edge_lines, "tokens": len(text.split())}
             assert kept["tokens"] <= max_tokens
-            assert content == content_tokens(text)
+        assert "text_tokens" not in vars(graph)  # a render makes text only
 
     def test_seed_shared_chunks_first_then_least_hop_then_id(self):
         texts = {cid: f"text {cid}" for cid in ("k1", "k2", "k3", "k4", "k5")}
@@ -1171,11 +1170,11 @@ class TestBudgetedRender:
         assert len(graph.contexts(0)) == 600
         sub = Subgraph(sub.nodes, Unreadable())
         kept: dict = {}
-        text = graph.render_subgraph(sub, 100, kept=kept, content=set())
+        text = graph.render_subgraph(sub, 100, kept=kept)
         assert len(text.split()) == kept["tokens"] <= 100
         assert kept["context_lines"] == 16 and kept["edge_lines"] == 0  # 1 + 16 * 6 tokens
         assert text.split("\n")[1:3] == ["- hub fact 0 holds here", "- hub fact 1 holds here"]
-        assert texts.lookups <= kept["context_lines"] + 1  # the tokens are made from the texts read for the lines
+        assert texts.lookups <= kept["context_lines"] + 1  # each kept line's text, and the one cut
 
         tally = [0]
         graph._neighbours = {node: CountingIds(graph._neighbours[node], tally) for node in range(len(graph))}
@@ -1196,45 +1195,7 @@ class TestBudgetedRender:
         assert collect.calls == 1  # collected once, then kept
 
 
-# Words at the edges of the content-token rule: stopwords, edge and interior
-# punctuation, case, final sigma, and the header's own word.
-_TOKEN_WORDS = st.sampled_from(
-    ["The", "of", "Rome", "ROME", "rome.", "-[capital_of]->", "(Naples)", "don't", "ΟΔΟΣ", "ΣΟΦΊΑ", "xΣ\u0301",
-     "Contexts:", "contexts", "-", "—", "İzmir", "🍕", "1889,", "a.b"]
-)
-_token_text = st.lists(st.one_of(_TOKEN_WORDS, AWKWARD_TEXT), max_size=8).map(" ".join)
-_token_texts = st.tuples(*[_token_text] * len(CHUNK_IDS)).map(lambda drawn: dict(zip(CHUNK_IDS, drawn)))
-_token_rows = st.lists(
-    st.tuples(
-        st.sampled_from(["alpha", "Beta.", "ΟΔΟΣ", "(gamma)", "delta's"]),
-        st.sampled_from(["r1", "has part", "is-in", "of", "ΣΟΦΊΑ"]),
-        st.sampled_from(["alpha", "BETA", "eps", "the end"]),
-        st.sampled_from(CHUNK_IDS),
-    ),
-    min_size=1,
-    max_size=20,
-)
-
-
 class TestRenderedTokens:
-    @settings(max_examples=300, deadline=None)
-    @given(_token_rows, _token_texts, st.sets(st.integers(0, 6), min_size=1, max_size=3), st.integers(0, 60))
-    @example([("alpha", "r1", "BETA", "c0")], {cid: "Rome of ROME" for cid in CHUNK_IDS}, {0}, 0)  # no line
-    @example([("alpha", "r1", "BETA", "c0"), ("alpha", "of", "eps", "c1")], {"c0": "a b", "c1": "c d"}, {0}, 4)
-    @example([("alpha", "has part", "BETA", "c0")], {cid: "ΣΟΦΊΑ (Naples)" for cid in CHUNK_IDS}, {0}, 60)
-    def test_equals_the_rendered_texts_tokens(self, rows, texts, seeds, budget):
-        graph = KnowledgeGraph(texts)
-        for row in rows:
-            graph.upsert_triple(triple(*row))
-        graph.seal()
-        loaded = KnowledgeGraph.from_json_obj(graph.to_json_obj(), texts)
-        for g in (graph, loaded):
-            sub = g.neighborhood({seed for seed in seeds if seed < len(g)}, hops=2)
-            for max_tokens in (budget, UNBOUNDED):
-                content: set[str] = set()
-                text = g.render_subgraph(sub, max_tokens, content=content)
-                assert content == content_tokens(text)
-
     def test_no_line_a_cut_in_the_contexts_and_the_edges(self):
         graph = KnowledgeGraph({"c0": "The Tiber crosses ROME.", "c1": "contexts of (Naples)"})
         graph.upsert_triple(triple("Rome", "has part", "Tiber", prov="c0"))
@@ -1247,46 +1208,10 @@ class TestRenderedTokens:
             (50, (2, 2), {"contexts", "tiber", "crosses", "rome", "naples", "part"}),  # "has" and "of" are stopwords
         ]:
             kept: dict = {}
-            content: set[str] = set()
-            text = graph.render_subgraph(sub, budget, kept=kept, content=content)
+            text = graph.render_subgraph(sub, budget, kept=kept)
             assert (kept["context_lines"], kept["edge_lines"]) == lines
-            assert content == content_tokens(text) == tokens
-
-    def test_concurrent_renders_share_one_string_per_token(self):
-        texts = {f"c{i:02d}": f"Fact {i} about Rome{i % 7} and the Tiber." for i in range(40)}
-        graph = KnowledgeGraph(texts)
-        for i in range(40):
-            graph.upsert_triple(triple(f"n{i % 9}", "r", f"n{i * 5 % 9}", prov=f"c{i:02d}"))
-        graph.seal()
-        subs = [graph.neighborhood({seed}, hops=2) for seed in range(len(graph))]
-        wrong: list[str] = []
-
-        def render_all() -> None:
-            for sub in subs:
-                for budget in (5, 40, UNBOUNDED):
-                    content: set[str] = set()
-                    text = graph.render_subgraph(sub, budget, content=content)
-                    if content != content_tokens(text):
-                        wrong.append(text)
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=render_all) for _ in range(8)]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join(timeout=60)
-        finally:
-            sys.setswitchinterval(interval)
-        assert not any(thread.is_alive() for thread in threads)
-        assert wrong == []
-        made = vars(graph)["text_tokens"]
-        assert set(made) == set(texts.values())
-        strings: dict[str, str] = {}
-        for text, tokens in made.items():
-            assert set(tokens) == content_tokens(text)
-            assert all(strings.setdefault(token, token) is token for token in tokens)  # one string per token
+            by_line = set().union(*map(graph.text_tokens.__getitem__, text.split("\n")))  # as the boost reads them
+            assert by_line == content_tokens(text) == tokens
 
 
 @st.composite
@@ -1473,56 +1398,45 @@ class TestDerivedListsAreLazy:
             assert g.render_subgraph(g.neighborhood({2}, hops=1)) == "Contexts:\n- ctx-bc\n- ctx-ab\n\nb -[r2]-> c"
             assert vars(g)["_neighbours"] is neighbours  # reused
 
-    @settings(max_examples=200, deadline=None)
-    @given(
-        small_triples,
-        st.lists(st.tuples(st.sets(st.integers(0, 7), max_size=3), st.integers(0, 12), st.booleans()), max_size=4),
-    )
-    @example(OUT_OF_ORDER_REPEAT, [({0}, 4, True), ({1}, 0, True), ({2}, 12, False)])
-    def test_renders_make_the_tokens_of_the_chunks_they_keep(self, triples, renders):
-        texts = {f"c{i}": f"ctx c{i} Word{i}." for i in range(3)}
-        built = KnowledgeGraph(texts)
-        for s, r, o, prov in triples:
-            built.upsert_triple(triple(s, r, o, prov))
-        built.seal()
-        loaded = KnowledgeGraph.from_json_obj(built.to_json_obj(), texts)
-        for graph in (built, loaded):
-            rendered: set[str] = set()
-            for seeds, budget, asked in renders:
-                sub = graph.neighborhood({seed for seed in seeds if seed < len(graph)}, hops=2)
-                text = graph.render_subgraph(sub, budget, content=set() if asked else None)
-                if asked:  # a render nobody asks for tokens makes none
-                    rendered.update(line.split()[2] for line in text.split("\n") if line.startswith("- ctx "))
-                made = dict(vars(graph).get("text_tokens", {}))
-                assert set(made) == {texts[chunk_id] for chunk_id in rendered}
-                assert all(set(tokens) == content_tokens(text) for text, tokens in made.items())
-
-    def test_hybrid_queries_make_the_tokens_of_the_chunks_they_render(self, mini_store_dir, mini_questions_path):
+    def test_hybrid_queries_make_the_tokens_of_the_lines_and_candidates_they_score(
+        self, mini_store_dir, mini_questions_path
+    ):
         store = open_store(mini_store_dir)
-        rendered: set[str] = set()
+        lines: set[str] = set()  # the lines of the structured texts a boost read
         scored: set[str] = set()  # the boosted candidates' texts
         for line in mini_questions_path.read_text(encoding="utf-8").splitlines():
             question = json.loads(line)["question"]
             for mode in ("unstructured_only", "structured_only"):  # no boost reads the structured text's tokens
                 run_query(store, question, QueryConfig(mode=mode))
-                assert set(vars(store.graph).get("text_tokens", {})) == rendered | scored
+                assert set(vars(store.graph).get("text_tokens", {})) == lines | scored
             config = QueryConfig(mode="hybrid")
             text = run_query(store, question, config).structured_text
-            rendered.update(row[2:] for row in text.split("\n\n")[0].split("\n")[1:])  # "- " + text, after the header
             if text:  # with no structured text nothing is boosted
+                lines.update(text.split("\n"))
                 scored.update(hit[1] for hit in retrieve_unstructured(question, store.make_embedder(), store.vectors, config))
-            assert set(vars(store.graph).get("text_tokens", {})) == rendered | scored
-        assert rendered <= set(store.graph._chunk_texts.values())
-        assert rendered and scored - rendered
+            assert set(vars(store.graph).get("text_tokens", {})) == lines | scored
+        assert {"Contexts:", ""} <= lines and scored - lines
+        for text, tokens in store.graph.text_tokens.items():
+            assert set(tokens) == content_tokens(text)
 
-    def test_the_token_table_holds_only_the_stores_texts(self, mini_store_dir, mini_questions_path):
+    def test_the_token_table_holds_only_texts_derived_from_the_store(self, mini_store_dir, mini_questions_path):
         store = open_store(mini_store_dir)
-        own = {*store.graph._chunk_texts.values(), *(chunk.text for chunk in store.vectors.metadata.values())}
+        graph = store.graph
+        obj = graph.to_json_obj()
+        (sources, targets, relations, _), names, labels = obj["edges"], obj["nodes"], obj["relations"]
+        edge_lines = {f"{names[s]} -[{labels[r]}]-> {names[t]}" for s, t, r in zip(sources, targets, relations)}
+        own = {
+            "Contexts:",
+            "",
+            *(f"- {text}" for text in graph._chunk_texts.values()),
+            *edge_lines,
+            *(chunk.text for chunk in store.vectors.metadata.values()),
+        }
         for line in mini_questions_path.read_text(encoding="utf-8").splitlines():
             for mode in ("hybrid", "unstructured_only", "structured_only"):
                 run_query(store, json.loads(line)["question"], QueryConfig(mode=mode))
-                assert set(store.graph.text_tokens) <= own
-        assert store.graph.text_tokens
+                assert set(graph.text_tokens) <= own
+        assert graph.text_tokens
 
     def test_concurrent_hybrid_queries_share_one_string_per_token(self, mini_store_dir, mini_questions_path):
         questions = [json.loads(line)["question"] for line in mini_questions_path.read_text(encoding="utf-8").splitlines()]

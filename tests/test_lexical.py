@@ -38,6 +38,16 @@ class TestContentTokens:
     def test_equals_per_token_loop(self, text):
         assert content_tokens(text) == per_token_content_tokens(text)
 
+    @settings(max_examples=500, deadline=None)
+    @given(texts)
+    @example("\u039f\u0394\u039f\u03a3\n\u03a3\u0391 \u03c3\u03a3\n")  # a final sigma before a line break
+    @example("Rome\u2028Tiber\x85cross\u2028\n\x85es")  # U+2028 and U+0085 inside a line
+    @example("Rome\n\nthe Tiber\n")  # a blank line
+    @example("Contexts:\n- x")  # a render's header and first context line
+    def test_a_texts_tokens_are_its_lines(self, text):
+        # No word spans a "\n", so the boost may read a structured text's tokens line by line.
+        assert content_tokens(text) == set().union(*map(content_tokens, text.split("\n")))
+
     def test_dotted_capital_i_keeps_its_combining_dot(self):
         # "\u0130".lower() is "i" plus U+0307, which is not alphanumeric, so the dot is stripped
         assert content_tokens("\u0130") == {"i"}

@@ -334,6 +334,22 @@ class TestReconstructParentTexts:
         with pytest.raises(StoreCorruptError, match=fault):
             reconstruct_parent_texts(chunks)
 
+    @pytest.mark.parametrize(
+        "text, fault",
+        [
+            ("a b", "^chunk 'p#t1' text holds 2 space-separated tokens, but its span \\[1, 4\\) covers 3$"),
+            ("b c d e", "^chunk 'p#t1' text holds 4 space-separated tokens, but its span"),
+            ("b  c d", "^chunk 'p#t1' text holds 4 space-separated tokens, but its span"),  # "" is a token
+            ("b\tc d", "^chunk 'p#t1' text holds 2 space-separated tokens, but its span"),
+            ("", "^chunk 'p#t1' text holds 1 space-separated tokens, but its span"),
+        ],
+        ids=["short", "long", "double-space", "tab", "empty"],
+    )
+    def test_a_text_that_does_not_hold_its_span_is_corrupt(self, text, fault):
+        chunks = [window("p", 0, ["a", "b"], 0, 2), Chunk("p#t1", (1, 4), text)]
+        with pytest.raises(StoreCorruptError, match=fault):
+            reconstruct_parent_texts(chunks)
+
 
 class TestCmdIndex:
     def test_success_and_artifact_contract(self, tmp_path, capsys):
@@ -351,6 +367,22 @@ class TestCmdIndex:
         assert len(sizes) == 4 and sizes["graph.json"] > 0
         last = capsys.readouterr().out.splitlines()[-1]
         assert last == f"store written to {out} ({sum(sizes.values())} bytes, graph.json {sizes['graph.json']} bytes)"
+
+    def test_a_byte_order_mark_opening_a_corpus_file_is_dropped(self, tmp_path):
+        files = {
+            "a.txt": "Rome is the capital of Italy. The Tiber crosses Rome on its way to the sea.",
+            "b.jsonl": '{"id": "b", "text": "Naples is the birthplace of Margherita pizza."}\n',
+        }
+        stores = []
+        for bom in ("", "\ufeff"):
+            corpus = tmp_path / f"corpus{len(bom)}"
+            corpus.mkdir()
+            for name, text in files.items():
+                (corpus / name).write_text(bom + text, encoding="utf-8")
+            build_store(corpus, tmp_path / f"store{len(bom)}")
+            stores.append({p.name: p.read_bytes() for p in (tmp_path / f"store{len(bom)}").iterdir()})
+        assert len(stores[0]) == 4 and stores[1] == stores[0]
+        assert '"rome"' in stores[0]["graph.json"].decode() and "\ufeff" not in stores[1]["chunks.jsonl"].decode()
 
     def test_missing_corpus_exit_2(self, tmp_path, capsys):
         code = main(["index", "--corpus", str(tmp_path / "nope"), "--out", str(tmp_path / "s")])
@@ -596,6 +628,23 @@ class TestConfigFileErrors:
         assert f"error: cannot read config file {cfg}: 'utf-8' codec can't decode" in captured.err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["query", "index"])
+    def test_config_file_with_a_byte_order_mark_is_read(self, store_dir, tmp_path, capsys, command):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('\ufeff{"query": {"final_m_chunks": 1}}', encoding="utf-8")
+        work = tmp_path / "work"
+        work.mkdir()
+        if command == "query":
+            argv = ["query", "--store", str(store_dir), "--question", "What crosses Rome?", "--json", "--config", str(cfg)]
+        else:
+            argv = ["index", "--corpus", str(write_corpus(work)), "--out", str(work / "store"), "--config", str(cfg)]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        if command == "query":
+            assert len(json.loads(out)["chunks"]) == 1
+        else:
+            assert json.loads((work / "store" / "manifest.json").read_text())["config"]["query"]["final_m_chunks"] == 1
+
     @pytest.mark.parametrize("beta", [float("nan"), float("inf")])
     def test_manifest_non_finite_beta_exit_3(self, store_dir, capsys, beta):
         manifest_path = store_dir / "manifest.json"
@@ -690,13 +739,18 @@ each_untiled_span = pytest.mark.parametrize(
 )
 
 
-def respan(store_dir: Path, chunk_id: str, span: list) -> None:
-    """Rewrite ``chunk_id``'s span in the store's chunks.jsonl."""
+def rewrite_chunk(store_dir: Path, chunk_id: str, **fields) -> None:
+    """Rewrite ``chunk_id``'s ``fields`` in the store's chunks.jsonl."""
     sidecar = store_dir / "chunks.jsonl"
     rows = [json.loads(line) for line in sidecar.read_text().splitlines()]
     [row] = [row for row in rows if row["chunk_id"] == chunk_id]
-    row["span"] = span
+    row.update(fields)
     sidecar.write_text("".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows))
+
+
+def respan(store_dir: Path, chunk_id: str, span: list) -> None:
+    """Rewrite ``chunk_id``'s span in the store's chunks.jsonl."""
+    rewrite_chunk(store_dir, chunk_id, span=span)
 
 
 def run_in(workdir: Path, monkeypatch, store_dir: Path, command: list[str]) -> int:
@@ -1581,6 +1635,25 @@ class TestGraphOnFirstRead:
             assert run_in(workdir, monkeypatch, store, command) == 3, command
             err = capsys.readouterr().err
             assert err.startswith("error: corrupt store: ") and f"chunk {chunk_id!r} starts at token {span[0]}" in err
+        assert_nothing_written(workdir)
+
+    @pytest.mark.parametrize("cut", [slice(0, 3), slice(0, -1), slice(1, None)], ids=["3-tokens", "one-short", "head-cut"])
+    def test_chunk_text_that_does_not_hold_its_span_exits_3_where_the_graph_is_read(
+        self, mini_store_dir, tmp_path, monkeypatch, capsys, cut
+    ):
+        store, workdir = shutil.copytree(mini_store_dir, tmp_path / "mini"), tmp_path / "work"
+        workdir.mkdir()
+        rows = [json.loads(line) for line in (store / "chunks.jsonl").read_text().splitlines()]
+        [row] = [row for row in rows if row["chunk_id"] == "dishes#s0#t0"]
+        assert row["span"] == [0, 68] and len(row["text"].split(" ")) == 68
+        rewrite_chunk(store, "dishes#s0#t0", text=" ".join(row["text"].split(" ")[cut]))
+        assert run_in(workdir, monkeypatch, store, SEMANTIC_QUERY) == 0  # the graph's parent texts are never rebuilt
+        capsys.readouterr()
+        for command in GRAPH_READERS.values():
+            assert run_in(workdir, monkeypatch, store, command) == 3, command
+            err = capsys.readouterr().err
+            assert err.startswith("error: corrupt store: ") and "chunk 'dishes#s0#t0' text holds" in err
+            assert "but its span [0, 68) covers 68" in err
         assert_nothing_written(workdir)
 
     @pytest.mark.parametrize(

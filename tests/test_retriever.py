@@ -215,37 +215,28 @@ class TestRetrieveHybrid:
         graph = make_graph(CHAIN, snippet="alpha feeds bravo daily")
         return dict(embedder=EMBEDDER, store=store, extractor=RuleExtractor(), graph=graph)
 
-    def test_structured_text_not_tokenized_each_candidate_once(self, monkeypatch):
+    def test_each_line_and_candidate_tokenized_once_warm_query_none(self, monkeypatch):
         texts = record_texts(monkeypatch, graph_mod)
         deps = self.deps()
+        question = "Where does Alpha store grain?"
+        for mode in ("structured_only", "unstructured_only"):
+            retrieve_hybrid(question, **deps, config=QueryConfig(mode=mode))
+        retrieve_hybrid(question, **{**deps, "store": make_store({})})  # structured text, no candidate to boost
+        assert texts == [] and "text_tokens" not in vars(deps["graph"])
         config = QueryConfig(top_n_candidates=4, final_m_chunks=4)
-        result = retrieve_hybrid("Where does Alpha store grain?", **deps, config=config)
-        assert result.structured_text
+        result = retrieve_hybrid(question, **deps, config=config)
+        lines = result.structured_text.split("\n")
+        assert len(set(lines)) < len(lines)  # both chunks hold one text, so two lines repeat
         made = vars(deps["graph"])["text_tokens"]
-        candidates = {c.text for c in result.ranked_chunks}
-        assert set(made) == {"alpha feeds bravo daily", *candidates}  # the rendered chunk's tuple and one per candidate
-        edge_block = result.structured_text[result.structured_text.index("\n\n") + 1 :]  # the blank line opens it
-        assert sorted(texts) == sorted([*made, edge_block])  # each text tokenized once, the structured text never whole
+        assert set(made) == {*lines, *(c.text for c in result.ranked_chunks)}
+        assert sorted(texts) == sorted(made)  # each distinct text tokenized once, the structured text never whole
         texts.clear()
-        again = retrieve_hybrid("Where does Alpha store grain?", **deps, config=config)
-        assert again == result
-        assert texts == [edge_block]  # a warm query tokenizes its edge block and no chunk text
+        again = retrieve_hybrid(question, **deps, config=config)
+        assert again == result and texts == []  # a warm query tokenizes nothing
         structured = content_tokens(result.structured_text)
-        assert [c.boost for c in result.ranked_chunks] == [coverage(content_tokens(c.text), structured)
-                                                           for c in result.ranked_chunks]
-
-    def test_kg_mode_tokenizes_nothing(self, monkeypatch):
-        texts = record_texts(monkeypatch, retriever_mod), record_texts(monkeypatch, graph_mod)
-        deps = self.deps()
-        config = QueryConfig(mode="structured_only")
-        result = retrieve_hybrid("Where does Alpha store grain?", **deps, config=config)
-        assert result.structured_text and result.ranked_chunks == []
-        assert texts == ([], [])  # no candidate to boost, so no token set is made
-        assert "text_tokens" not in vars(deps["graph"])
-        retrieve_hybrid("Where does Alpha store grain?", **deps)
-        made = vars(deps["graph"])["text_tokens"]
-        assert set(made) == {"alpha feeds bravo daily", *(chunk.text for chunk in deps["store"].metadata.values())}
-        assert texts[0] == [] and set(made) < set(texts[1])  # the hybrid half's tuples come through the graph's table
+        boosts = [coverage(content_tokens(c.text), structured) for c in result.ranked_chunks]
+        assert [c.boost.hex() for c in result.ranked_chunks] == [b.hex() for b in boosts]  # bit for bit
+        assert any(boosts)
 
     def test_no_structured_text_no_tokenizing(self, monkeypatch):
         texts = record_texts(monkeypatch, retriever_mod)

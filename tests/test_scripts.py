@@ -1,19 +1,25 @@
-"""Smoke tests: the two scripts under scripts/ run on the bundled mini corpus."""
+"""Smoke tests: the scripts under scripts/ run on the bundled mini corpus."""
 
 from __future__ import annotations
 
+import hashlib
+import importlib.util
+import io
+import json
 import re
 import subprocess
 import sys
+from contextlib import redirect_stdout
 
 import pytest
 
 from kgrag.chunking import ChunkerConfig, semantic_split, window_distances
+from kgrag.cli import main as kgrag_main
 from kgrag.corpus import load_corpus, split_sentences
 from kgrag.embedding import HashedEmbedder
 from kgrag.evaluation import METRIC_NAMES
 
-from conftest import MINI_CORPUS, REPO_ROOT
+from conftest import MINI_CORPUS, MINI_QUESTIONS, REPO_ROOT
 
 SCRIPTS = REPO_ROOT / "scripts"
 
@@ -91,3 +97,41 @@ def test_run_mini_benchmark(tmp_path):
         assert len(cells) == len(METRIC_NAMES)
         assert all(cell == "n/a" or 0.0 <= float(cell) <= 1.0 for cell in cells)
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"report_{mode}.csv" for mode in sorted(modes)]
+
+
+def test_output_digests_of_the_mini_corpus(mini_store_dir):
+    out = run_script("output_digests.py", "--corpus", str(MINI_CORPUS), "--questions", str(MINI_QUESTIONS))
+    lines = out.splitlines()
+    files = sorted(p.name for p in mini_store_dir.iterdir())
+    assert lines[: len(files)] == [f"{hashlib.sha256((mini_store_dir / n).read_bytes()).hexdigest()}  {n}" for n in files]
+    expected = []
+    for question in (json.loads(line)["question"] for line in MINI_QUESTIONS.read_text().splitlines()):
+        for mode in ("hybrid", "semantic", "kg"):
+            printed = io.StringIO()
+            with redirect_stdout(printed):
+                argv = ["query", "--store", str(mini_store_dir), "--mode", mode, "--question", question, "--json"]
+                assert kgrag_main(argv) == 0
+            expected.append(f"{hashlib.sha256(printed.getvalue().encode()).hexdigest()}  {mode}  {question}")
+    assert lines[len(files) :] == expected
+
+
+def test_output_digests_exits_1_when_a_second_pass_differs(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("output_digests", SCRIPTS / "output_digests.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    first_calls: set[tuple] = set()
+    run_query = script.run_query
+
+    def drifting(store, question, config, **providers):
+        result = run_query(store, question, config, **providers)
+        if (question, config.mode) in first_calls:
+            result.diagnostics["drift"] = True  # a warm query that answers otherwise
+        first_calls.add((question, config.mode))
+        return result
+
+    monkeypatch.setattr(script, "run_query", drifting)
+    argv = ["--corpus", str(MINI_CORPUS), "--questions", str(MINI_QUESTIONS)]
+    assert script.main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 3 * len(MINI_QUESTIONS.read_text().splitlines())
+    assert err[0] == "second pass differs from the first: hybrid: 'What is the Margherita pizza named after?'"
