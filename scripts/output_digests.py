@@ -1,12 +1,16 @@
 #!/usr/bin/env python3
-"""Print the sha256 of a build's store files and of every query's output.
+"""Print the sha256 of a build's store files, of every query's output and of each eval report.
 
 Builds a store from a corpus in a temp dir with the default settings and
 prints one line per store file, then one per question and mode (hybrid,
-semantic, kg) with the sha256 of ``kgrag query --json``'s output. Two trees
-that print the same lines write the same store bytes and answer every
-question alike, so a refactor that claims identical outputs can show it by
-diffing this script's output before and after.
+semantic, kg) with the sha256 of ``kgrag query --json``'s output, then one
+per mode with the sha256 of ``kgrag eval``'s report CSV (lexical judge, echo
+generator). The eval records are the ``--questions`` file, or for a
+generated corpus each question with its fact sentence as the ground truth.
+Two trees that print the same lines write the same store bytes, answer
+every question alike and score it alike, so a refactor that claims
+identical outputs can show it by diffing this script's output before and
+after.
 
 It then runs every question twice in each mode through ``run_query`` over
 one open store, with one embedder and one extractor, and exits 1 if a
@@ -42,13 +46,15 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def bench_corpus(seed: int, docs: int, corpus_dir: Path) -> list[str]:
-    """Write the seeded benchmark corpus under ``corpus_dir``; returns its questions."""
+def bench_corpus(seed: int, docs: int, corpus_dir: Path, records: Path) -> list[str]:
+    """Write the seeded benchmark corpus under ``corpus_dir`` and its eval records; returns its questions."""
     sys.path.insert(0, str(REPO_ROOT / "bench"))
     import corpus_gen
 
     corpus = corpus_gen.generate(seed, n_docs=docs)
     corpus.write_jsonl(corpus_dir / "docs.jsonl")
+    lines = [json.dumps({"question": q.text, "ground_truth": q.fact.sentence}) + "\n" for q in corpus.questions]
+    records.write_text("".join(lines), encoding="utf-8")
     return [question.text for question in corpus.questions]
 
 
@@ -60,6 +66,16 @@ def query_digest(store_dir: Path, mode: str, question: str) -> str:
     if code != 0:
         raise SystemExit(f"query --mode {mode} exited {code} on {question!r}")
     return sha256(out.getvalue().encode("utf-8"))
+
+
+def eval_digest(store_dir: Path, mode: str, records: Path, out: Path) -> str:
+    """The sha256 of ``kgrag eval``'s report CSV; a nonzero exit stops the script."""
+    argv = ["eval", "--store", str(store_dir), "--mode", mode, "--records", str(records), "--out", str(out)]
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = kgrag_main(argv)
+    if code != 0:
+        raise SystemExit(f"eval --mode {mode} exited {code}")
+    return sha256(out.read_bytes())
 
 
 def second_pass_faults(store_dir: Path, questions: list[str]) -> list[str]:
@@ -89,10 +105,10 @@ def main(argv: list[str] | None = None) -> int:
 
     with tempfile.TemporaryDirectory() as tmp:
         if args.corpus is None:
-            corpus_dir = Path(tmp) / "corpus"
-            questions = bench_corpus(args.bench_seed, args.docs, corpus_dir)
+            corpus_dir, records = Path(tmp) / "corpus", Path(tmp) / "records.jsonl"
+            questions = bench_corpus(args.bench_seed, args.docs, corpus_dir, records)
         else:
-            corpus_dir = args.corpus
+            corpus_dir, records = args.corpus, args.questions
             lines = args.questions.read_text(encoding="utf-8-sig").splitlines()
             questions = [json.loads(line)["question"] for line in lines if line.strip()]
         store_dir = Path(tmp) / "store"
@@ -102,6 +118,8 @@ def main(argv: list[str] | None = None) -> int:
         for question in questions:
             for mode in MODE_ALIASES:
                 print(f"{query_digest(store_dir, mode, question)}  {mode}  {question}")
+        for mode in MODE_ALIASES:
+            print(f"{eval_digest(store_dir, mode, records, Path(tmp) / 'report.csv')}  eval  {mode}")
         faults = second_pass_faults(store_dir, questions)
     for fault in faults:
         print(f"second pass differs from the first: {fault}", file=sys.stderr)

@@ -2,7 +2,7 @@
 
 from .chunking import Chunk, ChunkerConfig, SemanticChunk, semantic_split, token_window_split, window_distances
 from .corpus import Document, load_corpus, split_sentences
-from .embedding import HashedEmbedder, ProviderConfig, RemoteEmbedder, embed_hashed
+from .embedding import HashedEmbedder, ProviderConfig, RemoteEmbedder
 from .evaluation import (
     EvalRecord,
     LexicalJudge,
@@ -74,7 +74,6 @@ __all__ = [
     "confirmation_boost",
     "context_precision",
     "context_recall",
-    "embed_hashed",
     "evaluate",
     "f1_context",
     "faithfulness",

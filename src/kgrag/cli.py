@@ -136,12 +136,10 @@ def cmd_query(args: argparse.Namespace) -> int:
         raise InputError(problem)
     store = open_store(args.store)
     config = _query_config(store.manifest.query, _load_config_file(args.config), args)
+    # Made before retrieval, so a generator the store cannot back fails before any work.
+    generator = store.make_generator(args.generator) if args.answer else None
     result = run_query(store, args.question, config)
-
-    answer = None
-    if args.answer:
-        generator = store.make_generator(args.generator)
-        answer = generator.generate(args.question, result.unified_context)
+    answer = generator.generate(args.question, result.unified_context) if generator else None
 
     if args.as_json:
         payload = {
@@ -200,15 +198,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     config = _query_config(store.manifest.query, _load_config_file(args.config), args)
     embedder = store.make_embedder()
-    generator = None
-    if any(not record.answer for record in records):
-        generator = store.make_generator(args.generator)
-    pipeline_runs = answer_records(store, records, config, generator, embedder)
-
+    # The judge and generator are made before retrieval, so one the store cannot back fails before any work.
     if args.judge == "lexical":
         judge = LexicalJudge()
     else:
         judge = RemoteJudge(make_chat_client(store.manifest.extractor, "judge"))
+    generator = None
+    if any(not record.answer for record in records):
+        generator = store.make_generator(args.generator)
+    pipeline_runs = answer_records(store, records, config, generator, embedder)
     report = evaluate(records, judge, embedder)
     write_report_csv(report, args.out)
     if args.matrix:

@@ -3,23 +3,18 @@
 Two providers: a deterministic signed-feature-hashing embedder for offline
 and test use, and a remote HTTP provider speaking the common embeddings wire
 shape (POST {"model", "input": [...]} -> {"data": [{"index", "embedding"}]}).
-Vectors are float32, unit-normalized; empty text maps to the zero vector.
-``embed_batch`` returns a batch as one float32 (n, D) matrix for both
-providers, and ``cosine_rows`` is the one cosine rule applied to such rows.
-The hashed embedder counts tokens in two places. ``HashedTokens`` is the
-batch core: it lowercases, splits and hashes a list of texts once into one
-int64 array of signed columns, and ``rows`` counts any token ranges of it.
-A batch of texts is one row per text; an index build codes every sentence
-once, and each of its sentence windows and each of its chunks is one token
-range of that array. ``embed_batch`` keeps nothing between calls: a batch
-hashes through its own table and drops it. ``embed_hashed`` counts one text
-straight into one row; it exists because a query embeds one question, and
-the batch bookkeeping (a flat ``repeat`` index over all rows) cost more than
-the counting itself. ``HashedEmbedder.embed`` counts through it with one
-token -> signed column table kept for the embedder's lifetime and cleared
-once it holds ``MAX_KEPT_TOKENS`` entries, so a run of questions hashes only
-the tokens the embedder has not seen. Both paths count the same signed
-columns in token order, so their rows agree bit for bit.
+Each provider's ``embed`` (one text) and ``embed_batch`` (one float32 (n, D)
+matrix) are its one entry point. Vectors are float32 and unit-normalized;
+the hashed embedder maps a text without tokens to the zero vector, while the
+remote one sends every text as given. ``cosine_rows`` is the one cosine rule
+applied to such rows. ``HashedTokens`` is the hashed batch core: it
+lowercases, splits and hashes a list of texts once into one int64 array of
+signed columns, and ``rows`` counts any token ranges of it. An index build
+codes every sentence once, and each of its sentence windows and chunks is
+one token range of that array. ``HashedEmbedder.embed`` counts one question
+straight into one row, since the batch bookkeeping (a flat ``repeat`` index
+over all rows) cost more than the counting itself; both paths count the
+same signed columns in token order, so their rows agree bit for bit.
 """
 
 from __future__ import annotations
@@ -146,47 +141,6 @@ def _normalized(values: np.ndarray) -> np.ndarray:
     return values.astype(np.float32)
 
 
-def embed_hashed_many(texts: list[str], dimension: int = 256) -> np.ndarray:
-    """Signed feature hashing over lowercased whitespace tokens, one row per text.
-
-    Each token hashes to one coordinate (FNV-1a mod D) with sign taken from
-    the hash's top bit; each row is L2-normalized, and a text without tokens
-    is the zero row. Disjoint vocabularies land on (near-)orthogonal vectors,
-    which is what the chunk-boundary tests rely on.
-
-    Each distinct token of the batch is hashed once, nothing is kept across
-    calls, and a row does not depend on the rest of the batch: row i is
-    ``HashedTokens(texts, dimension).rows`` over text i's tokens, as an index
-    build counts its chunk rows. Returns float32, shape (len(texts), D).
-    """
-    tokens = HashedTokens(texts, dimension)
-    return tokens.rows(tokens.offsets[:-1], tokens.offsets[1:])
-
-
-def embed_hashed(text: str, dimension: int = 256, columns: Table | None = None) -> Vector:
-    """``embed_hashed_many([text], dimension)[0]``, bit for bit, without the batch index.
-
-    ``columns`` is a token -> signed column table for ``dimension`` to look
-    tokens up in and fill (a ``HashedEmbedder`` passes its own); without one
-    the call hashes through a fresh table and drops it. The counts are small
-    integers, so their sum of squares is exact in any order and the norm
-    matches the batch path's.
-    """
-    if dimension < 8:
-        raise ValueError("embedding dimension must be >= 8")
-    tokens = text.lower().split()
-    if not tokens:
-        return np.zeros(dimension, dtype=np.float32)
-    if columns is None:
-        columns = Table(partial(_signed_column, dimension))
-    signed = np.fromiter(map(columns.__getitem__, tokens), dtype=np.int64, count=len(tokens))
-    row = np.bincount(signed >> 1, weights=1.0 - 2.0 * (signed & 1), minlength=dimension)
-    norm = math.sqrt(row @ row)
-    if norm > 0.0:
-        row /= norm
-    return row.astype(np.float32)
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot product of each row of ``a`` with the same row of ``b``.
 
@@ -241,60 +195,13 @@ def cosine_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.clip(cosines, -1.0, 1.0)
 
 
-def embed_remote(texts: list[str], config: ProviderConfig) -> np.ndarray:
-    """Embed texts through the remote endpoint, preserving input order.
-
-    Requests are batched at most MAX_BATCH_SIZE texts each, issued on at
-    most MAX_PARALLEL_REQUESTS workers, and sent with ``post_json``'s
-    defaults, the one policy of every remote call. Each reply must hold one
-    item per text sent, indexed 0 to n - 1, each a vector of
-    ``config.dimension`` finite JSON numbers; its rows are re-normalized to
-    unit length. Returns float32, shape (len(texts), D).
-    """
-    if not texts:
-        return np.zeros((0, config.dimension), dtype=np.float32)
-    batches = [texts[i : i + MAX_BATCH_SIZE] for i in range(0, len(texts), MAX_BATCH_SIZE)]
-    offsets = [i * MAX_BATCH_SIZE for i in range(len(batches))]
-
-    def fetch(batch: list[str], offset: int) -> np.ndarray:
-        try:
-            data = post_json(config.endpoint_url, {"model": config.model_name, "input": batch})
-        except ProviderError as exc:
-            raise ProviderError(f"embedding batch at input {offset} failed: {exc}") from exc
-        try:
-            items = sorted(data["data"], key=lambda item: item["index"])
-            indices = [item["index"] for item in items]
-            # JSON true and 1.0 compare equal to 1, so the index type is checked too.
-            if indices != list(range(len(batch))) or {*map(type, indices)} - {int}:
-                raise ValueError("reply indices are not one per input text")
-            # dtype=object keeps a ragged reply as a 1-D array, so the shape check names it.
-            rows = np.array([item["embedding"] for item in items], dtype=object)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProviderError(f"malformed embedding response at input {offset}") from exc
-        expected = (len(batch), config.dimension)
-        if rows.shape != expected:
-            raise ProviderError(
-                f"embedding dimension mismatch at input {offset}: expected shape {expected}, got {rows.shape}"
-            )
-        try:
-            # JSON numbers parse to int or float; astype would also accept "1.5" and true.
-            if not {type(v) for v in rows.flat} <= {int, float}:
-                raise TypeError("item that is not a JSON number")
-            rows = rows.astype(np.float64)
-            if not np.isfinite(rows).all():
-                raise ValueError("NaN or infinite item")
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ProviderError(f"non-numeric embedding value at input {offset}: {exc}") from exc
-        return _normalized(rows)
-
-    if len(batches) == 1:
-        return fetch(batches[0], 0)
-    with ThreadPoolExecutor(max_workers=MAX_PARALLEL_REQUESTS) as pool:
-        return np.concatenate(list(pool.map(fetch, batches, offsets)))
-
-
 class HashedEmbedder:
     """Deterministic local embedder; safe to share across threads.
+
+    Each lowercased whitespace token hashes to one coordinate (FNV-1a mod D)
+    with sign taken from the hash's top bit; each row is L2-normalized, and a
+    text without tokens is the zero row. Disjoint vocabularies land on
+    (near-)orthogonal vectors, which is what the chunk-boundary tests rely on.
 
     ``embed`` counts one text through the embedder's token -> signed column
     table, so each distinct token is hashed once per embedder, not once per
@@ -312,17 +219,36 @@ class HashedEmbedder:
         self._columns = Table(partial(_signed_column, dimension))
 
     def embed(self, text: str) -> Vector:
-        row = embed_hashed(text, self.dimension, self._columns)
-        if len(self._columns) >= MAX_KEPT_TOKENS:
-            self._columns.clear()
-        return row
+        """``embed_batch([text])[0]``, bit for bit, without the batch index.
+
+        The counts are small integers, so their sum of squares is exact in
+        any order and the norm matches the batch path's.
+        """
+        tokens = text.lower().split()
+        if not tokens:
+            return np.zeros(self.dimension, dtype=np.float32)
+        columns = self._columns
+        signed = np.fromiter(map(columns.__getitem__, tokens), dtype=np.int64, count=len(tokens))
+        if len(columns) >= MAX_KEPT_TOKENS:
+            columns.clear()
+        row = np.bincount(signed >> 1, weights=1.0 - 2.0 * (signed & 1), minlength=self.dimension)
+        norm = math.sqrt(row @ row)
+        if norm > 0.0:
+            row /= norm
+        return row.astype(np.float32)
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
-        return embed_hashed_many(texts, self.dimension)
+        """Float32 rows, shape (len(texts), D): row i is ``HashedTokens.rows`` over text i's tokens.
+
+        That is how an index build counts its chunk rows, so a row does not
+        depend on the rest of the batch.
+        """
+        tokens = HashedTokens(texts, self.dimension)
+        return tokens.rows(tokens.offsets[:-1], tokens.offsets[1:])
 
 
 class RemoteEmbedder:
-    """Remote embedder bound to a ProviderConfig."""
+    """Remote embedder bound to a ProviderConfig; it sends every text as given."""
 
     def __init__(self, config: ProviderConfig):
         self.config = config
@@ -332,7 +258,56 @@ class RemoteEmbedder:
         return self.embed_batch([text])[0]
 
     def embed_batch(self, texts: list[str]) -> np.ndarray:
-        return embed_remote(texts, self.config)
+        """Embed texts through the remote endpoint, preserving input order.
+
+        Requests are batched at most MAX_BATCH_SIZE texts each, issued on at
+        most MAX_PARALLEL_REQUESTS workers, and sent with ``post_json``'s
+        defaults, the one policy of every remote call. Each reply must hold one
+        item per text sent, indexed 0 to n - 1, each a vector of
+        ``config.dimension`` finite JSON numbers; its rows are re-normalized to
+        unit length. Returns float32, shape (len(texts), D).
+        """
+        config = self.config
+        if not texts:
+            return np.zeros((0, config.dimension), dtype=np.float32)
+        batches = [texts[i : i + MAX_BATCH_SIZE] for i in range(0, len(texts), MAX_BATCH_SIZE)]
+        offsets = [i * MAX_BATCH_SIZE for i in range(len(batches))]
+
+        def fetch(batch: list[str], offset: int) -> np.ndarray:
+            try:
+                data = post_json(config.endpoint_url, {"model": config.model_name, "input": batch})
+            except ProviderError as exc:
+                raise ProviderError(f"embedding batch at input {offset} failed: {exc}") from exc
+            try:
+                items = sorted(data["data"], key=lambda item: item["index"])
+                indices = [item["index"] for item in items]
+                # JSON true and 1.0 compare equal to 1, so the index type is checked too.
+                if indices != list(range(len(batch))) or {*map(type, indices)} - {int}:
+                    raise ValueError("reply indices are not one per input text")
+                # dtype=object keeps a ragged reply as a 1-D array, so the shape check names it.
+                rows = np.array([item["embedding"] for item in items], dtype=object)
+            except (KeyError, TypeError, ValueError) as exc:
+                raise ProviderError(f"malformed embedding response at input {offset}") from exc
+            expected = (len(batch), config.dimension)
+            if rows.shape != expected:
+                raise ProviderError(
+                    f"embedding dimension mismatch at input {offset}: expected shape {expected}, got {rows.shape}"
+                )
+            try:
+                # JSON numbers parse to int or float; astype would also accept "1.5" and true.
+                if not {type(v) for v in rows.flat} <= {int, float}:
+                    raise TypeError("item that is not a JSON number")
+                rows = rows.astype(np.float64)
+                if not np.isfinite(rows).all():
+                    raise ValueError("NaN or infinite item")
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ProviderError(f"non-numeric embedding value at input {offset}: {exc}") from exc
+            return _normalized(rows)
+
+        if len(batches) == 1:
+            return fetch(batches[0], 0)
+        with ThreadPoolExecutor(max_workers=MAX_PARALLEL_REQUESTS) as pool:
+            return np.concatenate(list(pool.map(fetch, batches, offsets)))
 
 
 def make_embedder(config: ProviderConfig) -> HashedEmbedder | RemoteEmbedder:

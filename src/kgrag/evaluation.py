@@ -11,10 +11,17 @@ that keeps the token sets of the contexts it last tokenized, so each
 context of a record is tokenized once and the joined text never; the
 remote judge asks a chat model for a yes/no verdict per statement over the
 space-joined contexts, lazily, so a caller that stops at the first
-supported statement makes no further calls. Metrics that cannot be
-computed (empty answer, no contexts) are None, excluded from aggregates,
-and rendered as empty CSV cells: a failed retrieval must not masquerade as
-a zero-scoring evaluation.
+supported statement makes no further calls.
+
+A metric that is undefined for a record is None, excluded from aggregates
+and rendered as an empty CSV cell, so a failed retrieval does not read as a
+zero-scoring evaluation. The rule per metric:
+- ``answer_relevancy`` is 0.0 for an empty answer;
+- ``faithfulness`` is None for an answer without statements;
+- ``faithfulness`` and ``context_recall`` with no contexts are judged like
+  any others, and the lexical judge supports nothing there, so they are 0.0;
+- ``context_precision`` is None with no contexts, and so is ``f1``, which
+  is None whenever precision or recall is.
 """
 
 from __future__ import annotations

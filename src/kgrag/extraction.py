@@ -125,27 +125,6 @@ def _shape_code(stopwords: frozenset[str]):
     return code
 
 
-def _entities(sentences: list[str]) -> list[EntityMention]:
-    """The mentions of every sentence in turn, deduplicated by normalized form, empty ones dropped.
-
-    Nothing outlives the call: a question's tokens are nearly all distinct,
-    so it classifies and normalizes without tables.
-    """
-    code = _shape_code(QUERY_STOPWORDS)
-    mentions: list[EntityMention] = []
-    seen = {""}
-    for sentence in sentences:
-        tokens = sentence.split()
-        for match in _MENTION_RE.finditer("".join(map(code, tokens))):
-            start, end = match.span()
-            surface = " ".join(tokens[start:end])
-            name = normalize_entity(surface)
-            if name not in seen:
-                seen.add(name)
-                mentions.append(EntityMention(surface=surface, normalized=name))
-    return mentions
-
-
 class RuleExtractor:
     """Deterministic extractor; reentrant, since its tables only cache pure functions.
 
@@ -166,7 +145,24 @@ class RuleExtractor:
         self.normalized = Table(normalize_entity)
 
     def entities(self, text: str) -> list[EntityMention]:
-        return _entities(split_sentences(text))
+        """The mentions of each sentence of ``text`` in turn, deduplicated by normalized form, empty ones dropped.
+
+        Nothing outlives the call: a question's tokens are nearly all distinct,
+        so it classifies and normalizes without tables.
+        """
+        code = _shape_code(QUERY_STOPWORDS)
+        mentions: list[EntityMention] = []
+        seen = {""}
+        for sentence in split_sentences(text):
+            tokens = sentence.split()
+            for match in _MENTION_RE.finditer("".join(map(code, tokens))):
+                start, end = match.span()
+                surface = " ".join(tokens[start:end])
+                name = normalize_entity(surface)
+                if name not in seen:
+                    seen.add(name)
+                    mentions.append(EntityMention(surface=surface, normalized=name))
+        return mentions
 
     def triples(self, sentences: list[str], provenance: str = "") -> list[Triple]:
         """Each sentence's triples in turn, from consecutive mention pairs within it, in one regex pass.
@@ -198,52 +194,8 @@ class RuleExtractor:
         return triples
 
 
-def extract_triples_remote(text: str, client: ChatClient, provenance: str = "") -> list[Triple]:
-    """Ask the chat endpoint for strict-JSON triples, with one repair retry."""
-    user = EXTRACTION_USER_TEMPLATE.format(text=text)
-    messages = [
-        {"role": "system", "content": EXTRACTION_SYSTEM_PROMPT},
-        {"role": "user", "content": user},
-    ]
-    raw = client.chat(messages)
-    items = _parse_triple_json(raw)
-    if items is None:
-        repair = [
-            {"role": "system", "content": EXTRACTION_SYSTEM_PROMPT},
-            {"role": "user", "content": f"{user}\n{EXTRACTION_REPAIR_SUFFIX}"},
-        ]
-        raw = client.chat(repair)
-        items = _parse_triple_json(raw)
-    if items is None:
-        raise ProviderError(f"triple extraction returned non-JSON after retry: {raw[:200]!r}")
-
-    triples: list[Triple] = []
-    skipped = 0
-    for item in items:
-        if not isinstance(item, dict):
-            skipped += 1
-            continue
-        subject, relation, obj = (item.get(key) for key in ("subject", "relation", "object"))
-        if not all(type(v) is str for v in (subject, relation, obj)):
-            skipped += 1
-            continue
-        subject, relation, obj = subject.strip(), snake_case(relation), obj.strip()
-        # A name that normalizes to "" (such as "???") would merge every such name into one node.
-        if normalize_entity(subject) and relation and normalize_entity(obj):
-            triples.append(Triple(subject=subject, relation=relation, object=obj, provenance=provenance))
-        else:
-            skipped += 1
-    if skipped:
-        logger.warning("skipped %d invalid triple item(s) from extraction response", skipped)
-    return triples
-
-
-def _parse_triple_json(raw: str) -> list | None:
-    try:
-        data = json.loads(raw.strip())
-    except json.JSONDecodeError:
-        return None
-    return data if isinstance(data, list) else None
+# What the remote entity pass drops: the query stopwords, normalized as it normalizes a triple's names.
+_NORMALIZED_QUERY_STOPWORDS = frozenset(map(normalize_entity, QUERY_STOPWORDS))
 
 
 class RemoteExtractor:
@@ -255,17 +207,50 @@ class RemoteExtractor:
     def entities(self, text: str) -> list[EntityMention]:
         mentions: list[EntityMention] = []
         seen: set[str] = set()
-        drop = {normalize_entity(w) for w in QUERY_STOPWORDS}
         for triple in self.triples([text]):
             for surface in (triple.subject, triple.object):
                 normalized = normalize_entity(surface)
-                if normalized and normalized not in seen and normalized not in drop:
+                if normalized and normalized not in seen and normalized not in _NORMALIZED_QUERY_STOPWORDS:
                     seen.add(normalized)
                     mentions.append(EntityMention(surface=surface, normalized=normalized))
         return mentions
 
     def triples(self, sentences: list[str], provenance: str = "") -> list[Triple]:
-        return extract_triples_remote(" ".join(string_list(sentences, "sentences")), self.client, provenance)
+        """Ask the chat endpoint for strict-JSON triples of the space-joined sentences, with one repair retry."""
+        text = " ".join(string_list(sentences, "sentences"))
+        user = EXTRACTION_USER_TEMPLATE.format(text=text)
+        for prompt in (user, f"{user}\n{EXTRACTION_REPAIR_SUFFIX}"):
+            raw = self.client.chat(
+                [{"role": "system", "content": EXTRACTION_SYSTEM_PROMPT}, {"role": "user", "content": prompt}]
+            )
+            try:
+                items = json.loads(raw.strip())
+            except json.JSONDecodeError:
+                continue
+            if isinstance(items, list):
+                break
+        else:
+            raise ProviderError(f"triple extraction returned non-JSON after retry: {raw[:200]!r}")
+
+        triples: list[Triple] = []
+        skipped = 0
+        for item in items:
+            if not isinstance(item, dict):
+                skipped += 1
+                continue
+            subject, relation, obj = (item.get(key) for key in ("subject", "relation", "object"))
+            if not all(type(v) is str for v in (subject, relation, obj)):
+                skipped += 1
+                continue
+            subject, relation, obj = subject.strip(), snake_case(relation), obj.strip()
+            # A name that normalizes to "" (such as "???") would merge every such name into one node.
+            if normalize_entity(subject) and relation and normalize_entity(obj):
+                triples.append(Triple(subject=subject, relation=relation, object=obj, provenance=provenance))
+            else:
+                skipped += 1
+        if skipped:
+            logger.warning("skipped %d invalid triple item(s) from extraction response", skipped)
+        return triples
 
 
 def query_ner(question: str, extractor) -> list[EntityMention]:

@@ -27,7 +27,7 @@ from kgrag.chunking import (
     window_distances,
     write_chunks_jsonl,
 )
-from kgrag.embedding import HashedEmbedder, HashedTokens, embed_hashed_many
+from kgrag.embedding import HashedEmbedder, HashedTokens
 from kgrag.exceptions import StoreCorruptError
 
 import kgrag.chunking as chunking_mod
@@ -114,9 +114,9 @@ SENTENCE_TEXTS = st.one_of(
 
 
 def reference_window_distances(documents, k, dimension):
-    """One ``embed_hashed_many`` batch of windows per document, then its sequential distances."""
+    """One ``HashedEmbedder.embed_batch`` of windows per document, then its sequential distances."""
     return [
-        sequential_distances(embed_hashed_many(build_windows(sentences, k), dimension)) if sentences else []
+        sequential_distances(HashedEmbedder(dimension).embed_batch(build_windows(sentences, k))) if sentences else []
         for _, sentences in documents
     ]
 
@@ -147,7 +147,7 @@ class TestHashedWindowDistances:
         documents = [(f"d{i}", t) for i, t in enumerate(texts)]
         expected = reference_window_distances(documents, k, dimension)
         expected_rows = [
-            embed_hashed_many(build_windows(sentences, k), dimension) for _, sentences in documents if sentences
+            HashedEmbedder(dimension).embed_batch(build_windows(sentences, k)) for _, sentences in documents if sentences
         ]
         tokens = HashedTokens([s for t in texts for s in t], dimension)
         blocks: list[np.ndarray] = []

@@ -17,8 +17,6 @@ from kgrag.extraction import (
     RemoteExtractor,
     RuleExtractor,
     Triple,
-    _entities,
-    extract_triples_remote,
     normalize_entity,
     query_ner,
     snake_case,
@@ -32,29 +30,29 @@ import kgrag.remote as remote_mod
 
 class TestEntityRule:
     def test_two_entities(self):
-        mentions = _entities(["Rome is the capital of Italy."])
+        mentions = RuleExtractor().entities("Rome is the capital of Italy.")
         assert [m.normalized for m in mentions] == ["rome", "italy"]
 
     def test_no_capitals_no_entities(self):
-        assert _entities(["the quick brown fox"]) == []
+        assert RuleExtractor().entities("the quick brown fox") == []
 
     def test_leading_stopword_trimmed_from_run(self):
-        mentions = _entities(["The Amalfi Coast attracts tourists."])
+        mentions = RuleExtractor().entities("The Amalfi Coast attracts tourists.")
         assert [m.normalized for m in mentions] == ["amalfi coast"]
 
     def test_lone_stopword_dropped(self):
-        assert _entities(["The weather is nice."]) == []
+        assert RuleExtractor().entities("The weather is nice.") == []
 
     def test_multiple_leading_stopwords_trimmed(self):
-        mentions = _entities(["On The Amalfi Coast olives grow."])
+        mentions = RuleExtractor().entities("On The Amalfi Coast olives grow.")
         assert [m.normalized for m in mentions] == ["amalfi coast"]
 
     def test_order_of_first_appearance_with_dedup(self):
-        mentions = _entities(["Naples loves Naples and Rome follows Naples."])
+        mentions = RuleExtractor().entities("Naples loves Naples and Rome follows Naples.")
         assert [m.normalized for m in mentions] == ["naples", "rome"]
 
     def test_surface_keeps_original_casing(self):
-        (m,) = _entities(["tourists climb Vesuvius!"])
+        (m,) = RuleExtractor().entities("tourists climb Vesuvius!")
         assert m.surface == "Vesuvius!"
         assert m.normalized == "vesuvius"
 
@@ -108,7 +106,7 @@ class TestTripleRule:
             "The Margherita honors Queen Margherita of Savoy.",
         ]
         for sentence in sentences:
-            entities = {m.normalized for m in _entities([sentence])}
+            entities = {m.normalized for m in RuleExtractor().entities(sentence)}
             for triple in RuleExtractor().triples([sentence]):
                 assert triple.subject in entities
                 assert triple.object in entities
@@ -142,13 +140,13 @@ class TestRemoteExtractor:
         )
         fake = FakePost([FakeResponse(200, chat_payload(body))])
         monkeypatch.setattr(remote_mod, "_send", fake)
-        (triple,) = extract_triples_remote("Rome is the capital of Italy.", chat_client())
+        (triple,) = RemoteExtractor(chat_client()).triples(["Rome is the capital of Italy."])
         assert triple == Triple(subject="Rome", relation="capital_of", object="Italy")
 
     def test_empty_array_ok(self, monkeypatch):
         fake = FakePost([FakeResponse(200, chat_payload("[]"))])
         monkeypatch.setattr(remote_mod, "_send", fake)
-        assert extract_triples_remote("nothing here", chat_client()) == []
+        assert RemoteExtractor(chat_client()).triples(["nothing here"]) == []
 
     def test_prose_then_repair_succeeds(self, monkeypatch):
         good = json.dumps([{"subject": "a", "relation": "r", "object": "b"}])
@@ -159,7 +157,7 @@ class TestRemoteExtractor:
             ]
         )
         monkeypatch.setattr(remote_mod, "_send", fake)
-        (triple,) = extract_triples_remote("text", chat_client())
+        (triple,) = RemoteExtractor(chat_client()).triples(["text"])
         assert triple.relation == "r"
         assert "Return only valid JSON." in fake.calls[1]["json"]["messages"][1]["content"]
 
@@ -172,7 +170,7 @@ class TestRemoteExtractor:
         )
         monkeypatch.setattr(remote_mod, "_send", fake)
         with pytest.raises(ProviderError, match="still chatting"):
-            extract_triples_remote("text", chat_client())
+            RemoteExtractor(chat_client()).triples(["text"])
 
     def test_invalid_items_skipped_with_count(self, monkeypatch, caplog):
         body = json.dumps(
@@ -186,7 +184,7 @@ class TestRemoteExtractor:
         fake = FakePost([FakeResponse(200, chat_payload(body))])
         monkeypatch.setattr(remote_mod, "_send", fake)
         with caplog.at_level("WARNING"):
-            triples = extract_triples_remote("text", chat_client())
+            triples = RemoteExtractor(chat_client()).triples(["text"])
         assert len(triples) == 1
         assert any("3" in r.message for r in caplog.records)
 
@@ -203,7 +201,7 @@ class TestRemoteExtractor:
         fake = FakePost([FakeResponse(200, chat_payload(body))])
         monkeypatch.setattr(remote_mod, "_send", fake)
         with caplog.at_level("WARNING"):
-            triples = extract_triples_remote("text", chat_client())
+            triples = RemoteExtractor(chat_client()).triples(["text"])
         assert triples == [Triple(subject="Rome", relation="near", object="Ostia")]
         assert [r.message for r in caplog.records] == [
             "skipped 3 invalid triple item(s) from extraction response"
@@ -221,7 +219,7 @@ class TestRemoteExtractor:
         fake = FakePost([FakeResponse(200, chat_payload(body))])
         monkeypatch.setattr(remote_mod, "_send", fake)
         with caplog.at_level("WARNING"):
-            triples = extract_triples_remote("text", chat_client())
+            triples = RemoteExtractor(chat_client()).triples(["text"])
         assert triples == [Triple(subject="Rome", relation="near", object="Ostia.")]
         assert [r.message for r in caplog.records] == [
             "skipped 2 invalid triple item(s) from extraction response"
@@ -422,8 +420,8 @@ class TestRuleExtractorReference:
     @given(_rule_sentences())
     @example("What\u2003The 𐐀 It Ⓐ")
     def test_extract_entities_rule_equals_the_reference(self, sentence):
-        got = _entities([sentence])
-        assert [(m.surface, m.normalized) for m in got] == _reference_entities([sentence], QUERY_STOPWORDS)
+        got = RuleExtractor().entities(sentence)
+        assert [(m.surface, m.normalized) for m in got] == _reference_query_entities(sentence)
 
 
 class TestRuleExtractorTables:

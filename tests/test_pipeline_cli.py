@@ -20,7 +20,7 @@ import kgrag.embedding as embedding_mod
 from kgrag.chunking import Chunk, ChunkerConfig, build_windows
 from kgrag.cli import main
 from kgrag.corpus import Document, load_corpus, normalize_text, split_sentences
-from kgrag.embedding import HashedEmbedder, embed_hashed_many
+from kgrag.embedding import HashedEmbedder
 from kgrag.exceptions import InputError, StoreCorruptError
 from kgrag.extraction import EXTRACTION_USER_TEMPLATE, RuleExtractor
 from kgrag.graph import KnowledgeGraph, _encode
@@ -179,7 +179,7 @@ def row_documents(draw) -> list[Document]:
 
 def assert_rows_are_the_chunk_texts_rows(documents, config: ChunkerConfig, dimension: int) -> list[Chunk]:
     _, chunks, rows = chunk_documents(documents, HashedEmbedder(dimension), config)
-    expected = embed_hashed_many([c.text for c in chunks], dimension)
+    expected = HashedEmbedder(dimension).embed_batch([c.text for c in chunks])
     assert rows.dtype == np.float32 and rows.shape == (len(chunks), dimension)
     assert rows.tobytes() == expected.tobytes()
     return chunks
@@ -1024,14 +1024,6 @@ class TestCmdQuery:
         assert captured.out == ""
         assert captured.err == "error: question must hold at least one token\n"
 
-    def test_remote_generator_without_chat_model_exit_2(self, store_dir, capsys):
-        code = main(
-            ["query", "--store", str(store_dir), "--question", "What crosses Rome?",
-             "--answer", "--generator", "remote"]
-        )
-        assert code == 2
-        assert "remote generator" in capsys.readouterr().err
-
 
     def test_graph_context_naming_no_chunk_exit_3(self, mini_store_dir, tmp_path, capsys):
         store = shutil.copytree(mini_store_dir, tmp_path / "mini")
@@ -1141,21 +1133,6 @@ class TestCmdEval:
         lines = out.read_text().splitlines()
         assert lines[0].startswith("record,")
         assert lines[1].split(",")[2] == "1.000000"  # faithfulness
-
-    def test_remote_judge_without_chat_model_exit_2(self, store_dir, tmp_path, capsys):
-        records = tmp_path / "records.jsonl"
-        records.write_text(
-            json.dumps({"question": "What is Rome?", "ground_truth": "Rome is the capital of Italy."})
-            + "\n",
-            encoding="utf-8",
-        )
-        out = tmp_path / "report.csv"
-        code = main(
-            ["eval", "--store", str(store_dir), "--records", str(records), "--out", str(out),
-             "--judge", "remote"]
-        )
-        assert code == 2
-        assert "remote judge" in capsys.readouterr().err
 
     def test_remote_judge_reply_without_string_content_nulls_the_judged_metrics(self, store_dir, tmp_path, monkeypatch):
         import kgrag.remote as remote_mod
@@ -1317,6 +1294,31 @@ class TestCmdEval:
         assert outputs[0] == outputs[1]
         header = outputs[0][0].decode().splitlines()[0]
         assert header == "record,answer_relevancy,faithfulness,context_precision,context_recall,f1"
+
+
+@pytest.mark.parametrize(
+    "argv, role",
+    [
+        (["query", "--question", "What crosses Rome?", "--answer", "--generator", "remote"], "generator"),
+        (["eval", "--records", str(MINI_QUESTIONS), "--judge", "remote"], "judge"),
+        (["eval", "--records", str(MINI_QUESTIONS), "--generator", "remote"], "generator"),
+    ],
+    ids=["query-generator", "eval-judge", "eval-generator"],
+)
+def test_remote_role_without_chat_model_exit_2_before_any_retrieval(mini_store_dir, tmp_path, capsys, argv, role):
+    out = tmp_path / "report.csv"
+    argv = argv + ["--store", str(mini_store_dir)] + (["--out", str(out)] if argv[0] == "eval" else [])
+    with mock.patch("kgrag.cli.run_query", wraps=run_query) as queries, mock.patch(
+        "kgrag.pipeline.run_query", wraps=run_query
+    ) as record_runs:
+        assert main(argv) == 2
+    assert queries.call_count + record_runs.call_count == 0
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: remote {role} requires api_base and chat_model (index with --api-base/--chat-model)\n"
+    )
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import kgrag.remote as remote_mod
-from kgrag.embedding import ProviderConfig, embed_remote
+from kgrag.embedding import ProviderConfig, RemoteEmbedder
 from kgrag.evaluation import RemoteJudge
 from kgrag.exceptions import ProviderError
 from kgrag.extraction import RemoteExtractor
@@ -216,7 +216,7 @@ def test_a_python_without_ssl_still_posts_over_http(monkeypatch, server, sleeps)
     assert sleeps == [1.0, 1.0]
 
 
-def test_embed_remote_over_parallel_batches(server, sleeps):
+def test_remote_embedder_over_parallel_batches(server, sleeps):
     def respond(body):
         texts = json.loads(body)["input"]
         rows = [[float(text[1:]) + 1.0, 1.0] + [0.0] * 6 for text in texts]
@@ -224,7 +224,7 @@ def test_embed_remote_over_parallel_batches(server, sleeps):
 
     server.respond = respond
     config = ProviderConfig(kind="remote", dimension=8, endpoint_url=server.url, model_name="e")
-    out = embed_remote([f"t{i}" for i in range(130)], config)
+    out = RemoteEmbedder(config).embed_batch([f"t{i}" for i in range(130)])
     assert sorted(len(json.loads(r["body"])["input"]) for r in server.received) == [2, 64, 64]
     expected = np.zeros((130, 8))
     expected[:, 0] = np.arange(130) + 1.0

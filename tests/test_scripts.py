@@ -99,7 +99,7 @@ def test_run_mini_benchmark(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == [f"report_{mode}.csv" for mode in sorted(modes)]
 
 
-def test_output_digests_of_the_mini_corpus(mini_store_dir):
+def test_output_digests_of_the_mini_corpus(mini_store_dir, tmp_path):
     out = run_script("output_digests.py", "--corpus", str(MINI_CORPUS), "--questions", str(MINI_QUESTIONS))
     lines = out.splitlines()
     files = sorted(p.name for p in mini_store_dir.iterdir())
@@ -112,6 +112,13 @@ def test_output_digests_of_the_mini_corpus(mini_store_dir):
                 argv = ["query", "--store", str(mini_store_dir), "--mode", mode, "--question", question, "--json"]
                 assert kgrag_main(argv) == 0
             expected.append(f"{hashlib.sha256(printed.getvalue().encode()).hexdigest()}  {mode}  {question}")
+    for mode in ("hybrid", "semantic", "kg"):
+        report = tmp_path / f"report_{mode}.csv"
+        argv = ["eval", "--store", str(mini_store_dir), "--mode", mode, "--records", str(MINI_QUESTIONS),
+                "--out", str(report)]
+        with redirect_stdout(io.StringIO()):
+            assert kgrag_main(argv) == 0
+        expected.append(f"{hashlib.sha256(report.read_bytes()).hexdigest()}  eval  {mode}")
     assert lines[len(files) :] == expected
 
 
