@@ -28,7 +28,7 @@ from kgrag.chunking import (  # noqa: E402
 )
 from kgrag.cli import until_stdout_closes  # noqa: E402
 from kgrag.corpus import load_corpus, split_sentences  # noqa: E402
-from kgrag.embedding import HashedTokens  # noqa: E402
+from kgrag.embedding import HashedTokens, check_dimension  # noqa: E402
 
 
 def main() -> int:
@@ -40,6 +40,10 @@ def main() -> int:
     parser.add_argument("--overlap", type=int, default=16)
     parser.add_argument("--embed-dim", type=int, default=256)
     args = parser.parse_args()
+    try:
+        check_dimension(args.embed_dim)
+    except ValueError as exc:
+        parser.error(f"--embed-dim: {exc}")
 
     config = ChunkerConfig(
         window_k=args.window,

@@ -1,16 +1,17 @@
 #!/usr/bin/env python3
-"""Print the sha256 of a build's store files, of every query's output and of each eval report.
+"""Print the sha256 of a build's store files and of every query's output, and each mode's eval report and means.
 
 Builds a store from a corpus in a temp dir with the default settings and
 prints one line per store file, then one per question and mode (hybrid,
 semantic, kg) with the sha256 of ``kgrag query --json``'s output, then one
 per mode with the sha256 of ``kgrag eval``'s report CSV (lexical judge, echo
-generator). The eval records are the ``--questions`` file, or for a
-generated corpus each question with its fact sentence as the ground truth.
-Two trees that print the same lines write the same store bytes, answer
-every question alike and score it alike, so a refactor that claims
-identical outputs can show it by diffing this script's output before and
-after.
+generator) and that report's MEAN row as ``name=value`` pairs, ``n/a`` for
+a metric no record defines: the three-mode metric table. The eval records
+are the ``--questions`` file, or for a generated corpus each question with
+its fact sentence as the ground truth. Two trees that print the same lines
+write the same store bytes, answer every question alike and score it alike,
+so a refactor that claims identical outputs can show it by diffing this
+script's output before and after.
 
 It then runs every question twice in each mode through ``run_query`` over
 one open store, with one embedder and one extractor, and exits 1 if a
@@ -37,8 +38,9 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from kgrag.cli import MODE_ALIASES  # noqa: E402
+from kgrag.cli import MODE_ALIASES, until_stdout_closes  # noqa: E402
 from kgrag.cli import main as kgrag_main  # noqa: E402
+from kgrag.evaluation import METRIC_NAMES  # noqa: E402
 from kgrag.pipeline import build_store, open_store, run_query  # noqa: E402
 
 
@@ -68,14 +70,17 @@ def query_digest(store_dir: Path, mode: str, question: str) -> str:
     return sha256(out.getvalue().encode("utf-8"))
 
 
-def eval_digest(store_dir: Path, mode: str, records: Path, out: Path) -> str:
-    """The sha256 of ``kgrag eval``'s report CSV; a nonzero exit stops the script."""
+def eval_line(store_dir: Path, mode: str, records: Path, out: Path) -> str:
+    """The sha256 of ``kgrag eval``'s report CSV, then its MEAN row; a nonzero exit stops the script."""
     argv = ["eval", "--store", str(store_dir), "--mode", mode, "--records", str(records), "--out", str(out)]
     with contextlib.redirect_stdout(io.StringIO()):
         code = kgrag_main(argv)
     if code != 0:
         raise SystemExit(f"eval --mode {mode} exited {code}")
-    return sha256(out.read_bytes())
+    report = out.read_bytes()
+    cells = report.decode("utf-8").splitlines()[-1].split(",")[1:]  # the MEAN row, after its label
+    means = " ".join(f"{name}={cell or 'n/a'}" for name, cell in zip(METRIC_NAMES, cells, strict=True))
+    return f"{sha256(report)}  eval  {mode}  {means}"
 
 
 def second_pass_faults(store_dir: Path, questions: list[str]) -> list[str]:
@@ -97,16 +102,18 @@ def main(argv: list[str] | None = None) -> int:
     source = parser.add_mutually_exclusive_group(required=True)
     source.add_argument("--bench-seed", type=int, help="generate the benchmark corpus of this seed (bench/corpus_gen)")
     source.add_argument("--corpus", type=Path, help="a corpus directory or file; needs --questions")
-    parser.add_argument("--docs", type=int, default=300, help="documents of the generated corpus (default 300)")
+    parser.add_argument("--docs", type=int, help="documents of the generated corpus (default 300)")
     parser.add_argument("--questions", type=Path, help="JSONL file of objects with a 'question' string")
     args = parser.parse_args(argv)
     if args.corpus is not None and args.questions is None:
         parser.error("--corpus needs --questions")
+    if args.docs is not None and args.bench_seed is None:
+        parser.error("--docs needs --bench-seed")
 
     with tempfile.TemporaryDirectory() as tmp:
         if args.corpus is None:
             corpus_dir, records = Path(tmp) / "corpus", Path(tmp) / "records.jsonl"
-            questions = bench_corpus(args.bench_seed, args.docs, corpus_dir, records)
+            questions = bench_corpus(args.bench_seed, 300 if args.docs is None else args.docs, corpus_dir, records)
         else:
             corpus_dir, records = args.corpus, args.questions
             lines = args.questions.read_text(encoding="utf-8-sig").splitlines()
@@ -119,7 +126,7 @@ def main(argv: list[str] | None = None) -> int:
             for mode in MODE_ALIASES:
                 print(f"{query_digest(store_dir, mode, question)}  {mode}  {question}")
         for mode in MODE_ALIASES:
-            print(f"{eval_digest(store_dir, mode, records, Path(tmp) / 'report.csv')}  eval  {mode}")
+            print(eval_line(store_dir, mode, records, Path(tmp) / "report.csv"))
         faults = second_pass_faults(store_dir, questions)
     for fault in faults:
         print(f"second pass differs from the first: {fault}", file=sys.stderr)
@@ -127,4 +134,4 @@ def main(argv: list[str] | None = None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(until_stdout_closes(main))

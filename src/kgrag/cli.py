@@ -18,9 +18,7 @@ from collections.abc import Callable
 from dataclasses import asdict
 from pathlib import Path
 
-from .chunking import ChunkerConfig
 from .corpus import lone_surrogate
-from .embedding import ProviderConfig
 from .evaluation import (
     LexicalJudge,
     RemoteJudge,
@@ -31,13 +29,14 @@ from .evaluation import (
 )
 from .exceptions import InputError, ProviderError, StoreCorruptError
 from .pipeline import (
+    CONFIG_SECTIONS,
     EMBEDDINGS_PATH,
     GRAPH_FILE,
     STORE_FILES,
-    ExtractorConfig,
     answer_records,
     build_store,
     check_config_block,
+    check_config_types,
     make_chat_client,
     make_config,
     open_store,
@@ -52,11 +51,11 @@ EXIT_INPUT = 2
 EXIT_CORRUPT = 3
 EXIT_PROVIDER = 4
 
-CONFIG_SECTIONS = ("chunker", "provider", "extractor", "query")
 MODE_ALIASES = {"hybrid": "hybrid", "semantic": "unstructured_only", "kg": "structured_only"}
 
 
 def _load_config_file(path: str | None) -> dict:
+    """The file's sections, each checked for its keys and value types, whichever sections the command builds."""
     if not path:
         return {}
     try:
@@ -65,23 +64,26 @@ def _load_config_file(path: str | None) -> dict:
         raise InputError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise InputError(f"config file {path} must hold a JSON object")
-    for name in obj:
+    for name, block in obj.items():
         if name not in CONFIG_SECTIONS:
             raise InputError(f"config file {path}: unknown section {name!r}")
+        try:
+            check_config_block(name, CONFIG_SECTIONS[name], block)
+        except TypeError as exc:
+            raise InputError(str(exc)) from exc
+        try:
+            check_config_types(CONFIG_SECTIONS[name], block)
+        except TypeError as exc:
+            raise InputError(f"config section {name!r}: bad value: {exc}") from exc
     return obj
 
 
-def _section(file_cfg: dict, name: str, cls, base: dict | None = None, **flags):
-    """Config dataclass ``cls`` from ``base``, then the file's ``name`` block, then the set flags."""
-    block = file_cfg.get(name, {})
-    try:
-        check_config_block(name, cls, block)
-    except TypeError as exc:
-        raise InputError(str(exc)) from exc
-    values = {**(base or {}), **block}
+def _section(file_cfg: dict, name: str, base: dict | None = None, **flags):
+    """Config section ``name`` from ``base``, then the file's (checked) ``name`` block, then the set flags."""
+    values = {**(base or {}), **file_cfg.get(name, {})}
     values.update({k: v for k, v in flags.items() if v is not None})
     try:
-        return make_config(name, cls, values)
+        return make_config(name, CONFIG_SECTIONS[name], values)
     except (TypeError, ValueError) as exc:
         raise InputError(f"config section {name!r}: bad value: {exc}") from exc
 
@@ -89,7 +91,7 @@ def _section(file_cfg: dict, name: str, cls, base: dict | None = None, **flags):
 def _query_config(stored: QueryConfig, file_cfg: dict, args: argparse.Namespace) -> QueryConfig:
     """The store's query defaults, then the config file's query block, then flags."""
     return _section(
-        file_cfg, "query", QueryConfig, base=asdict(stored),
+        file_cfg, "query", base=asdict(stored),
         top_n_candidates=args.top_k,
         final_m_chunks=args.final_m,
         hops=args.hops,
@@ -105,19 +107,19 @@ def cmd_index(args: argparse.Namespace) -> int:
         args.corpus,
         args.out,
         chunker=_section(
-            file_cfg, "chunker", ChunkerConfig,
+            file_cfg, "chunker",
             window_k=args.window, percentile=args.percentile,
             chunk_size=args.chunk_size, overlap=args.overlap,
         ),
         provider=_section(
-            file_cfg, "provider", ProviderConfig,
+            file_cfg, "provider",
             kind=args.embedder, dimension=args.embed_dim, model_name=args.embed_model, endpoint_url=endpoint,
         ),
         extractor_config=_section(
-            file_cfg, "extractor", ExtractorConfig,
+            file_cfg, "extractor",
             kind=args.extractor, api_base=args.api_base, chat_model=args.chat_model,
         ),
-        query_defaults=_section(file_cfg, "query", QueryConfig),
+        query_defaults=_section(file_cfg, "query"),
     )
     counts = manifest.counts
     print(

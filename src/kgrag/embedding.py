@@ -59,10 +59,15 @@ class ProviderConfig:
     def __post_init__(self) -> None:
         if self.kind not in ("hashed", "remote"):
             raise ValueError(f"unknown provider kind {self.kind!r}")
-        if self.dimension < 8:
-            raise ValueError("embedding dimension must be >= 8")
-        if self.dimension > MAX_DIMENSION:
-            raise ValueError(f"embedding dimension must be <= {MAX_DIMENSION}, got {self.dimension}")
+        check_dimension(self.dimension)
+
+
+def check_dimension(dimension: int) -> None:
+    """Raise ValueError unless ``dimension`` is an embedding dimension: 8 to ``MAX_DIMENSION``."""
+    if dimension < 8:
+        raise ValueError("embedding dimension must be >= 8")
+    if dimension > MAX_DIMENSION:
+        raise ValueError(f"embedding dimension must be <= {MAX_DIMENSION}, got {dimension}")
 
 
 def fnv1a64(data: bytes) -> int:
@@ -94,8 +99,7 @@ class HashedTokens:
     __slots__ = ("dimension", "codes", "offsets")
 
     def __init__(self, texts: list[str], dimension: int):
-        if dimension < 8:
-            raise ValueError("embedding dimension must be >= 8")
+        check_dimension(dimension)
         table = Table(partial(_signed_column, dimension))
         codes = array("q")
         lengths = [0]
@@ -213,8 +217,7 @@ class HashedEmbedder:
     """
 
     def __init__(self, dimension: int = 256):
-        if dimension < 8:
-            raise ValueError("embedding dimension must be >= 8")
+        check_dimension(dimension)
         self.dimension = dimension
         self._columns = Table(partial(_signed_column, dimension))
 

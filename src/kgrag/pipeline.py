@@ -72,6 +72,10 @@ class ExtractorConfig:
             raise ValueError(f"unknown extractor kind {self.kind!r}")
 
 
+# The manifest's config block and a --config file: section name -> the dataclass it builds.
+CONFIG_SECTIONS = {"chunker": ChunkerConfig, "provider": ProviderConfig, "extractor": ExtractorConfig, "query": QueryConfig}
+
+
 def check_config_block(section: str, cls, block) -> None:
     """Raise TypeError naming ``section`` unless ``block`` is a dict whose every key is a field of ``cls``."""
     if not isinstance(block, dict):
@@ -82,20 +86,19 @@ def check_config_block(section: str, cls, block) -> None:
             raise TypeError(f"config section {section!r}: unknown key {key!r}")
 
 
-def make_config(section: str, cls, values: dict):
-    """``cls(**values)`` once ``check_config_block`` passes and each value has its field's default type.
-
-    Raises TypeError: an ``int`` field takes only ``int`` (not ``bool`` or
-    ``float``), a ``float`` field ``int`` or ``float``, and a ``str`` field
-    only ``str``. The store manifest and a ``--config`` file are both read
-    through here.
-    """
-    check_config_block(section, cls, values)
+def check_config_types(cls, values: dict) -> None:
+    """Raise TypeError unless each value has exactly its field default's type; a ``float`` field also takes ``int``."""
     for f in fields(cls):
         if f.name in values:
             kind, got = type(f.default), type(values[f.name])
             if got is not kind and not (kind is float and got is int):
                 raise TypeError(f"{f.name!r} must be {kind.__name__}, got {got.__name__}")
+
+
+def make_config(section: str, cls, values: dict):
+    """``cls(**values)`` once both checks pass; the store manifest and a ``--config`` file are read through here."""
+    check_config_block(section, cls, values)
+    check_config_types(cls, values)
     return cls(**values)
 
 
@@ -111,12 +114,7 @@ class StoreManifest:
     def to_json_obj(self) -> dict:
         return {
             "format_version": self.format_version,
-            "config": {
-                "chunker": asdict(self.chunker),
-                "provider": asdict(self.provider),
-                "extractor": asdict(self.extractor),
-                "query": asdict(self.query),
-            },
+            "config": {name: asdict(getattr(self, name)) for name in CONFIG_SECTIONS},
             "counts": dict(self.counts),
         }
 
@@ -131,10 +129,7 @@ class StoreManifest:
                 raise TypeError(f"'counts' values must be int, got {counts!r}")
             return cls(
                 format_version=obj["format_version"],
-                chunker=make_config("chunker", ChunkerConfig, config["chunker"]),
-                provider=make_config("provider", ProviderConfig, config["provider"]),
-                extractor=make_config("extractor", ExtractorConfig, config["extractor"]),
-                query=make_config("query", QueryConfig, config["query"]),
+                **{name: make_config(name, kind, config[name]) for name, kind in CONFIG_SECTIONS.items()},
                 counts=counts,
             )
         except (KeyError, TypeError, ValueError) as exc:

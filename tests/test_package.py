@@ -98,21 +98,19 @@ def test_every_config_field_is_set_by_a_flag():
     """
     from dataclasses import fields
 
-    from kgrag.chunking import ChunkerConfig
-    from kgrag.embedding import ProviderConfig
-    from kgrag.pipeline import ExtractorConfig
-    from kgrag.retriever import QueryConfig
+    from kgrag.pipeline import CONFIG_SECTIONS
 
     set_by_flags: dict[str, set[str]] = {}
     for node in ast.walk(ast.parse((PACKAGE_DIR / "cli.py").read_text(encoding="utf-8"))):
         if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "_section":
             keywords = {keyword.arg for keyword in node.keywords} - {"base"}
-            set_by_flags.setdefault(node.args[2].id, set()).update(keywords)
+            set_by_flags.setdefault(node.args[1].value, set()).update(keywords)
+    assert set(CONFIG_SECTIONS) == {"chunker", "provider", "extractor", "query"}
     unset = {
         f"{cls.__name__}.{f.name}"
-        for cls in (ChunkerConfig, ProviderConfig, ExtractorConfig, QueryConfig)
+        for section, cls in CONFIG_SECTIONS.items()
         for f in fields(cls)
-        if f.name not in set_by_flags.get(cls.__name__, set())
+        if f.name not in set_by_flags.get(section, set())
     }
     assert not unset, f"config fields no kgrag flag sets: {sorted(unset)}"
 

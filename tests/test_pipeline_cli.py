@@ -541,16 +541,29 @@ class TestConfigFileErrors:
             ({"query": {"hops": 1.5}}, ["'query'", "'hops' must be int, got float"]),
         ],
     )
-    def test_index_exit_2_naming_section_and_key(self, tmp_path, capsys, config, named):
+    @pytest.mark.parametrize("command", ["index", "query", "eval"])
+    def test_exit_2_naming_section_and_key(self, tmp_path, capsys, config, named, command):
+        # query and eval build only the query section, yet check every section the file holds.
         corpus = write_corpus(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(config))
-        out = tmp_path / "store"
-        assert main(["index", "--corpus", str(corpus), "--out", str(out), "--config", str(cfg)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: config ")
+        out = tmp_path / "out"
+        if command == "index":
+            argv = ["index", "--corpus", str(corpus), "--out", str(out)]
+        else:
+            store = tmp_path / "store"
+            build_store(corpus, store)
+            records = tmp_path / "records.jsonl"
+            records.write_text(json.dumps({"question": "What crosses Rome?", "ground_truth": "The Tiber."}) + "\n")
+            argv = ["query", "--store", str(store), "--question", "What crosses Rome?"]
+            if command == "eval":
+                argv = ["eval", "--store", str(store), "--records", str(records), "--out", str(out)]
+        assert main([*argv, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: config ")
         for text in named:
-            assert text in err
+            assert text in captured.err
         assert not out.exists()
 
     def test_query_and_eval_unknown_query_key_exit_2(self, tmp_path, capsys):

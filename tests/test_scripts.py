@@ -1,10 +1,11 @@
-"""Smoke tests: the scripts under scripts/ run on the bundled mini corpus."""
+"""The scripts under scripts/ on the bundled mini corpus, and output_digests.py against its golden file."""
 
 from __future__ import annotations
 
 import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import re
 import subprocess
@@ -67,6 +68,19 @@ def test_inspect_chunks_marks_semantic_split_boundaries(percentile):
         assert marked > 0
 
 
+@pytest.mark.parametrize(
+    ("dimension", "message"),
+    [(4, "embedding dimension must be >= 8"), (2**32, "embedding dimension must be <= 4294967295, got 4294967296")],
+    ids=["below-8", "past-u32"],
+)
+def test_inspect_chunks_embed_dim_out_of_range_exit_2(dimension, message):
+    argv = [str(SCRIPTS / "inspect_chunks.py"), "--corpus", str(MINI_CORPUS), "--embed-dim", str(dimension)]
+    result = subprocess.run([sys.executable, *argv], capture_output=True, text=True, cwd=REPO_ROOT)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert result.stderr.endswith(f"error: --embed-dim: {message}\n")
+
+
 def test_inspect_chunks_quiet_when_stdout_closes_early():
     argv = [sys.executable, str(SCRIPTS / "inspect_chunks.py"), "--corpus", str(MINI_CORPUS)]
     child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=REPO_ROOT)
@@ -75,28 +89,6 @@ def test_inspect_chunks_quiet_when_stdout_closes_early():
     child.stderr.close()
     assert child.wait(timeout=120) == 0, err
     assert err == ""
-
-
-def test_run_mini_benchmark_quiet_when_stdout_closes_early(tmp_path):
-    argv = [sys.executable, str(SCRIPTS / "run_mini_benchmark.py"), "--out-dir", str(tmp_path)]
-    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=REPO_ROOT)
-    child.stdout.close()  # as `run_mini_benchmark.py | head -1` does once it has its line
-    err = child.stderr.read().decode()
-    child.stderr.close()
-    assert child.wait(timeout=120) == 0, err
-    assert err == ""
-
-
-def test_run_mini_benchmark(tmp_path):
-    out = run_script("run_mini_benchmark.py", "--out-dir", str(tmp_path))
-    assert out.startswith("indexed mini corpus:")
-    modes = ("hybrid", "semantic", "kg")
-    rows = {cells[0]: cells[1:] for cells in map(str.split, out.splitlines()) if cells[:1] and cells[0] in modes}
-    assert set(rows) == set(modes)
-    for cells in rows.values():
-        assert len(cells) == len(METRIC_NAMES)
-        assert all(cell == "n/a" or 0.0 <= float(cell) <= 1.0 for cell in cells)
-    assert sorted(p.name for p in tmp_path.iterdir()) == [f"report_{mode}.csv" for mode in sorted(modes)]
 
 
 def test_output_digests_of_the_mini_corpus(mini_store_dir, tmp_path):
@@ -112,20 +104,62 @@ def test_output_digests_of_the_mini_corpus(mini_store_dir, tmp_path):
                 argv = ["query", "--store", str(mini_store_dir), "--mode", mode, "--question", question, "--json"]
                 assert kgrag_main(argv) == 0
             expected.append(f"{hashlib.sha256(printed.getvalue().encode()).hexdigest()}  {mode}  {question}")
-    for mode in ("hybrid", "semantic", "kg"):
+    assert lines[len(files) : -3] == expected
+    for mode, line in zip(("hybrid", "semantic", "kg"), lines[-3:], strict=True):
         report = tmp_path / f"report_{mode}.csv"
         argv = ["eval", "--store", str(mini_store_dir), "--mode", mode, "--records", str(MINI_QUESTIONS),
                 "--out", str(report)]
         with redirect_stdout(io.StringIO()):
             assert kgrag_main(argv) == 0
-        expected.append(f"{hashlib.sha256(report.read_bytes()).hexdigest()}  eval  {mode}")
-    assert lines[len(files) :] == expected
+        digest, label, printed_mode, means = line.split("  ")
+        assert (digest, label, printed_mode) == (hashlib.sha256(report.read_bytes()).hexdigest(), "eval", mode)
+        # The means are the report's own MEAN row, each in [0, 1] or n/a where no record defines the metric.
+        pairs = [pair.split("=") for pair in means.split(" ")]
+        assert [name for name, _ in pairs] == list(METRIC_NAMES)
+        mean_row = report.read_text().splitlines()[-1].split(",")
+        assert mean_row == ["MEAN", *(value.replace("n/a", "") for _, value in pairs)]
+        assert all(value == "n/a" or 0.0 <= float(value) <= 1.0 for _, value in pairs)
 
 
-def test_output_digests_exits_1_when_a_second_pass_differs(monkeypatch, capsys):
+def test_output_digests_quiet_when_stdout_closes_early():
+    argv = [sys.executable, str(SCRIPTS / "output_digests.py"), "--corpus", str(MINI_CORPUS),
+            "--questions", str(MINI_QUESTIONS)]
+    child = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=REPO_ROOT)
+    child.stdout.close()  # as `output_digests.py ... | head -1` does once it has its line
+    err = child.stderr.read().decode()
+    child.stderr.close()
+    assert child.wait(timeout=120) == 0, err
+    assert err == ""
+
+
+def load_output_digests():
     spec = importlib.util.spec_from_file_location("output_digests", SCRIPTS / "output_digests.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_output_digests_of_bench_seed_1_match_the_golden_file(capsys):
+    assert load_output_digests().main(["--bench-seed", "1"]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    golden = (REPO_ROOT / "tests" / "output_digests_bench_seed_1.txt").read_text(encoding="utf-8").splitlines()
+    moved = [
+        f"line {n}: expected {want!r}, printed {got!r}"
+        for n, (want, got) in enumerate(itertools.zip_longest(golden, printed, fillvalue="(none)"), start=1)
+        if want != got
+    ]
+    assert not moved, "output_digests.py --bench-seed 1 moved from the golden file:\n" + "\n".join(moved)
+
+
+def test_output_digests_docs_needs_bench_seed(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        load_output_digests().main(["--corpus", str(MINI_CORPUS), "--questions", str(MINI_QUESTIONS), "--docs", "60"])
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().err.endswith("error: --docs needs --bench-seed\n")
+
+
+def test_output_digests_exits_1_when_a_second_pass_differs(monkeypatch, capsys):
+    script = load_output_digests()
     first_calls: set[tuple] = set()
     run_query = script.run_query
 
